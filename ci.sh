@@ -1,120 +1,180 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml — run before pushing.
+# The CI pipeline, one stage per function. `.github/workflows/ci.yml`
+# runs one job per stage by calling this script, so the commands live
+# here only.
 #
-#   ./ci.sh          # full pipeline: test + determinism + bench gate
-#   ./ci.sh quick    # skip the slow ignored tests
+#   ./ci.sh                  # every stage, in order
+#   ./ci.sh quick            # every stage, skipping the slow ignored tests
+#   ./ci.sh <stage>...       # test | determinism | net-scenarios |
+#                            # serve-smoke | bench-gate | benchmark-build
 set -euo pipefail
 cd "$(dirname "$0")"
 
-MODE="${1:-full}"
+STAGES=(test determinism net-scenarios serve-smoke bench-gate benchmark-build)
 
 step() { printf '\n=== %s ===\n' "$*"; }
 
 # One EXIT trap for the whole pipeline: any failure after the smoke
-# server/clients are spawned must not leak them, and the determinism
-# scratch directory always gets removed.
+# server/clients are spawned must not leak them, and the scratch
+# directories always get removed.
 SERVE_PID=""
 CLIENT_PID=""
-DET_DIR=""
+SCRATCH_DIRS=()
 cleanup() {
     if [ -n "${CLIENT_PID:-}" ]; then kill "$CLIENT_PID" 2>/dev/null || true; fi
     if [ -n "${SERVE_PID:-}" ]; then kill "$SERVE_PID" 2>/dev/null || true; fi
-    if [ -n "${DET_DIR:-}" ]; then rm -rf "$DET_DIR"; fi
+    for dir in "${SCRATCH_DIRS[@]:-}"; do
+        if [ -n "$dir" ]; then rm -rf "$dir"; fi
+    done
 }
 trap cleanup EXIT
 
-step "Format"
-cargo fmt --check
+scratch_dir() {
+    SCRATCH="$(mktemp -d)"
+    SCRATCH_DIRS+=("$SCRATCH")
+}
 
-step "Clippy"
-cargo clippy --workspace --all-targets -- -D warnings
+bench() { cargo run -p cvr-bench --release --bin "$@"; }
 
-step "Build"
-cargo build --workspace --all-targets
+# Runs `bin` at 1 and at 4 threads with the given arguments and requires
+# byte-identical CSV output.
+same_at_1_and_4_threads() {
+    local tag="$1" bin="$2"
+    shift 2
+    bench "$bin" -- "$@" --csv "$SCRATCH/$tag-t1" --threads 1
+    bench "$bin" -- "$@" --csv "$SCRATCH/$tag-t4" --threads 4
+    diff -r "$SCRATCH/$tag-t1" "$SCRATCH/$tag-t4"
+}
 
-if [ "$MODE" = "quick" ]; then
-    step "Tests"
-    cargo test --workspace --release
-else
-    step "Tests (including slow ignored tests)"
-    cargo test --workspace --release -- --include-ignored
+INCLUDE_IGNORED=1
+
+stage_test() {
+    step "Format"
+    cargo fmt --check
+
+    step "Clippy"
+    cargo clippy --workspace --all-targets -- -D warnings
+
+    step "Build"
+    cargo build --workspace --all-targets
+
+    if [ "$INCLUDE_IGNORED" = 1 ]; then
+        step "Tests (including slow ignored tests)"
+        cargo test --workspace --release -- --include-ignored
+    else
+        step "Tests"
+        cargo test --workspace --release
+    fi
+
+    step "Docs"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+    step "Smoke figures"
+    bench fig1
+    bench fig2 -- --runs 2 --duration 5
+    bench fig7 -- --runs 1 --duration 5
+}
+
+stage_determinism() {
+    step "Determinism: 1 thread vs 4 threads must produce identical outputs"
+    scratch_dir
+    same_at_1_and_4_threads fig2 fig2 --runs 6 --duration 5
+    same_at_1_and_4_threads fig7 fig7 --runs 4 --duration 5
+    echo "determinism: outputs byte-for-byte identical"
+}
+
+stage_net_scenarios() {
+    step "Net scenarios: pathology matrix at 1 vs 4 threads, byte-identical CSVs"
+    scratch_dir
+    same_at_1_and_4_threads net net_bench --runs 2 --duration 10
+    echo "net scenarios: outputs byte-for-byte identical"
+
+    step "Lookahead sweep: horizon matrix at 1 vs 4 threads, byte-identical CSVs"
+    same_at_1_and_4_threads la lookahead_bench --runs 2 --duration 10
+    echo "lookahead sweep: outputs byte-for-byte identical"
+}
+
+stage_serve_smoke() {
+    step "Serve smoke: 8 TCP clients over 4 multicast sessions on 2 shards, 200 slots, zero protocol errors"
+    local serve_port=7015 metrics_port=9091
+    cargo build --release -p cvr-serve --bins
+    ./target/release/cvr-serve \
+        --listen "127.0.0.1:$serve_port" --clients 8 --sessions 4 --shards 2 \
+        --slots 200 --metrics-addr "127.0.0.1:$metrics_port" --multicast \
+        --horizon 4 &
+    SERVE_PID=$!
+    ./target/release/cvr-client \
+        --connect "127.0.0.1:$serve_port" --count 8 --slots 200 --seed 1 &
+    CLIENT_PID=$!
+    # Obs smoke: scrape the live exposition endpoint mid-run and require the
+    # core metric families — including the per-shard session gauges of the
+    # merged multi-session snapshot (retrying until the first publish) and,
+    # since the host was booted with --horizon 4, the planner's prefetch
+    # stage series.
+    local scrape="" family
+    for _ in $(seq 1 40); do
+        scrape="$(curl -sf "http://127.0.0.1:$metrics_port/metrics" || true)"
+        if printf '%s' "$scrape" | grep -q cvr_ticks_total; then break; fi
+        sleep 0.25
+    done
+    for family in cvr_slot_stage_ns_bucket 'cvr_slot_stage_ns_bucket{stage="prefetch"' \
+        cvr_tick_overruns_total cvr_session_clients cvr_ticks_total \
+        cvr_session_joins_total cvr_mcast_groups cvr_lookahead_fov_overlap \
+        'cvr_shard_sessions{shard="0"} 2' 'cvr_shard_sessions{shard="1"} 2'; do
+        printf '%s' "$scrape" | grep -qF "$family" \
+            || { echo "obs smoke: missing $family in scrape"; exit 1; }
+    done
+    echo "obs smoke: live /metrics scrape contains all required families"
+    wait "$CLIENT_PID"
+    CLIENT_PID=""
+    wait "$SERVE_PID"
+    SERVE_PID=""
+    echo "serve smoke: server and all 8 clients exited cleanly"
+}
+
+stage_bench_gate() {
+    step "Bench gate"
+    # build_bench also runs the staging tier (old strided walk vs fused
+    # level-major kernel); bench_check gates both its artifacts.
+    local bin
+    for bin in slot_engine scale serve_bench build_bench obs_bench net_bench \
+        mcast_bench lookahead_bench; do
+        bench "$bin" -- --quick
+    done
+    bench bench_check
+}
+
+stage_benchmark_build() {
+    step "Benchmark crate builds against the public API, dependency graph frozen"
+    # benchmark/ is its own workspace with its own lock file. This fails if
+    # a refactor breaks the public API the benchmark drives, and --locked
+    # fails if a cvr-* dependency edge (or crate) was added or removed.
+    cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+}
+
+run_stage() {
+    case "$1" in
+        test) stage_test ;;
+        determinism) stage_determinism ;;
+        net-scenarios) stage_net_scenarios ;;
+        serve-smoke) stage_serve_smoke ;;
+        bench-gate) stage_bench_gate ;;
+        benchmark-build) stage_benchmark_build ;;
+        *)
+            echo "unknown stage '$1' (stages: ${STAGES[*]}; or 'quick', or nothing for all)" >&2
+            exit 2
+            ;;
+    esac
+}
+
+if [ "$#" -eq 0 ]; then
+    set -- "${STAGES[@]}"
+elif [ "$1" = "quick" ]; then
+    INCLUDE_IGNORED=0
+    set -- "${STAGES[@]}"
 fi
-
-step "Docs"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-
-step "Smoke figures"
-cargo run -p cvr-bench --release --bin fig1
-cargo run -p cvr-bench --release --bin fig2 -- --runs 2 --duration 5
-cargo run -p cvr-bench --release --bin fig7 -- --runs 1 --duration 5
-
-step "Determinism: 1 thread vs 4 threads must produce identical outputs"
-DET_DIR="$(mktemp -d)"
-cargo run -p cvr-bench --release --bin fig2 -- --runs 6 --duration 5 --csv "$DET_DIR/t1" --threads 1
-cargo run -p cvr-bench --release --bin fig2 -- --runs 6 --duration 5 --csv "$DET_DIR/t4" --threads 4
-cargo run -p cvr-bench --release --bin fig7 -- --runs 4 --duration 5 --csv "$DET_DIR/t1" --threads 1
-cargo run -p cvr-bench --release --bin fig7 -- --runs 4 --duration 5 --csv "$DET_DIR/t4" --threads 4
-diff -r "$DET_DIR/t1" "$DET_DIR/t4"
-echo "determinism: outputs byte-for-byte identical"
-
-step "Net scenarios: pathology matrix at 1 vs 4 threads, byte-identical CSVs"
-cargo run -p cvr-bench --release --bin net_bench -- --runs 2 --duration 10 --csv "$DET_DIR/net-t1" --threads 1
-cargo run -p cvr-bench --release --bin net_bench -- --runs 2 --duration 10 --csv "$DET_DIR/net-t4" --threads 4
-diff -r "$DET_DIR/net-t1" "$DET_DIR/net-t4"
-echo "net scenarios: outputs byte-for-byte identical"
-
-step "Lookahead sweep: horizon matrix at 1 vs 4 threads, byte-identical CSVs"
-cargo run -p cvr-bench --release --bin lookahead_bench -- --runs 2 --duration 10 --csv "$DET_DIR/la-t1" --threads 1
-cargo run -p cvr-bench --release --bin lookahead_bench -- --runs 2 --duration 10 --csv "$DET_DIR/la-t4" --threads 4
-diff -r "$DET_DIR/la-t1" "$DET_DIR/la-t4"
-echo "lookahead sweep: outputs byte-for-byte identical"
-
-step "Serve smoke: 8 TCP clients over 4 multicast sessions on 2 shards, 200 slots, zero protocol errors"
-SERVE_PORT=7015
-METRICS_PORT=9091
-cargo build --release -p cvr-serve --bins
-cargo run -p cvr-serve --release --bin cvr-serve -- \
-    --listen "127.0.0.1:$SERVE_PORT" --clients 8 --sessions 4 --shards 2 \
-    --slots 200 --metrics-addr "127.0.0.1:$METRICS_PORT" --multicast \
-    --horizon 4 &
-SERVE_PID=$!
-cargo run -p cvr-serve --release --bin cvr-client -- \
-    --connect "127.0.0.1:$SERVE_PORT" --count 8 --slots 200 --seed 1 &
-CLIENT_PID=$!
-# Obs smoke: scrape the live exposition endpoint mid-run and require the
-# core metric families — including the per-shard session gauges of the
-# merged multi-session snapshot (retrying until the first publish).
-SCRAPE=""
-for _ in $(seq 1 40); do
-    SCRAPE="$(curl -sf "http://127.0.0.1:$METRICS_PORT/metrics" || true)"
-    if printf '%s' "$SCRAPE" | grep -q cvr_ticks_total; then break; fi
-    sleep 0.25
+for stage in "$@"; do
+    run_stage "$stage"
 done
-for family in cvr_slot_stage_ns_bucket cvr_tick_overruns_total \
-    cvr_session_clients cvr_ticks_total cvr_session_joins_total \
-    cvr_mcast_groups cvr_lookahead_fov_overlap \
-    'cvr_shard_sessions{shard="0"} 2' 'cvr_shard_sessions{shard="1"} 2'; do
-    printf '%s' "$SCRAPE" | grep -qF "$family" \
-        || { echo "obs smoke: missing $family in scrape"; exit 1; }
-done
-echo "obs smoke: live /metrics scrape contains all required families"
-wait "$CLIENT_PID"
-CLIENT_PID=""
-wait "$SERVE_PID"
-SERVE_PID=""
-echo "serve smoke: server and all 8 clients exited cleanly"
 
-step "Bench gate"
-# build_bench also runs the staging tier (old strided walk vs fused
-# level-major kernel); bench_check gates both its artifacts.
-cargo run -p cvr-bench --release --bin slot_engine -- --quick
-cargo run -p cvr-bench --release --bin scale -- --quick
-cargo run -p cvr-bench --release --bin serve_bench -- --quick
-cargo run -p cvr-bench --release --bin build_bench -- --quick
-cargo run -p cvr-bench --release --bin obs_bench -- --quick
-cargo run -p cvr-bench --release --bin net_bench -- --quick
-cargo run -p cvr-bench --release --bin mcast_bench -- --quick
-cargo run -p cvr-bench --release --bin lookahead_bench -- --quick
-cargo run -p cvr-bench --release --bin bench_check
-
-step "CI pipeline passed"
+step "CI passed: $*"

@@ -44,6 +44,7 @@ use cvr_content::sizing::TileSizeModel;
 use cvr_content::tile::TileId;
 use cvr_core::delay::{DelayModel, Mm1Delay};
 use cvr_core::engine::SlotEngine;
+use cvr_core::fnv;
 use cvr_core::objective::QoeParams;
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::{stage_rates_values, stage_rates_values_with, CONTROL_OVERHEAD_MBPS};
@@ -56,14 +57,6 @@ use rand_chacha::ChaCha8Rng;
 
 /// Timed repetitions per staging path; the minimum is reported.
 const STAGING_REPS: usize = 3;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds one byte into an FNV-1a fingerprint.
-fn fnv64(hash: u64, byte: u8) -> u64 {
-    (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
-}
 
 /// A recorded workload both build paths replay: pose walks from the
 /// synthetic motion model plus per-slot ACK/Release event streams that
@@ -358,7 +351,7 @@ impl Workload {
             .map(|_| StridedSums::new(self.levels))
             .collect();
         let levels = self.levels;
-        let mut fingerprint = FNV_OFFSET;
+        let mut fingerprint = fnv::OFFSET;
         let mut staging_time = Duration::ZERO;
         for slot in 0..self.slots {
             for u in 0..self.users {
@@ -409,7 +402,7 @@ impl Workload {
             staging_time += t.elapsed();
 
             for q in engine.solve() {
-                fingerprint = fnv64(fingerprint, q.get());
+                fingerprint = fnv::fold_bytes(fingerprint, &[q.get()]);
             }
         }
         (fingerprint, staging_time)
@@ -443,7 +436,7 @@ impl Workload {
         let mut undelivered: Vec<UndeliveredSums> = (0..self.users)
             .map(|_| UndeliveredSums::new(levels))
             .collect();
-        let mut fingerprint = FNV_OFFSET;
+        let mut fingerprint = fnv::OFFSET;
         let mut staging_time = Duration::ZERO;
         for slot in 0..self.slots {
             for u in 0..self.users {
@@ -484,7 +477,7 @@ impl Workload {
             staging_time += t.elapsed();
 
             for q in engine.solve() {
-                fingerprint = fnv64(fingerprint, q.get());
+                fingerprint = fnv::fold_bytes(fingerprint, &[q.get()]);
             }
         }
         (fingerprint, staging_time)

@@ -14,6 +14,7 @@
 //! Run: `cargo run -p cvr-bench --release --bin lookahead_bench [--quick]`
 
 use cvr_bench::{f3, print_header, print_row, write_csv, FigureArgs};
+use cvr_core::fnv;
 use cvr_sim::allocators::AllocatorKind;
 use cvr_sim::experiment::{
     lookahead_matrix_threaded, scenario_matrix_threaded, LookaheadMatrixResult, SystemAverages,
@@ -26,13 +27,8 @@ const HORIZONS: [usize; 4] = [1, 2, 4, 8];
 /// FNV-1a over the little-endian bit patterns of every averaged metric,
 /// in sweep order — any drift in any f64 anywhere flips the print.
 fn fingerprint(matrix: &LookaheadMatrixResult) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = fnv::OFFSET;
+    let mut eat = |bits: u64| hash = fnv::fold_u64(hash, bits);
     for row in &matrix.rows {
         for (horizon, avg) in &row.per_horizon {
             eat(*horizon as u64);

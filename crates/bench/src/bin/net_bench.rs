@@ -11,6 +11,7 @@
 //! Run: `cargo run -p cvr-bench --release --bin net_bench [--quick]`
 
 use cvr_bench::{f3, print_header, print_row, write_csv, FigureArgs};
+use cvr_core::fnv;
 use cvr_sim::allocators::AllocatorKind;
 use cvr_sim::experiment::{scenario_matrix_threaded, ScenarioMatrixResult};
 use cvr_sim::system::SystemConfig;
@@ -18,13 +19,8 @@ use cvr_sim::system::SystemConfig;
 /// FNV-1a over the little-endian bit patterns of every averaged metric,
 /// in matrix order — any drift in any f64 anywhere flips the print.
 fn fingerprint(matrix: &ScenarioMatrixResult) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = fnv::OFFSET;
+    let mut eat = |bits: u64| hash = fnv::fold_u64(hash, bits);
     for row in &matrix.rows {
         for (name, avg) in &row.per_algorithm {
             eat(name.len() as u64);

@@ -50,6 +50,7 @@
 //! * [`objective`] — the per-slot objective `h_n` (Eq. 9) and slot problem.
 //! * [`alloc`] — Algorithm 1 and its pure-greedy ablations.
 //! * [`engine`] — the reusable zero-allocation slot solver with stage timing.
+//! * [`fnv`] — the one FNV-1a helper behind every fingerprint.
 //! * [`stage`] — fused, autovectorisable staging kernels shared by every
 //!   per-slot problem-build path.
 //! * [`baselines`] — Firefly LRU and modified PAVQ comparators.
@@ -64,6 +65,7 @@ pub mod baselines;
 pub mod delay;
 pub mod engine;
 pub mod error;
+pub mod fnv;
 pub mod objective;
 pub mod offline;
 pub mod qoe;

@@ -119,8 +119,10 @@ impl AnticipatoryDegrade {
 
     /// Records this slot's raw bandwidth estimate, extrapolates the
     /// fitted trend `horizon − 1` slots ahead, and returns the clamped
-    /// link budget for the allocator. Callers gate on `horizon > 1`; the
-    /// returned budget never exceeds `raw`.
+    /// link budget for the allocator. The returned budget never exceeds
+    /// `raw`, but it can lag below it (the up-ramp is bounded), so this is
+    /// not the identity at `horizon = 1` — the slot planner does not call
+    /// it there.
     pub fn observe_and_clamp(&mut self, raw: f64, horizon: usize) -> f64 {
         let raw = if raw.is_finite() {
             raw

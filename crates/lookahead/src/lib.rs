@@ -19,19 +19,21 @@
 //!
 //! Both policies are pure functions of their inputs — no clocks, no
 //! randomness — so horizon-H runs stay bit-identical at every thread
-//! count. Callers gate every lookahead code path on `horizon > 1`; at
-//! `H = 1` nothing in this crate runs and the per-slot allocator is
-//! byte-for-byte the paper's (the Theorem-1 parity argument: the H = 1
-//! path is not a degenerate configuration of the lookahead code, it is
-//! the *absence* of the lookahead code).
+//! count. The one caller is `cvr_sim::pipeline::SlotPlanner`, and `H = 1`
+//! is its myopic case, not a separate path: the prefetch step walks
+//! `1..H` future slots, which is nothing at `H = 1`, so no credit is
+//! spent and no ledger is touched. The degrade ramp is the exception —
+//! a ramp limiter is *not* the identity even with nothing forecast — so
+//! the planner's `clamp_budget` returns its input at `H = 1` instead of
+//! stepping the state machine; that is the only `horizon > 1` test in
+//! the pipeline. `tests/golden_fingerprints.rs` pins the H = 1 runs to
+//! the pre-lookahead allocator bit for bit.
 //!
 //! ```
 //! use cvr_lookahead::LookaheadConfig;
 //!
-//! let myopic = LookaheadConfig::for_horizon(1);
-//! assert!(!myopic.active());
-//! let predictive = LookaheadConfig::for_horizon(4);
-//! assert!(predictive.active());
+//! assert_eq!(LookaheadConfig::for_horizon(0).horizon, 1);
+//! assert_eq!(LookaheadConfig::for_horizon(4).horizon, 4);
 //! ```
 
 #![warn(missing_docs)]
@@ -67,13 +69,6 @@ impl LookaheadConfig {
             prefetch: PrefetchConfig::default(),
         }
     }
-
-    /// Whether any lookahead machinery should run at all. Callers must
-    /// skip every lookahead code path when this is `false` — that skip
-    /// *is* the H = 1 bit-parity guarantee.
-    pub fn active(&self) -> bool {
-        self.horizon > 1
-    }
 }
 
 /// Number of actual-FoV tiles that were also in the predicted FoV —
@@ -103,12 +98,10 @@ mod tests {
     }
 
     #[test]
-    fn config_activity_follows_horizon() {
-        assert!(!LookaheadConfig::for_horizon(0).active());
+    fn horizon_is_clamped_to_at_least_one() {
         assert_eq!(LookaheadConfig::for_horizon(0).horizon, 1);
-        assert!(!LookaheadConfig::for_horizon(1).active());
-        for h in [2, 4, 8] {
-            assert!(LookaheadConfig::for_horizon(h).active());
+        for h in [1, 2, 4, 8] {
+            assert_eq!(LookaheadConfig::for_horizon(h).horizon, h);
         }
     }
 }

@@ -25,21 +25,8 @@ use cvr_content::grid::CellId;
 use cvr_content::id::VideoId;
 use cvr_content::plane::OrientationKey;
 use cvr_content::tile::TileId;
+use cvr_core::fnv;
 use cvr_core::quality::QualityLevel;
-
-/// FNV-1a offset basis (the same constant the bench fingerprints use).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Feeds `bytes` into an FNV-1a accumulator.
-fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Identity of one multicast-sharable unit of work: users with equal keys
 /// are guaranteed to need byte-identical tile manifests at every quality
@@ -66,17 +53,16 @@ pub fn content_fingerprint(
     sums: &[f64],
     ledger: &DeliveryLedger,
 ) -> u64 {
-    let mut hash = FNV_OFFSET;
-    hash = fnv(hash, &(tiles.len() as u64).to_le_bytes());
+    let mut hash = fnv::fold_u64(fnv::OFFSET, tiles.len() as u64);
     for &tile in tiles {
-        hash = fnv(hash, &[tile.get()]);
+        hash = fnv::fold_bytes(hash, &[tile.get()]);
         for l in 1..=sums.len() as u8 {
             let delivered = ledger.is_delivered(&VideoId::new(cell, tile, QualityLevel::new(l)));
-            hash = fnv(hash, &[u8::from(delivered)]);
+            hash = fnv::fold_bytes(hash, &[u8::from(delivered)]);
         }
     }
     for &s in sums {
-        hash = fnv(hash, &s.to_bits().to_le_bytes());
+        hash = fnv::fold_u64(hash, s.to_bits());
     }
     hash
 }

@@ -1,45 +1,44 @@
 //! The live session runtime: the part of the paper's Java edge server
 //! this repo reproduces in Rust.
 //!
-//! A [`Session`] owns one [`SlotEngine`] and a registry of connected
-//! users. Every 15 ms slot it runs the same control loop the system
-//! simulator models, but against real transports:
+//! A [`Session`] is the live driver of the shared [`SlotPlanner`] — the
+//! same planner the simulators drive — plus a registry of connected
+//! users. Every 15 ms slot it runs the paper's control loop against real
+//! transports:
 //!
 //! 1. **ingest** — drain every connection's upstream queue: handshakes
 //!    join users, poses feed the per-user predictor (and score earlier
 //!    predictions), ACKs update the delivery ledger, bandwidth samples
 //!    feed the EMA estimator.
-//! 2. **plan** — stage the per-slot nonlinear knapsack into the engine
-//!    (ledger-suppressed rates, estimated-delay and variance-penalised
-//!    values) and solve it with the density/value greedy.
-//! 3. **transmit** — send each user its `Assignment` with the manifest
-//!    of tiles this slot actually transmits. Slow clients (saturated or
-//!    stalled outbound queues) are *degraded* to the lowest quality
-//!    instead of being allowed to stall the tick.
+//! 2. **plan** — predict each user's display pose and link budget, hand
+//!    them to the planner (ledger-suppressed rates, estimated-delay and
+//!    variance-penalised values, one staged row per multicast group),
+//!    solve with the density/value greedy, and run the prefetch step.
+//! 3. **transmit** — walk the planner's rows: a one-member row gets its
+//!    `Assignment` with the manifest of tiles this slot actually
+//!    transmits, a shared row one fanned-out `GroupAssign` per delivered
+//!    quality. Slow clients (saturated or stalled outbound queues) are
+//!    *degraded* to the lowest quality instead of being allowed to stall
+//!    the tick.
 //!
 //! The ledger only marks tiles delivered when the client ACKs them —
 //! exactly the retransmission-suppression protocol of Section V.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use cvr_content::cache::{DeliveryLedger, UndeliveredSums};
-use cvr_content::grid::CellId;
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
-use cvr_content::plane::{RatePlane, SharedFovCache, DEFAULT_PLANE_CELLS};
 use cvr_content::tile::{tiles_for_pose_into, TileId};
 use cvr_core::delay::{DelayModel, Mm1Delay};
-use cvr_core::engine::{SlotEngine, StageClock};
+use cvr_core::engine::StageClock;
 use cvr_core::objective::QoeParams;
 use cvr_core::qoe::{UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
-use cvr_core::stage::{stage_rates_values_with, CONTROL_OVERHEAD_MBPS};
+use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
 use cvr_core::variance::VarianceTracker;
-use cvr_lookahead::{
-    fov_tile_overlap, slot_credit, AnticipatoryDegrade, DegradeConfig, LookaheadConfig, Prefetcher,
-};
-use cvr_mcast::{content_fingerprint, stage_group, GroupKey, GroupMember, GroupTracker};
+use cvr_lookahead::{fov_tile_overlap, LookaheadConfig};
 use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::pose::Pose;
 use cvr_motion::predict::LinearPredictor;
@@ -47,7 +46,8 @@ use cvr_net::estimate::EmaEstimator;
 use cvr_net::multilink::{FailoverPolicy, LinkId};
 use cvr_obs::registry::{CounterId, GaugeId, HistogramId};
 use cvr_obs::{latency_bounds_ns, Registry, StageStats, TraceEvent, Tracer};
-use cvr_sim::system::{sanitize_rates, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
+use cvr_sim::pipeline::SlotPlanner;
+use cvr_sim::system::{DELAY_CAP_SLOTS, PIPELINE_SLOTS};
 
 use crate::protocol::{ClientMessage, ServerMessage, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 use crate::ticker::SlotTicker;
@@ -97,23 +97,27 @@ pub struct ServeConfig {
     /// Enables shared-FoV multicast: co-located v3 users whose
     /// undelivered tile state is byte-identical share one staged engine
     /// row and receive one fanned-out `GroupAssign` frame. Off by
-    /// default; when off the session plans and transmits exactly the
-    /// unicast path. v2 clients are always served unicast either way.
+    /// default. The flag selects no code: it only decides whether a user
+    /// is *eligible* for grouping. An ineligible user (flag off, v2
+    /// client, degraded) is staged as a one-member row, which is the
+    /// per-user row bit for bit, and is sent a plain `Assignment`.
     pub multicast: bool,
     /// Slots a multicast group key keeps its id after it was last seen
     /// (FoV-jitter hysteresis; membership itself is re-derived every
     /// slot).
     pub mcast_hysteresis_slots: u64,
     /// Lookahead horizon H in slots. `1` is the paper's myopic per-slot
-    /// planner — no lookahead code runs at all, so the session is
-    /// bit-identical to the pre-lookahead runtime. `H > 1` turns on the
-    /// `cvr-lookahead` subsystem: per-user anticipatory degrade clamps
-    /// the planning bandwidth estimate ahead of fitted-trend dips, budget
-    /// slack prefetches predicted future-cell tiles (they ride the
-    /// outgoing assignment manifests, so the ledger charges them only
-    /// when the client ACKs — unlike the simulator, which models the
-    /// push as delivered), and `cvr_lookahead_fov_overlap{h="…"}`
-    /// histograms score prediction accuracy per horizon step.
+    /// planner: the same planning path runs, but its `1..H` prefetch loop
+    /// is empty and the budget clamp returns its input, so the session is
+    /// bit-identical to the pre-lookahead runtime (pinned by
+    /// `tests/golden_fingerprints.rs`). At `H > 1` per-user anticipatory
+    /// degrade clamps the planning bandwidth estimate ahead of
+    /// fitted-trend dips, budget slack prefetches predicted future-cell
+    /// tiles (they ride the outgoing assignment manifests, so the ledger
+    /// charges them only when the client ACKs — unlike the simulator,
+    /// which models the push as delivered), and
+    /// `cvr_lookahead_fov_overlap{h="…"}` histograms score prediction
+    /// accuracy per horizon step.
     pub horizon: usize,
 }
 
@@ -149,6 +153,7 @@ struct SessionObs {
     h_build: HistogramId,
     h_density: HistogramId,
     h_value: HistogramId,
+    h_prefetch: HistogramId,
     h_transmit: HistogramId,
     h_tick: HistogramId,
     c_ticks: CounterId,
@@ -185,6 +190,7 @@ impl SessionObs {
         let h_build = stage(&mut r, "build");
         let h_density = stage(&mut r, "density");
         let h_value = stage(&mut r, "value");
+        let h_prefetch = stage(&mut r, "prefetch");
         let h_transmit = stage(&mut r, "transmit");
         let h_tick = stage(&mut r, "tick");
         let c_ticks = r.counter("cvr_ticks_total", "", "Slots executed");
@@ -247,6 +253,7 @@ impl SessionObs {
             h_build,
             h_density,
             h_value,
+            h_prefetch,
             h_transmit,
             h_tick,
             c_ticks,
@@ -309,13 +316,9 @@ struct UserState {
     predictor: LinearPredictor,
     delta: DeltaEstimator,
     bandwidth: EmaEstimator,
-    ledger: DeliveryLedger,
     /// Protocol version this user's Hello negotiated. v2 users are
     /// served unicast `Assignment`s even in a multicast session.
     version: u16,
-    /// Per-level undelivered-rate sums over the current FoV target, kept
-    /// in lockstep with `ledger` through the paired ACK/Release calls.
-    undelivered: UndeliveredSums,
     qoe: UserQoeAccumulator,
     last_pose: Pose,
     last_pose_seq: u64,
@@ -344,11 +347,6 @@ struct UserState {
     /// Bandwidth-floor degrade, held separately from the backpressure
     /// `degraded` flag so queue recovery cannot clear a starvation pin.
     bw_degraded: bool,
-    /// Anticipatory-degrade state over the planning estimate (lookahead
-    /// sessions only; untouched at `horizon = 1`).
-    lookahead_degrade: AnticipatoryDegrade,
-    /// Outstanding prefetched tiles awaiting their ACK or release.
-    prefetcher: Prefetcher,
     /// Lookahead FoV predictions awaiting their scoring pose.
     fov_predictions: VecDeque<FovPredictionRecord>,
     seed: u64,
@@ -359,7 +357,6 @@ impl UserState {
         user_id: u32,
         transport: Box<dyn ServerTransport>,
         config: &ServeConfig,
-        library: &ContentLibrary,
         seed: u64,
         version: u16,
     ) -> Self {
@@ -369,9 +366,7 @@ impl UserState {
             predictor: LinearPredictor::paper_default(),
             delta: DeltaEstimator::ewma(1.0, 0.02),
             bandwidth: EmaEstimator::new(config.ema_weight),
-            ledger: DeliveryLedger::new(),
             version,
-            undelivered: UndeliveredSums::new(library.quality_set().len()),
             qoe: UserQoeAccumulator::new(config.params),
             last_pose: Pose::default(),
             last_pose_seq: 0,
@@ -387,8 +382,6 @@ impl UserState {
             link_switches: 0,
             multilink: false,
             bw_degraded: false,
-            lookahead_degrade: AnticipatoryDegrade::new(DegradeConfig::default()),
-            prefetcher: Prefetcher::new(),
             fov_predictions: VecDeque::new(),
             seed,
         }
@@ -458,6 +451,12 @@ pub struct ServeReport {
     pub density: StageStats,
     /// Engine value-pass timing per slot.
     pub value: StageStats,
+    /// Planner prefetch-step timing per slot (near zero at `horizon = 1`,
+    /// where the step has no future slots to walk). Summarised from the
+    /// `cvr_slot_stage_ns{stage="prefetch"}` histogram rather than raw
+    /// samples: count, total and mean are exact, the quantiles are
+    /// bucket-interpolated.
+    pub prefetch: StageStats,
     /// Whole-slot work timing (from the ticker).
     pub tick: StageStats,
     /// Per-user server-side summaries, in join order.
@@ -476,11 +475,13 @@ impl ServeReport {
 }
 
 /// One live session: a registry of users driven through
-/// ingest → plan → transmit each slot by a single [`SlotEngine`].
+/// ingest → plan → transmit each slot by one shared [`SlotPlanner`].
 pub struct Session {
     config: ServeConfig,
-    library: ContentLibrary,
-    engine: SlotEngine,
+    /// The planning half of the slot loop (engine, data plane, group
+    /// discovery, lookahead, per-user ledgers), shared with the
+    /// simulators. Its user slab is indexed like `users`.
+    planner: SlotPlanner,
     users: Vec<Option<UserState>>,
     pending: Vec<Box<dyn ServerTransport>>,
     departed: Vec<UserServerSummary>,
@@ -493,65 +494,41 @@ pub struct Session {
     ingest_clock: StageClock,
     transmit_clock: StageClock,
     tick_clock: StageClock,
-    /// Session-wide cache of materialised per-cell rate rows.
-    plane: RatePlane,
-    /// Session-wide FoV request cache: one materialised tile set per
-    /// (cell, orientation bucket), shared by every user — the per-user
-    /// caches this replaces each held a copy of the same row.
-    shared_fov: SharedFovCache,
-    /// Multicast group discovery (used only when `config.multicast`).
-    groups: GroupTracker,
-    /// Multicast groups (≥2 members) formed in the last planned slot.
-    mcast_groups_last: usize,
-    /// Lookahead policy derived from `config.horizon` (inactive at 1).
-    lookahead: LookaheadConfig,
-    // Reused per-slot scratch, engine-index order. The `plan_*` tables
-    // are flat copies of per-user build inputs: `UserState` owns a
+    // Reused per-slot scratch, plan order. Flat copies of what the value
+    // formula and the prefetch step read per user: `UserState` owns a
     // non-`Sync` transport, so the parallel fill reads these instead.
     plan_ids: Vec<usize>,
     plan_predicted: Vec<Pose>,
-    plan_bn: Vec<f64>,
     plan_delta: Vec<f64>,
     plan_tracker: Vec<VarianceTracker>,
-    /// Per-user undelivered-rate sums, `levels` entries per user.
-    plan_sums: Vec<f64>,
-    /// Per-user multicast group key (`None` = not groupable this slot:
-    /// v2 client, degraded, unbucketable pose, or multicast off).
-    plan_keys: Vec<Option<GroupKey>>,
-    /// Per-user unicast rate/value rows staged by the parallel build when
-    /// multicast is on (the engine then receives one row per *group*).
-    mc_rates: Vec<f64>,
-    mc_values: Vec<f64>,
-    /// Engine-row → member plan indices, caps, and group ids for the
-    /// multicast transmit fan-out.
-    staged_members: Vec<Vec<usize>>,
-    staged_caps: Vec<Vec<usize>>,
-    staged_gid: Vec<u64>,
-    /// Per-plan-index prefetch manifest extensions staged this slot
-    /// (empty at `horizon = 1` or when the pass skipped every user).
-    plan_prefetch: Vec<Vec<VideoId>>,
-    future_cells: Vec<CellId>,
-    future_poses: Vec<Pose>,
+    /// Whether the user may prefetch this slot (has a pose, not degraded).
+    plan_prefetchable: Vec<bool>,
     prefetch_tiles: Vec<TileId>,
-    prefetch_released: Vec<VideoId>,
     fov_actual: Vec<TileId>,
     manifest: Vec<VideoId>,
+    /// One shared row's encoded `GroupAssign` payloads, concatenated, with
+    /// `(quality index, byte span)` per payload.
     payload: Vec<u8>,
+    payload_spans: Vec<(usize, Range<usize>)>,
 }
 
 impl Session {
     /// Creates an empty session over the paper-default content library.
     pub fn new(config: ServeConfig) -> Self {
-        let library = ContentLibrary::paper_default();
-        let plane = RatePlane::new(library.sizing().clone(), DEFAULT_PLANE_CELLS);
-        let shared_fov = SharedFovCache::new(*library.fov());
-        let groups = GroupTracker::new(config.mcast_hysteresis_slots);
-        let obs = SessionObs::new(config.horizon);
         let lookahead = LookaheadConfig::for_horizon(config.horizon);
+        Session::with_lookahead(config, lookahead)
+    }
+
+    fn with_lookahead(config: ServeConfig, lookahead: LookaheadConfig) -> Self {
+        let planner = SlotPlanner::new(
+            ContentLibrary::paper_default(),
+            lookahead,
+            config.mcast_hysteresis_slots,
+        );
+        let obs = SessionObs::new(lookahead.horizon);
         Session {
             config,
-            library,
-            engine: SlotEngine::new(),
+            planner,
             users: Vec::new(),
             pending: Vec::new(),
             departed: Vec::new(),
@@ -562,31 +539,16 @@ impl Session {
             ingest_clock: StageClock::default(),
             transmit_clock: StageClock::default(),
             tick_clock: StageClock::default(),
-            plane,
-            shared_fov,
-            groups,
-            mcast_groups_last: 0,
-            lookahead,
             plan_ids: Vec::new(),
             plan_predicted: Vec::new(),
-            plan_bn: Vec::new(),
             plan_delta: Vec::new(),
             plan_tracker: Vec::new(),
-            plan_sums: Vec::new(),
-            plan_keys: Vec::new(),
-            mc_rates: Vec::new(),
-            mc_values: Vec::new(),
-            staged_members: Vec::new(),
-            staged_caps: Vec::new(),
-            staged_gid: Vec::new(),
-            plan_prefetch: Vec::new(),
-            future_cells: Vec::new(),
-            future_poses: Vec::new(),
+            plan_prefetchable: Vec::new(),
             prefetch_tiles: Vec::new(),
-            prefetch_released: Vec::new(),
             fov_actual: Vec::new(),
             manifest: Vec::new(),
             payload: Vec::new(),
+            payload_spans: Vec::new(),
         }
     }
 
@@ -638,14 +600,14 @@ impl Session {
             .set_gauge(self.obs.g_slot, self.slot as i64);
         self.obs
             .registry
-            .set_gauge(self.obs.g_mcast_groups, self.mcast_groups_last as i64);
+            .set_gauge(self.obs.g_mcast_groups, self.multicast_groups() as i64);
     }
 
     /// Multicast groups (two or more members) formed in the last planned
     /// slot — the value behind the `cvr_mcast_groups` gauge. Always 0
-    /// when multicast is off.
+    /// when multicast is off (nobody is eligible for grouping).
     pub fn multicast_groups(&self) -> usize {
-        self.mcast_groups_last
+        self.planner.multicast_groups()
     }
 
     /// Refreshes the instantaneous gauges and renders the registry in the
@@ -742,8 +704,9 @@ impl Session {
 
     /// Sends every connected user a `Shutdown` and closes the transports.
     pub fn shutdown(&mut self) {
-        for slot in &mut self.users {
+        for (id, slot) in self.users.iter_mut().enumerate() {
             if let Some(mut user) = slot.take() {
+                self.planner.leave(id);
                 user.transport.send(&ServerMessage::Shutdown);
                 user.transport.close();
                 self.obs.tracer.record(TraceEvent::ClientLeave {
@@ -771,9 +734,12 @@ impl Session {
             counters: self.counters.clone(),
             ingest: StageStats::from_clock(&self.ingest_clock),
             transmit: StageStats::from_clock(&self.transmit_clock),
-            build: StageStats::from_clock(&self.engine.timers().build),
-            density: StageStats::from_clock(&self.engine.timers().density),
-            value: StageStats::from_clock(&self.engine.timers().value),
+            build: StageStats::from_clock(&self.planner.engine().timers().build),
+            density: StageStats::from_clock(&self.planner.engine().timers().density),
+            value: StageStats::from_clock(&self.planner.engine().timers().value),
+            prefetch: StageStats::from_histogram(
+                self.obs.registry.histogram_value(self.obs.h_prefetch),
+            ),
             tick: StageStats::from_clock(&self.tick_clock),
             users,
         }
@@ -793,36 +759,31 @@ impl Session {
     }
 
     /// Drains pending connections: a valid `Hello` joins the user, a
-    /// protocol violation refuses the connection.
+    /// protocol violation refuses the connection, and a connection that
+    /// has not spoken yet stays pending (in arrival order).
     fn admit_pending(&mut self) {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.retain_mut(|transport| {
+        for mut transport in std::mem::take(&mut self.pending) {
             if transport.is_closed() {
-                return false;
+                continue;
             }
             match transport.try_recv() {
-                None => true,
+                None => self.pending.push(transport),
                 Some(Ok(ClientMessage::Hello { version, seed })) => {
                     let speaks_supported =
                         (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version);
-                    if !speaks_supported || self.active_users() >= self.config.max_users {
-                        if !speaks_supported {
-                            self.counters.protocol_errors += 1;
-                            self.obs.registry.inc(self.obs.c_proto, 1);
-                            self.obs.tracer.record(TraceEvent::ProtocolError {
-                                context: "handshake",
-                            });
-                        }
-                        transport.send(&ServerMessage::Shutdown);
-                        transport.close();
-                        return false;
+                    if speaks_supported && self.active_users() < self.config.max_users {
+                        self.join(transport, seed, version);
+                        continue;
                     }
-                    // Take the transport out of the closure's slot by
-                    // swapping in a placeholder that is dropped with the
-                    // retain.
-                    let taken = std::mem::replace(transport, closed_placeholder());
-                    self.join(taken, seed, version);
-                    false
+                    if !speaks_supported {
+                        self.counters.protocol_errors += 1;
+                        self.obs.registry.inc(self.obs.c_proto, 1);
+                        self.obs.tracer.record(TraceEvent::ProtocolError {
+                            context: "handshake",
+                        });
+                    }
+                    transport.send(&ServerMessage::Shutdown);
+                    transport.close();
                 }
                 Some(_) => {
                     // Anything else before the handshake is a violation.
@@ -832,14 +793,9 @@ impl Session {
                         context: "pre-handshake",
                     });
                     transport.close();
-                    false
                 }
             }
-        });
-        // Re-append connections that arrived while draining (join sends
-        // nothing to pending, but keep the merge for safety).
-        pending.append(&mut self.pending);
-        self.pending = pending;
+        }
     }
 
     fn join(&mut self, mut transport: Box<dyn ServerTransport>, seed: u64, version: u16) {
@@ -862,13 +818,13 @@ impl Session {
                 .slot_duration
                 .as_micros()
                 .min(u64::from(u32::MAX) as u128) as u32,
-            levels: self.library.quality_set().len() as u8,
+            levels: self.planner.library().quality_set().len() as u8,
         });
+        self.planner.join(slot);
         self.users[slot] = Some(UserState::new(
             user_id,
             transport,
             &self.config,
-            &self.library,
             seed,
             version,
         ));
@@ -903,7 +859,8 @@ impl Session {
                             .is_some_and(|p| p.target_seq <= seq)
                         {
                             let record = user.predictions.pop_front().expect("checked front");
-                            let hit = self.library.fov().covers(&record.predicted, &pose);
+                            let fov = self.planner.library().fov();
+                            let hit = fov.covers(&record.predicted, &pose);
                             user.delta.record(hit);
                             user.qoe.record(record.quality, hit, record.delay_slots);
                         }
@@ -917,7 +874,11 @@ impl Session {
                             .is_some_and(|p| p.target_seq <= seq)
                         {
                             let record = user.fov_predictions.pop_front().expect("checked front");
-                            tiles_for_pose_into(self.library.fov(), &pose, &mut self.fov_actual);
+                            tiles_for_pose_into(
+                                self.planner.library().fov(),
+                                &pose,
+                                &mut self.fov_actual,
+                            );
                             let overlap = fov_tile_overlap(
                                 &record.tiles[..record.len as usize],
                                 &self.fov_actual,
@@ -927,14 +888,8 @@ impl Session {
                                 .observe(self.obs.h_overlap[record.h - 1], overlap as u64);
                         }
                     }
-                    Ok(ClientMessage::Ack { ids }) => {
-                        for vid in ids {
-                            user.undelivered.acknowledge(&mut user.ledger, vid);
-                        }
-                    }
-                    Ok(ClientMessage::Release { ids }) => {
-                        user.undelivered.release(&mut user.ledger, ids);
-                    }
+                    Ok(ClientMessage::Ack { ids }) => self.planner.acknowledge(id, ids),
+                    Ok(ClientMessage::Release { ids }) => self.planner.release(id, ids),
                     Ok(ClientMessage::BandwidthSample { mbps }) => {
                         user.bandwidth.update(mbps);
                     }
@@ -995,6 +950,7 @@ impl Session {
                 leave = true;
             }
             if leave || user.transport.is_closed() {
+                self.planner.leave(id);
                 user.transport.close();
                 self.obs.tracer.record(TraceEvent::ClientLeave {
                     user_id: user.user_id as u64,
@@ -1008,30 +964,28 @@ impl Session {
         }
     }
 
-    /// Stages this slot's problem into the engine and solves it.
+    /// Plans this slot through the shared planner: per user, the display
+    /// pose prediction, the link budget and the grouping eligibility; then
+    /// the planner's staged problem (this session's M/M/1 value formula),
+    /// the solve, and the prefetch step.
     ///
-    /// The build runs in two passes. A sequential pass resolves each
-    /// user's FoV target (cached visible-tile request, cached rate-plane
-    /// rows, incremental undelivered sums) and snapshots the per-user
-    /// build inputs into flat scratch tables. A second pass then fills
-    /// the staged rate/value tables, optionally across
-    /// `build_threads` workers — every user's rows are written by exactly
-    /// one worker, so the staged problem is bit-identical at any thread
-    /// count.
+    /// Only the per-user pass is sequential. The planner fills the staged
+    /// rate/value rows across `build_threads` workers — every user's rows
+    /// are written by exactly one worker, so the staged problem is
+    /// bit-identical at any thread count.
     fn plan(&mut self) {
         self.plan_ids.clear();
         self.plan_predicted.clear();
-        self.plan_bn.clear();
         self.plan_delta.clear();
         self.plan_tracker.clear();
-        self.plan_sums.clear();
-        self.plan_keys.clear();
+        self.plan_prefetchable.clear();
 
         let dt = self.config.slot_duration.as_secs_f64();
-        let levels = self.library.quality_set().len();
         let floor_slots = PROPAGATION_S / dt;
 
         let build_start = Instant::now();
+        self.planner
+            .begin_slot(self.slot, self.config.server_total_mbps);
         for id in 0..self.users.len() {
             let Some(user) = &mut self.users[id] else {
                 continue;
@@ -1044,15 +998,6 @@ impl Session {
                 .predictor
                 .predict_fractional(horizon)
                 .unwrap_or(user.last_pose);
-            let cell = self.library.grid().cell_of(&predicted.position);
-            let orientation = self.shared_fov.key_for(&predicted);
-            let tiles = self.shared_fov.tiles_for(&predicted);
-            if !user.undelivered.targets(cell, tiles) {
-                user.undelivered
-                    .retarget(cell, tiles, self.plane.rows(cell), &user.ledger);
-            }
-            #[cfg(debug_assertions)]
-            user.undelivered.assert_matches_ledger(&user.ledger);
 
             let bn = user
                 .bandwidth
@@ -1079,305 +1024,94 @@ impl Session {
                     });
                 }
             }
-            // Anticipatory degrade (lookahead sessions): clamp the
-            // planning estimate toward the fitted-trend forecast so
-            // quality ramps down ahead of a dip instead of cliff-dropping
-            // when the EMA catches up. The floor hysteresis above keeps
-            // reading the raw estimate — a clamp must not pin a user.
-            let bn = if self.lookahead.active() {
-                user.lookahead_degrade
-                    .observe_and_clamp(bn, self.lookahead.horizon)
-                    .max(1.0)
-            } else {
-                bn
-            };
-            // Multicast group eligibility: a v3, non-degraded user whose
-            // pose falls in an orientation bucket. The key fingerprints
-            // the undelivered level-prefix state, so equal keys guarantee
-            // byte-identical manifests and rate rows.
-            let key = if self.config.multicast
-                && user.version >= PROTOCOL_VERSION
-                && !user.degraded
-                && !user.bw_degraded
-            {
-                orientation.map(|orientation| GroupKey {
-                    cell,
-                    orientation,
-                    content: content_fingerprint(
-                        cell,
-                        tiles,
-                        user.undelivered.sums(),
-                        &user.ledger,
-                    ),
-                })
-            } else {
-                None
-            };
-            self.plan_keys.push(key);
+            // Anticipatory degrade: the planner clamps the planning
+            // estimate toward the fitted-trend forecast so quality ramps
+            // down ahead of a dip instead of cliff-dropping when the EMA
+            // catches up (the identity at `horizon = 1`). The floor
+            // hysteresis above keeps reading the raw estimate — a clamp
+            // must not pin a user.
+            let bn = self.planner.clamp_budget(id, bn, None).max(1.0);
+            // Multicast group eligibility: a v3, non-degraded user of a
+            // multicast session. Everyone else is staged alone.
+            let pinned = user.degraded || user.bw_degraded;
+            let groupable = self.config.multicast && user.version >= PROTOCOL_VERSION && !pinned;
+            self.planner.push_user(id, &predicted, bn, groupable);
             self.plan_ids.push(id);
             self.plan_predicted.push(predicted);
-            self.plan_bn.push(bn);
             self.plan_delta.push(user.delta.estimate());
             self.plan_tracker.push(*user.qoe.tracker());
-            self.plan_sums.extend_from_slice(user.undelivered.sums());
+            self.plan_prefetchable.push(user.has_pose && !pinned);
         }
 
-        let n = self.plan_ids.len();
-        self.engine.begin_slot(self.config.server_total_mbps);
-        {
-            // Multicast stages one engine row per *group*, so the
-            // per-user rows are built into session scratch first; the
-            // unicast path keeps writing straight into the engine.
-            let (rates_table, values_table): (&mut [f64], &mut [f64]) = if self.config.multicast {
-                self.mc_rates.clear();
-                self.mc_rates.resize(n * levels, 0.0);
-                self.mc_values.clear();
-                self.mc_values.resize(n * levels, 0.0);
-                (&mut self.mc_rates, &mut self.mc_values)
-            } else {
-                self.engine.add_users(levels, &self.plan_bn);
-                self.engine.staged_tables_mut()
-            };
-            let params = self.config.params;
-            let plan_bn = &self.plan_bn;
-            let plan_delta = &self.plan_delta;
-            let plan_tracker = &self.plan_tracker;
-            let plan_sums = &self.plan_sums;
-            cvr_sim::parallel::parallel_chunk_pairs(
-                rates_table,
-                values_table,
-                levels,
-                self.config.build_threads.max(1),
-                |u, rates, values| {
-                    let delta = plan_delta[u];
-                    let tracker = plan_tracker[u];
-                    let fallback = Mm1Delay::new(plan_bn[u]).expect("positive estimate");
-                    let sums = &plan_sums[u * levels..(u + 1) * levels];
-                    stage_rates_values_with(
-                        sums,
-                        CONTROL_OVERHEAD_MBPS,
-                        rates,
-                        values,
-                        |l, raw| {
-                            let q = QualityLevel::new((l + 1) as u8);
-                            let delay = fallback.delay(raw) + floor_slots;
-                            delta * q.value()
-                                - params.alpha * delay
-                                - params.beta * tracker.expected_penalty(q.value(), delta)
-                        },
-                    );
-                    sanitize_rates(rates);
-                },
-            );
-        }
-        if self.config.multicast {
-            self.stage_groups(levels);
-        }
+        let params = self.config.params;
+        let plan_delta = &self.plan_delta;
+        let plan_tracker = &self.plan_tracker;
+        self.planner
+            .stage(self.config.build_threads, CONTROL_OVERHEAD_MBPS, |i, bn| {
+                let delta = plan_delta[i];
+                let tracker = plan_tracker[i];
+                let fallback = Mm1Delay::new(bn).expect("positive estimate");
+                move |l, raw| {
+                    let q = QualityLevel::new((l + 1) as u8);
+                    let delay = fallback.delay(raw) + floor_slots;
+                    delta * q.value()
+                        - params.alpha * delay
+                        - params.beta * tracker.expected_penalty(q.value(), delta)
+                }
+            });
         let build_ns = build_start.elapsed().as_nanos() as u64;
-        self.engine.timers_mut().build.record_ns(build_ns);
+        self.planner
+            .engine_mut()
+            .timers_mut()
+            .build
+            .record_ns(build_ns);
         self.obs
             .stage(self.obs.h_build, self.slot, "build", build_ns);
 
         if !self.plan_ids.is_empty() {
-            self.engine.solve();
+            let engine = self.planner.engine_mut();
+            engine.solve();
             // `solve` records exactly one sample per internal pass, so the
             // freshest sample is this slot's measurement.
-            if let Some(ns) = self.engine.timers().density.last_ns() {
+            if let Some(ns) = engine.timers().density.last_ns() {
                 self.obs.stage(self.obs.h_density, self.slot, "density", ns);
             }
-            if let Some(ns) = self.engine.timers().value.last_ns() {
+            if let Some(ns) = engine.timers().value.last_ns() {
                 self.obs.stage(self.obs.h_value, self.slot, "value", ns);
             }
         }
 
-        self.plan_prefetch.clear();
-        if self.lookahead.active() && !self.plan_ids.is_empty() {
-            self.prefetch_pass();
-        }
-    }
-
-    /// Lookahead pass, run after the solve while its assignment is live:
-    /// queues FoV-overlap prediction records per horizon step and spends
-    /// this slot's bounded budget slack prefetching base-quality tiles
-    /// for predicted future cells. Prefetched ids ride the assignment
-    /// manifests (see [`Session::transmit`]); the ledger charges them
-    /// when the client ACKs, and reconciliation releases predictions
-    /// that never materialised. Sequential in plan order and rng-free,
-    /// so any `build_threads` count stages the same prefetch set.
-    fn prefetch_pass(&mut self) {
-        let rows = self.engine.assignment().len();
-        let assigned: f64 = (0..rows)
-            .map(|r| self.engine.rates(r)[self.engine.assignment()[r].index()])
-            .sum();
-        let mut credit = slot_credit(
-            self.config.server_total_mbps,
-            assigned,
-            self.lookahead.prefetch.credit_fraction,
+        // Prefetch step. The planner reconciles and spends the credit;
+        // what stays a serve concern is the predictor and the
+        // `cvr_lookahead_fov_overlap` prediction records queued per
+        // horizon step. The chosen ids ride the assignment manifests (see
+        // [`Session::transmit`]) and are charged when the client ACKs.
+        let prefetch_start = Instant::now();
+        let fov = *self.planner.library().fov();
+        self.planner.prefetch(
+            |i| self.plan_prefetchable[i],
+            |i, h| {
+                let user = self.users[self.plan_ids[i]].as_mut()?;
+                let ahead = user.staleness_slots + PIPELINE_SLOTS + h;
+                let pose = user.predictor.predict_fractional(ahead as f64)?;
+                tiles_for_pose_into(&fov, &pose, &mut self.prefetch_tiles);
+                let mut record = FovPredictionRecord {
+                    target_seq: user.last_pose_seq + ahead as u64,
+                    h,
+                    tiles: [TileId::new(0); TileId::COUNT as usize],
+                    len: self.prefetch_tiles.len() as u8,
+                };
+                record.tiles[..self.prefetch_tiles.len()].copy_from_slice(&self.prefetch_tiles);
+                user.fov_predictions.push_back(record);
+                if user.fov_predictions.len() > MAX_PENDING_PREDICTIONS {
+                    user.fov_predictions.pop_front();
+                }
+                Some(pose)
+            },
         );
-        // Members of a ≥2 group receive shared group payloads this slot,
-        // so per-user prefetch ids would have nowhere to ride — they keep
-        // their prediction records but spend no credit. Also map each
-        // plan index to its engine row's assigned quality: in multicast
-        // mode staged rows are per *group*, not per plan index.
-        let mut grouped = vec![false; self.plan_ids.len()];
-        let mut row_quality = vec![QualityLevel::MIN; self.plan_ids.len()];
-        if self.config.multicast {
-            for (r, members) in self.staged_members.iter().enumerate() {
-                for &m in members {
-                    row_quality[m] = self.engine.assignment()[r];
-                    if members.len() >= 2 {
-                        grouped[m] = true;
-                    }
-                }
-            }
-        } else {
-            row_quality.copy_from_slice(self.engine.assignment());
-        }
-        for i in 0..self.plan_ids.len() {
-            let id = self.plan_ids[i];
-            let mut ids: Vec<VideoId> = Vec::new();
-            let Some(user) = &mut self.users[id] else {
-                self.plan_prefetch.push(ids);
-                continue;
-            };
-            if user.has_pose && !user.degraded && !user.bw_degraded {
-                let current = user.undelivered.cell().expect("targeted during plan");
-                self.future_cells.clear();
-                self.future_poses.clear();
-                for h in 1..self.lookahead.horizon {
-                    let horizon_slots = (PIPELINE_SLOTS + user.staleness_slots + h) as f64;
-                    let Some(pose) = user.predictor.predict_fractional(horizon_slots) else {
-                        continue;
-                    };
-                    tiles_for_pose_into(self.library.fov(), &pose, &mut self.prefetch_tiles);
-                    let mut record = FovPredictionRecord {
-                        target_seq: user.last_pose_seq
-                            + (user.staleness_slots + PIPELINE_SLOTS + h) as u64,
-                        h,
-                        tiles: [TileId::new(0); TileId::COUNT as usize],
-                        len: self.prefetch_tiles.len() as u8,
-                    };
-                    record.tiles[..self.prefetch_tiles.len()].copy_from_slice(&self.prefetch_tiles);
-                    user.fov_predictions.push_back(record);
-                    if user.fov_predictions.len() > MAX_PENDING_PREDICTIONS {
-                        user.fov_predictions.pop_front();
-                    }
-                    let cell = self.library.grid().cell_of(&pose.position);
-                    if cell != current && !self.future_cells.contains(&cell) {
-                        self.future_cells.push(cell);
-                        self.future_poses.push(pose);
-                    }
-                }
-                self.prefetch_released.clear();
-                user.prefetcher
-                    .reconcile(current, &self.future_cells, &mut self.prefetch_released);
-                if !self.prefetch_released.is_empty() {
-                    // Un-ACKed ids are absent from the ledger; releasing
-                    // them there is a no-op, which is exactly right.
-                    user.undelivered
-                        .release(&mut user.ledger, self.prefetch_released.drain(..));
-                }
-                // Prefetch at the quality this user's row was assigned
-                // (floored at the configured base): seeding the current
-                // level keeps quality flat across the cell boundary,
-                // while seeding a lower one would hand the allocator a
-                // cheap downgrade on arrival.
-                let pf_quality = QualityLevel::new(
-                    row_quality[i]
-                        .get()
-                        .max(self.lookahead.prefetch.quality.get()),
-                );
-                let row = pf_quality.index() * usize::from(TileId::COUNT);
-                let mut taken = 0usize;
-                'cells: for idx in 0..self.future_cells.len() {
-                    if grouped[i] {
-                        break 'cells;
-                    }
-                    let cell = self.future_cells[idx];
-                    tiles_for_pose_into(
-                        self.library.fov(),
-                        &self.future_poses[idx],
-                        &mut self.prefetch_tiles,
-                    );
-                    let mut level_rates = [0.0f64; TileId::COUNT as usize];
-                    level_rates.copy_from_slice(
-                        &self.plane.rows(cell)[row..row + usize::from(TileId::COUNT)],
-                    );
-                    for k in 0..self.prefetch_tiles.len() {
-                        let t = self.prefetch_tiles[k];
-                        if taken >= self.lookahead.prefetch.max_tiles_per_slot {
-                            break 'cells;
-                        }
-                        let vid = VideoId::new(cell, t, pf_quality);
-                        if user.ledger.is_delivered(&vid) || user.prefetcher.contains(&vid) {
-                            continue;
-                        }
-                        let cost = level_rates[t.get() as usize];
-                        if cost > credit {
-                            continue;
-                        }
-                        credit -= cost;
-                        taken += 1;
-                        user.prefetcher.note(cell, vid);
-                        ids.push(vid);
-                    }
-                }
-            }
-            self.plan_prefetch.push(ids);
-        }
-    }
-
-    /// Multicast staging: discovers this slot's shared-FoV groups and
-    /// stages one engine row per group, walking users in plan order and
-    /// staging each whole group at its first member's position — so a
-    /// slot where every group is a singleton stages exactly the unicast
-    /// problem, row for row.
-    fn stage_groups(&mut self, levels: usize) {
-        let n = self.plan_ids.len();
-        self.staged_members.clear();
-        self.staged_caps.clear();
-        self.staged_gid.clear();
-        self.groups.begin_slot(self.slot);
-        for i in 0..n {
-            if let Some(key) = self.plan_keys[i] {
-                self.groups.observe(i, key);
-            }
-        }
-        self.groups.finish_slot();
-        self.mcast_groups_last = self.groups.multicast_groups();
-
-        // Plan index → group index, populated for first members only.
-        let mut first_of = vec![usize::MAX; n];
-        for (g, group) in self.groups.groups().iter().enumerate() {
-            first_of[group.members[0]] = g;
-        }
-        for (i, &first_group) in first_of.iter().enumerate() {
-            let (members, gid) = if self.plan_keys[i].is_some() {
-                let g = first_group;
-                if g == usize::MAX {
-                    // Staged already, with its group at the first member.
-                    continue;
-                }
-                let group = &self.groups.groups()[g];
-                (group.members.clone(), group.id)
-            } else {
-                (vec![i], u64::MAX)
-            };
-            let member_rows: Vec<GroupMember<'_>> = members
-                .iter()
-                .map(|&m| GroupMember {
-                    values: &self.mc_values[m * levels..(m + 1) * levels],
-                    link_budget: self.plan_bn[m],
-                })
-                .collect();
-            let first = members[0];
-            let shared = &self.mc_rates[first * levels..(first + 1) * levels];
-            let mut caps = Vec::new();
-            stage_group(&mut self.engine, shared, &member_rows, &mut caps);
-            self.staged_members.push(members);
-            self.staged_caps.push(caps);
-            self.staged_gid.push(gid);
-        }
+        let prefetch_ns = prefetch_start.elapsed().as_nanos() as u64;
+        self.obs
+            .stage(self.obs.h_prefetch, self.slot, "prefetch", prefetch_ns);
     }
 
     /// Shared post-send bookkeeping for one user: queue-depth tracking,
@@ -1456,67 +1190,20 @@ impl Session {
         user.staleness_slots += 1;
     }
 
-    /// Sends each planned user its assignment and manifest, applying the
-    /// slow-client policy.
+    /// Sends every planned user its frame, applying the slow-client
+    /// policy. A one-member row (every user of a unicast session, and
+    /// every v2, degraded or lone-gazing user of a multicast one) gets the
+    /// plain per-user `Assignment`, its manifest extended by the tiles
+    /// the prefetch step chose. A row shared by two or more members
+    /// encodes one `GroupAssign` per distinct delivered quality and fans
+    /// the identical bytes out to every member at that quality via
+    /// [`ServerTransport::send_payload`]; shared rows carry no prefetch
+    /// tiles — a group's payload is shared bytes, prefetch sets are per
+    /// user.
     fn transmit(&mut self) {
-        if self.config.multicast {
-            self.transmit_multicast();
-            return;
-        }
-        for i in 0..self.plan_ids.len() {
-            let id = self.plan_ids[i];
-            let Some(user) = &mut self.users[id] else {
-                continue;
-            };
-            let assigned = self.engine.assignment()[i];
-            let quality = if user.degraded || user.bw_degraded {
-                QualityLevel::MIN
-            } else {
-                assigned
-            };
-            let rate = self.engine.rates(i)[quality.index()];
-            let cell = user.undelivered.cell().expect("targeted during plan");
-
-            self.manifest.clear();
-            self.manifest.extend(
-                user.undelivered
-                    .tiles()
-                    .iter()
-                    .map(|&t| VideoId::new(cell, t, quality))
-                    .filter(|vid| !user.ledger.is_delivered(vid)),
-            );
-            // Prefetched future-cell tiles ride the same manifest; the
-            // client ACKs them like any other tile, which is what charges
-            // the ledger.
-            if let Some(prefetch) = self.plan_prefetch.get(i) {
-                self.manifest.extend(prefetch.iter().copied());
-            }
-
-            let status = user.transport.send(&ServerMessage::Assignment {
-                slot: self.slot,
-                pose_seq: user.last_pose_seq,
-                quality: quality.get(),
-                rate_mbps: rate,
-                manifest: self.manifest.clone(),
-            });
-
-            if !Self::account_send(user, &mut self.counters, &mut self.obs, status) {
-                continue;
-            }
-            Self::record_prediction(user, self.plan_predicted[i], quality);
-        }
-    }
-
-    /// Multicast transmit: a singleton engine row (including every v2 or
-    /// degraded user) gets the plain per-user `Assignment`; a row with
-    /// two or more members encodes one `GroupAssign` per distinct
-    /// delivered quality and fans the identical bytes out to every member
-    /// at that quality via [`ServerTransport::send_payload`].
-    fn transmit_multicast(&mut self) {
-        for r in 0..self.staged_members.len() {
-            let assigned = self.engine.assignment()[r];
-            if self.staged_members[r].len() == 1 {
-                let i = self.staged_members[r][0];
+        for r in 0..self.planner.rows() {
+            let row = self.planner.row(r);
+            if let [i] = *row.members {
                 let id = self.plan_ids[i];
                 let Some(user) = &mut self.users[id] else {
                     continue;
@@ -1524,122 +1211,58 @@ impl Session {
                 let quality = if user.degraded || user.bw_degraded {
                     QualityLevel::MIN
                 } else {
-                    assigned
+                    row.assigned
                 };
-                let rate = self.engine.rates(r)[quality.index()];
-                let cell = user.undelivered.cell().expect("targeted during plan");
-                self.manifest.clear();
-                self.manifest.extend(
-                    user.undelivered
-                        .tiles()
-                        .iter()
-                        .map(|&t| VideoId::new(cell, t, quality))
-                        .filter(|vid| !user.ledger.is_delivered(vid)),
-                );
-                // Singleton rows keep full unicast parity: the prefetch
-                // extension rides here exactly as on the unicast path.
-                // Grouped rows skip it — a group's payload is shared
-                // bytes, while prefetch sets are per-user; the group-key
-                // fingerprint covers the ledger, so once prefetch ACKs
-                // diverge two users' state, they stop grouping anyway.
-                if let Some(prefetch) = self.plan_prefetch.get(i) {
-                    self.manifest.extend(prefetch.iter().copied());
-                }
+                self.planner.manifest_into(id, quality, &mut self.manifest);
+                self.manifest.extend_from_slice(self.planner.prefetched(i));
                 let status = user.transport.send(&ServerMessage::Assignment {
                     slot: self.slot,
                     pose_seq: user.last_pose_seq,
                     quality: quality.get(),
-                    rate_mbps: rate,
+                    rate_mbps: row.rates[quality.index()],
                     manifest: self.manifest.clone(),
                 });
-                if !Self::account_send(user, &mut self.counters, &mut self.obs, status) {
-                    continue;
+                if Self::account_send(user, &mut self.counters, &mut self.obs, status) {
+                    Self::record_prediction(user, self.plan_predicted[i], quality);
                 }
-                Self::record_prediction(user, self.plan_predicted[i], quality);
-            } else {
-                let gid = self.staged_gid[r];
-                // One encoded payload per distinct delivered quality this
-                // row; members sharing a quality receive the same bytes.
-                let mut encoded: Vec<(usize, Vec<u8>)> = Vec::new();
-                for k in 0..self.staged_members[r].len() {
-                    let i = self.staged_members[r][k];
-                    let cap = self.staged_caps[r][k];
-                    let id = self.plan_ids[i];
-                    let Some(user) = &mut self.users[id] else {
-                        continue;
-                    };
-                    let q_idx = assigned.index().min(cap);
-                    let quality = QualityLevel::new((q_idx + 1) as u8);
-                    let at = match encoded.iter().position(|(q, _)| *q == q_idx) {
-                        Some(at) => at,
-                        None => {
-                            // Members share ledger state by group-key
-                            // construction, so any member's manifest is
-                            // the group's manifest at this quality.
-                            let cell = user.undelivered.cell().expect("targeted during plan");
-                            let manifest: Vec<VideoId> = user
-                                .undelivered
-                                .tiles()
-                                .iter()
-                                .map(|&t| VideoId::new(cell, t, quality))
-                                .filter(|vid| !user.ledger.is_delivered(vid))
-                                .collect();
-                            self.payload.clear();
-                            ServerMessage::GroupAssign {
-                                slot: self.slot,
-                                group_id: gid,
-                                quality: quality.get(),
-                                rate_mbps: self.engine.rates(r)[q_idx],
-                                manifest,
-                            }
-                            .encode(&mut self.payload);
-                            encoded.push((q_idx, self.payload.clone()));
-                            encoded.len() - 1
-                        }
-                    };
-                    let status = user.transport.send_payload(&encoded[at].1);
-                    if !Self::account_send(user, &mut self.counters, &mut self.obs, status) {
-                        continue;
+                continue;
+            }
+            let group_id = row.group_id.expect("only tracker groups share a row");
+            self.payload.clear();
+            self.payload_spans.clear();
+            for (&i, &cap) in row.members.iter().zip(row.caps) {
+                let id = self.plan_ids[i];
+                let Some(user) = &mut self.users[id] else {
+                    continue;
+                };
+                let q_idx = row.assigned.index().min(cap);
+                let quality = QualityLevel::new((q_idx + 1) as u8);
+                let known = self.payload_spans.iter().find(|(q, _)| *q == q_idx);
+                let span = known.map(|(_, span)| span.clone()).unwrap_or_else(|| {
+                    // Members share ledger state by group-key construction,
+                    // so any member's manifest is the group's manifest at
+                    // this quality.
+                    self.planner.manifest_into(id, quality, &mut self.manifest);
+                    let start = self.payload.len();
+                    ServerMessage::GroupAssign {
+                        slot: self.slot,
+                        group_id,
+                        quality: quality.get(),
+                        rate_mbps: row.rates[q_idx],
+                        manifest: self.manifest.clone(),
                     }
+                    .encode(&mut self.payload);
+                    let span = start..self.payload.len();
+                    self.payload_spans.push((q_idx, span.clone()));
+                    span
+                });
+                let status = user.transport.send_payload(&self.payload[span]);
+                if Self::account_send(user, &mut self.counters, &mut self.obs, status) {
                     Self::record_prediction(user, self.plan_predicted[i], quality);
                 }
             }
         }
     }
-}
-
-/// A transport stand-in used when moving the real transport out of a
-/// `retain_mut` slot; always closed, never delivers.
-fn closed_placeholder() -> Box<dyn ServerTransport> {
-    struct ClosedTransport;
-    impl ServerTransport for ClosedTransport {
-        fn try_recv(&mut self) -> Option<Result<ClientMessage, crate::protocol::WireError>> {
-            None
-        }
-        fn send(&mut self, _message: &ServerMessage) -> SendStatus {
-            SendStatus::Closed
-        }
-        fn send_payload(&mut self, _payload: &[u8]) -> SendStatus {
-            SendStatus::Closed
-        }
-        fn queue_depth(&self) -> usize {
-            0
-        }
-        fn queue_capacity(&self) -> usize {
-            1
-        }
-        fn is_closed(&self) -> bool {
-            true
-        }
-        fn is_stalled(&self) -> bool {
-            false
-        }
-        fn frames_dropped(&self) -> u64 {
-            0
-        }
-        fn close(&mut self) {}
-    }
-    Box::new(ClosedTransport)
 }
 
 #[cfg(test)]
@@ -1988,6 +1611,64 @@ mod tests {
         assert_eq!(report.ingest.count, 8);
         assert_eq!(report.transmit.count, 8);
         assert_eq!(report.build.count, 8);
+        assert_eq!(report.prefetch.count, 8);
         assert_eq!(report.tick.count, 8);
+        assert!(session
+            .render_metrics()
+            .contains("cvr_slot_stage_ns_bucket{stage=\"prefetch\""));
+    }
+
+    #[test]
+    fn planner_degrade_state_follows_the_lookahead_config() {
+        use cvr_lookahead::DegradeConfig;
+
+        // One client under a gently sagging bandwidth feed at H = 4. The
+        // fitted trend forecasts ~90 % of the estimate: not a dip under the
+        // default 0.75 threshold, a dip under 0.98. Per-user degrade state
+        // is built from the planner's one `LookaheadConfig`, so the two
+        // sessions must serve different streams (the session used to
+        // hard-code `DegradeConfig::default()` per user and ignore it).
+        let run = |degrade: DegradeConfig| {
+            let config = ServeConfig {
+                horizon: 4,
+                ema_weight: 1.0,
+                ..ServeConfig::default()
+            };
+            let lookahead = LookaheadConfig {
+                degrade,
+                ..LookaheadConfig::for_horizon(config.horizon)
+            };
+            let mut session = Session::with_lookahead(config, lookahead);
+            let mut client = join_one(&mut session);
+            session.step_slot();
+            let _welcome = client.try_recv();
+            let mut stream = Vec::new();
+            for seq in 0..24u64 {
+                client.send(&ClientMessage::Pose {
+                    seq,
+                    pose: Pose::default(),
+                });
+                client.send(&ClientMessage::BandwidthSample {
+                    mbps: 40.0 - 1.2 * seq as f64,
+                });
+                session.step_slot();
+                while let Some(Ok(message)) = client.try_recv() {
+                    if let ServerMessage::Assignment {
+                        quality, rate_mbps, ..
+                    } = message
+                    {
+                        stream.push((quality, rate_mbps.to_bits()));
+                    }
+                }
+            }
+            stream
+        };
+        let default = run(DegradeConfig::default());
+        assert_eq!(default, run(DegradeConfig::default()));
+        let eager = run(DegradeConfig {
+            dip_threshold: 0.98,
+            ..DegradeConfig::default()
+        });
+        assert_ne!(default, eager, "a non-default dip threshold had no effect");
     }
 }

@@ -201,9 +201,8 @@ fn disjoint_gaze_multicast_is_bit_identical_to_unicast() {
 /// FNV-1a fingerprint of a frame stream (the bench fingerprint idiom, so
 /// parity failures print as two comparable hashes).
 fn stream_fingerprint(frames: &[Frame]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mix = |acc: u64, v: u64| (acc ^ v).wrapping_mul(PRIME);
+    use cvr_core::fnv::fold_u64 as mix;
+    let mut h = cvr_core::fnv::OFFSET;
     for (c, slot, kind, gid, quality, rate, manifest) in frames {
         h = mix(h, *c as u64);
         h = mix(h, *slot);

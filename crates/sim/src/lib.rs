@@ -12,6 +12,9 @@
 //!   (unicast vs grouped multicast staging at a fixed server budget);
 //! * [`parallel`] — the sharded parallel runner (deterministic per-run
 //!   seeding, lock-free per-worker accumulation, in-order merge);
+//! * [`pipeline`] — the one slot planner (target → stage → group → solve →
+//!   prefetch → manifest) that every simulator above and the live server
+//!   drive;
 //! * [`allocators`] — the algorithm registry shared by all experiments;
 //! * [`event`] / [`metrics`] — the discrete-event queue and the CDF
 //!   machinery.
@@ -37,6 +40,7 @@ pub mod experiment;
 pub mod mcast;
 pub mod metrics;
 pub mod parallel;
+pub mod pipeline;
 pub mod system;
 pub mod tracesim;
 

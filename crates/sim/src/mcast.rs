@@ -1,37 +1,30 @@
 //! Co-located classroom simulator behind `mcast_bench`: N users in one
 //! cell staring at a handful of shared gaze targets, allocated either
-//! per-user (unicast — today's path) or per-group (multicast — one staged
-//! row and one constraint-(6) charge per [`cvr_mcast`] group).
+//! per-user (unicast) or per-group (multicast — one staged row and one
+//! constraint-(6) charge per [`cvr_mcast`] group).
 //!
 //! The simulator is deliberately narrower than [`crate::system`]: no
 //! packet loss, routers, or estimation noise — the question it answers is
 //! purely *how much delivered quality does shared-FoV dedup buy at a
-//! fixed server budget*, with every other variable pinned. Both modes run
-//! the identical per-user problem build (parallel, disjoint-row writes ⇒
-//! bit-identical at every `build_threads`), the identical quality-increment
-//! greedy, and the identical delivery accounting; the only difference is
-//! whether users sharing a [`GroupKey`] are
-//! staged once or N times. With grouping disabled every "group" is a
-//! singleton staged byte-identically to the unicast row, which is the
-//! unicast-parity guarantee `mcast_bench` fingerprints.
+//! fixed server budget*, with every other variable pinned. Both modes
+//! drive the one [`SlotPlanner`] — the same per-user problem build, the
+//! same quality-increment greedy, the same delivery accounting; the only
+//! difference is whether the driver marks users groupable, so that users
+//! sharing a [`cvr_mcast::GroupKey`] are staged once instead of N times.
+//! With grouping off every row is a singleton staged byte-identically to
+//! the per-user row, which is the unicast-parity guarantee `mcast_bench`
+//! fingerprints.
 
-use cvr_content::cache::{DeliveryLedger, UndeliveredSums};
-use cvr_content::grid::GridWorld;
 use cvr_content::id::VideoId;
-use cvr_content::plane::{RatePlane, SharedFovCache};
-use cvr_content::sizing::TileSizeModel;
-use cvr_content::tile::TileId;
+use cvr_content::library::ContentLibrary;
 use cvr_core::alloc::{Allocator as _, DensityValueGreedy};
-use cvr_core::engine::SlotEngine;
+use cvr_core::fnv;
 use cvr_core::quality::QualityLevel;
-use cvr_core::stage::{stage_rates_values, CONTROL_OVERHEAD_MBPS};
-use cvr_mcast::group::{content_fingerprint, GroupKey, GroupTracker};
-use cvr_mcast::stage::{stage_group, GroupMember};
-use cvr_motion::fov::FovSpec;
+use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
+use cvr_lookahead::LookaheadConfig;
 use cvr_motion::pose::{Orientation, Pose, Vec3};
 
-use crate::parallel::parallel_chunk_pairs;
-use crate::system::sanitize_rates;
+use crate::pipeline::SlotPlanner;
 
 /// Slot length of the classroom loop, seconds (the paper's 15 ms).
 const SLOT_S: f64 = 0.015;
@@ -54,7 +47,7 @@ pub struct McastConfig {
     /// Base seed folded into the deterministic gaze trajectories.
     pub seed: u64,
     /// Group co-oriented users and stage each group once (`false` =
-    /// today's unicast path).
+    /// nobody is groupable: every user is staged alone).
     pub multicast: bool,
     /// Slots a group id survives after its key was last seen.
     pub hysteresis_slots: u64,
@@ -95,20 +88,6 @@ pub struct McastRunResult {
     pub fingerprint: u64,
 }
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv64(hash: u64, word: u64) -> u64 {
-    let mut h = hash;
-    for &b in &word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// The deterministic gaze of user `u` at `slot`: clustered yaw/pitch
 /// around one of `clusters` shared targets (bucket interiors, so
 /// co-oriented users provably share orientation buckets) with smooth
@@ -141,191 +120,86 @@ pub fn run(config: &McastConfig) -> McastRunResult {
     assert!(config.users > 0, "classroom needs users");
     assert!(config.slots > 0, "classroom needs slots");
     let users = config.users;
-    let grid = GridWorld::paper_default();
-    let sizing = TileSizeModel::paper_default();
-    let levels = sizing.levels();
-    let spec = FovSpec::paper_default();
-
-    let mut plane = RatePlane::new(sizing, 64);
-    let mut shared_fov = SharedFovCache::new(spec);
-    let mut ledgers: Vec<DeliveryLedger> = (0..users).map(|_| DeliveryLedger::new()).collect();
-    let mut undelivered: Vec<UndeliveredSums> =
-        (0..users).map(|_| UndeliveredSums::new(levels)).collect();
-    // Per-user QoE slope δ_n: varied so group values are genuine sums of
-    // heterogeneous member gains, not N× one row.
-    let deltas: Vec<f64> = (0..users)
-        .map(|u| 0.8 + 0.4 * u as f64 / users as f64)
-        .collect();
+    let mut planner = SlotPlanner::new(
+        ContentLibrary::paper_default(),
+        LookaheadConfig::for_horizon(1),
+        config.hysteresis_slots,
+    );
+    for u in 0..users {
+        planner.join(u);
+    }
+    let levels = planner.library().quality_set().len();
     // Per-user value ladders δ_n · (l + 1), hoisted out of the slot loop:
-    // the classroom objective is rate-independent, so the staged value row
-    // is a bitwise copy of this precomputed table every slot.
+    // the classroom objective is rate-independent. The slope δ_n varies
+    // per user so group values are genuine sums of heterogeneous member
+    // gains, not N× one row.
     let mut value_weights = vec![0.0f64; users * levels];
     for u in 0..users {
+        let delta = 0.8 + 0.4 * u as f64 / users as f64;
         for l in 0..levels {
-            value_weights[u * levels + l] = deltas[u] * (l + 1) as f64;
+            value_weights[u * levels + l] = delta * (l + 1) as f64;
         }
     }
-
-    let mut tracker = GroupTracker::new(config.hysteresis_slots);
-    let mut engine = SlotEngine::new();
     let mut allocator = DensityValueGreedy;
+    let mut manifest: Vec<VideoId> = Vec::new();
 
-    // Flat per-user scratch tables the parallel build fills.
-    let mut rates_table = vec![0.0f64; users * levels];
-    let mut values_table = vec![0.0f64; users * levels];
-    let mut tiles_of: Vec<Vec<TileId>> = vec![Vec::new(); users];
-    let mut key_of: Vec<Option<GroupKey>> = vec![None; users];
-    let mut caps: Vec<usize> = Vec::new();
-
-    let mut fingerprint = FNV_OFFSET;
+    let mut fingerprint = fnv::OFFSET;
     let mut quality_sum = 0.0f64;
     let mut wire_mbit = 0.0f64;
     let mut peak_groups = 0usize;
     let mut staged_rows = 0u64;
-    let mut staged_members = 0u64;
 
     for slot in 0..config.slots {
-        // 1. Poses, FoV tile sets, undelivered retargets (sequential, as
-        //    in the live server's plan pass).
+        // 1. Plan: every user's gaze, FoV target and (multicast only)
+        //    group eligibility; one staged row per group.
+        planner.begin_slot(slot, config.server_total_mbps);
         for u in 0..users {
             let pose = gaze(config, u, slot);
-            let cell = grid.cell_of(&pose.position);
-            let tiles = shared_fov.tiles_for(&pose);
-            tiles_of[u].clear();
-            tiles_of[u].extend_from_slice(tiles);
-            if !undelivered[u].targets(cell, &tiles_of[u]) {
-                undelivered[u].retarget(cell, &tiles_of[u], plane.rows(cell), &ledgers[u]);
-            }
-            key_of[u] = shared_fov.key_for(&pose).map(|orientation| GroupKey {
-                cell,
-                orientation,
-                content: content_fingerprint(
-                    cell,
-                    &tiles_of[u],
-                    undelivered[u].sums(),
-                    &ledgers[u],
-                ),
-            });
+            planner.push_user(u, &pose, config.per_user_mbps, config.multicast);
         }
+        let weights = &value_weights;
+        planner.stage(config.build_threads, CONTROL_OVERHEAD_MBPS, |u, _bn| {
+            move |l, _raw| weights[u * levels + l]
+        });
+        peak_groups = peak_groups.max(planner.multicast_groups());
+        staged_rows += planner.rows() as u64;
 
-        // 2. Parallel per-user problem build into the scratch tables —
-        //    disjoint whole-row writes, bit-identical at every thread
-        //    count.
-        {
-            let undelivered = &undelivered;
-            let value_weights = &value_weights;
-            parallel_chunk_pairs(
-                &mut rates_table,
-                &mut values_table,
-                levels,
-                config.build_threads,
-                |u, rates, values| {
-                    let sums = undelivered[u].sums();
-                    let weights = &value_weights[u * levels..(u + 1) * levels];
-                    stage_rates_values(sums, CONTROL_OVERHEAD_MBPS, weights, rates, values);
-                    sanitize_rates(rates);
-                },
-            );
-        }
-
-        // 3. Group discovery (multicast) — unicast stages everyone alone.
-        let mut group_start_of: Vec<Option<usize>> = vec![None; users];
-        let mut members_of: Vec<Vec<usize>> = Vec::new();
-        let mut id_of: Vec<u64> = Vec::new();
-        if config.multicast {
-            tracker.begin_slot(slot);
-            for (u, key) in key_of.iter().enumerate() {
-                if let Some(key) = key {
-                    tracker.observe(u, *key);
-                }
-            }
-            for group in tracker.finish_slot() {
-                let first = group.members[0];
-                group_start_of[first] = Some(members_of.len());
-                members_of.push(group.members.clone());
-                id_of.push(group.id);
-            }
-        }
-        peak_groups = peak_groups.max(members_of.iter().filter(|m| m.len() >= 2).count());
-
-        // 4. Stage: walk users in plan order; a grouped user stages its
-        //    whole group at the first member's position, ungrouped users
-        //    stage alone. With no groups this is exactly the unicast
-        //    staging order.
-        engine.begin_slot(config.server_total_mbps);
-        caps.clear();
-        // (staged index) -> member list start in `caps` plus users.
-        let mut staged: Vec<Vec<usize>> = Vec::new();
-        for u in 0..users {
-            let row = |i: usize| &rates_table[i * levels..(i + 1) * levels];
-            let vrow = |i: usize| &values_table[i * levels..(i + 1) * levels];
-            if config.multicast && key_of[u].is_some() {
-                let Some(gi) = group_start_of[u] else {
-                    continue; // grouped, but not the first member
-                };
-                let members = &members_of[gi];
-                let member_slices: Vec<GroupMember<'_>> = members
-                    .iter()
-                    .map(|&m| GroupMember {
-                        values: vrow(m),
-                        link_budget: config.per_user_mbps,
-                    })
-                    .collect();
-                stage_group(&mut engine, row(members[0]), &member_slices, &mut caps);
-                fingerprint = fnv64(fingerprint, id_of[gi]);
-                fingerprint = fnv64(fingerprint, members.len() as u64);
-                staged.push(members.clone());
-            } else {
-                stage_group(
-                    &mut engine,
-                    row(u),
-                    &[GroupMember {
-                        values: vrow(u),
-                        link_budget: config.per_user_mbps,
-                    }],
-                    &mut caps,
-                );
-                staged.push(vec![u]);
-            }
-        }
-        staged_rows += staged.len() as u64;
-        staged_members += users as u64;
-
-        // 5. Solve and account: each staged row is charged once; each
+        // 2. Solve and account: each staged row is charged once; each
         //    member receives min(assigned, cap) and acknowledges those
         //    tiles.
-        let assignment = allocator.allocate_staged(&mut engine).to_vec();
-        let mut cap_cursor = 0usize;
-        for (e, members) in staged.iter().enumerate() {
-            let assigned = assignment[e].index();
-            let rate = engine.rates(e)[assigned];
-            wire_mbit += rate * SLOT_S;
-            fingerprint = fnv64(fingerprint, assigned as u64);
-            fingerprint = fnv64(fingerprint, rate.to_bits());
-            for &m in members {
-                let cap = caps[cap_cursor];
-                cap_cursor += 1;
-                let q = assigned.min(cap);
-                quality_sum += (q + 1) as f64;
-                fingerprint = fnv64(fingerprint, ((m as u64) << 8) | q as u64);
-                let cell = undelivered[m].cell().expect("targeted");
-                let level = QualityLevel::new((q + 1) as u8);
-                for &tile in &tiles_of[m] {
-                    let id = VideoId::new(cell, tile, level);
-                    if !ledgers[m].is_delivered(&id) {
-                        undelivered[m].acknowledge(&mut ledgers[m], id);
-                    }
-                }
+        allocator.allocate_staged(planner.engine_mut());
+        for r in 0..planner.rows() {
+            let row = planner.row(r);
+            if let Some(id) = row.group_id {
+                fingerprint = fnv::fold_u64(fingerprint, id);
+                fingerprint = fnv::fold_u64(fingerprint, row.members.len() as u64);
             }
         }
-        debug_assert_eq!(cap_cursor, caps.len());
+        for r in 0..planner.rows() {
+            let row = planner.row(r);
+            let assigned = row.assigned.index();
+            let rate = row.rates[assigned];
+            wire_mbit += rate * SLOT_S;
+            fingerprint = fnv::fold_u64(fingerprint, assigned as u64);
+            fingerprint = fnv::fold_u64(fingerprint, rate.to_bits());
+            for k in 0..row.members.len() {
+                // Re-borrowed per member: the ACK below mutates the planner.
+                let row = planner.row(r);
+                let m = row.members[k];
+                let q = assigned.min(row.caps[k]);
+                quality_sum += (q + 1) as f64;
+                fingerprint = fnv::fold_u64(fingerprint, ((m as u64) << 8) | q as u64);
+                planner.manifest_into(m, QualityLevel::new((q + 1) as u8), &mut manifest);
+                planner.acknowledge(m, manifest.iter().copied());
+            }
+        }
     }
 
     McastRunResult {
         delivered_quality: quality_sum / (config.users as f64 * config.slots as f64),
         wire_mbit,
         peak_multicast_groups: peak_groups,
-        mean_group_size: staged_members as f64 / staged_rows.max(1) as f64,
+        mean_group_size: (users as u64 * config.slots) as f64 / staged_rows.max(1) as f64,
         fingerprint,
     }
 }

@@ -17,20 +17,16 @@ use std::time::Instant;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use cvr_content::cache::{ClientTileBuffer, DeliveryLedger, ServerTileCache, UndeliveredSums};
-use cvr_content::grid::CellId;
+use cvr_content::cache::{ClientTileBuffer, ServerTileCache};
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
-use cvr_content::plane::{FovRequestCache, RatePlane, DEFAULT_PLANE_CELLS};
-use cvr_content::tile::{tiles_for_pose_into, TileId};
 use cvr_core::alloc::Allocator;
 use cvr_core::delay::{DelayModel, Mm1Delay};
-use cvr_core::engine::SlotEngine;
 use cvr_core::objective::QoeParams;
 use cvr_core::qoe::{SystemQoeSummary, UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
-use cvr_core::stage::{stage_rates_values_with, CONTROL_OVERHEAD_MBPS};
-use cvr_lookahead::{slot_credit, AnticipatoryDegrade, LookaheadConfig, Prefetcher};
+use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
+use cvr_lookahead::LookaheadConfig;
 use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::pose::Pose;
 use cvr_motion::predict::LinearPredictor;
@@ -46,6 +42,7 @@ use cvr_net::trace::{TraceGeneratorConfig, TraceProfile};
 
 use crate::allocators::AllocatorKind;
 use crate::event::EventQueue;
+use crate::pipeline::SlotPlanner;
 
 /// Pipeline depth: content predicted and sent at slot `s` is decoded at
 /// `s+1` and displayed at `s+2` (Section V, "Pipelining of transmission and
@@ -377,7 +374,7 @@ pub fn run_with(
 
 /// Like [`run_with`], but also returns the per-stage timing of the slot
 /// hot path (problem build, density pass, value pass, delivery
-/// accounting) collected by the run's [`SlotEngine`].
+/// accounting) collected by the run's slot engine.
 pub fn run_instrumented(
     config: &SystemConfig,
     allocator: &mut dyn Allocator,
@@ -389,7 +386,18 @@ pub fn run_instrumented(
     let n = config.num_users;
     let dt = config.slot_duration_s;
     let slots = config.slots();
-    let library = ContentLibrary::paper_default();
+    // The shared slot planner: slot engine, cached data plane (per-cell
+    // rate rows, shared FoV tile sets), and per-user delivery ledgers,
+    // incrementally maintained undelivered-rate sums, prefetch trackers
+    // and anticipatory-degrade state.
+    let mut planner = SlotPlanner::new(
+        ContentLibrary::paper_default(),
+        LookaheadConfig::for_horizon(config.horizon),
+        0,
+    );
+    for u in 0..n {
+        planner.join(u);
+    }
 
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x5157_ABCD);
 
@@ -425,13 +433,6 @@ pub fn run_instrumented(
     // Server-wide per-packet loss estimate: lost transfers over packets
     // sent (a lost transfer implies ≈1 lost packet at small loss rates).
     let mut loss_estimate = PacketLossEstimate::new();
-    let mut ledgers: Vec<DeliveryLedger> = (0..n).map(|_| DeliveryLedger::new()).collect();
-    // Build-stage data plane: cached per-cell rate rows, per-user FoV
-    // request reuse, and incrementally maintained undelivered-rate sums.
-    let mut plane = RatePlane::new(library.sizing().clone(), DEFAULT_PLANE_CELLS);
-    let mut fov_caches: Vec<FovRequestCache> = (0..n)
-        .map(|_| FovRequestCache::new(*library.fov()))
-        .collect();
     let mut buffers: Vec<ClientTileBuffer> = (0..n)
         .map(|_| ClientTileBuffer::new(config.client_buffer_tiles))
         .collect();
@@ -448,21 +449,6 @@ pub fn run_instrumented(
         .collect();
     let mut pending: Vec<VecDeque<PendingFrame>> = (0..n).map(|_| VecDeque::new()).collect();
     let mut pose_staleness: Vec<usize> = vec![0; n];
-
-    // Lookahead state (horizon > 1 only; at H = 1 none of it is touched,
-    // which is the Theorem-1 parity guarantee): per-user anticipatory
-    // degrade over the bandwidth estimates, per-user trackers of
-    // outstanding prefetched tiles, and reused scratch for the
-    // future-FoV prediction pass.
-    let lookahead = LookaheadConfig::for_horizon(config.horizon);
-    let mut degrades: Vec<AnticipatoryDegrade> = (0..n)
-        .map(|_| AnticipatoryDegrade::new(lookahead.degrade))
-        .collect();
-    let mut prefetchers: Vec<Prefetcher> = (0..n).map(|_| Prefetcher::new()).collect();
-    let mut future_cells: Vec<CellId> = Vec::new();
-    let mut future_poses: Vec<Pose> = Vec::new();
-    let mut prefetch_tiles: Vec<TileId> = Vec::new();
-    let mut prefetch_released: Vec<VideoId> = Vec::new();
 
     // Server-side tile cache (shared across users, as in the real server).
     let mut server_cache = ServerTileCache::new(20_000);
@@ -537,17 +523,9 @@ pub fn run_instrumented(
     let mut transfers = 0u64;
     let mut transfers_lost = 0u64;
 
-    // --- slot engine and reused per-slot buffers -------------------------
-    // The engine owns the rate/value tables, greedy heap, and assignment
-    // buffer for the whole run; these satellites cover everything else the
-    // old loop re-allocated every slot.
-    let levels = library.quality_set().len();
-    let mut engine = SlotEngine::new();
+    // --- reused per-slot buffers -----------------------------------------
     let mut actual: Vec<Pose> = Vec::with_capacity(n);
     let mut predicted: Vec<Pose> = Vec::with_capacity(n);
-    let mut undelivered: Vec<UndeliveredSums> =
-        (0..n).map(|_| UndeliveredSums::new(levels)).collect();
-    let mut estimated_bn: Vec<f64> = Vec::with_capacity(n);
     let mut assignment: Vec<QualityLevel> = Vec::with_capacity(n);
     let mut router_caps: Vec<f64> = Vec::with_capacity(config.num_routers);
     let mut demands: Vec<Vec<(usize, f64)>> = vec![Vec::new(); config.num_routers];
@@ -571,14 +549,8 @@ pub fn run_instrumented(
         //    the incremental per-level sums can never drift apart.
         while let Some((_, fb)) = feedback.pop_before(now) {
             match fb {
-                Feedback::Acknowledge { user, ids } => {
-                    for id in ids {
-                        undelivered[user].acknowledge(&mut ledgers[user], id);
-                    }
-                }
-                Feedback::Release { user, ids } => {
-                    undelivered[user].release(&mut ledgers[user], ids);
-                }
+                Feedback::Acknowledge { user, ids } => planner.acknowledge(user, ids),
+                Feedback::Release { user, ids } => planner.release(user, ids),
             }
         }
 
@@ -589,7 +561,7 @@ pub fn run_instrumented(
             while pending[u].front().is_some_and(|f| f.display_slot <= slot) {
                 let frame = pending[u].pop_front().expect("checked front");
                 frames_total += 1;
-                let prediction_hit = library.fov().covers(&frame.predicted, &actual[u]);
+                let prediction_hit = planner.library().fov().covers(&frame.predicted, &actual[u]);
                 let viewed_hit = prediction_hit && frame.delivered_on_time;
                 if frame.delivered_on_time {
                     frames_displayed += 1;
@@ -629,106 +601,66 @@ pub fn run_instrumented(
                 .predict_fractional(horizon_slots / period as f64)
                 .unwrap_or(actual[u])
         }));
-        estimated_bn.clear();
-        estimated_bn
-            .extend((0..n).map(|u| bandwidth_estimates[u].estimate_or(throttles[u]).max(1.0)));
-        if lookahead.active() {
-            // Anticipatory degrade: trend-extrapolate each user's
-            // estimate across the horizon and ramp the link budget down
-            // ahead of forecast dips (never above the raw estimate, so
-            // constraint (6) only tightens).
-            for u in 0..n {
-                estimated_bn[u] = degrades[u].observe_and_clamp(estimated_bn[u], lookahead.horizon);
-            }
-        }
 
-        // Build the slot problem directly into the engine's reused tables.
+        // Build the slot problem. Sequential pass: each user's link budget
+        // (the bandwidth estimate, ramped down ahead of forecast dips by
+        // the anticipatory degrade — never above the raw estimate, so
+        // constraint (6) only tightens) and FoV target. Retransmission
+        // suppression happens here: the planner's sums hold the per-level
+        // rate of only the *undelivered* tiles. Nobody is groupable, so
+        // every user is staged as its own row.
         let build_start = Instant::now();
-
-        // Sequential pass: resolve each user's FoV request (cached while
-        // the pose stays in the same cell + orientation bucket) and
-        // retarget the undelivered sums only when the request changed.
-        // Retransmission suppression happens here: the sums already hold
-        // the per-level rate of only the *undelivered* tiles, with each
-        // (cell, tile) complexity hashed once per resident cell ever.
+        planner.begin_slot(slot as u64, config.server_total_mbps);
         for u in 0..n {
-            let cell = library.grid().cell_of(&predicted[u].position);
-            let tiles = fov_caches[u].tiles_for(&predicted[u]);
-            if !undelivered[u].targets(cell, tiles) {
-                undelivered[u].retarget(cell, tiles, plane.rows(cell), &ledgers[u]);
-            }
-            #[cfg(debug_assertions)]
-            undelivered[u].assert_matches_ledger(&ledgers[u]);
+            let estimate = bandwidth_estimates[u].estimate_or(throttles[u]).max(1.0);
+            let bn = planner.clamp_budget(u, estimate, None);
+            planner.push_user(u, &predicted[u], bn, false);
         }
 
         // Parallel fill: each user's table rows are a disjoint chunk of
         // the staged tables, so any thread count produces bit-identical
         // tables (and therefore assignments).
-        engine.begin_slot(config.server_total_mbps);
-        engine.add_users(levels, &estimated_bn);
-        {
-            let (rates_table, values_table) = engine.staged_tables_mut();
-            let floor_slots = PROPAGATION_S / dt;
-            let loss_p = loss_estimate.estimate();
-            let deltas = &deltas;
-            let accumulators = &accumulators;
-            let delay_estimators = &delay_estimators;
-            let undelivered = &undelivered;
-            let estimated_bn = &estimated_bn;
-            crate::parallel::parallel_chunk_pairs(
-                rates_table,
-                values_table,
-                levels,
-                config.build_threads.max(1),
-                |u, rates, values| {
-                    let delta = deltas[u].estimate();
-                    let tracker = *accumulators[u].tracker();
-                    let fallback = Mm1Delay::new(estimated_bn[u]).expect("positive estimate");
-                    let delay_model = EstimatedDelay {
-                        poly: &delay_estimators[u],
-                        fallback,
-                        floor_slots,
-                    };
-                    let sums = undelivered[u].sums();
-                    // The objective prices each level at its *incremental*
-                    // transmission cost `raw` (the suppressed rate), not
-                    // the full-library rate — what this slot will actually
-                    // send. The fused kernel stages the rate row and hands
-                    // `raw` to the unchanged value formula per level.
-                    stage_rates_values_with(
-                        sums,
-                        CONTROL_OVERHEAD_MBPS,
-                        rates,
-                        values,
-                        |l, raw| {
-                            let q = QualityLevel::new((l + 1) as u8);
-                            let delta_eff = match mode {
-                                ObjectiveMode::LossAware => {
-                                    let packets =
-                                        packets_for_rate(raw, dt, config.packet_size_kbit);
-                                    let survive = 1.0 - transfer_loss_probability(loss_p, packets);
-                                    delta * survive
-                                }
-                                _ => delta,
-                            };
-                            let quality_term = delta_eff * q.value();
-                            let delay_term = match mode {
-                                ObjectiveMode::DelayBlind => 0.0,
-                                _ => config.params.alpha * delay_model.delay(raw),
-                            };
-                            let variance_term =
-                                config.params.beta * tracker.expected_penalty(q.value(), delta_eff);
-                            quality_term - delay_term - variance_term
-                        },
-                    );
-                    sanitize_rates(rates);
-                },
-            );
-        }
-        engine.timers_mut().build.record(build_start.elapsed());
+        let floor_slots = PROPAGATION_S / dt;
+        let loss_p = loss_estimate.estimate();
+        planner.stage(config.build_threads, CONTROL_OVERHEAD_MBPS, |u, bn| {
+            let delta = deltas[u].estimate();
+            let tracker = *accumulators[u].tracker();
+            let delay_model = EstimatedDelay {
+                poly: &delay_estimators[u],
+                fallback: Mm1Delay::new(bn).expect("positive estimate"),
+                floor_slots,
+            };
+            // The objective prices each level at its *incremental*
+            // transmission cost `raw` (the suppressed rate), not the
+            // full-library rate — what this slot will actually send.
+            move |l, raw| {
+                let q = QualityLevel::new((l + 1) as u8);
+                let delta_eff = match mode {
+                    ObjectiveMode::LossAware => {
+                        let packets = packets_for_rate(raw, dt, config.packet_size_kbit);
+                        let survive = 1.0 - transfer_loss_probability(loss_p, packets);
+                        delta * survive
+                    }
+                    _ => delta,
+                };
+                let quality_term = delta_eff * q.value();
+                let delay_term = match mode {
+                    ObjectiveMode::DelayBlind => 0.0,
+                    _ => config.params.alpha * delay_model.delay(raw),
+                };
+                let variance_term =
+                    config.params.beta * tracker.expected_penalty(q.value(), delta_eff);
+                quality_term - delay_term - variance_term
+            }
+        });
+        planner
+            .engine_mut()
+            .timers_mut()
+            .build
+            .record(build_start.elapsed());
 
         assignment.clear();
-        assignment.extend_from_slice(allocator.allocate_staged(&mut engine));
+        assignment.extend_from_slice(allocator.allocate_staged(planner.engine_mut()));
 
         // 4. Physical transmission over the shared medium.
         let accounting_start = Instant::now();
@@ -739,7 +671,7 @@ pub fn run_instrumented(
             group.clear();
         }
         for u in 0..n {
-            let rate = engine.rates(u)[assignment[u].index()];
+            let rate = planner.engine().rates(u)[assignment[u].index()];
             demands[router_of(u)].push((u, rate));
         }
         for (r, group) in demands.iter().enumerate() {
@@ -775,16 +707,8 @@ pub fn run_instrumented(
 
         for u in 0..n {
             let q = assignment[u];
-            let rate = engine.rates(u)[q.index()];
-            let cell = undelivered[u].cell().expect("targeted during build");
-            to_send.clear();
-            to_send.extend(
-                undelivered[u]
-                    .tiles()
-                    .iter()
-                    .map(|&t| VideoId::new(cell, t, q))
-                    .filter(|id| !ledgers[u].is_delivered(id)),
-            );
+            let rate = planner.engine().rates(u)[q.index()];
+            planner.manifest_into(u, q, &mut to_send);
             for id in &to_send {
                 server_cache.fetch(*id);
             }
@@ -885,86 +809,28 @@ pub fn run_instrumented(
             bandwidth_estimates[u].update(effective_bn[u] * noise);
             delay_estimators[u].observe(rate, delay_slots);
         }
-        engine
+        planner
+            .engine_mut()
             .timers_mut()
             .accounting
             .record(accounting_start.elapsed());
 
-        // Prefetch credit (horizon > 1 only): spend the slot's budget
-        // slack — constraint (7) headroom left by the allocation — on
-        // current-quality tiles for the FoVs predicted at the H − 1 slots
-        // past the display slot. Charging goes through the paired
-        // `UndeliveredSums::acknowledge` call, so the arrival-slot
-        // retarget sees the tiles as delivered (no re-stage, no resend)
-        // and a prediction that never materialises is released through
-        // the same pairing. Entirely sequential and rng-free: thread
-        // counts cannot perturb it.
-        if lookahead.active() {
-            let assigned: f64 = (0..n).map(|u| engine.rates(u)[assignment[u].index()]).sum();
-            let mut credit = slot_credit(
-                config.server_total_mbps,
-                assigned,
-                lookahead.prefetch.credit_fraction,
-            );
-            for u in 0..n {
-                let current = undelivered[u].cell().expect("targeted during build");
-                future_cells.clear();
-                future_poses.clear();
-                for h in 1..lookahead.horizon {
-                    let horizon_slots = (PIPELINE_SLOTS + pose_staleness[u] + h) as f64;
-                    let Some(pose) =
-                        predictors[u].predict_fractional(horizon_slots / period as f64)
-                    else {
-                        continue;
-                    };
-                    let cell = library.grid().cell_of(&pose.position);
-                    if cell != current && !future_cells.contains(&cell) {
-                        future_cells.push(cell);
-                        future_poses.push(pose);
-                    }
-                }
-                prefetch_released.clear();
-                prefetchers[u].reconcile(current, &future_cells, &mut prefetch_released);
-                if !prefetch_released.is_empty() {
-                    undelivered[u].release(&mut ledgers[u], prefetch_released.drain(..));
-                }
-                // Prefetch at the quality the user is currently being
-                // served (floored at the configured base): the greedy
-                // allocator treats a ledger-delivered level as a
-                // near-free option, so seeding the *current* level keeps
-                // quality flat across the cell boundary, while seeding a
-                // lower one would hand the allocator a cheap downgrade.
-                let pf_quality =
-                    QualityLevel::new(assignment[u].get().max(lookahead.prefetch.quality.get()));
-                let row = pf_quality.index() * usize::from(TileId::COUNT);
-                let mut taken = 0usize;
-                'cells: for (idx, &cell) in future_cells.iter().enumerate() {
-                    tiles_for_pose_into(library.fov(), &future_poses[idx], &mut prefetch_tiles);
-                    let mut level_rates = [0.0f64; TileId::COUNT as usize];
-                    level_rates
-                        .copy_from_slice(&plane.rows(cell)[row..row + usize::from(TileId::COUNT)]);
-                    for &t in &prefetch_tiles {
-                        if taken >= lookahead.prefetch.max_tiles_per_slot {
-                            break 'cells;
-                        }
-                        let id = VideoId::new(cell, t, pf_quality);
-                        if ledgers[u].is_delivered(&id) {
-                            continue;
-                        }
-                        let cost = level_rates[t.get() as usize];
-                        if cost > credit {
-                            continue;
-                        }
-                        credit -= cost;
-                        taken += 1;
-                        undelivered[u].acknowledge(&mut ledgers[u], id);
-                        prefetchers[u].note(cell, id);
-                    }
-                }
-                #[cfg(debug_assertions)]
-                undelivered[u].assert_matches_ledger(&ledgers[u]);
-            }
-        }
+        // Prefetch credit: spend the slot's budget slack — constraint (7)
+        // headroom left by the allocation — on current-quality tiles for
+        // the FoVs predicted at the H − 1 slots past the display slot
+        // (none at H = 1). This simulator models the push as delivered, so
+        // the chosen tiles are charged to the ledgers at once: the
+        // arrival-slot retarget sees them as delivered (no re-stage, no
+        // resend), and a prediction that never materialises is released
+        // by a later pass.
+        planner.prefetch(
+            |_| true,
+            |u, h| {
+                let horizon_slots = (PIPELINE_SLOTS + pose_staleness[u] + h) as f64;
+                predictors[u].predict_fractional(horizon_slots / period as f64)
+            },
+        );
+        planner.acknowledge_prefetched();
     }
     let wall_s = wall_start.elapsed().as_secs_f64();
 
@@ -983,7 +849,8 @@ pub fn run_instrumented(
         users,
         timeseries,
     };
-    let report = crate::metrics::SlotTimingReport::from_timers(engine.timers(), slots, wall_s);
+    let report =
+        crate::metrics::SlotTimingReport::from_timers(planner.engine().timers(), slots, wall_s);
     (result, report)
 }
 
@@ -1033,8 +900,8 @@ pub fn transfer_loss_probability(p: f64, packets: u32) -> f64 {
 /// Forces a raw per-level rate vector to be positive and strictly
 /// increasing (retransmission suppression can make levels momentarily
 /// equal-cost; the allocator's invariants require strict monotonicity).
-/// Public so every loop that stages ledger-suppressed rates into a
-/// [`SlotEngine`] — the system simulator here, the live server runtime —
+/// Public so everything that stages ledger-suppressed rates into a slot
+/// engine — the shared planner, the build benchmark's reference paths —
 /// enforces the same invariant the same way.
 pub fn sanitize_rates(rates: &mut [f64]) {
     let mut floor = 0.05;

@@ -19,25 +19,22 @@
 
 use std::time::Instant;
 
-use cvr_content::cache::{DeliveryLedger, UndeliveredSums};
 use cvr_content::library::ContentLibrary;
-use cvr_content::plane::{FovRequestCache, RatePlane, DEFAULT_PLANE_CELLS};
 use cvr_core::alloc::Allocator;
 use cvr_core::delay::{DelayModel, Mm1Delay};
-use cvr_core::engine::SlotEngine;
 use cvr_core::objective::{h_value, QoeParams};
 use cvr_core::offline::fractional_upper_bound;
 use cvr_core::qoe::{SystemQoeSummary, UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
 use cvr_core::rate::RateFunction;
-use cvr_core::stage::stage_rates_values_with;
-use cvr_lookahead::{AnticipatoryDegrade, DegradeConfig, LookaheadConfig};
+use cvr_lookahead::{DegradeConfig, LookaheadConfig};
 use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::predict::LinearPredictor;
 use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
 use cvr_net::trace::{ThroughputTrace, TraceGeneratorConfig, TraceProfile};
 
 use crate::allocators::AllocatorKind;
+use crate::pipeline::SlotPlanner;
 
 /// Configuration of one trace-based simulation run.
 #[derive(Debug, Clone)]
@@ -121,19 +118,24 @@ impl TraceSimConfig {
 
 pub use crate::metrics::TimeSeries;
 
-/// A borrowed per-level rate table (the cached undelivered sums) viewed as
-/// a [`RateFunction`] for `h_value`. `rate(q)` reads `slice[q.index()]` —
-/// exactly what `TabulatedRate::rate` does — so objective values computed
-/// through it are bit-identical to the old per-slot `rate_table` path.
-struct SliceRate<'a>(&'a [f64]);
+/// The rate of the one level being priced, viewed as a [`RateFunction`]
+/// for `h_value` (which only ever asks for `rate(q)` of that level). The
+/// staged rate is the undelivered sum plus a zero overhead — the same
+/// bits the old per-slot `rate_table` held — so objective values are
+/// unchanged.
+struct StagedRate {
+    level: QualityLevel,
+    rate: f64,
+}
 
-impl RateFunction for SliceRate<'_> {
+impl RateFunction for StagedRate {
     fn rate(&self, q: QualityLevel) -> f64 {
-        self.0[q.index()]
+        debug_assert_eq!(q, self.level, "only the staged level is defined");
+        self.rate
     }
 
     fn max_level(&self) -> QualityLevel {
-        QualityLevel::new(self.0.len() as u8)
+        self.level
     }
 }
 
@@ -178,7 +180,7 @@ pub fn run_with(
 }
 
 /// Like [`run_with`], but also returns the per-stage timing of the slot
-/// hot path collected by the run's [`SlotEngine`].
+/// hot path collected by the run's slot engine.
 pub fn run_instrumented(
     config: &TraceSimConfig,
     allocator: &mut dyn Allocator,
@@ -188,7 +190,6 @@ pub fn run_instrumented(
     assert!(config.num_users > 0, "need at least one user");
     let n = config.num_users;
     let slots = config.slots();
-    let library = ContentLibrary::paper_default();
     let server_budget = config.server_budget_per_user_mbps * n as f64;
 
     // Per-user state, all seeded from the master seed. Motion comes from
@@ -272,38 +273,30 @@ pub fn run_instrumented(
         .record_timeseries
         .then(|| TimeSeries::with_capacity(n, slots));
 
-    // Slot engine and reused per-slot buffers: tables, heap, and all the
-    // per-slot vectors live for the whole run.
-    let mut engine = SlotEngine::new();
+    // The shared slot planner owns the engine, the cached data plane and
+    // per-user delivery state. The trace simulation has perfect network
+    // knowledge and no retransmission suppression: nothing is ever
+    // acknowledged, so every ledger stays empty and each user's
+    // undelivered sums are exactly the per-level rate table of its
+    // request, cached until the predicted pose leaves the current cell or
+    // orientation bucket. Its throughput forecast is exact (it owns the
+    // traces), so the known-future degrade tuning applies: no estimator
+    // noise to hedge against, shallow dips are worth acting on.
+    let mut planner = SlotPlanner::new(
+        ContentLibrary::paper_default(),
+        LookaheadConfig {
+            degrade: DegradeConfig::known_future(),
+            ..LookaheadConfig::for_horizon(config.horizon)
+        },
+        0,
+    );
+    for u in 0..n {
+        planner.join(u);
+    }
     let mut actual: Vec<cvr_motion::pose::Pose> = Vec::with_capacity(n);
     let mut predicted: Vec<cvr_motion::pose::Pose> = Vec::with_capacity(n);
     let mut link_budgets: Vec<f64> = Vec::with_capacity(n);
     let mut assignment: Vec<QualityLevel> = Vec::with_capacity(n);
-
-    // Build-stage data plane. The trace simulation has perfect network
-    // knowledge and no retransmission suppression, so each user's
-    // `UndeliveredSums` runs over a shared, permanently-empty ledger: its
-    // sums are exactly the old per-slot `rate_table` (bit-identical fold
-    // order), cached until the predicted pose leaves the current cell or
-    // orientation bucket.
-    let levels = library.quality_set().len();
-    let empty_ledger = DeliveryLedger::new();
-    let mut plane = RatePlane::new(library.sizing().clone(), DEFAULT_PLANE_CELLS);
-    let mut fov_caches: Vec<FovRequestCache> = (0..n)
-        .map(|_| FovRequestCache::new(*library.fov()))
-        .collect();
-    let mut rate_sums: Vec<UndeliveredSums> =
-        (0..n).map(|_| UndeliveredSums::new(levels)).collect();
-
-    // Lookahead (horizon > 1 only; at H = 1 none of this state is
-    // touched, keeping the myopic loop bit-identical).
-    let lookahead = LookaheadConfig::for_horizon(config.horizon);
-    // This simulator's forecast is exact (it owns the throughput
-    // traces), so the known-future tuning applies: no estimator noise
-    // to hedge against, shallow dips are worth acting on.
-    let mut degrades: Vec<AnticipatoryDegrade> = (0..n)
-        .map(|_| AnticipatoryDegrade::new(DegradeConfig::known_future()))
-        .collect();
 
     let wall_start = Instant::now();
     for slot in 0..slots {
@@ -321,88 +314,65 @@ pub fn run_instrumented(
         );
 
         // Resolve content and build the slot problem into the engine.
+        // Anticipatory degrade with known future throughput: each link
+        // budget ramps toward the minimum over the next H − 1 trace
+        // samples, so quality walks down ahead of a dip instead of
+        // cliff-dropping into it.
         let build_start = Instant::now();
+        planner.begin_slot(slot as u64, server_budget);
         link_budgets.clear();
-        link_budgets.extend((0..n).map(|u| traces[u].at(now)));
-        if lookahead.active() {
-            // Anticipatory degrade with known future throughput: ramp
-            // each link budget toward the minimum over the next H − 1
-            // trace samples, so quality walks down ahead of a dip
-            // instead of cliff-dropping into it.
-            for u in 0..n {
-                let raw = link_budgets[u];
-                let forecast_min = (1..lookahead.horizon)
-                    .map(|h| traces[u].at(now + h as f64 * config.slot_duration_s))
-                    .fold(raw, f64::min);
-                link_budgets[u] = degrades[u].clamp_to_forecast(raw, forecast_min);
-            }
-        }
-
-        // Sequential pass: resolve each user's FoV request from the cache
-        // and refresh its rate table only on cell/bucket crossings.
         for u in 0..n {
-            let cell = library.grid().cell_of(&predicted[u].position);
-            let tiles = fov_caches[u].tiles_for(&predicted[u]);
-            if !rate_sums[u].targets(cell, tiles) {
-                rate_sums[u].retarget(cell, tiles, plane.rows(cell), &empty_ledger);
+            let raw = traces[u].at(now);
+            let forecast_min = (1..planner.horizon())
+                .map(|h| traces[u].at(now + h as f64 * config.slot_duration_s))
+                .fold(raw, f64::min);
+            let bn = planner.clamp_budget(u, raw, Some(forecast_min));
+            link_budgets.push(bn);
+            planner.push_user(u, &predicted[u], bn, false);
+        }
+        // The Section-IV trace model has no control stream, so the staged
+        // rate row is the undelivered sums verbatim: zero overhead keeps
+        // the kernel's `sums[l] + 0.0` a bitwise copy (the sums are
+        // non-negative fold results, never -0.0).
+        let params = config.params;
+        planner.stage(config.build_threads, 0.0, |u, bn| {
+            let delay_model = Mm1Delay::new(bn).expect("trace throughput is positive");
+            let delta = deltas[u].estimate();
+            let tracker = *accumulators[u].tracker();
+            move |l, rate| {
+                let level = QualityLevel::new((l + 1) as u8);
+                let table = StagedRate { level, rate };
+                if delay_aware {
+                    h_value(params, delta, &tracker, &table, &delay_model, level)
+                } else {
+                    h_value(
+                        params,
+                        delta,
+                        &tracker,
+                        &table,
+                        &cvr_core::delay::ZeroDelay::new(),
+                        level,
+                    )
+                }
             }
-            #[cfg(debug_assertions)]
-            rate_sums[u].assert_matches_ledger(&empty_ledger);
-        }
-
-        // Parallel fill over disjoint per-user table rows.
-        engine.begin_slot(server_budget);
-        engine.add_users(levels, &link_budgets);
-        {
-            let (rates_table, values_table) = engine.staged_tables_mut();
-            let deltas = &deltas;
-            let accumulators = &accumulators;
-            let link_budgets = &link_budgets;
-            let rate_sums = &rate_sums;
-            let params = config.params;
-            crate::parallel::parallel_chunk_pairs(
-                rates_table,
-                values_table,
-                levels,
-                config.build_threads.max(1),
-                |u, rates, values| {
-                    let delay_model =
-                        Mm1Delay::new(link_budgets[u]).expect("trace throughput is positive");
-                    let delta = deltas[u].estimate();
-                    let tracker = *accumulators[u].tracker();
-                    let table = SliceRate(rate_sums[u].sums());
-                    // The Section-IV trace model has no control stream, so
-                    // the staged rate row is the undelivered sums verbatim:
-                    // zero overhead keeps the kernel's `sums[l] + 0.0` a
-                    // bitwise copy (the sums are non-negative fold results,
-                    // never -0.0).
-                    stage_rates_values_with(table.0, 0.0, rates, values, |l, _raw| {
-                        let q = QualityLevel::new((l + 1) as u8);
-                        if delay_aware {
-                            h_value(params, delta, &tracker, &table, &delay_model, q)
-                        } else {
-                            h_value(
-                                params,
-                                delta,
-                                &tracker,
-                                &table,
-                                &cvr_core::delay::ZeroDelay::new(),
-                                q,
-                            )
-                        }
-                    });
-                },
-            );
-        }
-        engine.timers_mut().build.record(build_start.elapsed());
+        });
+        planner
+            .engine_mut()
+            .timers_mut()
+            .build
+            .record(build_start.elapsed());
 
         if config.compute_bound {
-            let problem = engine.to_problem().expect("constructed problem is valid");
+            let problem = planner
+                .engine()
+                .to_problem()
+                .expect("constructed problem is valid");
             bound_sum += fractional_upper_bound(&problem);
         }
 
         assignment.clear();
-        assignment.extend_from_slice(allocator.allocate_staged(&mut engine));
+        assignment.extend_from_slice(allocator.allocate_staged(planner.engine_mut()));
+        let engine = planner.engine();
 
         // Consequences: server-bottleneck sharing, Eq. (13) delay, FoV hit.
         let accounting_start = Instant::now();
@@ -418,7 +388,7 @@ pub fn run_instrumented(
             let delay = Mm1Delay::new(effective_link)
                 .expect("positive link")
                 .delay(rate);
-            let hit = library.fov().covers(&predicted[u], &actual[u]);
+            let hit = planner.library().fov().covers(&predicted[u], &actual[u]);
             accumulators[u].record(assignment[u], hit, delay);
             deltas[u].record(hit);
             predictors[u].observe(&actual[u]);
@@ -432,7 +402,8 @@ pub fn run_instrumented(
                 ts.delay_slots[u].push(delay as f32);
             }
         }
-        engine
+        planner
+            .engine_mut()
             .timers_mut()
             .accounting
             .record(accounting_start.elapsed());
@@ -451,7 +422,8 @@ pub fn run_instrumented(
         },
         timeseries,
     };
-    let report = crate::metrics::SlotTimingReport::from_timers(engine.timers(), slots, wall_s);
+    let report =
+        crate::metrics::SlotTimingReport::from_timers(planner.engine().timers(), slots, wall_s);
     (result, report)
 }
 
