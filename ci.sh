@@ -34,16 +34,17 @@ scratch_dir() {
     SCRATCH_DIRS+=("$SCRATCH")
 }
 
-bench() { cargo run -p cvr-bench --release --bin "$@"; }
+# The one bench driver: `bench <experiment>|gate|list [flags]`.
+bench() { cargo run -p cvr-bench --release -- "$@"; }
 
-# Runs `bin` at 1 and at 4 threads with the given arguments and requires
-# byte-identical CSV output.
+# Runs an experiment at 1 and at 4 threads with the given arguments and
+# requires byte-identical CSV output.
 same_at_1_and_4_threads() {
-    local tag="$1" bin="$2"
-    shift 2
-    bench "$bin" -- "$@" --csv "$SCRATCH/$tag-t1" --threads 1
-    bench "$bin" -- "$@" --csv "$SCRATCH/$tag-t4" --threads 4
-    diff -r "$SCRATCH/$tag-t1" "$SCRATCH/$tag-t4"
+    local experiment="$1"
+    shift
+    bench "$experiment" "$@" --csv "$SCRATCH/$experiment-t1" --threads 1
+    bench "$experiment" "$@" --csv "$SCRATCH/$experiment-t4" --threads 4
+    diff -r "$SCRATCH/$experiment-t1" "$SCRATCH/$experiment-t4"
 }
 
 INCLUDE_IGNORED=1
@@ -69,28 +70,29 @@ stage_test() {
     step "Docs"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-    step "Smoke figures"
+    step "Experiment table and smoke figures"
+    bench list
     bench fig1
-    bench fig2 -- --runs 2 --duration 5
-    bench fig7 -- --runs 1 --duration 5
+    bench fig2 --runs 2 --duration 5
+    bench fig7 --runs 1 --duration 5
 }
 
 stage_determinism() {
     step "Determinism: 1 thread vs 4 threads must produce identical outputs"
     scratch_dir
-    same_at_1_and_4_threads fig2 fig2 --runs 6 --duration 5
-    same_at_1_and_4_threads fig7 fig7 --runs 4 --duration 5
+    same_at_1_and_4_threads fig2 --runs 6 --duration 5
+    same_at_1_and_4_threads fig7 --runs 4 --duration 5
     echo "determinism: outputs byte-for-byte identical"
 }
 
 stage_net_scenarios() {
     step "Net scenarios: pathology matrix at 1 vs 4 threads, byte-identical CSVs"
     scratch_dir
-    same_at_1_and_4_threads net net_bench --runs 2 --duration 10
+    same_at_1_and_4_threads net_bench --runs 2 --duration 10
     echo "net scenarios: outputs byte-for-byte identical"
 
     step "Lookahead sweep: horizon matrix at 1 vs 4 threads, byte-identical CSVs"
-    same_at_1_and_4_threads la lookahead_bench --runs 2 --duration 10
+    same_at_1_and_4_threads lookahead_bench --runs 2 --duration 10
     echo "lookahead sweep: outputs byte-for-byte identical"
 }
 
@@ -134,14 +136,9 @@ stage_serve_smoke() {
 
 stage_bench_gate() {
     step "Bench gate"
-    # build_bench also runs the staging tier (old strided walk vs fused
-    # level-major kernel); bench_check gates both its artifacts.
-    local bin
-    for bin in slot_engine scale serve_bench build_bench obs_bench net_bench \
-        mcast_bench lookahead_bench; do
-        bench "$bin" -- --quick
-    done
-    bench bench_check
+    # Runs every gated experiment and judges the documents it just built;
+    # the artifacts land in target/bench/, not over the committed copies.
+    bench gate --quick
 }
 
 stage_benchmark_build() {

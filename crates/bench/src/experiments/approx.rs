@@ -11,10 +11,8 @@
 //! *unconstrained* search demonstrates that outside the concave/convex
 //! class the guarantee genuinely evaporates (greedy level-by-level
 //! upgrades cannot skip over a worthless intermediate level).
-//!
-//! Run: `cargo run -p cvr-bench --release --bin approx_worst_case [--quick]`
 
-use cvr_bench::{f3, print_header, print_row, FigureArgs};
+use cvr_bench::{FigureArgs, Table};
 use cvr_core::alloc::{Allocator, DensityValueGreedy};
 use cvr_core::objective::{SlotProblem, UserSlot};
 use cvr_core::offline::exact_slot_optimum;
@@ -183,8 +181,12 @@ fn tight_family(k: usize, epsilon: f64) -> SlotProblem {
     SlotProblem::new(users, base + k as f64).expect("valid")
 }
 
-fn main() {
-    let args = FigureArgs::parse();
+/// Runs both searches and scores the structured stress family.
+///
+/// # Panics
+///
+/// Panics if any instance inside the theorem's class falls below ½.
+pub fn approx_worst_case(args: &FigureArgs) {
     let restarts = args.runs_or(400);
     let climb_steps = 200;
     let mut rng = ChaCha8Rng::seed_from_u64(args.seed);
@@ -204,11 +206,11 @@ fn main() {
     println!("guarantee genuinely needs the paper's structural assumptions.");
 
     println!("\n# Structured stress family (one big upgrade vs k small ones)\n");
-    print_header(&["k", "epsilon", "ratio"]);
+    let mut table = Table::titled(&["k", "epsilon", "ratio"]);
     for &(k, eps) in &[(2usize, 0.5), (4, 0.2), (8, 0.05), (16, 0.01), (18, 0.001)] {
         let p = tight_family(k, eps);
         let r = ratio(&p).expect("non-degenerate");
-        print_row(&[k.to_string(), format!("{eps}"), f3(r)]);
+        table.row(vec![k.into(), format!("{eps}").into(), r.into()]);
         assert!(r >= 0.5 - 1e-9);
     }
     println!("\nEvery measured ratio inside the theorem's class stays at or above the");

@@ -1,7 +1,6 @@
 //! Observability-overhead benchmark: replays the slot-engine hot path
 //! (stage + solve on synthetic motion workloads) with `cvr-obs`
-//! instrumentation disabled and enabled, and writes `BENCH_obs.json` at
-//! the repository root for the CI bench gate (`bench_check`).
+//! instrumentation disabled and enabled (`BENCH_obs.json`).
 //!
 //! The gated claim is that observability is cheap enough to leave on in
 //! production: per-slot registry observations in the session's default
@@ -19,13 +18,12 @@
 //! discards scheduler preemption spikes (they land in one batch of one
 //! rep) — whole-pass timing on a busy single-core CI host is noisier
 //! than the ~1 % effect being measured.
-//!
-//! Run: `cargo run -p cvr-bench --release --bin obs_bench [--quick]`
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use cvr_bench::{f3, print_header, print_row, FigureArgs};
+use cvr_bench::json::Json;
+use cvr_bench::{Cell, FigureArgs, Table};
 use cvr_content::library::{ContentLibrary, ContentRequest};
 use cvr_core::engine::SlotEngine;
 use cvr_core::quality::QualityLevel;
@@ -43,7 +41,7 @@ const REPS: usize = 9;
 const STAGE_SAMPLE_EVERY: u32 = 16;
 
 /// Pre-generated per-slot inputs so generation cost stays out of the
-/// timed loops (same recipe as the `slot_engine` benchmark).
+/// timed loops.
 struct Workload {
     name: &'static str,
     users: usize,
@@ -252,22 +250,12 @@ fn run_batch(
     batch_start.elapsed().as_secs_f64()
 }
 
-struct Entry {
-    name: &'static str,
-    users: usize,
-    slots: usize,
-    off_wall_s: f64,
-    on_wall_s: f64,
-    overhead_pct: f64,
-    traced_overhead_pct: f64,
-    assignments_identical: bool,
-    observations: u64,
-}
-
-fn bench_workload(w: &Workload) -> Entry {
+/// Benchmarks one workload into its table row (see the column list in
+/// [`obs_bench`]).
+fn bench_workload(w: &Workload) -> Vec<Cell> {
     // Mode 1 is the session's production default (registry on, tracer
     // disabled — `record` calls still execute); mode 2 additionally
-    // enables the sampled tracer. Mode 1 is what `bench_check` gates.
+    // enables the sampled tracer. Mode 1 is what the gate judges.
     let mut obs_metrics = Obs::new(false);
     let mut obs_traced = Obs::new(true);
     let n_batches = w.slots.div_ceil(BATCH_SLOTS);
@@ -323,21 +311,30 @@ fn bench_workload(w: &Workload) -> Entry {
         Some(cvr_obs::registry::Value::Counter(n)) => *n,
         _ => 0,
     };
-    Entry {
-        name: w.name,
-        users: w.users,
-        slots: w.slots,
-        off_wall_s: off_best,
-        on_wall_s: on_best,
-        overhead_pct,
-        traced_overhead_pct,
-        assignments_identical: identical,
-        observations,
-    }
+    assert!(
+        identical,
+        "{}: instrumentation changed solver output",
+        w.name
+    );
+    vec![
+        w.name.into(),
+        w.users.into(),
+        w.slots.into(),
+        off_best.into(),
+        on_best.into(),
+        overhead_pct.into(),
+        traced_overhead_pct.into(),
+        identical.into(),
+        Cell::Int(observations),
+    ]
 }
 
-fn main() {
-    let args = FigureArgs::parse();
+/// Runs both setups and returns the `BENCH_obs.json` document.
+///
+/// # Panics
+///
+/// Panics if instrumentation changes the solver's output.
+pub fn obs_bench(args: &FigureArgs) -> Json {
     // Keep the floor high even under `--quick`: the measured delta is a
     // few nanoseconds per slot, so sub-10 ms walls are all jitter.
     let slots = ((8_000.0 * args.scale) as usize).max(4_000);
@@ -350,65 +347,26 @@ fn main() {
     println!(
         "# Observability overhead ({slots} slots per setup, per-batch min of {REPS} interleaved reps)\n"
     );
-    print_header(&[
-        "setup",
-        "users",
-        "off s",
-        "on s",
-        "overhead %",
-        "+trace %",
-        "identical",
+    let mut table = Table::begin(&[
+        ("setup", "name"),
+        ("users", "users"),
+        ("", "slots"),
+        ("off s", "off_wall_s"),
+        ("on s", "on_wall_s"),
+        ("overhead %", "overhead_pct"),
+        ("+trace %", "traced_overhead_pct"),
+        ("identical", "assignments_identical"),
+        ("", "observations"),
     ]);
-
-    let mut entries = Vec::new();
     for w in &workloads {
-        let entry = bench_workload(w);
-        print_row(&[
-            entry.name.to_string(),
-            entry.users.to_string(),
-            f3(entry.off_wall_s),
-            f3(entry.on_wall_s),
-            f3(entry.overhead_pct),
-            f3(entry.traced_overhead_pct),
-            entry.assignments_identical.to_string(),
-        ]);
-        assert!(
-            entry.assignments_identical,
-            "{}: instrumentation changed solver output",
-            entry.name
-        );
-        entries.push(entry);
+        table.row(bench_workload(w));
     }
     println!();
 
-    let rows: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"name\": \"{}\", \"users\": {}, \"slots\": {}, \
-                 \"off_wall_s\": {:.4}, \"on_wall_s\": {:.4}, \"overhead_pct\": {:.3}, \
-                 \"traced_overhead_pct\": {:.3}, \"assignments_identical\": {}, \
-                 \"observations\": {}}}",
-                e.name,
-                e.users,
-                e.slots,
-                e.off_wall_s,
-                e.on_wall_s,
-                e.overhead_pct,
-                e.traced_overhead_pct,
-                e.assignments_identical,
-                e.observations
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"slots_per_setup\": {},\n  \"reps\": {},\n  \
-         \"entries\": [\n{}\n  ]\n}}\n",
-        slots,
-        REPS,
-        rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(out, &json).expect("write benchmark JSON");
-    println!("wrote {out}");
+    Json::object([
+        ("bench", "obs_overhead".into()),
+        ("slots_per_setup", slots.into()),
+        ("reps", REPS.into()),
+        ("entries", table.json_rows().into()),
+    ])
 }

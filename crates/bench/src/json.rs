@@ -1,9 +1,11 @@
-//! A minimal JSON reader for the `BENCH_*.json` artifacts the benchmark
-//! binaries emit. The offline workspace has no JSON crate, and the gate
-//! checker only needs to *read back* files this workspace itself wrote —
-//! so this parser supports exactly standard JSON values (objects, arrays,
-//! strings with the common escapes, numbers, booleans, null) and nothing
-//! exotic.
+//! A minimal JSON reader and writer for the `BENCH_*.json` artifacts the
+//! gated experiments emit. The offline workspace has no JSON crate, and
+//! the gate only needs to build, print and *read back* documents this
+//! workspace itself wrote — so this supports exactly standard JSON values
+//! (objects, arrays, strings with the common escapes, numbers, booleans,
+//! null) and nothing exotic.
+
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,6 +88,116 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Self {
+        Json::Str(s)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Self {
+        Json::Num(x)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Self {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(items: Vec<Json>) -> Self {
+        Json::Arr(items)
+    }
+}
+
+impl Json {
+    /// An object with the given fields, in order.
+    pub fn object<const N: usize>(fields: [(&str, Json); N]) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+        let (open, close, children): (_, _, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return f.write_str("null"),
+            Json::Bool(b) => return write!(f, "{b}"),
+            // JSON has no NaN or infinities.
+            Json::Num(x) if !x.is_finite() => return f.write_str("null"),
+            Json::Num(x) => return write!(f, "{x}"),
+            Json::Str(s) => return write_string(f, s),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(fields) => (
+                '{',
+                '}',
+                (fields.iter().map(|(k, v)| (Some(k.as_str()), v))).collect(),
+            ),
+        };
+        // A container of scalars goes on one line; a nested one puts each
+        // child on its own line, two spaces deeper.
+        let flat = (children.iter()).all(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_)));
+        write!(f, "{open}")?;
+        for (i, (key, value)) in children.into_iter().enumerate() {
+            match (i, flat) {
+                (0, true) => {}
+                (_, true) => f.write_str(", ")?,
+                (0, false) => write!(f, "\n{:1$}", "", indent + 2)?,
+                (_, false) => write!(f, ",\n{:1$}", "", indent + 2)?,
+            }
+            if let Some(key) = key {
+                write_string(f, key)?;
+                f.write_str(": ")?;
+            }
+            value.write(f, indent + 2)?;
+        }
+        if !flat {
+            write!(f, "\n{:1$}", "", indent)?;
+        }
+        write!(f, "{close}")
+    }
+}
+
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\t' => f.write_str("\\t")?,
+            '\r' => f.write_str("\\r")?,
+            c if u32::from(c) < 0x20 => write!(f, "\\u{:04x}", u32::from(c))?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
+}
+
+/// Renders the document the way the committed `BENCH_*.json` files are
+/// laid out: nested containers one child per line, flat ones inline.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
     }
 }
 
@@ -325,14 +437,44 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_the_bench_artifact_shape() {
-        // A fragment in the exact style slot_engine.rs writes.
-        let doc = r#"{"wall_s": 0.1234, "slots_per_sec": 81037.5,
-                      "stages": {"build": {"count": 10000, "p99_us": 12.3}}}"#;
-        let v = Json::parse(doc).unwrap();
+    fn rendering_round_trips_and_lays_out_like_the_artifacts() {
+        let doc = Json::object([
+            ("bench", "obs \"overhead\"\n".into()),
+            ("slots", 4000usize.into()),
+            ("horizons", vec![1usize.into(), 2usize.into()].into()),
+            ("notes", vec![].into()),
+            ("nan", f64::NAN.into()),
+            (
+                "entries",
+                vec![Json::object([
+                    ("name", "setup1".into()),
+                    ("wall_s", 0.1234.into()),
+                    ("speedup", Json::Null),
+                    ("identical", true.into()),
+                ])]
+                .into(),
+            ),
+        ]);
+        let text = doc.to_string();
         assert_eq!(
-            v.path("stages.build.count").and_then(Json::as_f64),
-            Some(10000.0)
+            text,
+            r#"{
+  "bench": "obs \"overhead\"\n",
+  "slots": 4000,
+  "horizons": [1, 2],
+  "notes": [],
+  "nan": null,
+  "entries": [
+    {"name": "setup1", "wall_s": 0.1234, "speedup": null, "identical": true}
+  ]
+}"#
         );
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.get("nan"), Some(&Json::Null));
+        assert_eq!(
+            parsed.path("entries").and_then(Json::as_array).unwrap()[0],
+            doc.path("entries").and_then(Json::as_array).unwrap()[0]
+        );
+        assert_eq!(parsed.get("bench"), doc.get("bench"));
     }
 }

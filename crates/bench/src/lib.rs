@@ -1,19 +1,27 @@
 //! # cvr-bench
 //!
-//! Benchmarks and figure-regeneration harness for the ICDCS 2022
-//! collaborative-VR reproduction. Each `src/bin/figN` binary regenerates
-//! the data behind the corresponding paper figure; the Criterion benches
-//! measure allocator latency and approximation quality.
+//! Figure-regeneration and benchmark harness for the ICDCS 2022
+//! collaborative-VR reproduction. The one binary, `cvr-bench <experiment>`,
+//! is driven by a declarative experiment table (`src/main.rs`); this
+//! library holds what the experiments share — argument parsing, the
+//! result [`Table`] and the [`json`] reader/writer — and what
+//! `benchmark/` reuses ([`json::Json`]). The Criterion benches measure
+//! allocator latency and approximation quality.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
 pub mod json;
+mod table;
 
-/// Simple command-line options shared by the figure binaries.
+pub use table::{Cell, Table};
+
+/// The flags every experiment accepts, for usage messages.
+pub const FLAGS: &str = "[--quick|--scale X|--runs N|--duration S|--seed N|--csv DIR|--threads N]";
+
+/// Command-line options shared by every experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureArgs {
     /// Scale factor applied to run counts and durations (`--quick` = 0.1).
@@ -46,62 +54,38 @@ impl Default for FigureArgs {
 }
 
 impl FigureArgs {
-    /// Parses `std::env::args()`, accepting `--quick`, `--scale X`,
-    /// `--runs N`, `--duration S`, `--seed N`, `--csv DIR` and
-    /// `--threads N`.
+    /// Parses the flags in [`FLAGS`] from `args` (the command line after
+    /// the experiment name).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse() -> Self {
+    /// Names the offending flag when it is unknown, or its value is
+    /// missing or malformed.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(
+            flag: &str,
+            what: &str,
+            args: &mut impl Iterator<Item = String>,
+        ) -> Result<T, String> {
+            args.next()
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| format!("{flag} requires {what}"))
+        }
         let mut out = FigureArgs::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
                 "--quick" => out.scale = 0.1,
-                "--scale" => {
-                    out.scale = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scale requires a number");
-                }
-                "--runs" => {
-                    out.runs = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--runs requires an integer"),
-                    );
-                }
-                "--duration" => {
-                    out.duration_s = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--duration requires seconds"),
-                    );
-                }
-                "--seed" => {
-                    out.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed requires an integer");
-                }
-                "--csv" => {
-                    out.csv_dir =
-                        Some(PathBuf::from(args.next().expect("--csv requires a directory")));
-                }
-                "--threads" => {
-                    out.threads = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--threads requires an integer"),
-                    );
-                }
-                other => panic!(
-                    "unknown argument `{other}`; supported: --quick --scale X --runs N --duration S --seed N --csv DIR --threads N"
-                ),
+                "--scale" => out.scale = value(&flag, "a number", &mut args)?,
+                "--runs" => out.runs = Some(value(&flag, "an integer", &mut args)?),
+                "--duration" => out.duration_s = Some(value(&flag, "seconds", &mut args)?),
+                "--seed" => out.seed = value(&flag, "an integer", &mut args)?,
+                "--csv" => out.csv_dir = Some(value(&flag, "a directory", &mut args)?),
+                "--threads" => out.threads = Some(value(&flag, "an integer", &mut args)?),
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        out
+        Ok(out)
     }
 
     /// A run count scaled from the paper's default.
@@ -113,6 +97,13 @@ impl FigureArgs {
     /// A duration scaled from the paper's default.
     pub fn duration_or(&self, paper_default_s: f64) -> f64 {
         self.duration_s.unwrap_or(paper_default_s * self.scale)
+    }
+
+    /// Whether the run is at the paper's scale: nothing shrank the run
+    /// counts or durations. Only such runs may replace the committed
+    /// `BENCH_*.json` artifacts.
+    pub fn paper_scale(&self) -> bool {
+        self.scale == 1.0 && self.runs.is_none() && self.duration_s.is_none()
     }
 }
 
@@ -134,24 +125,6 @@ pub fn write_csv(dir: &Path, name: &str, header: &str, rows: &[String]) {
     }
     std::fs::write(&path, content).expect("write csv file");
     println!("wrote {}", path.display());
-}
-
-/// Prints a markdown-style table row.
-pub fn print_row<D: Display>(cells: &[D]) {
-    let rendered: Vec<String> = cells.iter().map(|c| format!("{c:>12}")).collect();
-    println!("| {} |", rendered.join(" | "));
-}
-
-/// Prints a header row plus separator.
-pub fn print_header(cells: &[&str]) {
-    print_row(cells);
-    let sep: Vec<String> = cells.iter().map(|_| "-".repeat(12)).collect();
-    println!("| {} |", sep.join(" | "));
-}
-
-/// Formats a float to three decimals for table cells.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
 }
 
 /// Percentage improvement of `a` over `b`, `(a − b) / |b| · 100`.
@@ -203,6 +176,37 @@ mod tests {
         assert_eq!(d.scale, 1.0);
         assert_eq!(d.seed, 2022);
         assert!(d.csv_dir.is_none());
+        assert_eq!(FigureArgs::parse([]), Ok(d));
+    }
+
+    fn parse(line: &str) -> Result<FigureArgs, String> {
+        FigureArgs::parse(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let a = parse("--quick --runs 3 --duration 5 --seed 9 --csv out --threads 4").unwrap();
+        assert_eq!(a.scale, 0.1);
+        assert_eq!((a.runs, a.duration_s, a.seed), (Some(3), Some(5.0), 9));
+        assert_eq!(a.csv_dir, Some(PathBuf::from("out")));
+        assert_eq!(a.threads, Some(4));
+        assert_eq!(parse("--scale 0.5").unwrap().scale, 0.5);
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_not_panics() {
+        assert_eq!(
+            parse("--fast"),
+            Err("unknown argument `--fast`".to_string())
+        );
+        assert_eq!(
+            parse("--runs many"),
+            Err("--runs requires an integer".to_string())
+        );
+        assert_eq!(
+            parse("--seed"),
+            Err("--seed requires an integer".to_string())
+        );
     }
 
     #[test]

@@ -35,6 +35,6 @@ pub use cache::{CacheOutcome, ClientTileBuffer, DeliveryLedger, ServerTileCache,
 pub use grid::{CellId, GridWorld};
 pub use id::VideoId;
 pub use library::{ContentLibrary, ContentRequest};
-pub use plane::{FovRequestCache, OrientationKey, RatePlane, SharedFovCache};
+pub use plane::{OrientationKey, RatePlane, SharedFovCache};
 pub use sizing::TileSizeModel;
 pub use tile::{tiles_for_pose, tiles_for_pose_into, TileId};

@@ -15,15 +15,14 @@
 //!   freelist. Every entry is bit-identical to the fresh `tile_rate_row`
 //!   value, so builds reading the plane stay bit-identical to builds
 //!   hashing per slot.
-//! * [`FovRequestCache`] — reuses the previous slot's visible-tile set
-//!   while the predicted pose stays inside the same quantised-orientation
-//!   bucket, invalidating on bucket crossings. Tile membership is
+//! * [`SharedFovCache`] — one visible-tile set per quantised-orientation
+//!   bucket, shared by every user of a session. Tile membership is
 //!   position-independent (the panorama sphere is per-cell but the tile
-//!   cut depends only on where the user looks), so position changes never
-//!   invalidate. The quantisation is only enabled for FoV specs whose
+//!   cut depends only on where the user looks), so position never keys
+//!   the cache. The quantisation is only enabled for FoV specs whose
 //!   tile-membership breakpoints provably align with the bucket quantum
 //!   (the paper default does); for any other spec the cache disables
-//!   itself and recomputes every slot, so a hit can never change the
+//!   itself and recomputes every query, so a hit can never change the
 //!   tile set.
 
 use std::collections::HashMap;
@@ -226,32 +225,6 @@ impl RatePlane {
 /// breakpoint has no key.
 pub type OrientationKey = (i64, i64);
 
-/// Reuses the previous slot's FoV tile set while the predicted pose stays
-/// inside the same quantised-orientation bucket.
-///
-/// Tile membership ([`tiles_for_pose`](crate::tile::tiles_for_pose)) is a
-/// function of orientation alone — position picks the cell whose panorama
-/// is served, not which tiles of it are visible — and is
-/// piecewise-constant in orientation: it changes only where a sampled yaw
-/// angle crosses a tile boundary or the pitch span crosses a pitch
-/// boundary. For the paper-default FoV (90° + 15° margin → 60° half
-/// extents) every such breakpoint is an exact multiple of the sampling
-/// step `half_w / 8 = 7.5°`, so bucketing orientations by that quantum is
-/// exact: all poses in one bucket's interior share one tile set. Poses
-/// within a guard band of a bucket boundary — and every pose when the
-/// spec's breakpoints do not align with the quantum — bypass the cache
-/// and recompute, so a hit can never return a wrong tile set.
-#[derive(Debug, Clone)]
-pub struct FovRequestCache {
-    spec: FovSpec,
-    /// Bucket quantum in degrees; `None` disables caching entirely.
-    quantum: Option<f64>,
-    key: Option<OrientationKey>,
-    tiles: Vec<TileId>,
-    hits: u64,
-    misses: u64,
-}
-
 /// Guard band around bucket boundaries, as a fraction of the quantum:
 /// poses this close to a breakpoint recompute instead of trusting the
 /// bucket (floating-point rounding can shift the effective breakpoint by
@@ -263,90 +236,23 @@ const BOUNDARY_GUARD: f64 = 1e-6;
 /// bucket even though ±90° is a breakpoint.
 const POLE_KEY: i64 = 1 << 40;
 
-impl FovRequestCache {
-    /// Creates a cache for `spec`, enabling bucket reuse only when the
-    /// quantum is provably exact for that spec.
-    pub fn new(spec: FovSpec) -> Self {
-        FovRequestCache {
-            spec,
-            quantum: Self::exact_quantum(&spec),
-            key: None,
-            tiles: Vec::with_capacity(usize::from(TileId::COUNT)),
-            hits: 0,
-            misses: 0,
-        }
+/// The bucket quantum, when the spec's tile-membership breakpoints align
+/// with it exactly: the yaw sampling step `half_w / 8`, which must also
+/// divide 180° (yaw tile boundaries repeat mod 360°), 90° (pitch clamp
+/// and tile boundaries) and `half_h` (pitch span edges).
+fn exact_quantum(spec: &FovSpec) -> Option<f64> {
+    let half_w = spec.width_deg / 2.0 + spec.margin_deg;
+    let half_h = spec.height_deg / 2.0 + spec.margin_deg;
+    let q = half_w / 8.0;
+    if !(q.is_finite() && q > 0.0) {
+        return None;
     }
-
-    /// The bucket quantum, when the spec's tile-membership breakpoints
-    /// align with it exactly: the yaw sampling step `half_w / 8`, which
-    /// must also divide 180° (yaw tile boundaries repeat mod 360°), 90°
-    /// (pitch clamp and tile boundaries) and `half_h` (pitch span edges).
-    fn exact_quantum(spec: &FovSpec) -> Option<f64> {
-        let half_w = spec.width_deg / 2.0 + spec.margin_deg;
-        let half_h = spec.height_deg / 2.0 + spec.margin_deg;
-        let q = half_w / 8.0;
-        if !(q.is_finite() && q > 0.0) {
-            return None;
-        }
-        let divides = |v: f64| v % q == 0.0;
-        (divides(180.0) && divides(90.0) && divides(half_h)).then_some(q)
-    }
-
-    /// Whether bucket reuse is enabled for this spec.
-    pub fn enabled(&self) -> bool {
-        self.quantum.is_some()
-    }
-
-    /// `(hits, misses)` counters; a miss recomputes the tile set.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// The FoV tile set for `pose`, identical to
-    /// `tiles_for_pose(&spec, pose)` — served from the previous slot's
-    /// set when the orientation bucket matches.
-    pub fn tiles_for(&mut self, pose: &Pose) -> &[TileId] {
-        let key = self.orientation_key(pose);
-        if key.is_some() && key == self.key {
-            self.hits += 1;
-            #[cfg(debug_assertions)]
-            {
-                let mut fresh = Vec::new();
-                tiles_for_pose_into(&self.spec, pose, &mut fresh);
-                debug_assert_eq!(
-                    fresh, self.tiles,
-                    "FovRequestCache hit diverged from tiles_for_pose"
-                );
-            }
-            return &self.tiles;
-        }
-        self.misses += 1;
-        tiles_for_pose_into(&self.spec, pose, &mut self.tiles);
-        self.key = key;
-        &self.tiles
-    }
-
-    /// The tile set of the most recent [`FovRequestCache::tiles_for`]
-    /// call.
-    pub fn tiles(&self) -> &[TileId] {
-        &self.tiles
-    }
-
-    fn orientation_key(&self, pose: &Pose) -> Option<OrientationKey> {
-        orientation_key_for(&self.spec, self.quantum?, pose)
-    }
-
-    /// The orientation-bucket key of `pose` under this cache's spec, or
-    /// `None` when the pose is breakpoint-adjacent (or the spec's
-    /// breakpoints do not align with the quantum). Poses sharing a key
-    /// provably share a FoV tile set.
-    pub fn bucket_key(&self, pose: &Pose) -> Option<OrientationKey> {
-        self.orientation_key(pose)
-    }
+    let divides = |v: f64| v % q == 0.0;
+    (divides(180.0) && divides(90.0) && divides(half_h)).then_some(q)
 }
 
 /// The orientation-bucket key of `pose` for a spec whose breakpoints align
-/// with `quantum`; shared by [`FovRequestCache`] and [`SharedFovCache`].
+/// with `quantum`.
 fn orientation_key_for(spec: &FovSpec, quantum: f64, pose: &Pose) -> Option<OrientationKey> {
     let half_w = spec.width_deg / 2.0 + spec.margin_deg;
     let yaw_key = if half_w >= 180.0 {
@@ -392,17 +298,23 @@ struct SharedBucket {
     last_touch: u64,
 }
 
-/// Session-scope FoV tile-set cache shared by every co-located user.
+/// Session-scope FoV tile-set cache shared by every co-located user: a
+/// bounded LRU map from [`OrientationKey`] to tile set, so N users
+/// staring at the same whiteboard materialise its tile set once.
 ///
-/// [`FovRequestCache`] holds exactly one bucket per *user*, so N users
-/// staring at the same whiteboard materialise the identical tile set N
-/// times. This cache hoists the materialisation to session scope: a
-/// bounded LRU map from [`OrientationKey`] to tile set, shared by all
-/// users of a session (or all users of a simulation), with the same
-/// exactness guarantee — a bucketable pose's set is bit-identical to
-/// [`tiles_for_pose`](crate::tile::tiles_for_pose), and unbucketable
-/// poses (breakpoint-adjacent, or any pose under a non-aligned spec)
-/// always recompute into a scratch buffer.
+/// Tile membership ([`tiles_for_pose`](crate::tile::tiles_for_pose)) is a
+/// function of orientation alone — position picks the cell whose panorama
+/// is served, not which tiles of it are visible — and is
+/// piecewise-constant in orientation: it changes only where a sampled yaw
+/// angle crosses a tile boundary or the pitch span crosses a pitch
+/// boundary. For the paper-default FoV (90° + 15° margin → 60° half
+/// extents) every such breakpoint is an exact multiple of the sampling
+/// step `half_w / 8 = 7.5°`, so bucketing orientations by that quantum is
+/// exact: all poses in one bucket's interior share one tile set,
+/// bit-identical to `tiles_for_pose`. Poses within a guard band of a
+/// bucket boundary — and every pose when the spec's breakpoints do not
+/// align with the quantum — bypass the cache and recompute into a scratch
+/// buffer, so a hit can never return a wrong tile set.
 #[derive(Debug, Clone)]
 pub struct SharedFovCache {
     spec: FovSpec,
@@ -435,7 +347,7 @@ impl SharedFovCache {
         assert!(capacity > 0, "shared fov cache capacity must be positive");
         SharedFovCache {
             spec,
-            quantum: FovRequestCache::exact_quantum(&spec),
+            quantum: exact_quantum(&spec),
             capacity,
             clock: 0,
             buckets: HashMap::new(),
@@ -680,22 +592,9 @@ mod tests {
     }
 
     #[test]
-    fn fov_cache_is_enabled_for_paper_default_only_when_exact() {
-        assert!(FovRequestCache::new(FovSpec::paper_default()).enabled());
-        // 100° FoV + 15° margin → half_w = 65°, quantum 8.125° does not
-        // divide 180°: caching must disable itself.
-        let odd = FovSpec {
-            width_deg: 100.0,
-            ..FovSpec::paper_default()
-        };
-        assert!(!FovRequestCache::new(odd).enabled());
-    }
-
-    #[test]
-    fn fov_cache_matches_brute_force_across_orientation_sweep() {
+    fn shared_fov_cache_matches_brute_force_across_orientation_sweep() {
         let spec = FovSpec::paper_default();
-        let mut cache = FovRequestCache::new(spec);
-        let mut hits = 0u64;
+        let mut cache = SharedFovCache::new(spec);
         // Dense sweep including breakpoint-adjacent values and pole
         // clamps; every returned set must equal the brute-force one.
         let mut yaw = -200.0;
@@ -712,13 +611,15 @@ mod tests {
             }
             yaw += 3.7;
         }
-        hits += cache.stats().0;
-        assert!(hits > 0, "sweep should produce repeat-query hits");
+        assert!(
+            cache.stats().0 > 0,
+            "sweep should produce repeat-query hits"
+        );
     }
 
     #[test]
-    fn fov_cache_invalidates_on_bucket_crossings_only() {
-        let mut cache = FovRequestCache::new(FovSpec::paper_default());
+    fn shared_fov_cache_misses_on_bucket_crossings_only() {
+        let mut cache = SharedFovCache::new(FovSpec::paper_default());
         let p = pose(90.0 + 1.0, 0.0 + 1.0);
         cache.tiles_for(&p);
         let (h0, m0) = cache.stats();
@@ -738,19 +639,9 @@ mod tests {
     }
 
     #[test]
-    fn fov_cache_bypasses_breakpoint_poses() {
-        let mut cache = FovRequestCache::new(FovSpec::paper_default());
-        // Exactly on a 7.5° multiple: never bucketed, always recomputed.
-        let p = pose(7.5, 0.1);
-        cache.tiles_for(&p);
-        cache.tiles_for(&p);
-        assert_eq!(cache.stats().0, 0, "breakpoint pose must not hit");
-    }
-
-    #[test]
-    fn fov_cache_pole_poses_share_a_bucket() {
+    fn shared_fov_cache_pole_poses_share_a_bucket() {
         let spec = FovSpec::paper_default();
-        let mut cache = FovRequestCache::new(spec);
+        let mut cache = SharedFovCache::new(spec);
         let a = pose(40.0, 95.0);
         let b = pose(40.0, 200.0);
         let first = cache.tiles_for(&a).to_vec();
@@ -795,8 +686,11 @@ mod tests {
         }
         // Breakpoint poses have no key and recompute via scratch.
         let bp = pose(7.5, 0.1);
+        let hits = shared.stats().0;
         assert_eq!(shared.key_for(&bp), None);
         assert_eq!(shared.tiles_for(&bp), tiles_for_pose(&spec, &bp).as_slice());
+        assert_eq!(shared.tiles_for(&bp), tiles_for_pose(&spec, &bp).as_slice());
+        assert_eq!(shared.stats().0, hits, "breakpoint pose must not hit");
     }
 
     #[test]
@@ -826,32 +720,5 @@ mod tests {
             assert_eq!(shared.tiles_for(&p), tiles_for_pose(&spec, &p).as_slice());
         }
         assert_eq!(shared.stats().0, 0, "disabled shared cache never hits");
-    }
-
-    #[test]
-    fn bucket_key_agrees_between_per_user_and_shared_caches() {
-        let spec = FovSpec::paper_default();
-        let per_user = FovRequestCache::new(spec);
-        let shared = SharedFovCache::new(spec);
-        let mut yaw = -50.0;
-        while yaw < 50.0 {
-            let p = pose(yaw, yaw / 3.0);
-            assert_eq!(per_user.bucket_key(&p), shared.key_for(&p), "yaw {yaw}");
-            yaw += 1.3;
-        }
-    }
-
-    #[test]
-    fn disabled_fov_cache_still_returns_correct_tiles() {
-        let spec = FovSpec {
-            width_deg: 100.0,
-            ..FovSpec::paper_default()
-        };
-        let mut cache = FovRequestCache::new(spec);
-        for (yaw, pitch) in [(0.0, 0.0), (90.0, 30.0), (90.0, 30.0), (-120.0, -50.0)] {
-            let p = pose(yaw, pitch);
-            assert_eq!(cache.tiles_for(&p), tiles_for_pose(&spec, &p));
-        }
-        assert_eq!(cache.stats().0, 0, "disabled cache never hits");
     }
 }

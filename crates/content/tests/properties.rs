@@ -3,7 +3,7 @@
 use cvr_content::cache::{ClientTileBuffer, DeliveryLedger, ServerTileCache, UndeliveredSums};
 use cvr_content::grid::{CellId, GridWorld};
 use cvr_content::id::VideoId;
-use cvr_content::plane::{FovRequestCache, RatePlane, SharedFovCache};
+use cvr_content::plane::{RatePlane, SharedFovCache};
 use cvr_content::sizing::TileSizeModel;
 use cvr_content::tile::{tiles_for_pose, TileId};
 use cvr_core::quality::QualityLevel;
@@ -134,7 +134,7 @@ proptest! {
         let levels = sizing.levels();
         // Tiny plane capacity so walks exercise eviction and re-entry.
         let mut plane = RatePlane::new(sizing.clone(), 4);
-        let mut fov = FovRequestCache::new(spec);
+        let mut fov = SharedFovCache::new(spec);
         let mut ledger = DeliveryLedger::new();
         let mut sums = UndeliveredSums::new(levels);
         let mut acked: Vec<VideoId> = Vec::new();
@@ -194,9 +194,9 @@ proptest! {
     }
 
     // The session-scope shared FoV cache must give *every* interleaved
-    // user the brute-force tile set, agree with the per-user cache's
-    // bucket keys, and — whenever two users share a key — hand both the
-    // identical set (the property multicast group keying relies on).
+    // user the brute-force tile set and — whenever two users share a
+    // key — hand both the identical set (the property multicast group
+    // keying relies on).
     #[test]
     fn shared_fov_cache_matches_brute_force_for_interleaved_walks(
         starts in prop::collection::vec(arb_pose(), 2..5),
@@ -208,8 +208,6 @@ proptest! {
         let spec = FovSpec::paper_default();
         // Tiny bucket budget so walks exercise eviction and re-entry.
         let mut shared = SharedFovCache::with_capacity(spec, 4);
-        let per_user: Vec<FovRequestCache> =
-            starts.iter().map(|_| FovRequestCache::new(spec)).collect();
         let mut poses = starts;
         for step in steps {
             let mut keyed: Vec<(i64, i64, Vec<TileId>)> = Vec::new();
@@ -226,7 +224,6 @@ proptest! {
                 }
                 let tiles = shared.tiles_for(pose).to_vec();
                 prop_assert_eq!(&tiles, &tiles_for_pose(&spec, pose));
-                prop_assert_eq!(shared.key_for(pose), per_user[u].bucket_key(pose));
                 if let Some((yk, pk)) = shared.key_for(pose) {
                     for (oyk, opk, other) in &keyed {
                         if (*oyk, *opk) == (yk, pk) {

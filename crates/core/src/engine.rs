@@ -16,9 +16,8 @@
 //! to the allocating path — a property pinned by property tests.
 //!
 //! Each stage of a slot is wrapped in a [`StageClock`]: the engine times
-//! its own density and value passes, and callers record problem build and
-//! delivery accounting into the same [`EngineTimers`], giving per-stage
-//! latency distributions for the whole hot path.
+//! its own density and value passes, and the live server records its
+//! problem build into the same [`EngineTimers`].
 //!
 //! ```
 //! use cvr_core::engine::SlotEngine;
@@ -98,10 +97,9 @@ impl StageClock {
     }
 }
 
-/// Per-stage timing of the slot hot path: problem build, the two greedy
-/// passes, and delivery accounting. The engine populates `density` and
-/// `value`; the simulation loop owning the engine records `build` and
-/// `accounting` around its own work.
+/// Per-stage timing of the slot hot path: problem build and the two
+/// greedy passes. The engine populates `density` and `value`; the loop
+/// owning the engine records `build` around its own staging work.
 #[derive(Debug, Clone, Default)]
 pub struct EngineTimers {
     /// Building the slot problem (rate/value tables) into the engine.
@@ -110,8 +108,6 @@ pub struct EngineTimers {
     pub density: StageClock,
     /// The value-greedy pass, including its objective evaluation.
     pub value: StageClock,
-    /// Post-allocation delivery accounting in the simulation loop.
-    pub accounting: StageClock,
 }
 
 impl EngineTimers {
@@ -120,18 +116,6 @@ impl EngineTimers {
         self.build.clear();
         self.density.clear();
         self.value.clear();
-        self.accounting.clear();
-    }
-
-    /// The stages in pipeline order, with their conventional names —
-    /// the iteration used by reports and metric exporters.
-    pub fn stages(&self) -> [(&'static str, &StageClock); 4] {
-        [
-            ("build", &self.build),
-            ("density", &self.density),
-            ("value", &self.value),
-            ("accounting", &self.accounting),
-        ]
     }
 }
 
@@ -328,8 +312,8 @@ impl SlotEngine {
         &self.timers
     }
 
-    /// Mutable access to the stage timers, for the simulation loop to
-    /// record its build and accounting stages.
+    /// Mutable access to the stage timers, for the loop owning the
+    /// engine to record its build stage.
     pub fn timers_mut(&mut self) -> &mut EngineTimers {
         &mut self.timers
     }

@@ -18,7 +18,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use cvr_serve::client::{ClientConfig, ReplayClient};
-use cvr_serve::ticker::{SlotTicker, TickPacing};
+use cvr_serve::ticker::SlotTicker;
 use cvr_serve::transport::TcpClientTransport;
 
 /// How long to keep retrying the initial connect (the server may still
@@ -93,10 +93,7 @@ fn main() {
         })
         .collect();
 
-    let mut ticker = SlotTicker::new(
-        Duration::from_secs_f64(args.slot_ms / 1000.0),
-        TickPacing::Realtime,
-    );
+    let mut ticker = SlotTicker::new(Duration::from_secs_f64(args.slot_ms / 1000.0));
     for _ in 0..args.slots {
         for client in &mut clients {
             client.step_slot();

@@ -1,27 +1,20 @@
 //! Drivers that wire a [`Session`] to a fleet of [`ReplayClient`]s.
 //!
-//! Two execution modes, matching the two transports:
+//! [`run_lockstep`] is single-threaded, interleaved stepping over
+//! loopback transports. No clocks, no sleeps: the same seeds produce
+//! bit-identical reports on every run, which is what the determinism
+//! tests assert. Realtime pacing is [`ShardHost::run_realtime`]'s job;
+//! deadline behaviour under it is measured by `benchmark/`
+//! (`fleet64_paced`), not here.
 //!
-//! * [`run_lockstep`] — single-threaded, interleaved stepping over
-//!   loopback transports. No clocks, no sleeps: the same seeds produce
-//!   bit-identical reports on every run, which is what the determinism
-//!   tests assert.
-//! * [`run_realtime`] — the session runs on the caller's thread against
-//!   a realtime [`SlotTicker`] while one driver thread paces all the
-//!   clients; used by `serve_bench` to measure deadline behaviour under
-//!   genuine 15 ms pacing.
-//!
-//! Their multi-session counterparts ([`sharded_loopback_fleet`],
-//! [`run_host_lockstep`], [`run_host_realtime`]) drive a whole
-//! [`ShardHost`], routing every client through the host's control plane
-//! so client→session assignment is identical at any shard count.
-
-use std::time::Duration;
+//! The multi-session counterparts ([`sharded_loopback_fleet`],
+//! [`run_host_lockstep`]) drive a whole [`ShardHost`], routing every
+//! client through the host's control plane so client→session assignment
+//! is identical at any shard count.
 
 use crate::client::{ClientConfig, ClientReport, ReplayClient};
 use crate::server::{ServeConfig, ServeReport, Session};
 use crate::shard::{HostConfig, SessionId, ShardHost};
-use crate::ticker::{SlotTicker, TickPacing};
 use crate::transport::{loopback, LoopbackClientEnd};
 
 /// Builds a session plus `client_configs.len()` loopback replay clients,
@@ -59,41 +52,6 @@ pub fn run_lockstep(
     }
     session.shutdown();
     let client_reports = clients.into_iter().map(ReplayClient::finish).collect();
-    (session.report(), client_reports)
-}
-
-/// Runs the session under realtime pacing for `slots` slots while a
-/// driver thread paces every client at the same period; reports from
-/// both sides.
-pub fn run_realtime(
-    mut session: Session,
-    clients: Vec<ReplayClient<LoopbackClientEnd>>,
-    slots: u64,
-    period: Duration,
-) -> (ServeReport, Vec<ClientReport>) {
-    let driver = std::thread::spawn(move || {
-        let mut clients = clients;
-        let mut ticker = SlotTicker::new(period, TickPacing::Realtime);
-        for _ in 0..slots {
-            for client in &mut clients {
-                client.step_slot();
-            }
-            ticker.wait();
-        }
-        clients
-            .into_iter()
-            .map(ReplayClient::finish)
-            .collect::<Vec<_>>()
-    });
-
-    let mut ticker = SlotTicker::new(period, TickPacing::Realtime);
-    session.run(&mut ticker, slots);
-    // A short grace period so the last client uploads are ingested before
-    // the report.
-    session.step_slot();
-    session.note_tick(true, 0);
-    session.shutdown();
-    let client_reports = driver.join().expect("client driver panicked");
     (session.report(), client_reports)
 }
 
@@ -146,59 +104,6 @@ pub fn run_host_lockstep(
     (host.reports(), client_reports)
 }
 
-/// Runs a sharded host under realtime pacing for `slots` slots — one
-/// tick thread per shard inside [`ShardHost::run_realtime`] — while
-/// `driver_threads` threads pace the clients (split round-robin) on the
-/// same period. Client reports come back in join order.
-pub fn run_host_realtime(
-    mut host: ShardHost,
-    clients: Vec<(SessionId, ReplayClient<LoopbackClientEnd>)>,
-    slots: u64,
-    period: Duration,
-    driver_threads: usize,
-) -> (Vec<(SessionId, ServeReport)>, Vec<ClientReport>) {
-    let driver_threads = driver_threads.max(1);
-    let mut groups: Vec<Vec<(usize, ReplayClient<LoopbackClientEnd>)>> =
-        (0..driver_threads).map(|_| Vec::new()).collect();
-    for (join_order, (_, client)) in clients.into_iter().enumerate() {
-        groups[join_order % driver_threads].push((join_order, client));
-    }
-
-    let mut indexed_reports: Vec<(usize, ClientReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .into_iter()
-            .map(|mut group| {
-                scope.spawn(move || {
-                    let mut ticker = SlotTicker::new(period, TickPacing::Realtime);
-                    for _ in 0..slots {
-                        for (_, client) in &mut group {
-                            client.step_slot();
-                        }
-                        ticker.wait();
-                    }
-                    group
-                        .into_iter()
-                        .map(|(idx, client)| (idx, client.finish()))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        host.run_realtime(slots, period, None, None);
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client driver panicked"))
-            .collect()
-    });
-
-    // A final lockstep slot so late client uploads are ingested before
-    // the reports, mirroring the single-session realtime driver.
-    host.step_slot();
-    host.shutdown();
-    indexed_reports.sort_by_key(|(idx, _)| *idx);
-    let client_reports = indexed_reports.into_iter().map(|(_, r)| r).collect();
-    (host.reports(), client_reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,44 +128,6 @@ mod tests {
         for report in &client_reports {
             assert!(report.welcomed);
             assert!(report.assignments > 40);
-            assert_eq!(report.protocol_errors, 0);
-        }
-    }
-
-    #[test]
-    fn sharded_realtime_fleet_serves_every_client() {
-        let (host, clients) = sharded_loopback_fleet(
-            HostConfig {
-                shards: 2,
-                session: ServeConfig::default(),
-            },
-            4,
-            &fleet_configs(8),
-        );
-        let (session_reports, client_reports) =
-            run_host_realtime(host, clients, 40, Duration::from_millis(5), 2);
-        assert_eq!(session_reports.len(), 4);
-        for (id, report) in &session_reports {
-            assert_eq!(report.counters.joins, 2, "session {id}");
-            assert_eq!(report.counters.protocol_errors, 0);
-        }
-        assert_eq!(client_reports.len(), 8);
-        for report in &client_reports {
-            assert!(report.welcomed);
-            assert_eq!(report.protocol_errors, 0);
-        }
-    }
-
-    #[test]
-    fn realtime_fleet_meets_deadlines_at_small_scale() {
-        let (session, clients) = loopback_fleet(ServeConfig::default(), &fleet_configs(2));
-        let (server_report, client_reports) =
-            run_realtime(session, clients, 40, Duration::from_millis(5));
-        assert_eq!(server_report.counters.joins, 2);
-        assert_eq!(server_report.counters.protocol_errors, 0);
-        assert!(server_report.on_time_fraction() > 0.5);
-        for report in &client_reports {
-            assert!(report.welcomed);
             assert_eq!(report.protocol_errors, 0);
         }
     }

@@ -1,9 +1,10 @@
 //! Readiness-driven, std-only connection servicing: non-blocking sockets
-//! multiplexed by one poll loop per shard, replacing the
-//! two-threads-per-connection TCP transport for multi-session hosting.
+//! multiplexed by one poll loop per shard. This is the server's only TCP
+//! transport.
 //!
-//! The thread-per-connection transport ([`crate::transport::TcpServerTransport`])
-//! costs two OS threads per client — fine for one classroom, fatal for
+//! A reader and a writer thread per connection (what the replay client's
+//! [`crate::transport::TcpClientTransport`] still does for its single
+//! socket) would cost the server two OS threads per client — fatal for
 //! hundreds of clients per shard. Here a [`Poller`] owns every connection
 //! a shard services and pumps them all from the shard's own tick loop:
 //! each [`Poller::poll`] reads every socket until `WouldBlock` (framing
@@ -14,7 +15,7 @@
 //! polling at tick cadence is equivalent to epoll with a 15 ms timer —
 //! without leaving std.
 //!
-//! Backpressure matches the threaded transport bit for bit: bounded frame
+//! Backpressure matches the loopback transport: bounded frame
 //! queues in both directions with the drop-oldest-droppable policy
 //! (`Assignment` downstream, `Pose` upstream sacrificed first), stall
 //! reporting when the outbound path saturates, and partial-frame writes

@@ -50,7 +50,6 @@ use cvr_sim::pipeline::SlotPlanner;
 use cvr_sim::system::{DELAY_CAP_SLOTS, PIPELINE_SLOTS};
 
 use crate::protocol::{ClientMessage, ServerMessage, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
-use crate::ticker::SlotTicker;
 use crate::transport::{SendStatus, ServerTransport};
 
 /// One-way propagation delay of the wireless hop, seconds (mirrors the
@@ -639,7 +638,8 @@ impl Session {
 
     /// Executes one slot: ingest → plan → transmit. Does not pace or
     /// account for deadlines — callers own the clock (see
-    /// [`Session::run`] and [`Session::note_tick`]).
+    /// [`crate::shard::ShardHost::run_realtime`] and
+    /// [`Session::note_tick`]).
     pub fn step_slot(&mut self) {
         self.obs
             .tracer
@@ -666,8 +666,9 @@ impl Session {
     }
 
     /// Records one completed slot's deadline outcome and work duration.
-    /// [`Session::run`] calls this from its ticker; lockstep harnesses
-    /// call it directly with `on_time = true`.
+    /// [`crate::shard::ShardHost::run_realtime`] calls this with its
+    /// shard ticker's verdict; lockstep harnesses call it directly with
+    /// `on_time = true`.
     pub fn note_tick(&mut self, on_time: bool, work_ns: u64) {
         self.counters.ticks += 1;
         self.obs.registry.inc(self.obs.c_ticks, 1);
@@ -690,16 +691,6 @@ impl Session {
             work_ns,
             on_time,
         });
-    }
-
-    /// Runs `slots` slots against the given ticker, accounting each
-    /// slot's deadline outcome.
-    pub fn run(&mut self, ticker: &mut SlotTicker, slots: u64) {
-        for _ in 0..slots {
-            self.step_slot();
-            let on_time = ticker.wait();
-            self.note_tick(on_time, ticker.last_work_ns());
-        }
     }
 
     /// Sends every connected user a `Shutdown` and closes the transports.

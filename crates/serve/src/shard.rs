@@ -1,10 +1,9 @@
 //! The sharded session host: many classroom [`Session`]s on a few worker
 //! shards, one amortised tick loop per shard.
 //!
-//! The single-session runtime spends one timer wakeup — and, with the
-//! threaded TCP transport, two OS threads per client — on every
-//! classroom. Hosting hundreds of classrooms that way drowns in wakeups
-//! and context switches before the optimiser is ever the bottleneck. A
+//! One timer wakeup per classroom — let alone OS threads per client —
+//! drowns a host of hundreds of classrooms in wakeups and context
+//! switches before the optimiser is ever the bottleneck. A
 //! [`ShardHost`] instead owns `N` shards; each shard runs a *set* of
 //! sessions off one [`SlotTicker`] (one wakeup per shard per slot) and
 //! services all of its connections from one readiness poll loop
@@ -33,7 +32,7 @@ use cvr_obs::Registry;
 use crate::expose::MetricsExporter;
 use crate::readiness::Poller;
 use crate::server::{ServeConfig, ServeReport, Session};
-use crate::ticker::{SlotTicker, TickPacing};
+use crate::ticker::SlotTicker;
 use crate::transport::ServerTransport;
 
 /// Identifies one session within a [`ShardHost`]. IDs are dense and
@@ -268,7 +267,7 @@ impl ShardHost {
                 let done = &done;
                 let loads = &loads;
                 scope.spawn(move || {
-                    let mut ticker = SlotTicker::new(period, TickPacing::Realtime);
+                    let mut ticker = SlotTicker::new(period);
                     let mut work_ns = vec![0u64; shard.sessions.len()];
                     for slot in 0..slots {
                         shard.poller.poll();

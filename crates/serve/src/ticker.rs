@@ -3,22 +3,11 @@
 
 use std::time::{Duration, Instant};
 
-/// How slot boundaries are paced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TickPacing {
-    /// Sleep so each slot starts one period after the previous one
-    /// (wall-clock fidelity; used by the binaries and benches).
-    Realtime,
-    /// Never sleep: every slot is "on time" by definition. Used by
-    /// lockstep tests, where determinism matters and wall time does not.
-    Immediate,
-}
-
 /// Paces a slot loop and accounts for deadline behaviour.
 ///
 /// One call to [`SlotTicker::wait`] ends the current slot: it measures
-/// how much of the period the slot's work consumed, then (in realtime
-/// pacing) sleeps until the next slot boundary. Boundaries live on an
+/// how much of the period the slot's work consumed, then sleeps until
+/// the next slot boundary. Boundaries live on an
 /// *absolute* grid — each slot nominally starts exactly one period after
 /// the previous one — so the systematic oversleep of `thread::sleep`
 /// cannot compound across slots: an oversleep eats into the next slot's
@@ -29,31 +18,23 @@ pub enum TickPacing {
 #[derive(Debug)]
 pub struct SlotTicker {
     period: Duration,
-    pacing: TickPacing,
-    /// Nominal start of the current slot. Under realtime pacing this sits
-    /// on the absolute `k × period` grid, not at the post-sleep wakeup
-    /// instant.
+    /// Nominal start of the current slot: on the absolute `k × period`
+    /// grid, not at the post-sleep wakeup instant.
     slot_start: Instant,
     ticks: u64,
     on_time: u64,
     overruns: u64,
-    /// Work duration of the most recent slot, nanoseconds. Only the last
-    /// sample is kept — per-slot history belongs to the caller's
-    /// `StageClock`/`StageStats`, so a long-lived ticker stays O(1).
-    last_work_ns: u64,
 }
 
 impl SlotTicker {
     /// Creates a ticker with the given slot period.
-    pub fn new(period: Duration, pacing: TickPacing) -> Self {
+    pub fn new(period: Duration) -> Self {
         SlotTicker {
             period,
-            pacing,
             slot_start: Instant::now(),
             ticks: 0,
             on_time: 0,
             overruns: 0,
-            last_work_ns: 0,
         }
     }
 
@@ -63,35 +44,30 @@ impl SlotTicker {
     }
 
     /// Ends the current slot: records whether its work met the deadline
-    /// and, under realtime pacing, sleeps until the next slot boundary on
-    /// the absolute grid. Returns `true` if the slot was on time.
+    /// and sleeps until the next slot boundary on the absolute grid.
+    /// Returns `true` if the slot was on time.
     pub fn wait(&mut self) -> bool {
         let worked = self.slot_start.elapsed();
         self.ticks += 1;
-        self.last_work_ns = worked.as_nanos().min(u64::MAX as u128) as u64;
-        let on_time = self.pacing == TickPacing::Immediate || worked <= self.period;
+        let on_time = worked <= self.period;
         if on_time {
             self.on_time += 1;
         } else {
             self.overruns += 1;
         }
-        if self.pacing == TickPacing::Realtime {
-            let deadline = self.slot_start + self.period;
-            let now = Instant::now();
-            if now < deadline {
-                std::thread::sleep(deadline - now);
-                // The next slot starts at the *nominal* boundary even if
-                // the sleep overshot it — pacing against the absolute
-                // grid is what keeps per-sleep oversleep from drifting
-                // the session off its 15 ms cadence.
-                self.slot_start = deadline;
-            } else {
-                // Overrun: resynchronise the grid to now, so one late
-                // slot cannot cascade into permanent lateness.
-                self.slot_start = now;
-            }
+        let deadline = self.slot_start + self.period;
+        let now = Instant::now();
+        if now < deadline {
+            std::thread::sleep(deadline - now);
+            // The next slot starts at the *nominal* boundary even if the
+            // sleep overshot it — pacing against the absolute grid is
+            // what keeps per-sleep oversleep from drifting the session
+            // off its 15 ms cadence.
+            self.slot_start = deadline;
         } else {
-            self.slot_start = Instant::now();
+            // Overrun: resynchronise the grid to now, so one late slot
+            // cannot cascade into permanent lateness.
+            self.slot_start = now;
         }
         on_time
     }
@@ -119,12 +95,6 @@ impl SlotTicker {
     pub fn overruns(&self) -> u64 {
         self.overruns
     }
-
-    /// Work duration of the most recent slot, nanoseconds (0 before any
-    /// tick).
-    pub fn last_work_ns(&self) -> u64 {
-        self.last_work_ns
-    }
 }
 
 #[cfg(test)]
@@ -132,24 +102,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn immediate_pacing_is_always_on_time_and_never_sleeps() {
-        let mut t = SlotTicker::new(Duration::from_millis(15), TickPacing::Immediate);
-        let start = Instant::now();
-        for _ in 0..1000 {
-            assert!(t.wait());
-        }
-        assert!(start.elapsed() < Duration::from_secs(1));
-        assert_eq!(t.ticks(), 1000);
-        assert_eq!(t.on_time(), 1000);
-        assert_eq!(t.overruns(), 0);
-        assert_eq!(t.on_time_fraction(), 1.0);
-    }
-
-    #[test]
     fn realtime_pacing_spaces_slots_by_the_period() {
         let period = Duration::from_millis(5);
         let start = Instant::now();
-        let mut t = SlotTicker::new(period, TickPacing::Realtime);
+        let mut t = SlotTicker::new(period);
         for _ in 0..6 {
             t.wait();
         }
@@ -176,7 +132,7 @@ mod tests {
         let mut last = None;
         for _ in 0..5 {
             let start = Instant::now();
-            let mut t = SlotTicker::new(period, TickPacing::Realtime);
+            let mut t = SlotTicker::new(period);
             for _ in 0..slots {
                 t.wait();
             }
@@ -198,7 +154,7 @@ mod tests {
     #[test]
     fn overrun_resynchronises_the_grid_to_now() {
         let period = Duration::from_millis(2);
-        let mut t = SlotTicker::new(period, TickPacing::Realtime);
+        let mut t = SlotTicker::new(period);
         // Blow through several nominal boundaries in one slot.
         std::thread::sleep(period * 5);
         assert!(!t.wait());
@@ -214,7 +170,7 @@ mod tests {
 
     #[test]
     fn slow_work_counts_as_overrun() {
-        let mut t = SlotTicker::new(Duration::from_millis(1), TickPacing::Realtime);
+        let mut t = SlotTicker::new(Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         assert!(!t.wait());
         assert_eq!(t.overruns(), 1);

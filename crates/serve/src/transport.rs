@@ -1,16 +1,17 @@
 //! Pluggable message transports between the session runtime and its
 //! clients.
 //!
-//! Two implementations share one contract:
+//! The server side has two implementations of [`ServerTransport`]:
+//! [`loopback`] here and the readiness-polled TCP transport in
+//! [`crate::readiness`]. The client side has two of [`ClientTransport`]:
 //!
 //! * [`loopback`] — an in-process pair of bounded byte queues. Messages
 //!   still pass through the full wire codec, so the loopback exercises
 //!   the exact bytes TCP would carry, but with no threads, sockets, or
 //!   timing — the substrate for deterministic lockstep tests.
-//! * [`TcpServerTransport`] / [`TcpClientTransport`] — a real
-//!   `std::net::TcpStream` with a reader thread and a writer thread per
-//!   connection, so a slow or dead peer can never block the 15 ms slot
-//!   tick.
+//! * [`TcpClientTransport`] — a real `std::net::TcpStream` with a reader
+//!   thread and a writer thread, so a slow or dead server can never
+//!   block the replay client's slot loop.
 //!
 //! Both directions apply backpressure with a bounded outbound queue and
 //! a *drop-oldest-droppable* policy: when the queue is full, the oldest
@@ -25,7 +26,6 @@
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -288,29 +288,25 @@ impl ClientTransport for LoopbackClientEnd {
 }
 
 /// How long the TCP writer thread lets one `write` call stall before
-/// flagging the connection; the session degrades the user rather than
-/// waiting.
+/// retrying it.
 pub const WRITE_STALL_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// A framed `TcpStream` with dedicated reader and writer threads and
-/// bounded queues in both directions. Shared by the server and client
-/// TCP transports — only the droppable tags differ per direction.
+/// The client's framed `TcpStream` with dedicated reader and writer
+/// threads and bounded queues in both directions.
 struct FramedPeer {
     inbound: Arc<Queue>,
     outbound: Arc<Queue>,
     stream: TcpStream,
-    stalled: Arc<AtomicBool>,
     reader: Option<std::thread::JoinHandle<()>>,
     writer: Option<std::thread::JoinHandle<()>>,
 }
 
 impl FramedPeer {
-    fn new(stream: TcpStream, capacity: usize, drop_in: u8, drop_out: u8) -> std::io::Result<Self> {
+    fn new(stream: TcpStream, capacity: usize) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT))?;
-        let inbound = Queue::new(capacity, drop_in);
-        let outbound = Queue::new(capacity, drop_out);
-        let stalled = Arc::new(AtomicBool::new(false));
+        let inbound = Queue::new(capacity, tag::ASSIGNMENT);
+        let outbound = Queue::new(capacity, tag::POSE);
 
         let reader = {
             let mut stream = stream.try_clone()?;
@@ -344,7 +340,6 @@ impl FramedPeer {
         let writer = {
             let mut stream = stream.try_clone()?;
             let outbound = Arc::clone(&outbound);
-            let stalled = Arc::clone(&stalled);
             std::thread::spawn(move || {
                 // Prefix and payload live in one buffer with a cursor so a
                 // timed-out write resumes at the exact byte it stalled on —
@@ -359,16 +354,12 @@ impl FramedPeer {
                     while written < buf.len() {
                         match stream.write(&buf[written..]) {
                             Ok(0) => break 'drain,
-                            Ok(n) => {
-                                written += n;
-                                stalled.store(false, Ordering::Relaxed);
-                            }
+                            Ok(n) => written += n,
                             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                             Err(e)
                                 if e.kind() == std::io::ErrorKind::WouldBlock
                                     || e.kind() == std::io::ErrorKind::TimedOut =>
                             {
-                                stalled.store(true, Ordering::Relaxed);
                                 // Mid-frame we must keep pushing even while
                                 // closing; the socket shutdown will surface a
                                 // hard error if the peer is truly gone.
@@ -389,7 +380,6 @@ impl FramedPeer {
             inbound,
             outbound,
             stream,
-            stalled,
             reader: Some(reader),
             writer: Some(writer),
         })
@@ -415,64 +405,6 @@ impl Drop for FramedPeer {
     }
 }
 
-/// Server-side TCP transport for one accepted connection.
-pub struct TcpServerTransport {
-    peer: FramedPeer,
-}
-
-impl TcpServerTransport {
-    /// Wraps an accepted connection with `capacity`-frame queues in each
-    /// direction, spawning its reader and writer threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket configuration failures.
-    pub fn new(stream: TcpStream, capacity: usize) -> std::io::Result<Self> {
-        Ok(TcpServerTransport {
-            peer: FramedPeer::new(stream, capacity, tag::POSE, tag::ASSIGNMENT)?,
-        })
-    }
-}
-
-impl ServerTransport for TcpServerTransport {
-    fn try_recv(&mut self) -> Option<Result<ClientMessage, WireError>> {
-        self.peer.inbound.pop().map(|f| ClientMessage::decode(&f))
-    }
-
-    fn send(&mut self, message: &ServerMessage) -> SendStatus {
-        self.peer.outbound.push(message.to_payload())
-    }
-
-    fn send_payload(&mut self, payload: &[u8]) -> SendStatus {
-        self.peer.outbound.push(payload.to_vec())
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.peer.outbound.len()
-    }
-
-    fn queue_capacity(&self) -> usize {
-        self.peer.outbound.capacity
-    }
-
-    fn is_closed(&self) -> bool {
-        self.peer.outbound.is_closed()
-    }
-
-    fn is_stalled(&self) -> bool {
-        self.peer.stalled.load(Ordering::Relaxed)
-            || self.peer.outbound.len() >= self.peer.outbound.capacity
-    }
-
-    fn frames_dropped(&self) -> u64 {
-        self.peer.outbound.dropped()
-    }
-
-    fn close(&mut self) {
-        self.peer.close();
-    }
-}
-
 /// Client-side TCP transport.
 pub struct TcpClientTransport {
     peer: FramedPeer,
@@ -486,7 +418,7 @@ impl TcpClientTransport {
     /// Propagates socket configuration failures.
     pub fn new(stream: TcpStream, capacity: usize) -> std::io::Result<Self> {
         Ok(TcpClientTransport {
-            peer: FramedPeer::new(stream, capacity, tag::ASSIGNMENT, tag::POSE)?,
+            peer: FramedPeer::new(stream, capacity)?,
         })
     }
 }
@@ -512,6 +444,7 @@ impl ClientTransport for TcpClientTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::write_frame;
     use cvr_motion::pose::Pose;
 
     #[test]
@@ -574,79 +507,64 @@ mod tests {
         assert_eq!(server.send(&ServerMessage::Shutdown), SendStatus::Closed);
     }
 
+    /// A connected [`TcpClientTransport`] plus the raw accepted stream
+    /// standing in for the server.
+    fn tcp_pair() -> (TcpClientTransport, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let client = TcpClientTransport::new(stream, 16).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        (client, peer)
+    }
+
+    fn recv_within_5s(client: &mut TcpClientTransport) -> Result<ServerMessage, WireError> {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Some(msg) = client.try_recv() {
+                return msg;
+            }
+            assert!(std::time::Instant::now() < deadline, "timed out");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn idle_writer_does_not_close_the_connection() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client_thread = std::thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut t = TcpClientTransport::new(stream, 16).unwrap();
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            loop {
-                if let Some(msg) = t.try_recv() {
-                    return msg;
-                }
-                assert!(std::time::Instant::now() < deadline, "timed out");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        });
-
-        let (stream, _) = listener.accept().unwrap();
-        let mut server = TcpServerTransport::new(stream, 16).unwrap();
+        let (mut client, mut peer) = tcp_pair();
         // Both directions stay silent well past the write-stall timeout;
         // the writer thread must keep waiting, not tear the link down.
         std::thread::sleep(WRITE_STALL_TIMEOUT + Duration::from_millis(150));
-        assert!(!server.is_closed());
-        server.send(&ServerMessage::Shutdown);
-        let got = client_thread.join().unwrap();
-        assert!(matches!(got, Ok(ServerMessage::Shutdown)));
-        server.close();
+        assert!(!client.is_closed());
+        write_frame(&mut peer, &ServerMessage::Shutdown.to_payload()).unwrap();
+        assert!(matches!(
+            recv_within_5s(&mut client),
+            Ok(ServerMessage::Shutdown)
+        ));
+        client.close();
     }
 
     #[test]
     fn tcp_round_trip_and_clean_close() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client_thread = std::thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut t = TcpClientTransport::new(stream, 16).unwrap();
-            t.send(&ClientMessage::Pose {
-                seq: 9,
-                pose: Pose::default(),
-            });
-            // Wait for the echo-ish reply.
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            loop {
-                if let Some(msg) = t.try_recv() {
-                    return msg;
-                }
-                assert!(std::time::Instant::now() < deadline, "timed out");
-                std::thread::sleep(Duration::from_millis(1));
-            }
+        let (mut client, mut peer) = tcp_pair();
+        client.send(&ClientMessage::Pose {
+            seq: 9,
+            pose: Pose::default(),
         });
-
-        let (stream, _) = listener.accept().unwrap();
-        let mut server = TcpServerTransport::new(stream, 16).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let got = loop {
-            if let Some(msg) = server.try_recv() {
-                break msg;
-            }
-            assert!(std::time::Instant::now() < deadline, "timed out");
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        let got = ClientMessage::decode(&read_frame(&mut peer).unwrap());
         assert!(matches!(got, Ok(ClientMessage::Pose { seq: 9, .. })));
-        server.send(&ServerMessage::Welcome {
+        let welcome = ServerMessage::Welcome {
             version: 1,
             user_id: 0,
             slot_us: 15_000,
             levels: 6,
-        });
-        let reply = client_thread.join().unwrap();
+        };
+        write_frame(&mut peer, &welcome.to_payload()).unwrap();
         assert!(matches!(
-            reply,
+            recv_within_5s(&mut client),
             Ok(ServerMessage::Welcome { user_id: 0, .. })
         ));
-        server.close();
+        client.close();
+        assert!(client.is_closed());
+        assert!(matches!(read_frame(&mut peer), Err(FrameError::Closed)));
     }
 }

@@ -1,13 +1,15 @@
-//! TCP smoke test: a real listener on an ephemeral port, two replay
-//! clients over real sockets, zero protocol errors.
+//! TCP smoke test on the production path: a real listener on an
+//! ephemeral port, two replay clients over real sockets registered with
+//! a [`ShardHost`]'s readiness poller, zero protocol errors.
 
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use cvr_serve::client::{ClientConfig, ReplayClient};
-use cvr_serve::server::{ServeConfig, Session};
-use cvr_serve::ticker::{SlotTicker, TickPacing};
-use cvr_serve::transport::{TcpClientTransport, TcpServerTransport};
+use cvr_serve::server::ServeConfig;
+use cvr_serve::shard::{HostConfig, ShardHost};
+use cvr_serve::ticker::SlotTicker;
+use cvr_serve::transport::TcpClientTransport;
 
 const SLOTS: u64 = 80;
 const SLOT: Duration = Duration::from_millis(5);
@@ -30,7 +32,7 @@ fn two_tcp_clients_stream_without_protocol_errors() {
                         ..ClientConfig::default()
                     },
                 );
-                let mut ticker = SlotTicker::new(SLOT, TickPacing::Realtime);
+                let mut ticker = SlotTicker::new(SLOT);
                 for _ in 0..SLOTS {
                     client.step_slot();
                     ticker.wait();
@@ -43,22 +45,23 @@ fn two_tcp_clients_stream_without_protocol_errors() {
         })
         .collect();
 
-    let mut session = Session::new(ServeConfig {
-        slot_duration: SLOT,
-        ..ServeConfig::default()
+    let mut host = ShardHost::new(HostConfig {
+        shards: 1,
+        session: ServeConfig {
+            slot_duration: SLOT,
+            ..ServeConfig::default()
+        },
     });
+    let session = host.add_session();
     for _ in 0..2 {
         let (stream, _) = listener.accept().expect("accept");
-        session.add_connection(Box::new(
-            TcpServerTransport::new(stream, 64).expect("transport"),
-        ));
+        host.add_tcp(session, stream, 64).expect("register");
     }
-    let mut ticker = SlotTicker::new(SLOT, TickPacing::Realtime);
     // A few grace slots beyond the client horizon so the final uploads
     // are ingested before shutdown.
-    session.run(&mut ticker, SLOTS + 5);
-    session.shutdown();
-    let server_report = session.report();
+    host.run_realtime(SLOTS + 5, SLOT, None, None);
+    host.shutdown();
+    let (_, server_report) = host.reports().remove(0);
 
     let client_reports: Vec<_> = clients
         .into_iter()

@@ -280,65 +280,6 @@ impl MetricDistributions {
 /// here for compatibility with pre-obs callers.
 pub use cvr_obs::StageStats;
 
-/// Per-stage timing of a run's slot hot path — the instrumented output of
-/// the slot engine, reported by `run_instrumented` and the benchmark
-/// harness.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct SlotTimingReport {
-    /// Number of slots executed.
-    pub slots: usize,
-    /// Wall-clock duration of the measured loop, in seconds.
-    pub wall_s: f64,
-    /// Slot throughput, `slots / wall_s` (0 when `wall_s` is 0).
-    pub slots_per_sec: f64,
-    /// Problem-build stage (rate/value tables into the engine).
-    pub build: StageStats,
-    /// Density-greedy pass.
-    pub density: StageStats,
-    /// Value-greedy pass.
-    pub value: StageStats,
-    /// Post-allocation delivery accounting.
-    pub accounting: StageStats,
-}
-
-impl SlotTimingReport {
-    /// Builds a report from the engine's accumulated timers plus the
-    /// measured wall-clock of the surrounding loop.
-    pub fn from_timers(timers: &cvr_core::engine::EngineTimers, slots: usize, wall_s: f64) -> Self {
-        SlotTimingReport {
-            slots,
-            wall_s,
-            slots_per_sec: if wall_s > 0.0 {
-                slots as f64 / wall_s
-            } else {
-                0.0
-            },
-            build: StageStats::from_ns_samples(timers.build.samples_ns()),
-            density: StageStats::from_ns_samples(timers.density.samples_ns()),
-            value: StageStats::from_ns_samples(timers.value.samples_ns()),
-            accounting: StageStats::from_ns_samples(timers.accounting.samples_ns()),
-        }
-    }
-
-    /// Aggregates the timing report of a run that executed *concurrently*
-    /// with this one (another worker's run): slot counts add, wall-clock
-    /// takes the maximum (the workers overlapped), throughput is
-    /// recomputed, and stage stats merge per [`StageStats::merge`].
-    pub fn merge(&mut self, other: &SlotTimingReport) {
-        self.slots += other.slots;
-        self.wall_s = self.wall_s.max(other.wall_s);
-        self.slots_per_sec = if self.wall_s > 0.0 {
-            self.slots as f64 / self.wall_s
-        } else {
-            0.0
-        };
-        self.build.merge(&other.build);
-        self.density.merge(&other.density);
-        self.value.merge(&other.value);
-        self.accounting.merge(&other.accounting);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,42 +432,6 @@ mod tests {
         let mut right = StageStats::default();
         right.merge(&a);
         assert_eq!(right, a);
-    }
-
-    #[test]
-    fn timing_report_from_timers() {
-        use cvr_core::engine::EngineTimers;
-        use std::time::Duration;
-        let mut timers = EngineTimers::default();
-        for _ in 0..4 {
-            timers.build.record(Duration::from_micros(10));
-            timers.density.record(Duration::from_micros(5));
-            timers.value.record(Duration::from_micros(5));
-            timers.accounting.record(Duration::from_micros(20));
-        }
-        let report = SlotTimingReport::from_timers(&timers, 4, 0.5);
-        assert_eq!(report.slots, 4);
-        assert_eq!(report.slots_per_sec, 8.0);
-        assert_eq!(report.build.count, 4);
-        assert!((report.accounting.mean_us - 20.0).abs() < 1e-9);
-        let empty = SlotTimingReport::from_timers(&EngineTimers::default(), 0, 0.0);
-        assert_eq!(empty.slots_per_sec, 0.0);
-    }
-
-    #[test]
-    fn timing_report_merge_models_concurrent_workers() {
-        use cvr_core::engine::EngineTimers;
-        use std::time::Duration;
-        let mut timers = EngineTimers::default();
-        timers.build.record(Duration::from_micros(10));
-        let a = SlotTimingReport::from_timers(&timers, 100, 2.0);
-        let b = SlotTimingReport::from_timers(&timers, 300, 1.5);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.slots, 400);
-        assert_eq!(merged.wall_s, 2.0); // overlapped workers: max, not sum
-        assert_eq!(merged.slots_per_sec, 200.0);
-        assert_eq!(merged.build.count, 2);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! routers.
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -115,12 +114,14 @@ pub struct SystemConfig {
     /// spawn). Per-user table writes are disjoint, so the assignments are
     /// bit-identical at every thread count.
     pub build_threads: usize,
-    /// Lookahead horizon in display slots. `1` runs the paper's myopic
-    /// per-slot allocator bit-for-bit (no lookahead code executes at
-    /// all); `H > 1` additionally predicts the FoVs of the `H − 1` slots
-    /// after the display slot, spends budget slack pre-staging their
-    /// base-quality tiles through the delivery ledger, and runs the
-    /// [`cvr_lookahead`] anticipatory degrade on the bandwidth estimate.
+    /// Lookahead horizon in display slots. `1` is the paper's myopic
+    /// per-slot allocator bit-for-bit: the planner's prefetch step walks
+    /// the `1..H` future slots, which is an empty loop, and the link
+    /// budget passes through unclamped. `H > 1` predicts the FoVs of the
+    /// `H − 1` slots after the display slot, spends budget slack
+    /// pre-staging their tiles *at the user's assigned quality* through
+    /// the delivery ledger, and runs the [`cvr_lookahead`] anticipatory
+    /// degrade on the bandwidth estimate.
     pub horizon: usize,
     /// Master seed.
     pub seed: u64,
@@ -369,18 +370,6 @@ pub fn run_with(
     label: &'static str,
     mode: ObjectiveMode,
 ) -> SystemRunResult {
-    run_instrumented(config, allocator, label, mode).0
-}
-
-/// Like [`run_with`], but also returns the per-stage timing of the slot
-/// hot path (problem build, density pass, value pass, delivery
-/// accounting) collected by the run's slot engine.
-pub fn run_instrumented(
-    config: &SystemConfig,
-    allocator: &mut dyn Allocator,
-    label: &'static str,
-    mode: ObjectiveMode,
-) -> (SystemRunResult, crate::metrics::SlotTimingReport) {
     assert!(config.num_users > 0, "need at least one user");
     assert!(config.num_routers > 0, "need at least one router");
     let n = config.num_users;
@@ -532,7 +521,6 @@ pub fn run_instrumented(
     let mut effective_bn = vec![0.0f64; n];
     let mut to_send: Vec<VideoId> = Vec::new();
 
-    let wall_start = Instant::now();
     for slot in 0..slots {
         let now = slot as f64 * dt;
 
@@ -609,7 +597,6 @@ pub fn run_instrumented(
         // suppression happens here: the planner's sums hold the per-level
         // rate of only the *undelivered* tiles. Nobody is groupable, so
         // every user is staged as its own row.
-        let build_start = Instant::now();
         planner.begin_slot(slot as u64, config.server_total_mbps);
         for u in 0..n {
             let estimate = bandwidth_estimates[u].estimate_or(throttles[u]).max(1.0);
@@ -653,17 +640,11 @@ pub fn run_instrumented(
                 quality_term - delay_term - variance_term
             }
         });
-        planner
-            .engine_mut()
-            .timers_mut()
-            .build
-            .record(build_start.elapsed());
 
         assignment.clear();
         assignment.extend_from_slice(allocator.allocate_staged(planner.engine_mut()));
 
         // 4. Physical transmission over the shared medium.
-        let accounting_start = Instant::now();
         router_caps.clear();
         router_caps.extend(routers.iter_mut().map(|r| r.step_capacity_mbps()));
         // Demands per router group.
@@ -809,11 +790,6 @@ pub fn run_instrumented(
             bandwidth_estimates[u].update(effective_bn[u] * noise);
             delay_estimators[u].observe(rate, delay_slots);
         }
-        planner
-            .engine_mut()
-            .timers_mut()
-            .accounting
-            .record(accounting_start.elapsed());
 
         // Prefetch credit: spend the slot's budget slack — constraint (7)
         // headroom left by the allocation — on current-quality tiles for
@@ -832,11 +808,10 @@ pub fn run_instrumented(
         );
         planner.acknowledge_prefetched();
     }
-    let wall_s = wall_start.elapsed().as_secs_f64();
 
     let users: Vec<UserQoeSummary> = accumulators.iter().map(|a| a.summary()).collect();
     let (cache_hits, cache_misses) = server_cache.stats();
-    let result = SystemRunResult {
+    SystemRunResult {
         label,
         summary: SystemQoeSummary::from_users(&users),
         fps: 60.0 * frames_displayed as f64 / frames_total.max(1) as f64,
@@ -848,10 +823,7 @@ pub fn run_instrumented(
             .unwrap_or(0),
         users,
         timeseries,
-    };
-    let report =
-        crate::metrics::SlotTimingReport::from_timers(planner.engine().timers(), slots, wall_s);
-    (result, report)
+    }
 }
 
 /// Running estimate of the per-packet loss probability from transfer
@@ -1085,28 +1057,6 @@ mod tests {
             let mean_viewed: f64 =
                 ts.viewed_quality[u].iter().map(|&v| v as f64).sum::<f64>() / user.slots as f64;
             assert!((mean_viewed - user.avg_viewed_quality).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn instrumented_run_matches_plain_and_times_every_stage() {
-        let cfg = tiny(3);
-        let mut allocator = AllocatorKind::DensityValueGreedy.build();
-        let (result, report) =
-            run_instrumented(&cfg, &mut allocator, "ours", ObjectiveMode::DelayAware);
-        assert_eq!(result, run(&cfg, AllocatorKind::DensityValueGreedy));
-        let slots = cfg.slots();
-        assert_eq!(report.slots, slots);
-        assert!(report.wall_s > 0.0);
-        assert!(report.slots_per_sec > 0.0);
-        for (name, stage) in [
-            ("build", &report.build),
-            ("density", &report.density),
-            ("value", &report.value),
-            ("accounting", &report.accounting),
-        ] {
-            assert_eq!(stage.count, slots, "{name} not timed every slot");
-            assert!(stage.p99_us >= stage.p50_us, "{name} quantiles inverted");
         }
     }
 

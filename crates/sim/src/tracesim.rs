@@ -17,8 +17,6 @@
 //! the server link becomes the bottleneck: every user's effective
 //! throughput is scaled by `B / Σ rates`, which feeds back into the delay.
 
-use std::time::Instant;
-
 use cvr_content::library::ContentLibrary;
 use cvr_core::alloc::Allocator;
 use cvr_core::delay::{DelayModel, Mm1Delay};
@@ -176,17 +174,6 @@ pub fn run_with(
     label: &'static str,
     delay_aware: bool,
 ) -> RunResult {
-    run_instrumented(config, allocator, label, delay_aware).0
-}
-
-/// Like [`run_with`], but also returns the per-stage timing of the slot
-/// hot path collected by the run's slot engine.
-pub fn run_instrumented(
-    config: &TraceSimConfig,
-    allocator: &mut dyn Allocator,
-    label: &'static str,
-    delay_aware: bool,
-) -> (RunResult, crate::metrics::SlotTimingReport) {
     assert!(config.num_users > 0, "need at least one user");
     let n = config.num_users;
     let slots = config.slots();
@@ -298,7 +285,6 @@ pub fn run_instrumented(
     let mut link_budgets: Vec<f64> = Vec::with_capacity(n);
     let mut assignment: Vec<QualityLevel> = Vec::with_capacity(n);
 
-    let wall_start = Instant::now();
     for slot in 0..slots {
         let now = slot as f64 * config.slot_duration_s;
 
@@ -318,7 +304,6 @@ pub fn run_instrumented(
         // budget ramps toward the minimum over the next H − 1 trace
         // samples, so quality walks down ahead of a dip instead of
         // cliff-dropping into it.
-        let build_start = Instant::now();
         planner.begin_slot(slot as u64, server_budget);
         link_budgets.clear();
         for u in 0..n {
@@ -356,11 +341,6 @@ pub fn run_instrumented(
                 }
             }
         });
-        planner
-            .engine_mut()
-            .timers_mut()
-            .build
-            .record(build_start.elapsed());
 
         if config.compute_bound {
             let problem = planner
@@ -375,7 +355,6 @@ pub fn run_instrumented(
         let engine = planner.engine();
 
         // Consequences: server-bottleneck sharing, Eq. (13) delay, FoV hit.
-        let accounting_start = Instant::now();
         let total_rate: f64 = (0..n).map(|u| engine.rates(u)[assignment[u].index()]).sum();
         let over = if total_rate > server_budget {
             server_budget / total_rate
@@ -402,16 +381,10 @@ pub fn run_instrumented(
                 ts.delay_slots[u].push(delay as f32);
             }
         }
-        planner
-            .engine_mut()
-            .timers_mut()
-            .accounting
-            .record(accounting_start.elapsed());
     }
-    let wall_s = wall_start.elapsed().as_secs_f64();
 
     let users: Vec<UserQoeSummary> = accumulators.iter().map(|a| a.summary()).collect();
-    let result = RunResult {
+    RunResult {
         label,
         summary: SystemQoeSummary::from_users(&users),
         users,
@@ -421,10 +394,7 @@ pub fn run_instrumented(
             0.0
         },
         timeseries,
-    };
-    let report =
-        crate::metrics::SlotTimingReport::from_timers(planner.engine().timers(), slots, wall_s);
-    (result, report)
+    }
 }
 
 #[cfg(test)]
@@ -548,20 +518,6 @@ mod tests {
         ts.to_csv(&mut buf).unwrap();
         let lines = buf.split(|&b| b == b'\n').filter(|l| !l.is_empty()).count();
         assert_eq!(lines, 1 + cfg.num_users * cfg.slots());
-    }
-
-    #[test]
-    fn instrumented_run_matches_plain_and_reports_throughput() {
-        let cfg = small_config(11);
-        let mut allocator = AllocatorKind::DensityValueGreedy.build();
-        let (result, report) = run_instrumented(&cfg, &mut allocator, "ours", true);
-        assert_eq!(result, run(&cfg, AllocatorKind::DensityValueGreedy));
-        assert_eq!(report.slots, cfg.slots());
-        assert_eq!(report.build.count, cfg.slots());
-        assert_eq!(report.density.count, cfg.slots());
-        assert_eq!(report.value.count, cfg.slots());
-        assert_eq!(report.accounting.count, cfg.slots());
-        assert!(report.slots_per_sec > 0.0);
     }
 
     #[test]
