@@ -147,6 +147,13 @@ stage_benchmark_build() {
     # a refactor breaks the public API the benchmark drives, and --locked
     # fails if a cvr-* dependency edge (or crate) was added or removed.
     cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+
+    step "Benchmark traced smoke: lecture32_mcast_h4, 2 s"
+    # Multicast + horizon 4 exercises the whole slot path (grouping,
+    # staging, prefetch). The pass exits non-zero unless its untraced,
+    # obs-traced and span-traced blocks delivered identical frames, another
+    # seed delivered different ones, and no operation failed.
+    bash benchmark/run.sh --workload lecture32_mcast_h4 --trace 1 --seconds 2
 }
 
 run_stage() {

@@ -438,9 +438,25 @@ impl UndeliveredSums {
         &self.sums
     }
 
-    /// Cross-checks the incremental sums against a brute-force recompute
+    /// The delivered bits of the target tiles at level index `l`, parallel
+    /// to [`UndeliveredSums::tiles`]: entry `t` is what the ledger holds
+    /// for `(cell, tiles[t], level l + 1)`, kept in lockstep by the paired
+    /// calls — group fingerprints and manifests read these instead of
+    /// probing the ledger.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l >= levels`.
+    pub fn delivered(&self, l: usize) -> &[bool] {
+        let n = self.tiles.len();
+        &self.delivered[l * n..(l + 1) * n]
+    }
+
+    /// Cross-checks the incremental state against a brute-force recompute
     /// from `ledger` (the debug assertion the build path runs under
-    /// `debug_assertions`). Bit-exact comparison.
+    /// `debug_assertions`): every delivered-mask bit, then every per-level
+    /// sum. Bit-exact comparison. The mask is checked on its own because a
+    /// zero-rate tile would hide a drifted bit from the sums.
     ///
     /// # Panics
     ///
@@ -453,7 +469,14 @@ impl UndeliveredSums {
             let q = QualityLevel::new((l + 1) as u8);
             let mut brute = 0.0f64;
             for (t, &tile) in self.tiles.iter().enumerate() {
-                if !ledger.is_delivered(&VideoId::new(cell, tile, q)) {
+                let held = ledger.is_delivered(&VideoId::new(cell, tile, q));
+                assert!(
+                    held == self.delivered(l)[t],
+                    "delivered mask drifted at {tile} level {}: mask {} vs ledger {held}",
+                    l + 1,
+                    self.delivered(l)[t],
+                );
+                if !held {
                     brute += self.rows[l * self.tiles.len() + t];
                 }
             }
@@ -783,6 +806,21 @@ mod tests {
         sums.retarget(cell, &TileId::all(), &rows, &ledger);
         // Mutating the ledger *without* the paired call drifts the sums.
         ledger.acknowledge(id2(cell, 0, 1));
+        sums.assert_matches_ledger(&ledger);
+    }
+
+    #[test]
+    #[should_panic(expected = "delivered mask drifted")]
+    fn undelivered_sums_cross_check_catches_a_drifted_bit_on_a_zero_rate_tile() {
+        // All-zero rates: every sum is 0.0 whatever the mask says, so only
+        // the bit-by-bit comparison can see the unpaired ledger edit.
+        let cell = CellId { x: 0, z: 0 };
+        let rows = vec![0.0f64; usize::from(TileId::COUNT) * 6];
+        let mut ledger = DeliveryLedger::new();
+        let mut sums = UndeliveredSums::new(6);
+        sums.retarget(cell, &TileId::all(), &rows, &ledger);
+        sums.assert_matches_ledger(&ledger);
+        ledger.acknowledge(id2(cell, 2, 4));
         sums.assert_matches_ledger(&ledger);
     }
 

@@ -63,17 +63,25 @@ impl std::fmt::Display for TileId {
     }
 }
 
-/// Returns `true` when the angular interval `[a0, a1]` (yaw, possibly
-/// wrapping) intersects the tile's `[t0, t1)` yaw range.
-fn yaw_interval_overlaps(a0: f64, a1: f64, t0: f64, t1: f64) -> bool {
+/// Which yaw hemispheres — west `[−180, 0)` and east `[0, 180)`, the two
+/// tile columns — the angular interval `[a0, a1]` (possibly wrapping)
+/// touches.
+fn yaw_hemispheres(a0: f64, a1: f64) -> (bool, bool) {
     // Sample-based check is robust to wrapping: test a dense set of angles
-    // inside the view interval.
+    // inside the view interval. Each sample is wrapped and classified
+    // once; the tiles then read the two flags.
     let span = a1 - a0;
     let steps = 16;
-    (0..=steps).any(|i| {
+    let (mut west, mut east) = (false, false);
+    for i in 0..=steps {
         let angle = wrap_degrees(a0 + span * i as f64 / steps as f64);
-        angle >= t0 && angle < t1
-    })
+        west |= (-180.0..0.0).contains(&angle);
+        east |= (0.0..180.0).contains(&angle);
+        if west && east {
+            break;
+        }
+    }
+    (west, east)
 }
 
 /// The set of tiles overlapping the FoV (with margin) around the given
@@ -97,15 +105,15 @@ pub fn tiles_for_pose_into(spec: &FovSpec, pose: &Pose, out: &mut Vec<TileId>) {
     let pitch = pose.orientation.pitch.clamp(-90.0, 90.0);
     let (p_lo, p_hi) = (pitch - half_h, pitch + half_h);
 
+    let (west, east) = if half_w >= 180.0 {
+        (true, true)
+    } else {
+        yaw_hemispheres(yaw - half_w, yaw + half_w)
+    };
     out.extend(TileId::all().into_iter().filter(|tile| {
         let (t_p0, t_p1) = tile.pitch_range();
         let pitch_overlap = p_lo < t_p1 && p_hi > t_p0;
-        let (t_y0, t_y1) = tile.yaw_range();
-        let yaw_overlap = if half_w >= 180.0 {
-            true
-        } else {
-            yaw_interval_overlaps(yaw - half_w, yaw + half_w, t_y0, t_y1)
-        };
+        let yaw_overlap = if tile.yaw_range().0 < 0.0 { west } else { east };
         pitch_overlap && yaw_overlap
     }));
 }
@@ -194,6 +202,105 @@ mod tests {
                 assert!(!tiles.is_empty(), "empty tile set at {yaw}/{pitch}");
             }
         }
+    }
+
+    /// The per-tile yaw test `tiles_for_pose_into` ran before it
+    /// classified the samples once: rescans the same 17 wrapped samples
+    /// against one tile's `[t0, t1)` range.
+    fn yaw_interval_overlaps(a0: f64, a1: f64, t0: f64, t1: f64) -> bool {
+        let span = a1 - a0;
+        let steps = 16;
+        (0..=steps).any(|i| {
+            let angle = wrap_degrees(a0 + span * i as f64 / steps as f64);
+            angle >= t0 && angle < t1
+        })
+    }
+
+    /// Oracle: tile membership decided tile by tile.
+    fn tiles_for_pose_per_tile(spec: &FovSpec, pose: &Pose) -> Vec<TileId> {
+        let half_w = spec.width_deg / 2.0 + spec.margin_deg;
+        let half_h = spec.height_deg / 2.0 + spec.margin_deg;
+        let yaw = pose.orientation.yaw;
+        let pitch = pose.orientation.pitch.clamp(-90.0, 90.0);
+        let (p_lo, p_hi) = (pitch - half_h, pitch + half_h);
+        TileId::all()
+            .into_iter()
+            .filter(|tile| {
+                let (t_p0, t_p1) = tile.pitch_range();
+                let (t_y0, t_y1) = tile.yaw_range();
+                p_lo < t_p1
+                    && p_hi > t_p0
+                    && (half_w >= 180.0
+                        || yaw_interval_overlaps(yaw - half_w, yaw + half_w, t_y0, t_y1))
+            })
+            .collect()
+    }
+
+    /// `x` and its neighbours up to three ulps either side.
+    fn with_ulps(x: f64) -> [f64; 7] {
+        let (mut lo, mut hi) = (x, x);
+        let mut out = [x; 7];
+        for k in 1..=3 {
+            lo = lo.next_down();
+            hi = hi.next_up();
+            out[2 * k - 1] = lo;
+            out[2 * k] = hi;
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_tile_set_equals_the_per_tile_oracle() {
+        let pitches = [
+            -135.0,
+            -90.0,
+            -89.999,
+            -60.0,
+            -37.5,
+            (-0.0f64).next_down(),
+            -0.0,
+            0.0,
+            0.0f64.next_up(),
+            22.5,
+            37.5,
+            60.0,
+            90.0,
+            200.0,
+            f64::NAN,
+        ];
+        let mut scratch = Vec::new();
+        let mut compared = 0usize;
+        for margin in [0.0, 15.0, 40.0, 180.0] {
+            let spec = FovSpec::paper_default().with_margin(margin);
+            let half_w = spec.width_deg / 2.0 + spec.margin_deg;
+            let mut yaws = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e300];
+            // Dense grid, well past one turn either way.
+            yaws.extend((-4000..=4000).map(|k| f64::from(k) * 0.13));
+            // Every 7.5° step (a sample of the paper-default ±60° sweep
+            // lands on a tile edge there) and the ±180° seam.
+            yaws.extend((-72..=72).flat_map(|k| with_ulps(f64::from(k) * 7.5)));
+            // This margin's own breakpoints: the yaws at which sample `i`
+            // sits exactly on the 0° or ±180° tile edge.
+            for i in 0..=16 {
+                let offset = half_w - 2.0 * half_w * f64::from(i) / 16.0;
+                for edge in [-360.0, -180.0, 0.0, 180.0, 360.0] {
+                    yaws.extend(with_ulps(edge + offset));
+                }
+            }
+            for &yaw in &yaws {
+                for &pitch in &pitches {
+                    let p = pose(yaw, pitch);
+                    tiles_for_pose_into(&spec, &p, &mut scratch);
+                    assert_eq!(
+                        scratch,
+                        tiles_for_pose_per_tile(&spec, &p),
+                        "margin {margin} yaw {yaw:?} pitch {pitch:?}"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 500_000);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use cvr_content::cache::DeliveryLedger;
+use cvr_content::cache::{DeliveryLedger, UndeliveredSums};
 use cvr_content::grid::CellId;
 use cvr_content::id::VideoId;
 use cvr_content::plane::OrientationKey;
@@ -47,18 +47,46 @@ pub struct GroupKey {
 /// per-level undelivered rate sums. Two users with equal fingerprints
 /// (over the same `(cell, tiles)`) would be sent byte-identical manifests
 /// at every quality level.
+///
+/// Reads the delivered bits from the mask `undelivered` keeps in lockstep
+/// with the user's ledger — no hash probes.
+pub fn undelivered_fingerprint(undelivered: &UndeliveredSums) -> u64 {
+    fold_fingerprint(undelivered.tiles(), undelivered.sums(), |t, l| {
+        undelivered.delivered(l)[t]
+    })
+}
+
+/// [`undelivered_fingerprint`] computed the slow way, probing `ledger`
+/// for each `(cell, tile, level)` bit: the reference the planner's debug
+/// builds hold the mask read to, and the form for callers that have a
+/// ledger but no [`UndeliveredSums`].
 pub fn content_fingerprint(
     cell: CellId,
     tiles: &[TileId],
     sums: &[f64],
     ledger: &DeliveryLedger,
 ) -> u64 {
+    fold_fingerprint(tiles, sums, |t, l| {
+        ledger.is_delivered(&VideoId::new(
+            cell,
+            tiles[t],
+            QualityLevel::new((l + 1) as u8),
+        ))
+    })
+}
+
+/// The one fold behind both fingerprints; `delivered(t, l)` is the
+/// delivered bit of `tiles[t]` at level index `l`.
+fn fold_fingerprint(
+    tiles: &[TileId],
+    sums: &[f64],
+    delivered: impl Fn(usize, usize) -> bool,
+) -> u64 {
     let mut hash = fnv::fold_u64(fnv::OFFSET, tiles.len() as u64);
-    for &tile in tiles {
+    for (t, tile) in tiles.iter().enumerate() {
         hash = fnv::fold_bytes(hash, &[tile.get()]);
-        for l in 1..=sums.len() as u8 {
-            let delivered = ledger.is_delivered(&VideoId::new(cell, tile, QualityLevel::new(l)));
-            hash = fnv::fold_bytes(hash, &[u8::from(delivered)]);
+        for l in 0..sums.len() {
+            hash = fnv::fold_bytes(hash, &[u8::from(delivered(t, l))]);
         }
     }
     for &s in sums {
@@ -104,6 +132,9 @@ pub struct GroupTracker {
     groups: Vec<Group>,
     /// Maps a group id to its index in `groups` for the current slot.
     index: HashMap<u64, usize>,
+    /// Emptied member vectors of earlier slots' groups, reused by the next
+    /// groups to open so a steady-state slot allocates none.
+    spare: Vec<Vec<usize>>,
 }
 
 impl GroupTracker {
@@ -117,6 +148,7 @@ impl GroupTracker {
             slot: 0,
             groups: Vec::new(),
             index: HashMap::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -125,7 +157,10 @@ impl GroupTracker {
     /// anything.
     pub fn begin_slot(&mut self, slot: u64) {
         self.slot = slot;
-        self.groups.clear();
+        self.spare.extend(self.groups.drain(..).map(|mut group| {
+            group.members.clear();
+            group.members
+        }));
         self.index.clear();
     }
 
@@ -157,11 +192,9 @@ impl GroupTracker {
             Some(&at) => self.groups[at].members.push(member),
             None => {
                 self.index.insert(id, self.groups.len());
-                self.groups.push(Group {
-                    id,
-                    key,
-                    members: vec![member],
-                });
+                let mut members = self.spare.pop().unwrap_or_default();
+                members.push(member);
+                self.groups.push(Group { id, key, members });
             }
         }
         id
@@ -282,6 +315,34 @@ mod tests {
             vec![1],
             "departed member 0 must not linger in the group"
         );
+    }
+
+    #[test]
+    fn member_vectors_are_recycled_across_slots() {
+        let mut t = GroupTracker::new(8);
+        let buffers = |t: &GroupTracker| {
+            let mut ptrs: Vec<_> = t.groups().iter().map(|g| g.members.as_ptr()).collect();
+            ptrs.sort();
+            ptrs
+        };
+        t.begin_slot(0);
+        for member in 0..6 {
+            t.observe(member, key(member as i32 % 3, 0, 0));
+        }
+        t.finish_slot();
+        let first = buffers(&t);
+        assert_eq!(first.len(), 3);
+        // The same three groups, opened in another order by other members:
+        // same ids and fresh membership, in the previous slot's buffers.
+        t.begin_slot(1);
+        assert!(t.groups().is_empty());
+        for member in [5, 1, 0] {
+            t.observe(member, key(member as i32 % 3, 0, 0));
+        }
+        let groups = t.finish_slot();
+        let seen: Vec<_> = groups.iter().map(|g| (g.id, g.members.clone())).collect();
+        assert_eq!(seen, vec![(2, vec![5]), (1, vec![1]), (0, vec![0])]);
+        assert_eq!(buffers(&t), first);
     }
 
     #[test]

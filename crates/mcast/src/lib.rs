@@ -39,5 +39,5 @@
 pub mod group;
 pub mod stage;
 
-pub use group::{content_fingerprint, Group, GroupKey, GroupTracker};
+pub use group::{content_fingerprint, undelivered_fingerprint, Group, GroupKey, GroupTracker};
 pub use stage::{cap_level, stage_group, GroupMember};

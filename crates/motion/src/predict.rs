@@ -39,6 +39,12 @@ pub struct LinearPredictor {
     last_yaw: Option<f64>,
     /// Running unwrapped yaw.
     unwrapped_yaw: f64,
+    /// Per-axis least-squares slope over the current window, refitted by
+    /// every [`LinearPredictor::observe`] — the window only changes there,
+    /// so every prediction between two observations shares one fit.
+    slope: [f64; 6],
+    /// Per-axis intercept of the same fit.
+    intercept: [f64; 6],
 }
 
 impl LinearPredictor {
@@ -55,6 +61,8 @@ impl LinearPredictor {
             history: Default::default(),
             last_yaw: None,
             unwrapped_yaw: 0.0,
+            slope: [0.0; 6],
+            intercept: [0.0; 6],
         }
     }
 
@@ -90,6 +98,7 @@ impl LinearPredictor {
             if h.len() > self.window {
                 h.pop_front();
             }
+            (self.slope[axis], self.intercept[axis]) = fit_line(h);
         }
     }
 
@@ -125,9 +134,11 @@ impl LinearPredictor {
         if n < 2 {
             return None;
         }
+        // The line fitted at abscissae `0..n`, evaluated at `n - 1 + horizon`.
+        let at = n as f64 - 1.0 + horizon;
         let mut out = [0.0f64; 6];
-        for (axis, h) in self.history.iter().enumerate() {
-            out[axis] = extrapolate(h, horizon);
+        for (axis, value) in out.iter_mut().enumerate() {
+            *value = self.slope[axis] * at + self.intercept[axis];
         }
         // Re-wrap yaw into canonical range; clamp pitch/roll to physical
         // head limits (long extrapolations must not leave the sphere).
@@ -144,12 +155,14 @@ impl LinearPredictor {
         }
         self.last_yaw = None;
         self.unwrapped_yaw = 0.0;
+        self.slope = [0.0; 6];
+        self.intercept = [0.0; 6];
     }
 }
 
-/// Least-squares line fit over `values` at abscissae `0..n`, evaluated at
-/// `n - 1 + horizon`.
-fn extrapolate(values: &VecDeque<f64>, horizon: f64) -> f64 {
+/// Least-squares line fit over `values` at abscissae `0..n`:
+/// `(slope, intercept)`.
+fn fit_line(values: &VecDeque<f64>) -> (f64, f64) {
     let n = values.len() as f64;
     let mean_x = (n - 1.0) / 2.0;
     let mean_y: f64 = values.iter().sum::<f64>() / n;
@@ -161,14 +174,14 @@ fn extrapolate(values: &VecDeque<f64>, horizon: f64) -> f64 {
         sxx += dx * dx;
     }
     let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
-    let intercept = mean_y - slope * mean_x;
-    slope * (n - 1.0 + horizon) + intercept
+    (slope, mean_y - slope * mean_x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pose::{Orientation, Vec3};
+    use proptest::prelude::*;
 
     fn linear_pose(t: f64) -> Pose {
         Pose::new(
@@ -292,6 +305,69 @@ mod tests {
                     by_slots.components().map(f64::to_bits),
                     "p={p} k={k}: interval- and slot-denominated horizons diverge"
                 );
+            }
+        }
+    }
+
+    /// Oracle: refit the predictor's current window from scratch, as
+    /// `predict_fractional` did on every call before the fit moved into
+    /// `observe`.
+    fn predict_from_scratch(p: &LinearPredictor, horizon: f64) -> Option<Pose> {
+        let n = p.history[0].len();
+        if !horizon.is_finite() || n < 2 {
+            return None;
+        }
+        let mut out = [0.0f64; 6];
+        for (axis, h) in p.history.iter().enumerate() {
+            let (slope, intercept) = fit_line(h);
+            out[axis] = slope * (n as f64 - 1.0 + horizon) + intercept;
+        }
+        out[3] = wrap_degrees(out[3]);
+        out[4] = out[4].clamp(-90.0, 90.0);
+        out[5] = out[5].clamp(-90.0, 90.0);
+        Some(Pose::from_components(out))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn stored_fit_predicts_bit_equal_to_a_from_scratch_fit(
+            window in 2usize..12,
+            // Yaw steps up to ±170° per observation cross the ±180° seam
+            // in both directions; `reset_at` clears mid-sequence.
+            steps in prop::collection::vec(
+                (-0.4f64..0.4, -170.0f64..170.0, -20.0f64..20.0, -9.0f64..9.0),
+                1..40,
+            ),
+            reset_at in 0usize..40,
+            horizons in prop::collection::vec(-6.0f64..12.0, 1..6),
+        ) {
+            let bits = |pose: Option<Pose>| pose.map(|p| p.components().map(f64::to_bits));
+            let mut p = LinearPredictor::new(window);
+            let (mut x, mut yaw, mut pitch) = (0.0f64, 0.0f64, 0.0f64);
+            for (k, &(dx, dyaw, dpitch, roll)) in steps.iter().enumerate() {
+                if k == reset_at {
+                    p.reset();
+                    prop_assert!(p.predict(1).is_none());
+                }
+                x += dx;
+                yaw = wrap_degrees(yaw + dyaw);
+                pitch = (pitch + dpitch).clamp(-120.0, 120.0);
+                p.observe(&Pose::new(
+                    Vec3::new(x, 1.6 + 0.01 * dx, -0.5 * x),
+                    Orientation::new(yaw, pitch, roll),
+                ));
+                let whole = [0.0, 1.0, 3.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                for &h in horizons.iter().chain(&whole) {
+                    prop_assert_eq!(
+                        bits(p.predict_fractional(h)),
+                        bits(predict_from_scratch(&p, h)),
+                        "observation {} horizon {}", k, h
+                    );
+                }
+                // Predicting is read-only: asking again changes nothing.
+                prop_assert_eq!(bits(p.predict(2)), bits(predict_from_scratch(&p, 2.0)));
             }
         }
     }

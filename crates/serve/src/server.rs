@@ -25,6 +25,7 @@
 //! exactly the retransmission-suppression protocol of Section V.
 
 use std::collections::VecDeque;
+use std::mem;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -303,6 +304,16 @@ struct FovPredictionRecord {
     /// Predicted visible tile set (first `len` entries valid).
     tiles: [TileId; TileId::COUNT as usize],
     len: u8,
+}
+
+/// Takes the manifest buffer back out of a sent `Assignment` or
+/// `GroupAssign`, for [`Session::transmit`] to fill again.
+fn reclaim_manifest(message: ServerMessage) -> Vec<VideoId> {
+    match message {
+        ServerMessage::Assignment { manifest, .. }
+        | ServerMessage::GroupAssign { manifest, .. } => manifest,
+        ServerMessage::Welcome { .. } | ServerMessage::Shutdown => Vec::new(),
+    }
 }
 
 /// Per-user server-side state.
@@ -858,18 +869,23 @@ impl Session {
                         // Score lookahead FoV predictions the same way:
                         // this pose (or an earlier, missed one) is the
                         // ground truth for every record it has caught up
-                        // with.
+                        // with. However many records mature on it, the
+                        // pose's actual tile set is computed once.
+                        let mut actual_ready = false;
                         while user
                             .fov_predictions
                             .front()
                             .is_some_and(|p| p.target_seq <= seq)
                         {
                             let record = user.fov_predictions.pop_front().expect("checked front");
-                            tiles_for_pose_into(
-                                self.planner.library().fov(),
-                                &pose,
-                                &mut self.fov_actual,
-                            );
+                            if !actual_ready {
+                                tiles_for_pose_into(
+                                    self.planner.library().fov(),
+                                    &pose,
+                                    &mut self.fov_actual,
+                                );
+                                actual_ready = true;
+                            }
                             let overlap = fov_tile_overlap(
                                 &record.tiles[..record.len as usize],
                                 &self.fov_actual,
@@ -1206,13 +1222,17 @@ impl Session {
                 };
                 self.planner.manifest_into(id, quality, &mut self.manifest);
                 self.manifest.extend_from_slice(self.planner.prefetched(i));
-                let status = user.transport.send(&ServerMessage::Assignment {
+                // The message holds the scratch manifest for the send and
+                // hands it back, so one buffer serves every slot.
+                let message = ServerMessage::Assignment {
                     slot: self.slot,
                     pose_seq: user.last_pose_seq,
                     quality: quality.get(),
                     rate_mbps: row.rates[quality.index()],
-                    manifest: self.manifest.clone(),
-                });
+                    manifest: mem::take(&mut self.manifest),
+                };
+                let status = user.transport.send(&message);
+                self.manifest = reclaim_manifest(message);
                 if Self::account_send(user, &mut self.counters, &mut self.obs, status) {
                     Self::record_prediction(user, self.plan_predicted[i], quality);
                 }
@@ -1235,14 +1255,15 @@ impl Session {
                     // this quality.
                     self.planner.manifest_into(id, quality, &mut self.manifest);
                     let start = self.payload.len();
-                    ServerMessage::GroupAssign {
+                    let message = ServerMessage::GroupAssign {
                         slot: self.slot,
                         group_id,
                         quality: quality.get(),
                         rate_mbps: row.rates[q_idx],
-                        manifest: self.manifest.clone(),
-                    }
-                    .encode(&mut self.payload);
+                        manifest: mem::take(&mut self.manifest),
+                    };
+                    message.encode(&mut self.payload);
+                    self.manifest = reclaim_manifest(message);
                     let span = start..self.payload.len();
                     self.payload_spans.push((q_idx, span.clone()));
                     span
@@ -1582,6 +1603,53 @@ mod tests {
         assert!(text.contains("cvr_lookahead_fov_overlap"));
         assert!(text.contains("h=\"1\""));
         assert!(text.contains("h=\"2\""));
+    }
+
+    #[test]
+    fn a_pose_maturing_three_fov_records_scores_each_horizon_once() {
+        use cvr_motion::pose::{Orientation, Vec3};
+
+        let mut session = Session::new(ServeConfig {
+            horizon: 4,
+            ..ServeConfig::default()
+        });
+        let mut client = join_one(&mut session);
+        session.step_slot();
+        let _welcome = client.try_recv();
+        let gaze = |seq: u64| ClientMessage::Pose {
+            seq,
+            pose: Pose::new(
+                Vec3::new(0.01 * seq as f64, 1.6, 0.0),
+                Orientation::new(3.0 * seq as f64, 1.0, 0.0),
+            ),
+        };
+        // Two poses give the predictor a line; the second slot queues the
+        // first records, one per lookahead step h = 1, 2, 3.
+        client.send(&gaze(0));
+        session.step_slot();
+        client.send(&gaze(1));
+        session.step_slot();
+        let targets: Vec<(usize, u64)> = session.users[0]
+            .as_ref()
+            .expect("joined")
+            .fov_predictions
+            .iter()
+            .map(|r| (r.h, r.target_seq))
+            .collect();
+        assert_eq!(targets.iter().map(|t| t.0).collect::<Vec<_>>(), [1, 2, 3]);
+        let counts = |session: &Session| -> Vec<u64> {
+            let obs = &session.obs;
+            obs.h_overlap
+                .iter()
+                .map(|&hid| obs.registry.histogram_value(hid).count())
+                .collect()
+        };
+        assert_eq!(counts(&session), [0, 0, 0]);
+        // The client skips ahead to the last target: this one pose is the
+        // ground truth for all three records.
+        client.send(&gaze(targets[2].1));
+        session.step_slot();
+        assert_eq!(counts(&session), [1, 1, 1]);
     }
 
     #[test]

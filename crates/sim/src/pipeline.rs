@@ -54,7 +54,7 @@ use cvr_core::engine::SlotEngine;
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::stage_rates_values_with;
 use cvr_lookahead::{slot_credit, AnticipatoryDegrade, LookaheadConfig, Prefetcher};
-use cvr_mcast::{content_fingerprint, stage_group, GroupKey, GroupMember, GroupTracker};
+use cvr_mcast::{stage_group, undelivered_fingerprint, GroupKey, GroupMember, GroupTracker};
 use cvr_motion::pose::Pose;
 
 use crate::parallel::parallel_chunk_pairs;
@@ -278,7 +278,12 @@ impl SlotPlanner {
         if let Some(orientation) = orientation {
             // Equal keys guarantee byte-identical manifests and rate rows:
             // the key fingerprints the undelivered level-prefix state.
-            let content = content_fingerprint(cell, tiles, u.undelivered.sums(), &u.ledger);
+            let content = undelivered_fingerprint(&u.undelivered);
+            debug_assert_eq!(
+                content,
+                cvr_mcast::content_fingerprint(cell, tiles, u.undelivered.sums(), &u.ledger),
+                "mask-read fingerprint diverged from the ledger"
+            );
             self.keyed.push((
                 i,
                 GroupKey {
@@ -573,15 +578,17 @@ impl SlotPlanner {
     /// `quality` that the client is not believed to hold — what a frame
     /// at that quality must actually carry (retransmission suppression).
     pub fn manifest_into(&self, user: usize, quality: QualityLevel, out: &mut Vec<VideoId>) {
-        let u = self.user(user);
-        let cell = u.undelivered.cell().expect("targeted by push_user");
+        let undelivered = &self.user(user).undelivered;
+        let cell = undelivered.cell().expect("targeted by push_user");
+        let held = undelivered.delivered(quality.index());
         out.clear();
         out.extend(
-            u.undelivered
+            undelivered
                 .tiles()
                 .iter()
-                .map(|&t| VideoId::new(cell, t, quality))
-                .filter(|id| !u.ledger.is_delivered(id)),
+                .zip(held)
+                .filter(|&(_, &held)| !held)
+                .map(|(&t, _)| VideoId::new(cell, t, quality)),
         );
     }
 }
@@ -592,6 +599,7 @@ mod tests {
     use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
     use cvr_lookahead::DegradeConfig;
     use cvr_motion::pose::{Orientation, Vec3};
+    use proptest::prelude::*;
 
     fn planner(horizon: usize) -> SlotPlanner {
         SlotPlanner::new(
@@ -816,6 +824,70 @@ mod tests {
             full,
             "nothing is suppressed for the newcomer"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn mask_reads_equal_ledger_probes_under_random_feedback(
+            // Per step: a gaze (yaw, pitch) and an x within ±1 cell that may move
+            // the FoV target, then ACKs and releases as `(cell dx, tile,
+            // quality, ack?)` — cells the user never targeted, untargeted
+            // tiles and quality 7 (above the six-level ladder) included, as
+            // a hostile client would send them.
+            steps in prop::collection::vec(
+                (
+                    (-180.0f64..180.0, -80.0f64..80.0, -0.07f64..0.07),
+                    prop::collection::vec((-1i32..=1, 0u8..4, 1u8..=7, proptest::bool::ANY), 0..10),
+                ),
+                1..24,
+            ),
+        ) {
+            let mut p = planner(1);
+            p.join(0);
+            let mut manifest = Vec::new();
+            for (slot, ((yaw, pitch, dx), feedback)) in steps.into_iter().enumerate() {
+                let pose = Pose::new(Vec3::new(dx, 1.6, 0.2), Orientation::new(yaw, pitch, 0.0));
+                p.begin_slot(slot as u64, 400.0);
+                // Groupable, so debug builds also run push_user's own
+                // fingerprint cross-check.
+                p.push_user(0, &pose, 50.0, true);
+                let here = p.user(0).undelivered.cell().expect("just targeted");
+                for (cell_dx, tile, quality, ack) in feedback {
+                    let cell = CellId { x: here.x + cell_dx, z: here.z };
+                    let id = VideoId::new(cell, TileId::new(tile), QualityLevel::new(quality));
+                    if ack {
+                        p.acknowledge(0, [id]);
+                    } else {
+                        p.release(0, [id]);
+                    }
+                    let u = p.user(0);
+                    u.undelivered.assert_matches_ledger(&u.ledger);
+                    prop_assert_eq!(
+                        undelivered_fingerprint(&u.undelivered),
+                        cvr_mcast::content_fingerprint(
+                            here,
+                            u.undelivered.tiles(),
+                            u.undelivered.sums(),
+                            &u.ledger,
+                        )
+                    );
+                    for l in 1..=p.levels as u8 {
+                        let q = QualityLevel::new(l);
+                        p.manifest_into(0, q, &mut manifest);
+                        let probed: Vec<VideoId> = u
+                            .undelivered
+                            .tiles()
+                            .iter()
+                            .map(|&t| VideoId::new(here, t, q))
+                            .filter(|id| !u.ledger.is_delivered(id))
+                            .collect();
+                        prop_assert_eq!(&manifest, &probed);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

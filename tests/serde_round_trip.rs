@@ -308,3 +308,60 @@ fn pose_components_serialize_nested() {
     let orientation = mini::field(&v, "orientation");
     assert_eq!(mini::as_f64(mini::field(orientation, "yaw")), 30.0);
 }
+
+/// Reads a serialized `[f64; N]` / `VecDeque<f64>` field back out.
+fn f64_seq(v: &mini::Value) -> Vec<f64> {
+    match v {
+        mini::Value::Seq(items) => items.iter().map(mini::as_f64).collect(),
+        other => panic!("not a sequence: {other:?}"),
+    }
+}
+
+#[test]
+fn predictor_serializes_the_fit_its_predictions_evaluate() {
+    // The per-axis fit is state, not a cache the serialized form may drop:
+    // a predictor restored from the value tree must predict the same bits
+    // without seeing another pose. Rebuild every prediction from the
+    // serialized fields alone and compare with the live predictor.
+    let mut p = LinearPredictor::new(5);
+    for t in 0..9 {
+        let t = f64::from(t);
+        p.observe(&Pose::new(
+            Vec3::new(0.07 * t + 0.002 * t * t, 1.6, -0.04 * t),
+            // Crosses the ±180° seam, so the serialized yaw history is the
+            // unwrapped one the fit was taken over.
+            Orientation::new(
+                150.0 + 9.0 * t - 360.0 * f64::from(t > 3.0),
+                3.0 * t,
+                0.5 * t,
+            ),
+        ));
+        let v = mini::to_value(&p);
+        let slope = f64_seq(mini::field(&v, "slope"));
+        let intercept = f64_seq(mini::field(&v, "intercept"));
+        let observed = match mini::field(&v, "history") {
+            mini::Value::Seq(axes) => f64_seq(&axes[0]).len(),
+            other => panic!("history not a sequence: {other:?}"),
+        };
+        assert_eq!(observed, p.observed());
+        for horizon in [0.0, 1.0, 2.5, -1.25, 7.0] {
+            let Some(live) = p.predict_fractional(horizon) else {
+                assert!(observed < 2);
+                continue;
+            };
+            let at = observed as f64 - 1.0 + horizon;
+            let mut restored = [0.0f64; 6];
+            for axis in 0..6 {
+                restored[axis] = slope[axis] * at + intercept[axis];
+            }
+            restored[3] = collaborative_vr::motion::pose::wrap_degrees(restored[3]);
+            restored[4] = restored[4].clamp(-90.0, 90.0);
+            restored[5] = restored[5].clamp(-90.0, 90.0);
+            assert_eq!(
+                live.components().map(f64::to_bits),
+                restored.map(f64::to_bits),
+                "observation {t} horizon {horizon}"
+            );
+        }
+    }
+}
