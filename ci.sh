@@ -7,6 +7,7 @@
 #   ./ci.sh quick            # every stage, skipping the slow ignored tests
 #   ./ci.sh <stage>...       # test | determinism | net-scenarios |
 #                            # serve-smoke | bench-gate | benchmark-build
+#   ./ci.sh loc              # report only, never fails: Rust line counts
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -156,6 +157,33 @@ stage_benchmark_build() {
     bash benchmark/run.sh --workload lecture32_mcast_h4 --trace 1 --seconds 2
 }
 
+stage_loc() {
+    step "Rust lines: non-test (above a file's first #[cfg(test)]) and all"
+    # The one agreed count for ROADMAP's "fewer lines at the end of the
+    # round" target and for each PR's CHANGES entry. Non-test lines are
+    # counted in crates/*/src and src only; tests/, benches/ and examples/
+    # directories add to the second column alone.
+    find crates src tests examples -name '*.rs' | sort | xargs awk '
+        FNR == 1 {
+            in_tests = 0
+            split(FILENAME, part, "/")
+            group = part[1] == "crates" ? "crates/" part[2] : part[1]
+            counts = part[1] == "src" || (part[1] == "crates" && part[3] == "src")
+            if (!(group in all)) { order[++groups] = group; non_test[group] = 0 }
+        }
+        /^[ \t]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        { all[group]++; if (counts && !in_tests) non_test[group]++ }
+        END {
+            printf "%-18s %9s %9s\n", "", "non-test", "all"
+            for (g = 1; g <= groups; g++) {
+                group = order[g]
+                printf "%-18s %9d %9d\n", group, non_test[group], all[group]
+                sum_non_test += non_test[group]; sum_all += all[group]
+            }
+            printf "%-18s %9d %9d\n", "total", sum_non_test, sum_all
+        }'
+}
+
 run_stage() {
     case "$1" in
         test) stage_test ;;
@@ -164,8 +192,9 @@ run_stage() {
         serve-smoke) stage_serve_smoke ;;
         bench-gate) stage_bench_gate ;;
         benchmark-build) stage_benchmark_build ;;
+        loc) stage_loc ;;
         *)
-            echo "unknown stage '$1' (stages: ${STAGES[*]}; or 'quick', or nothing for all)" >&2
+            echo "unknown stage '$1' (stages: ${STAGES[*]} loc; or 'quick', or nothing for all)" >&2
             exit 2
             ;;
     esac

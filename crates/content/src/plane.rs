@@ -1,13 +1,10 @@
-//! The build-stage data plane: caches for the static content facts the
-//! per-slot problem build used to re-derive from scratch every slot.
-//!
-//! Tile sizes are a deterministic function of `(cell, tile, quality)` and
-//! FoV tile sets are piecewise-constant in the pose, so the hot path can
-//! materialise both once and reuse them:
+//! The build-stage data plane: the static content facts the per-slot
+//! problem build reads, each derived in exactly one place.
 //!
 //! * [`RatePlane`] — per-cell rate rows, stored **level-major** (entry
 //!   `l * TileId::COUNT + t`) so the per-level folds the staging kernels
-//!   run every slot read contiguous memory. The first touch of a cell
+//!   run every slot read contiguous memory. Tile sizes are a deterministic
+//!   function of `(cell, tile, quality)`, so the first touch of a cell
 //!   runs [`TileSizeModel::tile_rate_row`] for all four tiles (one
 //!   complexity hash per `(cell, tile)` *ever* while the cell stays
 //!   resident) through a transposing writer, behind a small LRU of
@@ -15,15 +12,13 @@
 //!   freelist. Every entry is bit-identical to the fresh `tile_rate_row`
 //!   value, so builds reading the plane stay bit-identical to builds
 //!   hashing per slot.
-//! * [`SharedFovCache`] — one visible-tile set per quantised-orientation
-//!   bucket, shared by every user of a session. Tile membership is
-//!   position-independent (the panorama sphere is per-cell but the tile
-//!   cut depends only on where the user looks), so position never keys
-//!   the cache. The quantisation is only enabled for FoV specs whose
-//!   tile-membership breakpoints provably align with the bucket quantum
-//!   (the paper default does); for any other spec the cache disables
-//!   itself and recomputes every query, so a hit can never change the
-//!   tile set.
+//! * [`SharedFovCache`] — a session's FoV tile sets and the
+//!   quantised-orientation key multicast groups on. It stores no tile
+//!   set: since the one-pass tile test a recompute
+//!   ([`tiles_for_pose_into`]) costs what a map probe did, so every query
+//!   recomputes into one scratch buffer. What it adds to the bare function
+//!   is [`SharedFovCache::key_for`], under which equal keys mean equal
+//!   tile sets.
 
 use std::collections::HashMap;
 
@@ -68,8 +63,6 @@ pub struct RatePlane {
     free: Vec<Box<[f64]>>,
     /// Tile-major scratch row the transposing writer fills per tile.
     scratch: Vec<f64>,
-    /// Gather buffer backing [`RatePlane::row`].
-    gather: Vec<f64>,
     hits: u64,
     misses: u64,
     recycled: u64,
@@ -92,7 +85,6 @@ impl RatePlane {
             cells: HashMap::new(),
             free: Vec::new(),
             scratch: vec![0.0; levels],
-            gather: Vec::with_capacity(levels),
             hits: 0,
             misses: 0,
             recycled: 0,
@@ -177,21 +169,6 @@ impl RatePlane {
         &entry.rows
     }
 
-    /// The rate row of one tile of `cell` (length `levels`), gathered
-    /// from the level-major table — bit-identical to
-    /// [`TileSizeModel::tile_rate_row`] into an exactly-`levels` slice.
-    pub fn row(&mut self, cell: CellId, tile: TileId) -> &[f64] {
-        let levels = self.levels;
-        let count = usize::from(TileId::COUNT);
-        let t = usize::from(tile.get());
-        let mut gather = std::mem::take(&mut self.gather);
-        gather.clear();
-        let rows = self.rows(cell);
-        gather.extend((0..levels).map(|l| rows[l * count + t]));
-        self.gather = gather;
-        &self.gather
-    }
-
     /// Evicts the least-recently-touched half of the resident cells (at
     /// least one cell). One `O(n log n)` pass buys room for `n / 2`
     /// further misses, so the amortised per-miss cost stays logarithmic.
@@ -226,9 +203,8 @@ impl RatePlane {
 pub type OrientationKey = (i64, i64);
 
 /// Guard band around bucket boundaries, as a fraction of the quantum:
-/// poses this close to a breakpoint recompute instead of trusting the
-/// bucket (floating-point rounding can shift the effective breakpoint by
-/// a few ulps).
+/// poses this close to a breakpoint have no key (floating-point rounding
+/// can shift the effective breakpoint by a few ulps).
 const BOUNDARY_GUARD: f64 = 1e-6;
 
 /// Pitch key for poses clamped at the poles: every such pose feeds the
@@ -287,20 +263,8 @@ fn bucket(v: f64, q: f64) -> Option<i64> {
     Some(floor as i64)
 }
 
-/// Default number of resident orientation buckets in a
-/// [`SharedFovCache`] — a classroom's worth of distinct gaze directions.
-pub const DEFAULT_SHARED_FOV_BUCKETS: usize = 256;
-
-/// One materialised orientation bucket of a [`SharedFovCache`].
-#[derive(Debug, Clone)]
-struct SharedBucket {
-    tiles: Vec<TileId>,
-    last_touch: u64,
-}
-
-/// Session-scope FoV tile-set cache shared by every co-located user: a
-/// bounded LRU map from [`OrientationKey`] to tile set, so N users
-/// staring at the same whiteboard materialise its tile set once.
+/// A session's FoV tile sets, plus the orientation-bucket key under which
+/// co-gazing users may share one.
 ///
 /// Tile membership ([`tiles_for_pose`](crate::tile::tiles_for_pose)) is a
 /// function of orientation alone — position picks the cell whose panorama
@@ -310,159 +274,60 @@ struct SharedBucket {
 /// boundary. For the paper-default FoV (90° + 15° margin → 60° half
 /// extents) every such breakpoint is an exact multiple of the sampling
 /// step `half_w / 8 = 7.5°`, so bucketing orientations by that quantum is
-/// exact: all poses in one bucket's interior share one tile set,
-/// bit-identical to `tiles_for_pose`. Poses within a guard band of a
-/// bucket boundary — and every pose when the spec's breakpoints do not
-/// align with the quantum — bypass the cache and recompute into a scratch
-/// buffer, so a hit can never return a wrong tile set.
+/// exact: all poses in one bucket's interior share one tile set. Poses
+/// within a guard band of a bucket boundary — and every pose when the
+/// spec's breakpoints do not align with the quantum — have no key.
+///
+/// Nothing is stored per bucket: [`SharedFovCache::tiles_for`] recomputes
+/// every query (the name outlived the bucket map it used to keep).
 #[derive(Debug, Clone)]
 pub struct SharedFovCache {
     spec: FovSpec,
-    /// Bucket quantum in degrees; `None` disables bucket sharing.
+    /// Bucket quantum in degrees; `None` when no pose of this spec can be
+    /// keyed.
     quantum: Option<f64>,
-    capacity: usize,
-    clock: u64,
-    buckets: HashMap<OrientationKey, SharedBucket>,
-    /// Evicted tile vectors awaiting reuse (bounded by `capacity`).
-    free: Vec<Vec<TileId>>,
     scratch: Vec<TileId>,
-    hits: u64,
-    misses: u64,
-    recycled: u64,
+    calls: u64,
 }
 
 impl SharedFovCache {
-    /// Creates a shared cache for `spec` with the default bucket budget,
-    /// enabling bucket reuse only when the quantum is provably exact.
+    /// Creates the tile-set source for `spec`, keying orientations only
+    /// when the quantum is provably exact.
     pub fn new(spec: FovSpec) -> Self {
-        SharedFovCache::with_capacity(spec, DEFAULT_SHARED_FOV_BUCKETS)
-    }
-
-    /// Creates a shared cache holding at most `capacity` buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(spec: FovSpec, capacity: usize) -> Self {
-        assert!(capacity > 0, "shared fov cache capacity must be positive");
         SharedFovCache {
             spec,
             quantum: exact_quantum(&spec),
-            capacity,
-            clock: 0,
-            buckets: HashMap::new(),
-            free: Vec::new(),
             scratch: Vec::with_capacity(usize::from(TileId::COUNT)),
-            hits: 0,
-            misses: 0,
-            recycled: 0,
+            calls: 0,
         }
     }
 
-    /// Whether bucket reuse is enabled for this spec.
-    pub fn enabled(&self) -> bool {
-        self.quantum.is_some()
-    }
-
-    /// `(hits, misses)` counters; a miss recomputes one tile set.
+    /// `(hits, misses)` in the shape of [`RatePlane::stats`]: every
+    /// [`SharedFovCache::tiles_for`] call recomputes, so hits are 0.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of bucket misses served from a recycled (previously
-    /// evicted) tile vector instead of a fresh allocation.
-    pub fn recycled(&self) -> u64 {
-        self.recycled
-    }
-
-    /// Number of resident orientation buckets.
-    pub fn resident_buckets(&self) -> usize {
-        self.buckets.len()
+        (0, self.calls)
     }
 
     /// The orientation-bucket key of `pose`, or `None` when the pose
-    /// cannot be bucketed safely. Poses sharing a key provably share the
-    /// FoV tile set this cache returns for them.
+    /// cannot be bucketed safely. Poses sharing a key share their FoV
+    /// tile set.
     pub fn key_for(&self, pose: &Pose) -> Option<OrientationKey> {
         orientation_key_for(&self.spec, self.quantum?, pose)
     }
 
-    /// The FoV tile set for `pose`, identical to
-    /// `tiles_for_pose(&spec, pose)` — served from the shared bucket map
-    /// whenever any user has already materialised this orientation bucket.
+    /// The FoV tile set for `pose`: `tiles_for_pose(&spec, pose)`,
+    /// computed into a buffer reused across calls.
     pub fn tiles_for(&mut self, pose: &Pose) -> &[TileId] {
-        let Some(key) = self.key_for(pose) else {
-            self.misses += 1;
-            tiles_for_pose_into(&self.spec, pose, &mut self.scratch);
-            return &self.scratch;
-        };
-        self.clock += 1;
-        let clock = self.clock;
-        if !self.buckets.contains_key(&key) {
-            self.misses += 1;
-            if self.buckets.len() >= self.capacity {
-                self.evict_stale_half();
-            }
-            let mut tiles = match self.free.pop() {
-                Some(mut recycled) => {
-                    self.recycled += 1;
-                    recycled.clear();
-                    recycled
-                }
-                None => Vec::with_capacity(usize::from(TileId::COUNT)),
-            };
-            tiles_for_pose_into(&self.spec, pose, &mut tiles);
-            self.buckets.insert(
-                key,
-                SharedBucket {
-                    tiles,
-                    last_touch: clock,
-                },
-            );
-        } else {
-            self.hits += 1;
-        }
-        let entry = self.buckets.get_mut(&key).expect("just ensured");
-        entry.last_touch = clock;
-        #[cfg(debug_assertions)]
-        {
-            let mut fresh = Vec::new();
-            tiles_for_pose_into(&self.spec, pose, &mut fresh);
-            debug_assert_eq!(
-                fresh, entry.tiles,
-                "SharedFovCache bucket diverged from tiles_for_pose"
-            );
-        }
-        &entry.tiles
-    }
-
-    /// Evicts the least-recently-touched half of the resident buckets (at
-    /// least one), amortising eviction like [`RatePlane`]. Evicted tile
-    /// vectors are recycled through the freelist so bucket churn past the
-    /// first eviction never allocates.
-    fn evict_stale_half(&mut self) {
-        let mut touches: Vec<u64> = self.buckets.values().map(|e| e.last_touch).collect();
-        touches.sort_unstable();
-        let cutoff = touches[(touches.len() - 1) / 2];
-        let stale: Vec<OrientationKey> = self
-            .buckets
-            .iter()
-            .filter(|(_, e)| e.last_touch <= cutoff)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in stale {
-            if let Some(evicted) = self.buckets.remove(&key) {
-                if self.free.len() < self.capacity {
-                    self.free.push(evicted.tiles);
-                }
-            }
-        }
+        self.calls += 1;
+        tiles_for_pose_into(&self.spec, pose, &mut self.scratch);
+        &self.scratch
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tile::tests::with_ulps;
     use crate::tile::tiles_for_pose;
     use cvr_core::quality::QualityLevel;
     use cvr_motion::pose::{Orientation, Vec3};
@@ -478,17 +343,20 @@ mod tests {
     #[test]
     fn plane_rows_are_bit_identical_to_tile_rate_row() {
         let sizing = TileSizeModel::paper_default();
+        let count = usize::from(TileId::COUNT);
         let mut plane = RatePlane::new(sizing.clone(), 16);
         let mut fresh = vec![0.0f64; sizing.levels()];
         for x in -4..4 {
             for z in -4..4 {
+                let rows = plane.rows(cell(x, z));
                 for tile in TileId::all() {
-                    let row = plane.row(cell(x, z), tile).to_vec();
+                    let t = usize::from(tile.get());
                     sizing.tile_rate_row(cell(x, z), tile, &mut fresh);
-                    assert_eq!(row, fresh, "cell ({x},{z}) {tile}");
                     for l in 1..=sizing.levels() as u8 {
                         let q = QualityLevel::new(l);
-                        assert_eq!(row[q.index()], sizing.tile_rate_mbps(cell(x, z), tile, q));
+                        let rate = rows[q.index() * count + t];
+                        assert_eq!(rate, fresh[q.index()], "cell ({x},{z}) {tile} level {l}");
+                        assert_eq!(rate, sizing.tile_rate_mbps(cell(x, z), tile, q));
                     }
                 }
             }
@@ -536,27 +404,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_fov_cache_recycles_evicted_buckets() {
-        let spec = FovSpec::paper_default();
-        let mut shared = SharedFovCache::with_capacity(spec, 4);
-        let mut yaw = -170.0;
-        while yaw < 170.0 {
-            let p = pose(yaw, 3.0);
-            assert_eq!(shared.tiles_for(&p), tiles_for_pose(&spec, &p).as_slice());
-            yaw += 9.1;
-        }
-        assert!(
-            shared.recycled() > 0,
-            "bucket churn must reuse evicted tile vectors"
-        );
-    }
-
-    #[test]
     fn plane_hits_after_first_touch_and_counts() {
         let mut plane = RatePlane::new(TileSizeModel::paper_default(), 8);
         plane.rows(cell(0, 0));
         plane.rows(cell(0, 0));
-        plane.row(cell(0, 0), TileId::new(3));
+        plane.rows(cell(0, 0));
         assert_eq!(plane.stats(), (2, 1));
         assert_eq!(plane.resident_cells(), 1);
     }
@@ -591,134 +443,109 @@ mod tests {
         let _ = RatePlane::new(TileSizeModel::paper_default(), 0);
     }
 
-    #[test]
-    fn shared_fov_cache_matches_brute_force_across_orientation_sweep() {
-        let spec = FovSpec::paper_default();
+    /// Whether an axis value must, must not, or may have a bucket.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Keyed {
+        Yes,
+        No,
+        /// Within three ulps of a guard-band edge: rounding decides.
+        Either,
+    }
+
+    /// Axis samples around every multiple of `quantum` in
+    /// `-span..=span`: the breakpoint ± 3 ulps and the middle of the guard
+    /// band (no bucket), both edges of the band ± 3 ulps (either), and
+    /// points two guard widths out and deep in the bucket (bucketed).
+    fn axis_samples(quantum: f64, span: i32) -> Vec<(f64, Keyed)> {
+        let guard = BOUNDARY_GUARD * quantum;
+        let mut out = Vec::new();
+        for k in -span..=span {
+            let b = f64::from(k) * quantum;
+            out.extend(with_ulps(b).map(|v| (v, Keyed::No)));
+            for side in [-1.0, 1.0] {
+                out.push((b + side * 0.5 * guard, Keyed::No));
+                out.extend(with_ulps(b + side * guard).map(|v| (v, Keyed::Either)));
+                out.push((b + side * 2.0 * guard, Keyed::Yes));
+            }
+            out.extend([(b + 3.1, Keyed::Yes), (b + 5.9, Keyed::Yes)]);
+        }
+        out
+    }
+
+    /// `key_for(a) == key_for(b)` ⇒ `tiles_for_pose(a) == tiles_for_pose(b)`
+    /// is what `GroupKey.orientation` relies on; nothing checks it at run
+    /// time, so this sweep does: every 7.5° breakpoint and guard-band edge
+    /// ± 3 ulps, the ±180° seam and beyond, the ±90° pole clamp.
+    fn assert_one_tile_set_per_key(spec: FovSpec, aligned: bool) {
         let mut cache = SharedFovCache::new(spec);
-        // Dense sweep including breakpoint-adjacent values and pole
-        // clamps; every returned set must equal the brute-force one.
-        let mut yaw = -200.0;
-        while yaw < 200.0 {
-            let mut pitch = -100.0;
-            while pitch <= 100.0 {
+        let yaws = axis_samples(7.5, 24);
+        let mut pitches = axis_samples(7.5, 12);
+        pitches.extend([95.0, 200.0, -95.0, -1e3].map(|v| (v, Keyed::Yes)));
+        for (pitch, keyed) in &mut pitches {
+            // Clamped poses all feed ±90° into the membership test.
+            if pitch.abs() >= 90.0 {
+                *keyed = Keyed::Yes;
+            }
+        }
+        let mut sets: HashMap<OrientationKey, Vec<TileId>> = HashMap::new();
+        for &(yaw, yaw_keyed) in &yaws {
+            for &(pitch, pitch_keyed) in &pitches {
                 let p = pose(yaw, pitch);
-                let cached = cache.tiles_for(&p).to_vec();
-                assert_eq!(cached, tiles_for_pose(&spec, &p), "yaw {yaw} pitch {pitch}");
-                // Repeat query must hit (same bucket) unless bypassed.
-                let again = cache.tiles_for(&p).to_vec();
-                assert_eq!(again, cached);
-                pitch += 3.1;
-            }
-            yaw += 3.7;
-        }
-        assert!(
-            cache.stats().0 > 0,
-            "sweep should produce repeat-query hits"
-        );
-    }
-
-    #[test]
-    fn shared_fov_cache_misses_on_bucket_crossings_only() {
-        let mut cache = SharedFovCache::new(FovSpec::paper_default());
-        let p = pose(90.0 + 1.0, 0.0 + 1.0);
-        cache.tiles_for(&p);
-        let (h0, m0) = cache.stats();
-        // Same bucket: hit.
-        cache.tiles_for(&pose(92.0, 1.2));
-        assert_eq!(cache.stats(), (h0 + 1, m0));
-        // Position changes do not key the cache: membership depends on
-        // orientation alone, so a moved user in the same bucket hits.
-        cache.tiles_for(&Pose::new(
-            Vec3::new(5.0, 1.7, -5.0),
-            Orientation::new(92.0, 1.2, 0.0),
-        ));
-        assert_eq!(cache.stats(), (h0 + 2, m0));
-        // Orientation bucket crossing (yaw bucket changes): miss.
-        cache.tiles_for(&pose(99.0, 1.2));
-        assert_eq!(cache.stats(), (h0 + 2, m0 + 1));
-    }
-
-    #[test]
-    fn shared_fov_cache_pole_poses_share_a_bucket() {
-        let spec = FovSpec::paper_default();
-        let mut cache = SharedFovCache::new(spec);
-        let a = pose(40.0, 95.0);
-        let b = pose(40.0, 200.0);
-        let first = cache.tiles_for(&a).to_vec();
-        let second = cache.tiles_for(&b).to_vec();
-        assert_eq!(first, tiles_for_pose(&spec, &a));
-        assert_eq!(second, tiles_for_pose(&spec, &b));
-        assert_eq!(cache.stats().0, 1, "clamped poses share the pole bucket");
-    }
-
-    #[test]
-    fn shared_fov_cache_matches_brute_force_for_interleaved_users() {
-        let spec = FovSpec::paper_default();
-        let mut shared = SharedFovCache::new(spec);
-        assert!(shared.enabled());
-        // Three "users" staring near the same target, queried interleaved:
-        // every answer must equal brute force, and the second user onward
-        // must hit the bucket the first user materialised.
-        let gazes = [(31.0, 4.0), (32.5, 5.5), (33.9, 3.1)];
-        for round in 0..3 {
-            for (i, (yaw, pitch)) in gazes.iter().enumerate() {
-                let p = pose(*yaw, *pitch);
-                assert_eq!(
-                    shared.tiles_for(&p),
-                    tiles_for_pose(&spec, &p).as_slice(),
-                    "round {round} user {i}"
-                );
+                let tiles = tiles_for_pose(&spec, &p);
+                assert_eq!(cache.tiles_for(&p), tiles, "yaw {yaw:?} pitch {pitch:?}");
+                let key = cache.key_for(&p);
+                let expected = match (yaw_keyed, pitch_keyed) {
+                    _ if !aligned => Keyed::No,
+                    (Keyed::No, _) | (_, Keyed::No) => Keyed::No,
+                    (Keyed::Yes, Keyed::Yes) => Keyed::Yes,
+                    _ => Keyed::Either,
+                };
+                match expected {
+                    Keyed::Yes => assert!(key.is_some(), "yaw {yaw:?} pitch {pitch:?}"),
+                    Keyed::No => assert_eq!(key, None, "yaw {yaw:?} pitch {pitch:?}"),
+                    Keyed::Either => {}
+                }
+                if let Some(key) = key {
+                    let set = sets.entry(key).or_insert_with(|| tiles.clone());
+                    assert_eq!(*set, tiles, "key {key:?} yaw {yaw:?} pitch {pitch:?}");
+                }
             }
         }
-        let (hits, misses) = shared.stats();
-        assert_eq!(misses, 1, "one bucket materialisation serves all users");
-        assert_eq!(hits, 8);
-    }
-
-    #[test]
-    fn shared_fov_cache_key_equality_implies_tile_equality() {
-        let spec = FovSpec::paper_default();
-        let mut shared = SharedFovCache::new(spec);
-        let a = pose(91.0, 2.0);
-        let b = pose(93.5, 6.0);
-        if shared.key_for(&a) == shared.key_for(&b) && shared.key_for(&a).is_some() {
-            assert_eq!(shared.tiles_for(&a).to_vec(), shared.tiles_for(&b));
+        if aligned {
+            let distinct: std::collections::HashSet<_> = sets.values().collect();
+            assert!(sets.len() > 1000 && distinct.len() > 4, "sweep too thin");
+        } else {
+            assert!(sets.is_empty());
         }
-        // Breakpoint poses have no key and recompute via scratch.
-        let bp = pose(7.5, 0.1);
-        let hits = shared.stats().0;
-        assert_eq!(shared.key_for(&bp), None);
-        assert_eq!(shared.tiles_for(&bp), tiles_for_pose(&spec, &bp).as_slice());
-        assert_eq!(shared.tiles_for(&bp), tiles_for_pose(&spec, &bp).as_slice());
-        assert_eq!(shared.stats().0, hits, "breakpoint pose must not hit");
+        assert_eq!(cache.stats(), (0, (yaws.len() * pitches.len()) as u64));
     }
 
     #[test]
-    fn shared_fov_cache_bucket_budget_is_respected_under_churn() {
-        let spec = FovSpec::paper_default();
-        let mut shared = SharedFovCache::with_capacity(spec, 4);
-        let mut yaw = -170.0;
-        while yaw < 170.0 {
-            let p = pose(yaw, 3.0);
-            assert_eq!(shared.tiles_for(&p), tiles_for_pose(&spec, &p).as_slice());
-            assert!(shared.resident_buckets() <= 4);
-            yaw += 9.1;
-        }
+    fn equal_orientation_keys_see_equal_tile_sets_for_the_paper_spec() {
+        assert_one_tile_set_per_key(FovSpec::paper_default(), true);
     }
 
     #[test]
-    fn shared_fov_cache_disabled_spec_always_recomputes() {
+    fn a_spec_off_the_quantum_keys_no_pose() {
         let spec = FovSpec {
             width_deg: 100.0,
             ..FovSpec::paper_default()
         };
-        let mut shared = SharedFovCache::new(spec);
-        assert!(!shared.enabled());
-        for (yaw, pitch) in [(0.0, 0.0), (90.0, 30.0), (90.0, 30.0)] {
-            let p = pose(yaw, pitch);
-            assert_eq!(shared.key_for(&p), None);
-            assert_eq!(shared.tiles_for(&p), tiles_for_pose(&spec, &p).as_slice());
-        }
-        assert_eq!(shared.stats().0, 0, "disabled shared cache never hits");
+        assert_one_tile_set_per_key(spec, false);
+    }
+
+    #[test]
+    fn poles_and_positions_do_not_split_a_key() {
+        let cache = SharedFovCache::new(FovSpec::paper_default());
+        // Clamped pitches share the pole bucket even though ±90° is a
+        // breakpoint.
+        let pole = cache.key_for(&pose(40.0, 95.0));
+        assert!(pole.is_some());
+        assert_eq!(pole, cache.key_for(&pose(40.0, 200.0)));
+        assert_ne!(pole, cache.key_for(&pose(40.0, -95.0)));
+        // Membership depends on orientation alone: position never keys.
+        let moved = Pose::new(Vec3::new(5.0, 1.7, -5.0), Orientation::new(92.0, 1.2, 0.0));
+        assert_eq!(cache.key_for(&moved), cache.key_for(&pose(92.0, 1.2)));
+        assert_ne!(cache.key_for(&moved), cache.key_for(&pose(99.0, 1.2)));
     }
 }

@@ -119,7 +119,7 @@ pub fn tiles_for_pose_into(spec: &FovSpec, pose: &Pose, out: &mut Vec<TileId>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cvr_motion::pose::{Orientation, Vec3};
 
@@ -237,7 +237,7 @@ mod tests {
     }
 
     /// `x` and its neighbours up to three ulps either side.
-    fn with_ulps(x: f64) -> [f64; 7] {
+    pub(crate) fn with_ulps(x: f64) -> [f64; 7] {
         let (mut lo, mut hi) = (x, x);
         let mut out = [x; 7];
         for k in 1..=3 {

@@ -109,7 +109,7 @@ proptest! {
         prop_assert_eq!(buffer.len() + total_released, insertions);
     }
 
-    // The whole cached build-stage data plane — FoV request cache, rate
+    // The whole cached build-stage data plane — FoV tile sets, rate
     // plane, incremental undelivered sums — must stay *bit*-identical to
     // a brute-force rebuild at every step of a random walk that crosses
     // cells, crosses orientation buckets, and interleaves ACKs (including
@@ -193,7 +193,7 @@ proptest! {
         }
     }
 
-    // The session-scope shared FoV cache must give *every* interleaved
+    // The session-scope FoV tile-set source must give *every* interleaved
     // user the brute-force tile set and — whenever two users share a
     // key — hand both the identical set (the property multicast group
     // keying relies on).
@@ -206,8 +206,7 @@ proptest! {
         ),
     ) {
         let spec = FovSpec::paper_default();
-        // Tiny bucket budget so walks exercise eviction and re-entry.
-        let mut shared = SharedFovCache::with_capacity(spec, 4);
+        let mut shared = SharedFovCache::new(spec);
         let mut poses = starts;
         for step in steps {
             let mut keyed: Vec<(i64, i64, Vec<TileId>)> = Vec::new();
@@ -265,12 +264,6 @@ proptest! {
                     t,
                     l + 1
                 );
-            }
-            // The legacy per-tile view gathers the same bits back out of
-            // the level-major storage.
-            let gathered = plane.row(cell, tile).to_vec();
-            for l in 0..levels {
-                prop_assert_eq!(gathered[l].to_bits(), fresh[l].to_bits());
             }
         }
     }

@@ -15,9 +15,10 @@
 //! crate-internal `PassProblem` view), so its assignments are bit-identical
 //! to the allocating path — a property pinned by property tests.
 //!
-//! Each stage of a slot is wrapped in a [`StageClock`]: the engine times
-//! its own density and value passes, and the live server records its
-//! problem build into the same [`EngineTimers`].
+//! The engine times its own density and value passes and keeps only the
+//! last solve's two durations ([`SlotEngine::density_ns`],
+//! [`SlotEngine::value_ns`]); whoever wants a record over slots (the live
+//! server's stage histograms) reads them after each solve.
 //!
 //! ```
 //! use cvr_core::engine::SlotEngine;
@@ -32,7 +33,7 @@
 //! ```
 
 use std::collections::BinaryHeap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::alloc::greedy_internal::{greedy_pass_into, Candidate, PassProblem, Score};
 use crate::error::AllocError;
@@ -48,75 +49,6 @@ pub struct UserTables<'a> {
     pub rates: &'a mut [f64],
     /// Per-level objective values `h_n` (index 0 = level 1).
     pub values: &'a mut [f64],
-}
-
-/// Accumulates the duration of one named hot-path stage across slots.
-#[derive(Debug, Clone, Default)]
-pub struct StageClock {
-    samples_ns: Vec<u64>,
-}
-
-impl StageClock {
-    /// Records one stage execution.
-    pub fn record(&mut self, elapsed: Duration) {
-        self.samples_ns.push(elapsed.as_nanos() as u64);
-    }
-
-    /// Records one stage execution from a raw nanosecond measurement —
-    /// for callers (like the live server runtime) that time stages with
-    /// their own clocks instead of a [`Duration`].
-    pub fn record_ns(&mut self, elapsed_ns: u64) {
-        self.samples_ns.push(elapsed_ns);
-    }
-
-    /// The raw per-slot samples, in nanoseconds, in recording order.
-    pub fn samples_ns(&self) -> &[u64] {
-        &self.samples_ns
-    }
-
-    /// Number of recorded executions.
-    pub fn count(&self) -> usize {
-        self.samples_ns.len()
-    }
-
-    /// Total recorded time in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.samples_ns.iter().sum()
-    }
-
-    /// The most recent sample, in nanoseconds — lets per-slot observers
-    /// (metrics histograms) pick up an engine-internal stage measurement
-    /// right after a `solve` without scanning the whole sample vector.
-    pub fn last_ns(&self) -> Option<u64> {
-        self.samples_ns.last().copied()
-    }
-
-    /// Discards all samples.
-    pub fn clear(&mut self) {
-        self.samples_ns.clear();
-    }
-}
-
-/// Per-stage timing of the slot hot path: problem build and the two
-/// greedy passes. The engine populates `density` and `value`; the loop
-/// owning the engine records `build` around its own staging work.
-#[derive(Debug, Clone, Default)]
-pub struct EngineTimers {
-    /// Building the slot problem (rate/value tables) into the engine.
-    pub build: StageClock,
-    /// The density-greedy pass, including its objective evaluation.
-    pub density: StageClock,
-    /// The value-greedy pass, including its objective evaluation.
-    pub value: StageClock,
-}
-
-impl EngineTimers {
-    /// Discards all samples from every stage.
-    pub fn clear(&mut self) {
-        self.build.clear();
-        self.density.clear();
-        self.value.clear();
-    }
 }
 
 /// Borrowed view of the staged tables, presenting the `PassProblem`
@@ -179,7 +111,8 @@ pub struct SlotEngine {
     assignment: Vec<QualityLevel>,
     density_value: f64,
     value_value: f64,
-    timers: EngineTimers,
+    density_ns: u64,
+    value_ns: u64,
 }
 
 impl SlotEngine {
@@ -307,15 +240,16 @@ impl SlotEngine {
         self.value_value
     }
 
-    /// The per-stage timing accumulated so far.
-    pub fn timers(&self) -> &EngineTimers {
-        &self.timers
+    /// Wall-clock nanoseconds the density pass (with its objective
+    /// evaluation) took in the most recent solve that ran one.
+    pub fn density_ns(&self) -> u64 {
+        self.density_ns
     }
 
-    /// Mutable access to the stage timers, for the loop owning the
-    /// engine to record its build stage.
-    pub fn timers_mut(&mut self) -> &mut EngineTimers {
-        &mut self.timers
+    /// Wall-clock nanoseconds the value pass (with its objective
+    /// evaluation) took in the most recent solve that ran one.
+    pub fn value_ns(&self) -> u64 {
+        self.value_ns
     }
 
     /// Stores an externally computed assignment (the fallback path for
@@ -412,12 +346,12 @@ impl SlotEngine {
             &mut self.density_levels,
         );
         let density_value = view.objective(&self.density_levels);
-        self.timers.density.record(start.elapsed());
+        self.density_ns = start.elapsed().as_nanos() as u64;
 
         let start = Instant::now();
         greedy_pass_into(&view, Score::Value, &mut self.heap, &mut self.value_levels);
         let value_value = view.objective(&self.value_levels);
-        self.timers.value.record(start.elapsed());
+        self.value_ns = start.elapsed().as_nanos() as u64;
 
         // `max(V_d, V_v)`, density preferred on ties exactly like
         // `GreedyOutcome::best`.
@@ -449,13 +383,14 @@ impl SlotEngine {
         let start = Instant::now();
         greedy_pass_into(&view, score, &mut self.heap, &mut self.density_levels);
         let objective = view.objective(&self.density_levels);
+        let elapsed_ns = start.elapsed().as_nanos() as u64;
         match score {
             Score::Density => {
-                self.timers.density.record(start.elapsed());
+                self.density_ns = elapsed_ns;
                 self.density_value = objective;
             }
             Score::Value => {
-                self.timers.value.record(start.elapsed());
+                self.value_ns = elapsed_ns;
                 self.value_value = objective;
             }
         }
@@ -593,17 +528,28 @@ mod tests {
     }
 
     #[test]
-    fn timers_accumulate_per_solve() {
+    fn each_solve_overwrites_the_pass_durations_it_ran() {
         let p = problem(vec![user(&[1.0, 2.0], &[0.5, 1.0], 5.0)], 5.0);
         let mut engine = SlotEngine::new();
-        for _ in 0..4 {
+        // Sentinels no real pass over one user can take: a duration that
+        // accumulated instead of being overwritten would stay above them.
+        let stale = u64::MAX / 2;
+        let restage = |engine: &mut SlotEngine| {
+            engine.density_ns = stale;
+            engine.value_ns = stale;
             engine.stage_problem(&p);
-            engine.solve();
-        }
-        assert_eq!(engine.timers().density.count(), 4);
-        assert_eq!(engine.timers().value.count(), 4);
-        engine.timers_mut().clear();
-        assert_eq!(engine.timers().density.count(), 0);
+        };
+        restage(&mut engine);
+        engine.solve();
+        assert!(engine.density_ns() < stale && engine.value_ns() < stale);
+        restage(&mut engine);
+        engine.solve_density();
+        assert!(engine.density_ns() < stale);
+        assert_eq!(engine.value_ns(), stale, "no value pass ran");
+        restage(&mut engine);
+        engine.solve_value();
+        assert!(engine.value_ns() < stale);
+        assert_eq!(engine.density_ns(), stale, "no density pass ran");
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub mod prelude {
     };
     pub use crate::baselines::{FireflyLru, Pavq};
     pub use crate::delay::{DelayModel, Mm1Delay, TabulatedDelay};
-    pub use crate::engine::{EngineTimers, SlotEngine, StageClock};
+    pub use crate::engine::SlotEngine;
     pub use crate::error::{AllocError, ModelError};
     pub use crate::objective::{QoeParams, SlotProblem, SlotProblemBuilder, UserSlot, RATE_EPS};
     pub use crate::offline::{exact_slot_optimum, fractional_upper_bound, ExactSolution};

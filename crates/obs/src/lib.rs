@@ -17,10 +17,8 @@
 //!   join/leave/degrade, queue drops, protocol errors) with per-event-kind
 //!   sampling and JSONL export. A disabled tracer costs one branch per
 //!   call site, so the sim hot path pays ~nothing.
-//! - [`stage`] — the [`StageStats`] latency summary shared by the
-//!   simulators, the live server, and the benches. It lives here (not in
-//!   `cvr-sim`) so runtime crates don't pull in a simulator just for a
-//!   timing struct; `cvr_sim::metrics` re-exports it for compatibility.
+//! - [`stage`] — the [`StageStats`] latency summary the live server's
+//!   reports print, read out of a stage's latency [`Histogram`].
 //!
 //! ## Determinism rules
 //!

@@ -1,16 +1,11 @@
 //! [`StageStats`] — the workspace's shared hot-path latency summary.
-//!
-//! Historically this lived in `cvr_sim::metrics`, which forced runtime
-//! crates (the live server, harnesses) to depend on a simulator just for a
-//! timing struct. It now lives here; `cvr_sim::metrics` re-exports it so
-//! existing paths keep compiling.
 
 use serde::{Deserialize, Serialize};
 
 use crate::hist::Histogram;
 
-/// Latency summary of one hot-path stage across a run's slots, derived
-/// from a [`StageClock`](cvr_core::engine::StageClock)'s raw samples.
+/// Latency summary of one hot-path stage across a run's slots, read out
+/// of the stage's nanosecond [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StageStats {
     /// Number of recorded executions.
@@ -19,58 +14,18 @@ pub struct StageStats {
     pub total_ms: f64,
     /// Mean execution time, in microseconds.
     pub mean_us: f64,
-    /// Median (p50) execution time, in microseconds (nearest-rank).
+    /// Median (p50) execution time, in microseconds (bucket-interpolated).
     pub p50_us: f64,
-    /// 99th-percentile execution time, in microseconds (nearest-rank).
+    /// 99th-percentile execution time, in microseconds
+    /// (bucket-interpolated).
     pub p99_us: f64,
 }
 
 impl StageStats {
-    /// Snapshots a [`StageClock`](cvr_core::engine::StageClock) into
-    /// summary statistics without consuming its samples. This is the
-    /// public bridge that lets consumers *outside* the simulators (the
-    /// live server runtime, ad-hoc harnesses) reuse the hot-path timing
-    /// machinery.
-    pub fn from_clock(clock: &cvr_core::engine::StageClock) -> Self {
-        StageStats::from_ns_samples(clock.samples_ns())
-    }
-
-    /// Snapshots a clock and resets it — the windowed-observability
-    /// pattern: summarise the stage's samples since the last snapshot,
-    /// then start a fresh window.
-    pub fn take(clock: &mut cvr_core::engine::StageClock) -> Self {
-        let stats = StageStats::from_clock(clock);
-        clock.clear();
-        stats
-    }
-
-    /// Summarises raw per-slot samples (nanoseconds, as recorded by a
-    /// `StageClock`). Zero stats when the stage never ran.
-    pub fn from_ns_samples(samples_ns: &[u64]) -> Self {
-        if samples_ns.is_empty() {
-            return StageStats::default();
-        }
-        let mut sorted: Vec<u64> = samples_ns.to_vec();
-        sorted.sort_unstable();
-        let total_ns: u64 = sorted.iter().sum();
-        let nearest = |q: f64| -> f64 {
-            let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-            sorted[idx] as f64 / 1e3
-        };
-        StageStats {
-            count: sorted.len(),
-            total_ms: total_ns as f64 / 1e6,
-            mean_us: total_ns as f64 / 1e3 / sorted.len() as f64,
-            p50_us: nearest(0.5),
-            p99_us: nearest(0.99),
-        }
-    }
-
-    /// Summarises a latency [`Histogram`] (nanosecond-valued). Exact
-    /// count/total/mean; p50/p99 are the histogram's bucket-interpolated
-    /// quantile estimates. This is the lossy-but-mergeable counterpart to
-    /// [`StageStats::from_ns_samples`]: histograms merge exactly across
-    /// workers, raw sample vectors don't survive summarisation.
+    /// Summarises a latency [`Histogram`] (nanosecond-valued). Count,
+    /// total and mean are exact; p50/p99 are the histogram's
+    /// bucket-interpolated quantile estimates. Zero stats when the stage
+    /// never ran.
     pub fn from_histogram(hist: &Histogram) -> Self {
         if hist.count() == 0 {
             return StageStats::default();
@@ -84,27 +39,6 @@ impl StageStats {
             p99_us: s.p99 / 1e3,
         }
     }
-
-    /// Aggregates another worker's stage stats into this one. Counts and
-    /// totals are exact; the mean is recomputed from them; p50/p99 are
-    /// count-weighted averages of the per-worker quantiles (raw samples
-    /// are gone after summarisation, so cross-worker quantiles are
-    /// necessarily approximate — fine for capacity reports).
-    pub fn merge(&mut self, other: &StageStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let (a, b) = (self.count as f64, other.count as f64);
-        self.p50_us = (self.p50_us * a + other.p50_us * b) / (a + b);
-        self.p99_us = (self.p99_us * a + other.p99_us * b) / (a + b);
-        self.count += other.count;
-        self.total_ms += other.total_ms;
-        self.mean_us = self.total_ms * 1e3 / self.count as f64;
-    }
 }
 
 #[cfg(test)]
@@ -112,27 +46,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_ns_samples_summarises() {
-        let s = StageStats::from_ns_samples(&[1_000, 2_000, 3_000, 4_000]);
-        assert_eq!(s.count, 4);
-        assert!((s.total_ms - 0.01).abs() < 1e-9);
-        assert!((s.mean_us - 2.5).abs() < 1e-9);
-        assert!((s.p99_us - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_samples_give_zero_stats() {
-        assert_eq!(StageStats::from_ns_samples(&[]), StageStats::default());
-    }
-
-    #[test]
-    fn merge_is_count_weighted() {
-        let mut a = StageStats::from_ns_samples(&[1_000, 1_000]);
-        let b = StageStats::from_ns_samples(&[4_000, 4_000, 4_000, 4_000]);
-        a.merge(&b);
-        assert_eq!(a.count, 6);
-        assert!((a.total_ms - 0.018).abs() < 1e-9);
-        assert!((a.mean_us - 3.0).abs() < 1e-9);
+    fn empty_histogram_gives_zero_stats() {
+        let h = Histogram::latency_ns();
+        assert_eq!(StageStats::from_histogram(&h), StageStats::default());
     }
 
     #[test]

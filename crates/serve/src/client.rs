@@ -405,7 +405,7 @@ mod tests {
             client.step_slot();
         }
         session.shutdown();
-        let counters = session.counters().clone();
+        let counters = session.counters();
         let report = client.finish();
         assert!(report.welcomed);
         assert_eq!(report.protocol_errors, 0);
@@ -438,7 +438,7 @@ mod tests {
             client.step_slot();
         }
         session.shutdown();
-        let counters = session.counters().clone();
+        let counters = session.counters();
         let report = client.finish();
         assert_eq!(report.protocol_errors, 0);
         assert!(counters.link_switches >= 1);

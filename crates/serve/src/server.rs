@@ -33,7 +33,6 @@ use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
 use cvr_content::tile::{tiles_for_pose_into, TileId};
 use cvr_core::delay::{DelayModel, Mm1Delay};
-use cvr_core::engine::StageClock;
 use cvr_core::objective::QoeParams;
 use cvr_core::qoe::{UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
@@ -398,7 +397,9 @@ impl UserState {
     }
 }
 
-/// Observability counters for one session, updated every slot.
+/// A snapshot of one session's lifecycle counters, read out of its
+/// metrics registry (the only place they are kept) by
+/// [`Session::counters`] and [`Session::report`].
 #[derive(Debug, Default, Clone)]
 pub struct ServerCounters {
     /// Slots executed.
@@ -447,6 +448,8 @@ pub struct UserServerSummary {
 }
 
 /// End-of-run session report: counters plus per-stage timing summaries.
+/// Every summary is read from the stage's `cvr_slot_stage_ns` histogram:
+/// count, total and mean are exact, the quantiles are bucket-interpolated.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Final counter values.
@@ -462,10 +465,7 @@ pub struct ServeReport {
     /// Engine value-pass timing per slot.
     pub value: StageStats,
     /// Planner prefetch-step timing per slot (near zero at `horizon = 1`,
-    /// where the step has no future slots to walk). Summarised from the
-    /// `cvr_slot_stage_ns{stage="prefetch"}` histogram rather than raw
-    /// samples: count, total and mean are exact, the quantiles are
-    /// bucket-interpolated.
+    /// where the step has no future slots to walk).
     pub prefetch: StageStats,
     /// Whole-slot work timing (from the ticker).
     pub tick: StageStats,
@@ -499,11 +499,7 @@ pub struct Session {
     /// slots are, so report summaries stay unambiguous across churn.
     next_user_id: u32,
     slot: u64,
-    counters: ServerCounters,
     obs: SessionObs,
-    ingest_clock: StageClock,
-    transmit_clock: StageClock,
-    tick_clock: StageClock,
     // Reused per-slot scratch, plan order. Flat copies of what the value
     // formula and the prefetch step read per user: `UserState` owns a
     // non-`Sync` transport, so the parallel fill reads these instead.
@@ -544,11 +540,7 @@ impl Session {
             departed: Vec::new(),
             next_user_id: 0,
             slot: 0,
-            counters: ServerCounters::default(),
             obs,
-            ingest_clock: StageClock::default(),
-            transmit_clock: StageClock::default(),
-            tick_clock: StageClock::default(),
             plan_ids: Vec::new(),
             plan_predicted: Vec::new(),
             plan_delta: Vec::new(),
@@ -583,9 +575,22 @@ impl Session {
         self.slot
     }
 
-    /// Live counter values.
-    pub fn counters(&self) -> &ServerCounters {
-        &self.counters
+    /// Live counter values, as the registry holds them.
+    pub fn counters(&self) -> ServerCounters {
+        let obs = &self.obs;
+        let count = |id| obs.registry.counter_value(id);
+        ServerCounters {
+            ticks: count(obs.c_ticks),
+            on_time_ticks: count(obs.c_on_time),
+            tick_overruns: count(obs.c_overruns),
+            joins: count(obs.c_joins),
+            leaves: count(obs.c_leaves),
+            protocol_errors: count(obs.c_proto),
+            frames_dropped: count(obs.c_dropped),
+            degraded_transitions: count(obs.c_degraded),
+            link_switches: count(obs.c_link_switches),
+            max_outbound_queue_depth: obs.registry.gauge_value(obs.g_queue_depth) as usize,
+        }
     }
 
     /// The session's metrics registry (stage histograms, lifecycle
@@ -594,17 +599,15 @@ impl Session {
         &self.obs.registry
     }
 
-    /// Refreshes the instantaneous gauges (joined clients, deepest queue,
-    /// current slot) so a read of [`Session::metrics`] — or a merge into a
-    /// multi-session snapshot (see [`crate::shard::ShardHost`]) — sees
-    /// current values, not the values at the last render.
+    /// Refreshes the instantaneous gauges (joined clients, current slot,
+    /// multicast groups) so a read of [`Session::metrics`] — or a merge
+    /// into a multi-session snapshot (see [`crate::shard::ShardHost`]) —
+    /// sees current values, not the values at the last render. The
+    /// deepest-queue gauge is a running maximum kept current by every
+    /// send.
     pub fn sync_gauges(&mut self) {
         let clients = self.active_users() as i64;
         self.obs.registry.set_gauge(self.obs.g_clients, clients);
-        self.obs.registry.set_gauge(
-            self.obs.g_queue_depth,
-            self.counters.max_outbound_queue_depth as i64,
-        );
         self.obs
             .registry
             .set_gauge(self.obs.g_slot, self.slot as i64);
@@ -660,7 +663,6 @@ impl Session {
         self.admit_pending();
         self.ingest();
         let ingest_ns = ingest_start.elapsed().as_nanos() as u64;
-        self.ingest_clock.record_ns(ingest_ns);
         self.obs
             .stage(self.obs.h_ingest, self.slot, "ingest", ingest_ns);
 
@@ -669,7 +671,6 @@ impl Session {
         let transmit_start = Instant::now();
         self.transmit();
         let transmit_ns = transmit_start.elapsed().as_nanos() as u64;
-        self.transmit_clock.record_ns(transmit_ns);
         self.obs
             .stage(self.obs.h_transmit, self.slot, "transmit", transmit_ns);
 
@@ -681,21 +682,17 @@ impl Session {
     /// shard ticker's verdict; lockstep harnesses call it directly with
     /// `on_time = true`.
     pub fn note_tick(&mut self, on_time: bool, work_ns: u64) {
-        self.counters.ticks += 1;
         self.obs.registry.inc(self.obs.c_ticks, 1);
         // The slot counter has already advanced past the completed slot.
         let slot = self.slot.saturating_sub(1);
         if on_time {
-            self.counters.on_time_ticks += 1;
             self.obs.registry.inc(self.obs.c_on_time, 1);
         } else {
-            self.counters.tick_overruns += 1;
             self.obs.registry.inc(self.obs.c_overruns, 1);
             self.obs
                 .tracer
                 .record(TraceEvent::TickOverrun { slot, work_ns });
         }
-        self.tick_clock.record_ns(work_ns);
         self.obs.registry.observe(self.obs.h_tick, work_ns);
         self.obs.tracer.record(TraceEvent::SlotEnd {
             slot,
@@ -715,7 +712,6 @@ impl Session {
                     user_id: user.user_id as u64,
                 });
                 self.departed.push(Self::summarise(&user));
-                self.counters.leaves += 1;
                 self.obs.registry.inc(self.obs.c_leaves, 1);
             }
         }
@@ -732,17 +728,16 @@ impl Session {
             users.push(Self::summarise(user));
         }
         users.sort_by_key(|u| u.user_id);
+        let stage = |id| StageStats::from_histogram(self.obs.registry.histogram_value(id));
         ServeReport {
-            counters: self.counters.clone(),
-            ingest: StageStats::from_clock(&self.ingest_clock),
-            transmit: StageStats::from_clock(&self.transmit_clock),
-            build: StageStats::from_clock(&self.planner.engine().timers().build),
-            density: StageStats::from_clock(&self.planner.engine().timers().density),
-            value: StageStats::from_clock(&self.planner.engine().timers().value),
-            prefetch: StageStats::from_histogram(
-                self.obs.registry.histogram_value(self.obs.h_prefetch),
-            ),
-            tick: StageStats::from_clock(&self.tick_clock),
+            counters: self.counters(),
+            ingest: stage(self.obs.h_ingest),
+            transmit: stage(self.obs.h_transmit),
+            build: stage(self.obs.h_build),
+            density: stage(self.obs.h_density),
+            value: stage(self.obs.h_value),
+            prefetch: stage(self.obs.h_prefetch),
+            tick: stage(self.obs.h_tick),
             users,
         }
     }
@@ -778,7 +773,6 @@ impl Session {
                         continue;
                     }
                     if !speaks_supported {
-                        self.counters.protocol_errors += 1;
                         self.obs.registry.inc(self.obs.c_proto, 1);
                         self.obs.tracer.record(TraceEvent::ProtocolError {
                             context: "handshake",
@@ -789,7 +783,6 @@ impl Session {
                 }
                 Some(_) => {
                     // Anything else before the handshake is a violation.
-                    self.counters.protocol_errors += 1;
                     self.obs.registry.inc(self.obs.c_proto, 1);
                     self.obs.tracer.record(TraceEvent::ProtocolError {
                         context: "pre-handshake",
@@ -830,7 +823,6 @@ impl Session {
             seed,
             version,
         ));
-        self.counters.joins += 1;
         self.obs.registry.inc(self.obs.c_joins, 1);
         self.obs.tracer.record(TraceEvent::ClientJoin {
             user_id: user_id as u64,
@@ -922,7 +914,6 @@ impl Session {
                             // instead of bleeding the old link's history
                             // through the slow EMA.
                             user.link_switches += 1;
-                            self.counters.link_switches += 1;
                             self.obs.registry.inc(self.obs.c_link_switches, 1);
                             user.bandwidth.reset();
                             user.bandwidth.update(match active {
@@ -949,7 +940,6 @@ impl Session {
                 }
             }
             if violation {
-                self.counters.protocol_errors += 1;
                 self.obs.registry.inc(self.obs.c_proto, 1);
                 self.obs
                     .tracer
@@ -963,7 +953,6 @@ impl Session {
                     user_id: user.user_id as u64,
                 });
                 self.departed.push(Self::summarise(&user));
-                self.counters.leaves += 1;
                 self.obs.registry.inc(self.obs.c_leaves, 1);
             } else {
                 self.users[id] = Some(user);
@@ -1017,7 +1006,6 @@ impl Session {
                 if !user.bw_degraded && bn < self.config.degrade_floor_mbps {
                     user.bw_degraded = true;
                     user.degrade_transitions += 1;
-                    self.counters.degraded_transitions += 1;
                     self.obs.registry.inc(self.obs.c_degraded, 1);
                     self.obs.tracer.record(TraceEvent::Degrade {
                         user_id: user.user_id as u64,
@@ -1067,25 +1055,17 @@ impl Session {
                 }
             });
         let build_ns = build_start.elapsed().as_nanos() as u64;
-        self.planner
-            .engine_mut()
-            .timers_mut()
-            .build
-            .record_ns(build_ns);
         self.obs
             .stage(self.obs.h_build, self.slot, "build", build_ns);
 
         if !self.plan_ids.is_empty() {
             let engine = self.planner.engine_mut();
             engine.solve();
-            // `solve` records exactly one sample per internal pass, so the
-            // freshest sample is this slot's measurement.
-            if let Some(ns) = engine.timers().density.last_ns() {
-                self.obs.stage(self.obs.h_density, self.slot, "density", ns);
-            }
-            if let Some(ns) = engine.timers().value.last_ns() {
-                self.obs.stage(self.obs.h_value, self.slot, "value", ns);
-            }
+            let (density_ns, value_ns) = (engine.density_ns(), engine.value_ns());
+            self.obs
+                .stage(self.obs.h_density, self.slot, "density", density_ns);
+            self.obs
+                .stage(self.obs.h_value, self.slot, "value", value_ns);
         }
 
         // Prefetch step. The planner reconciles and spends the credit;
@@ -1124,14 +1104,11 @@ impl Session {
     /// Shared post-send bookkeeping for one user: queue-depth tracking,
     /// drop accounting, and the backpressure degrade/recover transitions.
     /// Returns `false` when the transport reported the peer closed.
-    fn account_send(
-        user: &mut UserState,
-        counters: &mut ServerCounters,
-        obs: &mut SessionObs,
-        status: SendStatus,
-    ) -> bool {
+    fn account_send(user: &mut UserState, obs: &mut SessionObs, status: SendStatus) -> bool {
         let depth = user.transport.queue_depth();
-        counters.max_outbound_queue_depth = counters.max_outbound_queue_depth.max(depth);
+        let deepest = obs.registry.gauge_value(obs.g_queue_depth);
+        obs.registry
+            .set_gauge(obs.g_queue_depth, deepest.max(depth as i64));
         match status {
             SendStatus::Sent => {
                 // Recover once the queue has drained well below capacity
@@ -1148,7 +1125,6 @@ impl Session {
                 }
             }
             SendStatus::DroppedOldest(n) => {
-                counters.frames_dropped += n as u64;
                 obs.registry.inc(obs.c_dropped, n as u64);
                 obs.tracer.record(TraceEvent::QueueDrop {
                     user_id: user.user_id as u64,
@@ -1157,7 +1133,6 @@ impl Session {
                 if !user.degraded {
                     user.degraded = true;
                     user.degrade_transitions += 1;
-                    counters.degraded_transitions += 1;
                     obs.registry.inc(obs.c_degraded, 1);
                     obs.tracer.record(TraceEvent::Degrade {
                         user_id: user.user_id as u64,
@@ -1170,7 +1145,6 @@ impl Session {
         if user.transport.is_stalled() && !user.degraded {
             user.degraded = true;
             user.degrade_transitions += 1;
-            counters.degraded_transitions += 1;
             obs.registry.inc(obs.c_degraded, 1);
             obs.tracer.record(TraceEvent::Degrade {
                 user_id: user.user_id as u64,
@@ -1233,7 +1207,7 @@ impl Session {
                 };
                 let status = user.transport.send(&message);
                 self.manifest = reclaim_manifest(message);
-                if Self::account_send(user, &mut self.counters, &mut self.obs, status) {
+                if Self::account_send(user, &mut self.obs, status) {
                     Self::record_prediction(user, self.plan_predicted[i], quality);
                 }
                 continue;
@@ -1269,7 +1243,7 @@ impl Session {
                     span
                 });
                 let status = user.transport.send_payload(&self.payload[span]);
-                if Self::account_send(user, &mut self.counters, &mut self.obs, status) {
+                if Self::account_send(user, &mut self.obs, status) {
                     Self::record_prediction(user, self.plan_predicted[i], quality);
                 }
             }
@@ -1652,29 +1626,101 @@ mod tests {
         assert_eq!(counts(&session), [1, 1, 1]);
     }
 
+    /// The value of an unlabelled series in a Prometheus text scrape.
+    fn scraped(text: &str, series: &str) -> u64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{series} missing from the scrape"))
+    }
+
     #[test]
-    fn report_times_every_stage() {
+    fn report_and_scrape_read_the_same_books() {
+        let hello = |version| ClientMessage::Hello { version, seed: 3 };
         let mut session = Session::new(ServeConfig::default());
-        let mut client = join_one(&mut session);
-        for seq in 0..8u64 {
-            client.send(&ClientMessage::Pose {
-                seq,
-                pose: Pose::default(),
-            });
+        // Stays the whole run, so every slot plans and solves.
+        let mut steady = join_one(&mut session);
+        let mut leaver = join_one(&mut session);
+        let mut violator = join_one(&mut session);
+        // Three frames of queue and a client that never reads: drops,
+        // then a degrade transition.
+        let (slow_end, mut slow) = loopback(3);
+        session.add_connection(Box::new(slow_end));
+        slow.send(&hello(PROTOCOL_VERSION));
+        let (refused_end, mut refused) = loopback(8);
+        session.add_connection(Box::new(refused_end));
+        refused.send(&hello(PROTOCOL_VERSION + 1));
+
+        let slots = 12u64;
+        let mut work_total_ns = 0;
+        for slot in 0..slots {
+            if slot == 2 {
+                leaver.send(&ClientMessage::Bye);
+            }
+            if slot == 3 {
+                violator.send(&hello(PROTOCOL_VERSION));
+            }
+            if slot == 4 {
+                // A dead Wi-Fi under a live LTE: one failover.
+                for (link, mbps) in [(LinkId::Lte, 20.0), (LinkId::Wifi, 1.0)] {
+                    steady.send(&ClientMessage::LinkSample { link, mbps });
+                }
+            }
             session.step_slot();
-            session.note_tick(true, 1_000);
+            let work_ns = 1_000 * (slot + 1) + 7;
+            session.note_tick(slot != 5, work_ns);
+            work_total_ns += work_ns;
+            while steady.try_recv().is_some() {}
         }
+
+        let counters = session.counters();
+        assert_eq!(
+            (counters.joins, counters.leaves, counters.protocol_errors),
+            (4, 2, 2)
+        );
+        assert_eq!((counters.link_switches, counters.tick_overruns), (1, 1));
+        assert!(counters.frames_dropped > 0 && counters.degraded_transitions >= 1);
+        let text = session.render_metrics();
+        for (series, value) in [
+            ("cvr_ticks_total", counters.ticks),
+            ("cvr_on_time_ticks_total", counters.on_time_ticks),
+            ("cvr_tick_overruns_total", counters.tick_overruns),
+            ("cvr_session_joins_total", counters.joins),
+            ("cvr_session_leaves_total", counters.leaves),
+            ("cvr_protocol_errors_total", counters.protocol_errors),
+            ("cvr_frames_dropped_total", counters.frames_dropped),
+            (
+                "cvr_degraded_transitions_total",
+                counters.degraded_transitions,
+            ),
+            ("cvr_link_switches_total", counters.link_switches),
+            (
+                "cvr_outbound_queue_depth_max",
+                counters.max_outbound_queue_depth as u64,
+            ),
+        ] {
+            assert_eq!(scraped(&text, series), value, "{series}");
+        }
+        assert!(
+            counters.max_outbound_queue_depth >= 3,
+            "the slow queue filled"
+        );
+        assert!(text.contains("cvr_slot_stage_ns_bucket{stage=\"prefetch\""));
+
         let report = session.report();
-        assert_eq!(report.counters.ticks, 8);
-        assert_eq!(report.on_time_fraction(), 1.0);
-        assert_eq!(report.ingest.count, 8);
-        assert_eq!(report.transmit.count, 8);
-        assert_eq!(report.build.count, 8);
-        assert_eq!(report.prefetch.count, 8);
-        assert_eq!(report.tick.count, 8);
-        assert!(session
-            .render_metrics()
-            .contains("cvr_slot_stage_ns_bucket{stage=\"prefetch\""));
+        assert_eq!(report.counters.ticks, slots);
+        assert_eq!(report.on_time_fraction(), 11.0 / 12.0);
+        for (name, stage) in [
+            ("ingest", &report.ingest),
+            ("build", &report.build),
+            ("density", &report.density),
+            ("value", &report.value),
+            ("prefetch", &report.prefetch),
+            ("transmit", &report.transmit),
+            ("tick", &report.tick),
+        ] {
+            assert_eq!(stage.count, slots as usize, "{name}");
+        }
+        assert_eq!(report.tick.total_ms, work_total_ns as f64 / 1e6);
     }
 
     #[test]

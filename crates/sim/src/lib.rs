@@ -52,7 +52,7 @@ pub use experiment::{
     SystemExperimentResult, TraceExperimentResult,
 };
 pub use mcast::{McastConfig, McastRunResult};
-pub use metrics::{EmpiricalDistribution, MetricDistributions, SortedDistribution, StageStats};
+pub use metrics::{EmpiricalDistribution, MetricDistributions, SortedDistribution};
 pub use parallel::RunSpec;
 pub use system::{NetScenario, ObjectiveMode, RenderingMode, SystemConfig, SystemRunResult};
 pub use tracesim::{RunResult, TimeSeries, TraceSimConfig};

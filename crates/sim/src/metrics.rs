@@ -275,11 +275,6 @@ impl MetricDistributions {
     }
 }
 
-/// The shared hot-path latency summary, now owned by `cvr-obs` (so
-/// runtime crates don't need a simulator for timing structs); re-exported
-/// here for compatibility with pre-obs callers.
-pub use cvr_obs::StageStats;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,40 +393,6 @@ mod tests {
         let mut with_empty = merged.clone();
         with_empty.merge(&MetricDistributions::new());
         assert_eq!(with_empty, sequential);
-    }
-
-    #[test]
-    fn stage_stats_from_samples() {
-        // 100 samples: 1µs..=100µs.
-        let samples: Vec<u64> = (1..=100u64).map(|i| i * 1_000).collect();
-        let s = StageStats::from_ns_samples(&samples);
-        assert_eq!(s.count, 100);
-        assert!((s.total_ms - 5.05).abs() < 1e-9);
-        assert!((s.mean_us - 50.5).abs() < 1e-9);
-        assert_eq!(s.p50_us, 51.0); // nearest rank of index 49.5 → 50
-        assert_eq!(s.p99_us, 99.0);
-        assert_eq!(StageStats::from_ns_samples(&[]), StageStats::default());
-    }
-
-    #[test]
-    fn stage_stats_merge_is_exact_on_counts_and_totals() {
-        let a = StageStats::from_ns_samples(&[1_000, 2_000, 3_000]);
-        let b = StageStats::from_ns_samples(&[5_000]);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count, 4);
-        assert!((merged.total_ms - 0.011).abs() < 1e-12);
-        assert!((merged.mean_us - 2.75).abs() < 1e-9);
-        // Quantiles are count-weighted approximations.
-        assert!(merged.p50_us > a.p50_us && merged.p50_us < b.p50_us);
-
-        // Identity on both sides.
-        let mut left = a.clone();
-        left.merge(&StageStats::default());
-        assert_eq!(left, a);
-        let mut right = StageStats::default();
-        right.merge(&a);
-        assert_eq!(right, a);
     }
 
     #[test]

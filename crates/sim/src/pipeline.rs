@@ -4,7 +4,8 @@
 //! build the knapsack of Eq. (9) under constraints (6)/(7) → Algorithm 1 →
 //! transmit → account on ACK. [`SlotPlanner`] is everything between
 //! "predicted pose" and "what to send to whom": it owns the
-//! [`SlotEngine`], the cached data plane ([`RatePlane`],
+//! [`SlotEngine`], the data plane (cached rate rows in [`RatePlane`];
+//! FoV tile sets and orientation keys, recomputed per query, from
 //! [`SharedFovCache`]), multicast group discovery ([`GroupTracker`]), the
 //! [`LookaheadConfig`], all per-slot scratch, and a per-user slab of
 //! delivery state (ledger, undelivered sums, prefetch tracker,
@@ -258,7 +259,7 @@ impl SlotPlanner {
     }
 
     /// Adds `user` to this slot's plan: resolves the FoV target of its
-    /// `predicted` pose (cached tile set, cached rate rows, undelivered
+    /// `predicted` pose (its tile set, cached rate rows, undelivered
     /// sums retargeted only on a cell or tile-set change) and — when the
     /// driver marks it `groupable` and the pose falls in an orientation
     /// bucket — keys it for multicast grouping. Returns the user's plan
@@ -403,7 +404,8 @@ impl SlotPlanner {
 
     /// The slot engine: drivers solve the staged problem through it
     /// (`solve()` in the live server, `Allocator::allocate_staged` in the
-    /// simulators so Firefly/PAVQ run on the same rows) and read timers.
+    /// simulators so Firefly/PAVQ run on the same rows); the live server
+    /// also reads the solve's two pass durations off it.
     pub fn engine_mut(&mut self) -> &mut SlotEngine {
         &mut self.engine
     }
