@@ -37,4 +37,4 @@ pub use id::VideoId;
 pub use library::{ContentLibrary, ContentRequest};
 pub use plane::{OrientationKey, RatePlane, SharedFovCache};
 pub use sizing::TileSizeModel;
-pub use tile::{tiles_for_pose, tiles_for_pose_into, TileId};
+pub use tile::{tile_mask, tiles_for_pose, tiles_for_pose_into, tiles_in, TileId};

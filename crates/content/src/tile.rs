@@ -1,6 +1,10 @@
 //! Tile partitioning: each equirectangular texture is split into four tiles
 //! (Fig. 5), and only tiles overlapping the (margin-extended) predicted FoV
 //! are delivered.
+//!
+//! [`tile_mask`] is the one place the overlap geometry is computed;
+//! [`tiles_for_pose`] expands it, and callers that only compare tile sets
+//! (overlap scores, the client's hit test) keep the mask.
 
 use serde::{Deserialize, Serialize};
 
@@ -63,25 +67,33 @@ impl std::fmt::Display for TileId {
     }
 }
 
-/// Which yaw hemispheres — west `[−180, 0)` and east `[0, 180)`, the two
-/// tile columns — the angular interval `[a0, a1]` (possibly wrapping)
-/// touches.
-fn yaw_hemispheres(a0: f64, a1: f64) -> (bool, bool) {
-    // Sample-based check is robust to wrapping: test a dense set of angles
-    // inside the view interval. Each sample is wrapped and classified
-    // once; the tiles then read the two flags.
-    let span = a1 - a0;
-    let steps = 16;
-    let (mut west, mut east) = (false, false);
-    for i in 0..=steps {
-        let angle = wrap_degrees(a0 + span * i as f64 / steps as f64);
-        west |= (-180.0..0.0).contains(&angle);
-        east |= (0.0..180.0).contains(&angle);
-        if west && east {
-            break;
-        }
-    }
-    (west, east)
+/// Bit `t` set ⇔ tile `t` overlaps the FoV (with margin) around `pose`.
+///
+/// The yaw test is exact, not sampled: a view spanning 180° or more
+/// touches both tile columns, a narrower one crosses at most one column
+/// seam and so touches exactly the columns of its two end angles. Why
+/// that survives `f64` rounding, and that it equals the 17-sample sweep
+/// kept as the `#[cfg(test)]` oracle, is DESIGN §5q.
+pub fn tile_mask(spec: &FovSpec, pose: &Pose) -> u8 {
+    let half_w = spec.width_deg / 2.0 + spec.margin_deg;
+    let half_h = spec.height_deg / 2.0 + spec.margin_deg;
+    // Clamp to the sphere: a pose with out-of-range pitch still views
+    // content at the pole.
+    let pitch = pose.orientation.pitch.clamp(-90.0, 90.0);
+    let (p_lo, p_hi) = (pitch - half_h, pitch + half_h);
+
+    let a0 = pose.orientation.yaw - half_w;
+    let span = (pose.orientation.yaw + half_w) - a0;
+    let wide = half_w >= 180.0 || span >= 180.0;
+    let ends = [wrap_degrees(a0), wrap_degrees(a0 + span)];
+    let west = wide || ends.iter().any(|end| (-180.0..0.0).contains(end));
+    let east = wide || ends.iter().any(|end| (0.0..180.0).contains(end));
+    TileId::all().into_iter().fold(0, |mask, tile| {
+        let (t_p0, t_p1) = tile.pitch_range();
+        let yaw_overlap = if tile.yaw_range().0 < 0.0 { west } else { east };
+        let pitch_overlap = p_lo < t_p1 && p_hi > t_p0;
+        mask | u8::from(pitch_overlap && yaw_overlap) << tile.0
+    })
 }
 
 /// The set of tiles overlapping the FoV (with margin) around the given
@@ -97,31 +109,21 @@ pub fn tiles_for_pose(spec: &FovSpec, pose: &Pose) -> Vec<TileId> {
 /// buffer has grown to four entries.
 pub fn tiles_for_pose_into(spec: &FovSpec, pose: &Pose, out: &mut Vec<TileId>) {
     out.clear();
-    let half_w = spec.width_deg / 2.0 + spec.margin_deg;
-    let half_h = spec.height_deg / 2.0 + spec.margin_deg;
-    let yaw = pose.orientation.yaw;
-    // Clamp to the sphere: a pose with out-of-range pitch still views
-    // content at the pole.
-    let pitch = pose.orientation.pitch.clamp(-90.0, 90.0);
-    let (p_lo, p_hi) = (pitch - half_h, pitch + half_h);
+    out.extend(tiles_in(tile_mask(spec, pose)));
+}
 
-    let (west, east) = if half_w >= 180.0 {
-        (true, true)
-    } else {
-        yaw_hemispheres(yaw - half_w, yaw + half_w)
-    };
-    out.extend(TileId::all().into_iter().filter(|tile| {
-        let (t_p0, t_p1) = tile.pitch_range();
-        let pitch_overlap = p_lo < t_p1 && p_hi > t_p0;
-        let yaw_overlap = if tile.yaw_range().0 < 0.0 { west } else { east };
-        pitch_overlap && yaw_overlap
-    }));
+/// The tiles whose bits are set in a [`tile_mask`], in ascending id order.
+pub fn tiles_in(mask: u8) -> impl Iterator<Item = TileId> {
+    TileId::all()
+        .into_iter()
+        .filter(move |tile| mask >> tile.0 & 1 == 1)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use cvr_motion::pose::{Orientation, Vec3};
+    use proptest::prelude::*;
 
     fn pose(yaw: f64, pitch: f64) -> Pose {
         Pose::new(Vec3::default(), Orientation::new(yaw, pitch, 0.0))
@@ -204,9 +206,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// The per-tile yaw test `tiles_for_pose_into` ran before it
-    /// classified the samples once: rescans the same 17 wrapped samples
-    /// against one tile's `[t0, t1)` range.
+    /// The sampled yaw test `tile_mask` replaces: 17 wrapped samples of
+    /// the view against one tile's `[t0, t1)` range.
     fn yaw_interval_overlaps(a0: f64, a1: f64, t0: f64, t1: f64) -> bool {
         let span = a1 - a0;
         let steps = 16;
@@ -216,7 +217,7 @@ pub(crate) mod tests {
         })
     }
 
-    /// Oracle: tile membership decided tile by tile.
+    /// Oracle: tile membership decided tile by tile, yaw by sampling.
     fn tiles_for_pose_per_tile(spec: &FovSpec, pose: &Pose) -> Vec<TileId> {
         let half_w = spec.width_deg / 2.0 + spec.margin_deg;
         let half_h = spec.height_deg / 2.0 + spec.margin_deg;
@@ -249,8 +250,34 @@ pub(crate) mod tests {
         out
     }
 
+    /// The mask names the oracle's tiles, and `tiles_for_pose_into` lists
+    /// them in ascending id order.
+    fn assert_matches_oracle(spec: &FovSpec, p: &Pose, scratch: &mut Vec<TileId>) {
+        let oracle = tiles_for_pose_per_tile(spec, p);
+        assert!(oracle.windows(2).all(|pair| pair[0] < pair[1]));
+        assert_eq!(
+            tiles_in(tile_mask(spec, p)).collect::<Vec<_>>(),
+            oracle,
+            "mask: {spec:?} {:?}",
+            p.orientation
+        );
+        tiles_for_pose_into(spec, p, scratch);
+        assert_eq!(*scratch, oracle, "set: {spec:?} {:?}", p.orientation);
+    }
+
+    /// Margins whose views sit well inside one regime, and — paper FoV
+    /// width 90°, so `half_w = 45 + margin` — ones whose span straddles
+    /// 180° (margin 45) and whose half-width straddles the 180° shortcut
+    /// (margin 135) by ulps.
+    fn oracle_margins() -> Vec<f64> {
+        let mut margins = vec![0.0, 15.0, 40.0, 44.9, 45.1, 60.0, 95.0, 134.9, 180.0];
+        margins.extend(with_ulps(45.0));
+        margins.extend(with_ulps(135.0));
+        margins
+    }
+
     #[test]
-    fn one_pass_tile_set_equals_the_per_tile_oracle() {
+    fn tile_mask_equals_the_sampled_oracle_on_a_deterministic_sweep() {
         let pitches = [
             -135.0,
             -90.0,
@@ -270,17 +297,21 @@ pub(crate) mod tests {
         ];
         let mut scratch = Vec::new();
         let mut compared = 0usize;
-        for margin in [0.0, 15.0, 40.0, 180.0] {
+        for (m, margin) in oracle_margins().into_iter().enumerate() {
             let spec = FovSpec::paper_default().with_margin(margin);
             let half_w = spec.width_deg / 2.0 + spec.margin_deg;
             let mut yaws = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e300];
-            // Dense grid, well past one turn either way.
-            yaws.extend((-4000..=4000).map(|k| f64::from(k) * 0.13));
+            // Dense grid, well past one turn either way (the round
+            // margins only; the ulp neighbours differ at breakpoints).
+            if m < 9 {
+                yaws.extend((-2000..=2000).map(|k| f64::from(k) * 0.26));
+            }
             // Every 7.5° step (a sample of the paper-default ±60° sweep
             // lands on a tile edge there) and the ±180° seam.
             yaws.extend((-72..=72).flat_map(|k| with_ulps(f64::from(k) * 7.5)));
             // This margin's own breakpoints: the yaws at which sample `i`
-            // sits exactly on the 0° or ±180° tile edge.
+            // — the two ends, i = 0 and i = 16, among them — sits exactly
+            // on the 0° or ±180° tile edge.
             for i in 0..=16 {
                 let offset = half_w - 2.0 * half_w * f64::from(i) / 16.0;
                 for edge in [-360.0, -180.0, 0.0, 180.0, 360.0] {
@@ -289,18 +320,66 @@ pub(crate) mod tests {
             }
             for &yaw in &yaws {
                 for &pitch in &pitches {
-                    let p = pose(yaw, pitch);
-                    tiles_for_pose_into(&spec, &p, &mut scratch);
-                    assert_eq!(
-                        scratch,
-                        tiles_for_pose_per_tile(&spec, &p),
-                        "margin {margin} yaw {yaw:?} pitch {pitch:?}"
-                    );
-                    compared += 1;
+                    // As given — a deserialized or extrapolated pose need
+                    // not be normalised — and as `Orientation::new` wraps it.
+                    let mut p = pose(yaw, pitch);
+                    assert_matches_oracle(&spec, &p, &mut scratch);
+                    p.orientation.yaw = yaw;
+                    assert_matches_oracle(&spec, &p, &mut scratch);
+                    compared += 2;
                 }
             }
         }
-        assert!(compared > 500_000);
+        assert!(compared > 2_000_000);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn tile_mask_equals_the_sampled_oracle(
+            // Either a free yaw, or one that puts an end (or the centre)
+            // of the view on the seam `180° · seam`.
+            free_yaw in -720.0f64..720.0,
+            seam in -3i32..=3,
+            end in -1i32..=1,
+            // Margin regimes: the working range, the span straddling
+            // 180°, the half-width straddling the 180° shortcut.
+            margins in (0.0f64..95.0, 44.999_999f64..45.000_001, 134.0f64..200.0),
+            // Pitch regimes: free, and the three values the row tests turn on.
+            free_pitch in -200.0f64..200.0,
+            regimes in (0usize..2, 0usize..3, 0usize..4),
+            // Which of `with_ulps`' seven neighbours yaw, margin, pitch take.
+            ulps in (0usize..7, 0usize..7, 0usize..7),
+        ) {
+            let margin = with_ulps([margins.0, margins.1, margins.2][regimes.1])[ulps.1];
+            let spec = FovSpec::paper_default().with_margin(margin);
+            let half_w = spec.width_deg / 2.0 + spec.margin_deg;
+            let on_seam = f64::from(seam) * 180.0 + f64::from(end) * half_w;
+            let pitch = [free_pitch, -90.0, 0.0, 90.0][regimes.2];
+            let mut p = pose(0.0, with_ulps(pitch)[ulps.2]);
+            p.orientation.yaw = with_ulps([free_yaw, on_seam][regimes.0])[ulps.0];
+            assert_matches_oracle(&spec, &p, &mut Vec::new());
+        }
+    }
+
+    #[test]
+    fn mask_intersection_counts_what_the_set_scan_counted() {
+        // The overlap score the lookahead records used before they held
+        // masks: actual tiles that are also in the predicted set.
+        let set_overlap = |predicted: &[TileId], actual: &[TileId]| {
+            actual.iter().filter(|t| predicted.contains(t)).count() as u32
+        };
+        let tiles_of = |mask| tiles_in(mask).collect::<Vec<_>>();
+        for a in 0u8..16 {
+            for b in 0u8..16 {
+                assert_eq!(
+                    (a & b).count_ones(),
+                    set_overlap(&tiles_of(a), &tiles_of(b)),
+                    "{a:04b} & {b:04b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -45,8 +45,6 @@ pub mod prefetch;
 pub use degrade::{AnticipatoryDegrade, DegradeConfig, DegradePhase};
 pub use prefetch::{slot_credit, PrefetchConfig, Prefetcher};
 
-use cvr_content::tile::TileId;
-
 /// Bundled lookahead policy parameters for one horizon.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LookaheadConfig {
@@ -71,31 +69,9 @@ impl LookaheadConfig {
     }
 }
 
-/// Number of actual-FoV tiles that were also in the predicted FoV —
-/// the per-horizon accuracy signal behind the
-/// `cvr_lookahead_fov_overlap` histogram (0..=[`TileId::COUNT`]).
-///
-/// Tile sets are tiny (≤ 4 entries), so the quadratic scan beats any
-/// hashing, and the result only depends on set membership — caller
-/// ordering cannot perturb it.
-pub fn fov_tile_overlap(predicted: &[TileId], actual: &[TileId]) -> u32 {
-    actual.iter().filter(|t| predicted.contains(t)).count() as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn overlap_counts_shared_tiles() {
-        let a = [TileId::new(0), TileId::new(1), TileId::new(2)];
-        let b = [TileId::new(1), TileId::new(2), TileId::new(3)];
-        assert_eq!(fov_tile_overlap(&a, &b), 2);
-        assert_eq!(fov_tile_overlap(&b, &a), 2);
-        assert_eq!(fov_tile_overlap(&a, &a), 3);
-        assert_eq!(fov_tile_overlap(&a, &[]), 0);
-        assert_eq!(fov_tile_overlap(&[], &b), 0);
-    }
 
     #[test]
     fn horizon_is_clamped_to_at_least_one() {

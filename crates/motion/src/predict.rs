@@ -6,6 +6,10 @@
 //! the content will actually be displayed in, given the paper's
 //! transmit-then-decode pipeline. Yaw is unwrapped before fitting so the
 //! regression never sees the ±180° discontinuity.
+//!
+//! The window is one deque of six-component rows; every `observe` refits
+//! all six lines in two passes over it, and a prediction evaluates the
+//! stored `slope · x + intercept` per axis.
 
 use std::collections::VecDeque;
 
@@ -33,8 +37,9 @@ use crate::pose::{wrap_degrees, Pose};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinearPredictor {
     window: usize,
-    /// History of unwrapped components, one deque per axis.
-    history: [VecDeque<f64>; 6],
+    /// The last `window` observations, oldest first, one row of unwrapped
+    /// components per pose.
+    history: VecDeque<[f64; 6]>,
     /// Last raw yaw, for unwrapping.
     last_yaw: Option<f64>,
     /// Running unwrapped yaw.
@@ -58,7 +63,7 @@ impl LinearPredictor {
         assert!(window >= 2, "regression window must be at least 2");
         LinearPredictor {
             window,
-            history: Default::default(),
+            history: VecDeque::with_capacity(window + 1),
             last_yaw: None,
             unwrapped_yaw: 0.0,
             slope: [0.0; 6],
@@ -73,7 +78,7 @@ impl LinearPredictor {
 
     /// Number of poses observed so far (capped at the window length).
     pub fn observed(&self) -> usize {
-        self.history[0].len()
+        self.history.len()
     }
 
     /// Feeds the pose measured in the current slot.
@@ -92,13 +97,40 @@ impl LinearPredictor {
         self.last_yaw = Some(raw_yaw);
         c[3] = self.unwrapped_yaw;
 
-        for (axis, &value) in c.iter().enumerate() {
-            let h = &mut self.history[axis];
-            h.push_back(value);
-            if h.len() > self.window {
-                h.pop_front();
+        self.history.push_back(c);
+        if self.history.len() > self.window {
+            self.history.pop_front();
+        }
+        self.refit();
+    }
+
+    /// Least-squares lines over the window at abscissae `0..n`, all six
+    /// axes per pass; each axis still accumulates the terms of a one-axis
+    /// fit in that fit's order, so fusing changes no bit (DESIGN §5q).
+    fn refit(&mut self) {
+        let n = self.history.len() as f64;
+        let mean_x = (n - 1.0) / 2.0;
+        // `Iterator::sum` starts from −0.0: negative zeros stay negative.
+        let mut sum_y = [-0.0f64; 6];
+        for row in &self.history {
+            for (sum, y) in sum_y.iter_mut().zip(row) {
+                *sum += y;
             }
-            (self.slope[axis], self.intercept[axis]) = fit_line(h);
+        }
+        let mean_y = sum_y.map(|sum| sum / n);
+        let mut sxy = [0.0f64; 6];
+        let mut sxx = 0.0;
+        for (i, row) in self.history.iter().enumerate() {
+            let dx = i as f64 - mean_x;
+            for axis in 0..6 {
+                sxy[axis] += dx * (row[axis] - mean_y[axis]);
+            }
+            sxx += dx * dx;
+        }
+        for axis in 0..6 {
+            let slope = if sxx > 0.0 { sxy[axis] / sxx } else { 0.0 };
+            self.slope[axis] = slope;
+            self.intercept[axis] = mean_y[axis] - slope * mean_x;
         }
     }
 
@@ -130,7 +162,7 @@ impl LinearPredictor {
         if !horizon.is_finite() {
             return None;
         }
-        let n = self.history[0].len();
+        let n = self.history.len();
         if n < 2 {
             return None;
         }
@@ -150,31 +182,12 @@ impl LinearPredictor {
 
     /// Clears all history.
     pub fn reset(&mut self) {
-        for h in &mut self.history {
-            h.clear();
-        }
+        self.history.clear();
         self.last_yaw = None;
         self.unwrapped_yaw = 0.0;
         self.slope = [0.0; 6];
         self.intercept = [0.0; 6];
     }
-}
-
-/// Least-squares line fit over `values` at abscissae `0..n`:
-/// `(slope, intercept)`.
-fn fit_line(values: &VecDeque<f64>) -> (f64, f64) {
-    let n = values.len() as f64;
-    let mean_x = (n - 1.0) / 2.0;
-    let mean_y: f64 = values.iter().sum::<f64>() / n;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    for (i, &y) in values.iter().enumerate() {
-        let dx = i as f64 - mean_x;
-        sxy += dx * (y - mean_y);
-        sxx += dx * dx;
-    }
-    let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
-    (slope, mean_y - slope * mean_x)
 }
 
 #[cfg(test)]
@@ -309,18 +322,36 @@ mod tests {
         }
     }
 
-    /// Oracle: refit the predictor's current window from scratch, as
-    /// `predict_fractional` did on every call before the fit moved into
-    /// `observe`.
+    /// Oracle: the one-axis least-squares fit over `values` at abscissae
+    /// `0..n`, `(slope, intercept)` — what `observe` ran per axis, on a
+    /// deque per axis, before the window became rows.
+    fn fit_line(values: &VecDeque<f64>) -> (f64, f64) {
+        let n = values.len() as f64;
+        let mean_x = (n - 1.0) / 2.0;
+        let mean_y: f64 = values.iter().sum::<f64>() / n;
+        let mut sxy = 0.0;
+        let mut sxx = 0.0;
+        for (i, &y) in values.iter().enumerate() {
+            let dx = i as f64 - mean_x;
+            sxy += dx * (y - mean_y);
+            sxx += dx * dx;
+        }
+        let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
+        (slope, mean_y - slope * mean_x)
+    }
+
+    /// Oracle: refit the predictor's current window from scratch, axis by
+    /// axis, and evaluate the prediction from that.
     fn predict_from_scratch(p: &LinearPredictor, horizon: f64) -> Option<Pose> {
-        let n = p.history[0].len();
+        let n = p.history.len();
         if !horizon.is_finite() || n < 2 {
             return None;
         }
         let mut out = [0.0f64; 6];
-        for (axis, h) in p.history.iter().enumerate() {
-            let (slope, intercept) = fit_line(h);
-            out[axis] = slope * (n as f64 - 1.0 + horizon) + intercept;
+        for (axis, value) in out.iter_mut().enumerate() {
+            let column: VecDeque<f64> = p.history.iter().map(|row| row[axis]).collect();
+            let (slope, intercept) = fit_line(&column);
+            *value = slope * (n as f64 - 1.0 + horizon) + intercept;
         }
         out[3] = wrap_degrees(out[3]);
         out[4] = out[4].clamp(-90.0, 90.0);
@@ -370,6 +401,31 @@ mod tests {
                 prop_assert_eq!(bits(p.predict(2)), bits(predict_from_scratch(&p, 2.0)));
             }
         }
+    }
+
+    #[test]
+    fn a_window_of_negative_zeros_fits_like_the_oracle() {
+        // The per-axis mean is a sum that starts from −0.0, as
+        // `Iterator::sum` does; started from +0.0 the intercept — and a
+        // prediction behind the window — would come out +0.0.
+        let zero = Pose::from_components([-0.0; 6]);
+        let mut p = LinearPredictor::new(3);
+        for _ in 0..4 {
+            p.observe(&zero);
+            for h in [-5.0, 0.0, 1.0] {
+                assert_eq!(
+                    p.predict_fractional(h)
+                        .map(|q| q.components().map(f64::to_bits)),
+                    predict_from_scratch(&p, h).map(|q| q.components().map(f64::to_bits)),
+                );
+            }
+        }
+        assert!(p
+            .predict_fractional(-5.0)
+            .unwrap()
+            .position
+            .x
+            .is_sign_negative());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! - [`hist`] / [`registry`] — a **metrics registry** of counters, gauges,
 //!   and fixed-bucket [`Histogram`]s. All observed values are integers
 //!   (`u64`; timings are nanoseconds), so every merge is a plain integer
-//!   add — exactly associative and commutative, the same discipline as the
+//!   add or maximum — exactly associative and commutative, the same discipline as the
 //!   simulator's concatenative merge ops. Per-worker / per-session
 //!   registries therefore combine deterministically: merging in chunk
 //!   order produces bit-identical aggregates at every thread count.
@@ -35,6 +35,6 @@ pub mod stage;
 pub mod trace;
 
 pub use hist::{latency_bounds_ns, Histogram, HistogramSummary};
-pub use registry::{CounterId, GaugeId, HistogramId, Registry};
+pub use registry::{CounterId, GaugeId, GaugeMerge, HistogramId, Registry};
 pub use stage::StageStats;
 pub use trace::{TraceEvent, TraceRecord, Tracer};

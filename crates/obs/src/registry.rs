@@ -7,8 +7,8 @@
 //! plain indices resolved at registration time, so the hot path is one
 //! bounds-checked slot access with no map lookup and no lock). Aggregation
 //! merges registries **in chunk order**; every combine is an integer add
-//! or a [`Histogram::merge`], so the result is bit-identical at any
-//! thread count. Live exposition snapshots the registry to a rendered
+//! or maximum or a [`Histogram::merge`], so the result is bit-identical at
+//! any thread count. Live exposition snapshots the registry to a rendered
 //! string (see `cvr-serve`'s exporter) rather than sharing the registry
 //! across threads.
 
@@ -37,6 +37,19 @@ struct Series {
     labels: String,
     help: String,
     value: Value,
+    /// How a gauge combines under [`Registry::merge`]; other kinds have
+    /// one meaningful combine each and leave this unread.
+    gauge_merge: GaugeMerge,
+}
+
+/// How a gauge combines when registries merge: an instantaneous value
+/// has no combine of its own, so each states one where it is registered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GaugeMerge {
+    /// The total (occupancies: clients, groups).
+    Sum,
+    /// The largest (high-water marks, progress).
+    Max,
 }
 
 /// The value of a metric series.
@@ -97,6 +110,7 @@ impl Registry {
             labels: key.1.clone(),
             help: help.to_string(),
             value,
+            gauge_merge: GaugeMerge::Sum,
         });
         self.index.insert(key, idx);
         idx
@@ -107,9 +121,12 @@ impl Registry {
         CounterId(self.get_or_insert(name, labels, help, Value::Counter(0)))
     }
 
-    /// Registers (or looks up) a gauge series.
-    pub fn gauge(&mut self, name: &str, labels: &str, help: &str) -> GaugeId {
-        GaugeId(self.get_or_insert(name, labels, help, Value::Gauge(0)))
+    /// Registers (or looks up) a gauge series that combines by `merge`
+    /// when registries merge.
+    pub fn gauge(&mut self, name: &str, labels: &str, help: &str, merge: GaugeMerge) -> GaugeId {
+        let idx = self.get_or_insert(name, labels, help, Value::Gauge(0));
+        self.series[idx].gauge_merge = merge;
+        GaugeId(idx)
     }
 
     /// Registers (or looks up) a histogram series with the given bucket
@@ -143,15 +160,6 @@ impl Registry {
     pub fn set_gauge(&mut self, id: GaugeId, value: i64) {
         match &mut self.series[id.0].value {
             Value::Gauge(v) => *v = value,
-            _ => unreachable!("GaugeId points at a gauge"),
-        }
-    }
-
-    /// Adds a (possibly negative) delta to a gauge.
-    #[inline]
-    pub fn add_gauge(&mut self, id: GaugeId, delta: i64) {
-        match &mut self.series[id.0].value {
-            Value::Gauge(v) => *v += delta,
             _ => unreachable!("GaugeId points at a gauge"),
         }
     }
@@ -207,9 +215,10 @@ impl Registry {
     }
 
     /// Merges another registry into this one: matching `(name, labels)`
-    /// series combine (counters and gauges add, histograms merge
-    /// bucket-wise); series unknown to `self` are appended in `other`'s
-    /// registration order. Both directions are exact integer arithmetic,
+    /// series combine (counters add, histograms merge bucket-wise, a
+    /// gauge follows the [`GaugeMerge`] rule `self` registered it with);
+    /// series unknown to `self` are appended in `other`'s registration
+    /// order, rule included. Every combine is exact integer arithmetic,
     /// so chunk-ordered merges are bit-identical at any thread count.
     ///
     /// # Panics
@@ -219,10 +228,13 @@ impl Registry {
             let key = (s.name.clone(), s.labels.clone());
             match self.index.get(&key) {
                 Some(&idx) => {
-                    let mine = &mut self.series[idx].value;
-                    match (mine, &s.value) {
+                    let mine = &mut self.series[idx];
+                    match (&mut mine.value, &s.value) {
                         (Value::Counter(a), Value::Counter(b)) => *a += b,
-                        (Value::Gauge(a), Value::Gauge(b)) => *a += b,
+                        (Value::Gauge(a), Value::Gauge(b)) => match mine.gauge_merge {
+                            GaugeMerge::Sum => *a += b,
+                            GaugeMerge::Max => *a = (*a).max(*b),
+                        },
                         (Value::Histogram(a), Value::Histogram(b)) => a.merge(b),
                         _ => panic!(
                             "series {}{{{}}} has different kinds across registries",
@@ -325,7 +337,7 @@ mod tests {
     fn reregistering_as_other_kind_panics() {
         let mut r = Registry::new();
         r.counter("x", "", "");
-        r.gauge("x", "", "");
+        r.gauge("x", "", "", GaugeMerge::Sum);
     }
 
     #[test]
@@ -333,16 +345,20 @@ mod tests {
         let mut a = Registry::new();
         let ca = a.counter("runs_total", "algo=\"greedy\"", "runs");
         a.inc(ca, 2);
-        let ga = a.gauge("clients", "", "live clients");
+        let ga = a.gauge("clients", "", "live clients", GaugeMerge::Sum);
         a.set_gauge(ga, 4);
+        let da = a.gauge("depth_max", "", "deepest queue", GaugeMerge::Max);
+        a.set_gauge(da, 7);
 
         let mut b = Registry::new();
         let cb = b.counter("runs_total", "algo=\"greedy\"", "runs");
         b.inc(cb, 3);
         let cb2 = b.counter("runs_total", "algo=\"optimal\"", "runs");
         b.inc(cb2, 1);
-        let gb = b.gauge("clients", "", "live clients");
+        let gb = b.gauge("clients", "", "live clients", GaugeMerge::Sum);
         b.set_gauge(gb, -1);
+        let db = b.gauge("depth_max", "", "deepest queue", GaugeMerge::Max);
+        b.set_gauge(db, 5);
 
         a.merge(&b);
         assert_eq!(
@@ -354,6 +370,13 @@ mod tests {
             Some(&Value::Counter(1))
         );
         assert_eq!(a.get("clients", ""), Some(&Value::Gauge(3)));
+        assert_eq!(a.get("depth_max", ""), Some(&Value::Gauge(7)));
+        // Into an empty registry the series arrives with its rule.
+        let mut fresh = Registry::new();
+        fresh.merge(&b);
+        fresh.merge(&a);
+        assert_eq!(fresh.get("depth_max", ""), Some(&Value::Gauge(7)));
+        assert_eq!(fresh.get("clients", ""), Some(&Value::Gauge(2)));
     }
 
     #[test]
@@ -383,7 +406,12 @@ mod tests {
         let mut r = Registry::new();
         let c = r.counter("cvr_ticks_total", "", "slots executed");
         r.inc(c, 7);
-        let g = r.gauge("cvr_session_clients", "", "connected clients");
+        let g = r.gauge(
+            "cvr_session_clients",
+            "",
+            "connected clients",
+            GaugeMerge::Sum,
+        );
         r.set_gauge(g, 2);
         let h = r.histogram(
             "cvr_slot_stage_ns",

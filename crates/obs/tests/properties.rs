@@ -3,7 +3,7 @@
 //! merged-in-order aggregation must be indistinguishable from sequential
 //! accumulation, regardless of how the input is split.
 
-use cvr_obs::{Histogram, Registry};
+use cvr_obs::{GaugeMerge, Histogram, Registry};
 use proptest::prelude::*;
 
 const BOUNDS: [u64; 5] = [10, 50, 100, 500, 1000];
@@ -130,17 +130,20 @@ proptest! {
         values in prop::collection::vec((0u64..3, 0u64..2000), 1..150),
         chunk in 1usize..30,
     ) {
-        // Mixed-kind registry: per-label counters + one histogram, fed as
-        // (label, value) pairs. Chunked per-worker registries merged in
-        // chunk order must equal the sequentially-filled registry.
+        // Mixed-kind registry: per-label counters, a histogram, a summed
+        // and a maximum gauge, fed as (label, value) pairs. Chunked
+        // per-worker registries merged in chunk order must equal the
+        // sequentially-filled registry.
         let feed = |r: &mut Registry, part: &[(u64, u64)]| {
             for &(label, v) in part {
                 let c = r.counter("events_total", &format!("kind=\"{label}\""), "events");
                 r.inc(c, 1);
                 let h = r.histogram("value", "", "observed values", &BOUNDS);
                 r.observe(h, v);
-                let g = r.gauge("net", "", "signed accumulation");
-                r.add_gauge(g, v as i64 - 1000);
+                let g = r.gauge("net", "", "signed accumulation", GaugeMerge::Sum);
+                r.set_gauge(g, r.gauge_value(g) + v as i64 - 1000);
+                let peak = r.gauge("peak", "", "largest value", GaugeMerge::Max);
+                r.set_gauge(peak, r.gauge_value(peak).max(v as i64));
             }
         };
         let mut sequential = Registry::new();

@@ -16,6 +16,7 @@ use rand_chacha::ChaCha8Rng;
 use cvr_content::cache::ClientTileBuffer;
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
+use cvr_content::tile::{tile_mask, tiles_in};
 use cvr_core::objective::QoeParams;
 use cvr_core::qoe::{UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
@@ -124,6 +125,9 @@ pub struct ReplayClient<T: ClientTransport> {
     displayed_quality: Option<QualityLevel>,
     /// Slot the displayed assignment was planned for, to measure delay.
     displayed_lag_slots: f64,
+    /// The ids one frame's stores evicted; empty between frames, its
+    /// capacity reused.
+    released: Vec<VideoId>,
 }
 
 impl<T: ClientTransport> ReplayClient<T> {
@@ -161,6 +165,7 @@ impl<T: ClientTransport> ReplayClient<T> {
             protocol_errors: 0,
             displayed_quality: None,
             displayed_lag_slots: 0.0,
+            released: Vec::new(),
             config,
         }
     }
@@ -195,11 +200,9 @@ impl<T: ClientTransport> ReplayClient<T> {
         // only if every tile the *actual* pose needs is in the buffer at
         // that quality — the client-side analogue of the FoV hit test.
         if let Some(quality) = self.displayed_quality {
-            let request = self.library.request_for(&pose);
-            let hit = request.tiles.iter().all(|&t| {
-                self.buffer
-                    .contains(&VideoId::new(request.cell, t, quality))
-            });
+            let cell = self.library.grid().cell_of(&pose.position);
+            let hit = tiles_in(tile_mask(self.library.fov(), &pose))
+                .all(|t| self.buffer.contains(&VideoId::new(cell, t, quality)));
             self.qoe.record(quality, hit, self.displayed_lag_slots);
             self.displayed.observe(quality.get() as u64);
         }
@@ -252,7 +255,6 @@ impl<T: ClientTransport> ReplayClient<T> {
                     manifest,
                     ..
                 }) => {
-                    self.assignments += 1;
                     // RTT: from uploading pose `pose_seq` to seeing the
                     // assignment planned against it.
                     while self.sent_at.front().is_some_and(|&(seq, _)| seq < pose_seq) {
@@ -264,24 +266,8 @@ impl<T: ClientTransport> ReplayClient<T> {
                                 .observe(at.elapsed().as_nanos().min(u64::MAX as u128) as u64);
                         }
                     }
-                    // Store tiles, ACK them, release evictions.
-                    if !manifest.is_empty() {
-                        let mut released = Vec::new();
-                        for &vid in &manifest {
-                            released.extend(self.buffer.store(vid));
-                        }
-                        self.transport.send(&ClientMessage::Ack { ids: manifest });
-                        if !released.is_empty() {
-                            self.transport
-                                .send(&ClientMessage::Release { ids: released });
-                        }
-                    }
-                    if quality == 0 || quality > self.levels {
-                        self.protocol_errors += 1;
-                    } else {
-                        self.displayed_quality = Some(QualityLevel::new(quality));
-                        self.displayed_lag_slots = self.seq.saturating_sub(pose_seq) as f64;
-                    }
+                    let lag_slots = self.seq.saturating_sub(pose_seq) as f64;
+                    self.accept_frame(manifest, quality, lag_slots);
                 }
                 Ok(ServerMessage::GroupAssign {
                     quality, manifest, ..
@@ -295,24 +281,7 @@ impl<T: ClientTransport> ReplayClient<T> {
                         self.protocol_errors += 1;
                         continue;
                     }
-                    self.assignments += 1;
-                    if !manifest.is_empty() {
-                        let mut released = Vec::new();
-                        for &vid in &manifest {
-                            released.extend(self.buffer.store(vid));
-                        }
-                        self.transport.send(&ClientMessage::Ack { ids: manifest });
-                        if !released.is_empty() {
-                            self.transport
-                                .send(&ClientMessage::Release { ids: released });
-                        }
-                    }
-                    if quality == 0 || quality > self.levels {
-                        self.protocol_errors += 1;
-                    } else {
-                        self.displayed_quality = Some(QualityLevel::new(quality));
-                        self.displayed_lag_slots = PIPELINE_SLOTS as f64;
-                    }
+                    self.accept_frame(manifest, quality, PIPELINE_SLOTS as f64);
                 }
                 Ok(ServerMessage::Shutdown) => {
                     self.shutdown = true;
@@ -321,6 +290,36 @@ impl<T: ClientTransport> ReplayClient<T> {
                     self.protocol_errors += 1;
                 }
             }
+        }
+    }
+
+    /// One assignment frame: stores its tiles, ACKs them, releases what
+    /// the buffer evicted to make room, and displays its quality
+    /// `lag_slots` behind the pose it was planned for.
+    fn accept_frame(&mut self, manifest: Vec<VideoId>, quality: u8, lag_slots: f64) {
+        self.assignments += 1;
+        if !manifest.is_empty() {
+            for &vid in &manifest {
+                self.released.extend(self.buffer.store(vid));
+            }
+            self.transport.send(&ClientMessage::Ack { ids: manifest });
+            if !self.released.is_empty() {
+                // The message owns its ids; lend it the buffer for the send.
+                let release = ClientMessage::Release {
+                    ids: std::mem::take(&mut self.released),
+                };
+                self.transport.send(&release);
+                if let ClientMessage::Release { ids } = release {
+                    self.released = ids;
+                    self.released.clear();
+                }
+            }
+        }
+        if quality == 0 || quality > self.levels {
+            self.protocol_errors += 1;
+        } else {
+            self.displayed_quality = Some(QualityLevel::new(quality));
+            self.displayed_lag_slots = lag_slots;
         }
     }
 

@@ -31,20 +31,20 @@ use std::time::{Duration, Instant};
 
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
-use cvr_content::tile::{tiles_for_pose_into, TileId};
+use cvr_content::tile::{tile_mask, TileId};
 use cvr_core::delay::{DelayModel, Mm1Delay};
 use cvr_core::objective::QoeParams;
 use cvr_core::qoe::{UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
 use cvr_core::variance::VarianceTracker;
-use cvr_lookahead::{fov_tile_overlap, LookaheadConfig};
+use cvr_lookahead::LookaheadConfig;
 use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::pose::Pose;
 use cvr_motion::predict::LinearPredictor;
 use cvr_net::estimate::EmaEstimator;
 use cvr_net::multilink::{FailoverPolicy, LinkId};
-use cvr_obs::registry::{CounterId, GaugeId, HistogramId};
+use cvr_obs::registry::{CounterId, GaugeId, GaugeMerge, HistogramId};
 use cvr_obs::{latency_bounds_ns, Registry, StageStats, TraceEvent, Tracer};
 use cvr_sim::pipeline::SlotPlanner;
 use cvr_sim::system::{DELAY_CAP_SLOTS, PIPELINE_SLOTS};
@@ -221,17 +221,29 @@ impl SessionObs {
             "",
             "Bonded-link failovers across all users",
         );
-        let g_clients = r.gauge("cvr_session_clients", "", "Users currently joined");
+        let g_clients = r.gauge(
+            "cvr_session_clients",
+            "",
+            "Users currently joined",
+            GaugeMerge::Sum,
+        );
         let g_queue_depth = r.gauge(
             "cvr_outbound_queue_depth_max",
             "",
             "Deepest outbound queue observed on any connection",
+            GaugeMerge::Max,
         );
-        let g_slot = r.gauge("cvr_session_slot", "", "Current slot index");
+        let g_slot = r.gauge(
+            "cvr_session_slot",
+            "",
+            "Current slot index",
+            GaugeMerge::Max,
+        );
         let g_mcast_groups = r.gauge(
             "cvr_mcast_groups",
             "",
             "Multicast groups (two or more members) formed in the last planned slot",
+            GaugeMerge::Sum,
         );
         let overlap_bounds: Vec<u64> = (0..=TileId::COUNT as u64).collect();
         let h_overlap: Vec<HistogramId> = (1..horizon.max(1))
@@ -300,9 +312,8 @@ struct FovPredictionRecord {
     target_seq: u64,
     /// Lookahead step, `1..horizon` slots past the display slot.
     h: usize,
-    /// Predicted visible tile set (first `len` entries valid).
-    tiles: [TileId; TileId::COUNT as usize],
-    len: u8,
+    /// Predicted visible tile set, as its [`tile_mask`].
+    tiles: u8,
 }
 
 /// Takes the manifest buffer back out of a sent `Assignment` or
@@ -509,8 +520,6 @@ pub struct Session {
     plan_tracker: Vec<VarianceTracker>,
     /// Whether the user may prefetch this slot (has a pose, not degraded).
     plan_prefetchable: Vec<bool>,
-    prefetch_tiles: Vec<TileId>,
-    fov_actual: Vec<TileId>,
     manifest: Vec<VideoId>,
     /// One shared row's encoded `GroupAssign` payloads, concatenated, with
     /// `(quality index, byte span)` per payload.
@@ -546,8 +555,6 @@ impl Session {
             plan_delta: Vec::new(),
             plan_tracker: Vec::new(),
             plan_prefetchable: Vec::new(),
-            prefetch_tiles: Vec::new(),
-            fov_actual: Vec::new(),
             manifest: Vec::new(),
             payload: Vec::new(),
             payload_spans: Vec::new(),
@@ -847,41 +854,25 @@ impl Session {
                         user.staleness_slots = 0;
                         // Score every prediction this pose (or an earlier,
                         // missed one) was targeting.
-                        while user
-                            .predictions
-                            .front()
-                            .is_some_and(|p| p.target_seq <= seq)
+                        while let Some(record) =
+                            user.predictions.pop_front_if(|p| p.target_seq <= seq)
                         {
-                            let record = user.predictions.pop_front().expect("checked front");
                             let fov = self.planner.library().fov();
                             let hit = fov.covers(&record.predicted, &pose);
                             user.delta.record(hit);
                             user.qoe.record(record.quality, hit, record.delay_slots);
                         }
-                        // Score lookahead FoV predictions the same way:
-                        // this pose (or an earlier, missed one) is the
-                        // ground truth for every record it has caught up
-                        // with. However many records mature on it, the
-                        // pose's actual tile set is computed once.
-                        let mut actual_ready = false;
-                        while user
-                            .fov_predictions
-                            .front()
-                            .is_some_and(|p| p.target_seq <= seq)
+                        // Score lookahead FoV predictions the same way,
+                        // against this pose's tile mask — computed once,
+                        // however many records mature on it.
+                        let mut actual_mask = None;
+                        while let Some(record) =
+                            user.fov_predictions.pop_front_if(|p| p.target_seq <= seq)
                         {
-                            let record = user.fov_predictions.pop_front().expect("checked front");
-                            if !actual_ready {
-                                tiles_for_pose_into(
-                                    self.planner.library().fov(),
-                                    &pose,
-                                    &mut self.fov_actual,
-                                );
-                                actual_ready = true;
-                            }
-                            let overlap = fov_tile_overlap(
-                                &record.tiles[..record.len as usize],
-                                &self.fov_actual,
-                            );
+                            let actual = *actual_mask.get_or_insert_with(|| {
+                                tile_mask(self.planner.library().fov(), &pose)
+                            });
+                            let overlap = (record.tiles & actual).count_ones();
                             self.obs
                                 .registry
                                 .observe(self.obs.h_overlap[record.h - 1], overlap as u64);
@@ -1081,15 +1072,11 @@ impl Session {
                 let user = self.users[self.plan_ids[i]].as_mut()?;
                 let ahead = user.staleness_slots + PIPELINE_SLOTS + h;
                 let pose = user.predictor.predict_fractional(ahead as f64)?;
-                tiles_for_pose_into(&fov, &pose, &mut self.prefetch_tiles);
-                let mut record = FovPredictionRecord {
+                user.fov_predictions.push_back(FovPredictionRecord {
                     target_seq: user.last_pose_seq + ahead as u64,
                     h,
-                    tiles: [TileId::new(0); TileId::COUNT as usize],
-                    len: self.prefetch_tiles.len() as u8,
-                };
-                record.tiles[..self.prefetch_tiles.len()].copy_from_slice(&self.prefetch_tiles);
-                user.fov_predictions.push_back(record);
+                    tiles: tile_mask(&fov, &pose),
+                });
                 if user.fov_predictions.len() > MAX_PENDING_PREDICTIONS {
                     user.fov_predictions.pop_front();
                 }

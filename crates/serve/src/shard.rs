@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cvr_obs::Registry;
+use cvr_obs::{GaugeMerge, Registry};
 
 use crate::expose::MetricsExporter;
 use crate::readiness::Poller;
@@ -68,13 +68,15 @@ struct Shard {
 impl Shard {
     /// Snapshots this shard's observability state into one registry:
     /// a per-shard session gauge plus the merge of every hosted
-    /// session's registry (counters and histograms add across sessions).
+    /// session's registry (counters and histograms add across sessions,
+    /// each gauge by the rule it was registered with).
     fn snapshot(&mut self, index: usize) -> Registry {
         let mut merged = Registry::new();
         let g = merged.gauge(
             "cvr_shard_sessions",
             &format!("shard=\"{index}\""),
             "Sessions hosted by this shard",
+            GaugeMerge::Sum,
         );
         merged.set_gauge(g, self.sessions.len() as i64);
         for (_, session) in &mut self.sessions {
@@ -440,5 +442,51 @@ mod tests {
         assert!(body.contains("cvr_shard_sessions{shard=\"1\"} 1"), "{body}");
         // Session registries merged in: three sessions' tick counters sum.
         assert!(body.contains("cvr_ticks_total 0"), "{body}");
+    }
+
+    #[test]
+    fn merged_gauges_follow_their_rules_not_a_blanket_sum() {
+        use crate::client::{ClientConfig, ReplayClient};
+        use crate::transport::loopback;
+
+        // Session 0: three clients that drain every slot. Session 1: one
+        // peer that said Hello and Pose once and never reads again, so its
+        // outbound queue only deepens.
+        let mut h = host(1, 2);
+        let mut clients: Vec<_> = (0..3)
+            .map(|seed| {
+                let (server_end, client_end) = loopback(64);
+                h.add_transport(0, Box::new(server_end));
+                let config = ClientConfig {
+                    seed,
+                    ..ClientConfig::default()
+                };
+                ReplayClient::new(client_end, config)
+            })
+            .collect();
+        let (server_end, silent_end) = loopback(64);
+        h.add_transport(1, Box::new(server_end));
+        let mut silent = ReplayClient::new(silent_end, ClientConfig::default());
+        let slots = 20;
+        for slot in 0..slots {
+            h.step_slot();
+            clients.iter_mut().for_each(ReplayClient::step_slot);
+            if slot == 0 {
+                silent.step_slot();
+            }
+        }
+
+        let depths = [0, 1].map(|id| h.session_mut(id).counters().max_outbound_queue_depth);
+        assert!(depths[1] > depths[0] && depths[0] > 0, "depths {depths:?}");
+        let body = h.render_metrics();
+        let gauge = |name: &str| -> i64 {
+            let line = body.lines().find(|l| l.starts_with(&format!("{name} ")));
+            let line = line.unwrap_or_else(|| panic!("no {name} in {body}"));
+            line[name.len() + 1..].parse().expect("integer gauge")
+        };
+        assert_eq!(gauge("cvr_outbound_queue_depth_max"), depths[1] as i64);
+        assert_eq!(gauge("cvr_session_slot"), slots);
+        assert_eq!(gauge("cvr_session_clients"), 4);
+        assert_eq!(h.active_users(), 4);
     }
 }

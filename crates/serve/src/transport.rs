@@ -22,6 +22,10 @@
 //! reports itself *stalled*; the session reacts by degrading that user
 //! to the lowest quality rather than letting one slow client stall the
 //! slot deadline for everyone.
+//!
+//! Both transports share one queue type. A push signals the condition
+//! variable only when a consumer is parked in `pop_wait` — in practice the
+//! TCP client's writer thread — so a loopback frame makes no system call.
 
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -112,6 +116,10 @@ struct QueueState {
     frames: VecDeque<Vec<u8>>,
     closed: bool,
     dropped: u64,
+    /// Threads parked in [`Queue::pop_wait`] right now.
+    parked: usize,
+    /// `notify_one` calls [`Queue::push`] has issued (read by tests only).
+    wakes: u64,
 }
 
 impl Queue {
@@ -122,6 +130,8 @@ impl Queue {
                 frames: VecDeque::with_capacity(capacity),
                 closed: false,
                 dropped: 0,
+                parked: 0,
+                wakes: 0,
             }),
             ready: Condvar::new(),
             capacity,
@@ -148,8 +158,15 @@ impl Queue {
             dropped += 1;
         }
         state.frames.push_back(frame);
+        // Only a parked consumer needs the wake-up (a system call); it
+        // registered under this lock, so it is counted here or has yet to
+        // look at `frames` and will find this one.
+        let wake = state.parked > 0;
+        state.wakes += u64::from(wake);
         drop(state);
-        self.ready.notify_one();
+        if wake {
+            self.ready.notify_one();
+        }
         if dropped == 0 {
             SendStatus::Sent
         } else {
@@ -178,7 +195,9 @@ impl Queue {
             if state.closed {
                 return None;
             }
+            state.parked += 1;
             state = self.ready.wait(state).expect("queue poisoned");
+            state.parked -= 1;
         }
     }
 
@@ -291,9 +310,9 @@ impl ClientTransport for LoopbackClientEnd {
 /// retrying it.
 pub const WRITE_STALL_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// The client's framed `TcpStream` with dedicated reader and writer
-/// threads and bounded queues in both directions.
-struct FramedPeer {
+/// Client-side TCP transport: a framed `TcpStream` with dedicated reader
+/// and writer threads and bounded queues in both directions.
+pub struct TcpClientTransport {
     inbound: Arc<Queue>,
     outbound: Arc<Queue>,
     stream: TcpStream,
@@ -301,8 +320,13 @@ struct FramedPeer {
     writer: Option<std::thread::JoinHandle<()>>,
 }
 
-impl FramedPeer {
-    fn new(stream: TcpStream, capacity: usize) -> std::io::Result<Self> {
+impl TcpClientTransport {
+    /// Wraps a connected stream, spawning its reader and writer threads.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket configuration failures.
+    pub fn new(stream: TcpStream, capacity: usize) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT))?;
         let inbound = Queue::new(capacity, tag::ASSIGNMENT);
@@ -376,7 +400,7 @@ impl FramedPeer {
             })
         };
 
-        Ok(FramedPeer {
+        Ok(TcpClientTransport {
             inbound,
             outbound,
             stream,
@@ -384,16 +408,9 @@ impl FramedPeer {
             writer: Some(writer),
         })
     }
-
-    fn close(&mut self) {
-        self.inbound.close();
-        self.outbound.close();
-        // Unblocks the reader thread's blocking read.
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
 }
 
-impl Drop for FramedPeer {
+impl Drop for TcpClientTransport {
     fn drop(&mut self) {
         self.close();
         if let Some(handle) = self.reader.take() {
@@ -405,39 +422,24 @@ impl Drop for FramedPeer {
     }
 }
 
-/// Client-side TCP transport.
-pub struct TcpClientTransport {
-    peer: FramedPeer,
-}
-
-impl TcpClientTransport {
-    /// Wraps a connected stream, spawning its reader and writer threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket configuration failures.
-    pub fn new(stream: TcpStream, capacity: usize) -> std::io::Result<Self> {
-        Ok(TcpClientTransport {
-            peer: FramedPeer::new(stream, capacity)?,
-        })
-    }
-}
-
 impl ClientTransport for TcpClientTransport {
     fn try_recv(&mut self) -> Option<Result<ServerMessage, WireError>> {
-        self.peer.inbound.pop().map(|f| ServerMessage::decode(&f))
+        self.inbound.pop().map(|f| ServerMessage::decode(&f))
     }
 
     fn send(&mut self, message: &ClientMessage) -> SendStatus {
-        self.peer.outbound.push(message.to_payload())
+        self.outbound.push(message.to_payload())
     }
 
     fn is_closed(&self) -> bool {
-        self.peer.outbound.is_closed()
+        self.outbound.is_closed()
     }
 
     fn close(&mut self) {
-        self.peer.close();
+        self.inbound.close();
+        self.outbound.close();
+        // Unblocks the reader thread's blocking read.
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -505,6 +507,103 @@ mod tests {
         assert!(client.is_closed());
         assert_eq!(client.send(&ClientMessage::Bye), SendStatus::Closed);
         assert_eq!(server.send(&ServerMessage::Shutdown), SendStatus::Closed);
+    }
+
+    fn wakes(queue: &Queue) -> u64 {
+        queue.state.lock().unwrap().wakes
+    }
+
+    /// Spins (yielding) until a consumer is parked in `pop_wait`.
+    fn until_parked(queue: &Queue) {
+        while queue.state.lock().unwrap().parked == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn pushes_with_nobody_parked_issue_no_wake() {
+        let (mut server, mut client) = loopback(2_000);
+        for seq in 0..1_000 {
+            let pose = Pose::default();
+            assert_eq!(
+                client.send(&ClientMessage::Pose { seq, pose }),
+                SendStatus::Sent
+            );
+            assert_eq!(server.send(&ServerMessage::Shutdown), SendStatus::Sent);
+        }
+        assert_eq!(wakes(&client.outbound), 0);
+        assert_eq!(wakes(&server.outbound), 0);
+        assert!(matches!(
+            server.try_recv(),
+            Some(Ok(ClientMessage::Pose { seq: 0, .. }))
+        ));
+    }
+
+    #[test]
+    fn a_parked_consumer_is_woken_by_the_next_push_and_by_close() {
+        let queue = Queue::new(4, tag::POSE);
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| {
+                let first = queue.pop_wait();
+                let second = queue.pop_wait();
+                (first, second)
+            });
+            until_parked(&queue);
+            assert_eq!(queue.push(vec![7]), SendStatus::Sent);
+            assert_eq!(wakes(&queue), 1);
+            // Parked again, this time with nothing coming: only `close`
+            // can end the wait.
+            until_parked(&queue);
+            queue.close();
+            assert_eq!(consumer.join().unwrap(), (Some(vec![7]), None));
+        });
+        assert_eq!(wakes(&queue), 1, "close wakes everyone, push counted one");
+        assert_eq!(queue.state.lock().unwrap().parked, 0);
+    }
+
+    #[test]
+    fn producer_consumer_stress_loses_no_frame_and_no_wakeup() {
+        const FRAMES: u64 = 100_000;
+        let queue = Queue::new(64, tag::POSE);
+        // A cheap deterministic coin for "yield here": both sides drift in
+        // and out of phase, so pushes land before, during and after the
+        // consumer parks.
+        let coin = |state: &mut u64| {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *state >> 61 == 0
+        };
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| {
+                let (mut next, mut rng) = (0u64, 1u64);
+                while let Some(frame) = queue.pop_wait() {
+                    assert_eq!(frame, next.to_le_bytes());
+                    next += 1;
+                    if coin(&mut rng) {
+                        std::thread::yield_now();
+                    }
+                }
+                next
+            });
+            let mut rng = 2u64;
+            for seq in 0..FRAMES {
+                // Never fill the queue: the drop-oldest policy is not
+                // under test here.
+                while queue.len() >= queue.capacity {
+                    std::thread::yield_now();
+                }
+                assert_eq!(queue.push(seq.to_le_bytes().to_vec()), SendStatus::Sent);
+                if coin(&mut rng) {
+                    std::thread::yield_now();
+                }
+            }
+            queue.close();
+            // A lost wakeup would leave the consumer parked and this join
+            // hanging; a lost frame breaks its sequence check.
+            assert_eq!(consumer.join().unwrap(), FRAMES);
+        });
+        assert_eq!(queue.dropped(), 0);
     }
 
     /// A connected [`TcpClientTransport`] plus the raw accepted stream

@@ -50,7 +50,7 @@ use cvr_content::grid::CellId;
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
 use cvr_content::plane::{RatePlane, SharedFovCache, DEFAULT_PLANE_CELLS};
-use cvr_content::tile::{tiles_for_pose_into, TileId};
+use cvr_content::tile::{tile_mask, tiles_in, TileId};
 use cvr_core::engine::SlotEngine;
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::stage_rates_values_with;
@@ -140,7 +140,6 @@ pub struct SlotPlanner {
     prefetch_ids: Vec<VideoId>,
     future_cells: Vec<CellId>,
     future_poses: Vec<Pose>,
-    future_tiles: Vec<TileId>,
     released: Vec<VideoId>,
 }
 
@@ -168,7 +167,6 @@ impl SlotPlanner {
             prefetch_ids: Vec::new(),
             future_cells: Vec::new(),
             future_poses: Vec::new(),
-            future_tiles: Vec::new(),
             released: Vec::new(),
         }
     }
@@ -524,13 +522,9 @@ impl SlotPlanner {
                 };
                 'cells: for idx in 0..spendable {
                     let cell = self.future_cells[idx];
-                    tiles_for_pose_into(
-                        self.library.fov(),
-                        &self.future_poses[idx],
-                        &mut self.future_tiles,
-                    );
+                    let tiles = tile_mask(self.library.fov(), &self.future_poses[idx]);
                     let level_rates = &self.plane.rows(cell)[level_run..level_run + tile_count];
-                    for &tile in &self.future_tiles {
+                    for tile in tiles_in(tiles) {
                         if taken >= policy.max_tiles_per_slot {
                             break 'cells;
                         }

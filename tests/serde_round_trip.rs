@@ -323,7 +323,9 @@ fn predictor_serializes_the_fit_its_predictions_evaluate() {
     // a predictor restored from the value tree must predict the same bits
     // without seeing another pose. Rebuild every prediction from the
     // serialized fields alone and compare with the live predictor.
-    let mut p = LinearPredictor::new(5);
+    let window = 5;
+    let mut p = LinearPredictor::new(window);
+    let (mut mid_window, mut full) = (0, 0);
     for t in 0..9 {
         let t = f64::from(t);
         p.observe(&Pose::new(
@@ -339,11 +341,28 @@ fn predictor_serializes_the_fit_its_predictions_evaluate() {
         let v = mini::to_value(&p);
         let slope = f64_seq(mini::field(&v, "slope"));
         let intercept = f64_seq(mini::field(&v, "intercept"));
-        let observed = match mini::field(&v, "history") {
-            mini::Value::Seq(axes) => f64_seq(&axes[0]).len(),
+        // The window is row-major: one six-component row per pose,
+        // oldest first, fewer than `window` of them until it fills.
+        let rows: Vec<Vec<f64>> = match mini::field(&v, "history") {
+            mini::Value::Seq(rows) => rows.iter().map(f64_seq).collect(),
             other => panic!("history not a sequence: {other:?}"),
         };
+        let observed = rows.len();
         assert_eq!(observed, p.observed());
+        assert_eq!(observed, (t as usize + 1).min(window));
+        assert!(rows.iter().all(|row| row.len() == 6));
+        let newest = rows.last().expect("a pose was observed");
+        assert_eq!(newest[4], 3.0 * t, "pitch column");
+        assert_eq!(
+            newest[3],
+            150.0 + 9.0 * t,
+            "yaw column holds the unwrapped angle"
+        );
+        if observed < window {
+            mid_window += 1;
+        } else {
+            full += 1;
+        }
         for horizon in [0.0, 1.0, 2.5, -1.25, 7.0] {
             let Some(live) = p.predict_fractional(horizon) else {
                 assert!(observed < 2);
@@ -364,4 +383,5 @@ fn predictor_serializes_the_fit_its_predictions_evaluate() {
             );
         }
     }
+    assert_eq!((mid_window, full), (4, 5));
 }
