@@ -6,12 +6,15 @@
 #   ./ci.sh                  # every stage, in order
 #   ./ci.sh quick            # every stage, skipping the slow ignored tests
 #   ./ci.sh <stage>...       # test | determinism | net-scenarios |
-#                            # serve-smoke | bench-gate | benchmark-build
+#                            # serve-smoke | benchmark-build | bench-gate
 #   ./ci.sh loc              # report only, never fails: Rust line counts
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(test determinism net-scenarios serve-smoke bench-gate benchmark-build)
+# bench-gate goes last: its `scale` speedup floors fail on a noisy 2-vCPU
+# host, and `set -e` must not stop there before the frozen-API benchmark
+# build and its smokes have run.
+STAGES=(test determinism net-scenarios serve-smoke benchmark-build bench-gate)
 
 step() { printf '\n=== %s ===\n' "$*"; }
 
@@ -156,11 +159,12 @@ stage_benchmark_build() {
     # seed delivered different ones, and no operation failed.
     bash benchmark/run.sh --workload lecture32_mcast_h4 --trace 1 --seconds 2
 
-    step "Benchmark timed smoke: classroom8, 2 s"
+    step "Benchmark timed smokes: classroom8 and lecture32_mcast_h4, 2 s each"
     # The pass the driver judges PRs on, shortened: tracing off, every
     # sub-seed block repeated. Exits non-zero unless the repeats of a
     # sub-seed delivered identical frames and no operation failed.
     bash benchmark/run.sh --workload classroom8 --trace 0 --seconds 2
+    bash benchmark/run.sh --workload lecture32_mcast_h4 --trace 0 --seconds 2
 }
 
 stage_loc() {

@@ -13,14 +13,26 @@
 //! * [`DeliveryLedger`] — the server's per-user record of delivered tiles
 //!   (built from ACKs over TCP), used to skip retransmitting tiles the
 //!   client already holds.
+//!
+//! The buffer and the ledger answer the same question from the two ends of
+//! a connection — which tiles does this peer hold — and keep the answer in
+//! one private type, `TileSet`: a map from a [`VideoId`]'s cell key to
+//! a `u32` with one bit per `(tile, quality)` slot of that cell, under the
+//! seeded [`CellHashBuilder`]. Whatever is asked about a cell — one id, a
+//! whole FoV at one quality ([`ClientTileBuffer::holds_all`]), every tile
+//! at every level ([`UndeliveredSums::retarget`]) — is one probe and some
+//! bit tests. A cell whose last tile goes leaves the map, so the map's
+//! size follows what is held now, not what was ever held. The map is never
+//! iterated: release order comes from the buffer's FIFO.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use cvr_core::quality::QualityLevel;
 
 use crate::grid::CellId;
+use crate::hash::CellHashBuilder;
 use crate::id::VideoId;
-use crate::tile::TileId;
+use crate::tile::{tiles_in, TileId};
 
 /// Outcome of a server cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,12 +166,61 @@ impl ServerTileCache {
     }
 }
 
+/// A set of tiles as one slot mask per grid cell.
+#[derive(Debug, Clone, Default)]
+struct TileSet {
+    /// Cell key → the held `(tile, quality)` slots of that cell
+    /// ([`VideoId::cell_key`], [`VideoId::slot_bit`]). No entry holds an
+    /// empty mask.
+    cells: HashMap<u64, u32, CellHashBuilder>,
+    /// Set bits over all masks.
+    tiles: usize,
+}
+
+impl TileSet {
+    /// The held slots of the cell with key `cell_key`.
+    fn mask(&self, cell_key: u64) -> u32 {
+        self.cells.get(&cell_key).copied().unwrap_or(0)
+    }
+
+    fn contains(&self, id: &VideoId) -> bool {
+        self.mask(id.cell_key()) & id.slot_bit() != 0
+    }
+
+    /// Adds `id`; whether it was absent.
+    fn insert(&mut self, id: VideoId) -> bool {
+        let mask = self.cells.entry(id.cell_key()).or_insert(0);
+        let added = *mask & id.slot_bit() == 0;
+        *mask |= id.slot_bit();
+        self.tiles += usize::from(added);
+        added
+    }
+
+    /// Drops `id`, and its cell's entry with the cell's last tile; whether
+    /// it was present.
+    fn remove(&mut self, id: &VideoId) -> bool {
+        let Some(mask) = self.cells.get_mut(&id.cell_key()) else {
+            return false;
+        };
+        if *mask & id.slot_bit() == 0 {
+            return false;
+        }
+        *mask &= !id.slot_bit();
+        if *mask == 0 {
+            self.cells.remove(&id.cell_key());
+        }
+        self.tiles -= 1;
+        true
+    }
+}
+
 /// The client-side tile buffer with a release threshold.
 #[derive(Debug, Clone)]
 pub struct ClientTileBuffer {
     threshold: usize,
+    /// Held tiles, oldest first: the order they are released in.
     order: VecDeque<VideoId>,
-    held: HashSet<VideoId>,
+    held: TileSet,
 }
 
 impl ClientTileBuffer {
@@ -174,23 +235,37 @@ impl ClientTileBuffer {
         ClientTileBuffer {
             threshold,
             order: VecDeque::new(),
-            held: HashSet::new(),
+            held: TileSet::default(),
         }
     }
 
     /// Number of tiles held.
     pub fn len(&self) -> usize {
-        self.held.len()
+        self.held.tiles
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.held.is_empty()
+        self.held.tiles == 0
     }
 
     /// Whether a tile is held (decodable without retransmission).
     pub fn contains(&self, id: &VideoId) -> bool {
         self.held.contains(id)
+    }
+
+    /// Whether every tile of `cell` whose bit is set in `tile_mask` (a
+    /// [`crate::tile::tile_mask`]) is held at `quality` — the display hit
+    /// test, equal to [`ClientTileBuffer::contains`] on each such id.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`VideoId::new`] would: `cell` outside ±2¹⁹ or
+    /// `quality` above 7.
+    pub fn holds_all(&self, cell: CellId, tile_mask: u8, quality: QualityLevel) -> bool {
+        let wanted =
+            tiles_in(tile_mask).fold(0, |slots, tile| slots | VideoId::slot_bit_of(tile, quality));
+        self.held.mask(VideoId::key_of(cell)) & wanted == wanted
     }
 
     /// Stores a received tile; returns the tiles *released* to stay under
@@ -201,7 +276,7 @@ impl ClientTileBuffer {
             self.order.push_back(id);
         }
         let mut released = Vec::new();
-        while self.held.len() > self.threshold {
+        while self.held.tiles > self.threshold {
             if let Some(old) = self.order.pop_front() {
                 if self.held.remove(&old) {
                     released.push(old);
@@ -215,7 +290,7 @@ impl ClientTileBuffer {
 /// The server's per-user ledger of tiles known to be held by the client.
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryLedger {
-    delivered: HashSet<VideoId>,
+    delivered: TileSet,
 }
 
 impl DeliveryLedger {
@@ -255,12 +330,12 @@ impl DeliveryLedger {
 
     /// Number of tiles believed held.
     pub fn len(&self) -> usize {
-        self.delivered.len()
+        self.delivered.tiles
     }
 
     /// Whether nothing is believed held.
     pub fn is_empty(&self) -> bool {
-        self.delivered.is_empty()
+        self.delivered.tiles == 0
     }
 
     /// Splits a wanted tile list into (must-send, already-held).
@@ -300,7 +375,8 @@ impl DeliveryLedger {
 /// The accumulator targets one `(cell, tile set)` at a time — the user's
 /// current FoV request. [`UndeliveredSums::retarget`] (called on cell or
 /// tile-set changes) rebuilds the delivered mask and the per-level sums
-/// from the ledger; [`UndeliveredSums::acknowledge`] and
+/// from the ledger (one probe: the cell's slot mask);
+/// [`UndeliveredSums::acknowledge`] and
 /// [`UndeliveredSums::release`] are *paired* calls that mutate the ledger
 /// and fold the change into the sums in one step, so the two can never
 /// drift apart.
@@ -362,8 +438,9 @@ impl UndeliveredSums {
     /// Retargets the accumulator at a new `(cell, tiles)` request, reading
     /// rate rows from `cell_rows` (the cell's full `levels × TileId::COUNT`
     /// **level-major** table, e.g. [`crate::plane::RatePlane::rows`]) and
-    /// the delivered mask from `ledger`. Rebuilds masks and sums from
-    /// scratch — called only on cell/tile-set changes, not per slot. Both
+    /// the delivered mask from `ledger` — the cell's slot mask, read once.
+    /// Rebuilds masks and sums from scratch — called only on cell/tile-set
+    /// changes, not per slot. Both
     /// the source table and the internal copy are level-major, so the copy
     /// gathers one contiguous level run at a time.
     ///
@@ -388,13 +465,14 @@ impl UndeliveredSums {
         self.tiles.extend_from_slice(tiles);
         self.rows.clear();
         self.delivered.clear();
+        let held = ledger.delivered.mask(VideoId::key_of(cell));
         for l in 0..self.levels {
             let level_run = &cell_rows[l * count..(l + 1) * count];
             let q = QualityLevel::new((l + 1) as u8);
             for &tile in tiles {
                 self.rows.push(level_run[usize::from(tile.get())]);
                 self.delivered
-                    .push(ledger.is_delivered(&VideoId::new(cell, tile, q)));
+                    .push(held & VideoId::slot_bit_of(tile, q) != 0);
             }
         }
         for l in 0..self.levels {
@@ -533,9 +611,221 @@ mod tests {
     use crate::grid::CellId;
     use crate::tile::TileId;
     use cvr_core::quality::QualityLevel;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn id(x: i32, t: u8, q: u8) -> VideoId {
         VideoId::new(CellId { x, z: 0 }, TileId::new(t), QualityLevel::new(q))
+    }
+
+    /// Delivery state as it was before the per-cell masks — one
+    /// `HashSet<VideoId>` per peer, one probe per id — kept as the
+    /// reference the mask form must be indistinguishable from.
+    #[derive(Default)]
+    struct OracleLedger {
+        delivered: HashSet<VideoId>,
+    }
+
+    impl OracleLedger {
+        fn is_delivered(&self, id: &VideoId) -> bool {
+            self.delivered.contains(id)
+        }
+
+        fn acknowledge(&mut self, id: VideoId) -> bool {
+            self.delivered.insert(id)
+        }
+
+        fn release_one(&mut self, id: VideoId) -> bool {
+            self.delivered.remove(&id)
+        }
+    }
+
+    struct OracleBuffer {
+        threshold: usize,
+        order: VecDeque<VideoId>,
+        held: HashSet<VideoId>,
+    }
+
+    impl OracleBuffer {
+        fn new(threshold: usize) -> Self {
+            OracleBuffer {
+                threshold,
+                order: VecDeque::new(),
+                held: HashSet::new(),
+            }
+        }
+
+        fn store(&mut self, id: VideoId) -> Vec<VideoId> {
+            if self.held.insert(id) {
+                self.order.push_back(id);
+            }
+            let mut released = Vec::new();
+            while self.held.len() > self.threshold {
+                if let Some(old) = self.order.pop_front() {
+                    if self.held.remove(&old) {
+                        released.push(old);
+                    }
+                }
+            }
+            released
+        }
+    }
+
+    /// Distinct cells among `ids`: the size a map without dead entries has.
+    fn cells_of(ids: &HashSet<VideoId>) -> usize {
+        ids.iter().map(|id| id.cell()).collect::<HashSet<_>>().len()
+    }
+
+    /// A few neighbouring cells on both sides of the origin, so sequences
+    /// revisit and empty them, and the corners of the packable range.
+    const ORACLE_CELLS: [(i32, i32); 8] = [
+        (0, 0),
+        (1, 0),
+        (0, 1),
+        (-1, -1),
+        (-3, 2),
+        (-524_288, 524_287),
+        (524_287, -524_288),
+        (-524_288, -524_288),
+    ];
+
+    proptest! {
+        #[test]
+        fn masks_are_indistinguishable_from_the_per_id_sets(
+            threshold in 1usize..24,
+            steps in prop::collection::vec(
+                // (operation, cell, tile, quality, FoV tile mask)
+                (0u8..4, 0usize..8, 0u8..4, 1u8..=7, 0u8..16),
+                1..250,
+            ),
+        ) {
+            // Seven levels, so quality 7 — the last value three bits hold —
+            // is inside the ladder `retarget` reads.
+            let levels = 7;
+            let count = usize::from(TileId::COUNT);
+            let rows: Vec<f64> = (0..levels * count).map(|i| 0.37 * (i + 1) as f64).collect();
+            let mut ledger = DeliveryLedger::new();
+            let mut ledger_oracle = OracleLedger::default();
+            let mut buffer = ClientTileBuffer::new(threshold);
+            let mut buffer_oracle = OracleBuffer::new(threshold);
+            let mut sums = UndeliveredSums::new(levels);
+            let mut touched: Vec<VideoId> = Vec::new();
+            for (op, c, t, q, fov) in steps {
+                let (x, z) = ORACLE_CELLS[c];
+                let cell = CellId { x, z };
+                let quality = QualityLevel::new(q);
+                let id = VideoId::new(cell, TileId::new(t), quality);
+                touched.push(id);
+                match op {
+                    0 | 1 => prop_assert_eq!(
+                        ledger.acknowledge(id),
+                        ledger_oracle.acknowledge(id),
+                        "acknowledge {}", id
+                    ),
+                    2 => prop_assert_eq!(
+                        ledger.release_one(id),
+                        ledger_oracle.release_one(id),
+                        "release {}", id
+                    ),
+                    _ => {}
+                }
+                // The buffer sees every id, so it churns at its threshold.
+                prop_assert_eq!(buffer.store(id), buffer_oracle.store(id), "store {}", id);
+
+                prop_assert_eq!(ledger.len(), ledger_oracle.delivered.len());
+                prop_assert_eq!(ledger.is_empty(), ledger_oracle.delivered.is_empty());
+                prop_assert_eq!(buffer.len(), buffer_oracle.held.len());
+                prop_assert_eq!(buffer.is_empty(), buffer_oracle.held.is_empty());
+                // An emptied cell leaves the map.
+                prop_assert_eq!(ledger.delivered.cells.len(), cells_of(&ledger_oracle.delivered));
+                prop_assert_eq!(buffer.held.cells.len(), cells_of(&buffer_oracle.held));
+
+                // One question about a cell equals the per-id probes: the
+                // display hit test...
+                let wanted: Vec<VideoId> =
+                    tiles_in(fov).map(|tile| VideoId::new(cell, tile, quality)).collect();
+                prop_assert_eq!(
+                    buffer.holds_all(cell, fov, quality),
+                    wanted.iter().all(|id| buffer_oracle.held.contains(id)),
+                    "holds_all {:?} {:#06b} {}", cell, fov, quality
+                );
+                // ...and the retarget, mask and sums.
+                let tiles: Vec<TileId> = tiles_in(fov).collect();
+                sums.retarget(cell, &tiles, &rows, &ledger);
+                sums.assert_matches_ledger(&ledger);
+                for l in 0..levels {
+                    let level = QualityLevel::new((l + 1) as u8);
+                    let mut brute = 0.0f64;
+                    for (at, &tile) in tiles.iter().enumerate() {
+                        let held = ledger_oracle.is_delivered(&VideoId::new(cell, tile, level));
+                        prop_assert_eq!(sums.delivered(l)[at], held, "{} level {}", tile, l + 1);
+                        if !held {
+                            brute += rows[l * count + usize::from(tile.get())];
+                        }
+                    }
+                    prop_assert_eq!(sums.sums()[l].to_bits(), brute.to_bits());
+                }
+            }
+            // Every id that ever went in or came out, on the sets and on
+            // copies of them (a clone hashes as its original does).
+            let (ledger_copy, buffer_copy) = (ledger.clone(), buffer.clone());
+            for id in &touched {
+                let delivered = ledger_oracle.is_delivered(id);
+                prop_assert_eq!(ledger.is_delivered(id), delivered, "{}", id);
+                prop_assert_eq!(ledger_copy.is_delivered(id), delivered, "{}", id);
+                let held = buffer_oracle.held.contains(id);
+                prop_assert_eq!(buffer.contains(id), held, "{}", id);
+                prop_assert_eq!(buffer_copy.contains(id), held, "{}", id);
+            }
+        }
+    }
+
+    #[test]
+    fn an_emptied_cell_leaves_the_map() {
+        let mut ledger = DeliveryLedger::new();
+        for x in 0..1000 {
+            for t in 0..4 {
+                assert!(ledger.acknowledge(id(x, t, 3)));
+            }
+            assert_eq!(ledger.delivered.cells.len(), 1);
+            ledger.release((0..4).map(|t| id(x, t, 3)));
+            assert!(ledger.is_empty());
+            assert!(ledger.delivered.cells.is_empty());
+        }
+        let mut buffer = ClientTileBuffer::new(6);
+        for x in 0..1000 {
+            for t in 0..4 {
+                buffer.store(id(x, t, 1 + (x % 7) as u8));
+            }
+            assert!(
+                buffer.held.cells.len() <= 3,
+                "six tiles span at most three cells"
+            );
+        }
+    }
+
+    #[test]
+    fn holds_all_is_vacuous_for_an_empty_fov_and_exact_per_quality() {
+        let mut buffer = ClientTileBuffer::new(16);
+        let cell = CellId { x: 4, z: 0 };
+        let q = QualityLevel::new;
+        assert!(buffer.holds_all(cell, 0, q(3)), "no tile wanted");
+        assert!(!buffer.holds_all(cell, 0b0101, q(3)));
+        buffer.store(id(4, 0, 3));
+        assert!(!buffer.holds_all(cell, 0b0101, q(3)), "tile 2 missing");
+        buffer.store(id(4, 2, 4));
+        assert!(
+            !buffer.holds_all(cell, 0b0101, q(3)),
+            "tile 2 held at another quality"
+        );
+        buffer.store(id(4, 2, 3));
+        assert!(buffer.holds_all(cell, 0b0101, q(3)));
+        assert!(buffer.holds_all(cell, 0b0001, q(3)));
+        assert!(!buffer.holds_all(cell, 0b1101, q(3)));
+        assert!(
+            !buffer.holds_all(CellId { x: 5, z: 0 }, 0b0001, q(3)),
+            "another cell"
+        );
     }
 
     #[test]

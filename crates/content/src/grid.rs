@@ -49,15 +49,29 @@ impl GridWorld {
         }
     }
 
+    /// The cell index of coordinate `v` along either axis, `v` clamped to
+    /// the extent first.
+    fn index_of(&self, v: f64) -> i32 {
+        (v.clamp(-self.extent_m, self.extent_m) / self.cell_size_m).floor() as i32
+    }
+
     /// The cell containing `position` (positions outside the extent clamp
     /// to the boundary cell, as a real system would pin the user inside the
     /// rendered volume).
     pub fn cell_of(&self, position: &Vec3) -> CellId {
-        let clamp = |v: f64| v.clamp(-self.extent_m, self.extent_m);
         CellId {
-            x: (clamp(position.x) / self.cell_size_m).floor() as i32,
-            z: (clamp(position.z) / self.cell_size_m).floor() as i32,
+            x: self.index_of(position.x),
+            z: self.index_of(position.z),
         }
+    }
+
+    /// Whether `cell` is one [`GridWorld::cell_of`] can return: both
+    /// indices between those of `-extent_m` and `extent_m`, the two
+    /// boundary cells positions clamp to included. Content exists for
+    /// these cells and no others.
+    pub fn contains(&self, cell: CellId) -> bool {
+        let axis = self.index_of(-self.extent_m)..=self.index_of(self.extent_m);
+        axis.contains(&cell.x) && axis.contains(&cell.z)
     }
 
     /// Centre position of a cell.
@@ -142,6 +156,44 @@ mod tests {
         let far = g.cell_of(&Vec3::new(100.0, 1.7, -100.0));
         let edge = g.cell_of(&Vec3::new(1.0, 1.7, -1.0));
         assert_eq!(far, edge);
+    }
+
+    #[test]
+    fn contains_exactly_the_cells_cell_of_returns() {
+        for g in [GridWorld::paper_default(), GridWorld::new(0.3, 1.0)] {
+            let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+            // Past the extent on both sides, in steps well under a cell.
+            let steps = (2.4 * g.extent_m / g.cell_size_m * 8.0) as i32;
+            for i in 0..=steps {
+                let v = -1.2 * g.extent_m + f64::from(i) * g.cell_size_m / 8.0;
+                let cell = g.cell_of(&Vec3::new(v, 1.7, -v));
+                assert!(g.contains(cell), "{cell:?} came out of cell_of({v})");
+                lo = lo.min(cell.x);
+                hi = hi.max(cell.x);
+            }
+            // Both clamped boundary cells are in; one step further is out,
+            // on either axis.
+            assert_eq!(lo, g.cell_of(&Vec3::new(-1e9, 0.0, 0.0)).x);
+            assert_eq!(hi, g.cell_of(&Vec3::new(1e9, 0.0, 0.0)).x);
+            for inside in [lo, 0, hi] {
+                assert!(g.contains(CellId { x: inside, z: lo }));
+                assert!(g.contains(CellId { x: hi, z: inside }));
+                for outside in [lo - 1, hi + 1, i32::MIN, i32::MAX] {
+                    assert!(!g.contains(CellId {
+                        x: outside,
+                        z: inside
+                    }));
+                    assert!(!g.contains(CellId {
+                        x: inside,
+                        z: outside
+                    }));
+                }
+            }
+        }
+        let paper = GridWorld::paper_default();
+        assert!(paper.contains(CellId { x: -120, z: 120 }));
+        assert!(!paper.contains(CellId { x: -121, z: 0 }));
+        assert!(!paper.contains(CellId { x: 0, z: 121 }));
     }
 
     #[test]

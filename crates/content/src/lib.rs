@@ -24,6 +24,7 @@
 
 pub mod cache;
 pub mod grid;
+pub mod hash;
 pub mod id;
 pub mod library;
 pub mod plane;
@@ -33,6 +34,7 @@ pub mod tile;
 
 pub use cache::{CacheOutcome, ClientTileBuffer, DeliveryLedger, ServerTileCache, UndeliveredSums};
 pub use grid::{CellId, GridWorld};
+pub use hash::CellHashBuilder;
 pub use id::VideoId;
 pub use library::{ContentLibrary, ContentRequest};
 pub use plane::{OrientationKey, RatePlane, SharedFovCache};

@@ -88,6 +88,13 @@ impl ContentLibrary {
         &self.sizing
     }
 
+    /// Whether the library holds the tile `id` names: a cell of its world
+    /// at a level of its ladder. An id that decodes ([`VideoId::try_from_raw`])
+    /// can still name a cell half a million cells out, or level 7 of six.
+    pub fn contains(&self, id: VideoId) -> bool {
+        self.quality.check(id.quality()).is_ok() && self.grid.contains(id.cell())
+    }
+
     /// Resolves the content to deliver for a (predicted) pose.
     pub fn request_for(&self, pose: &Pose) -> ContentRequest {
         let cell = self.grid.cell_of(&pose.position);
@@ -146,6 +153,23 @@ mod tests {
             assert_eq!(id.tile(), *tile);
             assert_eq!(id.quality().get(), 5);
         }
+    }
+
+    #[test]
+    fn contains_the_world_at_the_ladder_and_nothing_else() {
+        let lib = ContentLibrary::paper_default();
+        let id = |x, z, q| VideoId::new(CellId { x, z }, TileId::new(2), QualityLevel::new(q));
+        for q in 1..=6 {
+            assert!(lib.contains(id(0, 0, q)));
+            assert!(lib.contains(id(-120, 120, q)), "clamped boundary cells");
+        }
+        assert!(!lib.contains(id(0, 0, 7)), "level 7 of a six-level ladder");
+        assert!(!lib.contains(id(121, 0, 1)));
+        assert!(!lib.contains(id(0, -121, 1)));
+        assert!(
+            !lib.contains(id(-524_288, 524_287, 6)),
+            "packable, not rendered"
+        );
     }
 
     #[test]

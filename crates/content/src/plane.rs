@@ -11,7 +11,9 @@
 //!   recently-visited cells whose evicted boxes are recycled through a
 //!   freelist. Every entry is bit-identical to the fresh `tile_rate_row`
 //!   value, so builds reading the plane stay bit-identical to builds
-//!   hashing per slot.
+//!   hashing per slot. The cell map hashes with the seeded
+//!   [`CellHashBuilder`]; eviction is its only iteration, and picks by
+//!   `last_touch` alone, so which cells stay never depends on the order.
 //! * [`SharedFovCache`] — a session's FoV tile sets and the
 //!   quantised-orientation key multicast groups on. It stores no tile
 //!   set: since the one-pass tile test a recompute
@@ -26,6 +28,7 @@ use cvr_motion::fov::FovSpec;
 use cvr_motion::pose::Pose;
 
 use crate::grid::CellId;
+use crate::hash::CellHashBuilder;
 use crate::sizing::TileSizeModel;
 use crate::tile::{tiles_for_pose_into, TileId};
 
@@ -58,7 +61,7 @@ pub struct RatePlane {
     levels: usize,
     capacity: usize,
     clock: u64,
-    cells: HashMap<CellId, PlaneCell>,
+    cells: HashMap<CellId, PlaneCell, CellHashBuilder>,
     /// Evicted row boxes awaiting reuse (bounded by `capacity`).
     free: Vec<Box<[f64]>>,
     /// Tile-major scratch row the transposing writer fills per tile.
@@ -82,7 +85,7 @@ impl RatePlane {
             levels,
             capacity,
             clock: 0,
-            cells: HashMap::new(),
+            cells: HashMap::default(),
             free: Vec::new(),
             scratch: vec![0.0; levels],
             hits: 0,

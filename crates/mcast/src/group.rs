@@ -17,11 +17,20 @@
 //! is the group *id*: a key keeps its id for `hysteresis_slots` slots
 //! after it was last seen, so FoV jitter that briefly empties a bucket
 //! does not re-number the group when the users come back.
+//!
+//! The tracker keeps one map, key → what is remembered of it: the id, the
+//! slot last seen, and where in the current slot's group list the key's
+//! group sits — so an observation is one probe (under the seeded
+//! [`CellHashBuilder`]; a `GroupKey` is five integers). Group order comes
+//! from the list, ids from a counter; the map is only ever probed and
+//! pruned, never read out.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use cvr_content::cache::{DeliveryLedger, UndeliveredSums};
 use cvr_content::grid::CellId;
+use cvr_content::hash::CellHashBuilder;
 use cvr_content::id::VideoId;
 use cvr_content::plane::OrientationKey;
 use cvr_content::tile::TileId;
@@ -107,11 +116,18 @@ pub struct Group {
     pub members: Vec<usize>,
 }
 
-/// A key's persistent identity across slots.
+/// What the tracker remembers of a key across slots.
 #[derive(Debug, Clone, Copy)]
 struct KnownKey {
     id: u64,
     last_seen: u64,
+    /// The [`GroupTracker::begin_slot`] call during which the key last
+    /// opened a group, and that group's index in `groups`. The index means
+    /// something only while `opened` is the tracker's current epoch; an
+    /// epoch, not the slot number, because a driver may begin the same
+    /// slot twice.
+    opened: u64,
+    at: usize,
 }
 
 /// Per-slot group discovery with deterministic, arrival-order-stable ids.
@@ -127,11 +143,11 @@ struct KnownKey {
 pub struct GroupTracker {
     hysteresis_slots: u64,
     next_id: u64,
-    known: HashMap<GroupKey, KnownKey>,
+    known: HashMap<GroupKey, KnownKey, CellHashBuilder>,
     slot: u64,
+    /// Count of [`GroupTracker::begin_slot`] calls so far.
+    epoch: u64,
     groups: Vec<Group>,
-    /// Maps a group id to its index in `groups` for the current slot.
-    index: HashMap<u64, usize>,
     /// Emptied member vectors of earlier slots' groups, reused by the next
     /// groups to open so a steady-state slot allocates none.
     spare: Vec<Vec<usize>>,
@@ -144,10 +160,10 @@ impl GroupTracker {
         GroupTracker {
             hysteresis_slots,
             next_id: 0,
-            known: HashMap::new(),
+            known: HashMap::default(),
             slot: 0,
+            epoch: 0,
             groups: Vec::new(),
-            index: HashMap::new(),
             spare: Vec::new(),
         }
     }
@@ -157,11 +173,11 @@ impl GroupTracker {
     /// anything.
     pub fn begin_slot(&mut self, slot: u64) {
         self.slot = slot;
+        self.epoch += 1;
         self.spare.extend(self.groups.drain(..).map(|mut group| {
             group.members.clear();
             group.members
         }));
-        self.index.clear();
     }
 
     /// Registers `member` (an opaque caller handle, typically the plan
@@ -169,34 +185,33 @@ impl GroupTracker {
     /// members in plan order so member lists — and therefore value
     /// summation order — are deterministic.
     pub fn observe(&mut self, member: usize, key: GroupKey) -> u64 {
-        let slot = self.slot;
-        let id = match self.known.get_mut(&key) {
-            Some(known) => {
-                known.last_seen = slot;
+        let (epoch, at) = (self.epoch, self.groups.len());
+        let id = match self.known.entry(key) {
+            Entry::Occupied(entry) => {
+                let known = entry.into_mut();
+                known.last_seen = self.slot;
+                if known.opened == epoch {
+                    self.groups[known.at].members.push(member);
+                    return known.id;
+                }
+                (known.opened, known.at) = (epoch, at);
                 known.id
             }
-            None => {
+            Entry::Vacant(entry) => {
                 let id = self.next_id;
                 self.next_id += 1;
-                self.known.insert(
-                    key,
-                    KnownKey {
-                        id,
-                        last_seen: slot,
-                    },
-                );
+                entry.insert(KnownKey {
+                    id,
+                    last_seen: self.slot,
+                    opened: epoch,
+                    at,
+                });
                 id
             }
         };
-        match self.index.get(&id) {
-            Some(&at) => self.groups[at].members.push(member),
-            None => {
-                self.index.insert(id, self.groups.len());
-                let mut members = self.spare.pop().unwrap_or_default();
-                members.push(member);
-                self.groups.push(Group { id, key, members });
-            }
-        }
+        let mut members = self.spare.pop().unwrap_or_default();
+        members.push(member);
+        self.groups.push(Group { id, key, members });
         id
     }
 
@@ -297,6 +312,63 @@ mod tests {
         t.begin_slot(10);
         let fresh = t.observe(0, key(1, 0, 0));
         assert_ne!(id, fresh, "expired key must re-number");
+    }
+
+    #[test]
+    fn a_key_back_inside_the_window_keeps_its_id_and_opens_where_it_is_observed() {
+        let mut t = GroupTracker::new(4);
+        t.begin_slot(7);
+        let a = t.observe(0, key(1, 0, 0));
+        let b = t.observe(1, key(2, 0, 0));
+        t.finish_slot();
+        // Slot 8: A is absent, so B's group sits at position 0, where A's
+        // sat a slot ago.
+        t.begin_slot(8);
+        t.observe(1, key(2, 0, 0));
+        t.finish_slot();
+        // Slot 9: A is back, after B and a newcomer. Its remembered
+        // position (0, from slot 7) must not be read as this slot's.
+        t.begin_slot(9);
+        let c = t.observe(5, key(3, 0, 0));
+        t.observe(1, key(2, 0, 0));
+        let back = t.observe(0, key(1, 0, 0));
+        t.observe(6, key(1, 0, 0));
+        let seen: Vec<_> = t
+            .finish_slot()
+            .iter()
+            .map(|g| (g.id, g.members.clone()))
+            .collect();
+        assert_eq!(back, a);
+        assert_eq!(seen, vec![(c, vec![5]), (b, vec![1]), (a, vec![0, 6])]);
+    }
+
+    #[test]
+    fn interleaved_keys_group_by_key_in_first_observation_order() {
+        let mut t = GroupTracker::new(4);
+        t.begin_slot(0);
+        for (member, x) in [1, 2, 1, 2].into_iter().enumerate() {
+            t.observe(member, key(x, 0, 0));
+        }
+        let members: Vec<_> = t.finish_slot().iter().map(|g| g.members.clone()).collect();
+        assert_eq!(members, vec![vec![0, 2], vec![1, 3]]);
+    }
+
+    #[test]
+    fn beginning_the_same_slot_twice_leaves_no_stale_position() {
+        let mut t = GroupTracker::new(4);
+        t.begin_slot(3);
+        t.observe(0, key(9, 0, 0));
+        let a = t.observe(1, key(1, 0, 0));
+        // The driver starts slot 3 over (nothing finished it): the groups
+        // are gone, and with them the positions the keys opened at — A's
+        // was 1, which would now be out of bounds or somebody else's.
+        t.begin_slot(3);
+        assert!(t.groups().is_empty());
+        assert_eq!(t.observe(4, key(1, 0, 0)), a);
+        t.observe(5, key(9, 0, 0));
+        t.observe(6, key(1, 0, 0));
+        let members: Vec<_> = t.finish_slot().iter().map(|g| g.members.clone()).collect();
+        assert_eq!(members, vec![vec![4, 6], vec![5]]);
     }
 
     #[test]

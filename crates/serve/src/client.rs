@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 use cvr_content::cache::ClientTileBuffer;
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
-use cvr_content::tile::{tile_mask, tiles_in};
+use cvr_content::tile::tile_mask;
 use cvr_core::objective::QoeParams;
 use cvr_core::qoe::{UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
@@ -201,8 +201,8 @@ impl<T: ClientTransport> ReplayClient<T> {
         // that quality — the client-side analogue of the FoV hit test.
         if let Some(quality) = self.displayed_quality {
             let cell = self.library.grid().cell_of(&pose.position);
-            let hit = tiles_in(tile_mask(self.library.fov(), &pose))
-                .all(|t| self.buffer.contains(&VideoId::new(cell, t, quality)));
+            let tiles = tile_mask(self.library.fov(), &pose);
+            let hit = self.buffer.holds_all(cell, tiles, quality);
             self.qoe.record(quality, hit, self.displayed_lag_slots);
             self.displayed.observe(quality.get() as u64);
         }

@@ -9,7 +9,9 @@
 //! 1. **ingest** — drain every connection's upstream queue: handshakes
 //!    join users, poses feed the per-user predictor (and score earlier
 //!    predictions), ACKs update the delivery ledger, bandwidth samples
-//!    feed the EMA estimator.
+//!    feed the EMA estimator. A frame that does not decode, or an ACK or
+//!    release naming a tile the library does not hold, costs its sender
+//!    the connection and nobody else anything.
 //! 2. **plan** — predict each user's display pose and link budget, hand
 //!    them to the planner (ledger-suppressed rates, estimated-delay and
 //!    variance-penalised values, one staged row per multicast group),
@@ -836,6 +838,12 @@ impl Session {
         });
     }
 
+    /// Whether the library holds every tile `ids` names.
+    fn holds(&self, ids: &[VideoId]) -> bool {
+        let library = self.planner.library();
+        ids.iter().all(|&id| library.contains(id))
+    }
+
     /// Drains every joined user's upstream queue.
     fn ingest(&mut self) {
         for id in 0..self.users.len() {
@@ -878,8 +886,15 @@ impl Session {
                                 .observe(self.obs.h_overlap[record.h - 1], overlap as u64);
                         }
                     }
-                    Ok(ClientMessage::Ack { ids }) => self.planner.acknowledge(id, ids),
-                    Ok(ClientMessage::Release { ids }) => self.planner.release(id, ids),
+                    // An id that decodes can still name content the
+                    // library does not hold; recording those would let a
+                    // peer grow its ledger without bound.
+                    Ok(ClientMessage::Ack { ids }) if self.holds(&ids) => {
+                        self.planner.acknowledge(id, ids)
+                    }
+                    Ok(ClientMessage::Release { ids }) if self.holds(&ids) => {
+                        self.planner.release(id, ids)
+                    }
                     Ok(ClientMessage::BandwidthSample { mbps }) => {
                         user.bandwidth.update(mbps);
                     }
@@ -918,11 +933,14 @@ impl Session {
                     Ok(ClientMessage::Bye) => {
                         leave = true;
                     }
-                    Ok(ClientMessage::Hello { .. }) => {
-                        // Duplicate handshake mid-session.
-                        violation = true;
-                    }
-                    Err(_) => {
+                    // A duplicate handshake mid-session, ids outside the
+                    // library, an undecodable frame.
+                    Ok(
+                        ClientMessage::Hello { .. }
+                        | ClientMessage::Ack { .. }
+                        | ClientMessage::Release { .. },
+                    )
+                    | Err(_) => {
                         violation = true;
                     }
                 }

@@ -164,3 +164,73 @@ fn summary_surfaces_overruns_drops_and_degrades() {
     assert!(trace.contains("\"kind\":\"tick_overrun\""), "{trace}");
     assert!(trace.contains("\"kind\":\"client_join\""), "{trace}");
 }
+
+/// The worst a bad peer can do is lose its own connection. A peer whose
+/// first frames after `Hello` name tiles the library does not hold — a
+/// cell half a million cells outside the world, or level 7 of a six-level
+/// ladder; both decode — is dropped in the slot it is heard, counted once,
+/// and recorded nowhere: the honest client beside it is served every slot
+/// and finishes exactly as it does in a run that never saw the peer.
+#[test]
+fn a_peer_naming_tiles_outside_the_library_loses_only_its_own_connection() {
+    use cvr_content::grid::CellId;
+    use cvr_content::id::VideoId;
+    use cvr_content::tile::TileId;
+    use cvr_core::quality::QualityLevel;
+
+    const SLOTS: u64 = 80;
+    let honest = &fleet_configs()[..1];
+    let (session, clients) = loopback_fleet(ServeConfig::default(), honest);
+    let (alone_server, alone_clients) = run_lockstep(session, clients, SLOTS);
+    assert!(alone_clients[0].assignments >= SLOTS - 2);
+
+    let id = |x, z, q| VideoId::new(CellId { x, z }, TileId::new(1), QualityLevel::new(q));
+    // 131 k ids is what one maximum-size frame carries.
+    let far_away: Vec<VideoId> = (0..131_000)
+        .map(|i| id(400_000 + i / 1000, i % 1000, 3))
+        .collect();
+    let hostile_frames = [
+        ClientMessage::Ack {
+            ids: far_away.clone(),
+        },
+        ClientMessage::Release { ids: far_away },
+        ClientMessage::Ack {
+            ids: vec![id(0, 0, 7)],
+        },
+        // One bad id among good ones spoils the frame.
+        ClientMessage::Ack {
+            ids: vec![id(0, 0, 6), id(-120, 120, 1), id(0, 121, 1)],
+        },
+    ];
+    for frame in hostile_frames {
+        let (mut session, mut clients) = loopback_fleet(ServeConfig::default(), honest);
+        let (hostile_server_end, mut hostile) = loopback(64);
+        session.add_connection(Box::new(hostile_server_end));
+        hostile.send(&ClientMessage::Hello {
+            version: PROTOCOL_VERSION,
+            seed: 666,
+        });
+        hostile.send(&frame);
+
+        clients[0].step_slot();
+        session.step_slot();
+        session.note_tick(true, 0);
+        assert_eq!(session.active_users(), 1, "the peer is gone after one slot");
+        assert_eq!(session.counters().protocol_errors, 1);
+        assert!(hostile.is_closed());
+
+        let (server, reports) = run_lockstep(session, clients, SLOTS - 1);
+        assert_eq!(server.counters.joins, 2);
+        assert_eq!(server.counters.protocol_errors, 1);
+        assert_eq!(server.counters.ticks, SLOTS);
+        assert_eq!(reports[0].protocol_errors, 0);
+        assert_eq!(reports[0].assignments, alone_clients[0].assignments);
+        assert_eq!(reports[0].summary, alone_clients[0].summary);
+        let served = server
+            .users
+            .iter()
+            .find(|u| u.seed == honest[0].seed)
+            .expect("the honest user's summary");
+        assert_eq!(*served, alone_server.users[0]);
+    }
+}

@@ -1,15 +1,19 @@
 //! Nothing in the slot loop may grow with a session's age: between slot
 //! N and slot 10 N of an idle-but-joined session the heap must not gain a
 //! byte — which it would if any `Vec` owned by `Session`, `SlotPlanner`
-//! or `SlotEngine` were pushed to per slot and never drained.
+//! or `SlotEngine` were pushed to per slot and never drained. Under churn
+//! — clients walking, storing, ACKing, evicting, releasing — the heap may
+//! breathe (maps rehash, deques wrap) but must plateau.
 //!
-//! One test in its own binary, because the counting allocator is
-//! process-wide. The count itself is per thread, so the test harness's
-//! own threads cannot disturb it.
+//! Its own binary, because the counting allocator is process-wide. The
+//! count itself is per thread, so the two tests, and the test harness's
+//! own threads, cannot disturb each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use cvr_serve::client::{ClientConfig, ReplayClient};
+use cvr_serve::harness::loopback_fleet;
 use cvr_serve::protocol::{ClientMessage, PROTOCOL_VERSION};
 use cvr_serve::server::{ServeConfig, Session};
 use cvr_serve::transport::{loopback, ClientTransport, LoopbackClientEnd};
@@ -93,4 +97,60 @@ fn an_idle_session_stops_allocating_after_warm_up() {
         9 * n
     );
     assert_eq!(session.report().tick.count, 10 * n);
+}
+
+/// Steps `slots` lockstep slots of a session and its replay clients.
+fn walk(session: &mut Session, clients: &mut [ReplayClient<LoopbackClientEnd>], slots: usize) {
+    for _ in 0..slots {
+        for client in clients.iter_mut() {
+            client.step_slot();
+        }
+        session.step_slot();
+        session.note_tick(true, 1_000);
+    }
+}
+
+#[test]
+fn a_churning_session_plateaus() {
+    // Forty tiles is a few cells' worth: every client's buffer is at its
+    // threshold within a second, and from then on each stored tile evicts
+    // one, which the server's ledger hears of as a release. A walking user
+    // enters a new 5 cm cell every few slots, so over 9 N slots each of
+    // the eight delivery-state maps (a buffer and a ledger per client)
+    // sees over a thousand cells come and go.
+    let configs: Vec<ClientConfig> = (0..4)
+        .map(|seed| ClientConfig {
+            seed,
+            buffer_tiles: 40,
+            ..ClientConfig::default()
+        })
+        .collect();
+    let (mut session, mut clients) = loopback_fleet(
+        ServeConfig {
+            multicast: true,
+            horizon: 4,
+            ..ServeConfig::default()
+        },
+        &configs,
+    );
+
+    // N is long enough for the planner's rate plane (512 cells, evicted by
+    // halves into a freelist) to have filled once.
+    let n = 600;
+    walk(&mut session, &mut clients, n);
+    assert_eq!(session.active_users(), 4);
+    let after_n = LIVE_BYTES.with(Cell::get);
+    walk(&mut session, &mut clients, 9 * n);
+    let after_10n = LIVE_BYTES.with(Cell::get);
+    // A map that kept an entry per cell ever visited would have gained
+    // some 17 bytes × 1 000 cells × 8 maps, and more at each doubling.
+    let growth = after_10n - after_n;
+    assert!(
+        growth <= 16 * 1024,
+        "the heap grew {growth} bytes over {} slots of churn",
+        9 * n
+    );
+    let report = session.report();
+    assert_eq!(report.counters.protocol_errors, 0);
+    assert_eq!(report.tick.count, 10 * n);
 }
