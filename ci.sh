@@ -165,6 +165,13 @@ stage_benchmark_build() {
     # sub-seed delivered identical frames and no operation failed.
     bash benchmark/run.sh --workload classroom8 --trace 0 --seconds 2
     bash benchmark/run.sh --workload lecture32_mcast_h4 --trace 0 --seconds 2
+
+    step "Benchmark TCP smokes: tcp_duo timed and traced, 2 s each"
+    # The one workload on the production datapath (readiness::Poller over
+    # real sockets): the timed pass's repeat-identity check, then the
+    # traced pass's layer-separation asserts.
+    bash benchmark/run.sh --workload tcp_duo --trace 0 --seconds 2
+    bash benchmark/run.sh --workload tcp_duo --trace 1 --seconds 2
 }
 
 stage_loc() {

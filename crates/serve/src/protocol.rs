@@ -14,9 +14,13 @@
 //! with their tile manifests, and a shutdown notice.
 //!
 //! The codec is std-only and allocation-light: encoding appends to a
-//! caller-owned `Vec<u8>`, decoding borrows the payload slice. Every
-//! decoder rejects truncated bodies, unknown tags, invalid IDs, and
-//! trailing bytes — a corrupt frame can never be half-accepted.
+//! caller-owned `Vec<u8>` (the transports hand it the frame queue itself,
+//! see `transport::FrameRing`), `encoded_len` says how many bytes
+//! that will be so `to_payload` allocates exactly once, and decoding
+//! borrows the payload slice where it lies — the only allocation a decode
+//! makes is the `Vec<VideoId>` of a non-empty id list, which the message
+//! owns. Every decoder rejects truncated bodies, unknown tags, invalid
+//! IDs, and trailing bytes — a corrupt frame can never be half-accepted.
 
 use cvr_content::id::VideoId;
 use cvr_motion::pose::Pose;
@@ -229,6 +233,11 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+/// Encoded size of an id list: the `u32` count, then 8 bytes an id.
+fn ids_len(ids: &[VideoId]) -> usize {
+    4 + 8 * ids.len()
+}
+
 fn put_ids(buf: &mut Vec<u8>, ids: &[VideoId]) {
     put_u32(buf, ids.len() as u32);
     for id in ids {
@@ -352,9 +361,21 @@ impl ClientMessage {
         }
     }
 
-    /// Encodes into a fresh buffer (convenience for tests and transports).
+    /// Exactly how many bytes [`Self::encode`] appends.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            ClientMessage::Hello { .. } => 2 + 8,
+            ClientMessage::Pose { .. } => 8 + 6 * 8,
+            ClientMessage::Ack { ids } | ClientMessage::Release { ids } => ids_len(ids),
+            ClientMessage::BandwidthSample { .. } => 8,
+            ClientMessage::LinkSample { .. } => 1 + 8,
+            ClientMessage::Bye => 0,
+        }
+    }
+
+    /// Encodes into a fresh buffer of exactly the encoded size.
     pub fn to_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode(&mut buf);
         buf
     }
@@ -450,9 +471,19 @@ impl ServerMessage {
         }
     }
 
-    /// Encodes into a fresh buffer (convenience for tests and transports).
+    /// Exactly how many bytes [`Self::encode`] appends.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            ServerMessage::Welcome { .. } => 2 + 4 + 4 + 1,
+            ServerMessage::Assignment { manifest, .. }
+            | ServerMessage::GroupAssign { manifest, .. } => 8 + 8 + 1 + 8 + ids_len(manifest),
+            ServerMessage::Shutdown => 0,
+        }
+    }
+
+    /// Encodes into a fresh buffer of exactly the encoded size.
     pub fn to_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode(&mut buf);
         buf
     }
@@ -561,6 +592,21 @@ pub fn write_frame<W: std::io::Write>(writer: &mut W, payload: &[u8]) -> std::io
 /// [`FrameError::Closed`] on clean EOF, [`FrameError::TooLarge`] on an
 /// oversized length prefix, [`FrameError::Io`] otherwise.
 pub fn read_frame<R: std::io::Read>(reader: &mut R) -> Result<Vec<u8>, FrameError> {
+    let mut payload = Vec::new();
+    read_frame_into(reader, &mut payload)?;
+    Ok(payload)
+}
+
+/// [`read_frame`] into a buffer the caller reuses: `payload` is cleared
+/// and left holding the frame's payload.
+///
+/// # Errors
+///
+/// As [`read_frame`]; `payload`'s contents are unspecified after an error.
+pub fn read_frame_into<R: std::io::Read>(
+    reader: &mut R,
+    payload: &mut Vec<u8>,
+) -> Result<(), FrameError> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < len_bytes.len() {
@@ -580,9 +626,9 @@ pub fn read_frame<R: std::io::Read>(reader: &mut R) -> Result<Vec<u8>, FrameErro
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge(len));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload).map_err(FrameError::Io)?;
-    Ok(payload)
+    payload.clear();
+    payload.resize(len, 0);
+    reader.read_exact(payload).map_err(FrameError::Io)
 }
 
 #[cfg(test)]

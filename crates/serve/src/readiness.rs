@@ -7,55 +7,40 @@
 //! socket) would cost the server two OS threads per client — fatal for
 //! hundreds of clients per shard. Here a [`Poller`] owns every connection
 //! a shard services and pumps them all from the shard's own tick loop:
-//! each [`Poller::poll`] reads every socket until `WouldBlock` (framing
-//! bytes into decoded-message queues) and flushes pending writes until
-//! `WouldBlock`, so one wakeup per slot services the whole shard. std has
-//! no portable readiness API, but the slot loop *is* a readiness schedule:
-//! the server only cares about socket state once per 15 ms tick, so
-//! polling at tick cadence is equivalent to epoll with a 15 ms timer —
-//! without leaving std.
+//! each [`Poller::poll`] reads what every socket holds (up to a per-poll
+//! budget) and flushes pending writes until `WouldBlock`, so one wakeup
+//! per slot services the whole shard. std has no portable readiness API,
+//! but the slot loop *is* a readiness schedule: the server only cares
+//! about socket state once per 15 ms tick, so polling at tick cadence is
+//! equivalent to epoll with a 15 ms timer — without leaving std.
 //!
-//! Backpressure matches the loopback transport: bounded frame
-//! queues in both directions with the drop-oldest-droppable policy
-//! (`Assignment` downstream, `Pose` upstream sacrificed first), stall
-//! reporting when the outbound path saturates, and partial-frame writes
-//! that resume at the exact stalled byte so peer framing is never
-//! corrupted.
+//! Each direction of a connection is one `FrameRing`: socket bytes are
+//! appended to the inbound ring as they arrive and decoded where they
+//! lie; a downstream message is encoded straight into the outbound ring
+//! and one `write` flushes every pending frame. Backpressure is the
+//! ring's, so it matches the loopback transport: bounded in both
+//! directions with the drop-oldest-droppable policy (`Assignment`
+//! downstream, `Pose` upstream sacrificed first), stall reporting when
+//! the outbound path saturates, and a part-written frame pinned so peer
+//! framing is never corrupted.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 
-use crate::protocol::{tag, ClientMessage, ServerMessage, WireError, MAX_FRAME_BYTES};
-use crate::transport::{SendStatus, ServerTransport};
+use crate::protocol::{tag, ClientMessage, ServerMessage, WireError};
+use crate::transport::{FrameRing, SendStatus, ServerTransport};
 
 /// Read chunk size per `read` call; connections carry small frames at
 /// slot cadence, so one page is plenty.
 const READ_CHUNK: usize = 4096;
 
-/// Pushes a frame into a bounded queue under the drop-oldest-droppable
-/// policy: frames whose first byte is `droppable` are sacrificed first
-/// (the next slot's frame supersedes them); control frames only go when
-/// nothing droppable remains. Returns how many frames were discarded.
-fn push_bounded(
-    queue: &mut VecDeque<Vec<u8>>,
-    capacity: usize,
-    droppable: u8,
-    frame: Vec<u8>,
-) -> usize {
-    let mut dropped = 0usize;
-    while queue.len() >= capacity {
-        let victim = queue
-            .iter()
-            .position(|f| f.first() == Some(&droppable))
-            .unwrap_or(0);
-        queue.remove(victim);
-        dropped += 1;
-    }
-    queue.push_back(frame);
-    dropped
-}
+/// Most bytes one connection may hand the shard in one [`Poller::poll`].
+/// A peer that writes as fast as the loop reads would otherwise hold the
+/// shard thread — every session's slot deadline — for as long as it
+/// liked. What is left waits in the kernel's receive buffer, where TCP
+/// flow control pushes back on the sender.
+const READ_BUDGET: usize = 16 * READ_CHUNK;
 
 /// I/O state of one non-blocking framed connection, shared between the
 /// session's transport handle and the shard's poller. The mutex is
@@ -63,51 +48,31 @@ fn push_bounded(
 /// same shard thread.
 struct NbConn {
     stream: TcpStream,
-    /// Raw received bytes not yet framed.
-    in_buf: Vec<u8>,
-    /// Decoded-but-unread inbound frame payloads.
-    inbound: VecDeque<Vec<u8>>,
-    /// Outbound frame payloads not yet staged onto the wire.
-    out_frames: VecDeque<Vec<u8>>,
-    /// The frame currently on the wire (length prefix + payload) and the
-    /// write cursor into it — a partially written frame resumes at the
-    /// exact stalled byte.
-    out_buf: Vec<u8>,
-    out_cursor: usize,
-    capacity: usize,
-    /// Tag byte of inbound frames sacrificed first when `inbound` fills.
-    drop_in: u8,
-    /// Tag byte of outbound frames sacrificed first when `out_frames` fills.
-    drop_out: u8,
-    dropped: u64,
+    /// Socket bytes in, complete frames out to the session.
+    inbound: FrameRing,
+    /// Encoded frames in, wire bytes out to the socket.
+    outbound: FrameRing,
     closed: bool,
     /// The last write hit `WouldBlock`: the peer's receive window is full.
     write_blocked: bool,
 }
 
 impl NbConn {
-    fn new(stream: TcpStream, capacity: usize, drop_in: u8, drop_out: u8) -> std::io::Result<Self> {
+    fn new(stream: TcpStream, capacity: usize) -> std::io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         Ok(NbConn {
             stream,
-            in_buf: Vec::new(),
-            inbound: VecDeque::with_capacity(capacity),
-            out_frames: VecDeque::with_capacity(capacity),
-            out_buf: Vec::new(),
-            out_cursor: 0,
-            capacity,
-            drop_in,
-            drop_out,
-            dropped: 0,
+            inbound: FrameRing::new(capacity, tag::POSE),
+            outbound: FrameRing::new(capacity, tag::ASSIGNMENT),
             closed: false,
             write_blocked: false,
         })
     }
 
-    /// Services the connection once: drains the socket's readable bytes
-    /// into decoded frames, then flushes pending writes until the socket
-    /// would block.
+    /// Services the connection once: moves the socket's readable bytes
+    /// into the inbound ring, then flushes the outbound ring until the
+    /// socket would block.
     fn poll(&mut self) {
         if self.closed {
             return;
@@ -116,15 +81,30 @@ impl NbConn {
         self.poll_write();
     }
 
+    /// Reads until the socket is drained or [`READ_BUDGET`] is spent. A
+    /// read that returns less than it asked for has drained a stream
+    /// socket (epoll(7)), so the `WouldBlock` call that would confirm it
+    /// is skipped; a peer's close behind its last bytes is then seen by
+    /// the next poll. A corrupt length prefix surfaces as an undecodable
+    /// (empty) frame to the consumer — the same signal the threaded
+    /// reader emits — and kills the connection.
     fn poll_read(&mut self) {
-        let mut buf = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut buf) {
+        let mut chunk = [0u8; READ_CHUNK];
+        for _ in 0..READ_BUDGET / READ_CHUNK {
+            match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.closed = true;
                     break;
                 }
-                Ok(n) => self.in_buf.extend_from_slice(&buf[..n]),
+                Ok(n) => {
+                    if !self.inbound.extend_wire(&chunk[..n]) {
+                        self.closed = true;
+                        break;
+                    }
+                    if n < chunk.len() {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(_) => {
@@ -133,59 +113,17 @@ impl NbConn {
                 }
             }
         }
-        self.extract_frames();
-    }
-
-    /// Splits `in_buf` into complete length-prefixed frames. A corrupt
-    /// length prefix surfaces as an undecodable (empty) frame to the
-    /// consumer — the same signal the threaded reader emits — and kills
-    /// the connection.
-    fn extract_frames(&mut self) {
-        let mut consumed = 0usize;
-        while self.in_buf.len() - consumed >= 4 {
-            let header: [u8; 4] = self.in_buf[consumed..consumed + 4]
-                .try_into()
-                .expect("4-byte slice");
-            let len = u32::from_le_bytes(header) as usize;
-            if len > MAX_FRAME_BYTES {
-                self.inbound.push_back(Vec::new());
-                self.closed = true;
-                self.in_buf.clear();
-                return;
-            }
-            if self.in_buf.len() - consumed < 4 + len {
-                break;
-            }
-            let frame = self.in_buf[consumed + 4..consumed + 4 + len].to_vec();
-            consumed += 4 + len;
-            // Inbound overflow drops oldest droppable (stale poses), like
-            // the threaded transport's bounded inbound queue.
-            push_bounded(&mut self.inbound, self.capacity, self.drop_in, frame);
-        }
-        if consumed > 0 {
-            self.in_buf.drain(..consumed);
-        }
     }
 
     fn poll_write(&mut self) {
-        loop {
-            if self.out_cursor >= self.out_buf.len() {
-                let Some(frame) = self.out_frames.pop_front() else {
-                    break;
-                };
-                self.out_buf.clear();
-                self.out_buf
-                    .extend_from_slice(&(frame.len() as u32).to_le_bytes());
-                self.out_buf.extend_from_slice(&frame);
-                self.out_cursor = 0;
-            }
-            match self.stream.write(&self.out_buf[self.out_cursor..]) {
+        while !self.outbound.wire().is_empty() {
+            match self.stream.write(self.outbound.wire()) {
                 Ok(0) => {
                     self.closed = true;
                     break;
                 }
                 Ok(n) => {
-                    self.out_cursor += n;
+                    self.outbound.wrote(n);
                     self.write_blocked = false;
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -201,17 +139,11 @@ impl NbConn {
         }
     }
 
-    fn send(&mut self, payload: Vec<u8>) -> SendStatus {
+    fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> SendStatus {
         if self.closed {
             return SendStatus::Closed;
         }
-        let dropped = push_bounded(&mut self.out_frames, self.capacity, self.drop_out, payload);
-        self.dropped += dropped as u64;
-        if dropped == 0 {
-            SendStatus::Sent
-        } else {
-            SendStatus::DroppedOldest(dropped)
-        }
+        SendStatus::queued(self.outbound.push_with(encode))
     }
 
     fn close(&mut self) {
@@ -234,26 +166,30 @@ pub struct NbServerTransport {
 impl ServerTransport for NbServerTransport {
     fn try_recv(&mut self) -> Option<Result<ClientMessage, WireError>> {
         let mut conn = self.conn.lock().expect("nb conn poisoned");
-        conn.inbound.pop_front().map(|f| ClientMessage::decode(&f))
+        conn.inbound.pop_with(ClientMessage::decode)
     }
 
     fn send(&mut self, message: &ServerMessage) -> SendStatus {
         let mut conn = self.conn.lock().expect("nb conn poisoned");
-        conn.send(message.to_payload())
+        conn.send(|buf| message.encode(buf))
     }
 
     fn send_payload(&mut self, payload: &[u8]) -> SendStatus {
         let mut conn = self.conn.lock().expect("nb conn poisoned");
-        conn.send(payload.to_vec())
+        conn.send(|buf| buf.extend_from_slice(payload))
     }
 
     fn queue_depth(&self) -> usize {
-        let conn = self.conn.lock().expect("nb conn poisoned");
-        conn.out_frames.len() + usize::from(conn.out_cursor < conn.out_buf.len())
+        self.conn
+            .lock()
+            .expect("nb conn poisoned")
+            .outbound
+            .frames()
     }
 
     fn queue_capacity(&self) -> usize {
-        self.conn.lock().expect("nb conn poisoned").capacity
+        let conn = self.conn.lock().expect("nb conn poisoned");
+        conn.outbound.capacity()
     }
 
     fn is_closed(&self) -> bool {
@@ -262,11 +198,12 @@ impl ServerTransport for NbServerTransport {
 
     fn is_stalled(&self) -> bool {
         let conn = self.conn.lock().expect("nb conn poisoned");
-        conn.write_blocked || conn.out_frames.len() >= conn.capacity
+        conn.write_blocked || conn.outbound.is_full()
     }
 
     fn frames_dropped(&self) -> u64 {
-        self.conn.lock().expect("nb conn poisoned").dropped
+        let conn = self.conn.lock().expect("nb conn poisoned");
+        conn.inbound.dropped() + conn.outbound.dropped()
     }
 
     fn close(&mut self) {
@@ -300,24 +237,20 @@ impl Poller {
         stream: TcpStream,
         capacity: usize,
     ) -> std::io::Result<NbServerTransport> {
-        let conn = Arc::new(Mutex::new(NbConn::new(
-            stream,
-            capacity,
-            tag::POSE,
-            tag::ASSIGNMENT,
-        )?));
+        let conn = Arc::new(Mutex::new(NbConn::new(stream, capacity)?));
         self.conns.push(Arc::clone(&conn));
         Ok(NbServerTransport { conn })
     }
 
-    /// Services every registered connection once (read until would-block,
-    /// then flush writes until would-block) and forgets connections that
-    /// are closed with nothing left to read.
+    /// Services every registered connection once (read what the socket
+    /// holds, up to the per-poll budget, then flush writes until
+    /// would-block) and forgets connections that are closed with nothing
+    /// left to read.
     pub fn poll(&mut self) {
         self.conns.retain(|conn| {
             let mut conn = conn.lock().expect("nb conn poisoned");
             conn.poll();
-            !(conn.closed && conn.inbound.is_empty())
+            !(conn.closed && conn.inbound.frames() == 0)
         });
     }
 
@@ -335,7 +268,7 @@ impl Poller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::PROTOCOL_VERSION;
+    use crate::protocol::{MAX_FRAME_BYTES, PROTOCOL_VERSION};
     use crate::transport::{ClientTransport, TcpClientTransport};
     use std::net::TcpListener;
     use std::time::{Duration, Instant};
@@ -465,5 +398,92 @@ mod tests {
         poll_until(&mut poller, || server.is_closed());
         poller.poll();
         assert!(poller.is_empty(), "closed drained connection lingers");
+    }
+
+    /// Spins until `stream` — a clone of a registered socket, so already
+    /// non-blocking — has at least `want` bytes queued in the kernel.
+    fn until_queued(stream: &TcpStream, want: usize) {
+        let mut scratch = vec![0u8; want];
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while stream.peek(&mut scratch).unwrap_or(0) < want {
+            assert!(Instant::now() < deadline, "timed out waiting for bytes");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_flooding_peer_spends_its_own_budget_not_the_shard() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut poller = Poller::new();
+
+        let flooder = TcpStream::connect(addr).expect("connect");
+        let (flooded, _) = listener.accept().expect("accept");
+        let flooded_socket = flooded.try_clone().expect("clone");
+        let mut flooded = poller.register(flooded, 64).expect("register");
+
+        let honest_stream = TcpStream::connect(addr).expect("connect");
+        let (honest, _) = listener.accept().expect("accept");
+        let honest_socket = honest.try_clone().expect("clone");
+        let mut honest = poller.register(honest, 64).expect("register");
+        let mut client = TcpClientTransport::new(honest_stream, 64).expect("client");
+
+        // Valid frames, as fast as the socket takes them, for the whole test.
+        let sample = ClientMessage::BandwidthSample { mbps: 50.0 }.to_payload();
+        let frame_bytes = 4 + sample.len();
+        let mut block = Vec::new();
+        for _ in 0..512 {
+            crate::protocol::write_frame(&mut block, &sample).expect("frame");
+        }
+        let mut flood = flooder.try_clone().expect("clone");
+        let writer = std::thread::spawn(move || while flood.write_all(&block).is_ok() {});
+
+        let budget_frames = READ_BUDGET / frame_bytes;
+        let mut flood_frames = 0;
+        for seq in 0..20u64 {
+            client.send(&ClientMessage::Pose {
+                seq,
+                pose: cvr_motion::pose::Pose::default(),
+            });
+            // The pose is in the kernel before the poll, and so is some of
+            // the flood; the writer keeps refilling the socket while the
+            // poll reads it. (How much a socket holds at once is the
+            // kernel's business: on loopback the receive window reopens
+            // only once the reader has made a segment's worth of room.)
+            until_queued(&honest_socket, 4 + 57);
+            until_queued(&flooded_socket, 1);
+            let dropped_before = flooded.frames_dropped();
+            poller.poll();
+
+            // The flooder was read to its budget at most; all but the 64
+            // frames its queue holds were dropped, and counted.
+            let mut taken = (flooded.frames_dropped() - dropped_before) as usize;
+            while let Some(message) = flooded.try_recv() {
+                assert!(matches!(message, Ok(ClientMessage::BandwidthSample { .. })));
+                taken += 1;
+            }
+            assert!(
+                taken <= budget_frames + 1,
+                "one poll took {taken} frames, the budget is {budget_frames}"
+            );
+            flood_frames += taken;
+            // The same poll served the neighbour.
+            assert!(matches!(
+                honest.try_recv(),
+                Some(Ok(ClientMessage::Pose { seq: got, .. })) if got == seq
+            ));
+        }
+        // More arrived than one poll may take, so the budget did bound it.
+        assert!(
+            flood_frames > 2 * budget_frames,
+            "only {flood_frames} frames"
+        );
+        assert!(flooded.frames_dropped() as usize >= flood_frames - 20 * 64);
+        assert_eq!(honest.frames_dropped(), 0);
+
+        flooder
+            .shutdown(std::net::Shutdown::Both)
+            .expect("shutdown");
+        writer.join().expect("flood writer");
     }
 }

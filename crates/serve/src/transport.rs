@@ -23,17 +23,25 @@
 //! to the lowest quality rather than letting one slow client stall the
 //! slot deadline for everyone.
 //!
-//! Both transports share one queue type. A push signals the condition
-//! variable only when a consumer is parked in `pop_wait` — in practice the
-//! TCP client's writer thread — so a loopback frame makes no system call.
+//! Every frame queue — both loopback directions, the TCP client's two
+//! thread-fed queues and both sides of a [`crate::readiness`] connection
+//! — is one `FrameRing`: length-prefixed frames back to back in one
+//! buffer, exactly the bytes TCP carries. A message is encoded straight
+//! into the ring and decoded from where it lies, so moving a frame
+//! allocates nothing and takes the queue's lock once. A push signals the
+//! condition variable only when a consumer is parked in `pop_wait_with` —
+//! in practice the TCP client's writer thread — so a loopback frame makes
+//! no system call.
 
-use std::collections::VecDeque;
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::protocol::{read_frame, tag, ClientMessage, FrameError, ServerMessage, WireError};
+use crate::protocol::{
+    read_frame_into, tag, ClientMessage, FrameError, ServerMessage, WireError, MAX_FRAME_BYTES,
+};
 
 /// Outcome of handing a message to a transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +53,17 @@ pub enum SendStatus {
     DroppedOldest(usize),
     /// The peer is gone; the message was discarded.
     Closed,
+}
+
+impl SendStatus {
+    /// The status of a push that discarded `dropped` older frames.
+    pub(crate) fn queued(dropped: usize) -> SendStatus {
+        if dropped == 0 {
+            SendStatus::Sent
+        } else {
+            SendStatus::DroppedOldest(dropped)
+        }
+    }
 }
 
 /// Server-side view of one client connection.
@@ -101,98 +120,314 @@ pub trait ClientTransport: Send {
     fn close(&mut self);
 }
 
+/// Bytes of a frame's length prefix.
+const PREFIX: usize = 4;
+
+/// A bounded FIFO of frames kept in wire format: each frame is its
+/// little-endian `u32` payload length followed by the payload, back to
+/// back in one buffer.
+///
+/// ```text
+/// buf:  consumed | oldest frame .. newest complete frame | partial tail
+///       0        head         cursor                     complete      len
+/// ```
+///
+/// `head` is always a frame boundary. `cursor` is the first byte not yet
+/// handed to a socket; it is past `head` only while the oldest frame is
+/// part-written, and that frame is then *pinned*: the policy never
+/// discards it, because dropping the rest of a frame whose first bytes
+/// are on the wire would corrupt the peer's framing. Bytes past
+/// `complete` are the start of a frame a socket has not finished
+/// delivering. Whenever the ring drains, the buffer is reset to length 0,
+/// so a queue that keeps up lives in the same few cache lines.
+///
+/// A ring has one producer — [`Self::push_with`] (encode in place) or
+/// [`Self::extend_wire`] (bytes from a socket) — and one consumer —
+/// [`Self::pop_with`] (decode in place) or [`Self::wire`]/[`Self::wrote`]
+/// (bytes to a socket). When `capacity` frames are waiting, the producer
+/// makes room under the drop-oldest-droppable policy.
+pub(crate) struct FrameRing {
+    buf: Vec<u8>,
+    head: usize,
+    cursor: usize,
+    complete: usize,
+    /// Complete frames from `head` on, a pinned one included.
+    frames: usize,
+    capacity: usize,
+    /// Frames starting with this tag byte are sacrificed first when the
+    /// ring is full (the next slot's frame supersedes them).
+    droppable_tag: u8,
+    dropped: u64,
+}
+
+impl FrameRing {
+    pub(crate) fn new(capacity: usize, droppable_tag: u8) -> FrameRing {
+        assert!(capacity > 0, "queue capacity must be positive");
+        FrameRing {
+            buf: Vec::new(),
+            head: 0,
+            cursor: 0,
+            complete: 0,
+            frames: 0,
+            capacity,
+            droppable_tag,
+            dropped: 0,
+        }
+    }
+
+    /// Complete frames waiting, a part-written one included.
+    pub(crate) fn frames(&self) -> usize {
+        self.frames
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Frames the policy has discarded so far.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Whether the next frame in will push one out: `capacity` frames are
+    /// waiting, not counting a pinned one (the policy cannot take it).
+    pub(crate) fn is_full(&self) -> bool {
+        self.frames - usize::from(self.cursor > self.head) >= self.capacity
+    }
+
+    /// Payload length of the frame whose prefix starts at `at`.
+    fn payload_len(&self, at: usize) -> usize {
+        let prefix = self.buf[at..at + PREFIX].try_into().expect("4-byte slice");
+        u32::from_le_bytes(prefix) as usize
+    }
+
+    /// Drops consumed bytes once they outweigh the live ones, so a ring
+    /// that never quite drains copies each byte at most once more.
+    fn reclaim(&mut self) {
+        let live = self.buf.len() - self.head;
+        if self.head >= live && self.head > 0 {
+            self.buf.copy_within(self.head.., 0);
+            self.buf.truncate(live);
+            self.cursor -= self.head;
+            self.complete -= self.head;
+            self.head = 0;
+        }
+    }
+
+    /// Moves `head` past the oldest frame, which has been consumed.
+    fn retire_oldest(&mut self) {
+        self.head += PREFIX + self.payload_len(self.head);
+        self.cursor = self.cursor.max(self.head);
+        self.frames -= 1;
+        if self.head == self.buf.len() {
+            self.buf.clear();
+            (self.head, self.cursor, self.complete) = (0, 0, 0);
+        }
+    }
+
+    /// The drop-oldest-droppable policy, written once: while `capacity`
+    /// frames are waiting, discards the oldest frame carrying the
+    /// droppable tag, or the oldest frame of any kind when none does.
+    /// Returns how many went.
+    fn make_room(&mut self) -> usize {
+        let mut dropped = 0;
+        while self.is_full() {
+            let first = if self.cursor > self.head {
+                self.head + PREFIX + self.payload_len(self.head)
+            } else {
+                self.head
+            };
+            let (mut at, mut victim) = (first, first);
+            while at < self.complete {
+                let len = self.payload_len(at);
+                if len > 0 && self.buf[at + PREFIX] == self.droppable_tag {
+                    victim = at;
+                    break;
+                }
+                at += PREFIX + len;
+            }
+            if victim == self.head {
+                self.retire_oldest();
+            } else {
+                let end = victim + PREFIX + self.payload_len(victim);
+                self.buf.drain(victim..end);
+                self.complete -= end - victim;
+                self.frames -= 1;
+            }
+            self.dropped += 1;
+            dropped += 1;
+        }
+        dropped
+    }
+
+    /// Queues one frame: `encode` appends its payload to the buffer it is
+    /// given and the length prefix is patched in afterwards. Returns how
+    /// many older frames were discarded to make room.
+    pub(crate) fn push_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+        debug_assert_eq!(
+            self.complete,
+            self.buf.len(),
+            "a socket is feeding this ring"
+        );
+        let dropped = self.make_room();
+        self.reclaim();
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; PREFIX]);
+        encode(&mut self.buf);
+        let len = (self.buf.len() - at - PREFIX) as u32;
+        self.buf[at..at + PREFIX].copy_from_slice(&len.to_le_bytes());
+        self.complete = self.buf.len();
+        self.frames += 1;
+        dropped
+    }
+
+    /// Appends bytes as a socket returned them and admits every frame
+    /// they complete, making room for each as it completes. Returns
+    /// `false` on a length prefix above [`MAX_FRAME_BYTES`]: the stream
+    /// has lost its framing, so the bytes from that prefix on are replaced
+    /// by one empty — undecodable — frame behind the complete ones, and
+    /// the caller must stop feeding the ring.
+    pub(crate) fn extend_wire(&mut self, bytes: &[u8]) -> bool {
+        self.reclaim();
+        self.buf.extend_from_slice(bytes);
+        while self.buf.len() - self.complete >= PREFIX {
+            let len = self.payload_len(self.complete);
+            if len > MAX_FRAME_BYTES {
+                self.buf.truncate(self.complete);
+                self.buf.extend_from_slice(&[0; PREFIX]);
+                self.complete += PREFIX;
+                self.frames += 1;
+                return false;
+            }
+            if self.buf.len() - self.complete < PREFIX + len {
+                break;
+            }
+            self.make_room();
+            self.complete += PREFIX + len;
+            self.frames += 1;
+        }
+        true
+    }
+
+    /// Hands the oldest frame's payload to `decode` where it lies, then
+    /// retires the frame. `None` when no complete frame is waiting.
+    pub(crate) fn pop_with<R>(&mut self, decode: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        debug_assert_eq!(self.cursor, self.head, "a socket is draining this ring");
+        if self.frames == 0 {
+            return None;
+        }
+        let start = self.head + PREFIX;
+        let decoded = decode(&self.buf[start..start + self.payload_len(self.head)]);
+        self.retire_oldest();
+        Some(decoded)
+    }
+
+    /// Every complete byte not yet written to the socket: the rest of a
+    /// part-written frame, then all the frames behind it.
+    pub(crate) fn wire(&self) -> &[u8] {
+        &self.buf[self.cursor..self.complete]
+    }
+
+    /// Records that the socket took the first `n` bytes of [`Self::wire`],
+    /// retiring every frame that is now wholly written.
+    pub(crate) fn wrote(&mut self, n: usize) {
+        debug_assert!(n <= self.wire().len());
+        let cursor = self.cursor + n;
+        self.cursor = cursor;
+        // `retire_oldest` resets the offsets when it empties the buffer,
+        // which can only be on the frame that ends at `cursor`.
+        while self.frames > 0 && self.head + PREFIX + self.payload_len(self.head) <= cursor {
+            self.retire_oldest();
+        }
+    }
+}
+
 /// One direction's bounded frame queue, shared between the producing and
 /// consuming ends (and, for TCP, their I/O threads).
+///
+/// `depth` mirrors the ring's frame count, and `closed` lives outside the
+/// lock altogether. Both are stored (`Release`) while the lock is held
+/// and loaded (`Acquire`) without it by the looks the slot loop makes
+/// between frames — [`Self::len`], [`Self::is_closed`] and the empty
+/// [`Self::pop_with`]. The frames themselves are only ever read under the
+/// lock, so a stale look publishes nothing: at worst a frame pushed by
+/// another thread this instant is found on the next poll.
 struct Queue {
     state: Mutex<QueueState>,
     ready: Condvar,
+    depth: AtomicUsize,
+    closed: AtomicBool,
     capacity: usize,
-    /// Frames starting with this tag byte are sacrificed first when the
-    /// queue is full (the next slot's frame supersedes them).
-    droppable_tag: u8,
 }
 
 struct QueueState {
-    frames: VecDeque<Vec<u8>>,
-    closed: bool,
-    dropped: u64,
-    /// Threads parked in [`Queue::pop_wait`] right now.
+    ring: FrameRing,
+    /// Threads parked in [`Queue::pop_wait_with`] right now.
     parked: usize,
-    /// `notify_one` calls [`Queue::push`] has issued (read by tests only).
+    /// `notify_one` calls [`Queue::push_with`] has issued (read by tests only).
     wakes: u64,
 }
 
 impl Queue {
     fn new(capacity: usize, droppable_tag: u8) -> Arc<Queue> {
-        assert!(capacity > 0, "queue capacity must be positive");
         Arc::new(Queue {
             state: Mutex::new(QueueState {
-                frames: VecDeque::with_capacity(capacity),
-                closed: false,
-                dropped: 0,
+                ring: FrameRing::new(capacity, droppable_tag),
                 parked: 0,
                 wakes: 0,
             }),
             ready: Condvar::new(),
+            depth: AtomicUsize::new(0),
+            closed: AtomicBool::new(false),
             capacity,
-            droppable_tag,
         })
     }
 
-    /// Queues a frame, discarding older frames under the drop-oldest
-    /// policy if the queue is full.
-    fn push(&self, frame: Vec<u8>) -> SendStatus {
+    /// Queues the frame `encode` writes, discarding older frames under the
+    /// drop-oldest policy if the queue is full.
+    fn push_with(&self, encode: impl FnOnce(&mut Vec<u8>)) -> SendStatus {
         let mut state = self.state.lock().expect("queue poisoned");
-        if state.closed {
+        if self.is_closed() {
             return SendStatus::Closed;
         }
-        let mut dropped = 0usize;
-        while state.frames.len() >= self.capacity {
-            let victim = state
-                .frames
-                .iter()
-                .position(|f| f.first() == Some(&self.droppable_tag))
-                .unwrap_or(0);
-            state.frames.remove(victim);
-            state.dropped += 1;
-            dropped += 1;
-        }
-        state.frames.push_back(frame);
+        let dropped = state.ring.push_with(encode);
+        self.depth.store(state.ring.frames(), Ordering::Release);
         // Only a parked consumer needs the wake-up (a system call); it
         // registered under this lock, so it is counted here or has yet to
-        // look at `frames` and will find this one.
+        // look at the ring and will find this frame.
         let wake = state.parked > 0;
         state.wakes += u64::from(wake);
         drop(state);
         if wake {
             self.ready.notify_one();
         }
-        if dropped == 0 {
-            SendStatus::Sent
-        } else {
-            SendStatus::DroppedOldest(dropped)
-        }
+        SendStatus::queued(dropped)
     }
 
-    /// Pops the next frame without blocking.
-    fn pop(&self) -> Option<Vec<u8>> {
-        self.state
-            .lock()
-            .expect("queue poisoned")
-            .frames
-            .pop_front()
+    /// Decodes and retires the next frame without blocking; an empty
+    /// queue is seen without the lock.
+    fn pop_with<R>(&self, decode: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        if self.len() == 0 {
+            return None;
+        }
+        let mut state = self.state.lock().expect("queue poisoned");
+        let decoded = state.ring.pop_with(decode);
+        self.depth.store(state.ring.frames(), Ordering::Release);
+        decoded
     }
 
     /// Blocks until a frame arrives or the queue closes. Pending frames
     /// are drained even after closure; `None` means closed and empty —
     /// an idle queue waits indefinitely rather than giving up.
-    fn pop_wait(&self) -> Option<Vec<u8>> {
+    fn pop_wait_with<R>(&self, decode: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
-            if let Some(frame) = state.frames.pop_front() {
-                return Some(frame);
+            if state.ring.frames() > 0 {
+                let decoded = state.ring.pop_with(decode);
+                self.depth.store(state.ring.frames(), Ordering::Release);
+                return decoded;
             }
-            if state.closed {
+            if self.is_closed() {
                 return None;
             }
             state.parked += 1;
@@ -202,20 +437,24 @@ impl Queue {
     }
 
     fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").frames.len()
+        self.depth.load(Ordering::Acquire)
     }
 
     fn dropped(&self) -> u64 {
-        self.state.lock().expect("queue poisoned").dropped
+        self.state.lock().expect("queue poisoned").ring.dropped()
     }
 
     fn close(&self) {
-        self.state.lock().expect("queue poisoned").closed = true;
+        // Under the lock, so a consumer that saw the queue open and empty
+        // is parked by the time this wakes everyone.
+        let state = self.state.lock().expect("queue poisoned");
+        self.closed.store(true, Ordering::Release);
+        drop(state);
         self.ready.notify_all();
     }
 
     fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue poisoned").closed
+        self.closed.load(Ordering::Acquire)
     }
 }
 
@@ -244,15 +483,16 @@ pub struct LoopbackServerEnd {
 
 impl ServerTransport for LoopbackServerEnd {
     fn try_recv(&mut self) -> Option<Result<ClientMessage, WireError>> {
-        self.inbound.pop().map(|f| ClientMessage::decode(&f))
+        self.inbound.pop_with(ClientMessage::decode)
     }
 
     fn send(&mut self, message: &ServerMessage) -> SendStatus {
-        self.outbound.push(message.to_payload())
+        self.outbound.push_with(|buf| message.encode(buf))
     }
 
     fn send_payload(&mut self, payload: &[u8]) -> SendStatus {
-        self.outbound.push(payload.to_vec())
+        self.outbound
+            .push_with(|buf| buf.extend_from_slice(payload))
     }
 
     fn queue_depth(&self) -> usize {
@@ -289,11 +529,11 @@ pub struct LoopbackClientEnd {
 
 impl ClientTransport for LoopbackClientEnd {
     fn try_recv(&mut self) -> Option<Result<ServerMessage, WireError>> {
-        self.inbound.pop().map(|f| ServerMessage::decode(&f))
+        self.inbound.pop_with(ServerMessage::decode)
     }
 
     fn send(&mut self, message: &ClientMessage) -> SendStatus {
-        self.outbound.push(message.to_payload())
+        self.outbound.push_with(|buf| message.encode(buf))
     }
 
     fn is_closed(&self) -> bool {
@@ -337,10 +577,14 @@ impl TcpClientTransport {
             let inbound = Arc::clone(&inbound);
             let outbound = Arc::clone(&outbound);
             std::thread::spawn(move || {
+                // One buffer holds every frame in turn on its way from the
+                // socket into the ring.
+                let mut frame = Vec::new();
                 loop {
-                    match read_frame(&mut stream) {
-                        Ok(frame) => {
-                            if inbound.push(frame) == SendStatus::Closed {
+                    match read_frame_into(&mut stream, &mut frame) {
+                        Ok(()) => {
+                            let queued = inbound.push_with(|buf| buf.extend_from_slice(&frame));
+                            if queued == SendStatus::Closed {
                                 break;
                             }
                         }
@@ -348,8 +592,8 @@ impl TcpClientTransport {
                         Err(_) => {
                             // A corrupt length prefix or mid-frame I/O error:
                             // signal it to the consumer as an undecodable
-                            // frame, then stop reading.
-                            let _ = inbound.push(Vec::new());
+                            // (empty) frame, then stop reading.
+                            let _ = inbound.push_with(|_| {});
                             break;
                         }
                     }
@@ -365,20 +609,25 @@ impl TcpClientTransport {
             let mut stream = stream.try_clone()?;
             let outbound = Arc::clone(&outbound);
             std::thread::spawn(move || {
-                // Prefix and payload live in one buffer with a cursor so a
-                // timed-out write resumes at the exact byte it stalled on —
-                // a frame must never be resent from byte 0 once part of it
-                // is on the wire, or the peer's framing is corrupted.
-                let mut buf: Vec<u8> = Vec::new();
-                'drain: while let Some(frame) = outbound.pop_wait() {
-                    buf.clear();
-                    buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(&frame);
+                // The frame on its way to the socket waits in a one-frame
+                // ring of the writer's own, outside the shared lock. Its
+                // cursor resumes a timed-out write at the exact byte it
+                // stalled on — a frame must never be resent from byte 0
+                // once part of it is on the wire, or the peer's framing is
+                // corrupted.
+                let mut staged = FrameRing::new(1, tag::POSE);
+                'drain: while outbound
+                    .pop_wait_with(|payload| staged.push_with(|buf| buf.extend_from_slice(payload)))
+                    .is_some()
+                {
                     let mut written = 0usize;
-                    while written < buf.len() {
-                        match stream.write(&buf[written..]) {
+                    while !staged.wire().is_empty() {
+                        match stream.write(staged.wire()) {
                             Ok(0) => break 'drain,
-                            Ok(n) => written += n,
+                            Ok(n) => {
+                                staged.wrote(n);
+                                written += n;
+                            }
                             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                             Err(e)
                                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -424,11 +673,11 @@ impl Drop for TcpClientTransport {
 
 impl ClientTransport for TcpClientTransport {
     fn try_recv(&mut self) -> Option<Result<ServerMessage, WireError>> {
-        self.inbound.pop().map(|f| ServerMessage::decode(&f))
+        self.inbound.pop_with(ServerMessage::decode)
     }
 
     fn send(&mut self, message: &ClientMessage) -> SendStatus {
-        self.outbound.push(message.to_payload())
+        self.outbound.push_with(|buf| message.encode(buf))
     }
 
     fn is_closed(&self) -> bool {
@@ -446,8 +695,10 @@ impl ClientTransport for TcpClientTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::write_frame;
+    use crate::protocol::{read_frame, write_frame};
     use cvr_motion::pose::Pose;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn loopback_delivers_in_order() {
@@ -513,7 +764,7 @@ mod tests {
         queue.state.lock().unwrap().wakes
     }
 
-    /// Spins (yielding) until a consumer is parked in `pop_wait`.
+    /// Spins (yielding) until a consumer is parked in `pop_wait_with`.
     fn until_parked(queue: &Queue) {
         while queue.state.lock().unwrap().parked == 0 {
             std::thread::yield_now();
@@ -544,12 +795,12 @@ mod tests {
         let queue = Queue::new(4, tag::POSE);
         std::thread::scope(|scope| {
             let consumer = scope.spawn(|| {
-                let first = queue.pop_wait();
-                let second = queue.pop_wait();
+                let first = queue.pop_wait_with(<[u8]>::to_vec);
+                let second = queue.pop_wait_with(<[u8]>::to_vec);
                 (first, second)
             });
             until_parked(&queue);
-            assert_eq!(queue.push(vec![7]), SendStatus::Sent);
+            assert_eq!(queue.push_with(|buf| buf.push(7)), SendStatus::Sent);
             assert_eq!(wakes(&queue), 1);
             // Parked again, this time with nothing coming: only `close`
             // can end the wait.
@@ -577,8 +828,10 @@ mod tests {
         std::thread::scope(|scope| {
             let consumer = scope.spawn(|| {
                 let (mut next, mut rng) = (0u64, 1u64);
-                while let Some(frame) = queue.pop_wait() {
-                    assert_eq!(frame, next.to_le_bytes());
+                while let Some(seq) =
+                    queue.pop_wait_with(|frame| u64::from_le_bytes(frame.try_into().unwrap()))
+                {
+                    assert_eq!(seq, next);
                     next += 1;
                     if coin(&mut rng) {
                         std::thread::yield_now();
@@ -593,7 +846,10 @@ mod tests {
                 while queue.len() >= queue.capacity {
                     std::thread::yield_now();
                 }
-                assert_eq!(queue.push(seq.to_le_bytes().to_vec()), SendStatus::Sent);
+                assert_eq!(
+                    queue.push_with(|buf| buf.extend_from_slice(&seq.to_le_bytes())),
+                    SendStatus::Sent
+                );
                 if coin(&mut rng) {
                     std::thread::yield_now();
                 }
@@ -665,5 +921,261 @@ mod tests {
         client.close();
         assert!(client.is_closed());
         assert!(matches!(read_frame(&mut peer), Err(FrameError::Closed)));
+    }
+
+    /// The frame queues this crate had before [`FrameRing`] — one
+    /// `Vec<u8>` per frame in a `VecDeque`, bounded by `push_bounded`,
+    /// with the readiness transport's unframed `in_buf` and staged
+    /// `out_buf` + cursor beside it — kept as the oracle the ring is
+    /// checked against.
+    struct OracleQueue {
+        frames: VecDeque<Vec<u8>>,
+        in_buf: Vec<u8>,
+        out_buf: Vec<u8>,
+        out_cursor: usize,
+        capacity: usize,
+        droppable: u8,
+        dropped: u64,
+    }
+
+    fn push_bounded(
+        queue: &mut VecDeque<Vec<u8>>,
+        capacity: usize,
+        droppable: u8,
+        frame: Vec<u8>,
+    ) -> usize {
+        let mut dropped = 0usize;
+        while queue.len() >= capacity {
+            let victim = queue
+                .iter()
+                .position(|f| f.first() == Some(&droppable))
+                .unwrap_or(0);
+            queue.remove(victim);
+            dropped += 1;
+        }
+        queue.push_back(frame);
+        dropped
+    }
+
+    impl OracleQueue {
+        fn new(capacity: usize, droppable: u8) -> Self {
+            OracleQueue {
+                frames: VecDeque::new(),
+                in_buf: Vec::new(),
+                out_buf: Vec::new(),
+                out_cursor: 0,
+                capacity,
+                droppable,
+                dropped: 0,
+            }
+        }
+
+        fn push(&mut self, frame: Vec<u8>) -> usize {
+            let dropped = push_bounded(&mut self.frames, self.capacity, self.droppable, frame);
+            self.dropped += dropped as u64;
+            dropped
+        }
+
+        /// The old `NbConn::extract_frames`, run on `in_buf` + `bytes`.
+        fn extend_wire(&mut self, bytes: &[u8]) -> bool {
+            self.in_buf.extend_from_slice(bytes);
+            let mut consumed = 0usize;
+            while self.in_buf.len() - consumed >= 4 {
+                let header: [u8; 4] = self.in_buf[consumed..consumed + 4].try_into().unwrap();
+                let len = u32::from_le_bytes(header) as usize;
+                if len > MAX_FRAME_BYTES {
+                    self.frames.push_back(Vec::new());
+                    self.in_buf.clear();
+                    return false;
+                }
+                if self.in_buf.len() - consumed < 4 + len {
+                    break;
+                }
+                let frame = self.in_buf[consumed + 4..consumed + 4 + len].to_vec();
+                consumed += 4 + len;
+                self.push(frame);
+            }
+            self.in_buf.drain(..consumed);
+            true
+        }
+
+        /// The old `NbConn::poll_write` against a socket that takes `n`
+        /// more bytes and then would block, with one difference: the
+        /// socket is asked before the next frame is staged. Staging first
+        /// took a frame no byte of which had been written out of the
+        /// policy's reach whenever a write blocked exactly on a frame
+        /// boundary; the ring pins a frame only for bytes on the wire.
+        fn write(&mut self, mut n: usize, wire: &mut Vec<u8>) {
+            while n > 0 {
+                if self.out_cursor >= self.out_buf.len() {
+                    let Some(frame) = self.frames.pop_front() else {
+                        break;
+                    };
+                    self.out_buf.clear();
+                    self.out_buf
+                        .extend_from_slice(&(frame.len() as u32).to_le_bytes());
+                    self.out_buf.extend_from_slice(&frame);
+                    self.out_cursor = 0;
+                }
+                let k = n.min(self.out_buf.len() - self.out_cursor);
+                wire.extend_from_slice(&self.out_buf[self.out_cursor..self.out_cursor + k]);
+                self.out_cursor += k;
+                n -= k;
+            }
+        }
+
+        fn depth(&self) -> usize {
+            self.frames.len() + usize::from(self.out_cursor < self.out_buf.len())
+        }
+
+        fn is_stalled(&self) -> bool {
+            self.frames.len() >= self.capacity
+        }
+    }
+
+    /// Which producer and consumer a differential case drives.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        /// `push_with` in, `pop_with` out: a loopback direction.
+        PushPop,
+        /// `extend_wire` in, `pop_with` out: a connection's inbound side.
+        WirePop,
+        /// `push_with` in, `wire`/`wrote` out: its outbound side.
+        PushWire,
+    }
+
+    proptest! {
+        #[test]
+        fn the_ring_is_the_old_queue_kept_as_bytes(
+            capacity in 1usize..=8,
+            shape in 0u8..3,
+            corrupt_after in 0usize..48,
+            ops in prop::collection::vec((0u8..4, 0u8..=255, 0usize..48), 1..80),
+        ) {
+            let shape = [Shape::PushPop, Shape::WirePop, Shape::PushWire][shape as usize];
+            let mut ring = FrameRing::new(capacity, tag::POSE);
+            let mut oracle = OracleQueue::new(capacity, tag::POSE);
+            // WirePop: bytes produced but not yet fed, so a frame's start
+            // can wait in the ring across pops. PushWire: what each side
+            // has put on the wire.
+            let mut unfed: Vec<u8> = Vec::new();
+            let (mut ring_wire, mut oracle_wire) = (Vec::new(), Vec::new());
+            let (mut produced, mut framing_lost) = (0usize, false);
+            for &(what, kind, n) in &ops {
+                if what < 2 {
+                    // Two in four frames droppable, one a control frame,
+                    // one empty; one in 32 as large as a frame may be.
+                    let len = if kind >= 248 { MAX_FRAME_BYTES } else { n };
+                    let mut payload = vec![produced as u8; len];
+                    match (kind % 4, payload.first_mut()) {
+                        (0 | 1, Some(first)) => *first = tag::POSE,
+                        (2, Some(first)) => *first = tag::ACK,
+                        _ => payload.clear(),
+                    }
+                    produced += 1;
+                    if shape != Shape::WirePop {
+                        let dropped = ring.push_with(|buf| buf.extend_from_slice(&payload));
+                        prop_assert_eq!(dropped, oracle.push(payload));
+                    } else if !framing_lost {
+                        if produced > corrupt_after {
+                            let bad = (MAX_FRAME_BYTES + 1 + n) as u32;
+                            unfed.extend_from_slice(&bad.to_le_bytes());
+                            unfed.extend_from_slice(&payload[..payload.len().min(9)]);
+                        } else {
+                            write_frame(&mut unfed, &payload).unwrap();
+                        }
+                        // Feed all but the last few bytes, in chunks of a
+                        // size that lands inside prefixes and payloads.
+                        let feed = unfed.len() - (n % 6).min(unfed.len());
+                        let chunk = if kind >= 128 { feed.max(1) } else { 1 + kind as usize % 7 };
+                        for bytes in unfed[..feed].chunks(chunk) {
+                            let ok = ring.extend_wire(bytes);
+                            prop_assert_eq!(ok, oracle.extend_wire(bytes));
+                            if !ok {
+                                framing_lost = true;
+                                break;
+                            }
+                        }
+                        unfed.drain(..feed);
+                    }
+                } else if shape == Shape::PushWire {
+                    let want = if kind >= 192 { n * 30_000 } else { n % 13 };
+                    let take = want.min(ring.wire().len());
+                    ring_wire.extend_from_slice(&ring.wire()[..take]);
+                    ring.wrote(take);
+                    let before = oracle_wire.len();
+                    oracle.write(want, &mut oracle_wire);
+                    prop_assert_eq!(&ring_wire[before..], &oracle_wire[before..]);
+                } else {
+                    for _ in 0..1 + n % 3 {
+                        prop_assert_eq!(ring.pop_with(<[u8]>::to_vec), oracle.frames.pop_front());
+                    }
+                }
+                prop_assert_eq!(ring.frames(), oracle.depth());
+                prop_assert_eq!(ring.dropped(), oracle.dropped);
+                prop_assert_eq!(ring.is_full(), oracle.is_stalled());
+                if ring.frames() == 0 && oracle.in_buf.is_empty() {
+                    prop_assert!(ring.buf.is_empty(), "drained, yet {} bytes kept", ring.buf.len());
+                }
+            }
+            // Everything still queued comes out whole and in order.
+            if shape == Shape::PushWire {
+                ring_wire.extend_from_slice(ring.wire());
+                ring.wrote(ring.wire().len());
+                oracle.write(usize::MAX, &mut oracle_wire);
+                prop_assert!(ring_wire == oracle_wire);
+                let mut stream = std::io::Cursor::new(ring_wire);
+                loop {
+                    match read_frame(&mut stream) {
+                        Ok(_) => {}
+                        Err(FrameError::Closed) => break,
+                        Err(e) => prop_assert!(false, "a torn frame reached the wire: {e}"),
+                    }
+                }
+            } else {
+                while let Some(frame) = oracle.frames.pop_front() {
+                    prop_assert_eq!(ring.pop_with(<[u8]>::to_vec), Some(frame));
+                }
+                prop_assert_eq!(ring.pop_with(<[u8]>::to_vec), None);
+            }
+            prop_assert_eq!(ring.frames(), 0);
+            // What is left is the start of a frame still arriving.
+            prop_assert_eq!(&ring.buf[ring.head..], &oracle.in_buf[..]);
+        }
+    }
+
+    #[test]
+    fn a_ring_that_never_quite_drains_does_not_grow() {
+        let mut ring = FrameRing::new(8, tag::POSE);
+        let frame = [tag::ACK; 60];
+        ring.push_with(|buf| buf.extend_from_slice(&frame));
+        for _ in 0..10_000 {
+            ring.push_with(|buf| buf.extend_from_slice(&frame));
+            assert_eq!(ring.pop_with(<[u8]>::len), Some(frame.len()));
+            // One or two frames are live; consumed bytes never outweigh
+            // them for longer than until the next push.
+            assert!(ring.buf.len() <= 4 * (PREFIX + frame.len()));
+        }
+        assert_eq!(ring.frames(), 1);
+        assert_eq!(ring.dropped(), 0);
+    }
+
+    #[test]
+    fn a_wire_split_at_any_byte_yields_the_same_frames() {
+        let payloads: [&[u8]; 4] = [b"pose-ish", b"", b"x", &[tag::ACK; 300]];
+        let mut wire = Vec::new();
+        for payload in payloads {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        for split in 0..=wire.len() {
+            let mut ring = FrameRing::new(8, tag::POSE);
+            assert!(ring.extend_wire(&wire[..split]));
+            assert!(ring.extend_wire(&wire[split..]));
+            for payload in payloads {
+                assert_eq!(ring.pop_with(<[u8]>::to_vec).as_deref(), Some(payload));
+            }
+            assert_eq!(ring.pop_with(<[u8]>::to_vec), None, "split at {split}");
+            assert!(ring.buf.is_empty());
+        }
     }
 }

@@ -53,7 +53,61 @@ fn server_roundtrip(message: &ServerMessage) {
     assert_eq!(&ServerMessage::decode(&framed).unwrap(), message);
 }
 
+/// `encoded_len` is the payload's size, and `to_payload` asked the
+/// allocator for exactly that, once.
+fn exact_size(encoded_len: usize, payload: Vec<u8>) {
+    assert_eq!(encoded_len, payload.len());
+    assert_eq!(encoded_len, payload.capacity());
+}
+
 proptest! {
+    #[test]
+    fn every_message_is_encoded_into_a_buffer_of_exactly_its_size(
+        ids in prop::collection::vec(video_id(), 0..=300),
+        p in pose(),
+        word in 0u64..=u64::MAX,
+        mbps in 0.0f64..10_000.0,
+    ) {
+        let client = [
+            ClientMessage::Hello { version: word as u16, seed: word },
+            ClientMessage::Pose { seq: word, pose: p },
+            ClientMessage::Ack { ids: ids.clone() },
+            ClientMessage::Release { ids: ids.clone() },
+            ClientMessage::BandwidthSample { mbps },
+            ClientMessage::LinkSample { link: LinkId::Lte, mbps },
+            ClientMessage::Bye,
+        ];
+        for message in &client {
+            exact_size(message.encoded_len(), message.to_payload());
+        }
+        let server = [
+            ServerMessage::Welcome {
+                version: PROTOCOL_VERSION,
+                user_id: word as u32,
+                slot_us: 15_000,
+                levels: 6,
+            },
+            ServerMessage::Assignment {
+                slot: word,
+                pose_seq: word,
+                quality: 2,
+                rate_mbps: mbps,
+                manifest: ids.clone(),
+            },
+            ServerMessage::GroupAssign {
+                slot: word,
+                group_id: word,
+                quality: 2,
+                rate_mbps: mbps,
+                manifest: ids,
+            },
+            ServerMessage::Shutdown,
+        ];
+        for message in &server {
+            exact_size(message.encoded_len(), message.to_payload());
+        }
+    }
+
     #[test]
     fn hello_round_trips(version in 0u16..=u16::MAX, seed in 0u64..=u64::MAX) {
         client_roundtrip(&ClientMessage::Hello { version, seed });

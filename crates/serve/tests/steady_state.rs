@@ -5,8 +5,11 @@
 //! — clients walking, storing, ACKing, evicting, releasing — the heap may
 //! breathe (maps rehash, deques wrap) but must plateau.
 //!
+//! And carrying a frame may not allocate at all: the queues are rings of
+//! wire bytes, encoded into and decoded from in place.
+//!
 //! Its own binary, because the counting allocator is process-wide. The
-//! count itself is per thread, so the two tests, and the test harness's
+//! counts themselves are per thread, so the tests, and the test harness's
 //! own threads, cannot disturb each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -14,13 +17,18 @@ use std::cell::Cell;
 
 use cvr_serve::client::{ClientConfig, ReplayClient};
 use cvr_serve::harness::loopback_fleet;
-use cvr_serve::protocol::{ClientMessage, PROTOCOL_VERSION};
+use cvr_serve::protocol::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use cvr_serve::server::{ServeConfig, Session};
-use cvr_serve::transport::{loopback, ClientTransport, LoopbackClientEnd};
+use cvr_serve::transport::{
+    loopback, ClientTransport, LoopbackClientEnd, SendStatus, ServerTransport,
+};
 
 thread_local! {
     /// Bytes this thread has allocated minus bytes it has freed.
     static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    /// Times this thread has asked the allocator for memory (a `realloc`
+    /// reaches `alloc` through `GlobalAlloc`'s default method).
+    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note(delta: isize) {
@@ -33,11 +41,12 @@ struct CountingAllocator;
 
 // SAFETY: both methods forward their arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract. The bookkeeping before the
-// call touches only a const-initialised thread-local `Cell` with no
+// call touches only const-initialised thread-local `Cell`s with no
 // destructor, so it neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size() as isize);
+        let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
         // SAFETY: the caller's `layout` is passed through as is.
         unsafe { System.alloc(layout) }
     }
@@ -153,4 +162,52 @@ fn a_churning_session_plateaus() {
     let report = session.report();
     assert_eq!(report.counters.protocol_errors, 0);
     assert_eq!(report.tick.count, 10 * n);
+}
+
+#[test]
+fn a_warm_frame_path_never_calls_the_allocator() {
+    // One client-slot's traffic: a pose and a bandwidth sample up, the
+    // drain's empty poll, an assignment down. An empty manifest, because
+    // a non-empty one decodes into the `Vec<VideoId>` the message owns.
+    let (mut server, mut client) = loopback(64);
+    let mut slot = |seq: u64| {
+        let pose = cvr_motion::pose::Pose::default();
+        assert_eq!(
+            client.send(&ClientMessage::Pose { seq, pose }),
+            SendStatus::Sent
+        );
+        assert_eq!(
+            client.send(&ClientMessage::BandwidthSample { mbps: 48.5 }),
+            SendStatus::Sent
+        );
+        assert!(matches!(
+            server.try_recv(),
+            Some(Ok(ClientMessage::Pose { seq: got, .. })) if got == seq
+        ));
+        assert!(matches!(
+            server.try_recv(),
+            Some(Ok(ClientMessage::BandwidthSample { .. }))
+        ));
+        assert!(server.try_recv().is_none());
+        let assignment = ServerMessage::Assignment {
+            slot: seq,
+            pose_seq: seq,
+            quality: 3,
+            rate_mbps: 24.0,
+            manifest: Vec::new(),
+        };
+        assert_eq!(server.send(&assignment), SendStatus::Sent);
+        assert_eq!(server.queue_depth(), 1);
+        assert!(!server.is_stalled() && !server.is_closed());
+        assert_eq!(client.try_recv(), Some(Ok(assignment)));
+        assert!(client.try_recv().is_none());
+    };
+    for seq in 0..10 {
+        slot(seq);
+    }
+    let before = ALLOC_CALLS.with(Cell::get);
+    for seq in 10..1_010 {
+        slot(seq);
+    }
+    assert_eq!(ALLOC_CALLS.with(Cell::get) - before, 0);
 }
