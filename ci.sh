@@ -11,9 +11,8 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# bench-gate goes last: its `scale` speedup floors fail on a noisy 2-vCPU
-# host, and `set -e` must not stop there before the frozen-API benchmark
-# build and its smokes have run.
+# bench-gate goes last: a failed check there must not stop `set -e` before
+# the frozen-API benchmark build and its smokes have run.
 STAGES=(test determinism net-scenarios serve-smoke benchmark-build bench-gate)
 
 step() { printf '\n=== %s ===\n' "$*"; }

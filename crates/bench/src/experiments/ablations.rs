@@ -18,7 +18,7 @@ use cvr_render::job::{CostModel, RenderJob};
 use cvr_render::pipeline::{classroom_jobs, RenderFarm};
 use cvr_render::scheduler::{EarliestCompletion, GpuScheduler, RoundRobin, UserAffinity};
 use cvr_sim::allocators::AllocatorKind;
-use cvr_sim::experiment::{system_experiment_threaded, trace_experiment_threaded};
+use cvr_sim::experiment::{system_experiment, trace_experiment};
 use cvr_sim::system::{self, BandwidthEstimatorKind, RenderingMode, SystemConfig, SystemRunResult};
 use cvr_sim::tracesim::{self, TraceSimConfig};
 use rand::{Rng, SeedableRng};
@@ -265,7 +265,7 @@ pub fn greedy(args: &FigureArgs) {
         AllocatorKind::DensityValueGreedy,
         AllocatorKind::Optimal,
     ];
-    let result = trace_experiment_threaded(&base, &kinds, args.runs_or(20).min(20), args.threads);
+    let result = trace_experiment(&base, &kinds, args.runs_or(20).min(20), args.threads);
     let mut table = Table::titled(&["variant", "mean QoE"]);
     for k in &kinds {
         let qoe = result.per_algorithm[k.label()].qoe.mean();
@@ -301,7 +301,7 @@ pub fn loss(args: &FigureArgs) {
             packet_loss_probability: loss,
             ..SystemConfig::setup1(args.seed)
         };
-        let result = system_experiment_threaded(&base, &kinds, repetitions, args.threads);
+        let result = system_experiment(&base, &kinds, repetitions, args.threads);
         let plain = result.per_algorithm["ours"];
         let aware = result.per_algorithm["ours+loss"];
         table.row(vec![

@@ -10,8 +10,7 @@ use cvr_core::quality::QualityLevel;
 use cvr_net::queueing::RttSampler;
 use cvr_sim::allocators::AllocatorKind;
 use cvr_sim::experiment::{
-    system_experiment_threaded, trace_experiment_threaded, SystemExperimentResult,
-    TraceExperimentResult,
+    system_experiment, trace_experiment, SystemExperimentResult, TraceExperimentResult,
 };
 use cvr_sim::metrics::{EmpiricalDistribution, MetricDistributions};
 use cvr_sim::system::SystemConfig;
@@ -75,7 +74,7 @@ fn trace_cdfs(
         ("(c) average delay (slots)", "delay", |d| &d.delay),
         ("(d) quality variance", "variance", |d| &d.variance),
     ];
-    let result = trace_experiment_threaded(base, kinds, runs, args.threads);
+    let result = trace_experiment(base, kinds, runs, args.threads);
     for (title, _, pick) in metrics {
         println!("## {title}\n");
         let mut table = Table::titled(&["algorithm", "mean", "p10", "p50", "p90"]);
@@ -182,7 +181,7 @@ fn testbed_bars(
     repetitions: usize,
 ) -> SystemExperimentResult {
     let kinds = AllocatorKind::paper_set(false);
-    let result = system_experiment_threaded(base, &kinds, repetitions, args.threads);
+    let result = system_experiment(base, &kinds, repetitions, args.threads);
     let mut table = Table::begin(&[
         ("algorithm", "algorithm"),
         ("avg QoE", "qoe"),
@@ -277,7 +276,7 @@ pub fn headline(args: &FigureArgs) {
             duration_s: duration,
             ..config
         };
-        system_experiment_threaded(&base, &kinds, repetitions, args.threads)
+        system_experiment(&base, &kinds, repetitions, args.threads)
     };
     let setup1 = run(SystemConfig::setup1(args.seed));
     let setup2 = run(SystemConfig::setup2(args.seed));

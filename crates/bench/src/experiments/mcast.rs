@@ -5,9 +5,8 @@
 //!
 //! * **gain** — shared-FoV dedup lifts delivered quality (≥1.2× at 32
 //!   users) while putting *fewer* megabits on the wire;
-//! * **determinism** — every multicast run re-executed at a deliberately
-//!   different `build_threads` count reproduces the same FNV-1a
-//!   fingerprint bit for bit;
+//! * **determinism** — every multicast run executed a second time
+//!   reproduces the same FNV-1a fingerprint bit for bit;
 //! * **singleton parity** — a classroom of one (every group has exactly
 //!   one member) is bit-identical to the unicast path, the end-to-end
 //!   face of the Theorem-1 parity guarantee.
@@ -23,28 +22,22 @@ const USER_SWEEP: [usize; 4] = [8, 16, 32, 64];
 ///
 /// # Panics
 ///
-/// Panics if a run differs between thread counts or a one-member group
+/// Panics if a repeated run differs from the first or a one-member group
 /// differs from unicast.
 pub fn mcast_bench(args: &FigureArgs) -> Json {
     let slots = ((200.0 * args.scale) as u64).max(60);
-    let main_threads = args.threads.unwrap_or(4).max(1);
-    let check_threads = if main_threads == 1 { 4 } else { 1 };
-    println!(
-        "# Multicast classroom — {slots} slots, 400 Mbps budget, \
-         threads {main_threads} vs {check_threads}\n"
-    );
+    println!("# Multicast classroom — {slots} slots, 400 Mbps budget\n");
 
-    let configured = |users: usize, multicast: bool, threads: usize| McastConfig {
+    let configured = |users: usize, multicast: bool| McastConfig {
         slots,
-        build_threads: threads,
         seed: args.seed,
         ..McastConfig::classroom(users, multicast)
     };
 
     // Singleton parity: with one user every staged row is a one-member
     // group, which must be bit-identical to the unicast staging.
-    let uni_alone = run(&configured(1, false, main_threads));
-    let multi_alone = run(&configured(1, true, main_threads));
+    let uni_alone = run(&configured(1, false));
+    let multi_alone = run(&configured(1, true));
     let singleton_parity = multi_alone.peak_multicast_groups == 0
         && multi_alone.delivered_quality.to_bits() == uni_alone.delivered_quality.to_bits()
         && multi_alone.wire_mbit.to_bits() == uni_alone.wire_mbit.to_bits();
@@ -63,9 +56,9 @@ pub fn mcast_bench(args: &FigureArgs) -> Json {
     ]);
     let mut deterministic = true;
     for users in USER_SWEEP {
-        let uni = run(&configured(users, false, main_threads));
-        let multi = run(&configured(users, true, main_threads));
-        let check = run(&configured(users, true, check_threads));
+        let uni = run(&configured(users, false));
+        let multi = run(&configured(users, true));
+        let check = run(&configured(users, true));
         deterministic &= multi.fingerprint == check.fingerprint;
         table.row(vec![
             users.into(),
@@ -81,11 +74,11 @@ pub fn mcast_bench(args: &FigureArgs) -> Json {
         ]);
     }
     println!();
-    println!("determinism across thread counts: {deterministic}");
+    println!("determinism across repeated runs: {deterministic}");
     println!("singleton unicast parity: {singleton_parity}");
     assert!(
         deterministic,
-        "multicast classroom diverged between thread counts"
+        "multicast classroom diverged between two runs"
     );
     assert!(
         singleton_parity,

@@ -15,6 +15,13 @@ use cvr_sim::allocators::AllocatorKind;
 use cvr_sim::parallel::{self, RunSpec};
 use cvr_sim::system::{self, SystemConfig, SystemRunResult};
 
+// The paper-scale sweep. The gate judges the speedup floors only on a
+// document at least this large.
+/// Sessions per setup.
+pub const PAPER_SESSIONS: usize = 16;
+/// Simulated seconds per session.
+pub const PAPER_DURATION_S: f64 = 6.0;
+
 fn run_sessions(
     base: &SystemConfig,
     specs: &[RunSpec],
@@ -37,8 +44,8 @@ fn run_sessions(
 ///
 /// Panics if any thread count diverges from the 1-thread baseline.
 pub fn scale(args: &FigureArgs) -> Json {
-    let sessions = args.runs_or(16).max(2);
-    let duration = args.duration_or(6.0);
+    let sessions = args.runs_or(PAPER_SESSIONS).max(2);
+    let duration = args.duration_or(PAPER_DURATION_S);
     let available = parallel::available_threads();
     // On a single-core host a multi-thread wall-clock comparison measures
     // scheduler overhead, not parallel scaling: keep the determinism

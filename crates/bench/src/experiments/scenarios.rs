@@ -10,7 +10,7 @@ use cvr_bench::json::Json;
 use cvr_bench::{Cell, FigureArgs, Table};
 use cvr_core::fnv;
 use cvr_sim::allocators::AllocatorKind;
-use cvr_sim::experiment::{lookahead_matrix_threaded, scenario_matrix_threaded, SystemAverages};
+use cvr_sim::experiment::{lookahead_matrix, scenario_matrix, SystemAverages};
 use cvr_sim::system::SystemConfig;
 
 /// FNV-1a over a tag per entry and the little-endian bit patterns of
@@ -77,8 +77,8 @@ pub fn net_bench(args: &FigureArgs) -> Json {
         base.num_users
     );
 
-    let matrix = scenario_matrix_threaded(&base, &kinds, repetitions, main_threads);
-    let check = scenario_matrix_threaded(&base, &kinds, repetitions, Some(check_threads));
+    let matrix = scenario_matrix(&base, &kinds, repetitions, main_threads);
+    let check = scenario_matrix(&base, &kinds, repetitions, Some(check_threads));
     let deterministic = matrix == check;
     let [fp_main, fp_check] = [&matrix, &check].map(|m| {
         let entries = m.rows.iter().flat_map(|row| &row.per_algorithm);
@@ -152,8 +152,8 @@ pub fn lookahead_bench(args: &FigureArgs) -> Json {
         base.num_users
     );
 
-    let matrix = lookahead_matrix_threaded(&base, &HORIZONS, repetitions, main_threads);
-    let check = lookahead_matrix_threaded(&base, &HORIZONS, repetitions, Some(check_threads));
+    let matrix = lookahead_matrix(&base, &HORIZONS, repetitions, main_threads);
+    let check = lookahead_matrix(&base, &HORIZONS, repetitions, Some(check_threads));
     let deterministic = matrix == check;
     let [fp_main, fp_check] = [&matrix, &check].map(|m| {
         let entries = m.rows.iter().flat_map(|row| &row.per_horizon);
@@ -163,7 +163,7 @@ pub fn lookahead_bench(args: &FigureArgs) -> Json {
     // The myopic reference: the identical scenario matrix driven by the
     // horizonless config path. Its `ours` rows must equal the H = 1
     // column of the sweep bit for bit.
-    let myopic = scenario_matrix_threaded(
+    let myopic = scenario_matrix(
         &base,
         &[AllocatorKind::DensityValueGreedy],
         repetitions,

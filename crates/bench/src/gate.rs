@@ -2,15 +2,20 @@
 //! the `BENCH_*.json` document that experiment builds. The floors are the
 //! constants below; DESIGN.md §4 tabulates what each check holds.
 //!
-//! Two things are deliberately not judged here. On a single-core host
-//! (recorded `available_parallelism` = 1) the parallel speedup floors
-//! are skipped — there is nothing to parallelise onto — but determinism
-//! is still enforced. And the speed of the slot hot path and the live
-//! server's deadlines are judged parent-vs-change by `benchmark/`.
+//! Two things are deliberately not judged here. The parallel speedup
+//! floors apply only to a paper-scale `scale` document recorded on a host
+//! with `available_parallelism` ≥ 4: on fewer cores, or on a scaled-down
+//! run of 2 sessions × 0.6 s, the wall-clock ratio is scheduler noise, so
+//! it is printed and determinism alone is enforced. And the speed of the
+//! slot hot path and the live server's deadlines are judged
+//! parent-vs-change by `benchmark/`.
 
 use cvr_bench::json::Json;
 
+use crate::experiments::scale::{PAPER_DURATION_S, PAPER_SESSIONS};
+
 const MIN_PARALLEL_SPEEDUP: f64 = 1.5;
+const MIN_PARALLEL_CORES: usize = 4;
 const MIN_PARALLEL_EFFICIENCY: f64 = 0.6;
 const MAX_OBS_OVERHEAD_PCT: f64 = 2.0;
 const NET_PATHOLOGIES: [&str; 5] = [
@@ -101,15 +106,20 @@ pub fn check_parallel(gate: &mut Gate, doc: &Json) {
         );
     }
 
-    if available < 2 {
+    // The floors mean something only with cores to spread onto and enough
+    // work per session to outweigh thread start-up.
+    let judged = available >= MIN_PARALLEL_CORES
+        && count(doc, "sessions") >= PAPER_SESSIONS
+        && num(doc, "duration_s") >= PAPER_DURATION_S;
+    if !judged {
         println!(
-            "skip parallel speedup/efficiency gates: benchmark host reported \
-             available_parallelism = {available} (nothing to parallelise onto)"
+            "parallel speedup/efficiency recorded, not judged: needs \
+             available_parallelism >= {MIN_PARALLEL_CORES} (document: {available}) and a \
+             paper-scale run ({PAPER_SESSIONS} sessions x {PAPER_DURATION_S} s)"
         );
-        return;
     }
 
-    // Judge the largest thread count that fits the host — oversubscribed
+    // Report the largest thread count that fits the host — oversubscribed
     // points (threads > cores) legitimately lose efficiency.
     for setup in ["setup1", "setup2"] {
         let best = entries
@@ -121,15 +131,15 @@ pub fn check_parallel(gate: &mut Gate, doc: &Json) {
             continue;
         };
         let threads = count(entry, "threads");
-        if threads < 2 {
-            gate.check(
-                false,
-                format!("parallel {setup}: no multi-threaded sweep point within {available} cores"),
+        let speedup = num(entry, "speedup");
+        let efficiency = num(entry, "efficiency");
+        if !judged {
+            println!(
+                "     parallel {setup} @ {threads} threads: speedup {speedup:.2}x, \
+                 efficiency {efficiency:.2}"
             );
             continue;
         }
-        let speedup = num(entry, "speedup");
-        let efficiency = num(entry, "efficiency");
         gate.check(
             speedup >= MIN_PARALLEL_SPEEDUP,
             format!(
@@ -209,7 +219,7 @@ pub fn check_net(gate: &mut Gate, doc: &Json) {
 pub fn check_mcast(gate: &mut Gate, doc: &Json) {
     gate.check(
         flag(doc, "deterministic"),
-        "mcast: classroom bit-identical across thread counts".to_string(),
+        "mcast: classroom bit-identical across repeated runs".to_string(),
     );
     gate.check(
         flag(doc, "singleton_parity"),

@@ -344,6 +344,53 @@ mod tests {
     }
 
     #[test]
+    fn parallel_speedup_floors_are_judged_only_at_paper_scale_on_four_cores() {
+        let failures = |doc: &Json| {
+            let mut gate = Gate::default();
+            gate::check_parallel(&mut gate, doc);
+            gate.failures
+        };
+        let rewritten = |doc: &Json, from: &str, to: &str| {
+            let text = doc.to_string();
+            assert!(text.contains(from), "nothing to rewrite: no {from}");
+            Json::parse(&text.replace(from, to)).expect("rewritten document parses")
+        };
+        // The committed paper-scale document as a 4-core host would have
+        // recorded it, every sweep point scaling well.
+        let four_cores = rewritten(
+            &committed("BENCH_parallel.json"),
+            "\"available_parallelism\": 1",
+            "\"available_parallelism\": 4",
+        );
+        let scaling = rewritten(&four_cores, "\"speedup\": null", "\"speedup\": 3.2");
+        let scaling = rewritten(&scaling, "\"efficiency\": null", "\"efficiency\": 0.8");
+        assert_eq!(failures(&scaling), Vec::<String>::new());
+
+        let slow = rewritten(&scaling, "\"speedup\": 3.2", "\"speedup\": 1.1");
+        assert!(
+            failures(&slow).iter().any(|f| f.contains("speedup 1.10x")),
+            "a low paper-scale 4-core speedup passed: {:?}",
+            failures(&slow)
+        );
+        // The same numbers are recorded, not judged, on two cores or on a
+        // scaled-down run; a broken identity flag still fails there.
+        let two_cores = rewritten(
+            &slow,
+            "\"available_parallelism\": 4",
+            "\"available_parallelism\": 2",
+        );
+        assert_eq!(failures(&two_cores), Vec::<String>::new());
+        let quick = rewritten(&slow, "\"sessions\": 16", "\"sessions\": 2");
+        assert_eq!(failures(&quick), Vec::<String>::new());
+        let diverged = rewritten(
+            &quick,
+            "\"deterministic\": true",
+            "\"deterministic\": false",
+        );
+        assert!(!failures(&diverged).is_empty());
+    }
+
+    #[test]
     fn every_check_passes_on_its_committed_artifact_and_fails_on_a_doctored_one() {
         let mut artifacts = BTreeSet::new();
         for e in &EXPERIMENTS {

@@ -105,11 +105,33 @@ impl Default for QoeParams {
     }
 }
 
-/// Evaluates the per-slot objective `h_n(q)` of Eq. (9) for one user.
+/// Evaluates the per-slot objective `h_n(q)` of Eq. (9) for one user
+/// whose delivery delay at level `q` is already known: `δ·q − α·d −
+/// β·penalty`. Every slot loop prices its staged levels through this one
+/// function; what differs per driver is only where `delay_slots` comes
+/// from (Eq. (13), an estimated model, or zero for a delay-blind
+/// objective) and which `δ` it passes (the loss-aware objective passes
+/// `δ·P(survive)`).
 ///
 /// `tracker` carries the user's viewed-quality history (`t−1` observations
 /// and the running mean `q̄`); `delta` is the estimated prediction-success
 /// probability `δ_n`.
+#[inline]
+pub fn h_at_delay(
+    params: QoeParams,
+    delta: f64,
+    tracker: &VarianceTracker,
+    q: QualityLevel,
+    delay_slots: f64,
+) -> f64 {
+    let quality_term = delta * q.value();
+    let delay_term = params.alpha * delay_slots;
+    let variance_term = params.beta * tracker.expected_penalty(q.value(), delta);
+    quality_term - delay_term - variance_term
+}
+
+/// [`h_at_delay`] with the delay read off model components:
+/// `d_n(f^R(q))`.
 pub fn h_value<R: RateFunction, D: DelayModel>(
     params: QoeParams,
     delta: f64,
@@ -118,10 +140,8 @@ pub fn h_value<R: RateFunction, D: DelayModel>(
     delay_model: &D,
     q: QualityLevel,
 ) -> f64 {
-    let quality_term = delta * q.value();
-    let delay_term = params.alpha * delay_model.delay(rate_fn.rate(q));
-    let variance_term = params.beta * tracker.expected_penalty(q.value(), delta);
-    quality_term - delay_term - variance_term
+    let delay_slots = delay_model.delay(rate_fn.rate(q));
+    h_at_delay(params, delta, tracker, q, delay_slots)
 }
 
 /// One user's slice of the slot allocation problem: per-level rates and
@@ -369,6 +389,7 @@ mod tests {
     use super::*;
     use crate::delay::Mm1Delay;
     use crate::rate::TabulatedRate;
+    use proptest::prelude::*;
 
     fn sample_problem() -> SlotProblem {
         SlotProblem::new(
@@ -412,6 +433,91 @@ mod tests {
         let expected_var = 2.0 * tracker.expected_penalty(2.0, delta);
         let h = h_value(params, delta, &tracker, &rate_fn, &delay, q);
         assert!((h - (expected_quality - expected_delay - expected_var)).abs() < 1e-12);
+    }
+
+    // The three Eq. (9) formulas the slot loops carried before they all
+    // called `h_at_delay`, kept verbatim as its oracles: `h_value`'s old
+    // body (also the live session's inline copy), and the full-system
+    // simulator's delay-blind and loss-aware arms.
+
+    fn former_delay_aware(
+        params: QoeParams,
+        delta: f64,
+        tracker: &VarianceTracker,
+        q: QualityLevel,
+        delay: f64,
+    ) -> f64 {
+        let quality_term = delta * q.value();
+        let delay_term = params.alpha * delay;
+        let variance_term = params.beta * tracker.expected_penalty(q.value(), delta);
+        quality_term - delay_term - variance_term
+    }
+
+    fn former_delay_blind(
+        params: QoeParams,
+        delta: f64,
+        tracker: &VarianceTracker,
+        q: QualityLevel,
+    ) -> f64 {
+        let quality_term = delta * q.value();
+        let delay_term = 0.0;
+        let variance_term = params.beta * tracker.expected_penalty(q.value(), delta);
+        quality_term - delay_term - variance_term
+    }
+
+    fn former_loss_aware(
+        params: QoeParams,
+        delta: f64,
+        survive: f64,
+        tracker: &VarianceTracker,
+        q: QualityLevel,
+        delay: f64,
+    ) -> f64 {
+        let delta_eff = delta * survive;
+        let quality_term = delta_eff * q.value();
+        let delay_term = params.alpha * delay;
+        let variance_term = params.beta * tracker.expected_penalty(q.value(), delta_eff);
+        quality_term - delay_term - variance_term
+    }
+
+    proptest! {
+        #[test]
+        fn h_at_delay_equals_the_three_former_formulas_bit_for_bit(
+            alpha in 0.0f64..1.0,
+            beta in 0.0f64..2.0,
+            delta in 0.0f64..=1.0,
+            survive in 0.0f64..=1.0,
+            // Viewed quality per past slot: 0 is a miss.
+            history in prop::collection::vec(0u8..=6, 0..40),
+            level in 1u8..=6,
+            // Zero, the drop cap the slot loops saturate at, or in between.
+            delay_pick in 0u8..4,
+            delay_between in 0.0f64..8.0,
+        ) {
+            let params = QoeParams::new(alpha, beta).unwrap();
+            let mut tracker = VarianceTracker::new();
+            for viewed in history {
+                tracker.push(f64::from(viewed));
+            }
+            let q = QualityLevel::new(level);
+            let delay = match delay_pick {
+                0 => 0.0,
+                1 => 8.0,
+                _ => delay_between,
+            };
+            prop_assert_eq!(
+                h_at_delay(params, delta, &tracker, q, delay).to_bits(),
+                former_delay_aware(params, delta, &tracker, q, delay).to_bits()
+            );
+            prop_assert_eq!(
+                h_at_delay(params, delta, &tracker, q, 0.0).to_bits(),
+                former_delay_blind(params, delta, &tracker, q).to_bits()
+            );
+            prop_assert_eq!(
+                h_at_delay(params, delta * survive, &tracker, q, delay).to_bits(),
+                former_loss_aware(params, delta, survive, &tracker, q, delay).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -72,15 +72,19 @@ pub struct FailoverPolicy {
 
 impl Default for FailoverPolicy {
     fn default() -> Self {
-        FailoverPolicy {
-            failover_mbps: 5.0,
-            recover_mbps: 10.0,
-            recover_hold: 4,
-        }
+        FailoverPolicy::DEFAULT
     }
 }
 
 impl FailoverPolicy {
+    /// The default policy as a constant: fail over below 5 Mbps, recover
+    /// after four decisions above 10 Mbps.
+    pub const DEFAULT: Self = FailoverPolicy {
+        failover_mbps: 5.0,
+        recover_mbps: 10.0,
+        recover_hold: 4,
+    };
+
     /// One policy decision. `streak` counts how many consecutive
     /// decisions the inactive-primary has been above `recover_mbps`;
     /// returns the next `(active, streak)` pair. Pure and total: any

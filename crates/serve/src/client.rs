@@ -23,7 +23,7 @@ use cvr_core::quality::QualityLevel;
 use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
 use cvr_net::multilink::{BondedLink, LinkId};
 use cvr_obs::{Histogram, HistogramSummary};
-use cvr_sim::system::PIPELINE_SLOTS;
+use cvr_sim::pipeline::PIPELINE_SLOTS;
 
 use crate::protocol::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use crate::transport::ClientTransport;

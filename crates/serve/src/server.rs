@@ -35,11 +35,10 @@ use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
 use cvr_content::tile::{tile_mask, TileId};
 use cvr_core::delay::{DelayModel, Mm1Delay};
-use cvr_core::objective::QoeParams;
+use cvr_core::objective::{h_at_delay, QoeParams};
 use cvr_core::qoe::{UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
-use cvr_core::variance::VarianceTracker;
 use cvr_lookahead::LookaheadConfig;
 use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::pose::Pose;
@@ -48,18 +47,34 @@ use cvr_net::estimate::EmaEstimator;
 use cvr_net::multilink::{FailoverPolicy, LinkId};
 use cvr_obs::registry::{CounterId, GaugeId, GaugeMerge, HistogramId};
 use cvr_obs::{latency_bounds_ns, Registry, StageStats, TraceEvent, Tracer};
-use cvr_sim::pipeline::SlotPlanner;
-use cvr_sim::system::{DELAY_CAP_SLOTS, PIPELINE_SLOTS};
+use cvr_sim::pipeline::{SlotPlanner, DELAY_CAP_SLOTS, PIPELINE_SLOTS, PROPAGATION_S};
 
 use crate::protocol::{ClientMessage, ServerMessage, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 use crate::transport::{SendStatus, ServerTransport};
 
-/// One-way propagation delay of the wireless hop, seconds (mirrors the
-/// system simulator's constant).
-const PROPAGATION_S: f64 = 0.002;
-
 /// Most prediction records kept per user awaiting their scoring pose.
 const MAX_PENDING_PREDICTIONS: usize = 64;
+
+/// Slots a connection may stay silent before its `Hello` (400 slots ≈ 6 s
+/// at 15 ms); past it the connection is closed and counted as a protocol
+/// error.
+const HANDSHAKE_DEADLINE_SLOTS: u64 = 400;
+
+/// EMA weight of the per-link estimators fed by bonded clients'
+/// `LinkSample`s. Deliberately faster than [`ServeConfig::ema_weight`]:
+/// the failover decision must see an outage within a handful of samples,
+/// while the planning estimate stays smooth.
+const LINK_EMA_WEIGHT: f64 = 0.3;
+
+/// Failover/recovery policy run over the per-link estimates — the same
+/// policy the simulator's bonded links use.
+const FAILOVER: FailoverPolicy = FailoverPolicy::DEFAULT;
+
+/// When a bonded user's planning estimate falls below this floor (Mbps),
+/// the user is pinned to the lowest quality until the estimate recovers
+/// past twice the floor — the bandwidth analogue of the slow-client
+/// backpressure degrade.
+const DEGRADE_FLOOR_MBPS: f64 = 2.0;
 
 /// Configuration of a live session.
 #[derive(Debug, Clone)]
@@ -75,26 +90,10 @@ pub struct ServeConfig {
     pub params: QoeParams,
     /// EMA weight of the per-user bandwidth estimator.
     pub ema_weight: f64,
-    /// EMA weight of the per-link estimators fed by bonded clients'
-    /// `LinkSample`s. Deliberately faster than `ema_weight`: the failover
-    /// decision must see an outage within a handful of samples, while the
-    /// planning estimate stays smooth.
-    pub link_ema_weight: f64,
-    /// Failover/recovery policy run over the per-link estimates — the
-    /// same [`FailoverPolicy`] the simulator's bonded links use.
-    pub failover: FailoverPolicy,
-    /// When a bonded user's planning estimate falls below this floor
-    /// (Mbps), the user is pinned to the lowest quality until the
-    /// estimate recovers past twice the floor — the bandwidth analogue of
-    /// the slow-client backpressure degrade.
-    pub degrade_floor_mbps: f64,
     /// Per-connection outbound queue capacity, frames.
     pub outbound_queue_frames: usize,
     /// Most users the session admits; later Hellos are refused.
     pub max_users: usize,
-    /// Worker threads for the per-user problem build (1 = inline, no
-    /// spawning). Any thread count stages a bit-identical problem.
-    pub build_threads: usize,
     /// Enables shared-FoV multicast: co-located v3 users whose
     /// undelivered tile state is byte-identical share one staged engine
     /// row and receive one fanned-out `GroupAssign` frame. Off by
@@ -130,12 +129,8 @@ impl Default for ServeConfig {
             default_bandwidth_mbps: 50.0,
             params: QoeParams::system_default(),
             ema_weight: 0.05,
-            link_ema_weight: 0.3,
-            failover: FailoverPolicy::default(),
-            degrade_floor_mbps: 2.0,
             outbound_queue_frames: 64,
             max_users: 16,
-            build_threads: 1,
             multicast: false,
             mcast_hysteresis_slots: 8,
             horizon: 1,
@@ -286,6 +281,12 @@ impl SessionObs {
         }
     }
 
+    /// Counts one protocol error and traces where it was met.
+    fn protocol_error(&mut self, context: &'static str) {
+        self.registry.inc(self.c_proto, 1);
+        self.tracer.record(TraceEvent::ProtocolError { context });
+    }
+
     fn stage(&mut self, id: HistogramId, slot: u64, name: &'static str, ns: u64) {
         self.registry.observe(id, ns);
         self.tracer.record(TraceEvent::Stage {
@@ -397,8 +398,8 @@ impl UserState {
             predictions: VecDeque::new(),
             degraded: false,
             degrade_transitions: 0,
-            wifi_bw: EmaEstimator::new(config.link_ema_weight),
-            lte_bw: EmaEstimator::new(config.link_ema_weight),
+            wifi_bw: EmaEstimator::new(LINK_EMA_WEIGHT),
+            lte_bw: EmaEstimator::new(LINK_EMA_WEIGHT),
             active_link: LinkId::Wifi,
             link_streak: 0,
             link_switches: 0,
@@ -506,20 +507,18 @@ pub struct Session {
     /// simulators. Its user slab is indexed like `users`.
     planner: SlotPlanner,
     users: Vec<Option<UserState>>,
-    pending: Vec<Box<dyn ServerTransport>>,
+    /// Connections awaiting their `Hello`, each with the slot it arrived
+    /// in, in arrival order.
+    pending: Vec<(u64, Box<dyn ServerTransport>)>,
     departed: Vec<UserServerSummary>,
     /// Next user ID to hand out; IDs are never reused even when registry
     /// slots are, so report summaries stay unambiguous across churn.
     next_user_id: u32,
     slot: u64,
     obs: SessionObs,
-    // Reused per-slot scratch, plan order. Flat copies of what the value
-    // formula and the prefetch step read per user: `UserState` owns a
-    // non-`Sync` transport, so the parallel fill reads these instead.
+    // Reused per-slot scratch, plan order.
     plan_ids: Vec<usize>,
     plan_predicted: Vec<Pose>,
-    plan_delta: Vec<f64>,
-    plan_tracker: Vec<VarianceTracker>,
     /// Whether the user may prefetch this slot (has a pose, not degraded).
     plan_prefetchable: Vec<bool>,
     manifest: Vec<VideoId>,
@@ -554,8 +553,6 @@ impl Session {
             obs,
             plan_ids: Vec::new(),
             plan_predicted: Vec::new(),
-            plan_delta: Vec::new(),
-            plan_tracker: Vec::new(),
             plan_prefetchable: Vec::new(),
             manifest: Vec::new(),
             payload: Vec::new(),
@@ -571,7 +568,7 @@ impl Session {
     /// Registers a freshly accepted connection; the user joins once its
     /// `Hello` arrives.
     pub fn add_connection(&mut self, transport: Box<dyn ServerTransport>) {
-        self.pending.push(transport);
+        self.pending.push((self.slot, transport));
     }
 
     /// Users currently joined.
@@ -724,7 +721,7 @@ impl Session {
                 self.obs.registry.inc(self.obs.c_leaves, 1);
             }
         }
-        for mut t in self.pending.drain(..) {
+        for (_, mut t) in self.pending.drain(..) {
             t.close();
         }
     }
@@ -766,14 +763,19 @@ impl Session {
 
     /// Drains pending connections: a valid `Hello` joins the user, a
     /// protocol violation refuses the connection, and a connection that
-    /// has not spoken yet stays pending (in arrival order).
+    /// has not spoken yet stays pending (in arrival order) until the
+    /// handshake deadline closes it.
     fn admit_pending(&mut self) {
-        for mut transport in std::mem::take(&mut self.pending) {
+        for (arrived, mut transport) in std::mem::take(&mut self.pending) {
             if transport.is_closed() {
                 continue;
             }
             match transport.try_recv() {
-                None => self.pending.push(transport),
+                None if self.slot - arrived >= HANDSHAKE_DEADLINE_SLOTS => {
+                    self.obs.protocol_error("handshake-timeout");
+                    transport.close();
+                }
+                None => self.pending.push((arrived, transport)),
                 Some(Ok(ClientMessage::Hello { version, seed })) => {
                     let speaks_supported =
                         (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version);
@@ -782,20 +784,14 @@ impl Session {
                         continue;
                     }
                     if !speaks_supported {
-                        self.obs.registry.inc(self.obs.c_proto, 1);
-                        self.obs.tracer.record(TraceEvent::ProtocolError {
-                            context: "handshake",
-                        });
+                        self.obs.protocol_error("handshake");
                     }
                     transport.send(&ServerMessage::Shutdown);
                     transport.close();
                 }
                 Some(_) => {
                     // Anything else before the handshake is a violation.
-                    self.obs.registry.inc(self.obs.c_proto, 1);
-                    self.obs.tracer.record(TraceEvent::ProtocolError {
-                        context: "pre-handshake",
-                    });
+                    self.obs.protocol_error("pre-handshake");
                     transport.close();
                 }
             }
@@ -907,10 +903,7 @@ impl Session {
                         let wifi = user.wifi_bw.estimate_or(0.0);
                         let lte = user.lte_bw.estimate_or(0.0);
                         let before = user.active_link;
-                        let (active, streak) =
-                            self.config
-                                .failover
-                                .next(before, wifi, lte, user.link_streak);
+                        let (active, streak) = FAILOVER.next(before, wifi, lte, user.link_streak);
                         user.active_link = active;
                         user.link_streak = streak;
                         if active != before {
@@ -949,10 +942,7 @@ impl Session {
                 }
             }
             if violation {
-                self.obs.registry.inc(self.obs.c_proto, 1);
-                self.obs
-                    .tracer
-                    .record(TraceEvent::ProtocolError { context: "ingest" });
+                self.obs.protocol_error("ingest");
                 leave = true;
             }
             if leave || user.transport.is_closed() {
@@ -973,16 +963,9 @@ impl Session {
     /// pose prediction, the link budget and the grouping eligibility; then
     /// the planner's staged problem (this session's M/M/1 value formula),
     /// the solve, and the prefetch step.
-    ///
-    /// Only the per-user pass is sequential. The planner fills the staged
-    /// rate/value rows across `build_threads` workers — every user's rows
-    /// are written by exactly one worker, so the staged problem is
-    /// bit-identical at any thread count.
     fn plan(&mut self) {
         self.plan_ids.clear();
         self.plan_predicted.clear();
-        self.plan_delta.clear();
-        self.plan_tracker.clear();
         self.plan_prefetchable.clear();
 
         let dt = self.config.slot_duration.as_secs_f64();
@@ -1012,7 +995,7 @@ impl Session {
             // the user to the lowest quality; recovery needs 2× the floor
             // (hysteresis) so a flapping radio cannot oscillate quality.
             if user.multilink {
-                if !user.bw_degraded && bn < self.config.degrade_floor_mbps {
+                if !user.bw_degraded && bn < DEGRADE_FLOOR_MBPS {
                     user.bw_degraded = true;
                     user.degrade_transitions += 1;
                     self.obs.registry.inc(self.obs.c_degraded, 1);
@@ -1020,7 +1003,7 @@ impl Session {
                         user_id: user.user_id as u64,
                         degraded: true,
                     });
-                } else if user.bw_degraded && bn > 2.0 * self.config.degrade_floor_mbps {
+                } else if user.bw_degraded && bn > 2.0 * DEGRADE_FLOOR_MBPS {
                     user.bw_degraded = false;
                     self.obs.tracer.record(TraceEvent::Degrade {
                         user_id: user.user_id as u64,
@@ -1042,27 +1025,22 @@ impl Session {
             self.planner.push_user(id, &predicted, bn, groupable);
             self.plan_ids.push(id);
             self.plan_predicted.push(predicted);
-            self.plan_delta.push(user.delta.estimate());
-            self.plan_tracker.push(*user.qoe.tracker());
             self.plan_prefetchable.push(user.has_pose && !pinned);
         }
 
         let params = self.config.params;
-        let plan_delta = &self.plan_delta;
-        let plan_tracker = &self.plan_tracker;
-        self.planner
-            .stage(self.config.build_threads, CONTROL_OVERHEAD_MBPS, |i, bn| {
-                let delta = plan_delta[i];
-                let tracker = plan_tracker[i];
-                let fallback = Mm1Delay::new(bn).expect("positive estimate");
-                move |l, raw| {
-                    let q = QualityLevel::new((l + 1) as u8);
-                    let delay = fallback.delay(raw) + floor_slots;
-                    delta * q.value()
-                        - params.alpha * delay
-                        - params.beta * tracker.expected_penalty(q.value(), delta)
-                }
-            });
+        let (users, plan_ids) = (&self.users, &self.plan_ids);
+        self.planner.stage(CONTROL_OVERHEAD_MBPS, |i, bn| {
+            let user = users[plan_ids[i]].as_ref().expect("planned this slot");
+            let delta = user.delta.estimate();
+            let tracker = *user.qoe.tracker();
+            let fallback = Mm1Delay::new(bn).expect("positive estimate");
+            move |l, raw| {
+                let q = QualityLevel::new((l + 1) as u8);
+                let delay = fallback.delay(raw) + floor_slots;
+                h_at_delay(params, delta, &tracker, q, delay)
+            }
+        });
         let build_ns = build_start.elapsed().as_nanos() as u64;
         self.obs
             .stage(self.obs.h_build, self.slot, "build", build_ns);
@@ -1311,6 +1289,36 @@ mod tests {
     }
 
     #[test]
+    fn a_silent_connection_is_closed_at_the_handshake_deadline_and_counted_once() {
+        let mut session = Session::new(ServeConfig::default());
+        session.enable_tracing(64);
+        let mut honest = join_one(&mut session);
+        let (silent_end, silent) = loopback(8);
+        session.add_connection(Box::new(silent_end));
+        for seq in 0..HANDSHAKE_DEADLINE_SLOTS + 20 {
+            honest.send(&ClientMessage::Pose {
+                seq,
+                pose: Pose::default(),
+            });
+            session.step_slot();
+            let mut served = false;
+            while let Some(Ok(message)) = honest.try_recv() {
+                served |= matches!(message, ServerMessage::Assignment { .. });
+            }
+            assert!(served, "the honest client went unserved in slot {seq}");
+            // Both connections arrived in slot 0: the silent one waits out
+            // slots 0..deadline and is closed in the slot that reaches it.
+            let waiting = usize::from(seq < HANDSHAKE_DEADLINE_SLOTS);
+            assert_eq!(session.pending.len(), waiting, "slot {seq}");
+            assert_eq!(silent.is_closed(), waiting == 0, "slot {seq}");
+        }
+        assert_eq!(session.active_users(), 1);
+        assert_eq!(session.counters().protocol_errors, 1);
+        let trace = session.tracer().to_jsonl();
+        assert_eq!(trace.matches("handshake-timeout").count(), 1, "{trace}");
+    }
+
+    #[test]
     fn poses_feed_prediction_and_acks_shrink_manifests() {
         let mut session = Session::new(ServeConfig::default());
         let mut client = join_one(&mut session);
@@ -1412,76 +1420,6 @@ mod tests {
     }
 
     #[test]
-    fn build_threads_do_not_change_assignments_or_qoe() {
-        use cvr_motion::pose::{Orientation, Vec3};
-
-        // Drives two clients through pose walks that cross cells and
-        // orientation buckets, ACKing every manifest, and records the
-        // full assignment stream. Any thread count must reproduce the
-        // single-threaded stream bit for bit.
-        let run = |threads: usize| {
-            let mut session = Session::new(ServeConfig {
-                build_threads: threads,
-                ..ServeConfig::default()
-            });
-            let mut clients = vec![join_one(&mut session), join_one(&mut session)];
-            session.step_slot();
-            for client in &mut clients {
-                let _welcome = client.try_recv();
-            }
-            let mut stream = Vec::new();
-            for seq in 0..24u64 {
-                for (c, client) in clients.iter_mut().enumerate() {
-                    let t = seq as f64;
-                    client.send(&ClientMessage::Pose {
-                        seq,
-                        pose: Pose {
-                            position: Vec3::new(0.35 * t * (c as f64 + 1.0), 1.6, -0.2 * t),
-                            orientation: Orientation {
-                                yaw: 9.0 * t + 120.0 * c as f64,
-                                pitch: 3.0 * t - 20.0,
-                                roll: 0.0,
-                            },
-                        },
-                    });
-                    client.send(&ClientMessage::BandwidthSample {
-                        mbps: 30.0 + 10.0 * c as f64 + t,
-                    });
-                }
-                session.step_slot();
-                for (c, client) in clients.iter_mut().enumerate() {
-                    while let Some(Ok(message)) = client.try_recv() {
-                        if let ServerMessage::Assignment {
-                            slot,
-                            quality,
-                            rate_mbps,
-                            manifest,
-                            ..
-                        } = message
-                        {
-                            stream.push((c, slot, quality, rate_mbps.to_bits(), manifest.clone()));
-                            if !manifest.is_empty() && seq % 3 != 2 {
-                                client.send(&ClientMessage::Ack { ids: manifest });
-                            }
-                        }
-                    }
-                }
-            }
-            session.shutdown();
-            let qoe: Vec<_> = session
-                .report()
-                .users
-                .iter()
-                .map(|u| u.qoe.qoe_per_slot.to_bits())
-                .collect();
-            (stream, qoe)
-        };
-        let baseline = run(1);
-        assert_eq!(baseline, run(2));
-        assert_eq!(baseline, run(4));
-    }
-
-    #[test]
     fn lookahead_horizon_engages_and_stays_deterministic() {
         use cvr_motion::pose::{Orientation, Vec3};
 
@@ -1489,10 +1427,9 @@ mod tests {
         // anticipatory degrade clamps the planning estimate and the
         // prefetch pass extends manifests with future-cell tiles, so the
         // H=4 stream must differ from the myopic stream — and must be
-        // bit-identical at any build_threads count.
-        let run = |threads: usize, horizon: usize| {
+        // bit-identical between two runs.
+        let run = |horizon: usize| {
             let mut session = Session::new(ServeConfig {
-                build_threads: threads,
                 horizon,
                 ..ServeConfig::default()
             });
@@ -1535,8 +1472,8 @@ mod tests {
             }
             stream
         };
-        let myopic = run(1, 1);
-        let lookahead = run(1, 4);
+        let myopic = run(1);
+        let lookahead = run(4);
         assert_ne!(myopic, lookahead, "H=4 must change the served stream");
         // Prefetch engaged: some manifest spans more than one cell.
         assert!(
@@ -1545,8 +1482,7 @@ mod tests {
                 .any(|f| f.3.windows(2).any(|w| w[0].cell() != w[1].cell())),
             "no manifest carried a future-cell prefetch tile"
         );
-        assert_eq!(lookahead, run(2, 4));
-        assert_eq!(lookahead, run(4, 4));
+        assert_eq!(lookahead, run(4));
     }
 
     #[test]

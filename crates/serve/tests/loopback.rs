@@ -234,3 +234,92 @@ fn a_peer_naming_tiles_outside_the_library_loses_only_its_own_connection() {
         assert_eq!(*served, alone_server.users[0]);
     }
 }
+
+/// Decodable but hostile values never panic a session: every finite pose
+/// component and every finite non-negative bandwidth decodes, so the
+/// predictor, the estimators and the planner must take the extremes of
+/// `f64` — with the sign flipping slot to slot, so the regression
+/// extrapolates them — without leaving the arithmetic the slot loop
+/// `expect`s to hold. The peers stay joined: nothing they sent is a
+/// protocol error.
+#[test]
+fn decodable_but_hostile_values_never_panic_a_session() {
+    use cvr_content::grid::GridWorld;
+    use cvr_motion::pose::Pose;
+    use cvr_net::multilink::LinkId;
+    use cvr_serve::protocol::ServerMessage;
+    use cvr_serve::server::Session;
+
+    const SLOTS: u64 = 12;
+    let edge = GridWorld::paper_default().extent_m;
+    let hostile = [
+        0.0,
+        1e15,
+        -1e15,
+        1e300,
+        -1e300,
+        f64::MAX,
+        f64::MIN,
+        5e-324,
+        edge,
+        -edge,
+    ];
+    // Walk `w` holds all six components at `hostile[w]`; the one past the
+    // end rotates the values through the components.
+    let pose_of = |w: usize, seq: u64| {
+        let sign = if seq.is_multiple_of(2) { 1.0 } else { -1.0 };
+        Pose::from_components(std::array::from_fn(|k| {
+            let rotated = (k + seq as usize) % hostile.len();
+            sign * hostile[if w < hostile.len() { w } else { rotated }]
+        }))
+    };
+    for w in 0..=hostile.len() {
+        for (multicast, horizon) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+            let mut session = Session::new(ServeConfig {
+                multicast,
+                horizon,
+                ..ServeConfig::default()
+            });
+            // Two peers on one walk, so a multicast session groups them.
+            let mut peers: Vec<_> = (0..2)
+                .map(|seed| {
+                    let (server_end, mut peer) = loopback(64);
+                    session.add_connection(Box::new(server_end));
+                    peer.send(&ClientMessage::Hello {
+                        version: PROTOCOL_VERSION,
+                        seed,
+                    });
+                    peer
+                })
+                .collect();
+            for seq in 0..SLOTS {
+                let mbps = if seq.is_multiple_of(2) { 0.0 } else { f64::MAX };
+                let link = if seq % 4 < 2 {
+                    LinkId::Wifi
+                } else {
+                    LinkId::Lte
+                };
+                for peer in &mut peers {
+                    peer.send(&ClientMessage::Pose {
+                        seq,
+                        pose: pose_of(w, seq),
+                    });
+                    peer.send(&ClientMessage::BandwidthSample { mbps });
+                    peer.send(&ClientMessage::LinkSample { link, mbps });
+                }
+                session.step_slot();
+                for peer in &mut peers {
+                    while let Some(Ok(message)) = peer.try_recv() {
+                        if let ServerMessage::Assignment { manifest, .. }
+                        | ServerMessage::GroupAssign { manifest, .. } = message
+                        {
+                            peer.send(&ClientMessage::Ack { ids: manifest });
+                        }
+                    }
+                }
+            }
+            assert_eq!(session.active_users(), 2);
+            assert_eq!(session.counters().protocol_errors, 0);
+        }
+    }
+}

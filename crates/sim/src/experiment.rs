@@ -104,20 +104,10 @@ impl TraceAccumulator {
 }
 
 /// Runs the Fig. 2 / Fig. 3 experiment: `runs` independent runs of the
-/// trace simulation for every algorithm in `kinds`, sharded over the
-/// available hardware threads.
+/// trace simulation for every algorithm in `kinds`, sharded over
+/// `threads` workers (`None`/`Some(0)` = available parallelism). Results
+/// are bit-identical for every `threads` value.
 pub fn trace_experiment(
-    base: &TraceSimConfig,
-    kinds: &[AllocatorKind],
-    runs: usize,
-) -> TraceExperimentResult {
-    trace_experiment_threaded(base, kinds, runs, None)
-}
-
-/// [`trace_experiment`] with an explicit worker count (`None`/`Some(0)` =
-/// available parallelism). Results are bit-identical for every `threads`
-/// value.
-pub fn trace_experiment_threaded(
     base: &TraceSimConfig,
     kinds: &[AllocatorKind],
     runs: usize,
@@ -185,20 +175,11 @@ impl SystemAverages {
 }
 
 /// Runs a full-system experiment: every algorithm, `repetitions` seeds,
-/// sharded over the available hardware threads.
+/// sharded over `threads` workers (`None`/`Some(0)` = available
+/// parallelism). The per-run results are computed in parallel and reduced
+/// sequentially in repetition order, so averages are bit-identical for
+/// every `threads` value.
 pub fn system_experiment(
-    base: &SystemConfig,
-    kinds: &[AllocatorKind],
-    repetitions: usize,
-) -> SystemExperimentResult {
-    system_experiment_threaded(base, kinds, repetitions, None)
-}
-
-/// [`system_experiment`] with an explicit worker count (`None`/`Some(0)` =
-/// available parallelism). The per-run results are computed in parallel
-/// and reduced sequentially in repetition order, so averages are
-/// bit-identical for every `threads` value.
-pub fn system_experiment_threaded(
     base: &SystemConfig,
     kinds: &[AllocatorKind],
     repetitions: usize,
@@ -246,18 +227,9 @@ pub struct ScenarioMatrixResult {
 /// Runs the cellular digital-twin scenario matrix: for every pathology in
 /// [`Pathology::ALL`], a full [`system_experiment`] with the base config's
 /// scenario swapped for [`NetScenario::paper_default`] of that pathology.
+/// Inherits [`system_experiment`]'s bit-identical-at-any-thread-count
+/// guarantee row by row.
 pub fn scenario_matrix(
-    base: &SystemConfig,
-    kinds: &[AllocatorKind],
-    repetitions: usize,
-) -> ScenarioMatrixResult {
-    scenario_matrix_threaded(base, kinds, repetitions, None)
-}
-
-/// [`scenario_matrix`] with an explicit worker count (`None`/`Some(0)` =
-/// available parallelism). Inherits [`system_experiment_threaded`]'s
-/// bit-identical-at-any-thread-count guarantee row by row.
-pub fn scenario_matrix_threaded(
     base: &SystemConfig,
     kinds: &[AllocatorKind],
     repetitions: usize,
@@ -270,7 +242,7 @@ pub fn scenario_matrix_threaded(
                 scenario: Some(NetScenario::paper_default(pathology)),
                 ..base.clone()
             };
-            let result = system_experiment_threaded(&config, kinds, repetitions, threads);
+            let result = system_experiment(&config, kinds, repetitions, threads);
             ScenarioRow {
                 pathology,
                 per_algorithm: result.per_algorithm,
@@ -303,19 +275,10 @@ pub struct LookaheadMatrixResult {
 /// Runs the lookahead horizon sweep: for every pathology in
 /// [`Pathology::ALL`] and every horizon in `horizons`, a full
 /// [`system_experiment`] of the `ours` allocator with the base config's
-/// scenario swapped for that pathology and its horizon set.
+/// scenario swapped for that pathology and its horizon set. Inherits
+/// [`system_experiment`]'s bit-identical-at-any-thread-count guarantee
+/// cell by cell.
 pub fn lookahead_matrix(
-    base: &SystemConfig,
-    horizons: &[usize],
-    repetitions: usize,
-) -> LookaheadMatrixResult {
-    lookahead_matrix_threaded(base, horizons, repetitions, None)
-}
-
-/// [`lookahead_matrix`] with an explicit worker count (`None`/`Some(0)` =
-/// available parallelism). Inherits [`system_experiment_threaded`]'s
-/// bit-identical-at-any-thread-count guarantee cell by cell.
-pub fn lookahead_matrix_threaded(
     base: &SystemConfig,
     horizons: &[usize],
     repetitions: usize,
@@ -333,7 +296,7 @@ pub fn lookahead_matrix_threaded(
                         horizon,
                         ..base.clone()
                     };
-                    let result = system_experiment_threaded(&config, &kinds, repetitions, threads);
+                    let result = system_experiment(&config, &kinds, repetitions, threads);
                     (horizon, result.per_algorithm["ours"])
                 })
                 .collect();
@@ -358,7 +321,7 @@ mod tests {
             ..TraceSimConfig::paper_default(2, 50)
         };
         let kinds = AllocatorKind::paper_set(true);
-        let result = trace_experiment(&base, &kinds, 4);
+        let result = trace_experiment(&base, &kinds, 4, None);
         assert_eq!(result.per_algorithm.len(), 4);
         for (label, dists) in &result.per_algorithm {
             assert_eq!(dists.qoe.len(), 4, "{label} missing runs");
@@ -373,7 +336,7 @@ mod tests {
             ..TraceSimConfig::paper_default(2, 61)
         };
         let kinds = [AllocatorKind::DensityValueGreedy, AllocatorKind::Firefly];
-        let serial = trace_experiment_threaded(&base, &kinds, 6, Some(1));
+        let serial = trace_experiment(&base, &kinds, 6, Some(1));
         // Metrics are enabled and populated — the equality below therefore
         // also proves the chunk-order registry merge is deterministic.
         assert!(!serial.registry.is_empty());
@@ -382,7 +345,7 @@ mod tests {
             other => panic!("missing run counter: {other:?}"),
         }
         for threads in [2, 3, 4, 6, 16] {
-            let parallel = trace_experiment_threaded(&base, &kinds, 6, Some(threads));
+            let parallel = trace_experiment(&base, &kinds, 6, Some(threads));
             assert_eq!(parallel, serial, "{threads} threads diverged");
             assert_eq!(
                 parallel.registry.render(),
@@ -400,9 +363,9 @@ mod tests {
             ..SystemConfig::setup1(77)
         };
         let kinds = [AllocatorKind::DensityValueGreedy];
-        let serial = system_experiment_threaded(&base, &kinds, 5, Some(1));
+        let serial = system_experiment(&base, &kinds, 5, Some(1));
         for threads in [2, 4, 5, 8] {
-            let parallel = system_experiment_threaded(&base, &kinds, 5, Some(threads));
+            let parallel = system_experiment(&base, &kinds, 5, Some(threads));
             assert_eq!(parallel, serial, "{threads} threads diverged");
         }
     }
@@ -416,7 +379,7 @@ mod tests {
             ..TraceSimConfig::paper_default(3, 77)
         };
         let kinds = AllocatorKind::paper_set(true);
-        let result = trace_experiment(&base, &kinds, 6);
+        let result = trace_experiment(&base, &kinds, 6, None);
         let mean = |label: &str| result.per_algorithm.get(label).expect("present").qoe.mean();
         assert!(mean("ours") > mean("firefly"));
         assert!(mean("optimal") >= mean("ours") - 0.05 * mean("ours").abs());
@@ -430,14 +393,14 @@ mod tests {
             ..SystemConfig::setup1(55)
         };
         let kinds = [AllocatorKind::DensityValueGreedy];
-        let serial = scenario_matrix_threaded(&base, &kinds, 2, Some(1));
+        let serial = scenario_matrix(&base, &kinds, 2, Some(1));
         assert_eq!(serial.rows.len(), Pathology::ALL.len());
         for (row, expected) in serial.rows.iter().zip(Pathology::ALL) {
             assert_eq!(row.pathology, expected);
             let ours = row.per_algorithm["ours"];
             assert!(ours.fps > 0.0 && ours.fps <= 60.0);
         }
-        let parallel = scenario_matrix_threaded(&base, &kinds, 2, Some(4));
+        let parallel = scenario_matrix(&base, &kinds, 2, Some(4));
         assert_eq!(parallel, serial, "scenario matrix diverged across threads");
     }
 
@@ -448,17 +411,16 @@ mod tests {
             duration_s: 2.0,
             ..SystemConfig::setup1(63)
         };
-        let sweep = lookahead_matrix_threaded(&base, &[1, 4], 2, Some(1));
+        let sweep = lookahead_matrix(&base, &[1, 4], 2, Some(1));
         assert_eq!(sweep.rows.len(), Pathology::ALL.len());
-        let myopic =
-            scenario_matrix_threaded(&base, &[AllocatorKind::DensityValueGreedy], 2, Some(1));
+        let myopic = scenario_matrix(&base, &[AllocatorKind::DensityValueGreedy], 2, Some(1));
         for (row, myopic_row) in sweep.rows.iter().zip(&myopic.rows) {
             assert_eq!(row.pathology, myopic_row.pathology);
             // H=1 is structurally the myopic allocator: bit-identical to a
             // run whose config never set the horizon.
             assert_eq!(row.per_horizon[0], (1, myopic_row.per_algorithm["ours"]));
         }
-        let parallel = lookahead_matrix_threaded(&base, &[1, 4], 2, Some(4));
+        let parallel = lookahead_matrix(&base, &[1, 4], 2, Some(4));
         assert_eq!(parallel, sweep, "lookahead matrix diverged across threads");
     }
 
@@ -471,7 +433,7 @@ mod tests {
             ..SystemConfig::setup1(9)
         };
         let kinds = [AllocatorKind::DensityValueGreedy, AllocatorKind::Firefly];
-        let result = system_experiment(&base, &kinds, 3);
+        let result = system_experiment(&base, &kinds, 3, None);
         assert_eq!(result.per_algorithm.len(), 2);
         let ours = result.per_algorithm["ours"];
         assert!(ours.fps > 0.0 && ours.fps <= 60.0);

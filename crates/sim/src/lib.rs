@@ -47,9 +47,8 @@ pub mod tracesim;
 pub use allocators::AllocatorKind;
 pub use event::EventQueue;
 pub use experiment::{
-    scenario_matrix, scenario_matrix_threaded, system_experiment, system_experiment_threaded,
-    trace_experiment, trace_experiment_threaded, ScenarioMatrixResult, ScenarioRow, SystemAverages,
-    SystemExperimentResult, TraceExperimentResult,
+    scenario_matrix, system_experiment, trace_experiment, ScenarioMatrixResult, ScenarioRow,
+    SystemAverages, SystemExperimentResult, TraceExperimentResult,
 };
 pub use mcast::{McastConfig, McastRunResult};
 pub use metrics::{EmpiricalDistribution, MetricDistributions, SortedDistribution};

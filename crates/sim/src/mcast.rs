@@ -42,8 +42,6 @@ pub struct McastConfig {
     pub per_user_mbps: f64,
     /// Distinct shared gaze targets users cluster around.
     pub clusters: usize,
-    /// Worker threads for the per-user problem build.
-    pub build_threads: usize,
     /// Base seed folded into the deterministic gaze trajectories.
     pub seed: u64,
     /// Group co-oriented users and stage each group once (`false` =
@@ -63,7 +61,6 @@ impl McastConfig {
             server_total_mbps: 400.0,
             per_user_mbps: 50.0,
             clusters: 4,
-            build_threads: 1,
             seed: 2022,
             multicast,
             hysteresis_slots: 8,
@@ -84,7 +81,7 @@ pub struct McastRunResult {
     /// Mean members per staged row (1.0 in unicast mode).
     pub mean_group_size: f64,
     /// FNV-1a fingerprint over every per-slot staging, assignment, and
-    /// delivery decision — bit-identical across `build_threads`.
+    /// delivery decision.
     pub fingerprint: u64,
 }
 
@@ -158,7 +155,7 @@ pub fn run(config: &McastConfig) -> McastRunResult {
             planner.push_user(u, &pose, config.per_user_mbps, config.multicast);
         }
         let weights = &value_weights;
-        planner.stage(config.build_threads, CONTROL_OVERHEAD_MBPS, |u, _bn| {
+        planner.stage(CONTROL_OVERHEAD_MBPS, |u, _bn| {
             move |l, _raw| weights[u * levels + l]
         });
         peak_groups = peak_groups.max(planner.multicast_groups());
@@ -207,21 +204,6 @@ pub fn run(config: &McastConfig) -> McastRunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classroom_runs_are_deterministic_across_build_threads() {
-        let mut config = McastConfig::classroom(8, true);
-        config.slots = 40;
-        let base = run(&config);
-        for threads in [2, 4] {
-            let mut c = config.clone();
-            c.build_threads = threads;
-            let other = run(&c);
-            assert_eq!(base.fingerprint, other.fingerprint, "threads {threads}");
-            assert_eq!(base.delivered_quality, other.delivered_quality);
-            assert_eq!(base.wire_mbit, other.wire_mbit);
-        }
-    }
 
     #[test]
     fn multicast_beats_unicast_in_a_crowded_classroom() {

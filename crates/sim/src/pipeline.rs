@@ -20,7 +20,7 @@
 //!    [`SlotPlanner::push_user`] (FoV target + undelivered sums + group
 //!    key);
 //! 3. [`SlotPlanner::stage`] with the driver's value formula — the one
-//!    parallel fill, the one group discovery, one engine row per group;
+//!    fill loop, the one group discovery, one engine row per group;
 //! 4. a solve on [`SlotPlanner::engine_mut`];
 //! 5. [`SlotPlanner::prefetch`] with the driver's future-pose predictor;
 //! 6. [`SlotPlanner::row`] / [`SlotPlanner::manifest_into`] /
@@ -58,8 +58,32 @@ use cvr_lookahead::{slot_credit, AnticipatoryDegrade, LookaheadConfig, Prefetche
 use cvr_mcast::{stage_group, undelivered_fingerprint, GroupKey, GroupMember, GroupTracker};
 use cvr_motion::pose::Pose;
 
-use crate::parallel::parallel_chunk_pairs;
-use crate::system::sanitize_rates;
+/// Pipeline depth: content predicted and sent at slot `s` is decoded at
+/// `s+1` and displayed at `s+2` (Section V, "Pipelining of transmission and
+/// decoding").
+pub const PIPELINE_SLOTS: usize = 2;
+
+/// One-way propagation delay of the single wireless hop, seconds.
+pub const PROPAGATION_S: f64 = 0.002;
+
+/// Transfers whose queueing delay exceeds this many slots are dropped
+/// ("each tile will either be displayed or dropped in each time slot");
+/// the recorded delay saturates here.
+pub const DELAY_CAP_SLOTS: f64 = 8.0;
+
+/// Forces a raw per-level rate vector to be positive and strictly
+/// increasing (retransmission suppression can make levels momentarily
+/// equal-cost; the allocator's invariants require strict monotonicity).
+/// [`SlotPlanner::stage`] applies it to every row it fills.
+pub fn sanitize_rates(rates: &mut [f64]) {
+    let mut floor = 0.05;
+    for r in rates.iter_mut() {
+        if !r.is_finite() || *r < floor {
+            *r = floor;
+        }
+        floor = *r * 1.000_001 + 1e-6;
+    }
+}
 
 /// One user's delivery state, owned by the planner between join and
 /// leave.
@@ -303,19 +327,18 @@ impl SlotPlanner {
 
     /// Stages the slot problem. Fills every planned user's rate/value row
     /// (`rate[l] = sums[l] + overhead`, `value[l] = value_of(i, bn)(l,
-    /// rate[l])`) across up to `build_threads` workers — each row is
-    /// written by exactly one worker, so the tables are bit-identical at
-    /// any thread count — then discovers this slot's groups and stages one
-    /// engine row per group, walking users in plan order and staging each
-    /// whole group at its first member's position. When every group is a
-    /// singleton that is exactly the per-user problem, row for row.
+    /// rate[l])`) in one inline loop over the plan, then discovers this
+    /// slot's groups and stages one engine row per group, walking users in
+    /// plan order and staging each whole group at its first member's
+    /// position. When every group is a singleton that is exactly the
+    /// per-user problem, row for row.
     ///
     /// `value_of(i, bn)` is called once per user and returns that user's
     /// per-level value formula, so per-user terms are hoisted out of the
     /// level loop.
-    pub fn stage<F, G>(&mut self, build_threads: usize, overhead: f64, value_of: F)
+    pub fn stage<F, G>(&mut self, overhead: f64, mut value_of: F)
     where
-        F: Fn(usize, f64) -> G + Sync,
+        F: FnMut(usize, f64) -> G,
         G: FnMut(usize, f64) -> f64,
     {
         let n = self.plan.len();
@@ -323,26 +346,19 @@ impl SlotPlanner {
         // Every row is fully overwritten below, so stale contents are fine.
         self.rates.resize(n * levels, 0.0);
         self.values.resize(n * levels, 0.0);
-        {
-            let users = &self.users;
-            let plan = &self.plan;
-            parallel_chunk_pairs(
-                &mut self.rates,
-                &mut self.values,
-                levels,
-                build_threads.max(1),
-                |i, rates, values| {
-                    let user = users[plan[i].user].as_ref().expect("planned this slot");
-                    stage_rates_values_with(
-                        user.undelivered.sums(),
-                        overhead,
-                        rates,
-                        values,
-                        value_of(i, plan[i].bn),
-                    );
-                    sanitize_rates(rates);
-                },
+        let rows = (self.rates.chunks_mut(levels)).zip(self.values.chunks_mut(levels));
+        for ((i, planned), (rates, values)) in self.plan.iter().enumerate().zip(rows) {
+            let user = self.users[planned.user]
+                .as_ref()
+                .expect("planned this slot");
+            stage_rates_values_with(
+                user.undelivered.sums(),
+                overhead,
+                rates,
+                values,
+                value_of(i, planned.bn),
             );
+            sanitize_rates(rates);
         }
 
         self.groups.begin_slot(self.slot);
@@ -462,9 +478,8 @@ impl SlotPlanner {
     ///
     /// Members of a shared row keep reconciling but spend no credit: a
     /// group's payload is shared bytes, while prefetch sets are per user.
-    /// Sequential in plan order and rng-free, so thread counts cannot
-    /// perturb it. At `H = 1` the `1..H` loop is empty: no ids, nothing
-    /// released, ledgers untouched.
+    /// Runs in plan order and is rng-free. At `H = 1` the `1..H` loop is
+    /// empty: no ids, nothing released, ledgers untouched.
     pub fn prefetch<E, P>(&mut self, eligible: E, mut future_pose: P)
     where
         E: Fn(usize) -> bool,
@@ -617,76 +632,83 @@ mod tests {
     }
 
     #[test]
+    fn sanitize_rates_makes_strictly_increasing_positive() {
+        let mut r = vec![0.0, 0.0, 5.0, 5.0, 4.0, f64::NAN];
+        sanitize_rates(&mut r);
+        assert!(r[0] > 0.0);
+        for w in r.windows(2) {
+            assert!(w[1] > w[0], "{r:?} not strictly increasing");
+        }
+    }
+
+    #[test]
     fn all_singleton_staging_equals_filling_the_engine_directly() {
         let users = 5;
-        for threads in [1, 4] {
-            let mut p = planner(1);
-            let mut direct = SlotEngine::new();
-            // The reference data plane the planner's rows must match.
-            let library = ContentLibrary::paper_default();
-            let mut plane = RatePlane::new(library.sizing().clone(), DEFAULT_PLANE_CELLS);
-            let mut sums: Vec<UndeliveredSums> = (0..users)
-                .map(|_| UndeliveredSums::new(library.quality_set().len()))
-                .collect();
-            let mut ledgers: Vec<DeliveryLedger> =
-                (0..users).map(|_| DeliveryLedger::new()).collect();
+        let mut p = planner(1);
+        let mut direct = SlotEngine::new();
+        // The reference data plane the planner's rows must match.
+        let library = ContentLibrary::paper_default();
+        let mut plane = RatePlane::new(library.sizing().clone(), DEFAULT_PLANE_CELLS);
+        let mut sums: Vec<UndeliveredSums> = (0..users)
+            .map(|_| UndeliveredSums::new(library.quality_set().len()))
+            .collect();
+        let mut ledgers: Vec<DeliveryLedger> = (0..users).map(|_| DeliveryLedger::new()).collect();
+        for u in 0..users {
+            p.join(u);
+        }
+        let levels = library.quality_set().len();
+        let mut manifest = Vec::new();
+        for slot in 0..12u64 {
+            let bn: Vec<f64> = (0..users).map(|u| 20.0 + 7.0 * u as f64).collect();
+            p.begin_slot(slot, 150.0);
             for u in 0..users {
-                p.join(u);
+                let pose = walk(u, slot as f64);
+                assert_eq!(p.push_user(u, &pose, bn[u], false), u);
+                let cell = library.grid().cell_of(&pose.position);
+                let tiles = cvr_content::tile::tiles_for_pose(library.fov(), &pose);
+                sums[u].retarget(cell, &tiles, plane.rows(cell), &ledgers[u]);
             }
-            let levels = library.quality_set().len();
-            let mut manifest = Vec::new();
-            for slot in 0..12u64 {
-                let bn: Vec<f64> = (0..users).map(|u| 20.0 + 7.0 * u as f64).collect();
-                p.begin_slot(slot, 150.0);
-                for u in 0..users {
-                    let pose = walk(u, slot as f64);
-                    assert_eq!(p.push_user(u, &pose, bn[u], false), u);
-                    let cell = library.grid().cell_of(&pose.position);
-                    let tiles = cvr_content::tile::tiles_for_pose(library.fov(), &pose);
-                    sums[u].retarget(cell, &tiles, plane.rows(cell), &ledgers[u]);
-                }
-                p.stage(threads, CONTROL_OVERHEAD_MBPS, |i, bn| {
-                    value(0.8 + 0.05 * i as f64, bn)
-                });
+            p.stage(CONTROL_OVERHEAD_MBPS, |i, bn| {
+                value(0.8 + 0.05 * i as f64, bn)
+            });
 
-                direct.begin_slot(150.0);
-                direct.add_users(levels, &bn);
-                let (rates, values) = direct.staged_tables_mut();
-                for u in 0..users {
-                    let span = u * levels..(u + 1) * levels;
-                    stage_rates_values_with(
-                        sums[u].sums(),
-                        CONTROL_OVERHEAD_MBPS,
-                        &mut rates[span.clone()],
-                        &mut values[span.clone()],
-                        value(0.8 + 0.05 * u as f64, bn[u]),
-                    );
-                    sanitize_rates(&mut rates[span]);
-                }
+            direct.begin_slot(150.0);
+            direct.add_users(levels, &bn);
+            let (rates, values) = direct.staged_tables_mut();
+            for u in 0..users {
+                let span = u * levels..(u + 1) * levels;
+                stage_rates_values_with(
+                    sums[u].sums(),
+                    CONTROL_OVERHEAD_MBPS,
+                    &mut rates[span.clone()],
+                    &mut values[span.clone()],
+                    value(0.8 + 0.05 * u as f64, bn[u]),
+                );
+                sanitize_rates(&mut rates[span]);
+            }
 
-                assert_eq!(p.rows(), users);
-                assert_eq!(p.multicast_groups(), 0);
-                let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                for u in 0..users {
-                    assert_eq!(bits(p.engine().rates(u)), bits(direct.rates(u)));
-                    assert_eq!(bits(p.engine().values(u)), bits(direct.values(u)));
-                    assert_eq!(
-                        p.engine().link_budget(u).to_bits(),
-                        direct.link_budget(u).to_bits()
-                    );
-                }
-                assert_eq!(p.engine_mut().solve(), direct.solve());
-                for u in 0..users {
-                    let row = p.row(u);
-                    assert_eq!((row.members, row.caps), (&[u][..], &[levels - 1][..]));
-                    assert_eq!(row.group_id, None);
-                    // ACK two slots out of three so ledgers churn alike.
-                    if slot % 3 != 2 {
-                        p.manifest_into(u, row.assigned, &mut manifest);
-                        p.acknowledge(u, manifest.iter().copied());
-                        for &id in &manifest {
-                            sums[u].acknowledge(&mut ledgers[u], id);
-                        }
+            assert_eq!(p.rows(), users);
+            assert_eq!(p.multicast_groups(), 0);
+            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for u in 0..users {
+                assert_eq!(bits(p.engine().rates(u)), bits(direct.rates(u)));
+                assert_eq!(bits(p.engine().values(u)), bits(direct.values(u)));
+                assert_eq!(
+                    p.engine().link_budget(u).to_bits(),
+                    direct.link_budget(u).to_bits()
+                );
+            }
+            assert_eq!(p.engine_mut().solve(), direct.solve());
+            for u in 0..users {
+                let row = p.row(u);
+                assert_eq!((row.members, row.caps), (&[u][..], &[levels - 1][..]));
+                assert_eq!(row.group_id, None);
+                // ACK two slots out of three so ledgers churn alike.
+                if slot % 3 != 2 {
+                    p.manifest_into(u, row.assigned, &mut manifest);
+                    p.acknowledge(u, manifest.iter().copied());
+                    for &id in &manifest {
+                        sums[u].acknowledge(&mut ledgers[u], id);
                     }
                 }
             }
@@ -701,7 +723,7 @@ mod tests {
         for slot in 0..6u64 {
             p.begin_slot(slot, 400.0);
             p.push_user(0, &walk(0, slot as f64), 50.0, false);
-            p.stage(1, CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+            p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
             let assigned = p.engine_mut().solve()[0];
             p.manifest_into(0, assigned, &mut manifest);
             p.acknowledge(0, manifest.iter().copied());
@@ -729,7 +751,7 @@ mod tests {
         p.join(0);
         p.begin_slot(0, 400.0);
         p.push_user(0, &walk(0, 0.0), 50.0, false);
-        p.stage(1, CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
         p.engine_mut().solve();
         let here = p.library().grid().cell_of(&walk(0, 0.0).position);
         p.prefetch(|_| true, |_, h| Some(walk(0, h as f64)));
@@ -797,7 +819,7 @@ mod tests {
         p.join(3);
         p.begin_slot(0, 400.0);
         p.push_user(3, &walk(0, 0.0), 50.0, false);
-        p.stage(1, CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
         let assigned = p.engine_mut().solve()[0];
         let mut manifest = Vec::new();
         p.manifest_into(3, assigned, &mut manifest);
@@ -897,7 +919,7 @@ mod tests {
         p.push_user(0, &gaze, 30.0, true);
         p.push_user(1, &gaze, 40.0, false);
         p.push_user(2, &gaze, 50.0, true);
-        p.stage(1, CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
         p.engine_mut().solve();
         assert_eq!(p.rows(), 2);
         assert_eq!(p.multicast_groups(), 1);

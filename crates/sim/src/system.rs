@@ -21,7 +21,7 @@ use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
 use cvr_core::alloc::Allocator;
 use cvr_core::delay::{DelayModel, Mm1Delay};
-use cvr_core::objective::QoeParams;
+use cvr_core::objective::{h_at_delay, QoeParams};
 use cvr_core::qoe::{SystemQoeSummary, UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
@@ -41,20 +41,8 @@ use cvr_net::trace::{TraceGeneratorConfig, TraceProfile};
 
 use crate::allocators::AllocatorKind;
 use crate::event::EventQueue;
-use crate::pipeline::SlotPlanner;
-
-/// Pipeline depth: content predicted and sent at slot `s` is decoded at
-/// `s+1` and displayed at `s+2` (Section V, "Pipelining of transmission and
-/// decoding").
-pub const PIPELINE_SLOTS: usize = 2;
-
-/// One-way propagation delay of the single wireless hop, seconds.
-const PROPAGATION_S: f64 = 0.002;
-
-/// Transfers whose queueing delay exceeds this many slots are dropped
-/// ("each tile will either be displayed or dropped in each time slot");
-/// the recorded delay saturates here.
-pub const DELAY_CAP_SLOTS: f64 = 8.0;
+pub use crate::pipeline::{sanitize_rates, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
+use crate::pipeline::{SlotPlanner, PROPAGATION_S};
 
 /// Configuration of a full-system run.
 #[derive(Debug, Clone)]
@@ -110,10 +98,6 @@ pub struct SystemConfig {
     /// Record per-slot, per-user time series (chosen level, viewed
     /// quality, delay) into the run result.
     pub record_timeseries: bool,
-    /// Threads used for the per-user problem build (`1` = inline, no
-    /// spawn). Per-user table writes are disjoint, so the assignments are
-    /// bit-identical at every thread count.
-    pub build_threads: usize,
     /// Lookahead horizon in display slots. `1` is the paper's myopic
     /// per-slot allocator bit-for-bit: the planner's prefetch step walks
     /// the `1..H` future slots, which is an empty loop, and the link
@@ -148,7 +132,6 @@ impl SystemConfig {
             rendering: RenderingMode::Offline,
             scenario: None,
             record_timeseries: false,
-            build_threads: 1,
             horizon: 1,
             seed,
         }
@@ -175,8 +158,7 @@ impl SystemConfig {
 /// the primary (Wi-Fi-like) link runs, the bonded-link failover policy,
 /// and the LTE fallback envelope. Built from the generators in
 /// [`cvr_net::impair`] and [`cvr_net::multilink`]; everything is seeded
-/// off [`SystemConfig::seed`], so runs stay bit-identical at every thread
-/// count.
+/// off [`SystemConfig::seed`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetScenario {
     /// Correlated impairment on the primary link.
@@ -445,8 +427,7 @@ pub fn run_with(
     // Digital-twin access links (when a scenario is configured): each
     // user's primary runs the scenario's correlated impairment, bonded to
     // an LTE-like fallback under the deterministic failover policy. The
-    // traces are pure functions of (config, seed), so scenario runs stay
-    // bit-identical at every build-thread count.
+    // traces are pure functions of (config, seed).
     let mut bonded: Option<Vec<BondedLink>> = config.scenario.map(|sc| {
         let impairment = ImpairmentConfig {
             duration_s: config.duration_s.max(60.0),
@@ -590,9 +571,9 @@ pub fn run_with(
                 .unwrap_or(actual[u])
         }));
 
-        // Build the slot problem. Sequential pass: each user's link budget
-        // (the bandwidth estimate, ramped down ahead of forecast dips by
-        // the anticipatory degrade — never above the raw estimate, so
+        // Build the slot problem. Per user: the link budget (the bandwidth
+        // estimate, ramped down ahead of forecast dips by the
+        // anticipatory degrade — never above the raw estimate, so
         // constraint (6) only tightens) and FoV target. Retransmission
         // suppression happens here: the planner's sums hold the per-level
         // rate of only the *undelivered* tiles. Nobody is groupable, so
@@ -604,12 +585,9 @@ pub fn run_with(
             planner.push_user(u, &predicted[u], bn, false);
         }
 
-        // Parallel fill: each user's table rows are a disjoint chunk of
-        // the staged tables, so any thread count produces bit-identical
-        // tables (and therefore assignments).
         let floor_slots = PROPAGATION_S / dt;
         let loss_p = loss_estimate.estimate();
-        planner.stage(config.build_threads, CONTROL_OVERHEAD_MBPS, |u, bn| {
+        planner.stage(CONTROL_OVERHEAD_MBPS, |u, bn| {
             let delta = deltas[u].estimate();
             let tracker = *accumulators[u].tracker();
             let delay_model = EstimatedDelay {
@@ -630,14 +608,11 @@ pub fn run_with(
                     }
                     _ => delta,
                 };
-                let quality_term = delta_eff * q.value();
-                let delay_term = match mode {
+                let delay = match mode {
                     ObjectiveMode::DelayBlind => 0.0,
-                    _ => config.params.alpha * delay_model.delay(raw),
+                    _ => delay_model.delay(raw),
                 };
-                let variance_term =
-                    config.params.beta * tracker.expected_penalty(q.value(), delta_eff);
-                quality_term - delay_term - variance_term
+                h_at_delay(config.params, delta_eff, &tracker, q, delay)
             }
         });
 
@@ -869,22 +844,6 @@ pub fn transfer_loss_probability(p: f64, packets: u32) -> f64 {
     1.0 - (1.0 - p.clamp(0.0, 1.0)).powi(packets as i32)
 }
 
-/// Forces a raw per-level rate vector to be positive and strictly
-/// increasing (retransmission suppression can make levels momentarily
-/// equal-cost; the allocator's invariants require strict monotonicity).
-/// Public so everything that stages ledger-suppressed rates into a slot
-/// engine — the shared planner, the build benchmark's reference paths —
-/// enforces the same invariant the same way.
-pub fn sanitize_rates(rates: &mut [f64]) {
-    let mut floor = 0.05;
-    for r in rates.iter_mut() {
-        if !r.is_finite() || *r < floor {
-            *r = floor;
-        }
-        floor = *r * 1.000_001 + 1e-6;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,35 +857,11 @@ mod tests {
     }
 
     #[test]
-    fn sanitize_rates_makes_strictly_increasing_positive() {
-        let mut r = vec![0.0, 0.0, 5.0, 5.0, 4.0, f64::NAN];
-        sanitize_rates(&mut r);
-        assert!(r[0] > 0.0);
-        for w in r.windows(2) {
-            assert!(w[1] > w[0], "{r:?} not strictly increasing");
-        }
-    }
-
-    #[test]
     fn runs_deterministically() {
         let cfg = tiny(3);
         let a = run(&cfg, AllocatorKind::DensityValueGreedy);
         let b = run(&cfg, AllocatorKind::DensityValueGreedy);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn build_threads_do_not_change_results() {
-        let cfg = tiny(21);
-        let baseline = run(&cfg, AllocatorKind::DensityValueGreedy);
-        for threads in [2, 3] {
-            let threaded = SystemConfig {
-                build_threads: threads,
-                ..cfg.clone()
-            };
-            let r = run(&threaded, AllocatorKind::DensityValueGreedy);
-            assert_eq!(r, baseline, "build_threads = {threads} diverged");
-        }
     }
 
     #[test]
@@ -1071,26 +1006,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_runs_are_deterministic_across_build_threads() {
-        for pathology in Pathology::ALL {
-            let cfg = SystemConfig {
-                scenario: Some(NetScenario::paper_default(pathology)),
-                ..tiny(31)
-            };
-            let baseline = run(&cfg, AllocatorKind::DensityValueGreedy);
-            let threaded = SystemConfig {
-                build_threads: 3,
-                ..cfg.clone()
-            };
-            assert_eq!(
-                run(&threaded, AllocatorKind::DensityValueGreedy),
-                baseline,
-                "{pathology:?} diverged across build threads"
-            );
-        }
-    }
-
-    #[test]
     fn handover_scenario_forces_failovers() {
         let clean = SystemConfig {
             duration_s: 10.0,
@@ -1164,17 +1079,11 @@ mod tests {
         let m = run(&myopic, AllocatorKind::DensityValueGreedy);
         let a = run(&ahead, AllocatorKind::DensityValueGreedy);
         assert_ne!(m, a, "horizon 4 must engage the lookahead subsystem");
-        for threads in [2, 3] {
-            let threaded = SystemConfig {
-                build_threads: threads,
-                ..ahead.clone()
-            };
-            assert_eq!(
-                run(&threaded, AllocatorKind::DensityValueGreedy),
-                a,
-                "horizon 4 diverged at build_threads = {threads}"
-            );
-        }
+        assert_eq!(
+            run(&ahead, AllocatorKind::DensityValueGreedy),
+            a,
+            "horizon 4 diverged between two runs"
+        );
     }
 
     #[test]

@@ -20,11 +20,10 @@
 use cvr_content::library::ContentLibrary;
 use cvr_core::alloc::Allocator;
 use cvr_core::delay::{DelayModel, Mm1Delay};
-use cvr_core::objective::{h_value, QoeParams};
+use cvr_core::objective::{h_at_delay, QoeParams};
 use cvr_core::offline::fractional_upper_bound;
 use cvr_core::qoe::{SystemQoeSummary, UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
-use cvr_core::rate::RateFunction;
 use cvr_lookahead::{DegradeConfig, LookaheadConfig};
 use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::predict::LinearPredictor;
@@ -72,10 +71,6 @@ pub struct TraceSimConfig {
     /// quality, delay) into the run result — for slot-level analysis and
     /// plotting. Costs memory proportional to `users × slots`.
     pub record_timeseries: bool,
-    /// Threads used for the per-user problem build (`1` = inline, no
-    /// spawn). Per-user table writes are disjoint, so the assignments are
-    /// bit-identical at every thread count.
-    pub build_threads: usize,
     /// Lookahead horizon in slots. `1` is the paper's myopic Section-IV
     /// loop bit-for-bit. `H > 1` runs the [`cvr_lookahead`] anticipatory
     /// degrade with *known* future throughput (this simulator owns its
@@ -103,7 +98,6 @@ impl TraceSimConfig {
             trace_override: None,
             motion_override: None,
             record_timeseries: false,
-            build_threads: 1,
             horizon: 1,
         }
     }
@@ -115,27 +109,6 @@ impl TraceSimConfig {
 }
 
 pub use crate::metrics::TimeSeries;
-
-/// The rate of the one level being priced, viewed as a [`RateFunction`]
-/// for `h_value` (which only ever asks for `rate(q)` of that level). The
-/// staged rate is the undelivered sum plus a zero overhead — the same
-/// bits the old per-slot `rate_table` held — so objective values are
-/// unchanged.
-struct StagedRate {
-    level: QualityLevel,
-    rate: f64,
-}
-
-impl RateFunction for StagedRate {
-    fn rate(&self, q: QualityLevel) -> f64 {
-        debug_assert_eq!(q, self.level, "only the staged level is defined");
-        self.rate
-    }
-
-    fn max_level(&self) -> QualityLevel {
-        self.level
-    }
-}
 
 /// Result of one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -320,25 +293,18 @@ pub fn run_with(
         // the kernel's `sums[l] + 0.0` a bitwise copy (the sums are
         // non-negative fold results, never -0.0).
         let params = config.params;
-        planner.stage(config.build_threads, 0.0, |u, bn| {
+        planner.stage(0.0, |u, bn| {
             let delay_model = Mm1Delay::new(bn).expect("trace throughput is positive");
             let delta = deltas[u].estimate();
             let tracker = *accumulators[u].tracker();
             move |l, rate| {
                 let level = QualityLevel::new((l + 1) as u8);
-                let table = StagedRate { level, rate };
-                if delay_aware {
-                    h_value(params, delta, &tracker, &table, &delay_model, level)
+                let delay = if delay_aware {
+                    delay_model.delay(rate)
                 } else {
-                    h_value(
-                        params,
-                        delta,
-                        &tracker,
-                        &table,
-                        &cvr_core::delay::ZeroDelay::new(),
-                        level,
-                    )
-                }
+                    0.0
+                };
+                h_at_delay(params, delta, &tracker, level, delay)
             }
         });
 
@@ -414,20 +380,6 @@ mod tests {
         let a = run(&cfg, AllocatorKind::DensityValueGreedy);
         let b = run(&cfg, AllocatorKind::DensityValueGreedy);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn build_threads_do_not_change_results() {
-        let cfg = small_config(13);
-        let baseline = run(&cfg, AllocatorKind::DensityValueGreedy);
-        for threads in [2, 3] {
-            let threaded = TraceSimConfig {
-                build_threads: threads,
-                ..cfg.clone()
-            };
-            let r = run(&threaded, AllocatorKind::DensityValueGreedy);
-            assert_eq!(r, baseline, "build_threads = {threads} diverged");
-        }
     }
 
     #[test]
@@ -575,14 +527,10 @@ mod tests {
         let m = run(&myopic, AllocatorKind::DensityValueGreedy);
         let a = run(&ahead, AllocatorKind::DensityValueGreedy);
         assert_ne!(m, a, "horizon 8 must engage the anticipatory degrade");
-        let threaded = TraceSimConfig {
-            build_threads: 3,
-            ..ahead.clone()
-        };
         assert_eq!(
-            run(&threaded, AllocatorKind::DensityValueGreedy),
+            run(&ahead, AllocatorKind::DensityValueGreedy),
             a,
-            "horizon 8 diverged across build threads"
+            "horizon 8 diverged between two runs"
         );
     }
 

@@ -70,7 +70,6 @@ pub mod prelude {
     };
     pub use cvr_obs::{Histogram, HistogramSummary, Registry, StageStats, TraceEvent, Tracer};
     pub use cvr_sim::{
-        system_experiment, system_experiment_threaded, trace_experiment, trace_experiment_threaded,
-        AllocatorKind, SystemConfig, TraceSimConfig,
+        system_experiment, trace_experiment, AllocatorKind, SystemConfig, TraceSimConfig,
     };
 }

@@ -149,7 +149,7 @@ fn parallel_determinism_survives_bandwidth_collapse() {
     // The parallel runner must stay bit-identical even on the hostile
     // collapse regime, where per-run trajectories diverge hard and any
     // scheduling-dependent accumulation would show up immediately.
-    use collaborative_vr::sim::experiment::trace_experiment_threaded;
+    use collaborative_vr::sim::experiment::trace_experiment;
     let n = 4;
     let collapse: Vec<ThroughputTrace> = (0..n)
         .map(|_| ThroughputTrace::from_segments(vec![(8.0, 80.0), (4.0, 12.0), (8.0, 80.0)]))
@@ -160,9 +160,9 @@ fn parallel_determinism_survives_bandwidth_collapse() {
         ..TraceSimConfig::paper_default(n, 11)
     };
     let kinds = [AllocatorKind::DensityValueGreedy, AllocatorKind::Firefly];
-    let baseline = trace_experiment_threaded(&config, &kinds, 12, Some(1));
+    let baseline = trace_experiment(&config, &kinds, 12, Some(1));
     for threads in [2, 4] {
-        let parallel = trace_experiment_threaded(&config, &kinds, 12, Some(threads));
+        let parallel = trace_experiment(&config, &kinds, 12, Some(threads));
         assert_eq!(
             parallel, baseline,
             "{threads}-thread run diverged from the 1-thread baseline"

@@ -31,7 +31,7 @@ use cvr_sim::metrics::TimeSeries;
 use cvr_sim::system::{self, NetScenario, SystemConfig};
 use cvr_sim::tracesim::{self, TraceSimConfig};
 
-// (a) sim::system setup-1, 5 s, seed 2022 — identical at build_threads 1 and 4.
+// (a) sim::system setup-1, 5 s, seed 2022.
 const SYSTEM_H1_CLEAN: u64 = 0x3ec6_6f9b_f5fc_7089;
 const SYSTEM_H4_CLEAN: u64 = 0x3efd_9d95_26f0_9bc4;
 const SYSTEM_H1_HANDOVER: u64 = 0x707f_07b2_8805_5609;
@@ -93,12 +93,11 @@ fn fold_timeseries(mut hash: u64, ts: &TimeSeries) -> u64 {
     hash
 }
 
-fn system_fingerprint(horizon: usize, scenario: Option<NetScenario>, build_threads: usize) -> u64 {
+fn system_fingerprint(horizon: usize, scenario: Option<NetScenario>) -> u64 {
     let config = SystemConfig {
         duration_s: 5.0,
         horizon,
         scenario,
-        build_threads,
         record_timeseries: true,
         ..SystemConfig::setup1(2022)
     };
@@ -257,32 +256,30 @@ fn check(rows: &[(&str, u64, u64)]) {
 }
 
 #[test]
-fn system_sim_fingerprints_are_pinned_at_one_and_four_build_threads() {
+fn system_sim_fingerprints_are_pinned() {
     let handover = Some(NetScenario::paper_default(Pathology::Handover));
-    let mut rows = Vec::new();
-    for threads in [1, 4] {
-        rows.push((
+    check(&[
+        (
             "SYSTEM_H1_CLEAN",
-            system_fingerprint(1, None, threads),
+            system_fingerprint(1, None),
             SYSTEM_H1_CLEAN,
-        ));
-        rows.push((
+        ),
+        (
             "SYSTEM_H4_CLEAN",
-            system_fingerprint(4, None, threads),
+            system_fingerprint(4, None),
             SYSTEM_H4_CLEAN,
-        ));
-        rows.push((
+        ),
+        (
             "SYSTEM_H1_HANDOVER",
-            system_fingerprint(1, handover, threads),
+            system_fingerprint(1, handover),
             SYSTEM_H1_HANDOVER,
-        ));
-        rows.push((
+        ),
+        (
             "SYSTEM_H4_HANDOVER",
-            system_fingerprint(4, handover, threads),
+            system_fingerprint(4, handover),
             SYSTEM_H4_HANDOVER,
-        ));
-    }
-    check(&rows);
+        ),
+    ]);
 }
 
 #[test]
