@@ -8,6 +8,8 @@
 #   ./ci.sh <stage>...       # test | determinism | net-scenarios |
 #                            # serve-smoke | benchmark-build | bench-gate
 #   ./ci.sh loc              # report only, never fails: Rust line counts
+#   ./ci.sh pair <parent-rev> <workload> [pairs] [seed]
+#                            # paired parent/change benchmark passes, judged
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -171,6 +173,60 @@ stage_benchmark_build() {
     # traced pass's layer-separation asserts.
     bash benchmark/run.sh --workload tcp_duo --trace 0 --seconds 2
     bash benchmark/run.sh --workload tcp_duo --trace 1 --seconds 2
+
+    step "Benchmark fleet smokes: fleet64_paced timed and traced, 2 s each"
+    # The one open loop (64 sessions paced at 15 ms on one shard over
+    # impaired bonded links): the passes fail unless every operation
+    # succeeded and, traced, link switches and degrade transitions happened.
+    bash benchmark/run.sh --workload fleet64_paced --trace 0 --seconds 2
+    bash benchmark/run.sh --workload fleet64_paced --trace 1 --seconds 2
+}
+
+# `./ci.sh pair <parent-rev> <workload> [pairs] [seed]`: the paired rule a
+# PR is judged by. Exports the parent revision and the working tree under
+# target/pair/, builds each side's benchmark, runs `pairs` (default 10)
+# alternating 30 s timed passes — parent first on odd pairs, change first
+# on even ones — appending each pass's result line to
+# target/pair/{parent,change}-<workload>.jsonl (and its `fingerprint`
+# lines to .fingerprints beside it), then judges the two series with
+# `cvr-bench judge`. Run nothing else on the host meanwhile.
+stage_pair() {
+    if [ "$#" -lt 2 ]; then
+        echo "usage: ./ci.sh pair <parent-rev> <workload> [pairs=10] [seed]" >&2
+        exit 2
+    fi
+    local parent="$1" workload="$2" pairs="${3:-10}" seed="${4:-}"
+    local dir="$PWD/target/pair" side i
+    # Build outputs outlive the exports; the parent's are keyed by commit
+    # because an archive's file times are its commit's, not the export's.
+    local -A targets=([parent]="$dir/target-$(git rev-parse "$parent")" [change]="$dir/target-change")
+    step "Pair: $parent vs the working tree on $workload, $pairs pairs"
+    rm -rf "$dir/parent" "$dir/change"
+    mkdir -p "$dir/parent" "$dir/change"
+    git archive "$parent" | tar -x -C "$dir/parent"
+    # Tracked and untracked-but-not-ignored files as they are on disk.
+    git ls-files -z --cached --others --exclude-standard \
+        | tar --null -T - --ignore-failed-read -cf - 2>/dev/null \
+        | tar -x -C "$dir/change"
+    for side in parent change; do
+        CARGO_TARGET_DIR="${targets[$side]}" cargo build --release --offline --locked \
+            --manifest-path "$dir/$side/benchmark/Cargo.toml"
+        : > "$dir/$side-$workload.jsonl"
+        : > "$dir/$side-$workload.fingerprints"
+    done
+    pass() {
+        local out
+        echo "pair $i/$pairs: $1"
+        # A failing pass still prints its result line; the judge reads it.
+        out="$(CARGO_TARGET_DIR="${targets[$1]}" bash "$dir/$1/benchmark/run.sh" \
+            --workload "$workload" ${seed:+--seed "$seed"} --seconds 30 --trace 0 2>/dev/null)" || true
+        printf '%s\n' "$out" | grep '^fingerprint' >> "$dir/$1-$workload.fingerprints" || true
+        printf '%s\n' "$out" | tail -1 >> "$dir/$1-$workload.jsonl"
+    }
+    for i in $(seq 1 "$pairs"); do
+        if [ $((i % 2)) = 1 ]; then pass parent; pass change; else pass change; pass parent; fi
+    done
+    bench judge "$dir/parent-$workload.jsonl" "$dir/change-$workload.jsonl"
 }
 
 stage_loc() {
@@ -216,6 +272,11 @@ run_stage() {
     esac
 }
 
+if [ "${1:-}" = "pair" ]; then
+    shift
+    stage_pair "$@"
+    exit
+fi
 if [ "$#" -eq 0 ]; then
     set -- "${STAGES[@]}"
 elif [ "$1" = "quick" ]; then

@@ -5,6 +5,8 @@
 //! cvr-bench list                     # the experiment table
 //! cvr-bench <experiment> [flags]     # run one experiment
 //! cvr-bench gate [flags]             # run every gated experiment, then judge
+//! cvr-bench judge <parent.jsonl> <change.jsonl>
+//!                                    # the paired parent/change rule
 //! ```
 //!
 //! [`EXPERIMENTS`] is the single declarative table: one row per
@@ -15,13 +17,14 @@
 //! run (`--quick`, `--scale`, `--runs`, `--duration`) writes it under
 //! the git-ignored `target/bench/` instead.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use cvr_bench::json::Json;
 use cvr_bench::{FigureArgs, FLAGS};
 
 mod experiments;
 mod gate;
+mod judge;
 
 use experiments::{ablations, approx, figures, mcast, obs, scale, scenarios};
 use gate::{Check, Gate};
@@ -103,6 +106,7 @@ static EXPERIMENTS: [Experiment; 22] = [
 enum Command {
     List,
     Gate(FigureArgs),
+    Judge(PathBuf, PathBuf),
     Run(&'static Experiment, FigureArgs),
 }
 
@@ -116,6 +120,12 @@ fn parse_command(argv: impl IntoIterator<Item = String>) -> Result<Command, Stri
     let name = argv.next().ok_or("no experiment given")?;
     if name == "list" {
         return Ok(Command::List);
+    }
+    if name == "judge" {
+        let paths: Vec<String> = argv.collect();
+        let [parent, change] = <[String; 2]>::try_from(paths)
+            .map_err(|_| "judge takes <parent.jsonl> <change.jsonl>")?;
+        return Ok(Command::Judge(parent.into(), change.into()));
     }
     let args = FigureArgs::parse(argv)?;
     if name == "gate" {
@@ -192,9 +202,30 @@ fn run_gate(args: &FigureArgs) -> bool {
     failures.is_empty()
 }
 
+/// Judges two pass series against the repository's `BENCHMARK.json` and
+/// prints the verdicts. Returns whether the change may land.
+fn run_judge(parent: &Path, change: &Path) -> Result<bool, String> {
+    let read = |path: &Path| {
+        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))
+    };
+    let manifest = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json"));
+    let manifest = Json::parse(&read(manifest)?)?;
+    let (report, ok) = judge::judge(&manifest, &read(parent)?, &read(change)?)?;
+    print!("{report}");
+    Ok(ok)
+}
+
 fn main() {
     match parse_command(std::env::args().skip(1)) {
         Ok(Command::List) => print!("{}", list()),
+        Ok(Command::Judge(parent, change)) => match run_judge(&parent, &change) {
+            Ok(true) => {}
+            Ok(false) => std::process::exit(1),
+            Err(message) => {
+                eprintln!("cvr-bench judge: {message}");
+                std::process::exit(2);
+            }
+        },
         Ok(Command::Run(experiment, args)) => match experiment.run {
             Run::Print(run) => run(&args),
             Run::Gated { run, artifact, .. } => {
@@ -209,6 +240,7 @@ fn main() {
         Err(message) => {
             eprintln!("cvr-bench: {message}");
             eprintln!("usage: cvr-bench <experiment>|gate|list {FLAGS}");
+            eprintln!("       cvr-bench judge <parent.jsonl> <change.jsonl>");
             eprint!("experiments:\n{}", list());
             std::process::exit(2);
         }
@@ -237,7 +269,7 @@ mod tests {
     fn experiment_names_are_unique_and_listed_one_per_line() {
         let names: BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         assert_eq!(names.len(), EXPERIMENTS.len());
-        assert!(!is_experiment("list") && !is_experiment("gate"));
+        assert!(!is_experiment("list") && !is_experiment("gate") && !is_experiment("judge"));
         assert_eq!(list().lines().count(), EXPERIMENTS.len());
         for (line, e) in list().lines().zip(&EXPERIMENTS) {
             assert!(line.starts_with(e.name) && line.contains(e.paper), "{line}");
@@ -261,6 +293,13 @@ mod tests {
         );
         assert_eq!(error("fig2 --fast"), "unknown argument `--fast`");
         assert_eq!(error("gate --runs"), "--runs requires an integer");
+        assert!(matches!(
+            command("judge p.jsonl c.jsonl"),
+            Ok(Command::Judge(p, c)) if p.ends_with("p.jsonl") && c.ends_with("c.jsonl")
+        ));
+        for bad in ["judge", "judge p.jsonl", "judge p c extra"] {
+            assert_eq!(error(bad), "judge takes <parent.jsonl> <change.jsonl>");
+        }
     }
 
     #[test]
@@ -305,7 +344,9 @@ mod tests {
                     .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
                     .collect();
                 assert!(
-                    name.is_empty() || matches!(&*name, "list" | "gate") || is_experiment(&name),
+                    name.is_empty()
+                        || matches!(&*name, "list" | "gate" | "judge")
+                        || is_experiment(&name),
                     "{file} cites `cvr-bench -- {name}`, which is not an experiment: {line}"
                 );
             }

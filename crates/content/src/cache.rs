@@ -386,8 +386,9 @@ impl DeliveryLedger {
 /// exact `((0 + r₀) + r₁) + …` addition sequence of the brute-force build
 /// loop — incremental `+=`/`-=` would accumulate different rounding. The
 /// internal tables are **level-major** (`l * tiles.len() + t`), matching
-/// [`crate::plane::RatePlane`], so each recompute folds one contiguous
-/// run of the rate table instead of striding by `levels`.
+/// [`TileSizeModel::cell_rate_rows`](crate::sizing::TileSizeModel::cell_rate_rows),
+/// so each recompute folds one contiguous run of the rate table instead
+/// of striding by `levels`.
 #[derive(Debug, Clone)]
 pub struct UndeliveredSums {
     levels: usize,
@@ -437,7 +438,8 @@ impl UndeliveredSums {
 
     /// Retargets the accumulator at a new `(cell, tiles)` request, reading
     /// rate rows from `cell_rows` (the cell's full `levels × TileId::COUNT`
-    /// **level-major** table, e.g. [`crate::plane::RatePlane::rows`]) and
+    /// **level-major** table, computed per call by
+    /// [`crate::plane::RatePlane::rows`]) and
     /// the delivered mask from `ledger` — the cell's slot mask, read once.
     /// Rebuilds masks and sums from scratch — called only on cell/tile-set
     /// changes, not per slot. Both
@@ -974,20 +976,11 @@ mod tests {
         assert!(!ledger.is_delivered(&id(0, 0, 1)));
     }
 
-    /// Builds the cell's level-major `levels × TileId::COUNT` table the
-    /// way `RatePlane` materialises it (transposed `tile_rate_row` rows).
+    /// The cell's level-major `levels × TileId::COUNT` table (transposed
+    /// `tile_rate_row` rows).
     fn paper_rows(cell: CellId) -> (crate::sizing::TileSizeModel, Vec<f64>) {
         let sizing = crate::sizing::TileSizeModel::paper_default();
-        let levels = sizing.levels();
-        let count = usize::from(TileId::COUNT);
-        let mut rows = vec![0.0f64; count * levels];
-        let mut tile_row = vec![0.0f64; levels];
-        for tile in TileId::all() {
-            sizing.tile_rate_row(cell, tile, &mut tile_row);
-            for (l, &rate) in tile_row.iter().enumerate() {
-                rows[l * count + usize::from(tile.get())] = rate;
-            }
-        }
+        let rows = crate::sizing::transposed_tile_rows(&sizing, cell);
         (sizing, rows)
     }
 

@@ -1,8 +1,7 @@
 //! The hasher of the slot path's small integer keys.
 //!
 //! The maps a slot probes per user — delivery state by cell key
-//! ([`crate::cache`]), rate rows by [`CellId`](crate::grid::CellId)
-//! ([`crate::plane`]), group identity by `cvr_mcast::GroupKey` — are keyed
+//! ([`crate::cache`]) and group identity by `cvr_mcast::GroupKey` — are keyed
 //! by a few machine words with most of their entropy in a handful of
 //! neighbouring bits (cells a user walks through differ by one in `x` or
 //! `z`). `std`'s SipHash pays ≈ 20 ns a probe to defend string keys; these

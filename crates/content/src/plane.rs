@@ -1,19 +1,16 @@
 //! The build-stage data plane: the static content facts the per-slot
 //! problem build reads, each derived in exactly one place.
 //!
-//! * [`RatePlane`] — per-cell rate rows, stored **level-major** (entry
+//! * [`RatePlane`] — a cell's rate rows, **level-major** (entry
 //!   `l * TileId::COUNT + t`) so the per-level folds the staging kernels
-//!   run every slot read contiguous memory. Tile sizes are a deterministic
-//!   function of `(cell, tile, quality)`, so the first touch of a cell
-//!   runs [`TileSizeModel::tile_rate_row`] for all four tiles (one
-//!   complexity hash per `(cell, tile)` *ever* while the cell stays
-//!   resident) through a transposing writer, behind a small LRU of
-//!   recently-visited cells whose evicted boxes are recycled through a
-//!   freelist. Every entry is bit-identical to the fresh `tile_rate_row`
-//!   value, so builds reading the plane stay bit-identical to builds
-//!   hashing per slot. The cell map hashes with the seeded
-//!   [`CellHashBuilder`]; eviction is its only iteration, and picks by
-//!   `last_touch` alone, so which cells stay never depends on the order.
+//!   run every slot read contiguous memory. Tile sizes are a pure
+//!   function of `(cell, tile, quality)` — the stand-in for the paper's
+//!   pre-encoded tile database — so every call computes the cell's table
+//!   with [`TileSizeModel::cell_rate_rows`] into one owned buffer. Nothing
+//!   is stored per cell: with the cell's coordinate bytes folded once, the
+//!   four tiles cost about what a hit in the per-session LRU it replaced
+//!   cost, and less than its cold probes and misses; that LRU held
+//!   ≈ 125 KB per session.
 //! * [`SharedFovCache`] — a session's FoV tile sets and the
 //!   quantised-orientation key multicast groups on. It stores no tile
 //!   set: since the one-pass tile test a recompute
@@ -22,178 +19,62 @@
 //!   is [`SharedFovCache::key_for`], under which equal keys mean equal
 //!   tile sets.
 
-use std::collections::HashMap;
-
 use cvr_motion::fov::FovSpec;
 use cvr_motion::pose::Pose;
 
 use crate::grid::CellId;
-use crate::hash::CellHashBuilder;
 use crate::sizing::TileSizeModel;
 use crate::tile::{tiles_for_pose_into, TileId};
 
-/// Default number of resident cells — a few seconds of walking for a full
-/// classroom at the paper's 5 cm grid, ~50 KiB of rows.
+/// The `capacity` callers have passed [`RatePlane::new`]. The plane keeps
+/// no cells, so the value is unused; it stays until the frozen benchmark
+/// (which names it) is thawed.
 pub const DEFAULT_PLANE_CELLS: usize = 512;
 
-/// Materialised rate rows of one resident cell: `levels × TileId::COUNT`
-/// entries, **level-major** — entry `l * TileId::COUNT + t` is tile `t`'s
-/// rate at level `l + 1`. Each level's four tile rates are contiguous, so
-/// the per-level undelivered-sum folds the staging kernels run every slot
-/// read sequential memory instead of striding by `levels`.
-#[derive(Debug, Clone)]
-struct PlaneCell {
-    rows: Box<[f64]>,
-    last_touch: u64,
-}
-
-/// An LRU-bounded cache of per-cell rate rows.
+/// A cell's rate rows, computed on every call.
 ///
 /// `rows(cell)` returns the full level-major `levels × TileId::COUNT`
-/// table for a cell, materialising it on first touch. Once `capacity`
-/// cells are resident a miss evicts the least-recently-touched *half* in
-/// one batch, so eviction costs are amortised over many misses instead of
-/// a full scan per miss; evicted row boxes are recycled through a small
-/// freelist so steady-state cell churn is allocation-free.
+/// table of [`TileSizeModel::cell_rate_rows`], written into one buffer
+/// the plane owns and overwrites on the next call.
 #[derive(Debug, Clone)]
 pub struct RatePlane {
     sizing: TileSizeModel,
-    levels: usize,
-    capacity: usize,
-    clock: u64,
-    cells: HashMap<CellId, PlaneCell, CellHashBuilder>,
-    /// Evicted row boxes awaiting reuse (bounded by `capacity`).
-    free: Vec<Box<[f64]>>,
-    /// Tile-major scratch row the transposing writer fills per tile.
-    scratch: Vec<f64>,
-    hits: u64,
-    misses: u64,
-    recycled: u64,
+    rows: Box<[f64]>,
+    calls: u64,
 }
 
 impl RatePlane {
-    /// Creates a plane over `sizing` holding at most `capacity` cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(sizing: TileSizeModel, capacity: usize) -> Self {
-        assert!(capacity > 0, "plane capacity must be positive");
-        let levels = sizing.levels();
+    /// Creates a plane over `sizing`. `capacity` is accepted and unused
+    /// (the plane stores no cells) until the frozen benchmark's call is
+    /// thawed.
+    pub fn new(sizing: TileSizeModel, _capacity: usize) -> Self {
+        let rows = vec![0.0; usize::from(TileId::COUNT) * sizing.levels()].into_boxed_slice();
         RatePlane {
             sizing,
-            levels,
-            capacity,
-            clock: 0,
-            cells: HashMap::default(),
-            free: Vec::new(),
-            scratch: vec![0.0; levels],
-            hits: 0,
-            misses: 0,
-            recycled: 0,
+            rows,
+            calls: 0,
         }
     }
 
-    /// A plane over the paper-default size model with the default
-    /// capacity.
-    pub fn paper_default() -> Self {
-        RatePlane::new(TileSizeModel::paper_default(), DEFAULT_PLANE_CELLS)
-    }
-
-    /// Number of quality levels per row.
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
-    /// Number of resident cells.
+    /// Number of stored cells: always 0.
     pub fn resident_cells(&self) -> usize {
-        self.cells.len()
+        0
     }
 
-    /// `(hits, misses)` counters; a miss materialises one cell.
+    /// `(hits, misses)` in the shape of a cache's counters: every
+    /// [`RatePlane::rows`] call computes, so hits are 0.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of misses served from a recycled (previously evicted) row
-    /// box instead of a fresh allocation.
-    pub fn recycled(&self) -> u64 {
-        self.recycled
+        (0, self.calls)
     }
 
     /// The rate rows of `cell`, **level-major**: entry
     /// `l * TileId::COUNT + t` is the rate of tile `t` at level `l + 1`,
     /// bit-identical to the same entry of
-    /// [`TileSizeModel::tile_rate_row`]'s tile row. Each level's tile
-    /// rates are contiguous, which is what lets the per-level undelivered
-    /// folds downstream read sequential memory.
+    /// [`TileSizeModel::tile_rate_row`]'s tile row.
     pub fn rows(&mut self, cell: CellId) -> &[f64] {
-        self.clock += 1;
-        let clock = self.clock;
-        if !self.cells.contains_key(&cell) {
-            self.misses += 1;
-            if self.cells.len() >= self.capacity {
-                self.evict_stale_half();
-            }
-            let count = usize::from(TileId::COUNT);
-            let mut rows = match self.free.pop() {
-                Some(recycled) => {
-                    self.recycled += 1;
-                    recycled
-                }
-                None => vec![0.0f64; count * self.levels].into_boxed_slice(),
-            };
-            debug_assert_eq!(rows.len(), count * self.levels);
-            // Transposing writer: `tile_rate_row` keeps its engine-path
-            // contract (exactly `levels` entries per tile, written into a
-            // tile row), and the plane scatters each entry into its
-            // level-major slot. Values are untouched, so every entry is
-            // still bit-identical to a fresh `tile_rate_row` call.
-            for tile in TileId::all() {
-                let t = usize::from(tile.get());
-                debug_assert_eq!(self.scratch.len(), self.levels);
-                self.sizing.tile_rate_row(cell, tile, &mut self.scratch);
-                for (l, &rate) in self.scratch.iter().enumerate() {
-                    rows[l * count + t] = rate;
-                }
-            }
-            self.cells.insert(
-                cell,
-                PlaneCell {
-                    rows,
-                    last_touch: clock,
-                },
-            );
-        } else {
-            self.hits += 1;
-        }
-        let entry = self.cells.get_mut(&cell).expect("just ensured");
-        entry.last_touch = clock;
-        &entry.rows
-    }
-
-    /// Evicts the least-recently-touched half of the resident cells (at
-    /// least one cell). One `O(n log n)` pass buys room for `n / 2`
-    /// further misses, so the amortised per-miss cost stays logarithmic.
-    /// Evicted row boxes land on the freelist for the next misses to
-    /// reuse, so churn past the first eviction never allocates.
-    fn evict_stale_half(&mut self) {
-        let mut touches: Vec<u64> = self.cells.values().map(|e| e.last_touch).collect();
-        touches.sort_unstable();
-        let cutoff = touches[(touches.len() - 1) / 2];
-        let stale: Vec<CellId> = self
-            .cells
-            .iter()
-            .filter(|(_, e)| e.last_touch <= cutoff)
-            .map(|(&c, _)| c)
-            .collect();
-        for cell in stale {
-            if let Some(evicted) = self.cells.remove(&cell) {
-                if self.free.len() < self.capacity {
-                    self.free.push(evicted.rows);
-                }
-            }
-        }
+        self.calls += 1;
+        self.sizing.cell_rate_rows(cell, &mut self.rows);
+        &self.rows
     }
 }
 
@@ -330,6 +211,8 @@ impl SharedFovCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use crate::tile::tests::with_ulps;
     use crate::tile::tiles_for_pose;
     use cvr_core::quality::QualityLevel;
@@ -347,7 +230,7 @@ mod tests {
     fn plane_rows_are_bit_identical_to_tile_rate_row() {
         let sizing = TileSizeModel::paper_default();
         let count = usize::from(TileId::COUNT);
-        let mut plane = RatePlane::new(sizing.clone(), 16);
+        let mut plane = RatePlane::new(sizing.clone(), 0);
         let mut fresh = vec![0.0f64; sizing.levels()];
         for x in -4..4 {
             for z in -4..4 {
@@ -367,83 +250,13 @@ mod tests {
     }
 
     #[test]
-    fn plane_rows_are_level_major() {
-        let sizing = TileSizeModel::paper_default();
-        let levels = sizing.levels();
-        let count = usize::from(TileId::COUNT);
-        let mut plane = RatePlane::new(sizing.clone(), 16);
-        let mut fresh = vec![0.0f64; levels];
-        let c = cell(3, -2);
-        let rows = plane.rows(c).to_vec();
-        assert_eq!(rows.len(), count * levels);
-        for tile in TileId::all() {
-            sizing.tile_rate_row(c, tile, &mut fresh);
-            for (l, &rate) in fresh.iter().enumerate() {
-                assert_eq!(
-                    rows[l * count + usize::from(tile.get())].to_bits(),
-                    rate.to_bits(),
-                    "level {l} {tile}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn plane_churn_recycles_evicted_row_boxes() {
-        let mut plane = RatePlane::new(TileSizeModel::paper_default(), 4);
-        for x in 0..50 {
+    fn plane_counts_every_call_and_stores_no_cell() {
+        let mut plane = RatePlane::new(TileSizeModel::paper_default(), DEFAULT_PLANE_CELLS);
+        for x in [0, 0, 7] {
             plane.rows(cell(x, 0));
         }
-        let (_, misses) = plane.stats();
-        assert_eq!(misses, 50);
-        // Only the pre-eviction misses may allocate fresh boxes; once the
-        // first eviction wave has seeded the freelist, every further miss
-        // reuses an evicted box.
-        assert!(
-            plane.recycled() >= misses - 4,
-            "steady-state churn must reuse evicted boxes: {} of {misses}",
-            plane.recycled()
-        );
-    }
-
-    #[test]
-    fn plane_hits_after_first_touch_and_counts() {
-        let mut plane = RatePlane::new(TileSizeModel::paper_default(), 8);
-        plane.rows(cell(0, 0));
-        plane.rows(cell(0, 0));
-        plane.rows(cell(0, 0));
-        assert_eq!(plane.stats(), (2, 1));
-        assert_eq!(plane.resident_cells(), 1);
-    }
-
-    #[test]
-    fn plane_evicts_least_recently_used_cell() {
-        let mut plane = RatePlane::new(TileSizeModel::paper_default(), 2);
-        plane.rows(cell(0, 0));
-        plane.rows(cell(1, 0));
-        plane.rows(cell(0, 0)); // refresh (0,0)
-        plane.rows(cell(2, 0)); // evicts (1,0)
-        assert_eq!(plane.resident_cells(), 2);
-        let before = plane.stats();
-        plane.rows(cell(0, 0));
-        assert_eq!(plane.stats().0, before.0 + 1, "(0,0) should still hit");
-        plane.rows(cell(1, 0));
-        assert_eq!(plane.stats().1, before.1 + 1, "(1,0) was evicted");
-    }
-
-    #[test]
-    fn plane_capacity_is_respected_under_churn() {
-        let mut plane = RatePlane::new(TileSizeModel::paper_default(), 4);
-        for x in 0..100 {
-            plane.rows(cell(x, -x));
-            assert!(plane.resident_cells() <= 4);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_plane_panics() {
-        let _ = RatePlane::new(TileSizeModel::paper_default(), 0);
+        assert_eq!(plane.stats(), (0, 3));
+        assert_eq!(plane.resident_cells(), 0);
     }
 
     /// Whether an axis value must, must not, or may have a bucket.

@@ -14,6 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 use cvr_core::error::ModelError;
+use cvr_core::fnv;
 use cvr_core::quality::{QualityLevel, QualitySet};
 use cvr_core::rate::TabulatedRate;
 
@@ -24,6 +25,15 @@ use crate::tile::TileId;
 /// the per-tile base rate so typical deliveries average the paper's
 /// 36 Mbps at level 4.
 pub const TYPICAL_TILES_PER_DELIVERY: f64 = 3.0;
+
+/// The FNV-1a state after a cell's x then z little-endian bytes: the
+/// prefix the complexity hash of every tile of the cell starts from.
+fn cell_prefix(cell: CellId) -> u64 {
+    fnv::fold_bytes(
+        fnv::fold_bytes(fnv::OFFSET, &cell.x.to_le_bytes()),
+        &cell.z.to_le_bytes(),
+    )
+}
 
 /// The synthetic encoded-size model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,19 +100,13 @@ impl TileSizeModel {
     /// Deterministic spatial-complexity factor for a (cell, tile) pair, in
     /// `[1 − spread, 1 + spread]` — texture-rich tiles cost more bits.
     pub fn complexity(&self, cell: CellId, tile: TileId) -> f64 {
-        // FNV-1a over the coordinates.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in cell
-            .x
-            .to_le_bytes()
-            .into_iter()
-            .chain(cell.z.to_le_bytes())
-            .chain([tile.get()])
-        {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+        self.complexity_after(cell_prefix(cell), tile)
+    }
+
+    /// The complexity factor of `tile` of the cell whose FNV-1a prefix is
+    /// `prefix`: FNV-1a over the coordinates, then the tile byte.
+    fn complexity_after(&self, prefix: u64, tile: TileId) -> f64 {
+        let unit = (fnv::fold_bytes(prefix, &[tile.get()]) >> 11) as f64 / (1u64 << 53) as f64;
         1.0 - self.complexity_spread + 2.0 * self.complexity_spread * unit
     }
 
@@ -119,17 +123,15 @@ impl TileSizeModel {
     /// Fills `out[l]` with the rate of this tile at level `l + 1` for every
     /// level, hashing the (cell, tile) complexity once instead of once per
     /// level. Each entry is bit-identical to the corresponding
-    /// [`TileSizeModel::tile_rate_mbps`] call — the hot-path form used by
-    /// the slot engine's problem build.
+    /// [`TileSizeModel::tile_rate_mbps`] call. The slot path reads whole
+    /// cells through [`TileSizeModel::cell_rate_rows`] instead, whose
+    /// entries equal this row's bit for bit.
     ///
     /// # Contract
     ///
     /// Exactly `out[..levels]` is written; any excess capacity beyond the
     /// level count is **left untouched** (not zeroed). Callers that reuse
     /// oversized scratch buffers must therefore never read past `levels`.
-    /// The engine-path consumer ([`crate::plane::RatePlane`]) passes
-    /// exactly-`levels` slices and `debug_assert`s as much, so no stale
-    /// tail can leak into a build.
     ///
     /// # Panics
     ///
@@ -140,6 +142,34 @@ impl TileSizeModel {
         let complexity = self.complexity(cell, tile);
         for (slot, multiplier) in out[..self.levels()].iter_mut().zip(&self.multipliers) {
             *slot = per_tile_anchor * multiplier * complexity;
+        }
+    }
+
+    /// Fills `out` with every tile's rate at every level of `cell`,
+    /// **level-major**: entry `l * TileId::COUNT + t` is tile `t`'s rate at
+    /// level `l + 1`. The cell's coordinate bytes are folded into the
+    /// FNV-1a state once and each tile's byte after them; FNV-1a is a
+    /// left fold, so every entry is bit-identical to the same entry of
+    /// [`TileSizeModel::tile_rate_row`]. Each level's tile rates are
+    /// contiguous, which is what lets the per-level undelivered folds
+    /// downstream read sequential memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not exactly `levels × TileId::COUNT` long.
+    pub fn cell_rate_rows(&self, cell: CellId, out: &mut [f64]) {
+        let count = usize::from(TileId::COUNT);
+        assert_eq!(out.len(), count * self.levels(), "output table size");
+        let per_tile_anchor = self.anchor_delivery_mbps / TYPICAL_TILES_PER_DELIVERY;
+        let prefix = cell_prefix(cell);
+        let complexity = TileId::all().map(|tile| self.complexity_after(prefix, tile));
+        for (run, multiplier) in out.chunks_exact_mut(count).zip(&self.multipliers) {
+            // `(anchor · multiplier) · complexity`, the product order of
+            // `tile_rate_row`.
+            let scaled = per_tile_anchor * multiplier;
+            for (slot, c) in run.iter_mut().zip(&complexity) {
+                *slot = scaled * c;
+            }
         }
     }
 
@@ -190,12 +220,81 @@ impl Default for TileSizeModel {
     }
 }
 
+/// The level-major `levels × TileId::COUNT` table of `cell` the way the
+/// per-session rate cache used to materialise it: one `tile_rate_row` per
+/// tile, scattered into its level-major slots. The oracle
+/// [`TileSizeModel::cell_rate_rows`] is checked against.
+#[cfg(test)]
+pub(crate) fn transposed_tile_rows(sizing: &TileSizeModel, cell: CellId) -> Vec<f64> {
+    let levels = sizing.levels();
+    let count = usize::from(TileId::COUNT);
+    let mut rows = vec![0.0f64; count * levels];
+    let mut tile_row = vec![0.0f64; levels];
+    for tile in TileId::all() {
+        sizing.tile_rate_row(cell, tile, &mut tile_row);
+        for (l, &rate) in tile_row.iter().enumerate() {
+            rows[l * count + usize::from(tile.get())] = rate;
+        }
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plane::RatePlane;
+    use proptest::prelude::*;
 
     fn cell(x: i32, z: i32) -> CellId {
         CellId { x, z }
+    }
+
+    /// The per-byte FNV-1a complexity as written before the cell prefix
+    /// was factored out.
+    fn reference_complexity(m: &TileSizeModel, cell: CellId, tile: TileId) -> f64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in (cell.x.to_le_bytes().into_iter())
+            .chain(cell.z.to_le_bytes())
+            .chain([tile.get()])
+        {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+        1.0 - m.complexity_spread + 2.0 * m.complexity_spread * unit
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Both whole-cell paths — `cell_rate_rows` and the planner's
+        // `RatePlane::rows` — equal the transposed `tile_rate_row` table
+        // bit for bit, on random cells and on the edges: `i32` extremes,
+        // zero, ±1 and the paper world's boundary cells ±120.
+        #[test]
+        fn cell_rate_rows_and_complexity_equal_their_references(
+            random in prop::collection::vec((i32::MIN..=i32::MAX, i32::MIN..=i32::MAX), 1..16),
+        ) {
+            const EDGES: [i32; 7] = [i32::MIN, -120, -1, 0, 1, 120, i32::MAX];
+            let edges = EDGES.iter().flat_map(|&x| EDGES.map(|z| (x, z)));
+            let m = TileSizeModel::paper_default();
+            let mut plane = RatePlane::new(m.clone(), 0);
+            let mut rows = vec![0.0f64; usize::from(TileId::COUNT) * m.levels()];
+            let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            for (x, z) in edges.chain(random) {
+                let c = cell(x, z);
+                let oracle = bits(&transposed_tile_rows(&m, c));
+                m.cell_rate_rows(c, &mut rows);
+                prop_assert_eq!(bits(&rows), oracle.clone());
+                prop_assert_eq!(bits(plane.rows(c)), oracle);
+                for t in TileId::all() {
+                    prop_assert_eq!(
+                        m.complexity(c, t).to_bits(),
+                        reference_complexity(&m, c, t).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

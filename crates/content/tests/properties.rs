@@ -132,7 +132,7 @@ proptest! {
         let sizing = TileSizeModel::paper_default();
         let spec = FovSpec::paper_default();
         let levels = sizing.levels();
-        // Tiny plane capacity so walks exercise eviction and re-entry.
+        // The capacity argument is unused: the plane computes every call.
         let mut plane = RatePlane::new(sizing.clone(), 4);
         let mut fov = SharedFovCache::new(spec);
         let mut ledger = DeliveryLedger::new();
@@ -237,9 +237,8 @@ proptest! {
 
     // The level-major plane — entry `l * TileId::COUNT + t` — must stay
     // bitwise equal to a fresh `tile_rate_row` at every (cell, tile,
-    // level) along random cell/tile walks, including rows rebuilt into
-    // recycled freelist boxes after eviction (tiny capacity keeps the
-    // walk churning).
+    // level) along random cell/tile walks, revisits included (the one
+    // buffer it owns is overwritten by every call).
     #[test]
     fn level_major_plane_matches_fresh_rate_rows_under_churn(
         cells in prop::collection::vec((-40i32..40, -40i32..40, 0u8..4), 1..120),

@@ -137,15 +137,12 @@ impl Histogram {
     }
 
     /// Merges another histogram into this one. Pure integer adds plus
-    /// min/max — exactly associative and commutative.
-    ///
-    /// # Panics
-    /// If the bucket bounds differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bucket bounds"
-        );
+    /// min/max — exactly associative and commutative. Returns `false`, and
+    /// leaves `self` untouched, when the bucket bounds differ.
+    pub fn merge(&mut self, other: &Histogram) -> bool {
+        if self.bounds != other.bounds {
+            return false;
+        }
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
         }
@@ -154,6 +151,7 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.rejected += other.rejected;
+        true
     }
 
     /// Estimates the `q`-quantile (`0.0..=1.0`) by nearest-rank bucket
@@ -269,7 +267,7 @@ mod tests {
         a.observe(25);
         b.observe(15);
         b.observe_f64(f64::NAN);
-        a.merge(&b);
+        assert!(a.merge(&b));
         assert_eq!(a.count(), 3);
         assert_eq!(a.sum(), 45);
         assert_eq!(a.bucket_counts(), &[1, 1, 1]);
@@ -279,11 +277,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different bucket bounds")]
-    fn merge_rejects_mismatched_bounds() {
+    fn merge_refuses_mismatched_bounds_and_changes_nothing() {
         let mut a = Histogram::new(&[10]);
-        let b = Histogram::new(&[20]);
-        a.merge(&b);
+        a.observe(3);
+        let before = a.clone();
+        let mut b = Histogram::new(&[20]);
+        b.observe(4);
+        assert!(!a.merge(&b));
+        assert_eq!(a, before);
     }
 
     #[test]

@@ -17,6 +17,9 @@ use std::fmt::Write as _;
 
 use crate::hist::Histogram;
 
+/// The counter [`Registry::merge`] adds a skipped series to.
+pub const MERGE_CONFLICTS: &str = "cvr_obs_merge_conflicts_total";
+
 /// Handle to a counter series in a [`Registry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
@@ -221,32 +224,50 @@ impl Registry {
     /// order, rule included. Every combine is exact integer arithmetic,
     /// so chunk-ordered merges are bit-identical at any thread count.
     ///
-    /// # Panics
-    /// If a shared series has a different kind or histogram bounds.
+    /// A shared series whose kind or histogram bounds differ keeps `self`'s
+    /// value and adds one to the [`MERGE_CONFLICTS`] counter: merging runs
+    /// on a shard thread at every publish, so it must not panic.
     pub fn merge(&mut self, other: &Registry) {
+        let mut conflicts = 0;
         for s in &other.series {
             let key = (s.name.clone(), s.labels.clone());
             match self.index.get(&key) {
                 Some(&idx) => {
                     let mine = &mut self.series[idx];
-                    match (&mut mine.value, &s.value) {
-                        (Value::Counter(a), Value::Counter(b)) => *a += b,
-                        (Value::Gauge(a), Value::Gauge(b)) => match mine.gauge_merge {
-                            GaugeMerge::Sum => *a += b,
-                            GaugeMerge::Max => *a = (*a).max(*b),
-                        },
+                    let merged = match (&mut mine.value, &s.value) {
+                        (Value::Counter(a), Value::Counter(b)) => {
+                            *a += b;
+                            true
+                        }
+                        (Value::Gauge(a), Value::Gauge(b)) => {
+                            match mine.gauge_merge {
+                                GaugeMerge::Sum => *a += b,
+                                GaugeMerge::Max => *a = (*a).max(*b),
+                            }
+                            true
+                        }
                         (Value::Histogram(a), Value::Histogram(b)) => a.merge(b),
-                        _ => panic!(
-                            "series {}{{{}}} has different kinds across registries",
-                            s.name, s.labels
-                        ),
-                    }
+                        _ => false,
+                    };
+                    conflicts += u64::from(!merged);
                 }
                 None => {
                     let idx = self.series.len();
                     self.series.push(s.clone());
                     self.index.insert(key, idx);
                 }
+            }
+        }
+        if conflicts > 0 {
+            let help = "series a registry merge skipped: kind or histogram bounds differed";
+            let key = (MERGE_CONFLICTS.to_string(), String::new());
+            let idx = match self.index.get(&key) {
+                Some(&idx) => idx,
+                None => self.counter(MERGE_CONFLICTS, "", help).0,
+            };
+            // Another kind holding the name leaves nothing to count into.
+            if let Value::Counter(v) = &mut self.series[idx].value {
+                *v += conflicts;
             }
         }
     }
@@ -377,6 +398,44 @@ mod tests {
         fresh.merge(&a);
         assert_eq!(fresh.get("depth_max", ""), Some(&Value::Gauge(7)));
         assert_eq!(fresh.get("clients", ""), Some(&Value::Gauge(2)));
+    }
+
+    #[test]
+    fn merge_counts_conflicting_series_and_merges_the_rest() {
+        let mut a = Registry::new();
+        let ca = a.counter("x", "", "");
+        a.inc(ca, 2);
+        let ha = a.histogram("stage_ns", "", "", &[10, 100]);
+        a.observe(ha, 5);
+        let ta = a.counter("ticks_total", "", "");
+        a.inc(ta, 1);
+
+        // `x` is a gauge here, `stage_ns` has other bounds: both conflict.
+        let mut b = Registry::new();
+        let gb = b.gauge("x", "", "", GaugeMerge::Sum);
+        b.set_gauge(gb, 9);
+        let hb = b.histogram("stage_ns", "", "", &[20]);
+        b.observe(hb, 5);
+        let tb = b.counter("ticks_total", "", "");
+        b.inc(tb, 4);
+        let nb = b.counter("joins_total", "", "");
+        b.inc(nb, 3);
+
+        let kept = a.histogram_value(ha).clone();
+        a.merge(&b);
+        assert_eq!(a.get(MERGE_CONFLICTS, ""), Some(&Value::Counter(2)));
+        assert_eq!(a.get("x", ""), Some(&Value::Counter(2)));
+        assert_eq!(a.histogram_value(ha), &kept);
+        assert_eq!(a.get("ticks_total", ""), Some(&Value::Counter(5)));
+        assert_eq!(a.get("joins_total", ""), Some(&Value::Counter(3)));
+        // The count accumulates across merges, and through merges of
+        // registries that counted their own.
+        a.merge(&b);
+        assert_eq!(a.get(MERGE_CONFLICTS, ""), Some(&Value::Counter(4)));
+        let mut host = Registry::new();
+        host.merge(&a);
+        host.merge(&a);
+        assert_eq!(host.get(MERGE_CONFLICTS, ""), Some(&Value::Counter(8)));
     }
 
     #[test]

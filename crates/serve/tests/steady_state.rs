@@ -119,14 +119,11 @@ fn walk(session: &mut Session, clients: &mut [ReplayClient<LoopbackClientEnd>], 
     }
 }
 
-#[test]
-fn a_churning_session_plateaus() {
-    // Forty tiles is a few cells' worth: every client's buffer is at its
-    // threshold within a second, and from then on each stored tile evicts
-    // one, which the server's ledger hears of as a release. A walking user
-    // enters a new 5 cm cell every few slots, so over 9 N slots each of
-    // the eight delivery-state maps (a buffer and a ledger per client)
-    // sees over a thousand cells come and go.
+/// Four walking clients with forty-tile buffers on a multicast, horizon-4
+/// session. Forty tiles is a few cells' worth: every client's buffer is at
+/// its threshold within a second, and from then on each stored tile evicts
+/// one, which the server's ledger hears of as a release.
+fn walking_fleet() -> (Session, Vec<ReplayClient<LoopbackClientEnd>>) {
     let configs: Vec<ClientConfig> = (0..4)
         .map(|seed| ClientConfig {
             seed,
@@ -134,17 +131,41 @@ fn a_churning_session_plateaus() {
             ..ClientConfig::default()
         })
         .collect();
-    let (mut session, mut clients) = loopback_fleet(
+    loopback_fleet(
         ServeConfig {
             multicast: true,
             horizon: 4,
             ..ServeConfig::default()
         },
         &configs,
-    );
+    )
+}
 
-    // N is long enough for the planner's rate plane (512 cells, evicted by
-    // halves into a freelist) to have filled once.
+#[test]
+fn a_sessions_heap_does_not_grow_with_the_cells_its_users_visit() {
+    // A walking user enters a new 5 cm cell every few slots, so the 500
+    // slots after warm-up bring each user hundreds of cells it has not
+    // seen. Nothing the session keeps may be sized by them: rate rows are
+    // computed per retarget, and delivery state is bounded by the buffers.
+    let (mut session, mut clients) = walking_fleet();
+    walk(&mut session, &mut clients, 100);
+    assert_eq!(session.active_users(), 4);
+    let warm = LIVE_BYTES.with(Cell::get);
+    walk(&mut session, &mut clients, 500);
+    let growth = LIVE_BYTES.with(Cell::get) - warm;
+    assert!(
+        growth <= 4 * 1024,
+        "the heap grew {growth} bytes over 500 slots of walking"
+    );
+}
+
+#[test]
+fn a_churning_session_plateaus() {
+    // Over 9 N slots each of the eight delivery-state maps (a buffer and a
+    // ledger per client) sees over a thousand cells come and go.
+    let (mut session, mut clients) = walking_fleet();
+
+    // N is long enough for every map to have reached its working size.
     let n = 600;
     walk(&mut session, &mut clients, n);
     assert_eq!(session.active_users(), 4);

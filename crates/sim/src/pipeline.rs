@@ -4,9 +4,9 @@
 //! build the knapsack of Eq. (9) under constraints (6)/(7) → Algorithm 1 →
 //! transmit → account on ACK. [`SlotPlanner`] is everything between
 //! "predicted pose" and "what to send to whom": it owns the
-//! [`SlotEngine`], the data plane (cached rate rows in [`RatePlane`];
-//! FoV tile sets and orientation keys, recomputed per query, from
-//! [`SharedFovCache`]), multicast group discovery ([`GroupTracker`]), the
+//! [`SlotEngine`], the data plane (a cell's rate rows from [`RatePlane`],
+//! FoV tile sets and orientation keys from [`SharedFovCache`], each
+//! computed per query), multicast group discovery ([`GroupTracker`]), the
 //! [`LookaheadConfig`], all per-slot scratch, and a per-user slab of
 //! delivery state (ledger, undelivered sums, prefetch tracker,
 //! anticipatory-degrade state). The live `cvr_serve::server::Session` and
@@ -49,7 +49,7 @@ use cvr_content::cache::{DeliveryLedger, UndeliveredSums};
 use cvr_content::grid::CellId;
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
-use cvr_content::plane::{RatePlane, SharedFovCache, DEFAULT_PLANE_CELLS};
+use cvr_content::plane::{RatePlane, SharedFovCache};
 use cvr_content::tile::{tile_mask, tiles_in, TileId};
 use cvr_core::engine::SlotEngine;
 use cvr_core::quality::QualityLevel;
@@ -173,7 +173,7 @@ impl SlotPlanner {
     pub fn new(library: ContentLibrary, lookahead: LookaheadConfig, hysteresis_slots: u64) -> Self {
         SlotPlanner {
             levels: library.quality_set().len(),
-            plane: RatePlane::new(library.sizing().clone(), DEFAULT_PLANE_CELLS),
+            plane: RatePlane::new(library.sizing().clone(), 0),
             fov: SharedFovCache::new(*library.fov()),
             library,
             lookahead,
@@ -281,8 +281,9 @@ impl SlotPlanner {
     }
 
     /// Adds `user` to this slot's plan: resolves the FoV target of its
-    /// `predicted` pose (its tile set, cached rate rows, undelivered
-    /// sums retargeted only on a cell or tile-set change) and — when the
+    /// `predicted` pose (its tile set, and undelivered sums retargeted —
+    /// with the cell's rate rows computed — only on a cell or tile-set
+    /// change) and — when the
     /// driver marks it `groupable` and the pose falls in an orientation
     /// bucket — keys it for multicast grouping. Returns the user's plan
     /// index.
@@ -648,7 +649,7 @@ mod tests {
         let mut direct = SlotEngine::new();
         // The reference data plane the planner's rows must match.
         let library = ContentLibrary::paper_default();
-        let mut plane = RatePlane::new(library.sizing().clone(), DEFAULT_PLANE_CELLS);
+        let mut plane = RatePlane::new(library.sizing().clone(), 0);
         let mut sums: Vec<UndeliveredSums> = (0..users)
             .map(|_| UndeliveredSums::new(library.quality_set().len()))
             .collect();

@@ -357,10 +357,10 @@ pub fn run_with(
     let n = config.num_users;
     let dt = config.slot_duration_s;
     let slots = config.slots();
-    // The shared slot planner: slot engine, cached data plane (per-cell
-    // rate rows, shared FoV tile sets), and per-user delivery ledgers,
-    // incrementally maintained undelivered-rate sums, prefetch trackers
-    // and anticipatory-degrade state.
+    // The shared slot planner: slot engine, data plane (per-cell rate
+    // rows and FoV tile sets, computed per query), and per-user delivery
+    // ledgers, incrementally maintained undelivered-rate sums, prefetch
+    // trackers and anticipatory-degrade state.
     let mut planner = SlotPlanner::new(
         ContentLibrary::paper_default(),
         LookaheadConfig::for_horizon(config.horizon),

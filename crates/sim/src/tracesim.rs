@@ -233,7 +233,7 @@ pub fn run_with(
         .record_timeseries
         .then(|| TimeSeries::with_capacity(n, slots));
 
-    // The shared slot planner owns the engine, the cached data plane and
+    // The shared slot planner owns the engine, the data plane and
     // per-user delivery state. The trace simulation has perfect network
     // knowledge and no retransmission suppression: nothing is ever
     // acknowledged, so every ledger stays empty and each user's
