@@ -54,7 +54,21 @@ same_at_1_and_4_threads() {
 
 INCLUDE_IGNORED=1
 
+# Ceilings on `./ci.sh loc`'s workspace totals (non-test, all lines). A
+# change that must raise one does so here and says why in CHANGES.md.
+LOC_CEILING_NON_TEST=21324
+LOC_CEILING_ALL=36013
+
 stage_test() {
+    step "Line-count ceilings: non-test <= $LOC_CEILING_NON_TEST, all <= $LOC_CEILING_ALL"
+    local non_test all
+    read -r _ non_test all < <(loc_table | grep '^total ')
+    echo "workspace: $non_test non-test, $all all"
+    if [ "$non_test" -gt "$LOC_CEILING_NON_TEST" ] || [ "$all" -gt "$LOC_CEILING_ALL" ]; then
+        echo "line count above its ceiling"
+        exit 1
+    fi
+
     step "Format"
     cargo fmt --check
 
@@ -113,6 +127,18 @@ stage_serve_smoke() {
     ./target/release/cvr-client \
         --connect "127.0.0.1:$serve_port" --count 8 --slots 200 --seed 1 &
     CLIENT_PID=$!
+    # All 8 connections are non-blocking and serviced from the client's
+    # slot loop: the process must run on exactly one thread.
+    if [ -r "/proc/$CLIENT_PID/status" ]; then
+        sleep 0.5
+        local threads
+        threads="$(awk '/^Threads:/ { print $2 }' "/proc/$CLIENT_PID/status")"
+        [ "$threads" = 1 ] \
+            || { echo "serve smoke: cvr-client runs $threads threads, expected 1"; exit 1; }
+        echo "serve smoke: cvr-client drives 8 connections on 1 thread"
+    else
+        echo "serve smoke: no /proc, thread count not checked"
+    fi
     # Obs smoke: scrape the live exposition endpoint mid-run and require the
     # core metric families — including the per-shard session gauges of the
     # merged multi-session snapshot (retrying until the first publish) and,
@@ -231,10 +257,14 @@ stage_pair() {
 
 stage_loc() {
     step "Rust lines: non-test (above a file's first #[cfg(test)]) and all"
-    # The one agreed count for ROADMAP's "fewer lines at the end of the
-    # round" target and for each PR's CHANGES entry. Non-test lines are
-    # counted in crates/*/src and src only; tests/, benches/ and examples/
-    # directories add to the second column alone.
+    loc_table
+}
+
+# The one agreed count for ROADMAP's "fewer lines at the end of the round"
+# target, each PR's CHANGES entry and the `test` stage's ceilings.
+# Non-test lines are counted in crates/*/src and src only; tests/,
+# benches/ and examples/ directories add to the second column alone.
+loc_table() {
     find crates src tests examples -name '*.rs' | sort | xargs awk '
         FNR == 1 {
             in_tests = 0

@@ -8,10 +8,8 @@
 //! here), which is precisely why the paper combines them.
 
 mod greedy;
-mod lagrangian;
 
 pub use greedy::{DensityGreedy, DensityValueGreedy, GreedyOutcome, ValueGreedy};
-pub use lagrangian::LagrangianBisection;
 
 /// Crate-internal greedy machinery shared with [`crate::engine`], so the
 /// buffer-reusing engine runs the *same* monomorphised pass as the

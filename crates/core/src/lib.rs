@@ -76,9 +76,7 @@ pub mod variance;
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
-    pub use crate::alloc::{
-        Allocator, DensityGreedy, DensityValueGreedy, LagrangianBisection, ValueGreedy,
-    };
+    pub use crate::alloc::{Allocator, DensityGreedy, DensityValueGreedy, ValueGreedy};
     pub use crate::baselines::{FireflyLru, Pavq};
     pub use crate::delay::{DelayModel, Mm1Delay, TabulatedDelay};
     pub use crate::engine::SlotEngine;

@@ -7,9 +7,10 @@
 //! ```
 //!
 //! With `--count N`, one process drives `N` independent connections
-//! (seeds `seed..seed+N`) off a single slot ticker — how the bench and
-//! smoke harnesses stand up hundreds of clients without hundreds of
-//! processes.
+//! (seeds `seed..seed+N`) off a single slot ticker on one thread — every
+//! socket is non-blocking and serviced from the slot loop — which is how
+//! the bench and smoke harnesses stand up hundreds of clients without
+//! hundreds of processes or threads.
 //!
 //! Exits non-zero if any handshake never completed or any protocol
 //! error occurred.
@@ -18,8 +19,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use cvr_serve::client::{ClientConfig, ReplayClient};
+use cvr_serve::readiness::NbClientTransport;
 use cvr_serve::ticker::SlotTicker;
-use cvr_serve::transport::TcpClientTransport;
 
 /// How long to keep retrying the initial connect (the server may still
 /// be binding when the smoke script launches us).
@@ -78,10 +79,10 @@ fn connect_with_retry(addr: &str) -> TcpStream {
 
 fn main() {
     let args = parse_args();
-    let mut clients: Vec<ReplayClient<TcpClientTransport>> = (0..args.count)
+    let mut clients: Vec<ReplayClient<NbClientTransport>> = (0..args.count)
         .map(|i| {
             let stream = connect_with_retry(&args.connect);
-            let transport = TcpClientTransport::new(stream, 64).expect("wrap connection");
+            let transport = NbClientTransport::new(stream, 64).expect("wrap connection");
             ReplayClient::new(
                 transport,
                 ClientConfig {

@@ -113,6 +113,13 @@ pub mod tag {
     pub const SHUTDOWN: u8 = 0x83;
     /// Server `GroupAssign` (multicast fan-out, protocol v3).
     pub const GROUP_ASSIGN: u8 = 0x84;
+
+    /// Whether the next slot's frame supersedes a frame with this tag —
+    /// a pose upstream, a unicast or group assignment downstream — so a
+    /// full queue sacrifices it before any control frame.
+    pub const fn superseded_next_slot(tag: u8) -> bool {
+        matches!(tag, POSE | ASSIGNMENT | GROUP_ASSIGN)
+    }
 }
 
 /// A message travelling client → server.
@@ -592,21 +599,6 @@ pub fn write_frame<W: std::io::Write>(writer: &mut W, payload: &[u8]) -> std::io
 /// [`FrameError::Closed`] on clean EOF, [`FrameError::TooLarge`] on an
 /// oversized length prefix, [`FrameError::Io`] otherwise.
 pub fn read_frame<R: std::io::Read>(reader: &mut R) -> Result<Vec<u8>, FrameError> {
-    let mut payload = Vec::new();
-    read_frame_into(reader, &mut payload)?;
-    Ok(payload)
-}
-
-/// [`read_frame`] into a buffer the caller reuses: `payload` is cleared
-/// and left holding the frame's payload.
-///
-/// # Errors
-///
-/// As [`read_frame`]; `payload`'s contents are unspecified after an error.
-pub fn read_frame_into<R: std::io::Read>(
-    reader: &mut R,
-    payload: &mut Vec<u8>,
-) -> Result<(), FrameError> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < len_bytes.len() {
@@ -626,9 +618,9 @@ pub fn read_frame_into<R: std::io::Read>(
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge(len));
     }
-    payload.clear();
-    payload.resize(len, 0);
-    reader.read_exact(payload).map_err(FrameError::Io)
+    let mut payload = vec![0; len];
+    reader.read_exact(&mut payload).map_err(FrameError::Io)?;
+    Ok(payload)
 }
 
 #[cfg(test)]

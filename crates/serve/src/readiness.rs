@@ -1,54 +1,53 @@
 //! Readiness-driven, std-only connection servicing: non-blocking sockets
-//! multiplexed by one poll loop per shard. This is the server's only TCP
-//! transport.
+//! pumped from the slot loop that owns them. This is the only TCP
+//! transport, both ends: an `NbConn` is one socket and its two frame
+//! rings, whichever side of the connection it sits on.
 //!
-//! A reader and a writer thread per connection (what the replay client's
-//! [`crate::transport::TcpClientTransport`] still does for its single
-//! socket) would cost the server two OS threads per client — fatal for
-//! hundreds of clients per shard. Here a [`Poller`] owns every connection
-//! a shard services and pumps them all from the shard's own tick loop:
-//! each [`Poller::poll`] reads what every socket holds (up to a per-poll
-//! budget) and flushes pending writes until `WouldBlock`, so one wakeup
-//! per slot services the whole shard. std has no portable readiness API,
-//! but the slot loop *is* a readiness schedule: the server only cares
-//! about socket state once per 15 ms tick, so polling at tick cadence is
-//! equivalent to epoll with a 15 ms timer — without leaving std.
+//! A reader and a writer thread per connection would cost two OS threads
+//! per client — fatal for hundreds of clients per shard. Here a
+//! [`Poller`] owns every connection a shard services and pumps them all
+//! from the shard's own tick loop: each [`Poller::poll`] reads what every
+//! socket holds (up to a per-poll budget) and flushes pending writes
+//! until `WouldBlock`, so one wakeup per slot services the whole shard.
+//! std has no portable readiness API, but the slot loop *is* a readiness
+//! schedule: the server only cares about socket state once per 15 ms
+//! tick, so polling at tick cadence is equivalent to epoll with a 15 ms
+//! timer — without leaving std. The replay client's
+//! [`NbClientTransport`] owns its one connection outright and services it
+//! from its own slot loop: a send flushes at once, and a receive that
+//! finds nothing queued polls the socket first.
 //!
 //! Each direction of a connection is one `FrameRing`: socket bytes are
 //! appended to the inbound ring as they arrive and decoded where they
-//! lie; a downstream message is encoded straight into the outbound ring
+//! lie; an outgoing message is encoded straight into the outbound ring
 //! and one `write` flushes every pending frame. Backpressure is the
 //! ring's, so it matches the loopback transport: bounded in both
-//! directions with the drop-oldest-droppable policy (`Assignment`
-//! downstream, `Pose` upstream sacrificed first), stall reporting when
-//! the outbound path saturates, and a part-written frame pinned so peer
-//! framing is never corrupted.
+//! directions with the drop-oldest-superseded policy (per-slot frames
+//! sacrificed first), stall reporting when the outbound path saturates,
+//! and a part-written frame pinned so peer framing is never corrupted.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 
-use crate::protocol::{tag, ClientMessage, ServerMessage, WireError};
-use crate::transport::{FrameRing, SendStatus, ServerTransport};
+use crate::protocol::{ClientMessage, ServerMessage, WireError};
+use crate::transport::{ClientTransport, FrameRing, SendStatus, ServerTransport};
 
 /// Read chunk size per `read` call; connections carry small frames at
 /// slot cadence, so one page is plenty.
 const READ_CHUNK: usize = 4096;
 
-/// Most bytes one connection may hand the shard in one [`Poller::poll`].
-/// A peer that writes as fast as the loop reads would otherwise hold the
-/// shard thread — every session's slot deadline — for as long as it
-/// liked. What is left waits in the kernel's receive buffer, where TCP
-/// flow control pushes back on the sender.
+/// Most bytes one connection may hand its owner in one poll. A peer that
+/// writes as fast as the loop reads would otherwise hold the shard
+/// thread — every session's slot deadline — for as long as it liked.
+/// What is left waits in the kernel's receive buffer, where TCP flow
+/// control pushes back on the sender.
 const READ_BUDGET: usize = 16 * READ_CHUNK;
 
-/// I/O state of one non-blocking framed connection, shared between the
-/// session's transport handle and the shard's poller. The mutex is
-/// uncontended in steady state: the poller and the session run on the
-/// same shard thread.
+/// I/O state of one non-blocking framed connection, either end.
 struct NbConn {
     stream: TcpStream,
-    /// Socket bytes in, complete frames out to the session.
+    /// Socket bytes in, complete frames out to the owner.
     inbound: FrameRing,
     /// Encoded frames in, wire bytes out to the socket.
     outbound: FrameRing,
@@ -63,8 +62,8 @@ impl NbConn {
         stream.set_nodelay(true)?;
         Ok(NbConn {
             stream,
-            inbound: FrameRing::new(capacity, tag::POSE),
-            outbound: FrameRing::new(capacity, tag::ASSIGNMENT),
+            inbound: FrameRing::new(capacity),
+            outbound: FrameRing::new(capacity),
             closed: false,
             write_blocked: false,
         })
@@ -86,8 +85,7 @@ impl NbConn {
     /// socket (epoll(7)), so the `WouldBlock` call that would confirm it
     /// is skipped; a peer's close behind its last bytes is then seen by
     /// the next poll. A corrupt length prefix surfaces as an undecodable
-    /// (empty) frame to the consumer — the same signal the threaded
-    /// reader emits — and kills the connection.
+    /// (empty) frame to the consumer and kills the connection.
     fn poll_read(&mut self) {
         let mut chunk = [0u8; READ_CHUNK];
         for _ in 0..READ_BUDGET / READ_CHUNK {
@@ -158,7 +156,9 @@ impl NbConn {
 
 /// Server-side transport handle over a [`Poller`]-serviced non-blocking
 /// connection. Created by [`Poller::register`]; hand it to
-/// [`crate::server::Session::add_connection`].
+/// [`crate::server::Session::add_connection`]. The connection's mutex is
+/// uncontended in steady state: the poller and the session run on the
+/// same shard thread.
 pub struct NbServerTransport {
     conn: Arc<Mutex<NbConn>>,
 }
@@ -208,6 +208,51 @@ impl ServerTransport for NbServerTransport {
 
     fn close(&mut self) {
         self.conn.lock().expect("nb conn poisoned").close();
+    }
+}
+
+/// Client-side TCP transport: one non-blocking connection, serviced by
+/// whoever drives the client — no threads of its own, so one thread can
+/// drive any number of clients.
+pub struct NbClientTransport {
+    conn: NbConn,
+}
+
+impl NbClientTransport {
+    /// Wraps a connected stream with `capacity`-frame queues in each
+    /// direction.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket configuration failures.
+    pub fn new(stream: TcpStream, capacity: usize) -> std::io::Result<Self> {
+        Ok(NbClientTransport {
+            conn: NbConn::new(stream, capacity)?,
+        })
+    }
+}
+
+impl ClientTransport for NbClientTransport {
+    fn try_recv(&mut self) -> Option<Result<ServerMessage, WireError>> {
+        if self.conn.inbound.frames() == 0 {
+            self.conn.poll();
+        }
+        self.conn.inbound.pop_with(ServerMessage::decode)
+    }
+
+    fn send(&mut self, message: &ClientMessage) -> SendStatus {
+        let status = self.conn.send(|buf| message.encode(buf));
+        // Flushed now: a pose left in the ring would wait a slot.
+        self.conn.poll_write();
+        status
+    }
+
+    fn is_closed(&self) -> bool {
+        self.conn.closed
+    }
+
+    fn close(&mut self) {
+        self.conn.close();
     }
 }
 
@@ -268,19 +313,19 @@ impl Poller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{MAX_FRAME_BYTES, PROTOCOL_VERSION};
-    use crate::transport::{ClientTransport, TcpClientTransport};
+    use crate::protocol::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+    use cvr_motion::pose::Pose;
     use std::net::TcpListener;
     use std::time::{Duration, Instant};
 
-    fn pair(capacity: usize) -> (Poller, NbServerTransport, TcpClientTransport) {
+    fn pair(capacity: usize) -> (Poller, NbServerTransport, NbClientTransport) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let client_stream = TcpStream::connect(addr).expect("connect");
         let (server_stream, _) = listener.accept().expect("accept");
         let mut poller = Poller::new();
         let server = poller.register(server_stream, capacity).expect("register");
-        let client = TcpClientTransport::new(client_stream, capacity).expect("client");
+        let client = NbClientTransport::new(client_stream, capacity).expect("client");
         (poller, server, client)
     }
 
@@ -321,6 +366,87 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         };
         assert!(matches!(reply, Ok(ServerMessage::Shutdown)));
+    }
+
+    #[test]
+    fn tcp_round_trip_and_clean_close() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let mut client = NbClientTransport::new(stream, 16).expect("client");
+        let (mut peer, _) = listener.accept().expect("accept");
+
+        // A send is on the wire without any poll.
+        client.send(&ClientMessage::Pose {
+            seq: 9,
+            pose: Pose::default(),
+        });
+        let got = ClientMessage::decode(&read_frame(&mut peer).expect("frame"));
+        assert!(matches!(got, Ok(ClientMessage::Pose { seq: 9, .. })));
+
+        let welcome = ServerMessage::Welcome {
+            version: PROTOCOL_VERSION,
+            user_id: 0,
+            slot_us: 15_000,
+            levels: 6,
+        };
+        write_frame(&mut peer, &welcome.to_payload()).expect("welcome");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let reply = loop {
+            if let Some(msg) = client.try_recv() {
+                break msg;
+            }
+            assert!(Instant::now() < deadline, "timed out");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(matches!(
+            reply,
+            Ok(ServerMessage::Welcome { user_id: 0, .. })
+        ));
+
+        client.close();
+        assert!(client.is_closed());
+        assert!(matches!(read_frame(&mut peer), Err(FrameError::Closed)));
+    }
+
+    #[test]
+    fn a_client_outrunning_a_stopped_server_drops_whole_poses_only() {
+        let (mut poller, mut server, mut client) = pair(64);
+        let pose = |seq| ClientMessage::Pose {
+            seq,
+            pose: Pose::default(),
+        };
+        // The server stops polling: once the kernel's buffers are full,
+        // the client's own 64-frame ring fills and drops its oldest pose.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut seq = 0u64;
+        while !matches!(client.send(&pose(seq)), SendStatus::DroppedOldest(_)) {
+            assert!(
+                Instant::now() < deadline,
+                "the client ring never overflowed"
+            );
+            seq += 1;
+        }
+        let newest = seq + 1;
+        assert_eq!(client.send(&pose(newest)), SendStatus::DroppedOldest(1));
+
+        // Polling resumes. Whatever arrives decodes (a frame whose first
+        // bytes were on the wire was never dropped), in order, and the
+        // newest pose gets through.
+        let (mut last, mut arrived) = (None, 0u64);
+        poll_until(&mut poller, || {
+            let _ = client.try_recv();
+            while let Some(message) = server.try_recv() {
+                let Ok(ClientMessage::Pose { seq, .. }) = message else {
+                    panic!("a torn or foreign frame arrived: {message:?}");
+                };
+                assert!(last.is_none_or(|last| seq > last), "{seq} after {last:?}");
+                last = Some(seq);
+                arrived += 1;
+            }
+            last == Some(newest)
+        });
+        assert!(arrived > 64, "only {arrived} poses arrived");
+        assert!(!server.is_closed());
     }
 
     #[test]
@@ -426,7 +552,7 @@ mod tests {
         let (honest, _) = listener.accept().expect("accept");
         let honest_socket = honest.try_clone().expect("clone");
         let mut honest = poller.register(honest, 64).expect("register");
-        let mut client = TcpClientTransport::new(honest_stream, 64).expect("client");
+        let mut client = NbClientTransport::new(honest_stream, 64).expect("client");
 
         // Valid frames, as fast as the socket takes them, for the whole test.
         let sample = ClientMessage::BandwidthSample { mbps: 50.0 }.to_payload();
@@ -443,7 +569,7 @@ mod tests {
         for seq in 0..20u64 {
             client.send(&ClientMessage::Pose {
                 seq,
-                pose: cvr_motion::pose::Pose::default(),
+                pose: Pose::default(),
             });
             // The pose is in the kernel before the poll, and so is some of
             // the flood; the writer keeps refilling the socket while the

@@ -1,47 +1,36 @@
 //! Pluggable message transports between the session runtime and its
 //! clients.
 //!
-//! The server side has two implementations of [`ServerTransport`]:
-//! [`loopback`] here and the readiness-polled TCP transport in
-//! [`crate::readiness`]. The client side has two of [`ClientTransport`]:
-//!
-//! * [`loopback`] — an in-process pair of bounded byte queues. Messages
-//!   still pass through the full wire codec, so the loopback exercises
-//!   the exact bytes TCP would carry, but with no threads, sockets, or
-//!   timing — the substrate for deterministic lockstep tests.
-//! * [`TcpClientTransport`] — a real `std::net::TcpStream` with a reader
-//!   thread and a writer thread, so a slow or dead server can never
-//!   block the replay client's slot loop.
+//! Each side has two implementations: [`loopback`] here, an in-process
+//! pair of bounded byte queues, and the TCP transport in
+//! [`crate::readiness`] ([`crate::readiness::NbServerTransport`] and
+//! [`crate::readiness::NbClientTransport`]). Loopback messages still
+//! pass through the full wire codec, so the loopback exercises the exact
+//! bytes TCP would carry, but with no sockets or timing — the substrate
+//! for deterministic lockstep tests.
 //!
 //! Both directions apply backpressure with a bounded outbound queue and
-//! a *drop-oldest-droppable* policy: when the queue is full, the oldest
-//! per-slot frame (an `Assignment` downstream, a `Pose` upstream) is
-//! discarded first, because the next slot supersedes it anyway. Control
-//! frames (`Hello`/`Welcome`/`Ack`/…) are only dropped when nothing
-//! droppable remains. A transport whose queue is pinned at capacity
-//! reports itself *stalled*; the session reacts by degrading that user
-//! to the lowest quality rather than letting one slow client stall the
-//! slot deadline for everyone.
+//! a *drop-oldest-superseded* policy: when the queue is full, the oldest
+//! per-slot frame (an `Assignment` or `GroupAssign` downstream, a `Pose`
+//! upstream; [`tag::superseded_next_slot`]) is discarded first, because
+//! the next slot supersedes it anyway. Control frames
+//! (`Hello`/`Welcome`/`Ack`/…) are only dropped when no per-slot frame
+//! remains. A transport whose queue is pinned at capacity reports itself
+//! *stalled*; the session reacts by degrading that user to the lowest
+//! quality rather than letting one slow client stall the slot deadline
+//! for everyone.
 //!
-//! Every frame queue — both loopback directions, the TCP client's two
-//! thread-fed queues and both sides of a [`crate::readiness`] connection
-//! — is one `FrameRing`: length-prefixed frames back to back in one
-//! buffer, exactly the bytes TCP carries. A message is encoded straight
-//! into the ring and decoded from where it lies, so moving a frame
-//! allocates nothing and takes the queue's lock once. A push signals the
-//! condition variable only when a consumer is parked in `pop_wait_with` —
-//! in practice the TCP client's writer thread — so a loopback frame makes
-//! no system call.
+//! Every frame queue — both loopback directions and both sides of a
+//! [`crate::readiness`] connection — is one `FrameRing`: length-prefixed
+//! frames back to back in one buffer, exactly the bytes TCP carries. A
+//! message is encoded straight into the ring and decoded from where it
+//! lies, so moving a frame allocates nothing, and a loopback frame takes
+//! the queue's lock once and makes no system call.
 
-use std::io::Write as _;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
-use crate::protocol::{
-    read_frame_into, tag, ClientMessage, FrameError, ServerMessage, WireError, MAX_FRAME_BYTES,
-};
+use crate::protocol::{tag, ClientMessage, ServerMessage, WireError, MAX_FRAME_BYTES};
 
 /// Outcome of handing a message to a transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,7 +134,7 @@ const PREFIX: usize = 4;
 /// [`Self::extend_wire`] (bytes from a socket) — and one consumer —
 /// [`Self::pop_with`] (decode in place) or [`Self::wire`]/[`Self::wrote`]
 /// (bytes to a socket). When `capacity` frames are waiting, the producer
-/// makes room under the drop-oldest-droppable policy.
+/// makes room under the drop-oldest-superseded policy.
 pub(crate) struct FrameRing {
     buf: Vec<u8>,
     head: usize,
@@ -154,14 +143,11 @@ pub(crate) struct FrameRing {
     /// Complete frames from `head` on, a pinned one included.
     frames: usize,
     capacity: usize,
-    /// Frames starting with this tag byte are sacrificed first when the
-    /// ring is full (the next slot's frame supersedes them).
-    droppable_tag: u8,
     dropped: u64,
 }
 
 impl FrameRing {
-    pub(crate) fn new(capacity: usize, droppable_tag: u8) -> FrameRing {
+    pub(crate) fn new(capacity: usize) -> FrameRing {
         assert!(capacity > 0, "queue capacity must be positive");
         FrameRing {
             buf: Vec::new(),
@@ -170,7 +156,6 @@ impl FrameRing {
             complete: 0,
             frames: 0,
             capacity,
-            droppable_tag,
             dropped: 0,
         }
     }
@@ -225,10 +210,10 @@ impl FrameRing {
         }
     }
 
-    /// The drop-oldest-droppable policy, written once: while `capacity`
-    /// frames are waiting, discards the oldest frame carrying the
-    /// droppable tag, or the oldest frame of any kind when none does.
-    /// Returns how many went.
+    /// The drop-oldest-superseded policy, written once: while `capacity`
+    /// frames are waiting, discards the oldest frame the next slot
+    /// supersedes, or the oldest frame of any kind when none is. Returns
+    /// how many went.
     fn make_room(&mut self) -> usize {
         let mut dropped = 0;
         while self.is_full() {
@@ -240,7 +225,7 @@ impl FrameRing {
             let (mut at, mut victim) = (first, first);
             while at < self.complete {
                 let len = self.payload_len(at);
-                if len > 0 && self.buf[at + PREFIX] == self.droppable_tag {
+                if len > 0 && tag::superseded_next_slot(self.buf[at + PREFIX]) {
                     victim = at;
                     break;
                 }
@@ -342,41 +327,27 @@ impl FrameRing {
     }
 }
 
-/// One direction's bounded frame queue, shared between the producing and
-/// consuming ends (and, for TCP, their I/O threads).
+/// One loopback direction's bounded frame queue, shared between its
+/// producing and consuming ends, which may run on different threads.
 ///
-/// `depth` mirrors the ring's frame count, and `closed` lives outside the
-/// lock altogether. Both are stored (`Release`) while the lock is held
-/// and loaded (`Acquire`) without it by the looks the slot loop makes
-/// between frames — [`Self::len`], [`Self::is_closed`] and the empty
-/// [`Self::pop_with`]. The frames themselves are only ever read under the
-/// lock, so a stale look publishes nothing: at worst a frame pushed by
-/// another thread this instant is found on the next poll.
+/// `depth` mirrors the ring's frame count and is stored (`Release`)
+/// while the lock is held; `closed` lives outside the lock altogether.
+/// Both are loaded (`Acquire`) without the lock by the looks the slot
+/// loop makes between frames — [`Self::len`], [`Self::is_closed`] and
+/// the empty [`Self::pop_with`]. The frames themselves are only ever read
+/// under the lock, so a stale look publishes nothing: at worst a frame
+/// pushed by another thread this instant is found on the next poll.
 struct Queue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
+    ring: Mutex<FrameRing>,
     depth: AtomicUsize,
     closed: AtomicBool,
     capacity: usize,
 }
 
-struct QueueState {
-    ring: FrameRing,
-    /// Threads parked in [`Queue::pop_wait_with`] right now.
-    parked: usize,
-    /// `notify_one` calls [`Queue::push_with`] has issued (read by tests only).
-    wakes: u64,
-}
-
 impl Queue {
-    fn new(capacity: usize, droppable_tag: u8) -> Arc<Queue> {
+    fn new(capacity: usize) -> Arc<Queue> {
         Arc::new(Queue {
-            state: Mutex::new(QueueState {
-                ring: FrameRing::new(capacity, droppable_tag),
-                parked: 0,
-                wakes: 0,
-            }),
-            ready: Condvar::new(),
+            ring: Mutex::new(FrameRing::new(capacity)),
             depth: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
             capacity,
@@ -386,21 +357,12 @@ impl Queue {
     /// Queues the frame `encode` writes, discarding older frames under the
     /// drop-oldest policy if the queue is full.
     fn push_with(&self, encode: impl FnOnce(&mut Vec<u8>)) -> SendStatus {
-        let mut state = self.state.lock().expect("queue poisoned");
+        let mut ring = self.ring.lock().expect("queue poisoned");
         if self.is_closed() {
             return SendStatus::Closed;
         }
-        let dropped = state.ring.push_with(encode);
-        self.depth.store(state.ring.frames(), Ordering::Release);
-        // Only a parked consumer needs the wake-up (a system call); it
-        // registered under this lock, so it is counted here or has yet to
-        // look at the ring and will find this frame.
-        let wake = state.parked > 0;
-        state.wakes += u64::from(wake);
-        drop(state);
-        if wake {
-            self.ready.notify_one();
-        }
+        let dropped = ring.push_with(encode);
+        self.depth.store(ring.frames(), Ordering::Release);
         SendStatus::queued(dropped)
     }
 
@@ -410,30 +372,10 @@ impl Queue {
         if self.len() == 0 {
             return None;
         }
-        let mut state = self.state.lock().expect("queue poisoned");
-        let decoded = state.ring.pop_with(decode);
-        self.depth.store(state.ring.frames(), Ordering::Release);
+        let mut ring = self.ring.lock().expect("queue poisoned");
+        let decoded = ring.pop_with(decode);
+        self.depth.store(ring.frames(), Ordering::Release);
         decoded
-    }
-
-    /// Blocks until a frame arrives or the queue closes. Pending frames
-    /// are drained even after closure; `None` means closed and empty —
-    /// an idle queue waits indefinitely rather than giving up.
-    fn pop_wait_with<R>(&self, decode: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        loop {
-            if state.ring.frames() > 0 {
-                let decoded = state.ring.pop_with(decode);
-                self.depth.store(state.ring.frames(), Ordering::Release);
-                return decoded;
-            }
-            if self.is_closed() {
-                return None;
-            }
-            state.parked += 1;
-            state = self.ready.wait(state).expect("queue poisoned");
-            state.parked -= 1;
-        }
     }
 
     fn len(&self) -> usize {
@@ -441,16 +383,11 @@ impl Queue {
     }
 
     fn dropped(&self) -> u64 {
-        self.state.lock().expect("queue poisoned").ring.dropped()
+        self.ring.lock().expect("queue poisoned").dropped()
     }
 
     fn close(&self) {
-        // Under the lock, so a consumer that saw the queue open and empty
-        // is parked by the time this wakes everyone.
-        let state = self.state.lock().expect("queue poisoned");
         self.closed.store(true, Ordering::Release);
-        drop(state);
-        self.ready.notify_all();
     }
 
     fn is_closed(&self) -> bool {
@@ -461,8 +398,8 @@ impl Queue {
 /// Creates a connected in-process transport pair with bounded queues of
 /// `capacity` frames in each direction.
 pub fn loopback(capacity: usize) -> (LoopbackServerEnd, LoopbackClientEnd) {
-    let upstream = Queue::new(capacity, tag::POSE);
-    let downstream = Queue::new(capacity, tag::ASSIGNMENT);
+    let upstream = Queue::new(capacity);
+    let downstream = Queue::new(capacity);
     (
         LoopbackServerEnd {
             inbound: Arc::clone(&upstream),
@@ -546,157 +483,10 @@ impl ClientTransport for LoopbackClientEnd {
     }
 }
 
-/// How long the TCP writer thread lets one `write` call stall before
-/// retrying it.
-pub const WRITE_STALL_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// Client-side TCP transport: a framed `TcpStream` with dedicated reader
-/// and writer threads and bounded queues in both directions.
-pub struct TcpClientTransport {
-    inbound: Arc<Queue>,
-    outbound: Arc<Queue>,
-    stream: TcpStream,
-    reader: Option<std::thread::JoinHandle<()>>,
-    writer: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TcpClientTransport {
-    /// Wraps a connected stream, spawning its reader and writer threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket configuration failures.
-    pub fn new(stream: TcpStream, capacity: usize) -> std::io::Result<Self> {
-        stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT))?;
-        let inbound = Queue::new(capacity, tag::ASSIGNMENT);
-        let outbound = Queue::new(capacity, tag::POSE);
-
-        let reader = {
-            let mut stream = stream.try_clone()?;
-            let inbound = Arc::clone(&inbound);
-            let outbound = Arc::clone(&outbound);
-            std::thread::spawn(move || {
-                // One buffer holds every frame in turn on its way from the
-                // socket into the ring.
-                let mut frame = Vec::new();
-                loop {
-                    match read_frame_into(&mut stream, &mut frame) {
-                        Ok(()) => {
-                            let queued = inbound.push_with(|buf| buf.extend_from_slice(&frame));
-                            if queued == SendStatus::Closed {
-                                break;
-                            }
-                        }
-                        Err(FrameError::Closed) => break,
-                        Err(_) => {
-                            // A corrupt length prefix or mid-frame I/O error:
-                            // signal it to the consumer as an undecodable
-                            // (empty) frame, then stop reading.
-                            let _ = inbound.push_with(|_| {});
-                            break;
-                        }
-                    }
-                }
-                // No more input will arrive; wake the consumer side so a
-                // blocked writer or poller notices promptly.
-                inbound.close();
-                outbound.close();
-            })
-        };
-
-        let writer = {
-            let mut stream = stream.try_clone()?;
-            let outbound = Arc::clone(&outbound);
-            std::thread::spawn(move || {
-                // The frame on its way to the socket waits in a one-frame
-                // ring of the writer's own, outside the shared lock. Its
-                // cursor resumes a timed-out write at the exact byte it
-                // stalled on — a frame must never be resent from byte 0
-                // once part of it is on the wire, or the peer's framing is
-                // corrupted.
-                let mut staged = FrameRing::new(1, tag::POSE);
-                'drain: while outbound
-                    .pop_wait_with(|payload| staged.push_with(|buf| buf.extend_from_slice(payload)))
-                    .is_some()
-                {
-                    let mut written = 0usize;
-                    while !staged.wire().is_empty() {
-                        match stream.write(staged.wire()) {
-                            Ok(0) => break 'drain,
-                            Ok(n) => {
-                                staged.wrote(n);
-                                written += n;
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            Err(e)
-                                if e.kind() == std::io::ErrorKind::WouldBlock
-                                    || e.kind() == std::io::ErrorKind::TimedOut =>
-                            {
-                                // Mid-frame we must keep pushing even while
-                                // closing; the socket shutdown will surface a
-                                // hard error if the peer is truly gone.
-                                if outbound.is_closed() && written == 0 {
-                                    break 'drain;
-                                }
-                            }
-                            Err(_) => break 'drain,
-                        }
-                    }
-                    let _ = stream.flush();
-                }
-                outbound.close();
-            })
-        };
-
-        Ok(TcpClientTransport {
-            inbound,
-            outbound,
-            stream,
-            reader: Some(reader),
-            writer: Some(writer),
-        })
-    }
-}
-
-impl Drop for TcpClientTransport {
-    fn drop(&mut self) {
-        self.close();
-        if let Some(handle) = self.reader.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.writer.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl ClientTransport for TcpClientTransport {
-    fn try_recv(&mut self) -> Option<Result<ServerMessage, WireError>> {
-        self.inbound.pop_with(ServerMessage::decode)
-    }
-
-    fn send(&mut self, message: &ClientMessage) -> SendStatus {
-        self.outbound.push_with(|buf| message.encode(buf))
-    }
-
-    fn is_closed(&self) -> bool {
-        self.outbound.is_closed()
-    }
-
-    fn close(&mut self) {
-        self.inbound.close();
-        self.outbound.close();
-        // Unblocks the reader thread's blocking read.
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_frame, write_frame};
-    use cvr_motion::pose::Pose;
+    use crate::protocol::{read_frame, write_frame, FrameError};
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
@@ -760,65 +550,13 @@ mod tests {
         assert_eq!(server.send(&ServerMessage::Shutdown), SendStatus::Closed);
     }
 
-    fn wakes(queue: &Queue) -> u64 {
-        queue.state.lock().unwrap().wakes
-    }
-
-    /// Spins (yielding) until a consumer is parked in `pop_wait_with`.
-    fn until_parked(queue: &Queue) {
-        while queue.state.lock().unwrap().parked == 0 {
-            std::thread::yield_now();
-        }
-    }
-
     #[test]
-    fn pushes_with_nobody_parked_issue_no_wake() {
-        let (mut server, mut client) = loopback(2_000);
-        for seq in 0..1_000 {
-            let pose = Pose::default();
-            assert_eq!(
-                client.send(&ClientMessage::Pose { seq, pose }),
-                SendStatus::Sent
-            );
-            assert_eq!(server.send(&ServerMessage::Shutdown), SendStatus::Sent);
-        }
-        assert_eq!(wakes(&client.outbound), 0);
-        assert_eq!(wakes(&server.outbound), 0);
-        assert!(matches!(
-            server.try_recv(),
-            Some(Ok(ClientMessage::Pose { seq: 0, .. }))
-        ));
-    }
-
-    #[test]
-    fn a_parked_consumer_is_woken_by_the_next_push_and_by_close() {
-        let queue = Queue::new(4, tag::POSE);
-        std::thread::scope(|scope| {
-            let consumer = scope.spawn(|| {
-                let first = queue.pop_wait_with(<[u8]>::to_vec);
-                let second = queue.pop_wait_with(<[u8]>::to_vec);
-                (first, second)
-            });
-            until_parked(&queue);
-            assert_eq!(queue.push_with(|buf| buf.push(7)), SendStatus::Sent);
-            assert_eq!(wakes(&queue), 1);
-            // Parked again, this time with nothing coming: only `close`
-            // can end the wait.
-            until_parked(&queue);
-            queue.close();
-            assert_eq!(consumer.join().unwrap(), (Some(vec![7]), None));
-        });
-        assert_eq!(wakes(&queue), 1, "close wakes everyone, push counted one");
-        assert_eq!(queue.state.lock().unwrap().parked, 0);
-    }
-
-    #[test]
-    fn producer_consumer_stress_loses_no_frame_and_no_wakeup() {
+    fn producer_consumer_stress_loses_no_frame() {
         const FRAMES: u64 = 100_000;
-        let queue = Queue::new(64, tag::POSE);
+        let queue = Queue::new(64);
         // A cheap deterministic coin for "yield here": both sides drift in
         // and out of phase, so pushes land before, during and after the
-        // consumer parks.
+        // consumer finds the queue empty.
         let coin = |state: &mut u64| {
             *state = state
                 .wrapping_mul(6364136223846793005)
@@ -828,16 +566,22 @@ mod tests {
         std::thread::scope(|scope| {
             let consumer = scope.spawn(|| {
                 let (mut next, mut rng) = (0u64, 1u64);
-                while let Some(seq) =
-                    queue.pop_wait_with(|frame| u64::from_le_bytes(frame.try_into().unwrap()))
-                {
-                    assert_eq!(seq, next);
-                    next += 1;
+                loop {
+                    // Looked at before the pop: every push before `close`
+                    // is then visible to it.
+                    let closed = queue.is_closed();
+                    match queue.pop_with(|frame| u64::from_le_bytes(frame.try_into().unwrap())) {
+                        Some(seq) => {
+                            assert_eq!(seq, next);
+                            next += 1;
+                        }
+                        None if closed => return next,
+                        None => std::thread::yield_now(),
+                    }
                     if coin(&mut rng) {
                         std::thread::yield_now();
                     }
                 }
-                next
             });
             let mut rng = 2u64;
             for seq in 0..FRAMES {
@@ -855,72 +599,11 @@ mod tests {
                 }
             }
             queue.close();
-            // A lost wakeup would leave the consumer parked and this join
-            // hanging; a lost frame breaks its sequence check.
+            // A lost frame breaks the consumer's sequence check or its
+            // count.
             assert_eq!(consumer.join().unwrap(), FRAMES);
         });
         assert_eq!(queue.dropped(), 0);
-    }
-
-    /// A connected [`TcpClientTransport`] plus the raw accepted stream
-    /// standing in for the server.
-    fn tcp_pair() -> (TcpClientTransport, TcpStream) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let client = TcpClientTransport::new(stream, 16).unwrap();
-        let (peer, _) = listener.accept().unwrap();
-        (client, peer)
-    }
-
-    fn recv_within_5s(client: &mut TcpClientTransport) -> Result<ServerMessage, WireError> {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            if let Some(msg) = client.try_recv() {
-                return msg;
-            }
-            assert!(std::time::Instant::now() < deadline, "timed out");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    #[test]
-    fn idle_writer_does_not_close_the_connection() {
-        let (mut client, mut peer) = tcp_pair();
-        // Both directions stay silent well past the write-stall timeout;
-        // the writer thread must keep waiting, not tear the link down.
-        std::thread::sleep(WRITE_STALL_TIMEOUT + Duration::from_millis(150));
-        assert!(!client.is_closed());
-        write_frame(&mut peer, &ServerMessage::Shutdown.to_payload()).unwrap();
-        assert!(matches!(
-            recv_within_5s(&mut client),
-            Ok(ServerMessage::Shutdown)
-        ));
-        client.close();
-    }
-
-    #[test]
-    fn tcp_round_trip_and_clean_close() {
-        let (mut client, mut peer) = tcp_pair();
-        client.send(&ClientMessage::Pose {
-            seq: 9,
-            pose: Pose::default(),
-        });
-        let got = ClientMessage::decode(&read_frame(&mut peer).unwrap());
-        assert!(matches!(got, Ok(ClientMessage::Pose { seq: 9, .. })));
-        let welcome = ServerMessage::Welcome {
-            version: 1,
-            user_id: 0,
-            slot_us: 15_000,
-            levels: 6,
-        };
-        write_frame(&mut peer, &welcome.to_payload()).unwrap();
-        assert!(matches!(
-            recv_within_5s(&mut client),
-            Ok(ServerMessage::Welcome { user_id: 0, .. })
-        ));
-        client.close();
-        assert!(client.is_closed());
-        assert!(matches!(read_frame(&mut peer), Err(FrameError::Closed)));
     }
 
     /// The frame queues this crate had before [`FrameRing`] — one
@@ -934,21 +617,15 @@ mod tests {
         out_buf: Vec<u8>,
         out_cursor: usize,
         capacity: usize,
-        droppable: u8,
         dropped: u64,
     }
 
-    fn push_bounded(
-        queue: &mut VecDeque<Vec<u8>>,
-        capacity: usize,
-        droppable: u8,
-        frame: Vec<u8>,
-    ) -> usize {
+    fn push_bounded(queue: &mut VecDeque<Vec<u8>>, capacity: usize, frame: Vec<u8>) -> usize {
         let mut dropped = 0usize;
         while queue.len() >= capacity {
             let victim = queue
                 .iter()
-                .position(|f| f.first() == Some(&droppable))
+                .position(|f| f.first().is_some_and(|&t| tag::superseded_next_slot(t)))
                 .unwrap_or(0);
             queue.remove(victim);
             dropped += 1;
@@ -958,20 +635,19 @@ mod tests {
     }
 
     impl OracleQueue {
-        fn new(capacity: usize, droppable: u8) -> Self {
+        fn new(capacity: usize) -> Self {
             OracleQueue {
                 frames: VecDeque::new(),
                 in_buf: Vec::new(),
                 out_buf: Vec::new(),
                 out_cursor: 0,
                 capacity,
-                droppable,
                 dropped: 0,
             }
         }
 
         fn push(&mut self, frame: Vec<u8>) -> usize {
-            let dropped = push_bounded(&mut self.frames, self.capacity, self.droppable, frame);
+            let dropped = push_bounded(&mut self.frames, self.capacity, frame);
             self.dropped += dropped as u64;
             dropped
         }
@@ -1053,8 +729,8 @@ mod tests {
             ops in prop::collection::vec((0u8..4, 0u8..=255, 0usize..48), 1..80),
         ) {
             let shape = [Shape::PushPop, Shape::WirePop, Shape::PushWire][shape as usize];
-            let mut ring = FrameRing::new(capacity, tag::POSE);
-            let mut oracle = OracleQueue::new(capacity, tag::POSE);
+            let mut ring = FrameRing::new(capacity);
+            let mut oracle = OracleQueue::new(capacity);
             // WirePop: bytes produced but not yet fed, so a frame's start
             // can wait in the ring across pops. PushWire: what each side
             // has put on the wire.
@@ -1063,12 +739,14 @@ mod tests {
             let (mut produced, mut framing_lost) = (0usize, false);
             for &(what, kind, n) in &ops {
                 if what < 2 {
-                    // Two in four frames droppable, one a control frame,
-                    // one empty; one in 32 as large as a frame may be.
+                    // Two in four frames superseded next slot, one a
+                    // control frame, one empty; one in 32 as large as a
+                    // frame may be.
                     let len = if kind >= 248 { MAX_FRAME_BYTES } else { n };
                     let mut payload = vec![produced as u8; len];
                     match (kind % 4, payload.first_mut()) {
-                        (0 | 1, Some(first)) => *first = tag::POSE,
+                        (0, Some(first)) => *first = tag::POSE,
+                        (1, Some(first)) => *first = tag::GROUP_ASSIGN,
                         (2, Some(first)) => *first = tag::ACK,
                         _ => payload.clear(),
                     }
@@ -1146,7 +824,7 @@ mod tests {
 
     #[test]
     fn a_ring_that_never_quite_drains_does_not_grow() {
-        let mut ring = FrameRing::new(8, tag::POSE);
+        let mut ring = FrameRing::new(8);
         let frame = [tag::ACK; 60];
         ring.push_with(|buf| buf.extend_from_slice(&frame));
         for _ in 0..10_000 {
@@ -1168,7 +846,7 @@ mod tests {
             write_frame(&mut wire, payload).unwrap();
         }
         for split in 0..=wire.len() {
-            let mut ring = FrameRing::new(8, tag::POSE);
+            let mut ring = FrameRing::new(8);
             assert!(ring.extend_wire(&wire[..split]));
             assert!(ring.extend_wire(&wire[split..]));
             for payload in payloads {

@@ -407,6 +407,51 @@ fn departed_member_stops_receiving_and_survivors_keep_their_group() {
 }
 
 #[test]
+fn a_silent_group_member_keeps_its_welcome() {
+    let mut session = Session::new(ServeConfig {
+        multicast: true,
+        ..ServeConfig::default()
+    });
+    let mut reader = join_with(&mut session, 600, PROTOCOL_VERSION);
+    let mut silent = join_with(&mut session, 601, PROTOCOL_VERSION);
+    // One gaze well inside its cell and orientation bucket, so both users
+    // share a group row. Neither ACKs, so their ledgers stay identical.
+    let pose = Pose {
+        position: Vec3::new(0.51, 1.7, 0.52),
+        orientation: Orientation {
+            yaw: 3.75,
+            pitch: 3.75,
+            roll: 0.0,
+        },
+    };
+    let mut max_groups = 0;
+    for seq in 0..100 {
+        for client in [&mut reader, &mut silent] {
+            client.send(&ClientMessage::Pose { seq, pose });
+            client.send(&ClientMessage::BandwidthSample { mbps: 40.0 });
+        }
+        session.step_slot();
+        max_groups = max_groups.max(session.multicast_groups());
+        while reader.try_recv().is_some() {}
+    }
+    assert!(max_groups >= 1, "the two users never shared a group row");
+    // The silent user's queue overflowed with per-slot frames; the next
+    // slot supersedes those, never the Welcome.
+    assert!(session.counters().frames_dropped > 0);
+    assert!(matches!(
+        silent.try_recv(),
+        Some(Ok(ServerMessage::Welcome { .. }))
+    ));
+    while let Some(frame) = silent.try_recv() {
+        assert!(matches!(
+            frame,
+            Ok(ServerMessage::Assignment { .. } | ServerMessage::GroupAssign { .. })
+        ));
+    }
+    assert_eq!(session.counters().protocol_errors, 0);
+}
+
+#[test]
 fn v2_client_in_a_multicast_session_falls_back_to_unicast() {
     let mut session = Session::new(ServeConfig {
         multicast: true,

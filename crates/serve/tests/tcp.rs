@@ -1,15 +1,16 @@
 //! TCP smoke test on the production path: a real listener on an
 //! ephemeral port, two replay clients over real sockets registered with
-//! a [`ShardHost`]'s readiness poller, zero protocol errors.
+//! a [`ShardHost`]'s readiness poller, zero protocol errors. Both clients
+//! run on one thread off one ticker, as `cvr-client --count` drives them.
 
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use cvr_serve::client::{ClientConfig, ReplayClient};
+use cvr_serve::readiness::NbClientTransport;
 use cvr_serve::server::ServeConfig;
 use cvr_serve::shard::{HostConfig, ShardHost};
 use cvr_serve::ticker::SlotTicker;
-use cvr_serve::transport::TcpClientTransport;
 
 const SLOTS: u64 = 80;
 const SLOT: Duration = Duration::from_millis(5);
@@ -19,31 +20,36 @@ fn two_tcp_clients_stream_without_protocol_errors() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
 
-    let clients: Vec<_> = (0..2)
-        .map(|u| {
-            std::thread::spawn(move || {
+    let driver = std::thread::spawn(move || {
+        let mut clients: Vec<_> = (0..2)
+            .map(|u| {
                 let stream = TcpStream::connect(addr).expect("connect");
-                let transport = TcpClientTransport::new(stream, 64).expect("transport");
-                let mut client = ReplayClient::new(
+                let transport = NbClientTransport::new(stream, 64).expect("transport");
+                ReplayClient::new(
                     transport,
                     ClientConfig {
                         seed: 40 + u,
                         slot_duration_s: SLOT.as_secs_f64(),
                         ..ClientConfig::default()
                     },
-                );
-                let mut ticker = SlotTicker::new(SLOT);
-                for _ in 0..SLOTS {
-                    client.step_slot();
-                    ticker.wait();
-                    if client.finished() {
-                        break;
-                    }
-                }
-                client.finish()
+                )
             })
-        })
-        .collect();
+            .collect();
+        let mut ticker = SlotTicker::new(SLOT);
+        for _ in 0..SLOTS {
+            for client in &mut clients {
+                client.step_slot();
+            }
+            ticker.wait();
+            if clients.iter().all(ReplayClient::finished) {
+                break;
+            }
+        }
+        clients
+            .into_iter()
+            .map(ReplayClient::finish)
+            .collect::<Vec<_>>()
+    });
 
     let mut host = ShardHost::new(HostConfig {
         shards: 1,
@@ -63,10 +69,7 @@ fn two_tcp_clients_stream_without_protocol_errors() {
     host.shutdown();
     let (_, server_report) = host.reports().remove(0);
 
-    let client_reports: Vec<_> = clients
-        .into_iter()
-        .map(|h| h.join().expect("client thread"))
-        .collect();
+    let client_reports = driver.join().expect("client thread");
 
     assert_eq!(server_report.counters.joins, 2);
     assert_eq!(server_report.counters.protocol_errors, 0);
