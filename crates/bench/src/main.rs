@@ -373,6 +373,159 @@ mod tests {
         }
     }
 
+    /// Every `.rs` file under the repository root, as root-relative
+    /// paths (build outputs and hidden directories skipped).
+    fn rust_files() -> BTreeSet<String> {
+        fn walk(root: &Path, dir: &Path, out: &mut BTreeSet<String>) {
+            for entry in std::fs::read_dir(dir).expect("read_dir").flatten() {
+                let path = entry.path();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                if name.starts_with('.') || name == "target" {
+                    continue;
+                }
+                if path.is_dir() {
+                    walk(root, &path, out);
+                } else if name.ends_with(".rs") {
+                    let relative = path.strip_prefix(root).expect("under the root");
+                    out.insert(relative.to_string_lossy().into_owned());
+                }
+            }
+        }
+        let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let mut out = BTreeSet::new();
+        walk(root, root, &mut out);
+        out
+    }
+
+    /// Every binary target a manifest declares: each `[[bin]]` name, and
+    /// a package's own name where it has a `src/main.rs`.
+    fn binaries(files: &BTreeSet<String>) -> BTreeSet<String> {
+        let mut bins = BTreeSet::new();
+        let crates = (files.iter()).filter_map(|f| f.strip_prefix("crates/")?.split_once('/'));
+        let dirs: BTreeSet<String> = crates.map(|(dir, _)| format!("crates/{dir}/")).collect();
+        for dir in dirs.iter().map(String::as_str).chain(["", "benchmark/"]) {
+            let mut section = "";
+            for line in root_file(&format!("{dir}Cargo.toml")).lines() {
+                if line.starts_with('[') {
+                    section = line;
+                } else if let Some(name) = line.strip_prefix("name = ") {
+                    let name = name.trim_matches('"').to_string();
+                    let main = files.contains(&format!("{dir}src/main.rs"));
+                    if section == "[[bin]]" || (section == "[package]" && main) {
+                        bins.insert(name);
+                    }
+                }
+            }
+        }
+        bins
+    }
+
+    /// Whether `cvr_<krate>::<path>` names something: its first segment a
+    /// module file or a `pub` name of the crate root, its second (if any)
+    /// a word of that module.
+    fn resolves(files: &BTreeSet<String>, krate: &str, path: &[&str]) -> bool {
+        let src = format!("crates/{krate}/src");
+        let Some((&first, rest)) = path.split_first() else {
+            return true;
+        };
+        let word = |text: &str, name: &str| {
+            (text.split(|c: char| !(c.is_alphanumeric() || c == '_'))).any(|w| w == name)
+        };
+        for module in [format!("{src}/{first}.rs"), format!("{src}/{first}/mod.rs")] {
+            if files.contains(&module) {
+                return rest
+                    .first()
+                    .is_none_or(|next| word(&root_file(&module), next));
+            }
+        }
+        let lib = format!("{src}/lib.rs");
+        files.contains(&lib)
+            && (root_file(&lib).lines())
+                .any(|line| line.trim_start().starts_with("pub") && word(line, first))
+    }
+
+    #[test]
+    fn every_path_file_and_binary_the_docs_name_exists() {
+        let files = rust_files();
+        let basenames: BTreeSet<&str> = files
+            .iter()
+            .map(|f| f.rsplit('/').next().unwrap())
+            .collect();
+        let bins = binaries(&files);
+        let mut broken = Vec::new();
+        for doc in [
+            "README.md",
+            "DESIGN.md",
+            "EXPERIMENTS.md",
+            ".claude/skills/verify/SKILL.md",
+        ] {
+            let text = root_file(doc);
+            let tokens = text.split(|c: char| !(c.is_alphanumeric() || "_-./:*{},".contains(c)));
+            for token in tokens.map(|t| t.trim_end_matches([',', '.', ':'])) {
+                // A source file: a path from the root, a path within some
+                // crate (`tests/tcp.rs`), or a bare file name.
+                if token.ends_with(".rs") && !token.contains(['*', '{', ':']) {
+                    let known = if token.contains('/') {
+                        let within = format!("/{token}");
+                        files.contains(token) || files.iter().any(|f| f.ends_with(&within))
+                    } else {
+                        basenames.contains(token)
+                    };
+                    if !known {
+                        broken.push(format!("{doc}: no file `{token}`"));
+                    }
+                }
+                // A binary run from the build directory.
+                for prefix in ["target/release/", "target/debug/"] {
+                    if let Some(bin) = token.split(prefix).nth(1) {
+                        if !bins.contains(bin) {
+                            broken.push(format!("{doc}: no binary `{bin}`"));
+                        }
+                    }
+                }
+                // A crate path, `cvr_net::trace` or `cvr-net::trace`, whose
+                // last segments may be a `{a,b}` list.
+                let Some(path) = token.strip_prefix("cvr_").or(token.strip_prefix("cvr-")) else {
+                    continue;
+                };
+                let Some((krate, rest)) = path.split_once("::") else {
+                    continue;
+                };
+                let (head, list) = match rest.split_once("::{") {
+                    Some((head, list)) => (head, list.trim_end_matches('}')),
+                    None => match rest.strip_prefix('{') {
+                        Some(list) => ("", list.trim_end_matches('}')),
+                        None => (rest, ""),
+                    },
+                };
+                let head: Vec<&str> = head.split("::").filter(|s| !s.is_empty()).collect();
+                let ok = if list.is_empty() {
+                    resolves(&files, krate, &head)
+                } else {
+                    list.split(',')
+                        .all(|item| resolves(&files, krate, &[head.as_slice(), &[item]].concat()))
+                };
+                if !ok {
+                    broken.push(format!("{doc}: `{token}` does not resolve"));
+                }
+            }
+            // `--bin <name>`, wherever it appears.
+            for rest in text.split("--bin ").skip(1) {
+                let bin: String = (rest.chars())
+                    .take_while(|c| c.is_alphanumeric() || *c == '-' || *c == '_')
+                    .collect();
+                if !bins.contains(&bin) {
+                    broken.push(format!("{doc}: no binary `--bin {bin}`"));
+                }
+            }
+        }
+        assert!(
+            broken.is_empty(),
+            "names that do not resolve:\n{}",
+            broken.join("\n")
+        );
+    }
+
     fn committed(artifact: &str) -> Json {
         Json::parse(&root_file(artifact)).unwrap_or_else(|e| panic!("parse {artifact}: {e}"))
     }

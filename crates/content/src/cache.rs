@@ -2,10 +2,9 @@
 //!
 //! Three cooperating pieces from Section V:
 //!
-//! * [`ServerTileCache`] — the server's in-memory LRU over encoded tiles;
-//!   it prefetches the cells reachable from the user's position (future
-//!   location is bounded by walking speed), so transmission starts with no
-//!   rendering/encoding delay.
+//! * [`ServerTileCache`] — the server's in-memory LRU over encoded tiles:
+//!   a tile is loaded on its first fetch and stays resident until evicted,
+//!   so a tile requested again is sent without reloading it.
 //! * [`ClientTileBuffer`] — the phone's RAM-bounded tile store; when the
 //!   tile count hits the device threshold the oldest tiles are *released*
 //!   and the release is ACKed so the server knows they must be resent if
@@ -99,8 +98,8 @@ impl ServerTileCache {
         }
     }
 
-    /// Inserts a tile without counting a hit/miss (prefetch path).
-    pub fn insert(&mut self, id: VideoId) {
+    /// Makes a tile resident without counting a hit or a miss.
+    fn insert(&mut self, id: VideoId) {
         if self.resident.contains_key(&id) {
             self.touch(id);
             return;
@@ -336,34 +335,6 @@ impl DeliveryLedger {
     /// Whether nothing is believed held.
     pub fn is_empty(&self) -> bool {
         self.delivered.tiles == 0
-    }
-
-    /// Splits a wanted tile list into (must-send, already-held).
-    pub fn partition_wanted(&self, wanted: &[VideoId]) -> (Vec<VideoId>, Vec<VideoId>) {
-        let mut send = Vec::new();
-        let mut held = Vec::new();
-        self.partition_wanted_into(wanted, &mut send, &mut held);
-        (send, held)
-    }
-
-    /// Buffer-reusing variant of [`DeliveryLedger::partition_wanted`]:
-    /// clears both output buffers and fills them with the same split, in
-    /// the same order, without allocating once the buffers have grown.
-    pub fn partition_wanted_into(
-        &self,
-        wanted: &[VideoId],
-        send: &mut Vec<VideoId>,
-        held: &mut Vec<VideoId>,
-    ) {
-        send.clear();
-        held.clear();
-        for &id in wanted {
-            if self.is_delivered(&id) {
-                held.push(id);
-            } else {
-                send.push(id);
-            }
-        }
     }
 }
 
@@ -938,16 +909,13 @@ mod tests {
         ledger.acknowledge(id(1, 1, 3));
         assert_eq!(ledger.len(), 2);
 
-        let wanted = vec![id(0, 0, 3), id(2, 2, 3)];
-        let (send, held) = ledger.partition_wanted(&wanted);
-        assert_eq!(send, vec![id(2, 2, 3)]);
-        assert_eq!(held, vec![id(0, 0, 3)]);
+        assert!(ledger.is_delivered(&id(0, 0, 3)));
+        assert!(!ledger.is_delivered(&id(2, 2, 3)));
 
         // Client releases the tile: it must be resent next time.
         ledger.release([id(0, 0, 3)]);
-        let (send, held) = ledger.partition_wanted(&wanted);
-        assert_eq!(send.len(), 2);
-        assert!(held.is_empty());
+        assert!(!ledger.is_delivered(&id(0, 0, 3)));
+        assert!(ledger.is_delivered(&id(1, 1, 3)));
     }
 
     #[test]
@@ -982,19 +950,6 @@ mod tests {
         let sizing = crate::sizing::TileSizeModel::paper_default();
         let rows = crate::sizing::transposed_tile_rows(&sizing, cell);
         (sizing, rows)
-    }
-
-    #[test]
-    fn partition_wanted_into_matches_allocating_variant() {
-        let mut ledger = DeliveryLedger::new();
-        ledger.acknowledge(id(0, 0, 3));
-        ledger.acknowledge(id(1, 1, 2));
-        let wanted = vec![id(0, 0, 3), id(2, 2, 3), id(1, 1, 2), id(1, 1, 3)];
-        let (send, held) = ledger.partition_wanted(&wanted);
-        let (mut send2, mut held2) = (vec![id(9, 0, 1)], vec![id(9, 0, 1)]);
-        ledger.partition_wanted_into(&wanted, &mut send2, &mut held2);
-        assert_eq!(send, send2);
-        assert_eq!(held, held2);
     }
 
     #[test]

@@ -73,53 +73,6 @@ impl GridWorld {
         let axis = self.index_of(-self.extent_m)..=self.index_of(self.extent_m);
         axis.contains(&cell.x) && axis.contains(&cell.z)
     }
-
-    /// Centre position of a cell.
-    pub fn cell_center(&self, cell: CellId) -> Vec3 {
-        Vec3::new(
-            (cell.x as f64 + 0.5) * self.cell_size_m,
-            1.7,
-            (cell.z as f64 + 0.5) * self.cell_size_m,
-        )
-    }
-
-    /// Number of cells along one axis.
-    pub fn cells_per_axis(&self) -> u32 {
-        (2.0 * self.extent_m / self.cell_size_m).ceil() as u32
-    }
-
-    /// Total number of cells in the world.
-    pub fn total_cells(&self) -> u64 {
-        let per_axis = u64::from(self.cells_per_axis());
-        per_axis * per_axis
-    }
-
-    /// All cells within `radius_m` (Chebyshev) of `center`'s cell — the
-    /// reachable set the server caches ahead of the user (the future
-    /// location is bounded by walking speed).
-    pub fn cells_within(&self, center: &Vec3, radius_m: f64) -> Vec<CellId> {
-        let mut cells = Vec::new();
-        self.cells_within_into(center, radius_m, &mut cells);
-        cells
-    }
-
-    /// Buffer-reusing variant of [`GridWorld::cells_within`]: clears `out`
-    /// and fills it with the same cells, in the same order, without
-    /// allocating once the buffer has grown to the square's size.
-    pub fn cells_within_into(&self, center: &Vec3, radius_m: f64, out: &mut Vec<CellId>) {
-        out.clear();
-        let c = self.cell_of(center);
-        let r = (radius_m / self.cell_size_m).ceil() as i32;
-        out.reserve(((2 * r + 1) * (2 * r + 1)) as usize);
-        for dx in -r..=r {
-            for dz in -r..=r {
-                out.push(CellId {
-                    x: c.x + dx,
-                    z: c.z + dz,
-                });
-            }
-        }
-    }
 }
 
 impl Default for GridWorld {
@@ -194,43 +147,6 @@ mod tests {
         assert!(paper.contains(CellId { x: -120, z: 120 }));
         assert!(!paper.contains(CellId { x: -121, z: 0 }));
         assert!(!paper.contains(CellId { x: 0, z: 121 }));
-    }
-
-    #[test]
-    fn cell_center_round_trips() {
-        let g = GridWorld::paper_default();
-        for &(x, z) in &[(0.0, 0.0), (1.23, -2.34), (-4.9, 4.9)] {
-            let cell = g.cell_of(&Vec3::new(x, 1.7, z));
-            let center = g.cell_center(cell);
-            assert_eq!(g.cell_of(&center), cell);
-        }
-    }
-
-    #[test]
-    fn counts_match_extent() {
-        let g = GridWorld::new(0.5, 1.0);
-        assert_eq!(g.cells_per_axis(), 4);
-        assert_eq!(g.total_cells(), 16);
-        // The paper's world: 5 cm granularity over metres → many cells.
-        let paper = GridWorld::paper_default();
-        assert_eq!(paper.cells_per_axis(), 240);
-        assert_eq!(paper.total_cells(), 57_600);
-    }
-
-    #[test]
-    fn cells_within_radius() {
-        let g = GridWorld::paper_default();
-        let center = Vec3::new(0.0, 1.7, 0.0);
-        let cells = g.cells_within(&center, 0.05);
-        assert_eq!(cells.len(), 9); // 3 × 3
-        assert!(cells.contains(&CellId { x: 0, z: 0 }));
-        assert!(cells.contains(&CellId { x: -1, z: 1 }));
-
-        let bigger = g.cells_within(&center, 0.1);
-        assert_eq!(bigger.len(), 25); // 5 × 5
-        for c in &cells {
-            assert!(bigger.contains(c));
-        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl BuildHasher for CellHashBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{CellId, GridWorld};
+    use crate::grid::CellId;
     use crate::id::VideoId;
 
     /// Bucket loads (low 12 bits) and tag use (top 7 bits) of `hashes`.
@@ -122,8 +122,8 @@ mod tests {
     /// The cells of three key families: the whole paper-default world,
     /// 4 096 cells of equal `z`, 4 096 of equal `x`.
     fn key_families() -> [(&'static str, Vec<CellId>); 3] {
-        let grid = GridWorld::paper_default();
-        let half = (grid.cells_per_axis() / 2) as i32;
+        // The paper-default world is 240 cells along each axis.
+        let half = 120;
         let world = (-half..=half)
             .flat_map(|x| (-half..=half).map(move |z| CellId { x, z }))
             .collect();

@@ -117,12 +117,6 @@ impl VideoId {
     pub fn quality(self) -> QualityLevel {
         QualityLevel::new((self.0 & 0b111) as u8)
     }
-
-    /// The same tile at a different quality (cache keys often need the
-    /// quality-independent identity plus a re-keyed quality).
-    pub fn at_quality(self, quality: QualityLevel) -> VideoId {
-        VideoId::new(self.cell(), self.tile(), quality)
-    }
 }
 
 impl std::fmt::Display for VideoId {
@@ -210,16 +204,6 @@ mod tests {
             VideoId::key_of(CellId { x: 1, z: 0 }) - VideoId::key_of(CellId { x: 0, z: 0 }),
             1 << 20
         );
-    }
-
-    #[test]
-    fn at_quality_rekeys_only_quality() {
-        let id = VideoId::new(CellId { x: 5, z: -7 }, TileId::new(2), QualityLevel::new(3));
-        let up = id.at_quality(QualityLevel::new(6));
-        assert_eq!(up.cell(), id.cell());
-        assert_eq!(up.tile(), id.tile());
-        assert_eq!(up.quality().get(), 6);
-        assert_ne!(up, id);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # cvr-content
 //!
 //! Tile-based panoramic content substrate for the collaborative VR
-//! reproduction: equirectangular projection, the 4-way tile split (Fig. 5),
+//! reproduction: the 4-way tile split of the equirectangular frame (Fig. 5),
 //! the 5 cm grid world, packed video IDs, the convex CRF size model
 //! standing in for the paper's 171 GB encoded database (Fig. 1a), and the
 //! server/client caching machinery behind the repetitive-tile protocol.
@@ -9,14 +9,14 @@
 //! ```
 //! use cvr_content::library::ContentLibrary;
 //! use cvr_core::quality::QualityLevel;
+//! use cvr_core::rate::RateFunction;
 //! use cvr_motion::pose::{Orientation, Pose, Vec3};
 //!
 //! let library = ContentLibrary::paper_default();
 //! let pose = Pose::new(Vec3::new(1.0, 1.7, 0.5), Orientation::new(90.0, 0.0, 0.0));
 //! let request = library.request_for(&pose);
 //! assert!(!request.tiles.is_empty());
-//! let ids = request.video_ids(QualityLevel::new(4));
-//! assert_eq!(ids.len(), request.tiles.len());
+//! assert!(request.rate_table.rate(QualityLevel::new(4)) > 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -28,7 +28,6 @@ pub mod hash;
 pub mod id;
 pub mod library;
 pub mod plane;
-pub mod projection;
 pub mod sizing;
 pub mod tile;
 

@@ -5,7 +5,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cvr_core::quality::{QualityLevel, QualitySet};
+use cvr_core::quality::QualitySet;
 use cvr_core::rate::TabulatedRate;
 use cvr_motion::fov::FovSpec;
 use cvr_motion::pose::Pose;
@@ -25,16 +25,6 @@ pub struct ContentRequest {
     pub tiles: Vec<TileId>,
     /// Per-level delivery rate table `f_c^R(·)`.
     pub rate_table: TabulatedRate,
-}
-
-impl ContentRequest {
-    /// The video IDs of this request at a chosen quality.
-    pub fn video_ids(&self, quality: QualityLevel) -> Vec<VideoId> {
-        self.tiles
-            .iter()
-            .map(|&t| VideoId::new(self.cell, t, quality))
-            .collect()
-    }
 }
 
 /// The pre-rendered content library.
@@ -106,14 +96,6 @@ impl ContentLibrary {
             rate_table,
         }
     }
-
-    /// Total stored database size in gigabytes for bookkeeping against the
-    /// paper's 171 GB figure (`seconds_per_cell` of video per cell).
-    pub fn database_gigabytes(&self, seconds_per_cell: f64) -> f64 {
-        self.sizing
-            .database_bits(self.grid.total_cells(), &self.quality, seconds_per_cell)
-            / 8e9
-    }
 }
 
 impl Default for ContentLibrary {
@@ -125,6 +107,7 @@ impl Default for ContentLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cvr_core::quality::QualityLevel;
     use cvr_core::rate::RateFunction;
     use cvr_motion::pose::{Orientation, Vec3};
 
@@ -140,19 +123,6 @@ mod tests {
         assert_eq!(req.tiles, vec![TileId::new(1), TileId::new(3)]);
         assert!(req.rate_table.is_convex());
         assert_eq!(req.rate_table.max_level(), QualityLevel::new(6));
-    }
-
-    #[test]
-    fn video_ids_follow_quality() {
-        let lib = ContentLibrary::paper_default();
-        let req = lib.request_for(&pose(0.3, 0.3, 90.0, 60.0));
-        let ids = req.video_ids(QualityLevel::new(5));
-        assert_eq!(ids.len(), req.tiles.len());
-        for (id, tile) in ids.iter().zip(&req.tiles) {
-            assert_eq!(id.cell(), req.cell);
-            assert_eq!(id.tile(), *tile);
-            assert_eq!(id.quality().get(), 5);
-        }
     }
 
     #[test]
@@ -199,13 +169,6 @@ mod tests {
         assert!(narrow.tiles.len() < wide.tiles.len());
         let q = QualityLevel::new(4);
         assert!(narrow.rate_table.rate(q) < wide.rate_table.rate(q));
-    }
-
-    #[test]
-    fn database_scale_sanity() {
-        let lib = ContentLibrary::paper_default();
-        let gb = lib.database_gigabytes(0.1);
-        assert!(gb > 10.0 && gb < 2000.0, "database {gb} GB implausible");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use cvr_core::error::ModelError;
 use cvr_core::fnv;
-use cvr_core::quality::{QualityLevel, QualitySet};
+use cvr_core::quality::QualityLevel;
 use cvr_core::rate::TabulatedRate;
 
 use crate::grid::CellId;
@@ -194,23 +194,6 @@ impl TileSizeModel {
             .map(|l| self.content_rate_mbps(cell, tiles, QualityLevel::new(l as u8)))
             .collect();
         TabulatedRate::new(rates).expect("scaled multipliers stay valid")
-    }
-
-    /// Total database size in bits if every cell/tile/level combination of
-    /// a world were encoded and stored for `seconds` of content — the
-    /// reproduction of the paper's "content database capacity is about
-    /// 171 GB" bookkeeping. (The frame rate is already baked into the
-    /// bitrates, so only the stored duration matters.)
-    pub fn database_bits(&self, total_cells: u64, quality_set: &QualitySet, seconds: f64) -> f64 {
-        let per_tile_anchor = self.anchor_delivery_mbps / TYPICAL_TILES_PER_DELIVERY;
-        let sum_multipliers: f64 = quality_set
-            .iter()
-            .map(|l| self.multipliers[l.index()])
-            .sum();
-        let mbps_per_cell = per_tile_anchor * sum_multipliers * f64::from(TileId::COUNT);
-        // Mbps × 1e6 = bits per second of video; each stored video is
-        // `seconds` long.
-        total_cells as f64 * mbps_per_cell * 1e6 * seconds
     }
 }
 
@@ -416,22 +399,6 @@ mod tests {
         let two = m.content_rate_mbps(cell(0, 0), &[TileId::new(0), TileId::new(1)], q);
         let four = m.content_rate_mbps(cell(0, 0), &TileId::all(), q);
         assert!(four > two);
-    }
-
-    #[test]
-    fn database_size_is_paper_scale() {
-        // The paper reports ~171 GB for the Office scene. With our grid
-        // (57 600 cells), 4 tiles, 6 levels and short per-cell clips the
-        // model should land within the same order of magnitude when we
-        // store ~0.1 s per cell video.
-        let m = TileSizeModel::paper_default();
-        let g = crate::grid::GridWorld::paper_default();
-        let bits = m.database_bits(g.total_cells(), &QualitySet::paper_default(), 0.1);
-        let gigabytes = bits / 8e9;
-        assert!(
-            (20.0..2000.0).contains(&gigabytes),
-            "database {gigabytes} GB out of plausible range"
-        );
     }
 
     #[test]

@@ -39,26 +39,6 @@ impl TileId {
     pub fn all() -> [TileId; 4] {
         [TileId(0), TileId(1), TileId(2), TileId(3)]
     }
-
-    /// Yaw interval `[start, end)` covered by this tile, degrees. Tiles 0/2
-    /// cover the western half `[−180, 0)`, tiles 1/3 the eastern `[0, 180)`.
-    pub fn yaw_range(self) -> (f64, f64) {
-        if self.0.is_multiple_of(2) {
-            (-180.0, 0.0)
-        } else {
-            (0.0, 180.0)
-        }
-    }
-
-    /// Pitch interval `[low, high)` covered by this tile, degrees. Tiles
-    /// 0/1 are the top half `[0, 90]`, tiles 2/3 the bottom `[−90, 0)`.
-    pub fn pitch_range(self) -> (f64, f64) {
-        if self.0 < 2 {
-            (0.0, 90.0)
-        } else {
-            (-90.0, 0.0)
-        }
-    }
 }
 
 impl std::fmt::Display for TileId {
@@ -88,12 +68,14 @@ pub fn tile_mask(spec: &FovSpec, pose: &Pose) -> u8 {
     let ends = [wrap_degrees(a0), wrap_degrees(a0 + span)];
     let west = wide || ends.iter().any(|end| (-180.0..0.0).contains(end));
     let east = wide || ends.iter().any(|end| (0.0..180.0).contains(end));
-    TileId::all().into_iter().fold(0, |mask, tile| {
-        let (t_p0, t_p1) = tile.pitch_range();
-        let yaw_overlap = if tile.yaw_range().0 < 0.0 { west } else { east };
-        let pitch_overlap = p_lo < t_p1 && p_hi > t_p0;
-        mask | u8::from(pitch_overlap && yaw_overlap) << tile.0
-    })
+    // Tiles 0/2 are the western half `[−180, 0)`, 1/3 the eastern
+    // `[0, 180)`; tiles 0/1 the top `[0, 90]`, 2/3 the bottom `[−90, 0)`.
+    let top = p_lo < 90.0 && p_hi > 0.0;
+    let bottom = p_lo < 0.0 && p_hi > -90.0;
+    u8::from(top && west)
+        | u8::from(top && east) << 1
+        | u8::from(bottom && west) << 2
+        | u8::from(bottom && east) << 3
 }
 
 /// The set of tiles overlapping the FoV (with margin) around the given
@@ -129,15 +111,20 @@ pub(crate) mod tests {
         Pose::new(Vec3::default(), Orientation::new(yaw, pitch, 0.0))
     }
 
-    #[test]
-    fn tile_ranges_partition_the_sphere() {
-        let mut covered = 0.0;
-        for t in TileId::all() {
-            let (y0, y1) = t.yaw_range();
-            let (p0, p1) = t.pitch_range();
-            covered += (y1 - y0) * (p1 - p0);
-        }
-        assert_eq!(covered, 360.0 * 180.0);
+    /// Yaw `[start, end)` and pitch `[low, high)` covered by `tile`,
+    /// degrees: 0/2 west, 1/3 east; 0/1 top, 2/3 bottom.
+    fn tile_ranges(tile: TileId) -> ((f64, f64), (f64, f64)) {
+        let yaw = if tile.0.is_multiple_of(2) {
+            (-180.0, 0.0)
+        } else {
+            (0.0, 180.0)
+        };
+        let pitch = if tile.0 < 2 {
+            (0.0, 90.0)
+        } else {
+            (-90.0, 0.0)
+        };
+        (yaw, pitch)
     }
 
     #[test]
@@ -227,8 +214,7 @@ pub(crate) mod tests {
         TileId::all()
             .into_iter()
             .filter(|tile| {
-                let (t_p0, t_p1) = tile.pitch_range();
-                let (t_y0, t_y1) = tile.yaw_range();
+                let ((t_y0, t_y1), (t_p0, t_p1)) = tile_ranges(*tile);
                 p_lo < t_p1
                     && p_hi > t_p0
                     && (half_w >= 180.0

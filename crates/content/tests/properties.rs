@@ -69,14 +69,6 @@ proptest! {
     }
 
     #[test]
-    fn grid_cell_contains_its_center(x in -5.9f64..5.9, z in -5.9f64..5.9) {
-        let g = GridWorld::paper_default();
-        let cell = g.cell_of(&Vec3::new(x, 1.7, z));
-        let center = g.cell_center(cell);
-        prop_assert_eq!(g.cell_of(&center), cell);
-    }
-
-    #[test]
     fn server_cache_never_exceeds_capacity(
         capacity in 1usize..64,
         accesses in prop::collection::vec((-50i32..50, 0u8..4, 1u8..=6), 1..300),

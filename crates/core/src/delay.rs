@@ -116,75 +116,6 @@ impl DelayModel for Mm1Delay {
     }
 }
 
-/// The delay-blind model: always zero delay.
-///
-/// Used to build the objective of algorithms that ignore delivery delay —
-/// the paper's "modified PAVQ" folds delay into a rate-independent constant
-/// (which cannot change an argmax), and ablations compare against it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ZeroDelay;
-
-impl ZeroDelay {
-    /// Creates the model.
-    pub fn new() -> Self {
-        ZeroDelay
-    }
-}
-
-impl DelayModel for ZeroDelay {
-    fn delay(&self, _r: f64) -> f64 {
-        0.0
-    }
-}
-
-/// A delay model backed by an explicit per-size table with linear
-/// interpolation, as produced by offline RTT measurement campaigns
-/// (the paper collects 100 000 ping samples to characterise Fig. 1b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TabulatedDelay {
-    /// `(rate, delay)` knots sorted by rate.
-    knots: Vec<(f64, f64)>,
-}
-
-impl TabulatedDelay {
-    /// Creates a tabulated delay model from `(rate, delay)` knots.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::EmptyQualitySet`] for an empty table and
-    /// [`ModelError::NonIncreasingRates`] if the rates are not strictly
-    /// increasing or the delays decrease.
-    pub fn new(mut knots: Vec<(f64, f64)>) -> Result<Self, ModelError> {
-        if knots.is_empty() {
-            return Err(ModelError::EmptyQualitySet);
-        }
-        knots.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (i, pair) in knots.windows(2).enumerate() {
-            if pair[1].0 <= pair[0].0 || pair[1].1 < pair[0].1 {
-                return Err(ModelError::NonIncreasingRates { index: i + 1 });
-            }
-        }
-        Ok(TabulatedDelay { knots })
-    }
-}
-
-impl DelayModel for TabulatedDelay {
-    fn delay(&self, r: f64) -> f64 {
-        let first = self.knots[0];
-        let last = *self.knots.last().expect("nonempty");
-        if r <= first.0 {
-            return first.1;
-        }
-        if r >= last.0 {
-            return last.1;
-        }
-        let idx = self.knots.partition_point(|&(rate, _)| rate < r).max(1);
-        let (r0, d0) = self.knots[idx - 1];
-        let (r1, d1) = self.knots[idx];
-        d0 + (d1 - d0) * (r - r0) / (r1 - r0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,35 +169,5 @@ mod tests {
     fn negative_rate_clamps_to_zero_delay() {
         let d = Mm1Delay::new(10.0).unwrap();
         assert_eq!(d.delay(-5.0), 0.0);
-    }
-
-    #[test]
-    fn zero_delay_is_always_zero() {
-        let d = ZeroDelay::new();
-        assert_eq!(d.delay(0.0), 0.0);
-        assert_eq!(d.delay(1e9), 0.0);
-        assert_eq!(ZeroDelay, ZeroDelay);
-    }
-
-    #[test]
-    fn tabulated_interpolates_and_clamps() {
-        let t = TabulatedDelay::new(vec![(0.0, 0.0), (10.0, 1.0), (20.0, 4.0)]).unwrap();
-        assert_eq!(t.delay(-1.0), 0.0);
-        assert!((t.delay(5.0) - 0.5).abs() < 1e-12);
-        assert!((t.delay(15.0) - 2.5).abs() < 1e-12);
-        assert_eq!(t.delay(25.0), 4.0);
-    }
-
-    #[test]
-    fn tabulated_rejects_malformed() {
-        assert!(TabulatedDelay::new(vec![]).is_err());
-        assert!(TabulatedDelay::new(vec![(0.0, 0.0), (0.0, 1.0)]).is_err());
-        assert!(TabulatedDelay::new(vec![(0.0, 2.0), (1.0, 1.0)]).is_err());
-    }
-
-    #[test]
-    fn tabulated_sorts_input_knots() {
-        let t = TabulatedDelay::new(vec![(10.0, 1.0), (0.0, 0.0)]).unwrap();
-        assert!((t.delay(5.0) - 0.5).abs() < 1e-12);
     }
 }

@@ -156,36 +156,6 @@ impl SlotEngine {
         }
     }
 
-    /// Appends every user of a slot at once — `levels` quality levels
-    /// each, link budgets from `links` — zero-initialising their table
-    /// rows without returning per-user slices. The parallel build path
-    /// stages all users up front with this, then fills the tables through
-    /// disjoint [`SlotEngine::staged_tables_mut`] chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is zero.
-    pub fn add_users(&mut self, levels: usize, links: &[f64]) {
-        assert!(levels > 0, "a user needs at least one quality level");
-        let start = self.rates.len();
-        let end = start + levels * links.len();
-        self.rates.resize(end, 0.0);
-        self.values.resize(end, 0.0);
-        for i in 1..=links.len() {
-            self.offsets.push(start + levels * i);
-        }
-        self.link_budgets.extend_from_slice(links);
-    }
-
-    /// Mutable views of the *entire* staged rate and value tables (all
-    /// users, concatenated in offset order). Callers split these into
-    /// per-user chunks — each user's row occupies
-    /// `offsets[u]..offsets[u + 1]` — so disjoint chunks can be filled
-    /// from different threads.
-    pub fn staged_tables_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        (&mut self.rates, &mut self.values)
-    }
-
     /// Copies an existing validated problem into the engine (convenience
     /// for tests and benchmarks; the simulators fill tables in place).
     pub fn stage_problem(&mut self, problem: &SlotProblem) {
@@ -578,11 +548,10 @@ mod tests {
         struct TopLevel;
         impl Allocator for TopLevel {
             fn allocate(&mut self, problem: &SlotProblem) -> Vec<QualityLevel> {
-                problem
-                    .users()
-                    .iter()
-                    .map(|u| u.max_feasible_level())
-                    .collect()
+                // The highest level within each user's own link budget.
+                let top = |u: &UserSlot| u.rates.iter().rposition(|&r| r <= u.link_budget);
+                let level = |u| QualityLevel::new(top(u).map_or(1, |i| i as u8 + 1));
+                problem.users().iter().map(level).collect()
             }
             fn name(&self) -> &'static str {
                 "top-level"
@@ -600,36 +569,6 @@ mod tests {
         let staged = TopLevel.allocate_staged(&mut engine).to_vec();
         assert_eq!(staged, TopLevel.allocate(&p));
         assert_eq!(engine.assignment(), staged.as_slice());
-    }
-
-    #[test]
-    fn bulk_staging_matches_per_user_staging() {
-        let p = problem(
-            vec![
-                user(&[1.0, 2.0, 4.0], &[0.5, 1.0, 1.2], 3.0),
-                user(&[1.0, 2.5, 5.0], &[0.4, 1.2, 1.5], 6.0),
-                user(&[0.5, 1.5, 2.5], &[0.1, 0.9, 1.1], 4.0),
-            ],
-            6.0,
-        );
-        let mut reference = SlotEngine::new();
-        reference.stage_problem(&p);
-        let expected = reference.solve().to_vec();
-
-        let mut engine = SlotEngine::new();
-        engine.begin_slot(p.server_budget());
-        let links: Vec<f64> = p.users().iter().map(|u| u.link_budget).collect();
-        engine.add_users(3, &links);
-        assert_eq!(engine.num_users(), 3);
-        {
-            let (rates, values) = engine.staged_tables_mut();
-            for (u, slot) in p.users().iter().enumerate() {
-                rates[u * 3..(u + 1) * 3].copy_from_slice(&slot.rates);
-                values[u * 3..(u + 1) * 3].copy_from_slice(&slot.values);
-            }
-        }
-        assert_eq!(engine.solve(), expected.as_slice());
-        assert_eq!(engine.to_problem().unwrap(), p);
     }
 
     #[test]

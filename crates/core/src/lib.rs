@@ -78,7 +78,7 @@ pub mod variance;
 pub mod prelude {
     pub use crate::alloc::{Allocator, DensityGreedy, DensityValueGreedy, ValueGreedy};
     pub use crate::baselines::{FireflyLru, Pavq};
-    pub use crate::delay::{DelayModel, Mm1Delay, TabulatedDelay};
+    pub use crate::delay::{DelayModel, Mm1Delay};
     pub use crate::engine::SlotEngine;
     pub use crate::error::{AllocError, ModelError};
     pub use crate::objective::{QoeParams, SlotProblem, SlotProblemBuilder, UserSlot, RATE_EPS};

@@ -161,18 +161,6 @@ impl UserSlot {
     pub fn levels(&self) -> usize {
         self.rates.len()
     }
-
-    /// The highest level whose rate fits within the user's own link budget
-    /// (always at least level 1, the paper's mandatory baseline).
-    pub fn max_feasible_level(&self) -> QualityLevel {
-        let mut best = 1u8;
-        for (i, &r) in self.rates.iter().enumerate() {
-            if r <= self.link_budget {
-                best = (i + 1) as u8;
-            }
-        }
-        QualityLevel::new(best)
-    }
 }
 
 /// A complete single-slot allocation problem: problem (5)–(7).
@@ -601,22 +589,6 @@ mod tests {
     fn baseline_assignment_is_all_ones() {
         let p = sample_problem();
         assert_eq!(p.baseline_assignment(), vec![QualityLevel::MIN; 2]);
-    }
-
-    #[test]
-    fn max_feasible_level_respects_link() {
-        let u = UserSlot {
-            rates: vec![1.0, 2.0, 4.0],
-            values: vec![0.0; 3],
-            link_budget: 2.5,
-        };
-        assert_eq!(u.max_feasible_level(), QualityLevel::new(2));
-        let tight = UserSlot {
-            rates: vec![5.0],
-            values: vec![0.0],
-            link_budget: 2.0,
-        };
-        assert_eq!(tight.max_feasible_level(), QualityLevel::new(1));
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! * [`fractional_upper_bound`] — the LP/convex-hull relaxation `V_p` from
 //!   the proof of Theorem 1; an upper bound on the integer optimum for any
 //!   instance and solvable in `O(N·L·log)`.
-//! * [`HorizonInstance::exhaustive_optimum`] — tiny-instance enumeration of the *horizon*
-//!   problem (1)–(3) with deterministic prediction, used to measure the
-//!   decomposition gap (Eq. 8) in tests.
+//!
+//! The tests also solve the *horizon* problem (1)–(3) on tiny instances,
+//! by enumeration and by a single-user DP, to measure the decomposition
+//! gap of Eq. (8).
 
 use crate::error::AllocError;
 use crate::objective::SlotProblem;
 use crate::quality::QualityLevel;
-use crate::variance::VarianceTracker;
 
 /// Hard cap on exact-solver instance size; beyond this the search space is
 /// too large to guarantee a timely answer.
@@ -409,221 +409,12 @@ pub fn fractional_upper_bound(problem: &SlotProblem) -> f64 {
     value
 }
 
-/// One tiny-instance horizon problem for validating the decomposition:
-/// deterministic prediction (`δ = 1`), fixed per-slot budgets.
-#[derive(Debug, Clone)]
-pub struct HorizonInstance {
-    /// Per-slot problems (all users present in each; the per-slot `values`
-    /// tables are ignored — the horizon objective is computed from scratch).
-    pub rates: Vec<Vec<f64>>,
-    /// Per-user link budgets, constant over the horizon.
-    pub link_budgets: Vec<f64>,
-    /// Per-slot server budgets `B(t)`.
-    pub server_budgets: Vec<f64>,
-    /// Per-user, per-level delay `d_n(f^R(q))`, constant over the horizon.
-    pub delays: Vec<Vec<f64>>,
-    /// QoE weights.
-    pub alpha: f64,
-    /// QoE weights.
-    pub beta: f64,
-}
-
-impl HorizonInstance {
-    /// Total horizon QoE (1) of a sequence of assignments (slot-major),
-    /// with deterministic prediction.
-    pub fn horizon_qoe(&self, plan: &[Vec<usize>]) -> f64 {
-        let n = self.rates.len();
-        let t_len = plan.len();
-        let mut total = 0.0;
-        #[allow(clippy::needless_range_loop)] // `u` indexes the inner axis of `plan`
-        for u in 0..n {
-            let viewed: Vec<f64> = (0..t_len).map(|t| (plan[t][u] + 1) as f64).collect();
-            let mean = viewed.iter().sum::<f64>() / t_len as f64;
-            let var = viewed.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / t_len as f64;
-            let quality: f64 = viewed.iter().sum();
-            let delay: f64 = (0..t_len).map(|t| self.delays[u][plan[t][u]]).sum();
-            total += quality - self.alpha * delay - self.beta * (t_len as f64) * var;
-        }
-        total
-    }
-
-    /// Enumerates all feasible plans and returns the best horizon QoE.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError::TooLarge`] when `L^(N·T)` exceeds one million
-    /// combinations.
-    pub fn exhaustive_optimum(&self, horizon: usize) -> Result<f64, AllocError> {
-        let n = self.rates.len();
-        let l = self.rates[0].len();
-        let combos = (l as f64).powi((n * horizon) as i32);
-        if combos > 1e6 {
-            return Err(AllocError::TooLarge {
-                users: n * horizon,
-                max_users: 20,
-            });
-        }
-        let mut plan = vec![vec![0usize; n]; horizon];
-        let mut best = f64::NEG_INFINITY;
-        loop {
-            // Feasibility.
-            let mut ok = true;
-            'outer: for (t, slot) in plan.iter().enumerate() {
-                let mut total = 0.0;
-                for (u, &q) in slot.iter().enumerate() {
-                    let r = self.rates[u][q];
-                    if q > 0 && r > self.link_budgets[u] {
-                        ok = false;
-                        break 'outer;
-                    }
-                    total += r;
-                }
-                if total > self.server_budgets[t] + 1e-12 {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                best = best.max(self.horizon_qoe(&plan));
-            }
-            // Odometer.
-            let mut t = 0;
-            let mut u = 0;
-            loop {
-                if t == horizon {
-                    return Ok(best);
-                }
-                plan[t][u] += 1;
-                if plan[t][u] < l {
-                    break;
-                }
-                plan[t][u] = 0;
-                u += 1;
-                if u == n {
-                    u = 0;
-                    t += 1;
-                }
-            }
-        }
-    }
-
-    /// Runs the paper's per-slot decomposition greedily (with exact per-slot
-    /// solves) and returns the achieved horizon QoE — the `QoE^(T)` of
-    /// Eq. (8)'s left side.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AllocError`] from problem construction or the solver.
-    pub fn decomposed_qoe(&self, horizon: usize) -> Result<f64, AllocError> {
-        use crate::objective::{SlotProblem, UserSlot};
-        let n = self.rates.len();
-        let mut trackers = vec![VarianceTracker::new(); n];
-        let mut plan: Vec<Vec<usize>> = Vec::with_capacity(horizon);
-        for t in 0..horizon {
-            let users: Vec<UserSlot> = (0..n)
-                .map(|u| {
-                    let values: Vec<f64> = self.rates[u]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, _)| {
-                            let q = (i + 1) as f64;
-                            q - self.alpha * self.delays[u][i]
-                                - self.beta * trackers[u].expected_penalty(q, 1.0)
-                        })
-                        .collect();
-                    UserSlot {
-                        rates: self.rates[u].clone(),
-                        values,
-                        link_budget: self.link_budgets[u],
-                    }
-                })
-                .collect();
-            let problem = SlotProblem::new(users, self.server_budgets[t])?;
-            let solution = exact_slot_optimum(&problem)?;
-            for (u, q) in solution.assignment.iter().enumerate() {
-                trackers[u].push(q.value());
-            }
-            plan.push(solution.assignment.iter().map(|q| q.index()).collect());
-        }
-        Ok(self.horizon_qoe(&plan))
-    }
-}
-
-impl HorizonInstance {
-    /// Exact horizon optimum for a **single user** by dynamic programming —
-    /// the approach the paper notes for the offline problem ("can be
-    /// obtained via the dynamic programming approach").
-    ///
-    /// With deterministic prediction the horizon QoE decomposes as
-    /// `Σ q_t − α Σ d_t − β (Σ q_t² − (Σ q_t)²/T)`: every term is additive
-    /// except `(Σ q_t)²/T`, so the accumulated quality sum is a sufficient
-    /// DP state. States are integers in `[t, L·t]`, giving `O(T²·L²)` time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError::TooLarge`] unless the instance has exactly one
-    /// user (multi-user joint state grows exponentially; use
-    /// [`HorizonInstance::exhaustive_optimum`] for tiny multi-user cases).
-    pub fn single_user_dp(&self, horizon: usize) -> Result<f64, AllocError> {
-        if self.rates.len() != 1 {
-            return Err(AllocError::TooLarge {
-                users: self.rates.len(),
-                max_users: 1,
-            });
-        }
-        let levels = self.rates[0].len();
-        let max_sum = levels * horizon;
-        const NEG: f64 = f64::NEG_INFINITY;
-
-        // value[s] = max over feasible prefixes with quality-sum s of
-        // Σ(−α d − β q²) … plus Σq added at the end via s itself.
-        let mut value = vec![NEG; max_sum + 1];
-        value[0] = 0.0;
-        for t in 0..horizon {
-            let mut next = vec![NEG; max_sum + 1];
-            for (s, &v) in value.iter().enumerate() {
-                if v == NEG {
-                    continue;
-                }
-                for q in 1..=levels {
-                    let rate = self.rates[0][q - 1];
-                    if (q > 1 && rate > self.link_budgets[0]) || rate > self.server_budgets[t] {
-                        continue;
-                    }
-                    let ns = s + q;
-                    let gain = -self.alpha * self.delays[0][q - 1] - self.beta * (q * q) as f64;
-                    if v + gain > next[ns] {
-                        next[ns] = v + gain;
-                    }
-                }
-            }
-            value = next;
-        }
-
-        let t = horizon as f64;
-        let mut best = NEG;
-        for (s, &v) in value.iter().enumerate() {
-            if v == NEG {
-                continue;
-            }
-            let sum = s as f64;
-            let total = sum + v + self.beta * sum * sum / t;
-            if total > best {
-                best = total;
-            }
-        }
-        if best == NEG {
-            return Err(AllocError::NoUsers);
-        }
-        Ok(best)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alloc::{Allocator, DensityValueGreedy};
     use crate::objective::UserSlot;
+    use crate::variance::VarianceTracker;
 
     fn problem(users: Vec<UserSlot>, budget: f64) -> SlotProblem {
         SlotProblem::new(users, budget).unwrap()
@@ -874,5 +665,216 @@ mod tests {
         let ex = exhaustive_slot_optimum(&p).unwrap();
         assert!(bb.nodes > 0);
         assert!(ex.nodes >= 6); // 2 × 3 feasible combinations (link caps user 0)
+    }
+
+    /// One tiny-instance horizon problem for validating the decomposition:
+    /// deterministic prediction (`δ = 1`), fixed per-slot budgets.
+    #[derive(Debug, Clone)]
+    struct HorizonInstance {
+        /// Per-slot problems (all users present in each; the per-slot `values`
+        /// tables are ignored — the horizon objective is computed from scratch).
+        rates: Vec<Vec<f64>>,
+        /// Per-user link budgets, constant over the horizon.
+        link_budgets: Vec<f64>,
+        /// Per-slot server budgets `B(t)`.
+        server_budgets: Vec<f64>,
+        /// Per-user, per-level delay `d_n(f^R(q))`, constant over the horizon.
+        delays: Vec<Vec<f64>>,
+        /// QoE weights.
+        alpha: f64,
+        /// QoE weights.
+        beta: f64,
+    }
+
+    impl HorizonInstance {
+        /// Total horizon QoE (1) of a sequence of assignments (slot-major),
+        /// with deterministic prediction.
+        fn horizon_qoe(&self, plan: &[Vec<usize>]) -> f64 {
+            let n = self.rates.len();
+            let t_len = plan.len();
+            let mut total = 0.0;
+            #[allow(clippy::needless_range_loop)] // `u` indexes the inner axis of `plan`
+            for u in 0..n {
+                let viewed: Vec<f64> = (0..t_len).map(|t| (plan[t][u] + 1) as f64).collect();
+                let mean = viewed.iter().sum::<f64>() / t_len as f64;
+                let var =
+                    viewed.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / t_len as f64;
+                let quality: f64 = viewed.iter().sum();
+                let delay: f64 = (0..t_len).map(|t| self.delays[u][plan[t][u]]).sum();
+                total += quality - self.alpha * delay - self.beta * (t_len as f64) * var;
+            }
+            total
+        }
+
+        /// Enumerates all feasible plans and returns the best horizon QoE.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`AllocError::TooLarge`] when `L^(N·T)` exceeds one million
+        /// combinations.
+        fn exhaustive_optimum(&self, horizon: usize) -> Result<f64, AllocError> {
+            let n = self.rates.len();
+            let l = self.rates[0].len();
+            let combos = (l as f64).powi((n * horizon) as i32);
+            if combos > 1e6 {
+                return Err(AllocError::TooLarge {
+                    users: n * horizon,
+                    max_users: 20,
+                });
+            }
+            let mut plan = vec![vec![0usize; n]; horizon];
+            let mut best = f64::NEG_INFINITY;
+            loop {
+                // Feasibility.
+                let mut ok = true;
+                'outer: for (t, slot) in plan.iter().enumerate() {
+                    let mut total = 0.0;
+                    for (u, &q) in slot.iter().enumerate() {
+                        let r = self.rates[u][q];
+                        if q > 0 && r > self.link_budgets[u] {
+                            ok = false;
+                            break 'outer;
+                        }
+                        total += r;
+                    }
+                    if total > self.server_budgets[t] + 1e-12 {
+                        ok = false;
+                        break;
+                    }
+                }
+                if ok {
+                    best = best.max(self.horizon_qoe(&plan));
+                }
+                // Odometer.
+                let mut t = 0;
+                let mut u = 0;
+                loop {
+                    if t == horizon {
+                        return Ok(best);
+                    }
+                    plan[t][u] += 1;
+                    if plan[t][u] < l {
+                        break;
+                    }
+                    plan[t][u] = 0;
+                    u += 1;
+                    if u == n {
+                        u = 0;
+                        t += 1;
+                    }
+                }
+            }
+        }
+
+        /// Runs the paper's per-slot decomposition greedily (with exact per-slot
+        /// solves) and returns the achieved horizon QoE — the `QoE^(T)` of
+        /// Eq. (8)'s left side.
+        ///
+        /// # Errors
+        ///
+        /// Propagates [`AllocError`] from problem construction or the solver.
+        fn decomposed_qoe(&self, horizon: usize) -> Result<f64, AllocError> {
+            use crate::objective::{SlotProblem, UserSlot};
+            let n = self.rates.len();
+            let mut trackers = vec![VarianceTracker::new(); n];
+            let mut plan: Vec<Vec<usize>> = Vec::with_capacity(horizon);
+            for t in 0..horizon {
+                let users: Vec<UserSlot> = (0..n)
+                    .map(|u| {
+                        let values: Vec<f64> = self.rates[u]
+                            .iter()
+                            .enumerate()
+                            .map(|(i, _)| {
+                                let q = (i + 1) as f64;
+                                q - self.alpha * self.delays[u][i]
+                                    - self.beta * trackers[u].expected_penalty(q, 1.0)
+                            })
+                            .collect();
+                        UserSlot {
+                            rates: self.rates[u].clone(),
+                            values,
+                            link_budget: self.link_budgets[u],
+                        }
+                    })
+                    .collect();
+                let problem = SlotProblem::new(users, self.server_budgets[t])?;
+                let solution = exact_slot_optimum(&problem)?;
+                for (u, q) in solution.assignment.iter().enumerate() {
+                    trackers[u].push(q.value());
+                }
+                plan.push(solution.assignment.iter().map(|q| q.index()).collect());
+            }
+            Ok(self.horizon_qoe(&plan))
+        }
+    }
+
+    impl HorizonInstance {
+        /// Exact horizon optimum for a **single user** by dynamic programming —
+        /// the approach the paper notes for the offline problem ("can be
+        /// obtained via the dynamic programming approach").
+        ///
+        /// With deterministic prediction the horizon QoE decomposes as
+        /// `Σ q_t − α Σ d_t − β (Σ q_t² − (Σ q_t)²/T)`: every term is additive
+        /// except `(Σ q_t)²/T`, so the accumulated quality sum is a sufficient
+        /// DP state. States are integers in `[t, L·t]`, giving `O(T²·L²)` time.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`AllocError::TooLarge`] unless the instance has exactly one
+        /// user (multi-user joint state grows exponentially; use
+        /// [`HorizonInstance::exhaustive_optimum`] for tiny multi-user cases).
+        fn single_user_dp(&self, horizon: usize) -> Result<f64, AllocError> {
+            if self.rates.len() != 1 {
+                return Err(AllocError::TooLarge {
+                    users: self.rates.len(),
+                    max_users: 1,
+                });
+            }
+            let levels = self.rates[0].len();
+            let max_sum = levels * horizon;
+            const NEG: f64 = f64::NEG_INFINITY;
+
+            // value[s] = max over feasible prefixes with quality-sum s of
+            // Σ(−α d − β q²) … plus Σq added at the end via s itself.
+            let mut value = vec![NEG; max_sum + 1];
+            value[0] = 0.0;
+            for t in 0..horizon {
+                let mut next = vec![NEG; max_sum + 1];
+                for (s, &v) in value.iter().enumerate() {
+                    if v == NEG {
+                        continue;
+                    }
+                    for q in 1..=levels {
+                        let rate = self.rates[0][q - 1];
+                        if (q > 1 && rate > self.link_budgets[0]) || rate > self.server_budgets[t] {
+                            continue;
+                        }
+                        let ns = s + q;
+                        let gain = -self.alpha * self.delays[0][q - 1] - self.beta * (q * q) as f64;
+                        if v + gain > next[ns] {
+                            next[ns] = v + gain;
+                        }
+                    }
+                }
+                value = next;
+            }
+
+            let t = horizon as f64;
+            let mut best = NEG;
+            for (s, &v) in value.iter().enumerate() {
+                if v == NEG {
+                    continue;
+                }
+                let sum = s as f64;
+                let total = sum + v + self.beta * sum * sum / t;
+                if total > best {
+                    best = total;
+                }
+            }
+            if best == NEG {
+                return Err(AllocError::NoUsers);
+            }
+            Ok(best)
+        }
     }
 }

@@ -55,11 +55,6 @@ impl QualityLevel {
         QualityLevel(self.0 + 1)
     }
 
-    /// The next level down, saturating at the minimum level 1.
-    pub fn prev(self) -> QualityLevel {
-        QualityLevel(self.0.saturating_sub(1).max(1))
-    }
-
     /// The quality value as a floating-point number, as used in the QoE
     /// objective (the paper treats the level itself as the quality utility).
     pub fn value(self) -> f64 {
@@ -95,8 +90,7 @@ impl From<QualityLevel> for u8 {
 ///
 /// let qs = QualitySet::paper_default();
 /// assert_eq!(qs.len(), 6);
-/// // Level 6 (best) maps to the smallest CRF, 15.
-/// assert_eq!(qs.crf(qs.max_level()), 15);
+/// assert_eq!(qs.max_level().get(), 6);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QualitySet {
@@ -148,15 +142,6 @@ impl QualitySet {
         QualityLevel(self.crf_by_level.len() as u8)
     }
 
-    /// The CRF value for `level`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is outside this set.
-    pub fn crf(&self, level: QualityLevel) -> u8 {
-        self.crf_by_level[level.index()]
-    }
-
     /// Checks that `level` belongs to this set.
     ///
     /// # Errors
@@ -194,8 +179,11 @@ mod tests {
         let qs = QualitySet::paper_default();
         assert_eq!(qs.len(), 6);
         assert!(!qs.is_empty());
-        let crfs: Vec<u8> = qs.iter().map(|l| qs.crf(l)).collect();
-        assert_eq!(crfs, vec![35, 31, 27, 23, 19, 15]);
+        assert_eq!(
+            qs,
+            QualitySet::from_crf_values(vec![35, 31, 27, 23, 19, 15]).unwrap()
+        );
+        assert_eq!(qs.iter().last(), Some(qs.max_level()));
     }
 
     #[test]
@@ -203,8 +191,6 @@ mod tests {
         assert!(QualityLevel::new(6) > QualityLevel::new(1));
         assert_eq!(QualityLevel::new(3).value(), 3.0);
         assert_eq!(QualityLevel::new(3).next(), QualityLevel::new(4));
-        assert_eq!(QualityLevel::new(3).prev(), QualityLevel::new(2));
-        assert_eq!(QualityLevel::new(1).prev(), QualityLevel::new(1));
     }
 
     #[test]

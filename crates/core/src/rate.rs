@@ -106,11 +106,6 @@ impl TabulatedRate {
     pub fn as_slice(&self) -> &[f64] {
         &self.rates
     }
-
-    /// Consumes the table and returns the per-level rates.
-    pub fn into_inner(self) -> Vec<f64> {
-        self.rates
-    }
 }
 
 impl RateFunction for TabulatedRate {
@@ -184,6 +179,5 @@ mod tests {
         let rates = vec![1.0, 2.5, 5.0];
         let f = TabulatedRate::new(rates.clone()).unwrap();
         assert_eq!(f.as_slice(), rates.as_slice());
-        assert_eq!(f.into_inner(), rates);
     }
 }

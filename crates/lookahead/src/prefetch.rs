@@ -71,11 +71,6 @@ impl Prefetcher {
         Prefetcher::default()
     }
 
-    /// Number of cells with outstanding prefetched tiles.
-    pub fn outstanding_cells(&self) -> usize {
-        self.outstanding.len()
-    }
-
     /// Total outstanding prefetched tiles across all cells.
     pub fn outstanding_tiles(&self) -> usize {
         self.outstanding.iter().map(|(_, ids)| ids.len()).sum()
@@ -167,7 +162,7 @@ mod tests {
         assert!(p.contains(&id(1, 0, 0)));
         p.reconcile(b, &[], &mut released);
         assert!(released.is_empty(), "arrival must keep the ledger entries");
-        assert_eq!(p.outstanding_cells(), 0);
+        assert_eq!(p.outstanding_tiles(), 0);
         assert!(!p.contains(&id(1, 0, 0)));
     }
 

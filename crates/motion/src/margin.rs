@@ -80,11 +80,6 @@ impl AdaptiveMargin {
         }
     }
 
-    /// Number of recorded errors in the window.
-    pub fn observed(&self) -> usize {
-        self.window.len()
-    }
-
     /// The current margin: the configured error quantile plus the pad,
     /// clamped. Before any observation, the maximum (be conservative until
     /// the user's predictability is known).
@@ -108,7 +103,6 @@ mod tests {
     fn conservative_before_data() {
         let m = AdaptiveMargin::paper_compatible();
         assert_eq!(m.margin_deg(), 15.0);
-        assert_eq!(m.observed(), 0);
     }
 
     #[test]
@@ -142,7 +136,6 @@ mod tests {
         let low = m.margin_deg();
         assert!(high > 25.0, "high margin {high}");
         assert!(low < 5.0, "low margin {low}");
-        assert_eq!(m.observed(), 64);
     }
 
     #[test]

@@ -28,11 +28,6 @@ impl Vec3 {
         (dx * dx + dy * dy + dz * dz).sqrt()
     }
 
-    /// Component-wise addition.
-    pub fn add(&self, other: &Vec3) -> Vec3 {
-        Vec3::new(self.x + other.x, self.y + other.y, self.z + other.z)
-    }
-
     /// Scales every component by `k`.
     pub fn scale(&self, k: f64) -> Vec3 {
         Vec3::new(self.x * k, self.y * k, self.z * k)
@@ -133,7 +128,6 @@ mod tests {
         let a = Vec3::new(1.0, 2.0, 3.0);
         let b = Vec3::new(4.0, 6.0, 3.0);
         assert!((a.distance(&b) - 5.0).abs() < 1e-12);
-        assert_eq!(a.add(&b), Vec3::new(5.0, 8.0, 6.0));
         assert_eq!(a.scale(2.0), Vec3::new(2.0, 4.0, 6.0));
         assert_eq!(Vec3::default(), Vec3::new(0.0, 0.0, 0.0));
     }

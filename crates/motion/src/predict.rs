@@ -76,11 +76,6 @@ impl LinearPredictor {
         LinearPredictor::new(8)
     }
 
-    /// Number of poses observed so far (capped at the window length).
-    pub fn observed(&self) -> usize {
-        self.history.len()
-    }
-
     /// Feeds the pose measured in the current slot.
     pub fn observe(&mut self, pose: &Pose) {
         let mut c = pose.components();
@@ -263,7 +258,6 @@ mod tests {
         for t in 0..3 {
             p.observe(&linear_pose(t as f64));
         }
-        assert_eq!(p.observed(), 3);
         let predicted = p.predict(1).unwrap();
         let truth = linear_pose(3.0);
         assert!((predicted.position.x - truth.position.x).abs() < 1e-9);
@@ -275,7 +269,6 @@ mod tests {
         p.observe(&linear_pose(0.0));
         p.observe(&linear_pose(1.0));
         p.reset();
-        assert_eq!(p.observed(), 0);
         assert!(p.predict(1).is_none());
     }
 

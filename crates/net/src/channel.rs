@@ -1,104 +1,13 @@
-//! Packet channels: the RTP-over-UDP-like data path and the TCP-like
-//! reliable ACK path of the paper's communication protocol (Section V).
+//! The TCP-like reliable ACK path of the paper's communication protocol
+//! (Section V).
 //!
-//! The system streams tiles over RTP (built on UDP) to dodge TCP's rate
-//! control, and sends acknowledgements back over TCP so the server can
-//! suppress retransmission of tiles the client already holds. Here both
-//! are modelled at the transfer granularity a discrete-event simulator
-//! needs: a serialising link with propagation delay, random loss on the
-//! unreliable path, and geometric retransmission latency on the reliable
-//! path.
+//! The system sends acknowledgements back over TCP so the server can
+//! suppress retransmission of tiles the client already holds. Here that
+//! path is modelled at the transfer granularity a discrete-event
+//! simulator needs: geometric retransmission latency.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// Outcome of handing one transfer to a channel.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Delivery {
-    /// When the receiver has the complete transfer; `None` if it was lost
-    /// (unreliable channel only).
-    pub arrival_s: Option<f64>,
-    /// When the link finishes serialising the transfer (airtime is consumed
-    /// even by lost packets).
-    pub link_free_s: f64,
-}
-
-/// An unreliable, serialising link: the RTP/UDP tile path.
-///
-/// # Examples
-///
-/// ```
-/// use cvr_net::channel::RtpChannel;
-///
-/// let mut ch = RtpChannel::new(0.0, 0.002, 7);
-/// let d = ch.send(1.0, 0.0, 50.0); // 1 Mbit at 50 Mbps
-/// assert!((d.arrival_s.unwrap() - 0.022).abs() < 1e-9); // 20 ms tx + 2 ms prop
-/// ```
-#[derive(Debug, Clone)]
-pub struct RtpChannel {
-    loss_probability: f64,
-    propagation_s: f64,
-    busy_until_s: f64,
-    rng: ChaCha8Rng,
-}
-
-impl RtpChannel {
-    /// Creates the channel with a packet/transfer loss probability and a
-    /// one-way propagation delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss_probability` is outside `[0, 1]` or the propagation
-    /// delay is negative.
-    pub fn new(loss_probability: f64, propagation_s: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&loss_probability),
-            "loss must be a probability"
-        );
-        assert!(propagation_s >= 0.0, "propagation must be non-negative");
-        RtpChannel {
-            loss_probability,
-            propagation_s,
-            busy_until_s: 0.0,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-        }
-    }
-
-    /// Sends `size_mbit` at `now_s` over a link currently capable of
-    /// `capacity_mbps`. Transfers queue behind earlier ones (FIFO
-    /// serialisation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_mbps` is not positive.
-    pub fn send(&mut self, size_mbit: f64, now_s: f64, capacity_mbps: f64) -> Delivery {
-        assert!(capacity_mbps > 0.0, "capacity must be positive");
-        let start = now_s.max(self.busy_until_s);
-        let tx = size_mbit.max(0.0) / capacity_mbps;
-        let done = start + tx;
-        self.busy_until_s = done;
-        let lost = self.rng.gen_bool(self.loss_probability);
-        Delivery {
-            arrival_s: if lost {
-                None
-            } else {
-                Some(done + self.propagation_s)
-            },
-            link_free_s: done,
-        }
-    }
-
-    /// When the link becomes idle.
-    pub fn busy_until(&self) -> f64 {
-        self.busy_until_s
-    }
-
-    /// Clears queued airtime (e.g. on a slot boundary when stale tiles are
-    /// dropped rather than sent late).
-    pub fn reset_queue(&mut self, now_s: f64) {
-        self.busy_until_s = now_s;
-    }
-}
 
 /// A reliable feedback path: the TCP ACK channel.
 ///
@@ -152,66 +61,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lossless_delivery_time_is_tx_plus_propagation() {
-        let mut ch = RtpChannel::new(0.0, 0.005, 1);
-        let d = ch.send(2.0, 1.0, 100.0);
-        assert_eq!(d.arrival_s, Some(1.0 + 0.02 + 0.005));
-        assert_eq!(d.link_free_s, 1.02);
-    }
-
-    #[test]
-    fn transfers_serialise_fifo() {
-        let mut ch = RtpChannel::new(0.0, 0.0, 1);
-        let a = ch.send(1.0, 0.0, 10.0); // busy until 0.1
-        let b = ch.send(1.0, 0.0, 10.0); // queues: 0.1..0.2
-        assert_eq!(a.arrival_s, Some(0.1));
-        assert_eq!(b.arrival_s, Some(0.2));
-        assert_eq!(ch.busy_until(), 0.2);
-    }
-
-    #[test]
-    fn idle_gap_does_not_queue() {
-        let mut ch = RtpChannel::new(0.0, 0.0, 1);
-        ch.send(1.0, 0.0, 10.0);
-        let late = ch.send(1.0, 5.0, 10.0);
-        assert_eq!(late.arrival_s, Some(5.1));
-    }
-
-    #[test]
-    fn loss_rate_is_respected_and_airtime_still_consumed() {
-        let mut ch = RtpChannel::new(0.3, 0.0, 99);
-        let mut lost = 0;
-        let n = 20_000;
-        for i in 0..n {
-            let d = ch.send(0.001, i as f64, 1000.0);
-            assert!(d.link_free_s > i as f64);
-            if d.arrival_s.is_none() {
-                lost += 1;
-            }
-        }
-        let rate = lost as f64 / n as f64;
-        assert!((rate - 0.3).abs() < 0.02, "loss rate {rate}");
-    }
-
-    #[test]
-    fn reset_queue_clears_backlog() {
-        let mut ch = RtpChannel::new(0.0, 0.0, 1);
-        ch.send(100.0, 0.0, 1.0); // busy for 100 s
-        ch.reset_queue(0.5);
-        let d = ch.send(1.0, 0.5, 10.0);
-        assert_eq!(d.arrival_s, Some(0.6));
-    }
-
-    #[test]
-    fn deterministic_for_equal_seeds() {
-        let mut a = RtpChannel::new(0.5, 0.0, 7);
-        let mut b = RtpChannel::new(0.5, 0.0, 7);
-        for i in 0..100 {
-            assert_eq!(a.send(0.1, i as f64, 10.0), b.send(0.1, i as f64, 10.0));
-        }
-    }
-
-    #[test]
     fn ack_always_arrives() {
         let mut ch = AckChannel::new(0.4, 0.002, 0.05, 11);
         for i in 0..1000 {
@@ -232,12 +81,6 @@ mod tests {
         assert!((clean_avg - 0.002).abs() < 1e-12);
         // Expected retransmissions: p/(1−p) = 1 → +50 ms on average.
         assert!(lossy_avg > 0.03);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn rtp_rejects_bad_loss() {
-        let _ = RtpChannel::new(1.5, 0.0, 0);
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //!   while the radio re-attaches, between otherwise LTE-like wander.
 //! * [`Pathology::Bufferbloat`] — RLC bufferbloat: a modest stable
 //!   capacity that the workload saturates; the latency inflation comes
-//!   from [`BufferbloatQueue`], which composes with the
-//!   [`crate::queueing`] models.
+//!   from [`BufferbloatQueue`].
 //! * [`Pathology::FlashCrowd`] — flash-crowd airtime contention: a
 //!   shared link whose capacity is split across a seeded, time-varying
 //!   number of co-located contenders.
@@ -31,7 +30,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::queueing::RttSampler;
 use crate::trace::ThroughputTrace;
 
 /// The five correlated impairment classes of the scenario matrix.
@@ -68,11 +66,6 @@ impl Pathology {
             Pathology::Bufferbloat => "bufferbloat",
             Pathology::FlashCrowd => "flash-crowd",
         }
-    }
-
-    /// Parses a [`Pathology::label`] back into the pathology.
-    pub fn from_label(label: &str) -> Option<Pathology> {
-        Pathology::ALL.into_iter().find(|p| p.label() == label)
     }
 }
 
@@ -348,9 +341,6 @@ impl ImpairmentConfig {
 /// arrival is `backlog / capacity`. The buffer is deliberately deep
 /// (operator RLC buffers routinely hold seconds of data), so latency is
 /// *monotone in queue depth* rather than bounded by loss.
-///
-/// This composes with [`crate::queueing`]: [`BufferbloatQueue::inflated_rtt_ms`]
-/// adds the bloat sojourn on top of the M/M/1 mean of an [`RttSampler`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BufferbloatQueue {
     backlog_mbit: f64,
@@ -399,12 +389,6 @@ impl BufferbloatQueue {
     pub fn delay_s(&self, capacity_mbps: f64) -> f64 {
         self.backlog_mbit / capacity_mbps.max(1e-6)
     }
-
-    /// The Fig. 1b composition: the M/M/1 mean RTT of `sampler` at
-    /// `rate_mbps`, inflated by the bloat sojourn at `capacity_mbps`.
-    pub fn inflated_rtt_ms(&self, sampler: &RttSampler, rate_mbps: f64, capacity_mbps: f64) -> f64 {
-        sampler.mean_rtt_ms(rate_mbps) + self.delay_s(capacity_mbps) * 1000.0
-    }
 }
 
 #[cfg(test)]
@@ -413,14 +397,6 @@ mod tests {
 
     fn paper(p: Pathology) -> ImpairmentConfig {
         ImpairmentConfig::paper_default(p)
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for p in Pathology::ALL {
-            assert_eq!(Pathology::from_label(p.label()), Some(p));
-        }
-        assert_eq!(Pathology::from_label("nope"), None);
     }
 
     #[test]
@@ -516,17 +492,5 @@ mod tests {
         }
         assert_eq!(q.backlog_mbit(), 0.0);
         assert_eq!(q.delay_s(30.0), 0.0);
-    }
-
-    #[test]
-    fn bufferbloat_composes_with_the_rtt_sampler() {
-        let sampler = RttSampler::new(30.0, 1);
-        let mut q = BufferbloatQueue::rlc_default();
-        let clean = q.inflated_rtt_ms(&sampler, 10.0, 30.0);
-        for _ in 0..120 {
-            q.step(60.0, 30.0, 1.0 / 60.0);
-        }
-        let bloated = q.inflated_rtt_ms(&sampler, 10.0, 30.0);
-        assert!(bloated > clean + 100.0, "bloat must inflate RTT");
     }
 }

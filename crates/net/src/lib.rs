@@ -2,10 +2,9 @@
 //!
 //! Network substrate for the collaborative VR reproduction: synthetic
 //! throughput traces standing in for the FCC and Ghent 4G/LTE datasets,
-//! M/M/1 RTT characterisation (Fig. 1b) and Linux-`tc`-style token-bucket
-//! throttling, online EMA/polynomial estimators used in the real system's
-//! control loop, RTP/ACK packet channels, and wireless routers with
-//! co-channel interference.
+//! M/M/1 RTT characterisation (Fig. 1b), online EMA/polynomial estimators
+//! used in the real system's control loop, the ACK channel, and wireless
+//! routers with co-channel interference.
 //!
 //! ```
 //! use cvr_net::trace::{TraceGeneratorConfig, TraceProfile};
@@ -27,12 +26,12 @@ pub mod queueing;
 pub mod router;
 pub mod trace;
 
-pub use channel::{AckChannel, Delivery, RtpChannel};
+pub use channel::AckChannel;
 pub use estimate::{
     BandwidthEstimator, EmaEstimator, HarmonicMeanEstimator, PolyRegression, SlidingMeanEstimator,
 };
 pub use impair::{BufferbloatQueue, ImpairmentConfig, Pathology};
 pub use multilink::{BondedLink, FailoverPolicy, LinkId, LinkSample};
-pub use queueing::{RttSampler, TokenBucket};
-pub use router::{fair_share, InterferenceMode, WirelessRouter};
+pub use queueing::RttSampler;
+pub use router::{InterferenceMode, WirelessRouter};
 pub use trace::{ThroughputTrace, TraceCsvError, TraceGeneratorConfig, TraceProfile};

@@ -1,5 +1,5 @@
 //! Queueing behaviour of the wireless hop: RTT sampling for the Fig. 1b
-//! characterisation and a token-bucket throttle emulating Linux `tc`.
+//! characterisation.
 //!
 //! Fig. 1b of the paper caps a link at 15 Mbps, sends at increasing rates,
 //! and collects 100 000 ping RTTs, observing that the mean RTT is convex
@@ -11,7 +11,6 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Samples round-trip times for a link with a fixed capacity under a given
 /// offered load.
@@ -74,86 +73,6 @@ impl RttSampler {
     }
 }
 
-/// A token-bucket rate limiter, emulating the Linux `tc` throttles the
-/// paper applies per phone (40–60 Mbps guidelines).
-///
-/// # Examples
-///
-/// ```
-/// use cvr_net::queueing::TokenBucket;
-///
-/// let mut tb = TokenBucket::new(10.0, 2.0); // 10 Mbps, 2 Mbit burst
-/// assert!(tb.try_send(2.0, 0.0));           // burst fits
-/// assert!(!tb.try_send(1.0, 0.0));          // drained
-/// assert!(tb.try_send(1.0, 0.1));           // refilled after 100 ms
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TokenBucket {
-    rate_mbps: f64,
-    burst_mbit: f64,
-    tokens_mbit: f64,
-    last_time_s: f64,
-}
-
-impl TokenBucket {
-    /// Creates a bucket refilling at `rate_mbps` with capacity
-    /// `burst_mbit` megabits, starting full at time zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is non-positive.
-    pub fn new(rate_mbps: f64, burst_mbit: f64) -> Self {
-        assert!(rate_mbps > 0.0, "rate must be positive");
-        assert!(burst_mbit > 0.0, "burst must be positive");
-        TokenBucket {
-            rate_mbps,
-            burst_mbit,
-            tokens_mbit: burst_mbit,
-            last_time_s: 0.0,
-        }
-    }
-
-    /// The configured rate.
-    pub fn rate_mbps(&self) -> f64 {
-        self.rate_mbps
-    }
-
-    /// Refills tokens up to `now_s` (monotone; earlier times are ignored).
-    fn refill(&mut self, now_s: f64) {
-        if now_s > self.last_time_s {
-            self.tokens_mbit = (self.tokens_mbit + (now_s - self.last_time_s) * self.rate_mbps)
-                .min(self.burst_mbit);
-            self.last_time_s = now_s;
-        }
-    }
-
-    /// Attempts to send `size_mbit` at `now_s`. On success the tokens are
-    /// consumed and `true` is returned; otherwise nothing is consumed.
-    pub fn try_send(&mut self, size_mbit: f64, now_s: f64) -> bool {
-        self.refill(now_s);
-        if size_mbit <= self.tokens_mbit {
-            self.tokens_mbit -= size_mbit;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The earliest time at which `size_mbit` could be sent, given the
-    /// current token level (`now_s` if it fits immediately). Sizes beyond
-    /// the burst can never fit at once and return infinity.
-    pub fn earliest_send_time(&mut self, size_mbit: f64, now_s: f64) -> f64 {
-        self.refill(now_s);
-        if size_mbit <= self.tokens_mbit {
-            now_s
-        } else if size_mbit > self.burst_mbit {
-            f64::INFINITY
-        } else {
-            now_s + (size_mbit - self.tokens_mbit) / self.rate_mbps
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,57 +109,5 @@ mod tests {
         for _ in 0..10_000 {
             assert!(s.sample_rtt_ms(7.0) >= 2.0);
         }
-    }
-
-    #[test]
-    fn token_bucket_enforces_average_rate() {
-        let mut tb = TokenBucket::new(10.0, 1.0);
-        let mut sent = 0.0;
-        let mut t = 0.0;
-        // Try to send 0.5 Mbit every 10 ms for 10 s: offered 50 Mbps.
-        while t < 10.0 {
-            if tb.try_send(0.5, t) {
-                sent += 0.5;
-            }
-            t += 0.01;
-        }
-        let achieved = sent / 10.0;
-        assert!(achieved <= 10.5, "achieved {achieved} exceeds throttle");
-        assert!(achieved >= 9.0, "achieved {achieved} far below throttle");
-    }
-
-    #[test]
-    fn token_bucket_allows_initial_burst() {
-        let mut tb = TokenBucket::new(1.0, 5.0);
-        assert!(tb.try_send(5.0, 0.0));
-        assert!(!tb.try_send(0.1, 0.0));
-        // After 1 s, 1 Mbit refilled.
-        assert!(tb.try_send(1.0, 1.0));
-    }
-
-    #[test]
-    fn earliest_send_time_computes_wait() {
-        let mut tb = TokenBucket::new(2.0, 4.0);
-        assert!(tb.try_send(4.0, 0.0)); // drain
-        let t = tb.earliest_send_time(1.0, 0.0);
-        assert!((t - 0.5).abs() < 1e-12);
-        assert_eq!(tb.earliest_send_time(10.0, 0.0), f64::INFINITY);
-        // Fits immediately when tokens are available.
-        assert_eq!(tb.earliest_send_time(0.5, 1.0), 1.0);
-    }
-
-    #[test]
-    fn refill_is_monotone_in_time() {
-        let mut tb = TokenBucket::new(1.0, 1.0);
-        assert!(tb.try_send(1.0, 5.0));
-        // A stale (earlier) timestamp must not refill.
-        assert!(!tb.try_send(0.5, 4.0));
-        assert!(tb.try_send(0.5, 5.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn zero_rate_rejected() {
-        let _ = TokenBucket::new(0.0, 1.0);
     }
 }

@@ -98,40 +98,6 @@ impl WirelessRouter {
     }
 }
 
-/// Max–min fair (water-filling) division of `capacity` among users with the
-/// given demands: no user receives more than it demands, and leftover
-/// capacity is shared equally among the still-unsatisfied users.
-pub fn fair_share(capacity: f64, demands: &[f64]) -> Vec<f64> {
-    let n = demands.len();
-    let mut alloc = vec![0.0f64; n];
-    if n == 0 || capacity <= 0.0 {
-        return alloc;
-    }
-    let mut remaining = capacity;
-    let mut active: Vec<usize> = (0..n).filter(|&i| demands[i] > 0.0).collect();
-    while !active.is_empty() && remaining > 1e-12 {
-        let share = remaining / active.len() as f64;
-        let mut satisfied = Vec::new();
-        for &i in &active {
-            let want = demands[i] - alloc[i];
-            if want <= share {
-                alloc[i] = demands[i];
-                remaining -= want;
-                satisfied.push(i);
-            }
-        }
-        if satisfied.is_empty() {
-            for &i in &active {
-                alloc[i] += share;
-            }
-            remaining = 0.0;
-        } else {
-            active.retain(|i| !satisfied.contains(i));
-        }
-    }
-    alloc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,37 +149,5 @@ mod tests {
         let r = WirelessRouter::new(400.0, InterferenceMode::Isolated, 0);
         assert_eq!(r.nominal_capacity_mbps(), 400.0);
         assert_eq!(r.mode(), InterferenceMode::Isolated);
-    }
-
-    #[test]
-    fn fair_share_under_abundance_gives_demands() {
-        let a = fair_share(100.0, &[10.0, 20.0, 5.0]);
-        assert_eq!(a, vec![10.0, 20.0, 5.0]);
-    }
-
-    #[test]
-    fn fair_share_splits_scarce_capacity_equally() {
-        let a = fair_share(30.0, &[50.0, 50.0, 50.0]);
-        for x in &a {
-            assert!((x - 10.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn fair_share_is_max_min() {
-        // Small demand satisfied fully; the rest split the remainder.
-        let a = fair_share(30.0, &[4.0, 100.0, 100.0]);
-        assert!((a[0] - 4.0).abs() < 1e-9);
-        assert!((a[1] - 13.0).abs() < 1e-9);
-        assert!((a[2] - 13.0).abs() < 1e-9);
-        // Total never exceeds capacity.
-        assert!(a.iter().sum::<f64>() <= 30.0 + 1e-9);
-    }
-
-    #[test]
-    fn fair_share_edge_cases() {
-        assert!(fair_share(10.0, &[]).is_empty());
-        assert_eq!(fair_share(0.0, &[5.0]), vec![0.0]);
-        assert_eq!(fair_share(10.0, &[0.0, 5.0]), vec![0.0, 5.0]);
     }
 }

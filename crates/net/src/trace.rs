@@ -197,22 +197,6 @@ impl TraceGeneratorConfig {
         }
         ThroughputTrace::from_segments(segments)
     }
-
-    /// Generates the paper's mixed workload: `count` traces, half FCC-like
-    /// and half LTE-like, with distinct seeds derived from `seed`.
-    pub fn paper_mixture(count: usize, seed: u64) -> Vec<ThroughputTrace> {
-        (0..count)
-            .map(|i| {
-                let profile = if i % 2 == 0 {
-                    TraceProfile::FccLike
-                } else {
-                    TraceProfile::LteLike
-                };
-                TraceGeneratorConfig::paper_default(profile)
-                    .generate(seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64))
-            })
-            .collect()
-    }
 }
 
 /// Errors from throughput-trace CSV parsing.
@@ -473,15 +457,5 @@ mod tests {
             ThroughputTrace::from_csv("duration_s,mbps\n".as_bytes()),
             Err(TraceCsvError::Empty)
         ));
-    }
-
-    #[test]
-    fn mixture_alternates_profiles() {
-        let traces = TraceGeneratorConfig::paper_mixture(10, 99);
-        assert_eq!(traces.len(), 10);
-        // All valid and distinct.
-        for w in traces.windows(2) {
-            assert_ne!(w[0], w[1]);
-        }
     }
 }

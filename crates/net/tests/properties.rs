@@ -3,8 +3,6 @@
 use cvr_net::estimate::{EmaEstimator, PolyRegression};
 use cvr_net::impair::{BufferbloatQueue, ImpairmentConfig, Pathology};
 use cvr_net::multilink::{BondedLink, FailoverPolicy, LinkId};
-use cvr_net::queueing::TokenBucket;
-use cvr_net::router::fair_share;
 use cvr_net::trace::{TraceGeneratorConfig, TraceProfile};
 use proptest::prelude::*;
 
@@ -54,26 +52,6 @@ proptest! {
     }
 
     #[test]
-    fn token_bucket_enforces_long_run_rate(
-        rate in 1.0f64..50.0,
-        burst in 0.5f64..10.0,
-        chunk in 0.05f64..2.0,
-    ) {
-        let mut tb = TokenBucket::new(rate, burst);
-        let mut sent = 0.0;
-        let horizon = 20.0;
-        let mut t = 0.0;
-        while t < horizon {
-            if tb.try_send(chunk, t) {
-                sent += chunk;
-            }
-            t += 0.01;
-        }
-        // Long-run throughput bounded by rate plus the initial burst.
-        prop_assert!(sent <= rate * horizon + burst + chunk + 1e-6);
-    }
-
-    #[test]
     fn poly_regression_recovers_lines(
         slope in -5.0f64..5.0,
         intercept in -10.0f64..10.0,
@@ -87,27 +65,6 @@ proptest! {
         let c = p.fit().expect("enough samples");
         prop_assert!((c[0] - intercept).abs() < 1e-6);
         prop_assert!((c[1] - slope).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fair_share_is_feasible_and_demand_bounded(
-        capacity in 0.0f64..100.0,
-        demands in prop::collection::vec(0.0f64..50.0, 0..12),
-    ) {
-        let shares = fair_share(capacity, &demands);
-        prop_assert_eq!(shares.len(), demands.len());
-        let total: f64 = shares.iter().sum();
-        prop_assert!(total <= capacity + 1e-6);
-        for (s, d) in shares.iter().zip(&demands) {
-            prop_assert!(*s >= -1e-12);
-            prop_assert!(*s <= d + 1e-9);
-        }
-        // Pareto efficiency: leftover capacity only if all demands met.
-        if total + 1e-6 < capacity {
-            for (s, d) in shares.iter().zip(&demands) {
-                prop_assert!((s - d).abs() < 1e-6);
-            }
-        }
     }
 
     // Every impairment pathology is a pure function of (config, seed):
@@ -249,29 +206,6 @@ proptest! {
                 LinkId::Lte => s.lte_mbps,
             };
             prop_assert_eq!(s.active_mbps, expected);
-        }
-    }
-
-    #[test]
-    fn fair_share_is_max_min_fair(
-        capacity in 1.0f64..100.0,
-        demands in prop::collection::vec(0.1f64..50.0, 2..10),
-    ) {
-        // Max–min property: if user i got strictly less than its demand,
-        // nobody else got more than (i's share + epsilon) unless their
-        // demand was below it.
-        let shares = fair_share(capacity, &demands);
-        for i in 0..demands.len() {
-            if shares[i] + 1e-9 < demands[i] {
-                for j in 0..demands.len() {
-                    prop_assert!(
-                        shares[j] <= shares[i] + 1e-6 || (shares[j] - demands[j]).abs() < 1e-6,
-                        "user {j} got {} while unsatisfied user {i} got {}",
-                        shares[j],
-                        shares[i]
-                    );
-                }
-            }
         }
     }
 }

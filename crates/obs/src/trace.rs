@@ -205,11 +205,6 @@ impl Tracer {
         }
     }
 
-    /// Whether the tracer accepts events at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Keeps 1 of every `n` events of `kind` (`n = 0` drops the kind
     /// entirely; `n = 1`, the default, keeps every event). The first event
     /// of each window is the one kept, so rare kinds are never starved.
@@ -354,7 +349,6 @@ mod tests {
         let mut t = Tracer::disabled();
         t.record(TraceEvent::SlotStart { slot: 0 });
         assert!(t.is_empty());
-        assert!(!t.is_enabled());
     }
 
     #[test]

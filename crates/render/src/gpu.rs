@@ -47,16 +47,6 @@ impl Gpu {
         }
     }
 
-    /// An RTX-3070-class GPU with 3 NVENC sessions.
-    pub fn rtx3070() -> Self {
-        Gpu::new(CostModel::rtx3070(), 3)
-    }
-
-    /// The GPU's cost model.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Earliest time this GPU could *finish* `job` if submitted now —
     /// used by load-aware schedulers without committing the job.
     pub fn estimated_completion(&self, job: &RenderJob) -> f64 {
@@ -95,14 +85,6 @@ impl Gpu {
         }
     }
 
-    /// When the last accepted work completes.
-    pub fn drain_time(&self) -> f64 {
-        self.encoder_free_s
-            .iter()
-            .copied()
-            .fold(self.render_free_s, f64::max)
-    }
-
     /// Accumulated busy time (render + encode), seconds.
     pub fn busy_time(&self) -> f64 {
         self.busy_s
@@ -137,7 +119,7 @@ mod tests {
 
     #[test]
     fn single_job_latency_matches_cost() {
-        let mut gpu = Gpu::rtx3070();
+        let mut gpu = Gpu::new(CostModel::rtx3070(), 3);
         let j = job(0.0);
         let done = gpu.submit(&j);
         let m = CostModel::rtx3070();
@@ -172,7 +154,7 @@ mod tests {
 
     #[test]
     fn estimated_completion_matches_submit() {
-        let mut gpu = Gpu::rtx3070();
+        let mut gpu = Gpu::new(CostModel::rtx3070(), 3);
         gpu.submit(&job(0.0));
         gpu.submit(&job(0.0));
         let j = job(0.0);
@@ -183,17 +165,16 @@ mod tests {
 
     #[test]
     fn release_time_gates_start() {
-        let mut gpu = Gpu::rtx3070();
+        let mut gpu = Gpu::new(CostModel::rtx3070(), 3);
         let done = gpu.submit(&job(5.0));
         assert!(done.rendered_s >= 5.0);
     }
 
     #[test]
     fn reset_and_accounting() {
-        let mut gpu = Gpu::rtx3070();
+        let mut gpu = Gpu::new(CostModel::rtx3070(), 3);
         gpu.submit(&job(0.0));
         assert!(gpu.busy_time() > 0.0);
-        assert!(gpu.drain_time() > 0.0);
         gpu.reset(10.0);
         let done = gpu.submit(&job(0.0));
         assert!(done.rendered_s >= 10.0);

@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::gpu::Gpu;
+use crate::gpu::{Gpu, JobCompletion};
 use crate::job::{CostModel, RenderJob};
 use crate::scheduler::GpuScheduler;
 
@@ -57,36 +57,37 @@ impl<S: GpuScheduler> RenderFarm<S> {
         }
     }
 
-    /// Number of GPUs.
-    pub fn len(&self) -> usize {
-        self.gpus.len()
+    /// Idles every GPU at `now_s`, as at a slot boundary in steady-state
+    /// pipelining: the previous slot's work has shipped.
+    pub fn reset(&mut self, now_s: f64) {
+        for gpu in &mut self.gpus {
+            gpu.reset(now_s);
+        }
     }
 
-    /// Whether the farm has no GPUs (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.gpus.is_empty()
+    /// Runs `job` on the GPU the scheduling policy picks.
+    pub fn submit(&mut self, job: &RenderJob) -> JobCompletion {
+        let gpu = self.scheduler.pick(&self.gpus, job);
+        self.gpus[gpu].submit(job)
     }
 
     /// Runs one slot: all `jobs` are released at `slot_start_s` and must
     /// finish by `slot_start_s + deadline_s`. The farm starts the slot
-    /// idle (steady-state pipelining: the previous slot's work shipped).
+    /// idle.
     pub fn run_slot(
         &mut self,
         jobs: &[RenderJob],
         slot_start_s: f64,
         deadline_s: f64,
     ) -> SlotReport {
-        for gpu in &mut self.gpus {
-            gpu.reset(slot_start_s);
-        }
+        self.reset(slot_start_s);
         let busy_before: f64 = self.gpus.iter().map(Gpu::busy_time).sum();
 
         let deadline = slot_start_s + deadline_s;
         let mut on_time = 0;
         let mut makespan: f64 = 0.0;
         for job in jobs {
-            let gpu_idx = self.scheduler.pick(&self.gpus, job);
-            let completion = self.gpus[gpu_idx].submit(job);
+            let completion = self.submit(job);
             if completion.done_s <= deadline + 1e-12 {
                 on_time += 1;
             }
@@ -101,11 +102,6 @@ impl<S: GpuScheduler> RenderFarm<S> {
             utilisation: ((busy_after - busy_before) / (self.gpus.len() as f64 * deadline_s))
                 .min(10.0),
         }
-    }
-
-    /// The scheduling policy's name.
-    pub fn policy(&self) -> &'static str {
-        self.scheduler.name()
     }
 }
 
@@ -188,7 +184,6 @@ mod tests {
     #[test]
     fn affinity_matches_modulo_mapping() {
         let mut farm = RenderFarm::new(4, CostModel::rtx3070(), 3, UserAffinity::new());
-        assert_eq!(farm.policy(), "user-affinity");
         let jobs = classroom_jobs(4, 1, QualityLevel::new(3), 0.0);
         let report = farm.run_slot(&jobs, 0.0, SLOT);
         // Four users on four GPUs: fully parallel, trivially on time.
@@ -202,8 +197,6 @@ mod tests {
         assert_eq!(report.jobs, 0);
         assert_eq!(report.on_time_fraction(), 1.0);
         assert_eq!(report.makespan_s, 0.0);
-        assert!(!farm.is_empty());
-        assert_eq!(farm.len(), 2);
     }
 
     #[test]

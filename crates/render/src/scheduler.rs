@@ -9,9 +9,6 @@ use crate::job::RenderJob;
 pub trait GpuScheduler {
     /// Index of the GPU that should run `job`.
     fn pick(&mut self, gpus: &[Gpu], job: &RenderJob) -> usize;
-
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Cycles through GPUs regardless of load.
@@ -32,10 +29,6 @@ impl GpuScheduler for RoundRobin {
         let idx = self.next % gpus.len();
         self.next = self.next.wrapping_add(1);
         idx
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
     }
 }
 
@@ -61,10 +54,6 @@ impl GpuScheduler for EarliestCompletion {
             .map(|(i, _)| i)
             .expect("at least one GPU")
     }
-
-    fn name(&self) -> &'static str {
-        "earliest-completion"
-    }
 }
 
 /// Pins each user's tiles to one GPU (`user mod gpus`), avoiding
@@ -83,15 +72,12 @@ impl GpuScheduler for UserAffinity {
     fn pick(&mut self, gpus: &[Gpu], job: &RenderJob) -> usize {
         job.user % gpus.len()
     }
-
-    fn name(&self) -> &'static str {
-        "user-affinity"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::CostModel;
     use cvr_content::grid::CellId;
     use cvr_content::tile::TileId;
     use cvr_core::quality::QualityLevel;
@@ -107,7 +93,7 @@ mod tests {
     }
 
     fn farm(n: usize) -> Vec<Gpu> {
-        (0..n).map(|_| Gpu::rtx3070()).collect()
+        (0..n).map(|_| Gpu::new(CostModel::rtx3070(), 3)).collect()
     }
 
     #[test]
@@ -116,7 +102,6 @@ mod tests {
         let mut rr = RoundRobin::new();
         let picks: Vec<usize> = (0..6).map(|_| rr.pick(&gpus, &job(0))).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-        assert_eq!(rr.name(), "round-robin");
     }
 
     #[test]

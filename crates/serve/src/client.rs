@@ -295,8 +295,14 @@ impl<T: ClientTransport> ReplayClient<T> {
 
     /// One assignment frame: stores its tiles, ACKs them, releases what
     /// the buffer evicted to make room, and displays its quality
-    /// `lag_slots` behind the pose it was planned for.
+    /// `lag_slots` behind the pose it was planned for. A quality outside
+    /// the Welcome's ladder is a protocol violation, and the frame is
+    /// dropped whole, as a `GroupAssign` sent to a v2 client is.
     fn accept_frame(&mut self, manifest: Vec<VideoId>, quality: u8, lag_slots: f64) {
+        if quality == 0 || quality > self.levels {
+            self.protocol_errors += 1;
+            return;
+        }
         self.assignments += 1;
         if !manifest.is_empty() {
             for &vid in &manifest {
@@ -315,12 +321,8 @@ impl<T: ClientTransport> ReplayClient<T> {
                 }
             }
         }
-        if quality == 0 || quality > self.levels {
-            self.protocol_errors += 1;
-        } else {
-            self.displayed_quality = Some(QualityLevel::new(quality));
-            self.displayed_lag_slots = lag_slots;
-        }
+        self.displayed_quality = Some(QualityLevel::new(quality));
+        self.displayed_lag_slots = lag_slots;
     }
 
     /// Sends `Bye`, closes the transport, and produces the report.

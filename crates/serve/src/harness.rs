@@ -1,59 +1,20 @@
-//! Drivers that wire a [`Session`] to a fleet of [`ReplayClient`]s.
+//! Drivers that wire a [`ShardHost`] to a fleet of [`ReplayClient`]s.
 //!
-//! [`run_lockstep`] is single-threaded, interleaved stepping over
+//! [`run_host_lockstep`] is single-threaded, interleaved stepping over
 //! loopback transports. No clocks, no sleeps: the same seeds produce
 //! bit-identical reports on every run, which is what the determinism
 //! tests assert. Realtime pacing is [`ShardHost::run_realtime`]'s job;
 //! deadline behaviour under it is measured by `benchmark/`
 //! (`fleet64_paced`), not here.
 //!
-//! The multi-session counterparts ([`sharded_loopback_fleet`],
-//! [`run_host_lockstep`]) drive a whole [`ShardHost`], routing every
-//! client through the host's control plane so client→session assignment
-//! is identical at any shard count.
+//! [`sharded_loopback_fleet`] routes every client through the host's
+//! control plane, so client→session assignment is identical at any shard
+//! count. One session on one shard is the single-classroom case.
 
 use crate::client::{ClientConfig, ClientReport, ReplayClient};
-use crate::server::{ServeConfig, ServeReport, Session};
+use crate::server::ServeReport;
 use crate::shard::{HostConfig, SessionId, ShardHost};
 use crate::transport::{loopback, LoopbackClientEnd};
-
-/// Builds a session plus `client_configs.len()` loopback replay clients,
-/// already registered with the session (their Hellos are queued).
-pub fn loopback_fleet(
-    server_config: ServeConfig,
-    client_configs: &[ClientConfig],
-) -> (Session, Vec<ReplayClient<LoopbackClientEnd>>) {
-    let mut session = Session::new(server_config.clone());
-    let clients = client_configs
-        .iter()
-        .map(|config| {
-            let (server_end, client_end) = loopback(server_config.outbound_queue_frames);
-            session.add_connection(Box::new(server_end));
-            ReplayClient::new(client_end, config.clone())
-        })
-        .collect();
-    (session, clients)
-}
-
-/// Interleaves server and client slots deterministically for `slots`
-/// slots, then shuts down and reports. Every slot is counted on time
-/// (lockstep has no deadline).
-pub fn run_lockstep(
-    mut session: Session,
-    mut clients: Vec<ReplayClient<LoopbackClientEnd>>,
-    slots: u64,
-) -> (ServeReport, Vec<ClientReport>) {
-    for _ in 0..slots {
-        for client in &mut clients {
-            client.step_slot();
-        }
-        session.step_slot();
-        session.note_tick(true, 0);
-    }
-    session.shutdown();
-    let client_reports = clients.into_iter().map(ReplayClient::finish).collect();
-    (session.report(), client_reports)
-}
 
 /// Builds a [`ShardHost`] with `sessions` sessions plus one loopback
 /// replay client per entry of `client_configs`, each routed through the
@@ -119,8 +80,11 @@ mod tests {
 
     #[test]
     fn lockstep_fleet_serves_every_client() {
-        let (session, clients) = loopback_fleet(ServeConfig::default(), &fleet_configs(3));
-        let (server_report, client_reports) = run_lockstep(session, clients, 60);
+        let (host, clients) = sharded_loopback_fleet(HostConfig::default(), 1, &fleet_configs(3));
+        let (server_reports, client_reports) = run_host_lockstep(host, clients, 60);
+        let [(0, server_report)] = &server_reports[..] else {
+            panic!("one session expected");
+        };
         assert_eq!(server_report.counters.joins, 3);
         assert_eq!(server_report.counters.protocol_errors, 0);
         assert_eq!(server_report.counters.ticks, 60);

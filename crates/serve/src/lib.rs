@@ -11,13 +11,13 @@
 //! * [`protocol`] — the versioned length-prefixed binary wire protocol
 //!   (poses, ACKs, bandwidth samples upstream; quality assignments and
 //!   tile manifests downstream) with a std-only codec.
-//! * [`transport`] — the transport traits, an in-process loopback pair
-//!   for deterministic tests and the replay client's threaded
-//!   `std::net::TcpStream` transport, with bounded queues and a
-//!   drop-oldest backpressure policy.
-//! * [`readiness`] — the server's TCP transport: non-blocking sockets
-//!   multiplexed by one poll loop per shard, so connection count does
-//!   not dictate thread count.
+//! * [`transport`] — the transport traits and an in-process loopback
+//!   pair for deterministic tests, with bounded queues and a drop-oldest
+//!   backpressure policy.
+//! * [`readiness`] — both ends' TCP transports: non-blocking sockets
+//!   multiplexed by one poll loop per shard (the replay client services
+//!   its own from its slot loop), so connection count does not dictate
+//!   thread count.
 //! * [`server`] — the session/user registry and the per-slot control
 //!   loop, with slow-client degradation and observability counters.
 //! * [`shard`] — the sharded multi-session host: N worker shards, each
@@ -28,8 +28,8 @@
 //! * [`client`] — the headless replay client that stands in for one
 //!   phone, replaying `cvr-motion` synthetic traces.
 //! * [`ticker`] — realtime slot pacing with deadline accounting.
-//! * [`harness`] — lockstep drivers wiring a session or a sharded host
-//!   to a fleet of replay clients.
+//! * [`harness`] — lockstep drivers wiring a sharded host to a fleet of
+//!   replay clients.
 
 #![warn(missing_docs)]
 

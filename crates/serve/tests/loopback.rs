@@ -2,11 +2,12 @@
 //! clients with fixed seeds, driven in lockstep, must produce
 //! bit-identical per-user QoE summaries across two independent runs.
 
-use cvr_serve::client::{ClientConfig, ClientReport};
-use cvr_serve::harness::{loopback_fleet, run_lockstep};
+use cvr_serve::client::{ClientConfig, ClientReport, ReplayClient};
+use cvr_serve::harness::{run_host_lockstep, sharded_loopback_fleet};
 use cvr_serve::protocol::{ClientMessage, PROTOCOL_VERSION};
 use cvr_serve::server::{ServeConfig, ServeReport};
-use cvr_serve::transport::{loopback, ClientTransport};
+use cvr_serve::shard::{HostConfig, SessionId, ShardHost};
+use cvr_serve::transport::{loopback, ClientTransport, LoopbackClientEnd};
 
 const SLOTS: u64 = 300;
 
@@ -20,9 +21,27 @@ fn fleet_configs() -> Vec<ClientConfig> {
         .collect()
 }
 
+type Fleet = Vec<(SessionId, ReplayClient<LoopbackClientEnd>)>;
+
+/// One session on one shard, one loopback replay client per config.
+fn classroom(config: ServeConfig, clients: &[ClientConfig]) -> (ShardHost, Fleet) {
+    let host = HostConfig {
+        shards: 1,
+        session: config,
+    };
+    sharded_loopback_fleet(host, 1, clients)
+}
+
+/// Steps a [`classroom`] for `slots` lockstep slots, then reports.
+fn run(host: ShardHost, clients: Fleet, slots: u64) -> (ServeReport, Vec<ClientReport>) {
+    let (mut servers, clients) = run_host_lockstep(host, clients, slots);
+    let (_, server) = servers.pop().expect("one session");
+    (server, clients)
+}
+
 fn one_run() -> (ServeReport, Vec<ClientReport>) {
-    let (session, clients) = loopback_fleet(ServeConfig::default(), &fleet_configs());
-    run_lockstep(session, clients, SLOTS)
+    let (host, clients) = classroom(ServeConfig::default(), &fleet_configs());
+    run(host, clients, SLOTS)
 }
 
 #[test]
@@ -99,8 +118,8 @@ fn summary_surfaces_overruns_drops_and_degrades() {
     // A healthy lockstep fleet plus one "stuck" client whose loopback
     // queue is tiny and never drained: its assignments pile up, drop,
     // and degrade it.
-    let config = ServeConfig::default();
-    let (mut session, mut clients) = loopback_fleet(config, &fleet_configs()[..2]);
+    let (mut host, mut clients) = classroom(ServeConfig::default(), &fleet_configs()[..2]);
+    let session = host.session_mut(0);
     session.enable_tracing(512);
     let (stuck_server_end, mut stuck_client) = loopback(3);
     session.add_connection(Box::new(stuck_server_end));
@@ -110,7 +129,7 @@ fn summary_surfaces_overruns_drops_and_degrades() {
     });
 
     for slot in 0..60u64 {
-        for client in &mut clients {
+        for (_, client) in &mut clients {
             client.step_slot();
         }
         session.step_slot();
@@ -180,8 +199,8 @@ fn a_peer_naming_tiles_outside_the_library_loses_only_its_own_connection() {
 
     const SLOTS: u64 = 80;
     let honest = &fleet_configs()[..1];
-    let (session, clients) = loopback_fleet(ServeConfig::default(), honest);
-    let (alone_server, alone_clients) = run_lockstep(session, clients, SLOTS);
+    let (host, clients) = classroom(ServeConfig::default(), honest);
+    let (alone_server, alone_clients) = run(host, clients, SLOTS);
     assert!(alone_clients[0].assignments >= SLOTS - 2);
 
     let id = |x, z, q| VideoId::new(CellId { x, z }, TileId::new(1), QualityLevel::new(q));
@@ -203,23 +222,22 @@ fn a_peer_naming_tiles_outside_the_library_loses_only_its_own_connection() {
         },
     ];
     for frame in hostile_frames {
-        let (mut session, mut clients) = loopback_fleet(ServeConfig::default(), honest);
+        let (mut host, mut clients) = classroom(ServeConfig::default(), honest);
         let (hostile_server_end, mut hostile) = loopback(64);
-        session.add_connection(Box::new(hostile_server_end));
+        host.add_transport(0, Box::new(hostile_server_end));
         hostile.send(&ClientMessage::Hello {
             version: PROTOCOL_VERSION,
             seed: 666,
         });
         hostile.send(&frame);
 
-        clients[0].step_slot();
-        session.step_slot();
-        session.note_tick(true, 0);
-        assert_eq!(session.active_users(), 1, "the peer is gone after one slot");
-        assert_eq!(session.counters().protocol_errors, 1);
+        clients[0].1.step_slot();
+        host.step_slot();
+        assert_eq!(host.active_users(), 1, "the peer is gone after one slot");
+        assert_eq!(host.session_mut(0).counters().protocol_errors, 1);
         assert!(hostile.is_closed());
 
-        let (server, reports) = run_lockstep(session, clients, SLOTS - 1);
+        let (server, reports) = run(host, clients, SLOTS - 1);
         assert_eq!(server.counters.joins, 2);
         assert_eq!(server.counters.protocol_errors, 1);
         assert_eq!(server.counters.ticks, SLOTS);
@@ -233,6 +251,57 @@ fn a_peer_naming_tiles_outside_the_library_loses_only_its_own_connection() {
             .expect("the honest user's summary");
         assert_eq!(*served, alone_server.users[0]);
     }
+}
+
+/// A frame the client rejects is one it does not act on: an
+/// `Assignment` above the Welcome's ladder is counted once and dropped
+/// whole — none of its tiles is buffered or ACKed — as a `GroupAssign`
+/// sent to a v2 client is.
+#[test]
+fn an_assignment_above_the_ladder_is_dropped_whole() {
+    use cvr_content::grid::CellId;
+    use cvr_content::id::VideoId;
+    use cvr_content::tile::TileId;
+    use cvr_core::quality::QualityLevel;
+    use cvr_serve::protocol::ServerMessage;
+    use cvr_serve::transport::ServerTransport;
+
+    let (mut server, client_end) = loopback(64);
+    let mut client = ReplayClient::new(client_end, ClientConfig::default());
+    server.send(&ServerMessage::Welcome {
+        version: PROTOCOL_VERSION,
+        user_id: 0,
+        slot_us: 15_000,
+        levels: 6,
+    });
+    let id = |tile| {
+        VideoId::new(
+            CellId { x: 0, z: 0 },
+            TileId::new(tile),
+            QualityLevel::new(6),
+        )
+    };
+    // Quality 7 of a six-level ladder, then a valid frame.
+    for (quality, tile) in [(7, 0), (6, 1)] {
+        server.send(&ServerMessage::Assignment {
+            slot: 0,
+            pose_seq: 0,
+            quality,
+            rate_mbps: 10.0,
+            manifest: vec![id(tile)],
+        });
+        client.step_slot();
+    }
+    let mut acked = Vec::new();
+    while let Some(Ok(message)) = server.try_recv() {
+        if let ClientMessage::Ack { ids } = message {
+            acked.extend(ids);
+        }
+    }
+    assert_eq!(acked, vec![id(1)], "only the valid frame is ACKed");
+    let report = client.finish();
+    assert_eq!(report.protocol_errors, 1);
+    assert_eq!(report.assignments, 1);
 }
 
 /// Decodable but hostile values never panic a session: every finite pose

@@ -15,7 +15,7 @@
 use cvr_content::id::VideoId;
 use cvr_motion::pose::{Orientation, Pose, Vec3};
 use cvr_serve::client::{ClientConfig, ClientReport};
-use cvr_serve::harness::{loopback_fleet, run_lockstep, sharded_loopback_fleet};
+use cvr_serve::harness::{run_host_lockstep, sharded_loopback_fleet};
 use cvr_serve::protocol::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use cvr_serve::server::{ServeConfig, Session};
 use cvr_serve::shard::HostConfig;
@@ -503,14 +503,18 @@ fn mixed_version_replay_fleet_runs_clean() {
             ..ClientConfig::default()
         })
         .collect();
-    let (session, clients) = loopback_fleet(
-        ServeConfig {
+    let host = HostConfig {
+        shards: 1,
+        session: ServeConfig {
             multicast: true,
             ..ServeConfig::default()
         },
-        &configs,
-    );
-    let (server_report, client_reports) = run_lockstep(session, clients, 80);
+    };
+    let (host, clients) = sharded_loopback_fleet(host, 1, &configs);
+    let (server_reports, client_reports) = run_host_lockstep(host, clients, 80);
+    let [(0, server_report)] = &server_reports[..] else {
+        panic!("one session expected");
+    };
     assert_eq!(server_report.counters.joins, 3);
     assert_eq!(server_report.counters.protocol_errors, 0);
     for report in &client_reports {

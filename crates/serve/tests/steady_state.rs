@@ -16,9 +16,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cvr_serve::client::{ClientConfig, ReplayClient};
-use cvr_serve::harness::loopback_fleet;
+use cvr_serve::harness::sharded_loopback_fleet;
 use cvr_serve::protocol::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use cvr_serve::server::{ServeConfig, Session};
+use cvr_serve::shard::{HostConfig, SessionId, ShardHost};
 use cvr_serve::transport::{
     loopback, ClientTransport, LoopbackClientEnd, SendStatus, ServerTransport,
 };
@@ -108,14 +109,15 @@ fn an_idle_session_stops_allocating_after_warm_up() {
     assert_eq!(session.report().tick.count, 10 * n);
 }
 
-/// Steps `slots` lockstep slots of a session and its replay clients.
-fn walk(session: &mut Session, clients: &mut [ReplayClient<LoopbackClientEnd>], slots: usize) {
+type Fleet = Vec<(SessionId, ReplayClient<LoopbackClientEnd>)>;
+
+/// Steps `slots` lockstep slots of a host and its replay clients.
+fn walk(host: &mut ShardHost, clients: &mut Fleet, slots: usize) {
     for _ in 0..slots {
-        for client in clients.iter_mut() {
+        for (_, client) in clients.iter_mut() {
             client.step_slot();
         }
-        session.step_slot();
-        session.note_tick(true, 1_000);
+        host.step_slot();
     }
 }
 
@@ -123,7 +125,7 @@ fn walk(session: &mut Session, clients: &mut [ReplayClient<LoopbackClientEnd>], 
 /// session. Forty tiles is a few cells' worth: every client's buffer is at
 /// its threshold within a second, and from then on each stored tile evicts
 /// one, which the server's ledger hears of as a release.
-fn walking_fleet() -> (Session, Vec<ReplayClient<LoopbackClientEnd>>) {
+fn walking_fleet() -> (ShardHost, Fleet) {
     let configs: Vec<ClientConfig> = (0..4)
         .map(|seed| ClientConfig {
             seed,
@@ -131,14 +133,15 @@ fn walking_fleet() -> (Session, Vec<ReplayClient<LoopbackClientEnd>>) {
             ..ClientConfig::default()
         })
         .collect();
-    loopback_fleet(
-        ServeConfig {
+    let host = HostConfig {
+        shards: 1,
+        session: ServeConfig {
             multicast: true,
             horizon: 4,
             ..ServeConfig::default()
         },
-        &configs,
-    )
+    };
+    sharded_loopback_fleet(host, 1, &configs)
 }
 
 #[test]
@@ -147,11 +150,11 @@ fn a_sessions_heap_does_not_grow_with_the_cells_its_users_visit() {
     // slots after warm-up bring each user hundreds of cells it has not
     // seen. Nothing the session keeps may be sized by them: rate rows are
     // computed per retarget, and delivery state is bounded by the buffers.
-    let (mut session, mut clients) = walking_fleet();
-    walk(&mut session, &mut clients, 100);
-    assert_eq!(session.active_users(), 4);
+    let (mut host, mut clients) = walking_fleet();
+    walk(&mut host, &mut clients, 100);
+    assert_eq!(host.active_users(), 4);
     let warm = LIVE_BYTES.with(Cell::get);
-    walk(&mut session, &mut clients, 500);
+    walk(&mut host, &mut clients, 500);
     let growth = LIVE_BYTES.with(Cell::get) - warm;
     assert!(
         growth <= 4 * 1024,
@@ -163,14 +166,14 @@ fn a_sessions_heap_does_not_grow_with_the_cells_its_users_visit() {
 fn a_churning_session_plateaus() {
     // Over 9 N slots each of the eight delivery-state maps (a buffer and a
     // ledger per client) sees over a thousand cells come and go.
-    let (mut session, mut clients) = walking_fleet();
+    let (mut host, mut clients) = walking_fleet();
 
     // N is long enough for every map to have reached its working size.
     let n = 600;
-    walk(&mut session, &mut clients, n);
-    assert_eq!(session.active_users(), 4);
+    walk(&mut host, &mut clients, n);
+    assert_eq!(host.active_users(), 4);
     let after_n = LIVE_BYTES.with(Cell::get);
-    walk(&mut session, &mut clients, 9 * n);
+    walk(&mut host, &mut clients, 9 * n);
     let after_10n = LIVE_BYTES.with(Cell::get);
     // A map that kept an entry per cell ever visited would have gained
     // some 17 bytes × 1 000 cells × 8 maps, and more at each doubling.
@@ -180,7 +183,7 @@ fn a_churning_session_plateaus() {
         "the heap grew {growth} bytes over {} slots of churn",
         9 * n
     );
-    let report = session.report();
+    let report = host.session_mut(0).report();
     assert_eq!(report.counters.protocol_errors, 0);
     assert_eq!(report.tick.count, 10 * n);
 }

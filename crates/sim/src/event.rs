@@ -113,11 +113,6 @@ impl<E: PartialEq> EventQueue<E> {
             None
         }
     }
-
-    /// The time of the next event, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time_s)
-    }
 }
 
 impl<E: PartialEq> Default for EventQueue<E> {
@@ -170,7 +165,6 @@ mod tests {
         assert_eq!(q.pop_before(2.0), Some((1.0, "early")));
         assert_eq!(q.pop_before(2.0), None);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(2.5));
         assert_eq!(q.pop_before(3.0), Some((2.5, "late")));
         assert!(q.is_empty());
     }

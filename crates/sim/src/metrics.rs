@@ -1,5 +1,5 @@
 //! Experiment metrics: empirical distributions (for the CDF figures),
-//! read-only sorted snapshots, run-level summaries, and the merge
+//! read-only sorted snapshots, per-slot time series, and the merge
 //! operations the parallel runner uses to combine per-worker results.
 
 use serde::{Deserialize, Serialize};
@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// paper's CDF plots (Figs. 2 and 3).
 ///
 /// The accumulator itself is append-only; order statistics (quantiles,
-/// CDF values) live on the read-only [`SortedDistribution`] snapshot so
+/// CDF points) live on the read-only [`SortedDistribution`] snapshot so
 /// report code never needs `&mut` access to merged results.
 ///
 /// # Examples
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(d.mean(), 2.0);
 /// let s = d.sorted();
 /// assert_eq!(s.quantile(0.5), 2.0);
-/// assert!((s.cdf(1.5) - 1.0 / 3.0).abs() < 1e-12);
+/// assert_eq!(s.cdf_points()[0], (1.0, 1.0 / 3.0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct EmpiricalDistribution {
@@ -174,15 +174,6 @@ impl SortedDistribution {
         self.values[idx]
     }
 
-    /// Empirical CDF value `P(X ≤ x)` (0 when empty).
-    pub fn cdf(&self, x: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let count = self.values.partition_point(|&v| v <= x);
-        count as f64 / self.values.len() as f64
-    }
-
     /// `(value, cdf)` points suitable for plotting the CDF curve.
     pub fn cdf_points(&self) -> Vec<(f64, f64)> {
         let n = self.values.len();
@@ -213,26 +204,6 @@ impl TimeSeries {
             viewed_quality: vec![Vec::with_capacity(slots); users],
             delay_slots: vec![Vec::with_capacity(slots); users],
         }
-    }
-
-    /// Writes the series as long-format CSV
-    /// (`slot,user,level,viewed,delay` rows).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn to_csv<W: std::io::Write>(&self, mut writer: W) -> std::io::Result<()> {
-        writeln!(writer, "slot,user,level,viewed,delay")?;
-        for (u, levels) in self.chosen_level.iter().enumerate() {
-            for (slot, &level) in levels.iter().enumerate() {
-                writeln!(
-                    writer,
-                    "{slot},{u},{level},{},{}",
-                    self.viewed_quality[u][slot], self.delay_slots[u][slot]
-                )?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -288,9 +259,7 @@ mod tests {
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(s.quantile(1.0), 10.0);
         assert_eq!(s.quantile(0.5), 6.0); // nearest rank of index 4.5 → 5
-        assert!((s.cdf(5.0) - 0.5).abs() < 1e-12);
-        assert_eq!(s.cdf(0.0), 0.0);
-        assert_eq!(s.cdf(100.0), 1.0);
+        assert_eq!(s.cdf_points()[4], (5.0, 0.5));
         assert_eq!(s.mean(), d.mean());
         assert_eq!(s.len(), d.len());
     }

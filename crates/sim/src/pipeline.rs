@@ -674,18 +674,16 @@ mod tests {
             });
 
             direct.begin_slot(150.0);
-            direct.add_users(levels, &bn);
-            let (rates, values) = direct.staged_tables_mut();
             for u in 0..users {
-                let span = u * levels..(u + 1) * levels;
+                let tables = direct.add_user(levels, bn[u]);
                 stage_rates_values_with(
                     sums[u].sums(),
                     CONTROL_OVERHEAD_MBPS,
-                    &mut rates[span.clone()],
-                    &mut values[span.clone()],
+                    tables.rates,
+                    tables.values,
                     value(0.8 + 0.05 * u as f64, bn[u]),
                 );
-                sanitize_rates(&mut rates[span]);
+                sanitize_rates(tables.rates);
             }
 
             assert_eq!(p.rows(), users);

@@ -38,6 +38,9 @@ use cvr_net::impair::{BufferbloatQueue, ImpairmentConfig, Pathology};
 use cvr_net::multilink::{BondedLink, FailoverPolicy};
 use cvr_net::router::{InterferenceMode, WirelessRouter};
 use cvr_net::trace::{TraceGeneratorConfig, TraceProfile};
+use cvr_render::job::{CostModel, RenderJob};
+use cvr_render::pipeline::RenderFarm;
+use cvr_render::scheduler::EarliestCompletion;
 
 use crate::allocators::AllocatorKind;
 use crate::event::EventQueue;
@@ -459,12 +462,14 @@ pub fn run_with(
     });
 
     // Online-rendering farm (Section VIII), if configured.
-    let mut farm: Option<Vec<cvr_render::gpu::Gpu>> = match config.rendering {
+    let mut farm = match config.rendering {
         RenderingMode::Offline => None,
-        RenderingMode::Online { gpus } => {
-            assert!(gpus > 0, "online rendering needs at least one GPU");
-            Some((0..gpus).map(|_| cvr_render::gpu::Gpu::rtx3070()).collect())
-        }
+        RenderingMode::Online { gpus } => Some(RenderFarm::new(
+            gpus,
+            CostModel::rtx3070(),
+            3,
+            EarliestCompletion::new(),
+        )),
     };
 
     // --- shared medium ----------------------------------------------------
@@ -507,10 +512,8 @@ pub fn run_with(
 
         // Stale render jobs are dropped at the slot boundary, like stale
         // tiles: each slot's farm starts fresh (steady-state pipelining).
-        if let Some(gpus) = &mut farm {
-            for gpu in gpus {
-                gpu.reset(now);
-            }
+        if let Some(farm) = &mut farm {
+            farm.reset(now);
         }
 
         // 1. Apply feedback that has arrived by now. ACK/release events go
@@ -673,25 +676,17 @@ pub fn run_with(
             // finish rendering + encoding before transmission can start.
             let render_delay_slots = match &mut farm {
                 None => 0.0,
-                Some(gpus) => {
+                Some(farm) => {
                     let mut ready = now;
                     for id in &to_send {
-                        let job = cvr_render::job::RenderJob {
+                        let job = RenderJob {
                             user: u,
                             cell: id.cell(),
                             tile: id.tile(),
                             quality: id.quality(),
                             release_s: now,
                         };
-                        // Earliest-completion placement across the farm.
-                        let gpu_idx = (0..gpus.len())
-                            .min_by(|&a, &b| {
-                                gpus[a]
-                                    .estimated_completion(&job)
-                                    .total_cmp(&gpus[b].estimated_completion(&job))
-                            })
-                            .expect("at least one GPU");
-                        ready = ready.max(gpus[gpu_idx].submit(&job).done_s);
+                        ready = ready.max(farm.submit(&job).done_s);
                     }
                     (ready - now) / dt
                 }

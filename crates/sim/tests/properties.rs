@@ -56,23 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn cdf_is_a_distribution_function(
-        xs in prop::collection::vec(-50.0f64..50.0, 1..100),
-        probe1 in -60.0f64..60.0,
-        probe2 in -60.0f64..60.0,
-    ) {
-        let d: EmpiricalDistribution = xs.iter().copied().collect();
-        let s = d.sorted();
-        let (a, b) = (probe1.min(probe2), probe1.max(probe2));
-        let fa = s.cdf(a);
-        let fb = s.cdf(b);
-        prop_assert!((0.0..=1.0).contains(&fa));
-        prop_assert!(fa <= fb + 1e-12);
-        prop_assert!((s.cdf(1e9) - 1.0).abs() < 1e-12);
-        prop_assert_eq!(s.cdf(-1e9), 0.0);
-    }
-
-    #[test]
     fn chunked_accumulation_matches_sequential(
         rows in prop::collection::vec(
             (0.0f64..10.0, 0.0f64..6.0, 0.0f64..8.0, 0.0f64..4.0),

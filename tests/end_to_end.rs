@@ -137,6 +137,7 @@ fn prediction_pipeline_is_accurate_on_synthetic_motion() {
 fn content_pipeline_round_trip() {
     // pose → request → ids → cache/ledger interplay works across crates.
     use collaborative_vr::content::cache::{ClientTileBuffer, DeliveryLedger};
+    use collaborative_vr::content::id::VideoId;
 
     let library = ContentLibrary::paper_default();
     let pose = Pose::new(Vec3::new(0.5, 1.7, -0.5), Orientation::new(45.0, 10.0, 0.0));
@@ -145,18 +146,17 @@ fn content_pipeline_round_trip() {
 
     let mut ledger = DeliveryLedger::new();
     let mut buffer = ClientTileBuffer::new(8);
-    let ids = request.video_ids(QualityLevel::new(3));
-    let (send_first, held_first) = ledger.partition_wanted(&ids);
-    assert_eq!(send_first.len(), ids.len());
-    assert!(held_first.is_empty());
+    let ids: Vec<VideoId> = (request.tiles.iter())
+        .map(|&tile| VideoId::new(request.cell, tile, QualityLevel::new(3)))
+        .collect();
+    assert!(ids.iter().all(|id| !ledger.is_delivered(id)));
 
-    for id in &send_first {
+    for id in &ids {
         ledger.acknowledge(*id);
         buffer.store(*id);
     }
-    let (send_again, held_again) = ledger.partition_wanted(&ids);
-    assert!(send_again.is_empty());
-    assert_eq!(held_again.len(), ids.len());
+    assert!(ids.iter().all(|id| ledger.is_delivered(id)));
+    assert_eq!(buffer.len(), ids.len());
 }
 
 #[test]

@@ -28,7 +28,7 @@ use cvr_serve::transport::{loopback, ClientTransport, LoopbackClientEnd};
 use cvr_sim::allocators::AllocatorKind;
 use cvr_sim::mcast::{self, McastConfig};
 use cvr_sim::metrics::TimeSeries;
-use cvr_sim::system::{self, NetScenario, SystemConfig};
+use cvr_sim::system::{self, NetScenario, RenderingMode, SystemConfig};
 use cvr_sim::tracesim::{self, TraceSimConfig};
 
 // (a) sim::system setup-1, 5 s, seed 2022.
@@ -36,6 +36,8 @@ const SYSTEM_H1_CLEAN: u64 = 0x3ec6_6f9b_f5fc_7089;
 const SYSTEM_H4_CLEAN: u64 = 0x3efd_9d95_26f0_9bc4;
 const SYSTEM_H1_HANDOVER: u64 = 0x707f_07b2_8805_5609;
 const SYSTEM_H4_HANDOVER: u64 = 0x3a3f_f52d_346f_afb0;
+// (a') the same run on a four-GPU online render farm.
+const SYSTEM_H1_ONLINE4: u64 = 0x59e6_0a15_46a0_7237;
 // (b) sim::tracesim, 3 users, 15 s, seed 2022.
 const TRACESIM_H1: u64 = 0xd9a0_d4eb_417f_e853;
 const TRACESIM_H4: u64 = 0x8047_d52e_ad6c_7941;
@@ -93,11 +95,16 @@ fn fold_timeseries(mut hash: u64, ts: &TimeSeries) -> u64 {
     hash
 }
 
-fn system_fingerprint(horizon: usize, scenario: Option<NetScenario>) -> u64 {
+fn system_fingerprint(
+    horizon: usize,
+    scenario: Option<NetScenario>,
+    rendering: RenderingMode,
+) -> u64 {
     let config = SystemConfig {
         duration_s: 5.0,
         horizon,
         scenario,
+        rendering,
         record_timeseries: true,
         ..SystemConfig::setup1(2022)
     };
@@ -258,26 +265,32 @@ fn check(rows: &[(&str, u64, u64)]) {
 #[test]
 fn system_sim_fingerprints_are_pinned() {
     let handover = Some(NetScenario::paper_default(Pathology::Handover));
+    let offline = RenderingMode::Offline;
     check(&[
         (
             "SYSTEM_H1_CLEAN",
-            system_fingerprint(1, None),
+            system_fingerprint(1, None, offline),
             SYSTEM_H1_CLEAN,
         ),
         (
             "SYSTEM_H4_CLEAN",
-            system_fingerprint(4, None),
+            system_fingerprint(4, None, offline),
             SYSTEM_H4_CLEAN,
         ),
         (
             "SYSTEM_H1_HANDOVER",
-            system_fingerprint(1, handover),
+            system_fingerprint(1, handover, offline),
             SYSTEM_H1_HANDOVER,
         ),
         (
             "SYSTEM_H4_HANDOVER",
-            system_fingerprint(4, handover),
+            system_fingerprint(4, handover, offline),
             SYSTEM_H4_HANDOVER,
+        ),
+        (
+            "SYSTEM_H1_ONLINE4",
+            system_fingerprint(1, None, RenderingMode::Online { gpus: 4 }),
+            SYSTEM_H1_ONLINE4,
         ),
     ]);
 }

@@ -348,7 +348,6 @@ fn predictor_serializes_the_fit_its_predictions_evaluate() {
             other => panic!("history not a sequence: {other:?}"),
         };
         let observed = rows.len();
-        assert_eq!(observed, p.observed());
         assert_eq!(observed, (t as usize + 1).min(window));
         assert!(rows.iter().all(|row| row.len() == 6));
         let newest = rows.last().expect("a pose was observed");
