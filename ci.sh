@@ -56,8 +56,8 @@ INCLUDE_IGNORED=1
 
 # Ceilings on `./ci.sh loc`'s workspace totals (non-test, all lines). A
 # change that must raise one does so here and says why in CHANGES.md.
-LOC_CEILING_NON_TEST=20069
-LOC_CEILING_ALL=34472
+LOC_CEILING_NON_TEST=19627
+LOC_CEILING_ALL=33976
 
 stage_test() {
     step "Line-count ceilings: non-test <= $LOC_CEILING_NON_TEST, all <= $LOC_CEILING_ALL"

@@ -5,7 +5,8 @@ use cvr_bench::{improvement_pct, Cell, FigureArgs, Table};
 use cvr_content::tile::tiles_for_pose;
 use cvr_core::alloc::{Allocator, DensityGreedy, DensityValueGreedy, ValueGreedy};
 use cvr_core::baselines::Pavq;
-use cvr_core::objective::{QoeParams, SlotProblem, UserSlot};
+use cvr_core::engine::SlotEngine;
+use cvr_core::objective::QoeParams;
 use cvr_core::offline::exact_slot_optimum;
 use cvr_core::quality::QualityLevel;
 use cvr_motion::accuracy::DeltaEstimator;
@@ -172,8 +173,9 @@ pub fn estimator(args: &FigureArgs) {
     println!("(the paper's setting) is balanced in the calm setup.");
 }
 
-fn random_instance(rng: &mut ChaCha8Rng, users: usize) -> SlotProblem {
-    let user_slots: Vec<UserSlot> = (0..users)
+/// Stages a random concave instance of `users` users into `engine`.
+fn random_instance(rng: &mut ChaCha8Rng, users: usize, engine: &mut SlotEngine) {
+    let rows: Vec<(Vec<f64>, Vec<f64>, f64)> = (0..users)
         .map(|_| {
             let levels = rng.gen_range(3..=6);
             let mut rates = Vec::with_capacity(levels);
@@ -189,15 +191,16 @@ fn random_instance(rng: &mut ChaCha8Rng, users: usize) -> SlotProblem {
                 v += dv;
                 dv *= decay;
             }
-            UserSlot {
-                rates,
-                values,
-                link_budget: rng.gen_range(3.0..30.0),
-            }
+            (rates, values, rng.gen_range(3.0..30.0))
         })
         .collect();
-    let base: f64 = user_slots.iter().map(|u| u.rates[0]).sum();
-    SlotProblem::new(user_slots, base + rng.gen_range(1.0..25.0)).expect("valid")
+    let base: f64 = rows.iter().map(|(rates, _, _)| rates[0]).sum();
+    engine.begin_slot(base + rng.gen_range(1.0..25.0));
+    for (rates, values, link) in &rows {
+        let user = engine.add_user(rates.len(), *link);
+        user.rates.copy_from_slice(rates);
+        user.values.copy_from_slice(values);
+    }
 }
 
 /// Density-only vs value-only vs the combined Algorithm 1. Section III
@@ -211,8 +214,9 @@ pub fn greedy(args: &FigureArgs) {
     let mut rng = ChaCha8Rng::seed_from_u64(args.seed);
     let mut ratios = [Vec::new(), Vec::new(), Vec::new()]; // density, value, combined
     let mut worst = [1.0f64; 3];
+    let mut p = SlotEngine::new();
     for _ in 0..instances {
-        let p = random_instance(&mut rng, 6);
+        random_instance(&mut rng, 6, &mut p);
         let opt = exact_slot_optimum(&p).expect("small instance");
         let base = p.objective(&p.baseline_assignment());
         let opt_gain = opt.value - base;
@@ -221,15 +225,14 @@ pub fn greedy(args: &FigureArgs) {
             // trivially optimal.
             continue;
         }
-        for (i, alg) in [
-            &mut (Box::new(DensityGreedy::new()) as Box<dyn Allocator>),
-            &mut (Box::new(ValueGreedy::new()) as Box<dyn Allocator>),
-            &mut (Box::new(DensityValueGreedy::new()) as Box<dyn Allocator>),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let gain = p.objective(&alg.allocate(&p)) - base;
+        let algorithms: [&mut dyn Allocator; 3] = [
+            &mut DensityGreedy,
+            &mut ValueGreedy,
+            &mut DensityValueGreedy,
+        ];
+        for (i, alg) in algorithms.into_iter().enumerate() {
+            alg.allocate(&mut p);
+            let gain = p.objective(p.assignment()) - base;
             let ratio = (gain / opt_gain).clamp(0.0, 1.0);
             ratios[i].push(ratio);
             worst[i] = worst[i].min(ratio);

@@ -13,8 +13,7 @@
 //! upgrades cannot skip over a worthless intermediate level).
 
 use cvr_bench::{FigureArgs, Table};
-use cvr_core::alloc::{Allocator, DensityValueGreedy};
-use cvr_core::objective::{SlotProblem, UserSlot};
+use cvr_core::engine::SlotEngine;
 use cvr_core::offline::exact_slot_optimum;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -45,26 +44,20 @@ impl Instance {
         }
     }
 
-    fn to_problem(&self) -> SlotProblem {
-        let users: Vec<UserSlot> = self
-            .users
-            .iter()
-            .map(|(r0, increments, link)| {
-                let mut rates = vec![r0.max(0.01)];
-                let mut values = vec![0.0];
-                for &(dr, dv) in increments {
-                    rates.push(rates.last().unwrap() + dr.max(0.01));
-                    values.push(values.last().unwrap() + dv.max(0.0));
-                }
-                UserSlot {
-                    rates,
-                    values,
-                    link_budget: link.max(0.02),
-                }
-            })
-            .collect();
-        let base: f64 = users.iter().map(|u| u.rates[0]).sum();
-        SlotProblem::new(users, base + self.budget_slack.max(0.01)).expect("valid")
+    /// Stages the instance into `engine`: rates and values are the running
+    /// sums of the increments, the budget is the baseline's plus the slack.
+    fn stage_into(&self, engine: &mut SlotEngine) {
+        let base: f64 = self.users.iter().map(|(r0, _, _)| r0.max(0.01)).sum();
+        engine.begin_slot(base + self.budget_slack.max(0.01));
+        for (r0, increments, link) in &self.users {
+            let user = engine.add_user(increments.len() + 1, link.max(0.02));
+            user.rates[0] = r0.max(0.01);
+            user.values[0] = 0.0;
+            for (l, &(dr, dv)) in increments.iter().enumerate() {
+                user.rates[l + 1] = user.rates[l] + dr.max(0.01);
+                user.values[l + 1] = user.values[l] + dv.max(0.0);
+            }
+        }
     }
 
     fn random(rng: &mut ChaCha8Rng) -> Instance {
@@ -117,30 +110,37 @@ impl Instance {
     }
 }
 
-/// Gain ratio of Algorithm 1 vs the exact optimum; `None` for degenerate
-/// or near-degenerate instances (a materially positive optimal gain is
-/// required, else the ratio is floating-point noise).
-fn ratio(problem: &SlotProblem) -> Option<f64> {
+/// Gain ratio of Algorithm 1 vs the exact optimum on the staged slot;
+/// `None` for degenerate or near-degenerate instances (a materially
+/// positive optimal gain is required, else the ratio is floating-point
+/// noise).
+fn ratio(problem: &mut SlotEngine) -> Option<f64> {
     let opt = exact_slot_optimum(problem).ok()?;
     let base = problem.objective(&problem.baseline_assignment());
     let opt_gain = opt.value - base;
     if opt_gain < 0.05 {
         return None;
     }
-    let alg = problem.objective(&DensityValueGreedy::new().allocate(problem));
+    problem.solve();
+    let alg = problem.objective(problem.assignment());
     Some(((alg - base) / opt_gain).clamp(0.0, 2.0))
 }
 
 /// Runs one adversarial search; `concave` keeps every candidate inside the
 /// theorem's hypothesis class.
 fn search(rng: &mut ChaCha8Rng, restarts: usize, climb_steps: usize, concave: bool) -> f64 {
+    let mut engine = SlotEngine::new();
+    let mut ratio_of = |inst: &Instance| {
+        inst.stage_into(&mut engine);
+        ratio(&mut engine)
+    };
     let mut worst: f64 = 1.0;
     for _ in 0..restarts {
         let mut inst = Instance::random(rng);
         if concave {
             inst.make_concave();
         }
-        let mut cur = match ratio(&inst.to_problem()) {
+        let mut cur = match ratio_of(&inst) {
             Some(r) => r,
             None => continue,
         };
@@ -149,7 +149,7 @@ fn search(rng: &mut ChaCha8Rng, restarts: usize, climb_steps: usize, concave: bo
             if concave {
                 cand.make_concave();
             }
-            if let Some(r) = ratio(&cand.to_problem()) {
+            if let Some(r) = ratio_of(&cand) {
                 if r < cur {
                     cur = r;
                     inst = cand;
@@ -164,21 +164,21 @@ fn search(rng: &mut ChaCha8Rng, restarts: usize, climb_steps: usize, concave: bo
 /// A structured stress family: `k` users with small dense upgrades plus
 /// one user with a single huge upgrade — each single greedy pass can be
 /// fooled, but the combined algorithm recovers the optimum.
-fn tight_family(k: usize, epsilon: f64) -> SlotProblem {
-    let mut users: Vec<UserSlot> = (0..k)
-        .map(|_| UserSlot {
-            rates: vec![1e-3, 1e-3 + 1.0],
-            values: vec![0.0, 1.0],
-            link_budget: 10.0 * k as f64,
-        })
-        .collect();
-    users.push(UserSlot {
-        rates: vec![1e-3, 1e-3 + k as f64],
-        values: vec![0.0, k as f64 * (1.0 + epsilon)],
-        link_budget: 10.0 * k as f64,
-    });
-    let base: f64 = users.iter().map(|u| u.rates[0]).sum();
-    SlotProblem::new(users, base + k as f64).expect("valid")
+fn tight_family(k: usize, epsilon: f64) -> SlotEngine {
+    let kf = k as f64;
+    let mut engine = SlotEngine::new();
+    // The k + 1 baseline rates, summed one by one as they are staged.
+    let base: f64 = (0..=k).map(|_| 1e-3).sum();
+    engine.begin_slot(base + kf);
+    let rows = (0..k)
+        .map(|_| (1.0, 1.0))
+        .chain([(kf, kf * (1.0 + epsilon))]);
+    for (dr, dv) in rows {
+        let user = engine.add_user(2, 10.0 * kf);
+        user.rates.copy_from_slice(&[1e-3, 1e-3 + dr]);
+        user.values.copy_from_slice(&[0.0, dv]);
+    }
+    engine
 }
 
 /// Runs both searches and scores the structured stress family.
@@ -208,8 +208,7 @@ pub fn approx_worst_case(args: &FigureArgs) {
     println!("\n# Structured stress family (one big upgrade vs k small ones)\n");
     let mut table = Table::titled(&["k", "epsilon", "ratio"]);
     for &(k, eps) in &[(2usize, 0.5), (4, 0.2), (8, 0.05), (16, 0.01), (18, 0.001)] {
-        let p = tight_family(k, eps);
-        let r = ratio(&p).expect("non-degenerate");
+        let r = ratio(&mut tight_family(k, eps)).expect("non-degenerate");
         table.row(vec![k.into(), format!("{eps}").into(), r.into()]);
         assert!(r >= 0.5 - 1e-9);
     }

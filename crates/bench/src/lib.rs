@@ -5,8 +5,7 @@
 //! is driven by a declarative experiment table (`src/main.rs`); this
 //! library holds what the experiments share — argument parsing, the
 //! result [`Table`] and the [`json`] reader/writer — and what
-//! `benchmark/` reuses ([`json::Json`]). The Criterion benches measure
-//! allocator latency and approximation quality.
+//! `benchmark/` reuses ([`json::Json`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -17,10 +17,9 @@
 //! algorithms on the delay and variance components in the paper's Figs. 2,
 //! 3, 7 and 8.
 
-use crate::objective::SlotProblem;
+use crate::alloc::Allocator;
+use crate::engine::SlotEngine;
 use crate::quality::QualityLevel;
-
-use super::super::alloc::Allocator;
 
 /// The Firefly-style LRU quality controller.
 ///
@@ -29,23 +28,20 @@ use super::super::alloc::Allocator;
 /// ```
 /// use cvr_core::alloc::Allocator;
 /// use cvr_core::baselines::FireflyLru;
-/// use cvr_core::objective::{SlotProblem, UserSlot};
+/// use cvr_core::engine::SlotEngine;
 ///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let problem = SlotProblem::new(
-///     vec![
-///         UserSlot { rates: vec![1.0, 3.0], values: vec![0.5, 1.0], link_budget: 4.0 },
-///         UserSlot { rates: vec![1.0, 3.0], values: vec![0.5, 1.0], link_budget: 4.0 },
-///     ],
-///     4.0,
-/// )?;
+/// let mut engine = SlotEngine::new();
+/// engine.begin_slot(4.0);
+/// for _ in 0..2 {
+///     let user = engine.add_user(2, 4.0);
+///     user.rates.copy_from_slice(&[1.0, 3.0]);
+///     user.values.copy_from_slice(&[0.5, 1.0]);
+/// }
 /// let mut firefly = FireflyLru::new();
-/// let first = firefly.allocate(&problem);
-/// let second = firefly.allocate(&problem);
+/// let first = firefly.allocate(&mut engine).to_vec();
+/// let second = firefly.allocate(&mut engine).to_vec();
 /// // Only one user fits at the high level; LRU alternates who gets it.
 /// assert_ne!(first, second);
-/// # Ok(())
-/// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FireflyLru {
@@ -107,7 +103,13 @@ impl Default for FireflyLru {
 }
 
 impl Allocator for FireflyLru {
-    fn allocate(&mut self, problem: &SlotProblem) -> Vec<QualityLevel> {
+    /// # Panics
+    ///
+    /// Panics if the staged tables fail [`SlotEngine::validate`].
+    fn allocate<'e>(&mut self, problem: &'e mut SlotEngine) -> &'e [QualityLevel] {
+        problem
+            .validate()
+            .expect("staged slot problem must be valid");
         let n = problem.num_users();
         self.ensure_queue(n);
 
@@ -115,25 +117,26 @@ impl Allocator for FireflyLru {
         let mut remaining = problem.server_budget();
 
         // Everyone gets the mandatory baseline first.
-        for u in problem.users() {
-            remaining -= u.rates[0];
+        for u in 0..n {
+            remaining -= problem.rates(u)[0];
         }
 
         let mut upgraded = Vec::new();
         let mut kept = Vec::new();
         for &user in &self.queue {
-            let u = &problem.users()[user];
+            let rates = problem.rates(user);
+            let link_budget = problem.link_budget(user);
             // Highest level whose rate fits the link and the leftover server
             // budget (relative to the already-charged baseline rate).
             let mut chosen = 0usize;
-            for (i, &r) in u.rates.iter().enumerate().skip(1) {
-                if r <= self.headroom * u.link_budget && (r - u.rates[0]) <= remaining + 1e-12 {
+            for (i, &r) in rates.iter().enumerate().skip(1) {
+                if r <= self.headroom * link_budget && (r - rates[0]) <= remaining + 1e-12 {
                     chosen = i;
                 }
             }
             levels[user] = chosen;
             if chosen > 0 {
-                remaining -= u.rates[chosen] - u.rates[0];
+                remaining -= rates[chosen] - rates[0];
                 upgraded.push(user);
             } else {
                 kept.push(user);
@@ -145,61 +148,42 @@ impl Allocator for FireflyLru {
         self.queue.extend(kept);
         self.queue.extend(upgraded);
 
-        levels
-            .into_iter()
-            .map(|i| QualityLevel::new((i + 1) as u8))
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "firefly-lru"
-    }
-
-    fn reset(&mut self) {
-        self.queue.clear();
+        problem.set_assignment(levels.iter().map(|&i| QualityLevel::new((i + 1) as u8)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::UserSlot;
+    use crate::engine::staged;
 
-    fn two_user_problem(budget: f64) -> SlotProblem {
-        SlotProblem::new(
-            vec![
-                UserSlot {
-                    rates: vec![1.0, 3.0],
-                    values: vec![0.5, 1.0],
-                    link_budget: 5.0,
-                },
-                UserSlot {
-                    rates: vec![1.0, 3.0],
-                    values: vec![0.5, 1.0],
-                    link_budget: 5.0,
-                },
-            ],
-            budget,
-        )
-        .unwrap()
+    type User = (&'static [f64], &'static [f64], f64);
+
+    const TWO_USERS: [User; 2] = [
+        (&[1.0, 3.0], &[0.5, 1.0], 5.0),
+        (&[1.0, 3.0], &[0.5, 1.0], 5.0),
+    ];
+
+    fn allocate(ff: &mut FireflyLru, users: &[User], budget: f64) -> Vec<QualityLevel> {
+        let mut p = staged(users, budget);
+        let a = ff.allocate(&mut p).to_vec();
+        assert!(p.is_feasible(&a));
+        a
     }
 
     #[test]
     fn fills_to_capacity_when_budget_allows() {
-        let p = two_user_problem(10.0);
-        let a = FireflyLru::new().allocate(&p);
+        let a = allocate(&mut FireflyLru::new(), &TWO_USERS, 10.0);
         assert!(a.iter().all(|q| q.get() == 2));
-        assert!(p.is_feasible(&a));
     }
 
     #[test]
     fn rotates_priority_under_scarcity() {
         // Budget fits exactly one upgrade (2 baseline + 2 extra = 4).
-        let p = two_user_problem(4.0);
         let mut ff = FireflyLru::new();
-        let a1 = ff.allocate(&p);
-        let a2 = ff.allocate(&p);
-        let a3 = ff.allocate(&p);
+        let a1 = allocate(&mut ff, &TWO_USERS, 4.0);
+        let a2 = allocate(&mut ff, &TWO_USERS, 4.0);
+        let a3 = allocate(&mut ff, &TWO_USERS, 4.0);
         // Exactly one user upgraded per slot.
         for a in [&a1, &a2, &a3] {
             assert_eq!(a.iter().filter(|q| q.get() == 2).count(), 1);
@@ -211,63 +195,33 @@ mod tests {
 
     #[test]
     fn respects_link_budget() {
-        let p = SlotProblem::new(
-            vec![UserSlot {
-                rates: vec![1.0, 3.0, 9.0],
-                values: vec![0.0, 0.0, 0.0],
-                link_budget: 4.0,
-            }],
+        let a = allocate(
+            &mut FireflyLru::new(),
+            &[(&[1.0, 3.0, 9.0], &[0.0, 0.0, 0.0], 4.0)],
             100.0,
-        )
-        .unwrap();
-        let a = FireflyLru::new().allocate(&p);
+        );
         assert_eq!(a[0].get(), 2); // level 3 needs 9 > 4 link
     }
 
     #[test]
     fn delay_blind_ignores_values() {
         // Negative values do not deter Firefly: it still maxes quality.
-        let p = SlotProblem::new(
-            vec![UserSlot {
-                rates: vec![1.0, 2.0],
-                values: vec![0.0, -100.0],
-                link_budget: 5.0,
-            }],
+        let a = allocate(
+            &mut FireflyLru::new(),
+            &[(&[1.0, 2.0], &[0.0, -100.0], 5.0)],
             10.0,
-        )
-        .unwrap();
-        let a = FireflyLru::new().allocate(&p);
+        );
         assert_eq!(a[0].get(), 2);
-    }
-
-    #[test]
-    fn reset_restores_initial_order() {
-        let p = two_user_problem(4.0);
-        let mut ff = FireflyLru::new();
-        let a1 = ff.allocate(&p);
-        ff.allocate(&p);
-        ff.reset();
-        let a_after = ff.allocate(&p);
-        assert_eq!(a1, a_after);
     }
 
     #[test]
     fn headroom_limits_aggressiveness() {
         // Link 5, rates [1, 4.5]: with the default full headroom level 2
         // fits (4.5 ≤ 5); with 0.85 headroom it does not (4.5 > 4.25).
-        let p = SlotProblem::new(
-            vec![UserSlot {
-                rates: vec![1.0, 4.5],
-                values: vec![0.0, 0.0],
-                link_budget: 5.0,
-            }],
-            100.0,
-        )
-        .unwrap();
-        let mut aggressive = FireflyLru::new();
-        assert_eq!(aggressive.allocate(&p)[0].get(), 2);
+        let one: [User; 1] = [(&[1.0, 4.5], &[0.0, 0.0], 5.0)];
+        assert_eq!(allocate(&mut FireflyLru::new(), &one, 100.0)[0].get(), 2);
         let mut cautious = FireflyLru::with_headroom(0.85);
-        assert_eq!(cautious.allocate(&p)[0].get(), 1);
+        assert_eq!(allocate(&mut cautious, &one, 100.0)[0].get(), 1);
         assert_eq!(FireflyLru::new().headroom(), FireflyLru::DEFAULT_HEADROOM);
         assert_eq!(FireflyLru::DEFAULT_HEADROOM, 1.0);
     }
@@ -279,23 +233,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "staged slot problem must be valid")]
+    fn malformed_tables_panic() {
+        allocate(
+            &mut FireflyLru::new(),
+            &[(&[3.0, 1.0], &[0.0, 0.0], 5.0)],
+            10.0,
+        );
+    }
+
+    #[test]
     fn queue_reinitialises_when_user_count_changes() {
         let mut ff = FireflyLru::new();
-        ff.allocate(&two_user_problem(4.0));
+        allocate(&mut ff, &TWO_USERS, 4.0);
         // Different population: must not panic, must return right length.
-        let p3 = SlotProblem::new(
-            vec![
-                UserSlot {
-                    rates: vec![1.0],
-                    values: vec![0.0],
-                    link_budget: 1.0
-                };
-                3
-            ],
-            10.0,
-        )
-        .unwrap();
-        let a = ff.allocate(&p3);
+        let one: User = (&[1.0], &[0.0], 1.0);
+        let a = allocate(&mut ff, &[one; 3], 10.0);
         assert_eq!(a.len(), 3);
     }
 }

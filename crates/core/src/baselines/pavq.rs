@@ -16,10 +16,9 @@
 //! converges near the optimum, but when capacity jumps it lags, transiently
 //! over- or under-subscribing the server link.
 
-use crate::objective::SlotProblem;
+use crate::alloc::Allocator;
+use crate::engine::SlotEngine;
 use crate::quality::QualityLevel;
-
-use super::super::alloc::Allocator;
 
 /// The modified-PAVQ allocator with a persistent dual price.
 ///
@@ -28,17 +27,15 @@ use super::super::alloc::Allocator;
 /// ```
 /// use cvr_core::alloc::Allocator;
 /// use cvr_core::baselines::Pavq;
-/// use cvr_core::objective::{SlotProblem, UserSlot};
+/// use cvr_core::engine::SlotEngine;
 ///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let problem = SlotProblem::new(
-///     vec![UserSlot { rates: vec![1.0, 2.0], values: vec![0.5, 1.5], link_budget: 4.0 }],
-///     4.0,
-/// )?;
-/// let assignment = Pavq::new().allocate(&problem);
+/// let mut engine = SlotEngine::new();
+/// engine.begin_slot(4.0);
+/// let user = engine.add_user(2, 4.0);
+/// user.rates.copy_from_slice(&[1.0, 2.0]);
+/// user.values.copy_from_slice(&[0.5, 1.5]);
+/// let assignment = Pavq::new().allocate(&mut engine);
 /// assert_eq!(assignment.len(), 1);
-/// # Ok(())
-/// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pavq {
@@ -93,15 +90,14 @@ impl Pavq {
 
     /// Each user independently maximises `h_n(q) − λ·f^R(q)` over its
     /// link-feasible levels.
-    fn price_response(&self, problem: &SlotProblem) -> Vec<usize> {
-        problem
-            .users()
-            .iter()
+    fn price_response(&self, problem: &SlotEngine) -> Vec<usize> {
+        (0..problem.num_users())
             .map(|u| {
+                let (rates, values) = (problem.rates(u), problem.values(u));
                 let mut best = 0usize;
-                let mut best_score = u.values[0] - self.lambda * u.rates[0];
-                for (i, (&r, &v)) in u.rates.iter().zip(&u.values).enumerate().skip(1) {
-                    if r > u.link_budget {
+                let mut best_score = values[0] - self.lambda * rates[0];
+                for (i, (&r, &v)) in rates.iter().zip(values).enumerate().skip(1) {
+                    if r > problem.link_budget(u) {
                         break; // rates increase; nothing further fits
                     }
                     let score = v - self.lambda * r;
@@ -129,16 +125,27 @@ impl Default for Pavq {
     }
 }
 
+/// `Σ_n f^R(q_n)` over 0-based level indices.
+fn total_rate(problem: &SlotEngine, levels: &[usize]) -> f64 {
+    levels
+        .iter()
+        .enumerate()
+        .map(|(u, &l)| problem.rates(u)[l])
+        .sum()
+}
+
 impl Allocator for Pavq {
-    fn allocate(&mut self, problem: &SlotProblem) -> Vec<QualityLevel> {
+    /// # Panics
+    ///
+    /// Panics if the staged tables fail [`SlotEngine::validate`].
+    fn allocate<'e>(&mut self, problem: &'e mut SlotEngine) -> &'e [QualityLevel] {
+        problem
+            .validate()
+            .expect("staged slot problem must be valid");
         let budget = problem.server_budget();
         let mut levels = self.price_response(problem);
         for _ in 0..self.inner_iterations {
-            let total: f64 = levels
-                .iter()
-                .zip(problem.users())
-                .map(|(&l, u)| u.rates[l])
-                .sum();
+            let total = total_rate(problem, &levels);
             self.update_price(total, budget);
             levels = self.price_response(problem);
         }
@@ -147,66 +154,50 @@ impl Allocator for Pavq {
         // catches up; the server cannot send more than the link carries, so
         // shed load by downgrading the cheapest-loss users until feasible
         // (the real system's send queue effectively does this).
-        let mut total: f64 = levels
-            .iter()
-            .zip(problem.users())
-            .map(|(&l, u)| u.rates[l])
-            .sum();
+        let mut total = total_rate(problem, &levels);
         while total > budget + 1e-9 {
             let mut best: Option<(f64, usize)> = None;
-            for (n, (&l, u)) in levels.iter().zip(problem.users()).enumerate() {
+            for (n, &l) in levels.iter().enumerate() {
                 if l == 0 {
                     continue;
                 }
-                let loss = u.values[l] - u.values[l - 1];
+                let values = problem.values(n);
+                let loss = values[l] - values[l - 1];
                 if best.is_none_or(|(bl, _)| loss < bl) {
                     best = Some((loss, n));
                 }
             }
             let Some((_, n)) = best else { break };
-            let u = &problem.users()[n];
-            total -= u.rates[levels[n]] - u.rates[levels[n] - 1];
+            let rates = problem.rates(n);
+            total -= rates[levels[n]] - rates[levels[n] - 1];
             levels[n] -= 1;
         }
 
-        levels
-            .into_iter()
-            .map(|i| QualityLevel::new((i + 1) as u8))
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "pavq"
-    }
-
-    fn reset(&mut self) {
-        self.lambda = 0.0;
+        problem.set_assignment(levels.iter().map(|&i| QualityLevel::new((i + 1) as u8)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::UserSlot;
+    use crate::engine::staged;
     use crate::offline::exact_slot_optimum;
 
-    fn concave_user(link: f64) -> UserSlot {
+    type User = (&'static [f64], &'static [f64], f64);
+
+    fn concave_user(link: f64) -> User {
         // Concave values over convex rates — the paper's structure.
-        UserSlot {
-            rates: vec![1.0, 2.0, 4.0, 8.0],
-            values: vec![1.0, 1.8, 2.4, 2.8],
-            link_budget: link,
-        }
+        (&[1.0, 2.0, 4.0, 8.0], &[1.0, 1.8, 2.4, 2.8], link)
     }
 
     #[test]
     fn converges_near_optimum_on_static_problem() {
-        let p = SlotProblem::new(vec![concave_user(8.0), concave_user(8.0)], 8.0).unwrap();
+        let mut p = staged(&[concave_user(8.0), concave_user(8.0)], 8.0);
         let opt = exact_slot_optimum(&p).unwrap().value;
         let mut pavq = Pavq::new();
         let mut last = 0.0;
         for _ in 0..500 {
-            let a = pavq.allocate(&p);
+            let a = pavq.allocate(&mut p).to_vec();
             last = p.objective(&a);
         }
         assert!(last >= 0.9 * opt, "pavq {last} far from optimum {opt}");
@@ -214,27 +205,27 @@ mod tests {
 
     #[test]
     fn shedding_keeps_assignment_feasible_every_slot() {
-        let p = SlotProblem::new(vec![concave_user(8.0); 4], 10.0).unwrap();
+        let mut p = staged(&[concave_user(8.0); 4], 10.0);
         let mut pavq = Pavq::new();
         for _ in 0..50 {
-            let a = pavq.allocate(&p);
+            let a = pavq.allocate(&mut p).to_vec();
             assert!(p.is_feasible(&a));
         }
     }
 
     #[test]
     fn price_rises_under_overload_and_decays_with_slack() {
-        let tight = SlotProblem::new(vec![concave_user(8.0); 4], 5.0).unwrap();
+        let mut tight = staged(&[concave_user(8.0); 4], 5.0);
         let mut pavq = Pavq::new();
         for _ in 0..20 {
-            pavq.allocate(&tight);
+            pavq.allocate(&mut tight);
         }
         let high_price = pavq.lambda();
         assert!(high_price > 0.0);
 
-        let loose = SlotProblem::new(vec![concave_user(8.0); 4], 1000.0).unwrap();
+        let mut loose = staged(&[concave_user(8.0); 4], 1000.0);
         for _ in 0..200 {
-            pavq.allocate(&loose);
+            pavq.allocate(&mut loose);
         }
         assert!(pavq.lambda() < high_price);
     }
@@ -243,51 +234,43 @@ mod tests {
     fn lags_after_abrupt_budget_change() {
         // Converge under a generous budget, then crash the budget: the
         // first post-change response (before shedding) over-subscribes.
-        let loose = SlotProblem::new(vec![concave_user(8.0); 4], 32.0).unwrap();
+        let mut loose = staged(&[concave_user(8.0); 4], 32.0);
         let mut pavq = Pavq::new();
         for _ in 0..200 {
-            pavq.allocate(&loose);
+            pavq.allocate(&mut loose);
         }
-        let tight = SlotProblem::new(vec![concave_user(8.0); 4], 6.0).unwrap();
-        let raw: f64 = pavq
-            .price_response(&tight)
-            .iter()
-            .zip(tight.users())
-            .map(|(&l, u)| u.rates[l])
-            .sum();
+        let tight = staged(&[concave_user(8.0); 4], 6.0);
+        let raw = total_rate(&tight, &pavq.price_response(&tight));
         assert!(raw > 6.0, "price should lag the sudden capacity drop");
     }
 
     #[test]
     fn respects_link_budget() {
-        let p = SlotProblem::new(vec![concave_user(3.0)], 100.0).unwrap();
+        let mut p = staged(&[concave_user(3.0)], 100.0);
         let mut pavq = Pavq::new();
         for _ in 0..50 {
-            let a = pavq.allocate(&p);
+            let a = pavq.allocate(&mut p);
             assert!(a[0].get() <= 2); // level 3 needs rate 4 > 3
         }
     }
 
     #[test]
     fn inner_iterations_accelerate_convergence() {
-        let p = SlotProblem::new(vec![concave_user(8.0); 3], 9.0).unwrap();
+        let mut p = staged(&[concave_user(8.0); 3], 9.0);
         let opt = exact_slot_optimum(&p).unwrap().value;
         let mut fast = Pavq::new().inner_iterations(200);
-        let a = fast.allocate(&p);
-        let b = fast.allocate(&p);
-        let _ = a;
+        fast.allocate(&mut p);
+        let b = fast.allocate(&mut p).to_vec();
         assert!(p.objective(&b) >= 0.85 * opt);
     }
 
     #[test]
-    fn reset_clears_price() {
-        let p = SlotProblem::new(vec![concave_user(8.0); 4], 5.0).unwrap();
-        let mut pavq = Pavq::new();
-        for _ in 0..20 {
-            pavq.allocate(&p);
-        }
-        pavq.reset();
-        assert_eq!(pavq.lambda(), 0.0);
+    #[should_panic(expected = "staged slot problem must be valid")]
+    fn malformed_tables_panic() {
+        Pavq::new().allocate(&mut staged(
+            &[(&[1.0, 1.0][..], &[0.0, 1.0][..], 5.0)],
+            10.0,
+        ));
     }
 
     #[test]

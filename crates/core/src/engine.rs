@@ -1,19 +1,28 @@
-//! The reusable, zero-allocation per-slot solver behind the simulators'
-//! hot paths.
+//! The per-slot problem (5)–(7) and its reusable, zero-allocation solver.
 //!
-//! The simulators solve one [`SlotProblem`]-shaped instance every slot —
-//! 3 600 to 20 000 times per run. Building a fresh `Vec<UserSlot>` (two
-//! heap allocations per user), validating it, and letting each greedy pass
-//! allocate its own heap and level buffers dominates the cost of actually
-//! solving these tiny knapsacks. A [`SlotEngine`] is owned for the whole
-//! run instead: its flat rate/value tables, candidate heap, and level and
-//! assignment buffers are allocated once and reused across slots, so after
-//! warm-up a slot is solved without touching the allocator at all.
+//! Every slot loop stages one instance every slot — 3 600 to 20 000 times
+//! per run. A [`SlotEngine`] is owned for the whole run: its flat
+//! rate/value tables, candidate heap, and level and assignment buffers are
+//! allocated once and reused across slots, so after warm-up a slot is
+//! staged and solved without touching the allocator at all. The staged
+//! tables *are* the slot problem: every allocator, the exact oracles of
+//! [`crate::offline`] and the fractional bound read them where they lie.
 //!
-//! The engine runs the *same* monomorphised greedy-pass code as
-//! [`DensityValueGreedy`](crate::alloc::DensityValueGreedy) (via the
-//! crate-internal `PassProblem` view), so its assignments are bit-identical
-//! to the allocating path — a property pinned by property tests.
+//! [`SlotEngine::solve`] is Algorithm 1: both greedy passes start from the
+//! all-ones baseline and repeatedly upgrade one user by one level —
+//!
+//! * the **density** pass picks the user with the largest marginal QoE per
+//!   marginal rate, `η_n = (h_n(q+1) − h_n(q)) / (f^R(q+1) − f^R(q))`;
+//! * the **value** pass picks the largest marginal QoE,
+//!   `v_n = h_n(q+1) − h_n(q)`.
+//!
+//! A pass stops when the best marginal is negative; an upgrade that busts
+//! the user's link budget or the server budget is rolled back and the user
+//! is retired (`quality_verification` in the paper's pseudocode). The
+//! better pass wins and achieves at least half the per-slot optimum
+//! (Theorem 1). Each pass keeps one heap entry per active user (a user's
+//! marginal only changes when that user is upgraded), so it runs in
+//! `O(N·L·log N)`.
 //!
 //! The engine times its own density and value passes and keeps only the
 //! last solve's two durations ([`SlotEngine::density_ns`],
@@ -32,12 +41,12 @@
 //! assert_eq!(assignment[0].get(), 3);
 //! ```
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use crate::alloc::greedy_internal::{greedy_pass_into, Candidate, PassProblem, Score};
 use crate::error::AllocError;
-use crate::objective::{SlotProblem, UserSlot};
+use crate::objective::RATE_EPS;
 use crate::quality::QualityLevel;
 
 /// Mutable slices into the engine's staged tables for one user, returned
@@ -45,42 +54,63 @@ use crate::quality::QualityLevel;
 #[derive(Debug)]
 pub struct UserTables<'a> {
     /// Per-level rates (index 0 = level 1); fill strictly increasing and
-    /// positive, exactly as [`UserSlot::rates`] requires.
+    /// positive, as [`SlotEngine::validate`] requires.
     pub rates: &'a mut [f64],
     /// Per-level objective values `h_n` (index 0 = level 1).
     pub values: &'a mut [f64],
 }
 
-/// Borrowed view of the staged tables, presenting the `PassProblem`
-/// interface to the shared greedy pass without aliasing the engine's
-/// mutable work buffers.
-struct StagedView<'a> {
-    offsets: &'a [usize],
-    rates: &'a [f64],
-    values: &'a [f64],
-    link_budgets: &'a [f64],
+/// Which marginal a greedy pass ranks users by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Score {
+    Density,
+    Value,
+}
+
+/// Heap entry: marginal score for upgrading `user` from its current level.
+/// Ordered by score descending, then by user index ascending so ties match
+/// the paper's first-index `argmax`.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    score: f64,
+    user: usize,
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.score
+            .total_cmp(&other.score)
+            .then_with(|| other.user.cmp(&self.user))
+    }
+}
+
+/// The staged tables, kept apart from the solver's work buffers so a pass
+/// can read one while writing the other.
+#[derive(Debug, Default)]
+struct Tables {
     server_budget: f64,
+    /// Prefix offsets into `rates`/`values`; `offsets.len() == users + 1`.
+    offsets: Vec<usize>,
+    rates: Vec<f64>,
+    values: Vec<f64>,
+    link_budgets: Vec<f64>,
 }
 
-impl StagedView<'_> {
-    fn objective(&self, levels: &[usize]) -> f64 {
-        levels
-            .iter()
-            .enumerate()
-            .map(|(u, &l)| self.values[self.offsets[u] + l])
-            .sum()
-    }
-}
-
-impl PassProblem for StagedView<'_> {
-    fn num_users(&self) -> usize {
-        self.link_budgets.len()
-    }
-
-    fn server_budget(&self) -> f64 {
-        self.server_budget
-    }
-
+impl Tables {
     fn rates(&self, user: usize) -> &[f64] {
         &self.rates[self.offsets[user]..self.offsets[user + 1]]
     }
@@ -89,22 +119,83 @@ impl PassProblem for StagedView<'_> {
         &self.values[self.offsets[user]..self.offsets[user + 1]]
     }
 
-    fn link_budget(&self, user: usize) -> f64 {
-        self.link_budgets[user]
+    /// `Σ_n h_n` over 0-based level indices.
+    fn objective(&self, levels: &[usize]) -> f64 {
+        levels
+            .iter()
+            .enumerate()
+            .map(|(u, &l)| self.values[self.offsets[u] + l])
+            .sum()
+    }
+
+    fn marginal(&self, user: usize, level_idx: usize, score: Score) -> Option<f64> {
+        let values = self.values(user);
+        if level_idx + 1 >= values.len() {
+            return None;
+        }
+        let dv = values[level_idx + 1] - values[level_idx];
+        match score {
+            Score::Value => Some(dv),
+            Score::Density => {
+                let rates = self.rates(user);
+                let dr = rates[level_idx + 1] - rates[level_idx];
+                // Rates are validated strictly increasing, so dr > 0.
+                Some(dv / dr)
+            }
+        }
+    }
+
+    /// Runs one greedy pass into caller-owned buffers (0-based level
+    /// indices in `levels`).
+    fn greedy_pass(&self, score: Score, heap: &mut BinaryHeap<Candidate>, levels: &mut Vec<usize>) {
+        let n = self.link_budgets.len();
+        levels.clear();
+        levels.resize(n, 0);
+        let mut total_rate: f64 = (0..n).map(|u| self.rates(u)[0]).sum();
+
+        heap.clear();
+        for user in 0..n {
+            if let Some(s) = self.marginal(user, 0, score) {
+                heap.push(Candidate { score: s, user });
+            }
+        }
+
+        while let Some(Candidate { score: s, user }) = heap.pop() {
+            // Stop the entire pass on a negative best marginal, as in the paper.
+            if s < 0.0 {
+                break;
+            }
+            let rates = self.rates(user);
+            let cur = levels[user];
+            let next = cur + 1;
+            let next_rate = rates[next];
+            let added = next_rate - rates[cur];
+
+            // quality_verification: reject upgrades that bust either budget
+            // and retire the user; otherwise commit.
+            if next_rate > self.link_budgets[user] + RATE_EPS
+                || total_rate + added > self.server_budget + RATE_EPS
+            {
+                continue; // rolled back (never committed) and retired.
+            }
+            levels[user] = next;
+            total_rate += added;
+
+            if let Some(s2) = self.marginal(user, next, score) {
+                heap.push(Candidate { score: s2, user });
+            }
+            // At the top level the user simply retires (no push), matching
+            // the `q_n == L` branch of quality_verification.
+        }
     }
 }
 
-/// A reusable per-slot allocation solver: stage one slot's tables, solve
-/// with Algorithm 1 (or a single pass), read the assignment — all without
-/// per-slot heap allocation once warm.
+/// One slot's allocation problem (5)–(7) and its solver: stage the tables,
+/// solve with Algorithm 1 (or a single pass), read the assignment — all
+/// without per-slot heap allocation once warm.
 #[derive(Debug, Default)]
 pub struct SlotEngine {
-    server_budget: f64,
-    /// Prefix offsets into `rates`/`values`; `offsets.len() == users + 1`.
-    offsets: Vec<usize>,
-    rates: Vec<f64>,
-    values: Vec<f64>,
-    link_budgets: Vec<f64>,
+    tables: Tables,
     heap: BinaryHeap<Candidate>,
     density_levels: Vec<usize>,
     value_levels: Vec<usize>,
@@ -126,70 +217,155 @@ impl SlotEngine {
     /// discarding the previous slot's users but keeping every buffer's
     /// capacity.
     pub fn begin_slot(&mut self, server_budget: f64) {
-        self.server_budget = server_budget;
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.rates.clear();
-        self.values.clear();
-        self.link_budgets.clear();
+        let t = &mut self.tables;
+        t.server_budget = server_budget;
+        t.offsets.clear();
+        t.offsets.push(0);
+        t.rates.clear();
+        t.values.clear();
+        t.link_budgets.clear();
     }
 
     /// Appends a user with `levels` quality levels and the given link
     /// budget, returning zero-initialised table slices to fill. The caller
-    /// must leave `rates` strictly increasing and positive (as
-    /// [`SlotProblem::new`] would require) before solving.
+    /// must leave `rates` strictly increasing and positive before solving.
     ///
     /// # Panics
     ///
     /// Panics if `levels` is zero.
     pub fn add_user(&mut self, levels: usize, link_budget: f64) -> UserTables<'_> {
         assert!(levels > 0, "a user needs at least one quality level");
-        let start = self.rates.len();
+        let t = &mut self.tables;
+        let start = t.rates.len();
         let end = start + levels;
-        self.rates.resize(end, 0.0);
-        self.values.resize(end, 0.0);
-        self.offsets.push(end);
-        self.link_budgets.push(link_budget);
+        t.rates.resize(end, 0.0);
+        t.values.resize(end, 0.0);
+        t.offsets.push(end);
+        t.link_budgets.push(link_budget);
         UserTables {
-            rates: &mut self.rates[start..end],
-            values: &mut self.values[start..end],
+            rates: &mut t.rates[start..end],
+            values: &mut t.values[start..end],
         }
     }
 
-    /// Copies an existing validated problem into the engine (convenience
-    /// for tests and benchmarks; the simulators fill tables in place).
-    pub fn stage_problem(&mut self, problem: &SlotProblem) {
-        self.begin_slot(problem.server_budget());
-        for user in problem.users() {
-            let tables = self.add_user(user.levels(), user.link_budget);
-            tables.rates.copy_from_slice(&user.rates);
-            tables.values.copy_from_slice(&user.values);
-        }
-    }
-
-    /// Number of users staged for the current slot.
+    /// Number of users `N` staged for the current slot.
     pub fn num_users(&self) -> usize {
-        self.link_budgets.len()
+        self.tables.link_budgets.len()
     }
 
     /// The staged server budget `B(t)`.
     pub fn server_budget(&self) -> f64 {
-        self.server_budget
+        self.tables.server_budget
     }
 
     /// The staged per-level rates of one user.
     pub fn rates(&self, user: usize) -> &[f64] {
-        &self.rates[self.offsets[user]..self.offsets[user + 1]]
+        self.tables.rates(user)
     }
 
     /// The staged per-level objective values of one user.
     pub fn values(&self, user: usize) -> &[f64] {
-        &self.values[self.offsets[user]..self.offsets[user + 1]]
+        self.tables.values(user)
     }
 
-    /// The staged link budget of one user.
+    /// The staged link budget `B_n(t)` of one user.
     pub fn link_budget(&self, user: usize) -> f64 {
-        self.link_budgets[user]
+        self.tables.link_budgets[user]
+    }
+
+    /// Checks the staged tables: at least one user; per user, rates
+    /// positive, finite and strictly increasing, values finite, and a
+    /// positive finite link budget. (Every row has at least one level and
+    /// equal-length rate and value rows by construction.)
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError::NoUsers`] when nothing is staged and
+    /// [`AllocError::MalformedUser`] naming the first malformed user.
+    pub fn validate(&self) -> Result<(), AllocError> {
+        if self.num_users() == 0 {
+            return Err(AllocError::NoUsers);
+        }
+        for user in 0..self.num_users() {
+            let malformed = |reason| Err(AllocError::MalformedUser { user, reason });
+            let rates = self.rates(user);
+            if rates.iter().any(|r| !r.is_finite() || *r <= 0.0) {
+                return malformed("rates must be positive and finite");
+            }
+            if rates.windows(2).any(|w| w[1] <= w[0]) {
+                return malformed("rates must be strictly increasing");
+            }
+            if self.values(user).iter().any(|v| !v.is_finite()) {
+                return malformed("values must be finite");
+            }
+            let link = self.link_budget(user);
+            if !link.is_finite() || link <= 0.0 {
+                return malformed("link budget must be positive and finite");
+            }
+        }
+        Ok(())
+    }
+
+    /// Total rate consumed by an assignment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignment` has the wrong length or a level out of range.
+    pub fn total_rate(&self, assignment: &[QualityLevel]) -> f64 {
+        assert_eq!(
+            assignment.len(),
+            self.num_users(),
+            "assignment length mismatch"
+        );
+        assignment
+            .iter()
+            .enumerate()
+            .map(|(u, q)| self.rates(u)[q.index()])
+            .sum()
+    }
+
+    /// Total objective value `Σ h_n(q_n)` of an assignment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignment` has the wrong length or a level out of range.
+    pub fn objective(&self, assignment: &[QualityLevel]) -> f64 {
+        assert_eq!(
+            assignment.len(),
+            self.num_users(),
+            "assignment length mismatch"
+        );
+        assignment
+            .iter()
+            .enumerate()
+            .map(|(u, q)| self.values(u)[q.index()])
+            .sum()
+    }
+
+    /// Checks constraints (6) and (7) with the shared [`RATE_EPS`] slack.
+    /// Levels above 1 must respect both the per-user and server budgets;
+    /// the mandatory level-1 baseline is always feasible on the per-user
+    /// constraint, matching Algorithm 1, which never rejects the starting
+    /// allocation.
+    pub fn is_feasible(&self, assignment: &[QualityLevel]) -> bool {
+        if assignment.len() != self.num_users() {
+            return false;
+        }
+        for (u, q) in assignment.iter().enumerate() {
+            let rates = self.rates(u);
+            if q.index() >= rates.len() {
+                return false;
+            }
+            if q.get() > 1 && rates[q.index()] > self.link_budget(u) + RATE_EPS {
+                return false;
+            }
+        }
+        self.total_rate(assignment) <= self.server_budget() + RATE_EPS
+    }
+
+    /// The all-ones starting assignment of Algorithm 1.
+    pub fn baseline_assignment(&self) -> Vec<QualityLevel> {
+        vec![QualityLevel::MIN; self.num_users()]
     }
 
     /// The assignment produced by the most recent solve (empty before the
@@ -222,109 +398,62 @@ impl SlotEngine {
         self.value_ns
     }
 
-    /// Stores an externally computed assignment (the fallback path for
-    /// allocators without an engine fast path) and returns it borrowed.
+    /// Stores an assignment computed outside Algorithm 1 (the baselines,
+    /// the exact optimum) and returns it borrowed.
     ///
     /// # Panics
     ///
     /// Panics if the assignment length does not match the staged user
     /// count.
-    pub fn set_assignment(&mut self, assignment: Vec<QualityLevel>) -> &[QualityLevel] {
+    pub fn set_assignment<I>(&mut self, assignment: I) -> &[QualityLevel]
+    where
+        I: IntoIterator<Item = QualityLevel>,
+    {
+        self.assignment.clear();
+        self.assignment.extend(assignment);
         assert_eq!(
-            assignment.len(),
+            self.assignment.len(),
             self.num_users(),
             "assignment length mismatch"
         );
-        self.assignment = assignment;
         &self.assignment
     }
 
-    /// Materialises the staged slot as a validated [`SlotProblem`]
-    /// (allocating), for allocators that do not implement the staged fast
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation errors from [`SlotProblem::new`], e.g. when a
-    /// staged rate table was left non-monotone.
-    pub fn to_problem(&self) -> Result<SlotProblem, AllocError> {
-        let users: Vec<UserSlot> = (0..self.num_users())
-            .map(|u| UserSlot {
-                rates: self.rates(u).to_vec(),
-                values: self.values(u).to_vec(),
-                link_budget: self.link_budgets[u],
-            })
-            .collect();
-        SlotProblem::new(users, self.server_budget)
-    }
-
-    #[cfg(debug_assertions)]
-    fn debug_validate(&self) {
+    /// Panics unless users are staged; debug builds also run
+    /// [`SlotEngine::validate`].
+    fn check_staged(&self) {
         assert!(self.num_users() > 0, "no users staged");
-        for u in 0..self.num_users() {
-            let rates = self.rates(u);
-            assert!(
-                rates.iter().all(|r| r.is_finite() && *r > 0.0),
-                "user {u}: rates must be positive and finite"
-            );
-            assert!(
-                rates.windows(2).all(|w| w[1] > w[0]),
-                "user {u}: rates must be strictly increasing"
-            );
-            assert!(
-                self.values(u).iter().all(|v| v.is_finite()),
-                "user {u}: values must be finite"
-            );
-            let link = self.link_budgets[u];
-            assert!(
-                link.is_finite() && link > 0.0,
-                "user {u}: link budget must be positive and finite"
-            );
+        #[cfg(debug_assertions)]
+        if let Err(e) = self.validate() {
+            panic!("invalid staged slot: {e}");
         }
     }
 
     /// Runs Algorithm 1 (density pass, value pass, keep the better) on the
     /// staged slot, reusing all internal buffers, and returns the chosen
-    /// assignment. Identical to
-    /// [`DensityValueGreedy::allocate`](crate::alloc::DensityValueGreedy)
-    /// on the equivalent [`SlotProblem`].
+    /// assignment.
     ///
     /// Table validity is the caller's contract (checked only in debug
-    /// builds); use [`SlotEngine::to_problem`] to validate explicitly.
+    /// builds); call [`SlotEngine::validate`] to check explicitly.
     ///
     /// # Panics
     ///
     /// Panics if no users are staged.
     pub fn solve(&mut self) -> &[QualityLevel] {
-        #[cfg(debug_assertions)]
-        self.debug_validate();
-        assert!(self.num_users() > 0, "no users staged");
-
-        let view = StagedView {
-            offsets: &self.offsets,
-            rates: &self.rates,
-            values: &self.values,
-            link_budgets: &self.link_budgets,
-            server_budget: self.server_budget,
-        };
+        self.check_staged();
+        let tables = &self.tables;
 
         let start = Instant::now();
-        greedy_pass_into(
-            &view,
-            Score::Density,
-            &mut self.heap,
-            &mut self.density_levels,
-        );
-        let density_value = view.objective(&self.density_levels);
+        tables.greedy_pass(Score::Density, &mut self.heap, &mut self.density_levels);
+        let density_value = tables.objective(&self.density_levels);
         self.density_ns = start.elapsed().as_nanos() as u64;
 
         let start = Instant::now();
-        greedy_pass_into(&view, Score::Value, &mut self.heap, &mut self.value_levels);
-        let value_value = view.objective(&self.value_levels);
+        tables.greedy_pass(Score::Value, &mut self.heap, &mut self.value_levels);
+        let value_value = tables.objective(&self.value_levels);
         self.value_ns = start.elapsed().as_nanos() as u64;
 
-        // `max(V_d, V_v)`, density preferred on ties exactly like
-        // `GreedyOutcome::best`.
+        // `max(V_d, V_v)`, density preferred on ties.
         let chosen = if density_value >= value_value {
             &self.density_levels
         } else {
@@ -339,20 +468,11 @@ impl SlotEngine {
     }
 
     fn solve_single(&mut self, score: Score) -> &[QualityLevel] {
-        #[cfg(debug_assertions)]
-        self.debug_validate();
-        assert!(self.num_users() > 0, "no users staged");
-
-        let view = StagedView {
-            offsets: &self.offsets,
-            rates: &self.rates,
-            values: &self.values,
-            link_budgets: &self.link_budgets,
-            server_budget: self.server_budget,
-        };
+        self.check_staged();
+        let tables = &self.tables;
         let start = Instant::now();
-        greedy_pass_into(&view, score, &mut self.heap, &mut self.density_levels);
-        let objective = view.objective(&self.density_levels);
+        tables.greedy_pass(score, &mut self.heap, &mut self.density_levels);
+        let objective = tables.objective(&self.density_levels);
         let elapsed_ns = start.elapsed().as_nanos() as u64;
         match score {
             Score::Density => {
@@ -396,179 +516,170 @@ impl SlotEngine {
     }
 }
 
+/// Stages `users` (`(rates, values, link budget)` per user) into a fresh
+/// engine with server budget `budget`: the unit tests' instance builder.
+#[cfg(test)]
+pub(crate) fn staged<R: AsRef<[f64]>>(users: &[(R, R, f64)], budget: f64) -> SlotEngine {
+    let mut engine = SlotEngine::new();
+    restage(&mut engine, users, budget);
+    engine
+}
+
+/// [`staged`] into an existing engine.
+#[cfg(test)]
+pub(crate) fn restage<R: AsRef<[f64]>>(
+    engine: &mut SlotEngine,
+    users: &[(R, R, f64)],
+    budget: f64,
+) {
+    engine.begin_slot(budget);
+    for (rates, values, link) in users {
+        let tables = engine.add_user(rates.as_ref().len(), *link);
+        tables.rates.copy_from_slice(rates.as_ref());
+        tables.values.copy_from_slice(values.as_ref());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::{Allocator, DensityGreedy, DensityValueGreedy, ValueGreedy};
 
-    fn problem(users: Vec<UserSlot>, budget: f64) -> SlotProblem {
-        SlotProblem::new(users, budget).unwrap()
-    }
-
-    fn user(rates: &[f64], values: &[f64], link: f64) -> UserSlot {
-        UserSlot {
-            rates: rates.to_vec(),
-            values: values.to_vec(),
-            link_budget: link,
-        }
-    }
-
-    #[test]
-    fn staged_solve_matches_allocator_on_fixed_instances() {
-        let problems = [
-            problem(
-                vec![
-                    user(&[1.0, 2.0, 4.0], &[0.5, 1.0, 1.2], 3.0),
-                    user(&[1.0, 2.5, 5.0], &[0.4, 1.2, 1.5], 6.0),
-                ],
-                6.0,
-            ),
-            problem(vec![user(&[1.0, 2.0], &[0.5, -1.0], 10.0)], 10.0),
-            problem(
-                vec![
-                    user(&[0.5, 1.0], &[0.0, 2.0], 10.0),
-                    user(&[0.5, 3.0], &[0.0, 4.0], 10.0),
-                    user(&[0.5], &[1.0], 10.0),
-                ],
-                3.5,
-            ),
-        ];
-        let mut engine = SlotEngine::new();
-        for p in &problems {
-            engine.stage_problem(p);
-            let staged = engine.solve().to_vec();
-            assert_eq!(staged, DensityValueGreedy::new().allocate(p));
-            engine.stage_problem(p);
-            let staged = engine.solve_density().to_vec();
-            assert_eq!(staged, DensityGreedy::new().allocate(p));
-            engine.stage_problem(p);
-            let staged = engine.solve_value().to_vec();
-            assert_eq!(staged, ValueGreedy::new().allocate(p));
-        }
-    }
+    const TWO_USERS: [(&[f64], &[f64], f64); 2] = [
+        (&[1.0, 2.0, 4.0], &[0.5, 1.0, 1.2], 3.0),
+        (&[1.0, 2.5, 5.0], &[0.4, 1.2, 1.5], 6.0),
+    ];
 
     #[test]
     fn reuse_across_slots_with_varying_user_counts() {
-        let a = problem(
-            vec![
-                user(&[1.0, 2.0, 4.0], &[0.5, 1.0, 1.2], 3.0),
-                user(&[1.0, 2.5, 5.0], &[0.4, 1.2, 1.5], 6.0),
-            ],
-            6.0,
-        );
-        let b = problem(
-            vec![
-                user(&[0.5, 1.5], &[0.0, 2.0], 4.0),
-                user(&[0.5, 1.5], &[0.0, 1.5], 4.0),
-                user(&[0.5, 1.5], &[0.0, 1.0], 4.0),
-                user(&[0.5], &[0.3], 4.0),
-            ],
-            4.0,
-        );
+        let four: [(&[f64], &[f64], f64); 4] = [
+            (&[0.5, 1.5], &[0.0, 2.0], 4.0),
+            (&[0.5, 1.5], &[0.0, 1.5], 4.0),
+            (&[0.5, 1.5], &[0.0, 1.0], 4.0),
+            (&[0.5], &[0.3], 4.0),
+        ];
+        let fresh_two = staged(&TWO_USERS, 6.0).solve().to_vec();
+        let fresh_four = staged(&four, 4.0).solve().to_vec();
         let mut engine = SlotEngine::new();
         for _ in 0..3 {
-            engine.stage_problem(&a);
-            assert_eq!(
-                engine.solve().to_vec(),
-                DensityValueGreedy::new().allocate(&a)
-            );
-            engine.stage_problem(&b);
-            assert_eq!(
-                engine.solve().to_vec(),
-                DensityValueGreedy::new().allocate(&b)
-            );
+            restage(&mut engine, &TWO_USERS, 6.0);
+            assert_eq!(engine.solve(), fresh_two.as_slice());
+            restage(&mut engine, &four, 4.0);
+            assert_eq!(engine.solve(), fresh_four.as_slice());
         }
     }
 
     #[test]
-    fn pass_values_match_greedy_outcome() {
-        let p = problem(
-            vec![
-                user(&[1.0, 2.0, 4.0], &[0.5, 1.0, 1.2], 3.0),
-                user(&[1.0, 2.5, 5.0], &[0.4, 1.2, 1.5], 6.0),
-            ],
-            6.0,
+    fn pass_values_are_the_objectives_of_the_two_passes() {
+        let mut engine = staged(&TWO_USERS, 6.0);
+        let density = engine.solve_density().to_vec();
+        let value = engine.solve_value().to_vec();
+        let best = engine.solve().to_vec();
+        assert_eq!(engine.density_value(), engine.objective(&density));
+        assert_eq!(engine.value_value(), engine.objective(&value));
+        assert_eq!(
+            engine.objective(&best),
+            engine.density_value().max(engine.value_value())
         );
-        let outcome = crate::alloc::GreedyOutcome::solve(&p);
-        let mut engine = SlotEngine::new();
-        engine.stage_problem(&p);
-        engine.solve();
-        assert_eq!(engine.density_value(), outcome.density_value);
-        assert_eq!(engine.value_value(), outcome.value_value);
     }
 
     #[test]
     fn each_solve_overwrites_the_pass_durations_it_ran() {
-        let p = problem(vec![user(&[1.0, 2.0], &[0.5, 1.0], 5.0)], 5.0);
+        let one: [(&[f64], &[f64], f64); 1] = [(&[1.0, 2.0], &[0.5, 1.0], 5.0)];
         let mut engine = SlotEngine::new();
         // Sentinels no real pass over one user can take: a duration that
         // accumulated instead of being overwritten would stay above them.
         let stale = u64::MAX / 2;
-        let restage = |engine: &mut SlotEngine| {
+        let restage_stale = |engine: &mut SlotEngine| {
             engine.density_ns = stale;
             engine.value_ns = stale;
-            engine.stage_problem(&p);
+            restage(engine, &one, 5.0);
         };
-        restage(&mut engine);
+        restage_stale(&mut engine);
         engine.solve();
         assert!(engine.density_ns() < stale && engine.value_ns() < stale);
-        restage(&mut engine);
+        restage_stale(&mut engine);
         engine.solve_density();
         assert!(engine.density_ns() < stale);
         assert_eq!(engine.value_ns(), stale, "no value pass ran");
-        restage(&mut engine);
+        restage_stale(&mut engine);
         engine.solve_value();
         assert!(engine.value_ns() < stale);
         assert_eq!(engine.density_ns(), stale, "no density pass ran");
     }
 
     #[test]
-    fn to_problem_round_trips() {
-        let p = problem(
-            vec![
-                user(&[1.0, 2.0, 4.0], &[0.5, 1.0, 1.2], 3.0),
-                user(&[1.0, 2.5], &[0.4, 1.2], 6.0),
-            ],
-            6.0,
-        );
-        let mut engine = SlotEngine::new();
-        engine.stage_problem(&p);
-        assert_eq!(engine.to_problem().unwrap(), p);
+    fn staged_tables_read_back() {
+        let engine = staged(&TWO_USERS, 6.0);
+        assert_eq!(engine.validate(), Ok(()));
         assert_eq!(engine.num_users(), 2);
-        assert_eq!(engine.rates(1), &[1.0, 2.5]);
+        assert_eq!(engine.rates(1), &[1.0, 2.5, 5.0]);
         assert_eq!(engine.values(0), &[0.5, 1.0, 1.2]);
         assert_eq!(engine.link_budget(1), 6.0);
         assert_eq!(engine.server_budget(), 6.0);
     }
 
     #[test]
-    fn fallback_allocators_route_through_to_problem() {
-        // An allocator without a staged override exercises the default
-        // materialising path and must agree with its allocate().
-        struct TopLevel;
-        impl Allocator for TopLevel {
-            fn allocate(&mut self, problem: &SlotProblem) -> Vec<QualityLevel> {
-                // The highest level within each user's own link budget.
-                let top = |u: &UserSlot| u.rates.iter().rposition(|&r| r <= u.link_budget);
-                let level = |u| QualityLevel::new(top(u).map_or(1, |i| i as u8 + 1));
-                problem.users().iter().map(level).collect()
-            }
-            fn name(&self) -> &'static str {
-                "top-level"
-            }
-        }
-        let p = problem(
-            vec![
-                user(&[1.0, 2.0, 4.0], &[0.5, 1.0, 1.2], 3.0),
-                user(&[1.0, 2.5, 5.0], &[0.4, 1.2, 1.5], 6.0),
-            ],
-            100.0,
+    fn validation_catches_malformations() {
+        let no_users = staged::<&[f64]>(&[], 1.0);
+        assert_eq!(no_users.validate(), Err(AllocError::NoUsers));
+        let reason = |users: &[(&[f64], &[f64], f64)]| match staged(users, 1.0).validate() {
+            Err(AllocError::MalformedUser { user, reason }) => (user, reason),
+            other => panic!("expected a malformed user, got {other:?}"),
+        };
+        let ok: (&[f64], &[f64], f64) = (&[1.0], &[1.0], 1.0);
+        assert_eq!(
+            reason(&[ok, (&[2.0, 1.0], &[1.0, 2.0], 1.0)]),
+            (1, "rates must be strictly increasing")
         );
-        let mut engine = SlotEngine::new();
-        engine.stage_problem(&p);
-        let staged = TopLevel.allocate_staged(&mut engine).to_vec();
-        assert_eq!(staged, TopLevel.allocate(&p));
-        assert_eq!(engine.assignment(), staged.as_slice());
+        assert_eq!(
+            reason(&[(&[0.0, 1.0], &[1.0, 2.0], 1.0)]),
+            (0, "rates must be positive and finite")
+        );
+        assert_eq!(
+            reason(&[(&[1.0], &[1.0], 0.0)]),
+            (0, "link budget must be positive and finite")
+        );
+        assert_eq!(
+            reason(&[(&[1.0], &[f64::NAN], 1.0)]),
+            (0, "values must be finite")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid staged slot")]
+    #[cfg(debug_assertions)]
+    fn debug_solve_rejects_malformed_tables() {
+        staged(&[(&[2.0, 1.0], &[1.0, 2.0], 5.0)], 10.0).solve();
+    }
+
+    #[test]
+    fn totals_and_feasibility() {
+        let p = staged(&TWO_USERS, 6.0);
+        let a = [QualityLevel::new(2), QualityLevel::new(2)];
+        assert!((p.total_rate(&a) - 4.5).abs() < 1e-12);
+        assert!((p.objective(&a) - 2.2).abs() < 1e-12);
+        assert!(p.is_feasible(&a));
+        // Violates user 0's link budget (rate 4 > 3).
+        assert!(!p.is_feasible(&[QualityLevel::new(3), QualityLevel::new(1)]));
+        // Violates the server budget (4 + 5 > 6 — also violates link).
+        assert!(!p.is_feasible(&[QualityLevel::new(3), QualityLevel::new(3)]));
+        // Wrong length.
+        assert!(!p.is_feasible(&[QualityLevel::MIN]));
+        assert_eq!(p.baseline_assignment(), vec![QualityLevel::MIN; 2]);
+    }
+
+    #[test]
+    fn set_assignment_stores_an_external_choice() {
+        let mut engine = staged(&TWO_USERS, 6.0);
+        let chosen = [QualityLevel::new(2), QualityLevel::MIN];
+        assert_eq!(engine.set_assignment(chosen), &chosen);
+        assert_eq!(engine.assignment(), &chosen);
+    }
+
+    #[test]
+    #[should_panic(expected = "assignment length mismatch")]
+    fn set_assignment_rejects_a_wrong_length() {
+        staged(&TWO_USERS, 6.0).set_assignment([QualityLevel::MIN]);
     }
 
     #[test]

@@ -23,19 +23,26 @@
 //! let delay = Mm1Delay::new(60.0)?;                    // Eq. 13 with B_n = 60 Mbps
 //! let tracker = VarianceTracker::new();               // q̄, σ² state
 //!
-//! // Build the slot problem for two identical users and a 72 Mbps server.
-//! let mut builder = SlotProblemBuilder::new();
+//! // Stage the slot problem for two identical users and a 72 Mbps server:
+//! // per level, the rate f^R(q) and the objective h_n(q) of Eq. 9.
+//! let mut problem = SlotEngine::new();
+//! problem.begin_slot(72.0);
+//! let rates = rate_fn.as_slice();
 //! for _ in 0..2 {
-//!     builder.user(params, 0.95, &tracker, &rate_fn, &delay, 60.0);
+//!     let user = problem.add_user(rates.len(), 60.0);
+//!     user.rates.copy_from_slice(rates);
+//!     for (l, value) in user.values.iter_mut().enumerate() {
+//!         let q = QualityLevel::new(l as u8 + 1);
+//!         *value = h_at_delay(params, 0.95, &tracker, q, delay.delay(rates[l]));
+//!     }
 //! }
-//! let problem = builder.build(72.0)?;
 //!
 //! // Algorithm 1.
-//! let assignment = DensityValueGreedy::new().allocate(&problem);
+//! let assignment = DensityValueGreedy::new().allocate(&mut problem).to_vec();
 //! assert!(problem.is_feasible(&assignment));
 //!
 //! // Theorem 1: within 1/2 of the fractional upper bound.
-//! let bound = cvr_core::offline::fractional_upper_bound(&problem);
+//! let bound = fractional_upper_bound(&problem)?;
 //! assert!(problem.objective(&assignment) >= 0.5 * bound - 1e-9);
 //! # Ok(())
 //! # }
@@ -47,9 +54,12 @@
 //! * [`rate`] — convex rate functions `f_c^R(q)` (Fig. 1a).
 //! * [`delay`] — convex delay models `d_n(r)` (Fig. 1b / Eq. 13).
 //! * [`variance`] — Welford variance iteration (Eq. 4 / Appendix A).
-//! * [`objective`] — the per-slot objective `h_n` (Eq. 9) and slot problem.
-//! * [`alloc`] — Algorithm 1 and its pure-greedy ablations.
-//! * [`engine`] — the reusable zero-allocation slot solver with stage timing.
+//! * [`objective`] — the per-slot objective `h_n` (Eq. 9) and the QoE
+//!   weights.
+//! * [`engine`] — the slot problem (5)–(7) as reusable flat tables, and its
+//!   zero-allocation Algorithm 1 solver with stage timing.
+//! * [`alloc`] — the `Allocator` trait, Algorithm 1 and its pure-greedy
+//!   ablations.
 //! * [`fnv`] — the one FNV-1a helper behind every fingerprint.
 //! * [`stage`] — fused, autovectorisable staging kernels shared by every
 //!   per-slot problem-build path.
@@ -81,7 +91,7 @@ pub mod prelude {
     pub use crate::delay::{DelayModel, Mm1Delay};
     pub use crate::engine::SlotEngine;
     pub use crate::error::{AllocError, ModelError};
-    pub use crate::objective::{QoeParams, SlotProblem, SlotProblemBuilder, UserSlot, RATE_EPS};
+    pub use crate::objective::{h_at_delay, QoeParams, RATE_EPS};
     pub use crate::offline::{exact_slot_optimum, fractional_upper_bound, ExactSolution};
     pub use crate::qoe::{SystemQoeSummary, UserQoeAccumulator, UserQoeSummary};
     pub use crate::quality::{QualityLevel, QualitySet};

@@ -11,12 +11,17 @@
 //!   the proof of Theorem 1; an upper bound on the integer optimum for any
 //!   instance and solvable in `O(N·L·log)`.
 //!
+//! Each validates the staged tables first ([`SlotEngine::validate`]) and
+//! allows every budget the shared [`RATE_EPS`] of slack, exactly as
+//! Algorithm 1 and [`SlotEngine::is_feasible`] do.
+//!
 //! The tests also solve the *horizon* problem (1)–(3) on tiny instances,
 //! by enumeration and by a single-user DP, to measure the decomposition
 //! gap of Eq. (8).
 
+use crate::engine::SlotEngine;
 use crate::error::AllocError;
-use crate::objective::SlotProblem;
+use crate::objective::RATE_EPS;
 use crate::quality::QualityLevel;
 
 /// Hard cap on exact-solver instance size; beyond this the search space is
@@ -36,16 +41,16 @@ pub struct ExactSolution {
 
 /// Feasible `(level index, rate, value)` choices for one user, respecting
 /// the user's link budget; level 1 is always included (mandatory baseline).
-fn feasible_choices(problem: &SlotProblem) -> Vec<Vec<(usize, f64, f64)>> {
-    problem
-        .users()
-        .iter()
+fn feasible_choices(problem: &SlotEngine) -> Vec<Vec<(usize, f64, f64)>> {
+    (0..problem.num_users())
         .map(|u| {
-            u.rates
+            let link = problem.link_budget(u) + RATE_EPS;
+            problem
+                .rates(u)
                 .iter()
-                .zip(&u.values)
+                .zip(problem.values(u))
                 .enumerate()
-                .filter(|&(i, (&r, _))| i == 0 || r <= u.link_budget)
+                .filter(|&(i, (&r, _))| i == 0 || r <= link)
                 .map(|(i, (&r, &v))| (i, r, v))
                 .collect()
         })
@@ -60,8 +65,10 @@ fn feasible_choices(problem: &SlotProblem) -> Vec<Vec<(usize, f64, f64)>> {
 ///
 /// # Errors
 ///
-/// Returns [`AllocError::TooLarge`] for more than [`MAX_EXACT_USERS`] users.
-pub fn exact_slot_optimum(problem: &SlotProblem) -> Result<ExactSolution, AllocError> {
+/// Returns the [`SlotEngine::validate`] error for malformed tables and
+/// [`AllocError::TooLarge`] for more than [`MAX_EXACT_USERS`] users.
+pub fn exact_slot_optimum(problem: &SlotEngine) -> Result<ExactSolution, AllocError> {
+    problem.validate()?;
     let n = problem.num_users();
     if n > MAX_EXACT_USERS {
         return Err(AllocError::TooLarge {
@@ -71,12 +78,12 @@ pub fn exact_slot_optimum(problem: &SlotProblem) -> Result<ExactSolution, AllocE
     }
 
     let choices = feasible_choices(problem);
-    let budget = problem.server_budget();
+    let budget = problem.server_budget() + RATE_EPS;
 
     // Baseline fallback for degenerate instances.
     let baseline = problem.baseline_assignment();
     let baseline_rate = problem.total_rate(&baseline);
-    if baseline_rate > budget + 1e-12 {
+    if baseline_rate > budget {
         let value = problem.objective(&baseline);
         return Ok(ExactSolution {
             assignment: baseline,
@@ -134,7 +141,7 @@ pub fn exact_slot_optimum(problem: &SlotProblem) -> Result<ExactSolution, AllocE
             }
             for &(level, rate, v) in &self.ordered[user] {
                 let new_spent = spent + rate;
-                if new_spent + self.suffix_min_rate[user + 1] > self.budget + 1e-12 {
+                if new_spent + self.suffix_min_rate[user + 1] > self.budget {
                     continue;
                 }
                 self.current[user] = level;
@@ -172,8 +179,10 @@ pub fn exact_slot_optimum(problem: &SlotProblem) -> Result<ExactSolution, AllocE
 ///
 /// # Errors
 ///
-/// Returns [`AllocError::TooLarge`] for more than 8 users.
-pub fn exhaustive_slot_optimum(problem: &SlotProblem) -> Result<ExactSolution, AllocError> {
+/// Returns the [`SlotEngine::validate`] error for malformed tables and
+/// [`AllocError::TooLarge`] for more than 8 users.
+pub fn exhaustive_slot_optimum(problem: &SlotEngine) -> Result<ExactSolution, AllocError> {
+    problem.validate()?;
     let n = problem.num_users();
     if n > 8 {
         return Err(AllocError::TooLarge {
@@ -182,7 +191,7 @@ pub fn exhaustive_slot_optimum(problem: &SlotProblem) -> Result<ExactSolution, A
         });
     }
     let choices = feasible_choices(problem);
-    let budget = problem.server_budget();
+    let budget = problem.server_budget() + RATE_EPS;
 
     let baseline = problem.baseline_assignment();
     let baseline_rate = problem.total_rate(&baseline);
@@ -199,7 +208,7 @@ pub fn exhaustive_slot_optimum(problem: &SlotProblem) -> Result<ExactSolution, A
             rate += r;
             value += v;
         }
-        if rate <= budget + 1e-12 && best.as_ref().is_none_or(|(bv, _)| value > *bv) {
+        if rate <= budget && best.as_ref().is_none_or(|(bv, _)| value > *bv) {
             best = Some((value, stack.clone()));
         }
         // Odometer increment.
@@ -250,13 +259,12 @@ pub fn exhaustive_slot_optimum(problem: &SlotProblem) -> Result<ExactSolution, A
 ///
 /// # Errors
 ///
-/// Returns [`AllocError::TooLarge`] if the grid would exceed ten million
-/// cells, and [`AllocError::MalformedUser`] if `resolution` is not a
-/// positive finite number.
-pub fn dp_slot_optimum(
-    problem: &SlotProblem,
-    resolution: f64,
-) -> Result<ExactSolution, AllocError> {
+/// Returns the [`SlotEngine::validate`] error for malformed tables,
+/// [`AllocError::TooLarge`] if the grid would exceed ten million cells,
+/// and [`AllocError::MalformedUser`] if `resolution` is not a positive
+/// finite number.
+pub fn dp_slot_optimum(problem: &SlotEngine, resolution: f64) -> Result<ExactSolution, AllocError> {
+    problem.validate()?;
     if !resolution.is_finite() || resolution <= 0.0 {
         return Err(AllocError::MalformedUser {
             user: 0,
@@ -264,7 +272,7 @@ pub fn dp_slot_optimum(
         });
     }
     let n = problem.num_users();
-    let budget = problem.server_budget();
+    let budget = problem.server_budget() + RATE_EPS;
     let width = (budget / resolution).floor() as usize + 1;
     if width.saturating_mul(n) > 10_000_000 {
         return Err(AllocError::TooLarge {
@@ -277,7 +285,7 @@ pub fn dp_slot_optimum(
 
     // Degenerate baseline handling mirrors the other solvers.
     let baseline = problem.baseline_assignment();
-    if problem.total_rate(&baseline) > budget + 1e-12 {
+    if problem.total_rate(&baseline) > budget {
         let value = problem.objective(&baseline);
         return Ok(ExactSolution {
             assignment: baseline,
@@ -337,7 +345,7 @@ pub fn dp_slot_optimum(
         let level = choice[u][w];
         debug_assert_ne!(level, usize::MAX, "backtrack consistency");
         assignment[u] = QualityLevel::new((level + 1) as u8);
-        let rate = problem.users()[u].rates[level];
+        let rate = problem.rates(u)[level];
         w -= (rate / resolution).ceil() as usize;
     }
     let value = problem.objective(&assignment);
@@ -351,15 +359,20 @@ pub fn dp_slot_optimum(
 /// The fractional (LP / convex hull) upper bound `V_p ≥ OPT` from the proof
 /// of Theorem 1: follow the density-greedy order over the LP-dominant
 /// upgrades and take a fraction of the first upgrade that busts the budget.
-pub fn fractional_upper_bound(problem: &SlotProblem) -> f64 {
+///
+/// # Errors
+///
+/// Returns the [`SlotEngine::validate`] error for malformed tables.
+pub fn fractional_upper_bound(problem: &SlotEngine) -> Result<f64, AllocError> {
+    problem.validate()?;
     let choices = feasible_choices(problem);
 
     // Baseline.
     let mut value: f64 = choices.iter().map(|c| c[0].2).sum();
-    let mut spent: f64 = choices.iter().map(|c| c[0].1).sum();
-    let budget = problem.server_budget();
+    let spent: f64 = choices.iter().map(|c| c[0].1).sum();
+    let budget = problem.server_budget() + RATE_EPS;
     if spent >= budget {
-        return value;
+        return Ok(value);
     }
 
     // Per user: upper-hull increments with decreasing density.
@@ -399,33 +412,28 @@ pub fn fractional_upper_bound(problem: &SlotProblem) -> f64 {
         if rate <= remaining {
             value += density * rate;
             remaining -= rate;
-            spent += rate;
         } else {
             value += density * remaining;
             break;
         }
     }
-    let _ = spent;
-    value
+    Ok(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::{Allocator, DensityValueGreedy};
-    use crate::objective::UserSlot;
+    use crate::engine::staged;
     use crate::variance::VarianceTracker;
 
-    fn problem(users: Vec<UserSlot>, budget: f64) -> SlotProblem {
-        SlotProblem::new(users, budget).unwrap()
+    type User = (Vec<f64>, Vec<f64>, f64);
+
+    fn problem(users: Vec<User>, budget: f64) -> SlotEngine {
+        staged(&users, budget)
     }
 
-    fn user(rates: Vec<f64>, values: Vec<f64>, link: f64) -> UserSlot {
-        UserSlot {
-            rates,
-            values,
-            link_budget: link,
-        }
+    fn user(rates: Vec<f64>, values: Vec<f64>, link: f64) -> User {
+        (rates, values, link)
     }
 
     #[test]
@@ -446,7 +454,7 @@ mod tests {
 
     #[test]
     fn exact_rejects_huge_instances() {
-        let users: Vec<UserSlot> = (0..25)
+        let users: Vec<User> = (0..25)
             .map(|_| user(vec![1.0, 2.0], vec![0.1, 0.2], 5.0))
             .collect();
         let p = problem(users, 100.0);
@@ -536,7 +544,7 @@ mod tests {
             6.0,
         );
         let opt = exact_slot_optimum(&p).unwrap().value;
-        let bound = fractional_upper_bound(&p);
+        let bound = fractional_upper_bound(&p).unwrap();
         assert!(bound >= opt - 1e-12, "bound {bound} < opt {opt}");
     }
 
@@ -544,15 +552,55 @@ mod tests {
     fn fractional_bound_tight_when_budget_slack() {
         // With an unconstrained budget the bound equals the sum of best values.
         let p = problem(vec![user(vec![1.0, 2.0], vec![0.5, 2.0], 10.0)], 100.0);
-        let bound = fractional_upper_bound(&p);
+        let bound = fractional_upper_bound(&p).unwrap();
         assert!((bound - 2.0).abs() < 1e-12);
+    }
+
+    /// Every oracle allows both budgets the `RATE_EPS` slack Algorithm 1
+    /// and `is_feasible` allow: a level within 1e-9 of the link or the
+    /// server budget is feasible for all of them alike.
+    #[test]
+    fn oracles_share_the_rate_eps_tolerance() {
+        let near = 2.0 - 5e-10;
+        for (link, server) in [(near, 10.0), (5.0, near)] {
+            let mut p = problem(vec![user(vec![1.0, 2.0], vec![0.0, 1.0], link)], server);
+            let greedy = p.solve().to_vec();
+            assert_eq!(greedy, [QualityLevel::new(2)]);
+            assert!(p.is_feasible(&greedy));
+            assert_eq!(p.objective(&greedy), 1.0);
+            for solution in [
+                exact_slot_optimum(&p).unwrap(),
+                exhaustive_slot_optimum(&p).unwrap(),
+                dp_slot_optimum(&p, 0.5).unwrap(),
+            ] {
+                assert_eq!(solution.assignment, greedy, "link {link}, server {server}");
+                assert_eq!(solution.value, 1.0);
+            }
+            let bound = fractional_upper_bound(&p).unwrap();
+            assert!(bound >= 1.0, "bound {bound} below the optimum 1");
+        }
+    }
+
+    #[test]
+    fn oracles_reject_malformed_tables() {
+        let bad = problem(vec![user(vec![2.0, 1.0], vec![0.0, 1.0], 5.0)], 10.0);
+        let malformed = AllocError::MalformedUser {
+            user: 0,
+            reason: "rates must be strictly increasing",
+        };
+        assert_eq!(exact_slot_optimum(&bad), Err(malformed.clone()));
+        assert_eq!(exhaustive_slot_optimum(&bad), Err(malformed.clone()));
+        assert_eq!(dp_slot_optimum(&bad, 0.5), Err(malformed.clone()));
+        assert_eq!(fractional_upper_bound(&bad), Err(malformed));
+        let empty = problem(vec![], 10.0);
+        assert_eq!(exact_slot_optimum(&empty), Err(AllocError::NoUsers));
     }
 
     #[test]
     fn theorem1_holds_on_counterexample_instances() {
         // The two Section III instances: Algorithm 1 ≥ OPT/2 (here = OPT).
         let eps = 1e-6;
-        let p1 = problem(
+        let mut p1 = problem(
             vec![
                 user(vec![eps, 0.5 + eps], vec![0.0, 1.0], 10.0),
                 user(vec![eps, 2.5 + eps], vec![0.0, 4.0], 10.0),
@@ -560,7 +608,8 @@ mod tests {
             2.5 + 2.0 * eps,
         );
         let opt = exact_slot_optimum(&p1).unwrap().value;
-        let alg = p1.objective(&DensityValueGreedy::new().allocate(&p1));
+        let greedy = p1.solve().to_vec();
+        let alg = p1.objective(&greedy);
         assert!(alg >= opt / 2.0 - 1e-9);
     }
 
@@ -774,30 +823,22 @@ mod tests {
         ///
         /// Propagates [`AllocError`] from problem construction or the solver.
         fn decomposed_qoe(&self, horizon: usize) -> Result<f64, AllocError> {
-            use crate::objective::{SlotProblem, UserSlot};
             let n = self.rates.len();
             let mut trackers = vec![VarianceTracker::new(); n];
             let mut plan: Vec<Vec<usize>> = Vec::with_capacity(horizon);
+            let mut problem = SlotEngine::new();
             for t in 0..horizon {
-                let users: Vec<UserSlot> = (0..n)
-                    .map(|u| {
-                        let values: Vec<f64> = self.rates[u]
-                            .iter()
-                            .enumerate()
-                            .map(|(i, _)| {
-                                let q = (i + 1) as f64;
-                                q - self.alpha * self.delays[u][i]
-                                    - self.beta * trackers[u].expected_penalty(q, 1.0)
-                            })
-                            .collect();
-                        UserSlot {
-                            rates: self.rates[u].clone(),
-                            values,
-                            link_budget: self.link_budgets[u],
-                        }
-                    })
-                    .collect();
-                let problem = SlotProblem::new(users, self.server_budgets[t])?;
+                problem.begin_slot(self.server_budgets[t]);
+                for (u, tracker) in trackers.iter().enumerate() {
+                    let row = problem.add_user(self.rates[u].len(), self.link_budgets[u]);
+                    row.rates.copy_from_slice(&self.rates[u]);
+                    for (i, value) in row.values.iter_mut().enumerate() {
+                        let q = (i + 1) as f64;
+                        *value = q
+                            - self.alpha * self.delays[u][i]
+                            - self.beta * tracker.expected_penalty(q, 1.0);
+                    }
+                }
                 let solution = exact_slot_optimum(&problem)?;
                 for (u, q) in solution.assignment.iter().enumerate() {
                     trackers[u].push(q.value());

@@ -7,9 +7,7 @@
 //! * The Welford tracker matches the two-pass variance and the Eq. (4)
 //!   identity on arbitrary streams.
 
-use cvr_core::alloc::{Allocator, DensityGreedy, DensityValueGreedy, GreedyOutcome, ValueGreedy};
 use cvr_core::engine::SlotEngine;
-use cvr_core::objective::{SlotProblem, UserSlot};
 use cvr_core::offline::{
     dp_slot_optimum, exact_slot_optimum, exhaustive_slot_optimum, fractional_upper_bound,
 };
@@ -34,8 +32,45 @@ fn staging_f64() -> impl Strategy<Value = f64> {
     })
 }
 
+/// One user's row: per-level rates, per-level values, link budget.
+type Row = (Vec<f64>, Vec<f64>, f64);
+
+/// A generated slot instance, staged into a [`SlotEngine`] on demand.
+#[derive(Debug, Clone)]
+struct Instance {
+    users: Vec<Row>,
+    budget: f64,
+}
+
+impl Instance {
+    /// Raises `budget` until the all-ones baseline fits, so instances are
+    /// non-degenerate.
+    fn fitting(users: Vec<Row>, budget: f64) -> Self {
+        let base: f64 = users.iter().map(|u| u.0[0]).sum();
+        Instance {
+            users,
+            budget: budget.max(base + 0.1),
+        }
+    }
+
+    fn stage_into(&self, engine: &mut SlotEngine) {
+        engine.begin_slot(self.budget);
+        for (rates, values, link) in &self.users {
+            let tables = engine.add_user(rates.len(), *link);
+            tables.rates.copy_from_slice(rates);
+            tables.values.copy_from_slice(values);
+        }
+    }
+
+    fn engine(&self) -> SlotEngine {
+        let mut engine = SlotEngine::new();
+        self.stage_into(&mut engine);
+        engine
+    }
+}
+
 /// Strategy: one user with concave values over convex-ish increasing rates.
-fn concave_user() -> impl Strategy<Value = UserSlot> {
+fn concave_user() -> impl Strategy<Value = Row> {
     (
         2usize..=6,                            // number of levels
         0.5f64..3.0,                           // base rate
@@ -54,30 +89,22 @@ fn concave_user() -> impl Strategy<Value = UserSlot> {
                 values.push(values[i - 1] + dv);
                 dv *= decay;
             }
-            UserSlot {
-                rates,
-                values,
-                link_budget: link,
-            }
+            (rates, values, link)
         })
 }
 
-fn concave_problem(max_users: usize) -> impl Strategy<Value = SlotProblem> {
+fn concave_problem(max_users: usize) -> impl Strategy<Value = Instance> {
     (
         prop::collection::vec(concave_user(), 1..=max_users),
         2.0f64..60.0,
     )
-        .prop_map(|(users, budget)| {
-            // Ensure the baseline fits so instances are non-degenerate.
-            let base: f64 = users.iter().map(|u| u.rates[0]).sum();
-            SlotProblem::new(users, budget.max(base + 0.1)).expect("valid problem")
-        })
+        .prop_map(|(users, budget)| Instance::fitting(users, budget))
 }
 
 /// Like [`concave_problem`], but with at most 5 levels per user and the
 /// level-1 value pinned to zero, so the objective *is* the knapsack gain
 /// Theorem 1 bounds (no baseline subtraction needed).
-fn small_nonneg_problem() -> impl Strategy<Value = SlotProblem> {
+fn small_nonneg_problem() -> impl Strategy<Value = Instance> {
     (
         prop::collection::vec(
             (
@@ -93,7 +120,7 @@ fn small_nonneg_problem() -> impl Strategy<Value = SlotProblem> {
         2.0f64..60.0,
     )
         .prop_map(|(raw, budget)| {
-            let users: Vec<UserSlot> = raw
+            let users = raw
                 .into_iter()
                 .map(|(levels, r0, dr, dv0, decay, link)| {
                     let mut rates = vec![r0];
@@ -104,20 +131,15 @@ fn small_nonneg_problem() -> impl Strategy<Value = SlotProblem> {
                         values.push(values[i - 1] + dv);
                         dv *= decay;
                     }
-                    UserSlot {
-                        rates,
-                        values,
-                        link_budget: link,
-                    }
+                    (rates, values, link)
                 })
                 .collect();
-            let base: f64 = users.iter().map(|u| u.rates[0]).sum();
-            SlotProblem::new(users, budget.max(base + 0.1)).expect("valid problem")
+            Instance::fitting(users, budget)
         })
 }
 
 /// Arbitrary (not necessarily concave) instances for feasibility checks.
-fn arbitrary_problem() -> impl Strategy<Value = SlotProblem> {
+fn arbitrary_problem() -> impl Strategy<Value = Instance> {
     (
         prop::collection::vec(
             (
@@ -130,7 +152,7 @@ fn arbitrary_problem() -> impl Strategy<Value = SlotProblem> {
         1.0f64..40.0,
     )
         .prop_map(|(raw, budget)| {
-            let users: Vec<UserSlot> = raw
+            let users = raw
                 .into_iter()
                 .map(|(drs, vals, link)| {
                     let mut rates = Vec::with_capacity(drs.len());
@@ -140,15 +162,10 @@ fn arbitrary_problem() -> impl Strategy<Value = SlotProblem> {
                         rates.push(acc);
                     }
                     let values = vals[..rates.len()].to_vec();
-                    UserSlot {
-                        rates,
-                        values,
-                        link_budget: link,
-                    }
+                    (rates, values, link)
                 })
                 .collect();
-            let base: f64 = users.iter().map(|u| u.rates[0]).sum();
-            SlotProblem::new(users, budget.max(base + 0.1)).expect("valid problem")
+            Instance::fitting(users, budget)
         })
 }
 
@@ -156,31 +173,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn algorithm1_is_feasible(problem in arbitrary_problem()) {
-        let a = DensityValueGreedy::new().allocate(&problem);
+    fn algorithm1_is_feasible(instance in arbitrary_problem()) {
+        let mut problem = instance.engine();
+        let a = problem.solve().to_vec();
         prop_assert!(problem.is_feasible(&a));
     }
 
     #[test]
-    fn pure_passes_are_feasible(problem in arbitrary_problem()) {
-        let d = DensityGreedy::new().allocate(&problem);
-        let v = ValueGreedy::new().allocate(&problem);
+    fn pure_passes_are_feasible(instance in arbitrary_problem()) {
+        let mut problem = instance.engine();
+        let d = problem.solve_density().to_vec();
+        let v = problem.solve_value().to_vec();
         prop_assert!(problem.is_feasible(&d));
         prop_assert!(problem.is_feasible(&v));
     }
 
     #[test]
-    fn algorithm1_dominates_both_passes(problem in arbitrary_problem()) {
-        let best = problem.objective(&DensityValueGreedy::new().allocate(&problem));
-        let d = problem.objective(&DensityGreedy::new().allocate(&problem));
-        let v = problem.objective(&ValueGreedy::new().allocate(&problem));
-        prop_assert!(best >= d - 1e-9);
-        prop_assert!(best >= v - 1e-9);
+    fn algorithm1_dominates_both_passes(instance in arbitrary_problem()) {
+        let mut problem = instance.engine();
+        let best = problem.solve().to_vec();
+        let d = problem.solve_density().to_vec();
+        let v = problem.solve_value().to_vec();
+        let best = problem.objective(&best);
+        prop_assert!(best >= problem.objective(&d) - 1e-9);
+        prop_assert!(best >= problem.objective(&v) - 1e-9);
     }
 
     #[test]
-    fn theorem1_half_of_exact_optimum(problem in concave_problem(6)) {
-        let alg = problem.objective(&DensityValueGreedy::new().allocate(&problem));
+    fn theorem1_half_of_exact_optimum(instance in concave_problem(6)) {
+        let mut problem = instance.engine();
+        let greedy = problem.solve().to_vec();
+        let alg = problem.objective(&greedy);
         let opt = exact_slot_optimum(&problem).unwrap().value;
         // Values can be negative in general; Theorem 1 is stated for the
         // knapsack's nonnegative gains, so compare against the gain above
@@ -198,14 +221,16 @@ proptest! {
     }
 
     #[test]
-    fn fractional_bound_dominates_exact(problem in concave_problem(6)) {
+    fn fractional_bound_dominates_exact(instance in concave_problem(6)) {
+        let problem = instance.engine();
         let opt = exact_slot_optimum(&problem).unwrap().value;
-        let bound = fractional_upper_bound(&problem);
+        let bound = fractional_upper_bound(&problem).unwrap();
         prop_assert!(bound >= opt - 1e-9, "bound {} < opt {}", bound, opt);
     }
 
     #[test]
-    fn branch_and_bound_matches_exhaustive(problem in concave_problem(4)) {
+    fn branch_and_bound_matches_exhaustive(instance in concave_problem(4)) {
+        let problem = instance.engine();
         let bb = exact_slot_optimum(&problem).unwrap();
         let ex = exhaustive_slot_optimum(&problem).unwrap();
         prop_assert!((bb.value - ex.value).abs() < 1e-9);
@@ -213,7 +238,8 @@ proptest! {
     }
 
     #[test]
-    fn dp_feasible_and_converging(problem in concave_problem(5)) {
+    fn dp_feasible_and_converging(instance in concave_problem(5)) {
+        let problem = instance.engine();
         let bb = exact_slot_optimum(&problem).unwrap();
         let coarse = dp_slot_optimum(&problem, 0.5).unwrap();
         prop_assert!(problem.is_feasible(&coarse.assignment));
@@ -228,10 +254,9 @@ proptest! {
         // `n · resolution` of budget slack.
         let slack = resolution * problem.num_users() as f64;
         let reduced_budget = problem.server_budget() - slack;
-        let base: f64 = problem.users().iter().map(|u| u.rates[0]).sum();
+        let base: f64 = (0..problem.num_users()).map(|u| problem.rates(u)[0]).sum();
         if reduced_budget > base {
-            let reduced =
-                SlotProblem::new(problem.users().to_vec(), reduced_budget).expect("valid");
+            let reduced = Instance { budget: reduced_budget, ..instance }.engine();
             let bb_reduced = exact_slot_optimum(&reduced).unwrap();
             prop_assert!(
                 fine.value >= bb_reduced.value - 1e-9,
@@ -243,72 +268,47 @@ proptest! {
     }
 
     #[test]
-    fn theorem1_best_value_half_of_oracle(problem in small_nonneg_problem()) {
-        // Theorem 1 stated directly on GreedyOutcome::best_value(): with
-        // level-1 values pinned at zero the objective equals the knapsack
-        // gain, so no baseline correction is needed. Cross-checked against
-        // both the branch-and-bound and the DP oracle.
-        let outcome = GreedyOutcome::solve(&problem);
+    fn theorem1_best_value_half_of_oracle(instance in small_nonneg_problem()) {
+        // Theorem 1 stated directly on max(V_d, V_v): with level-1 values
+        // pinned at zero the objective equals the knapsack gain, so no
+        // baseline correction is needed. Cross-checked against both the
+        // branch-and-bound and the DP oracle.
+        let mut problem = instance.engine();
+        problem.solve();
+        let best = problem.density_value().max(problem.value_value());
         let bb = exact_slot_optimum(&problem).unwrap();
         prop_assert!(
-            outcome.best_value() >= 0.5 * bb.value - 1e-9,
+            best >= 0.5 * bb.value - 1e-9,
             "best {} below half of exact optimum {}",
-            outcome.best_value(),
+            best,
             bb.value
         );
         let dp = dp_slot_optimum(&problem, 0.01).unwrap();
         prop_assert!(dp.value <= bb.value + 1e-9);
         prop_assert!(
-            outcome.best_value() >= 0.5 * dp.value - 1e-9,
+            best >= 0.5 * dp.value - 1e-9,
             "best {} below half of DP oracle {}",
-            outcome.best_value(),
+            best,
             dp.value
         );
     }
 
     #[test]
-    fn engine_matches_allocator_bit_for_bit(
+    fn reused_engine_matches_a_fresh_one(
         first in arbitrary_problem(),
         second in arbitrary_problem(),
     ) {
-        // The buffer-reusing engine must return *identical* assignments to
-        // the allocating path — including after being reused for a slot of
-        // a different shape, which is how the simulators drive it.
+        // An engine reused for a slot of a different shape — how every slot
+        // loop drives it — must solve exactly as a freshly built one.
         let mut engine = SlotEngine::new();
-        for problem in [&first, &second] {
-            engine.stage_problem(problem);
-            let staged = engine.solve().to_vec();
-            prop_assert_eq!(staged, DensityValueGreedy::new().allocate(problem));
+        for instance in [&first, &second, &first] {
+            instance.stage_into(&mut engine);
+            let reused = engine.solve().to_vec();
+            let mut fresh = instance.engine();
+            prop_assert_eq!(reused.as_slice(), fresh.solve());
+            prop_assert_eq!(engine.density_value().to_bits(), fresh.density_value().to_bits());
+            prop_assert_eq!(engine.value_value().to_bits(), fresh.value_value().to_bits());
         }
-    }
-
-    #[test]
-    fn staged_entry_points_match_allocate(problem in arbitrary_problem()) {
-        // allocate_staged (fast path for greedy allocators, materialising
-        // fallback otherwise) must agree with allocate for every solver.
-        let mut engine = SlotEngine::new();
-
-        let mut dv = DensityValueGreedy::new();
-        engine.stage_problem(&problem);
-        let staged = dv.allocate_staged(&mut engine).to_vec();
-        prop_assert_eq!(staged, dv.allocate(&problem));
-
-        let mut d = DensityGreedy::new();
-        engine.stage_problem(&problem);
-        let staged = d.allocate_staged(&mut engine).to_vec();
-        prop_assert_eq!(staged, d.allocate(&problem));
-
-        let mut v = ValueGreedy::new();
-        engine.stage_problem(&problem);
-        let staged = v.allocate_staged(&mut engine).to_vec();
-        prop_assert_eq!(staged, v.allocate(&problem));
-    }
-
-    #[test]
-    fn greedy_outcome_best_is_max_of_passes(problem in arbitrary_problem()) {
-        let o = GreedyOutcome::solve(&problem);
-        prop_assert!((o.best_value() - o.density_value.max(o.value_value)).abs() < 1e-12);
-        prop_assert_eq!(o.best().len(), problem.num_users());
     }
 
     #[test]

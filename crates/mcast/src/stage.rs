@@ -147,8 +147,8 @@ mod tests {
         assert_eq!(unicast.values(0), grouped.values(0));
         assert_eq!(unicast.link_budget(0), grouped.link_budget(0));
         let mut alloc = DensityValueGreedy;
-        let a = alloc.allocate_staged(&mut unicast).to_vec();
-        let b = alloc.allocate_staged(&mut grouped).to_vec();
+        let a = alloc.allocate(&mut unicast).to_vec();
+        let b = alloc.allocate(&mut grouped).to_vec();
         assert_eq!(a, b);
     }
 
@@ -197,7 +197,7 @@ mod tests {
             t.rates.copy_from_slice(&RATES);
             t.values.copy_from_slice(&vals);
         }
-        let solo: Vec<QualityLevel> = alloc.allocate_staged(&mut unicast).to_vec();
+        let solo: Vec<QualityLevel> = alloc.allocate(&mut unicast).to_vec();
         assert!(solo.iter().all(|q| q.index() <= 2));
 
         let mut grouped = SlotEngine::new();
@@ -218,7 +218,7 @@ mod tests {
             ],
             &mut caps,
         );
-        let assigned = alloc.allocate_staged(&mut grouped).to_vec();
+        let assigned = alloc.allocate(&mut grouped).to_vec();
         assert_eq!(assigned[0].index(), 3, "shared row charged once tops out");
     }
 

@@ -147,8 +147,8 @@ struct SessionObs {
     tracer: Tracer,
     h_ingest: HistogramId,
     h_build: HistogramId,
-    h_density: HistogramId,
-    h_value: HistogramId,
+    h_density_pass: HistogramId,
+    h_value_pass: HistogramId,
     h_prefetch: HistogramId,
     h_transmit: HistogramId,
     h_tick: HistogramId,
@@ -184,8 +184,8 @@ impl SessionObs {
         };
         let h_ingest = stage(&mut r, "ingest");
         let h_build = stage(&mut r, "build");
-        let h_density = stage(&mut r, "density");
-        let h_value = stage(&mut r, "value");
+        let h_density_pass = stage(&mut r, "density");
+        let h_value_pass = stage(&mut r, "value");
         let h_prefetch = stage(&mut r, "prefetch");
         let h_transmit = stage(&mut r, "transmit");
         let h_tick = stage(&mut r, "tick");
@@ -259,8 +259,8 @@ impl SessionObs {
             tracer: Tracer::disabled(),
             h_ingest,
             h_build,
-            h_density,
-            h_value,
+            h_density_pass,
+            h_value_pass,
             h_prefetch,
             h_transmit,
             h_tick,
@@ -740,8 +740,8 @@ impl Session {
             ingest: stage(self.obs.h_ingest),
             transmit: stage(self.obs.h_transmit),
             build: stage(self.obs.h_build),
-            density: stage(self.obs.h_density),
-            value: stage(self.obs.h_value),
+            density: stage(self.obs.h_density_pass),
+            value: stage(self.obs.h_value_pass),
             prefetch: stage(self.obs.h_prefetch),
             tick: stage(self.obs.h_tick),
             users,
@@ -1050,9 +1050,9 @@ impl Session {
             engine.solve();
             let (density_ns, value_ns) = (engine.density_ns(), engine.value_ns());
             self.obs
-                .stage(self.obs.h_density, self.slot, "density", density_ns);
+                .stage(self.obs.h_density_pass, self.slot, "density", density_ns);
             self.obs
-                .stage(self.obs.h_value, self.slot, "value", value_ns);
+                .stage(self.obs.h_value_pass, self.slot, "value", value_ns);
         }
 
         // Prefetch step. The planner reconciles and spends the credit;

@@ -4,7 +4,8 @@
 
 use cvr_core::alloc::{Allocator, DensityGreedy, DensityValueGreedy, ValueGreedy};
 use cvr_core::baselines::{FireflyLru, Pavq};
-use cvr_core::objective::SlotProblem;
+use cvr_core::engine::SlotEngine;
+use cvr_core::error::AllocError;
 use cvr_core::offline::exact_slot_optimum;
 use cvr_core::quality::QualityLevel;
 
@@ -104,81 +105,89 @@ impl OptimalSlotAllocator {
 }
 
 impl Allocator for OptimalSlotAllocator {
-    fn allocate(&mut self, problem: &SlotProblem) -> Vec<QualityLevel> {
+    /// # Panics
+    ///
+    /// Panics if the staged tables fail [`SlotEngine::validate`].
+    fn allocate<'e>(&mut self, problem: &'e mut SlotEngine) -> &'e [QualityLevel] {
         match exact_slot_optimum(problem) {
-            Ok(solution) => solution.assignment,
-            Err(_) => DensityValueGreedy::new().allocate(problem),
+            Ok(solution) => problem.set_assignment(solution.assignment),
+            Err(AllocError::TooLarge { .. }) => problem.solve(),
+            Err(e) => panic!("staged slot problem must be valid: {e}"),
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "optimal-slot"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cvr_core::objective::UserSlot;
 
-    fn problem() -> SlotProblem {
-        SlotProblem::new(
-            vec![
-                UserSlot {
-                    rates: vec![1.0, 2.0, 4.0],
-                    values: vec![0.5, 1.6, 2.0],
-                    link_budget: 4.0,
-                },
-                UserSlot {
-                    rates: vec![1.0, 3.0, 6.0],
-                    values: vec![0.3, 1.9, 2.5],
-                    link_budget: 6.0,
-                },
+    const ALL_KINDS: [AllocatorKind; 7] = [
+        AllocatorKind::DensityValueGreedy,
+        AllocatorKind::DensityGreedy,
+        AllocatorKind::ValueGreedy,
+        AllocatorKind::Firefly,
+        AllocatorKind::Pavq,
+        AllocatorKind::Optimal,
+        AllocatorKind::LossAwareGreedy,
+    ];
+
+    fn stage(engine: &mut SlotEngine, users: &[(&[f64], &[f64], f64)], budget: f64) {
+        engine.begin_slot(budget);
+        for &(rates, values, link) in users {
+            let tables = engine.add_user(rates.len(), link);
+            tables.rates.copy_from_slice(rates);
+            tables.values.copy_from_slice(values);
+        }
+    }
+
+    fn problem() -> SlotEngine {
+        let mut engine = SlotEngine::new();
+        stage(
+            &mut engine,
+            &[
+                (&[1.0, 2.0, 4.0], &[0.5, 1.6, 2.0], 4.0),
+                (&[1.0, 3.0, 6.0], &[0.3, 1.9, 2.5], 6.0),
             ],
             6.0,
-        )
-        .unwrap()
+        );
+        engine
     }
 
     #[test]
     fn all_kinds_build_and_allocate_feasibly() {
-        let p = problem();
-        for kind in [
-            AllocatorKind::DensityValueGreedy,
-            AllocatorKind::DensityGreedy,
-            AllocatorKind::ValueGreedy,
-            AllocatorKind::Firefly,
-            AllocatorKind::Pavq,
-            AllocatorKind::Optimal,
-            AllocatorKind::LossAwareGreedy,
-        ] {
-            let mut alg = kind.build();
-            let a = alg.allocate(&p);
+        let mut p = problem();
+        for kind in ALL_KINDS {
+            let a = kind.build().allocate(&mut p).to_vec();
             assert!(p.is_feasible(&a), "{kind} produced infeasible assignment");
-            assert!(!alg.name().is_empty());
         }
     }
 
     #[test]
     fn optimal_dominates_greedy() {
-        let p = problem();
-        let greedy = p.objective(&AllocatorKind::DensityValueGreedy.build().allocate(&p));
-        let optimal = p.objective(&AllocatorKind::Optimal.build().allocate(&p));
-        assert!(optimal >= greedy - 1e-12);
+        let mut p = problem();
+        let greedy = AllocatorKind::DensityValueGreedy
+            .build()
+            .allocate(&mut p)
+            .to_vec();
+        let optimal = AllocatorKind::Optimal.build().allocate(&mut p).to_vec();
+        assert!(p.objective(&optimal) >= p.objective(&greedy) - 1e-12);
     }
 
     #[test]
     fn optimal_falls_back_on_large_instances() {
-        let users: Vec<UserSlot> = (0..25)
-            .map(|_| UserSlot {
-                rates: vec![1.0, 2.0],
-                values: vec![0.1, 0.3],
-                link_budget: 3.0,
-            })
-            .collect();
-        let p = SlotProblem::new(users, 40.0).unwrap();
-        let a = OptimalSlotAllocator::new().allocate(&p);
+        let mut p = SlotEngine::new();
+        let user: (&[f64], &[f64], f64) = (&[1.0, 2.0], &[0.1, 0.3], 3.0);
+        stage(&mut p, &[user; 25], 40.0);
+        let a = OptimalSlotAllocator::new().allocate(&mut p).to_vec();
         assert!(p.is_feasible(&a));
+    }
+
+    #[test]
+    #[should_panic(expected = "staged slot problem must be valid")]
+    fn optimal_rejects_malformed_tables() {
+        let mut p = SlotEngine::new();
+        stage(&mut p, &[(&[1.0, 1.0], &[0.1, 0.3], 3.0)], 40.0);
+        OptimalSlotAllocator::new().allocate(&mut p);
     }
 
     #[test]
@@ -192,18 +201,7 @@ mod tests {
     #[test]
     fn labels_are_unique() {
         use std::collections::HashSet;
-        let labels: HashSet<&str> = [
-            AllocatorKind::DensityValueGreedy,
-            AllocatorKind::DensityGreedy,
-            AllocatorKind::ValueGreedy,
-            AllocatorKind::Firefly,
-            AllocatorKind::Pavq,
-            AllocatorKind::Optimal,
-            AllocatorKind::LossAwareGreedy,
-        ]
-        .into_iter()
-        .map(|k| k.label())
-        .collect();
+        let labels: HashSet<&str> = ALL_KINDS.into_iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), 7);
         assert_eq!(AllocatorKind::Firefly.to_string(), "firefly");
     }

@@ -164,7 +164,7 @@ pub fn run(config: &McastConfig) -> McastRunResult {
         // 2. Solve and account: each staged row is charged once; each
         //    member receives min(assigned, cap) and acknowledges those
         //    tiles.
-        allocator.allocate_staged(planner.engine_mut());
+        allocator.allocate(planner.engine_mut());
         for r in 0..planner.rows() {
             let row = planner.row(r);
             if let Some(id) = row.group_id {

@@ -418,7 +418,7 @@ impl SlotPlanner {
     }
 
     /// The slot engine: drivers solve the staged problem through it
-    /// (`solve()` in the live server, `Allocator::allocate_staged` in the
+    /// (`solve()` in the live server, `Allocator::allocate` in the
     /// simulators so Firefly/PAVQ run on the same rows); the live server
     /// also reads the solve's two pass durations off it.
     pub fn engine_mut(&mut self) -> &mut SlotEngine {

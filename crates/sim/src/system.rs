@@ -47,6 +47,19 @@ use crate::event::EventQueue;
 pub use crate::pipeline::{sanitize_rates, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
 use crate::pipeline::{SlotPlanner, PROPAGATION_S};
 
+/// Per-router nominal capacity, Mbps (802.11ac ≈ 400 usable).
+const ROUTER_CAPACITY_MBPS: f64 = 400.0;
+/// `tc` throttle guidelines cycled across users (paper: 40…60 Mbps).
+const THROTTLE_GUIDELINES_MBPS: [f64; 5] = [40.0, 45.0, 50.0, 55.0, 60.0];
+/// MTU-sized packet payload, kilobits (1500 B ≈ 12 kbit).
+const PACKET_SIZE_KBIT: f64 = 12.0;
+/// Client tile-buffer threshold (tiles held before releasing).
+const CLIENT_BUFFER_TILES: usize = 600;
+/// Bandwidth headroom Firefly's quality control leaves for decode margin
+/// on the real pipeline (its slot budget is this fraction of the
+/// estimated bandwidth).
+const FIREFLY_HEADROOM: f64 = 0.85;
+
 /// Configuration of a full-system run.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -62,27 +75,15 @@ pub struct SystemConfig {
     pub params: QoeParams,
     /// Server uplink limit, Mbps (400 with one router, 800 with two).
     pub server_total_mbps: f64,
-    /// Per-router nominal capacity, Mbps (802.11ac ≈ 400 usable).
-    pub router_capacity_mbps: f64,
-    /// `tc` throttle guidelines cycled across users (paper: 40…60 Mbps).
-    pub throttle_guidelines_mbps: Vec<f64>,
     /// Per-packet loss probability on the RTP/UDP path. A transfer of
     /// `n` packets is lost if any packet is lost (no FEC/retransmission on
     /// the data path), so larger transfers fail more often — the coupling
     /// the paper's Discussion section points out is missing from its
     /// formulation.
     pub packet_loss_probability: f64,
-    /// MTU-sized packet payload, kilobits (1500 B ≈ 12 kbit).
-    pub packet_size_kbit: f64,
     /// Bandwidth estimator run by the server per user (the paper uses
     /// EMA; sliding/harmonic means are the other standard choices).
     pub bandwidth_estimator: BandwidthEstimatorKind,
-    /// Client tile-buffer threshold (tiles held before releasing).
-    pub client_buffer_tiles: usize,
-    /// Bandwidth headroom Firefly's quality control leaves for decode
-    /// margin when deployed on the real pipeline (its slot budget is this
-    /// fraction of the estimated bandwidth).
-    pub firefly_headroom: f64,
     /// Period (slots) at which each client uploads its pose over TCP
     /// (paper: "upload the trace to the server through TCP periodically").
     /// 1 = every slot; larger values make the server predict from staler
@@ -124,13 +125,8 @@ impl SystemConfig {
             slot_duration_s: 1.0 / 60.0,
             params: QoeParams::system_default(),
             server_total_mbps: 400.0,
-            router_capacity_mbps: 400.0,
-            throttle_guidelines_mbps: vec![40.0, 45.0, 50.0, 55.0, 60.0],
             packet_loss_probability: 0.000_2,
-            packet_size_kbit: 12.0,
             bandwidth_estimator: BandwidthEstimatorKind::Ema { weight: 0.05 },
-            client_buffer_tiles: 600,
-            firefly_headroom: 0.85,
             pose_upload_period_slots: 1,
             rendering: RenderingMode::Offline,
             scenario: None,
@@ -335,7 +331,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
         // On the real pipeline Firefly budgets a fraction of the estimated
         // bandwidth for tiles, reserving decode margin.
         AllocatorKind::Firefly => Box::new(cvr_core::baselines::FireflyLru::with_headroom(
-            config.firefly_headroom,
+            FIREFLY_HEADROOM,
         )),
         other => other.build(),
     };
@@ -398,7 +394,7 @@ pub fn run_with(
         .map(|_| UserQoeAccumulator::new(config.params))
         .collect();
     let throttles: Vec<f64> = (0..n)
-        .map(|u| config.throttle_guidelines_mbps[u % config.throttle_guidelines_mbps.len()])
+        .map(|u| THROTTLE_GUIDELINES_MBPS[u % THROTTLE_GUIDELINES_MBPS.len()])
         .collect();
     let mut bandwidth_estimates: Vec<Box<dyn BandwidthEstimator + Send>> =
         (0..n).map(|_| config.bandwidth_estimator.build()).collect();
@@ -408,7 +404,7 @@ pub fn run_with(
     // sent (a lost transfer implies ≈1 lost packet at small loss rates).
     let mut loss_estimate = PacketLossEstimate::new();
     let mut buffers: Vec<ClientTileBuffer> = (0..n)
-        .map(|_| ClientTileBuffer::new(config.client_buffer_tiles))
+        .map(|_| ClientTileBuffer::new(CLIENT_BUFFER_TILES))
         .collect();
     let mut acks: Vec<AckChannel> = (0..n)
         .map(|u| {
@@ -481,7 +477,7 @@ pub fn run_with(
     let mut routers: Vec<WirelessRouter> = (0..config.num_routers)
         .map(|r| {
             WirelessRouter::new(
-                config.router_capacity_mbps,
+                ROUTER_CAPACITY_MBPS,
                 interference,
                 config.seed ^ (r as u64) << 17,
             )
@@ -605,7 +601,7 @@ pub fn run_with(
                 let q = QualityLevel::new((l + 1) as u8);
                 let delta_eff = match mode {
                     ObjectiveMode::LossAware => {
-                        let packets = packets_for_rate(raw, dt, config.packet_size_kbit);
+                        let packets = packets_for_rate(raw, dt, PACKET_SIZE_KBIT);
                         let survive = 1.0 - transfer_loss_probability(loss_p, packets);
                         delta * survive
                     }
@@ -620,7 +616,7 @@ pub fn run_with(
         });
 
         assignment.clear();
-        assignment.extend_from_slice(allocator.allocate_staged(planner.engine_mut()));
+        assignment.extend_from_slice(allocator.allocate(planner.engine_mut()));
 
         // 4. Physical transmission over the shared medium.
         router_caps.clear();
@@ -709,7 +705,7 @@ pub fn run_with(
                     .min(DELAY_CAP_SLOTS);
 
             transfers += 1;
-            let packets = packets_for_rate(rate, dt, config.packet_size_kbit);
+            let packets = packets_for_rate(rate, dt, PACKET_SIZE_KBIT);
             let transfer_loss = transfer_loss_probability(config.packet_loss_probability, packets);
             let lost = rng.gen_bool(transfer_loss);
             if lost {
@@ -991,9 +987,8 @@ mod tests {
     }
 
     #[test]
-    fn fallback_allocators_still_run_through_the_engine() {
-        // Firefly has no staged fast path: it exercises the materialising
-        // default of allocate_staged every slot.
+    fn baseline_allocators_run_on_the_engine_rows() {
+        // Firefly reads the staged rows in place every slot.
         let cfg = tiny(11);
         let r = run(&cfg, AllocatorKind::Firefly);
         assert!(r.fps > 0.0);

@@ -33,6 +33,11 @@ use cvr_net::trace::{ThroughputTrace, TraceGeneratorConfig, TraceProfile};
 use crate::allocators::AllocatorKind;
 use crate::pipeline::SlotPlanner;
 
+/// Floor of the per-user throughput envelope, Mbps (paper: 20–100 Mbps).
+const USER_MIN_MBPS: f64 = 20.0;
+/// Ceiling of the per-user throughput envelope, Mbps.
+const USER_MAX_MBPS: f64 = 100.0;
+
 /// Configuration of one trace-based simulation run.
 #[derive(Debug, Clone)]
 pub struct TraceSimConfig {
@@ -46,10 +51,6 @@ pub struct TraceSimConfig {
     pub params: QoeParams,
     /// Server budget per user, Mbps (paper: 36 × N total).
     pub server_budget_per_user_mbps: f64,
-    /// Per-user throughput envelope (paper: 20–100 Mbps).
-    pub user_min_mbps: f64,
-    /// Upper bound of the per-user envelope.
-    pub user_max_mbps: f64,
     /// Master seed; everything (motion, traces) derives from it, so two
     /// runs with the same seed see identical workloads regardless of the
     /// allocator.
@@ -91,8 +92,6 @@ impl TraceSimConfig {
             slot_duration_s: 0.015,
             params: QoeParams::simulation_default(),
             server_budget_per_user_mbps: 36.0,
-            user_min_mbps: 20.0,
-            user_max_mbps: 100.0,
             seed,
             compute_bound: false,
             trace_override: None,
@@ -212,8 +211,8 @@ pub fn run_with(
                     TraceProfile::LteLike
                 };
                 TraceGeneratorConfig {
-                    min_mbps: config.user_min_mbps,
-                    max_mbps: config.user_max_mbps,
+                    min_mbps: USER_MIN_MBPS,
+                    max_mbps: USER_MAX_MBPS,
                     duration_s: config.duration_s,
                     profile,
                 }
@@ -309,15 +308,12 @@ pub fn run_with(
         });
 
         if config.compute_bound {
-            let problem = planner
-                .engine()
-                .to_problem()
-                .expect("constructed problem is valid");
-            bound_sum += fractional_upper_bound(&problem);
+            bound_sum +=
+                fractional_upper_bound(planner.engine()).expect("constructed problem is valid");
         }
 
         assignment.clear();
-        assignment.extend_from_slice(allocator.allocate_staged(planner.engine_mut()));
+        assignment.extend_from_slice(allocator.allocate(planner.engine_mut()));
         let engine = planner.engine();
 
         // Consequences: server-bottleneck sharing, Eq. (13) delay, FoV hit.

@@ -21,22 +21,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Fresh session: no viewing history yet.
     let tracker = VarianceTracker::new();
 
-    let mut builder = SlotProblemBuilder::new();
+    // Stage the slot problem: per level, the rate f^R(q) and the
+    // objective h_n(q) of Eq. (9).
+    let mut problem = SlotEngine::new();
+    problem.begin_slot(server_budget);
     for &link in &links {
         let delay = Mm1Delay::new(link)?; // Eq. (13): d = r / (B − r)
         let delta = 0.95; // motion-prediction success probability
-        builder.user(params, delta, &tracker, &rate_fn, &delay, link);
+        let user = problem.add_user(rate_fn.as_slice().len(), link);
+        user.rates.copy_from_slice(rate_fn.as_slice());
+        for (l, value) in user.values.iter_mut().enumerate() {
+            let q = QualityLevel::new(l as u8 + 1);
+            *value = h_at_delay(params, delta, &tracker, q, delay.delay(rate_fn.rate(q)));
+        }
     }
-    let problem = builder.build(server_budget)?;
 
     // Algorithm 1: density/value-greedy.
     let mut algorithm = DensityValueGreedy::new();
-    let assignment = algorithm.allocate(&problem);
+    let assignment = algorithm.allocate(&mut problem).to_vec();
     let achieved = problem.objective(&assignment);
 
     // Certificates.
     let exact = exact_slot_optimum(&problem)?;
-    let bound = fractional_upper_bound(&problem);
+    let bound = fractional_upper_bound(&problem)?;
 
     println!("per-user links (Mbps): {links:?}");
     println!("server budget (Mbps):  {server_budget}");

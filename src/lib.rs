@@ -29,16 +29,21 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // One slot: three users share a 90 Mbps server link.
 //! let params = QoeParams::simulation_default();
-//! let rate_fn = TabulatedRate::paper_profile();
+//! let rates = TabulatedRate::paper_profile();
 //! let tracker = VarianceTracker::new();
-//! let mut builder = SlotProblemBuilder::new();
+//! let mut problem = SlotEngine::new();
+//! problem.begin_slot(90.0);
 //! for link in [40.0, 50.0, 60.0] {
 //!     let delay = Mm1Delay::new(link)?;
-//!     builder.user(params, 0.95, &tracker, &rate_fn, &delay, link);
+//!     let user = problem.add_user(rates.as_slice().len(), link);
+//!     user.rates.copy_from_slice(rates.as_slice());
+//!     for (l, value) in user.values.iter_mut().enumerate() {
+//!         let q = QualityLevel::new(l as u8 + 1);
+//!         *value = h_at_delay(params, 0.95, &tracker, q, delay.delay(rates.rate(q)));
+//!     }
 //! }
-//! let problem = builder.build(90.0)?;
 //!
-//! let assignment = DensityValueGreedy::new().allocate(&problem);
+//! let assignment = DensityValueGreedy::new().allocate(&mut problem).to_vec();
 //! assert!(problem.is_feasible(&assignment));
 //! # Ok(())
 //! # }
