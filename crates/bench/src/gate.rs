@@ -2,13 +2,15 @@
 //! the `BENCH_*.json` document that experiment builds. The floors are the
 //! constants below; DESIGN.md §4 tabulates what each check holds.
 //!
-//! Two things are deliberately not judged here. The parallel speedup
+//! Three things are deliberately not judged here. The parallel speedup
 //! floors apply only to a paper-scale `scale` document recorded on a host
 //! with `available_parallelism` ≥ 4: on fewer cores, or on a scaled-down
 //! run of 2 sessions × 0.6 s, the wall-clock ratio is scheduler noise, so
-//! it is printed and determinism alone is enforced. And the speed of the
-//! slot hot path and the live server's deadlines are judged
-//! parent-vs-change by `benchmark/`.
+//! it is printed and determinism alone is enforced. The net, lookahead
+//! and mcast experiments run once and do not re-prove their own
+//! determinism: the workspace tests and the `net-scenarios` CI stage do
+//! (DESIGN.md §4). And the speed of the slot hot path and the live
+//! server's deadlines are judged parent-vs-change by `benchmark/`.
 
 use cvr_bench::json::Json;
 
@@ -74,14 +76,6 @@ fn text<'a>(v: &'a Json, key: &str) -> &'a str {
 
 fn list<'a>(v: &'a Json, key: &str) -> &'a [Json] {
     v.get(key).and_then(Json::as_array).unwrap_or(&[])
-}
-
-fn check_fingerprints(gate: &mut Gate, what: &str, v: &Json) {
-    let (main, check) = (text(v, "fingerprint_main"), text(v, "fingerprint_check"));
-    gate.check(
-        main != "missing" && main == check,
-        format!("{what}: fingerprints match ({main} vs {check})"),
-    );
 }
 
 pub fn check_parallel(gate: &mut Gate, doc: &Json) {
@@ -177,11 +171,6 @@ pub fn check_obs(gate: &mut Gate, doc: &Json) {
 }
 
 pub fn check_net(gate: &mut Gate, doc: &Json) {
-    gate.check(
-        flag(doc, "deterministic"),
-        "net: scenario matrix bit-identical across thread counts".to_string(),
-    );
-    check_fingerprints(gate, "net", doc);
     let rows = list(doc, "rows");
     let qoe_of = |pathology: &str, algorithm: &str| {
         rows.iter()
@@ -218,10 +207,6 @@ pub fn check_net(gate: &mut Gate, doc: &Json) {
 
 pub fn check_mcast(gate: &mut Gate, doc: &Json) {
     gate.check(
-        flag(doc, "deterministic"),
-        "mcast: classroom bit-identical across repeated runs".to_string(),
-    );
-    gate.check(
         flag(doc, "singleton_parity"),
         "mcast: one-member groups bit-identical to the unicast path".to_string(),
     );
@@ -233,7 +218,6 @@ pub fn check_mcast(gate: &mut Gate, doc: &Json) {
     let mut saw_crowded = false;
     for row in rows {
         let users = count(row, "users");
-        check_fingerprints(gate, &format!("mcast @ {users} users"), row);
         if users < MIN_MCAST_GAIN_USERS {
             continue;
         }
@@ -265,21 +249,12 @@ pub fn check_mcast(gate: &mut Gate, doc: &Json) {
 }
 
 pub fn check_lookahead(gate: &mut Gate, doc: &Json) {
-    gate.check(
-        flag(doc, "deterministic"),
-        "lookahead: horizon sweep bit-identical across thread counts".to_string(),
-    );
-    check_fingerprints(gate, "lookahead", doc);
-    gate.check(
-        flag(doc, "h1_equals_myopic"),
-        "lookahead: H = 1 column bit-identical to the horizonless config".to_string(),
-    );
     let rows = list(doc, "rows");
     for pathology in NET_PATHOLOGIES {
         let of_pathology = || rows.iter().filter(|r| text(r, "pathology") == pathology);
         gate.check(
-            of_pathology().any(|r| text(r, "horizon") == "myopic"),
-            format!("lookahead: pathology `{pathology}` present in the sweep"),
+            of_pathology().any(|r| count(r, "horizon") == 1),
+            format!("lookahead: pathology `{pathology}` present in the sweep at H = 1 (myopic)"),
         );
         gate.check(
             of_pathology().filter(|r| count(r, "horizon") > 1).count() >= 1,

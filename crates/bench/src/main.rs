@@ -605,12 +605,9 @@ mod tests {
             let (from, to) = match artifact {
                 "BENCH_parallel.json" => ("\"identical\": true", "\"identical\": false"),
                 "BENCH_obs.json" => ("\"overhead_pct\": ", "\"overhead_pct\": 9"),
-                "BENCH_net.json" => (
-                    "\"fingerprint_check\": \"0x",
-                    "\"fingerprint_check\": \"0xf",
-                ),
+                "BENCH_net.json" => ("\"algorithm\": \"ours\"", "\"algorithm\": \"ours2\""),
                 "BENCH_mcast.json" => ("\"singleton_parity\": true", "\"singleton_parity\": false"),
-                "BENCH_lookahead.json" => ("\"h1_equals_myopic\": true", "\"h1_equals_myopic\": 0"),
+                "BENCH_lookahead.json" => ("\"horizon\": 1,", "\"horizon\": 3,"),
                 other => panic!("no sabotage for {other}"),
             };
             let mut gate = Gate::default();

@@ -97,8 +97,7 @@ pub mod prelude {
     pub use crate::quality::{QualityLevel, QualitySet};
     pub use crate::rate::{RateFunction, TabulatedRate};
     pub use crate::stage::{
-        accumulate_group_values, stage_rates, stage_rates_values, stage_rates_values_with,
-        CONTROL_OVERHEAD_MBPS,
+        accumulate_group_values, stage_rates_values, stage_rates_values_with, CONTROL_OVERHEAD_MBPS,
     };
     pub use crate::variance::VarianceTracker;
 }

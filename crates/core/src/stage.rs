@@ -7,9 +7,9 @@
 //! (`rate[l] = sums[l] + overhead`) and fill the per-level objective
 //! values next to it. This module is that loop, written once:
 //!
-//! * [`stage_rates`] / [`stage_rates_values`] walk the contiguous slices
-//!   in `chunks_exact(4)` f64 lanes so LLVM autovectorises them on stable
-//!   Rust (no `std::simd`), with a scalar tail for lengths that are not a
+//! * [`stage_rates_values`] walks the contiguous slices in
+//!   `chunks_exact(4)` f64 lanes so LLVM autovectorises it on stable Rust
+//!   (no `std::simd`), with a scalar tail for lengths that are not a
 //!   multiple of four.
 //! * [`stage_rates_values_with`] is the variant for objectives whose
 //!   value terms depend on the staged rate itself (delay models, loss
@@ -34,43 +34,6 @@
 /// link with the tiles. One shared constant, imported by the simulators,
 /// the live server, and the benchmarks, so the paths can never drift.
 pub const CONTROL_OVERHEAD_MBPS: f64 = 0.2;
-
-/// Fills `out_rates[l] = sums[l] + overhead` in one contiguous pass.
-///
-/// Chunked into 4-wide f64 lanes for autovectorisation; bit-identical to
-/// the scalar loop (element-wise addition is not reassociated).
-///
-/// # Panics
-///
-/// Panics if `sums` and `out_rates` differ in length.
-#[inline]
-pub fn stage_rates(sums: &[f64], overhead: f64, out_rates: &mut [f64]) {
-    assert_eq!(
-        sums.len(),
-        out_rates.len(),
-        "sums and rate rows must have the same level count"
-    );
-    let mut out_lanes = out_rates.chunks_exact_mut(4);
-    let mut sum_lanes = sums.chunks_exact(4);
-    for (out, s) in (&mut out_lanes).zip(&mut sum_lanes) {
-        out[0] = s[0] + overhead;
-        out[1] = s[1] + overhead;
-        out[2] = s[2] + overhead;
-        out[3] = s[3] + overhead;
-    }
-    let tail = sum_lanes.remainder();
-    for (out, &s) in out_lanes.into_remainder().iter_mut().zip(tail) {
-        *out = s + overhead;
-    }
-    #[cfg(debug_assertions)]
-    for (l, (&s, &r)) in sums.iter().zip(out_rates.iter()).enumerate() {
-        debug_assert_eq!(
-            r.to_bits(),
-            (s + overhead).to_bits(),
-            "stage_rates diverged from the naive loop at level index {l}"
-        );
-    }
-}
 
 /// Fused rate + value staging for rate-independent value rows:
 /// `out_rates[l] = sums[l] + overhead` and `out_values[l] = weights[l]`
@@ -229,23 +192,6 @@ pub fn accumulate_group_values(member_values: &[f64], cap: usize, out_values: &m
 mod tests {
     use super::*;
 
-    fn naive_rates(sums: &[f64], overhead: f64) -> Vec<f64> {
-        sums.iter().map(|&s| s + overhead).collect()
-    }
-
-    #[test]
-    fn stage_rates_matches_naive_for_all_tail_lengths() {
-        for n in 0..13 {
-            let sums: Vec<f64> = (0..n).map(|i| 0.37 * i as f64 + 0.01).collect();
-            let mut out = vec![f64::NAN; n];
-            stage_rates(&sums, CONTROL_OVERHEAD_MBPS, &mut out);
-            let reference = naive_rates(&sums, CONTROL_OVERHEAD_MBPS);
-            for l in 0..n {
-                assert_eq!(out[l].to_bits(), reference[l].to_bits(), "n={n} l={l}");
-            }
-        }
-    }
-
     #[test]
     fn stage_rates_values_copies_weights_bitwise() {
         let sums = [0.0, -0.0, 1.5e-308, 3.25, 7.0, 11.25, 0.2];
@@ -299,8 +245,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "same level count")]
     fn mismatched_lengths_panic() {
-        let mut out = [0.0; 3];
-        stage_rates(&[1.0, 2.0], 0.2, &mut out);
+        let (mut rates, mut values) = ([0.0; 3], [0.0; 3]);
+        stage_rates_values_with(&[1.0, 2.0], 0.2, &mut rates, &mut values, |_, raw| raw);
     }
 
     #[test]

@@ -55,13 +55,6 @@ pub enum WireError {
     TrailingBytes,
     /// The leading tag byte names no known message.
     UnknownTag(u8),
-    /// A `Hello`/`Welcome` carried a protocol version we do not speak.
-    VersionMismatch {
-        /// The version this build speaks.
-        expected: u16,
-        /// The version found on the wire.
-        got: u16,
-    },
     /// A packed video ID failed validation.
     InvalidVideoId(u64),
     /// A field held a value outside its documented range.
@@ -74,12 +67,6 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "frame payload truncated"),
             WireError::TrailingBytes => write!(f, "frame payload has trailing bytes"),
             WireError::UnknownTag(tag) => write!(f, "unknown message tag 0x{tag:02x}"),
-            WireError::VersionMismatch { expected, got } => {
-                write!(
-                    f,
-                    "protocol version mismatch: expected {expected}, got {got}"
-                )
-            }
             WireError::InvalidVideoId(raw) => write!(f, "invalid packed video id 0x{raw:016x}"),
             WireError::InvalidField(name) => write!(f, "invalid field: {name}"),
         }

@@ -10,8 +10,8 @@
 //! * [`experiment`] — multi-run harnesses with thread-parallel execution;
 //! * [`mcast`] — the co-located classroom study behind `mcast_bench`
 //!   (unicast vs grouped multicast staging at a fixed server budget);
-//! * [`parallel`] — the sharded parallel runner (deterministic per-run
-//!   seeding, lock-free per-worker accumulation, in-order merge);
+//! * [`parallel`] — the parallel runner (deterministic per-run seeding,
+//!   results returned in run order);
 //! * [`pipeline`] — the one slot planner (target → stage → group → solve →
 //!   prefetch → manifest) that every simulator above and the live server
 //!   drive;

@@ -1,6 +1,7 @@
 //! Experiment metrics: empirical distributions (for the CDF figures),
-//! read-only sorted snapshots, per-slot time series, and the merge
-//! operations the parallel runner uses to combine per-worker results.
+//! read-only sorted snapshots, and per-slot time series. The experiment
+//! harnesses fill the distributions by folding per-run results in run
+//! order, so insertion order never depends on the thread count.
 
 use serde::{Deserialize, Serialize};
 
@@ -9,7 +10,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The accumulator itself is append-only; order statistics (quantiles,
 /// CDF points) live on the read-only [`SortedDistribution`] snapshot so
-/// report code never needs `&mut` access to merged results.
+/// report code never needs `&mut` access to experiment results.
 ///
 /// # Examples
 ///
@@ -41,15 +42,6 @@ impl EmpiricalDistribution {
     pub fn push(&mut self, value: f64) {
         assert!(!value.is_nan(), "NaN observation");
         self.values.push(value);
-    }
-
-    /// Appends every observation of `other`, preserving `other`'s order —
-    /// the concatenative merge the parallel runner relies on for
-    /// bit-identical results at any thread count (merging chunk
-    /// accumulators in chunk order reproduces the sequential insertion
-    /// order exactly).
-    pub fn merge(&mut self, other: &EmpiricalDistribution) {
-        self.values.extend_from_slice(&other.values);
     }
 
     /// Number of observations.
@@ -124,7 +116,7 @@ impl Extend<f64> for EmpiricalDistribution {
 }
 
 /// A sorted, read-only snapshot of an [`EmpiricalDistribution`]: every
-/// order statistic is `&self`, so merged experiment results can be
+/// order statistic is `&self`, so experiment results can be
 /// queried without `mut` plumbing (and shared across report threads).
 #[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct SortedDistribution {
@@ -235,15 +227,6 @@ impl MetricDistributions {
         self.delay.push(s.avg_delay);
         self.variance.push(s.avg_variance);
     }
-
-    /// Appends every metric of `other` (concatenative — see
-    /// [`EmpiricalDistribution::merge`]).
-    pub fn merge(&mut self, other: &MetricDistributions) {
-        self.qoe.merge(&other.qoe);
-        self.quality.merge(&other.quality);
-        self.delay.merge(&other.delay);
-        self.variance.merge(&other.variance);
-    }
 }
 
 #[cfg(test)]
@@ -309,59 +292,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn quantile_of_empty_panics() {
         EmpiricalDistribution::new().sorted().quantile(0.5);
-    }
-
-    #[test]
-    fn merge_of_splits_equals_whole() {
-        let whole: EmpiricalDistribution = (0..100).map(|i| (i * 37 % 50) as f64).collect();
-        let mut merged: EmpiricalDistribution = whole.values()[..33].iter().copied().collect();
-        let mid: EmpiricalDistribution = whole.values()[33..71].iter().copied().collect();
-        let tail: EmpiricalDistribution = whole.values()[71..].iter().copied().collect();
-        merged.merge(&mid);
-        merged.merge(&tail);
-        assert_eq!(merged, whole, "split/merge must reproduce the whole");
-    }
-
-    #[test]
-    fn empty_merge_is_identity() {
-        let d: EmpiricalDistribution = [1.0, 2.0, 3.0].into_iter().collect();
-        let mut left = d.clone();
-        left.merge(&EmpiricalDistribution::new());
-        assert_eq!(left, d);
-        let mut right = EmpiricalDistribution::new();
-        right.merge(&d);
-        assert_eq!(right, d);
-    }
-
-    #[test]
-    fn metric_distributions_merge_matches_sequential() {
-        use cvr_core::qoe::SystemQoeSummary;
-        let summaries: Vec<SystemQoeSummary> = (0..10)
-            .map(|i| SystemQoeSummary {
-                users: 2,
-                avg_qoe: i as f64 * 0.5,
-                avg_quality: 4.0 - i as f64 * 0.1,
-                avg_delay: 0.1 * i as f64,
-                avg_variance: 1.0 / (1.0 + i as f64),
-                avg_hit_rate: 0.9,
-            })
-            .collect();
-        let mut sequential = MetricDistributions::new();
-        for s in &summaries {
-            sequential.push_summary(s);
-        }
-        let mut merged = MetricDistributions::new();
-        for chunk in summaries.chunks(3) {
-            let mut local = MetricDistributions::new();
-            for s in chunk {
-                local.push_summary(s);
-            }
-            merged.merge(&local);
-        }
-        assert_eq!(merged, sequential);
-        let mut with_empty = merged.clone();
-        with_empty.merge(&MetricDistributions::new());
-        assert_eq!(with_empty, sequential);
     }
 
     #[test]

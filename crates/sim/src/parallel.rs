@@ -1,23 +1,14 @@
-//! Sharded parallel experiment runner: fans independent runs out over
-//! `std::thread::scope` workers with deterministic per-run seeding and
-//! lock-free per-worker accumulation merged at join time.
+//! Parallel experiment runner: [`parallel_map`] fans independent runs
+//! out over `std::thread::scope` workers and returns their results in run
+//! order.
 //!
-//! Two execution shapes cover every experiment in the workspace:
-//!
-//! * [`parallel_map`] — a dynamic work queue over [`RunSpec`]s. Workers
-//!   claim runs with one atomic counter, accumulate `(run_id, result)`
-//!   pairs into a worker-local `Vec` (no locks, no shared slots), and the
-//!   join scatters them back into run order. The output is identical for
-//!   any thread count or scheduling because each run is an independent
-//!   function of its [`RunSpec`] and the output order is the spec order.
-//! * [`map_reduce`] — contiguous chunking plus an in-order merge for
-//!   aggregations (e.g. metric distributions). Worker `w` folds the runs
-//!   of chunk `w` into its own accumulator; the join merges accumulators
-//!   in worker order, so the merged accumulation visits runs in exactly
-//!   `0, 1, 2, …` order regardless of how many workers participated. Any
-//!   merge that is order-preserving-concatenative (like
-//!   [`EmpiricalDistribution::merge`](crate::metrics::EmpiricalDistribution::merge))
-//!   therefore produces bit-identical results at every thread count.
+//! Workers claim runs from a shared work queue with one atomic counter,
+//! accumulate `(run_id, result)` pairs into a worker-local `Vec` (no
+//! locks, no shared slots), and the join scatters them back into run
+//! order. The output is identical for any thread count or scheduling
+//! because each run is an independent function of its [`RunSpec`] and the
+//! output order is the spec order; callers aggregate by folding that
+//! output sequentially, so summation order is fixed too.
 //!
 //! Per-run RNG seeds come from [`derive_seed`], a SplitMix64 finalizer
 //! over `(base_seed, run_id)`: runs are decorrelated, and the seed for run
@@ -136,67 +127,6 @@ where
         .collect()
 }
 
-/// Folds the specs into per-worker accumulators over contiguous chunks,
-/// then merges the accumulators **in worker order** at join time.
-///
-/// Worker `w` of `W` folds specs `[w·⌈n/W⌉, (w+1)·⌈n/W⌉)`, so the merged
-/// accumulation visits runs in ascending `run_id` order for every thread
-/// count. When `merge` concatenates (appends `b`'s observations after
-/// `a`'s), the final accumulator is bit-identical at any thread count.
-pub fn map_reduce<A, F, M>(
-    specs: &[RunSpec],
-    threads: usize,
-    make: impl Fn() -> A + Sync,
-    fold: F,
-    mut merge: M,
-) -> A
-where
-    A: Send,
-    F: Fn(&mut A, &RunSpec) + Sync,
-    M: FnMut(&mut A, A),
-{
-    let n = specs.len();
-    if n == 0 {
-        return make();
-    }
-    let workers = threads.clamp(1, n);
-    let chunk = n.div_ceil(workers);
-    if workers == 1 {
-        let mut acc = make();
-        for spec in specs {
-            fold(&mut acc, spec);
-        }
-        return acc;
-    }
-
-    let (make, fold) = (&make, &fold);
-    let accs: Vec<A> = std::thread::scope(|scope| {
-        let handles: Vec<_> = specs
-            .chunks(chunk)
-            .map(|block| {
-                scope.spawn(move || {
-                    let mut acc = make();
-                    for spec in block {
-                        fold(&mut acc, spec);
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut accs = accs.into_iter();
-    let mut out = accs.next().expect("at least one chunk");
-    for acc in accs {
-        merge(&mut out, acc);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,32 +167,6 @@ mod tests {
             assert_eq!(parallel, serial, "{threads} threads diverged");
         }
         assert!(parallel_map(&[], 4, |s: &RunSpec| s.seed).is_empty());
-    }
-
-    #[test]
-    fn map_reduce_concatenation_is_thread_count_invariant() {
-        // Concatenative merge: the folded sequence must be 0, 1, 2, …
-        // regardless of thread count.
-        let specs = run_specs(3, 25);
-        let collect = |threads| {
-            map_reduce(
-                &specs,
-                threads,
-                Vec::new,
-                |acc: &mut Vec<u64>, s| acc.push(s.run_id),
-                |a, mut b| a.append(&mut b),
-            )
-        };
-        let expected: Vec<u64> = (0..25).collect();
-        for threads in [1, 2, 3, 4, 7, 25, 40] {
-            assert_eq!(collect(threads), expected, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn map_reduce_empty_returns_identity() {
-        let sum = map_reduce(&[], 4, || 0u64, |acc, s| *acc += s.seed, |a, b| *a += b);
-        assert_eq!(sum, 0);
     }
 
     #[test]

@@ -47,6 +47,8 @@ use crate::event::EventQueue;
 pub use crate::pipeline::{sanitize_rates, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
 use crate::pipeline::{SlotPlanner, PROPAGATION_S};
 
+/// Slot duration, seconds (60 FPS → 1/60).
+const SLOT_DURATION_S: f64 = 1.0 / 60.0;
 /// Per-router nominal capacity, Mbps (802.11ac ≈ 400 usable).
 const ROUTER_CAPACITY_MBPS: f64 = 400.0;
 /// `tc` throttle guidelines cycled across users (paper: 40…60 Mbps).
@@ -69,8 +71,6 @@ pub struct SystemConfig {
     pub num_routers: usize,
     /// Run duration, seconds.
     pub duration_s: f64,
-    /// Slot duration, seconds (60 FPS → 1/60).
-    pub slot_duration_s: f64,
     /// QoE weights (paper real-system: α = 0.1, β = 0.5).
     pub params: QoeParams,
     /// Server uplink limit, Mbps (400 with one router, 800 with two).
@@ -122,7 +122,6 @@ impl SystemConfig {
             num_users: 8,
             num_routers: 1,
             duration_s: 60.0,
-            slot_duration_s: 1.0 / 60.0,
             params: QoeParams::system_default(),
             server_total_mbps: 400.0,
             packet_loss_probability: 0.000_2,
@@ -149,7 +148,7 @@ impl SystemConfig {
 
     /// Number of slots.
     pub fn slots(&self) -> usize {
-        (self.duration_s / self.slot_duration_s).round() as usize
+        (self.duration_s / SLOT_DURATION_S).round() as usize
     }
 }
 
@@ -354,7 +353,7 @@ pub fn run_with(
     assert!(config.num_users > 0, "need at least one user");
     assert!(config.num_routers > 0, "need at least one router");
     let n = config.num_users;
-    let dt = config.slot_duration_s;
+    let dt = SLOT_DURATION_S;
     let slots = config.slots();
     // The shared slot planner: slot engine, data plane (per-cell rate
     // rows and FoV tile sets, computed per query), and per-user delivery

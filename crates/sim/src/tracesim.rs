@@ -33,6 +33,8 @@ use cvr_net::trace::{ThroughputTrace, TraceGeneratorConfig, TraceProfile};
 use crate::allocators::AllocatorKind;
 use crate::pipeline::SlotPlanner;
 
+/// Slot duration in seconds (paper: 15 ms at 66 FPS).
+const SLOT_DURATION_S: f64 = 0.015;
 /// Floor of the per-user throughput envelope, Mbps (paper: 20–100 Mbps).
 const USER_MIN_MBPS: f64 = 20.0;
 /// Ceiling of the per-user throughput envelope, Mbps.
@@ -45,8 +47,6 @@ pub struct TraceSimConfig {
     pub num_users: usize,
     /// Trace duration in seconds (paper: 300).
     pub duration_s: f64,
-    /// Slot duration in seconds (paper: 15 ms at 66 FPS).
-    pub slot_duration_s: f64,
     /// QoE weights (paper: α = 0.02, β = 0.5).
     pub params: QoeParams,
     /// Server budget per user, Mbps (paper: 36 × N total).
@@ -89,7 +89,6 @@ impl TraceSimConfig {
         TraceSimConfig {
             num_users,
             duration_s: 300.0,
-            slot_duration_s: 0.015,
             params: QoeParams::simulation_default(),
             server_budget_per_user_mbps: 36.0,
             seed,
@@ -103,7 +102,7 @@ impl TraceSimConfig {
 
     /// Number of slots in the horizon.
     pub fn slots(&self) -> usize {
-        (self.duration_s / self.slot_duration_s).round() as usize
+        (self.duration_s / SLOT_DURATION_S).round() as usize
     }
 }
 
@@ -190,7 +189,7 @@ pub fn run_with(
             .map(|u| {
                 MotionSource::Synthetic(Box::new(MotionGenerator::new(
                     MotionConfig {
-                        slot_duration_s: config.slot_duration_s,
+                        slot_duration_s: SLOT_DURATION_S,
                         ..MotionConfig::paper_default()
                     },
                     config.seed.wrapping_mul(0xA24B_AED4).wrapping_add(u as u64),
@@ -258,7 +257,7 @@ pub fn run_with(
     let mut assignment: Vec<QualityLevel> = Vec::with_capacity(n);
 
     for slot in 0..slots {
-        let now = slot as f64 * config.slot_duration_s;
+        let now = slot as f64 * SLOT_DURATION_S;
 
         // Reveal this slot's actual poses, but predict from history first.
         actual.clear();
@@ -281,7 +280,7 @@ pub fn run_with(
         for u in 0..n {
             let raw = traces[u].at(now);
             let forecast_min = (1..planner.horizon())
-                .map(|h| traces[u].at(now + h as f64 * config.slot_duration_s))
+                .map(|h| traces[u].at(now + h as f64 * SLOT_DURATION_S))
                 .fold(raw, f64::min);
             let bn = planner.clamp_budget(u, raw, Some(forecast_min));
             link_budgets.push(bn);
@@ -480,7 +479,7 @@ mod tests {
             .map(|u| {
                 MotionGenerator::new(
                     MotionConfig {
-                        slot_duration_s: base.slot_duration_s,
+                        slot_duration_s: SLOT_DURATION_S,
                         ..MotionConfig::paper_default()
                     },
                     base.seed.wrapping_mul(0xA24B_AED4).wrapping_add(u as u64),

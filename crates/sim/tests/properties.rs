@@ -56,49 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn chunked_accumulation_matches_sequential(
-        rows in prop::collection::vec(
-            (0.0f64..10.0, 0.0f64..6.0, 0.0f64..8.0, 0.0f64..4.0),
-            1..60,
-        ),
-        chunk in 1usize..12,
-    ) {
-        // The parallel runner folds runs into per-worker MetricDistributions
-        // and merges the chunks in order; that must reproduce the sequential
-        // accumulation bit for bit, whatever the chunk size.
-        use cvr_core::qoe::SystemQoeSummary;
-        use cvr_sim::metrics::MetricDistributions;
-        let summaries: Vec<SystemQoeSummary> = rows
-            .iter()
-            .map(|&(qoe, quality, delay, variance)| SystemQoeSummary {
-                users: 1,
-                avg_qoe: qoe,
-                avg_quality: quality,
-                avg_delay: delay,
-                avg_variance: variance,
-                avg_hit_rate: 1.0,
-            })
-            .collect();
-        let mut sequential = MetricDistributions::new();
-        for s in &summaries {
-            sequential.push_summary(s);
-        }
-        let mut chunked = MetricDistributions::new();
-        for block in summaries.chunks(chunk) {
-            let mut worker = MetricDistributions::new();
-            for s in block {
-                worker.push_summary(s);
-            }
-            chunked.merge(&worker);
-        }
-        prop_assert_eq!(&chunked, &sequential);
-        prop_assert_eq!(
-            chunked.qoe.sorted().quantile(0.5),
-            sequential.qoe.sorted().quantile(0.5)
-        );
-    }
-
-    #[test]
     fn transfer_loss_monotone_in_size(p in 0.0f64..0.1, n1 in 1u32..200, extra in 0u32..200) {
         let small = transfer_loss_probability(p, n1);
         let large = transfer_loss_probability(p, n1 + extra);
