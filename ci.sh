@@ -57,12 +57,12 @@ INCLUDE_IGNORED=1
 # Ceilings on `./ci.sh loc`'s workspace totals (non-test, all lines) and
 # on the byte sizes of the four prose documents. A change that must raise
 # one does so here and says why in CHANGES.md.
-LOC_CEILING_NON_TEST=19232
-LOC_CEILING_ALL=33399
-BYTE_CEILING_DESIGN=97322
-BYTE_CEILING_CHANGES=101276
-BYTE_CEILING_EXPERIMENTS=78029
-BYTE_CEILING_README=25546
+LOC_CEILING_NON_TEST=19111
+LOC_CEILING_ALL=33270
+BYTE_CEILING_DESIGN=39417
+BYTE_CEILING_CHANGES=25733
+BYTE_CEILING_EXPERIMENTS=25812
+BYTE_CEILING_README=14534
 
 stage_test() {
     step "Line-count ceilings: non-test <= $LOC_CEILING_NON_TEST, all <= $LOC_CEILING_ALL"

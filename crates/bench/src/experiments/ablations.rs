@@ -431,9 +431,8 @@ pub fn pavq(args: &FigureArgs) {
         (0.05, 64),
     ] {
         let mut pavq = Pavq::with_step(step).inner_iterations(inner);
-        // PAVQ decides delay-blind (the paper's modification folds delay
-        // into a constant).
-        let r = tracesim::run_with(&config, &mut pavq, "pavq-variant", false);
+        let objective = AllocatorKind::Pavq.objective();
+        let r = tracesim::run_with(&config, &mut pavq, "pavq-variant", objective);
         table.row(vec![
             step.into(),
             (inner as usize).into(),

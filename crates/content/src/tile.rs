@@ -53,7 +53,7 @@ impl std::fmt::Display for TileId {
 /// touches both tile columns, a narrower one crosses at most one column
 /// seam and so touches exactly the columns of its two end angles. Why
 /// that survives `f64` rounding, and that it equals the 17-sample sweep
-/// kept as the `#[cfg(test)]` oracle, is DESIGN §5q.
+/// kept as the `#[cfg(test)]` oracle, is DESIGN §5.2.
 pub fn tile_mask(spec: &FovSpec, pose: &Pose) -> u8 {
     let half_w = spec.width_deg / 2.0 + spec.margin_deg;
     let half_h = spec.height_deg / 2.0 + spec.margin_deg;

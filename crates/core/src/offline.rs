@@ -246,116 +246,6 @@ pub fn exhaustive_slot_optimum(problem: &SlotEngine) -> Result<ExactSolution, Al
     }
 }
 
-/// Per-slot optimum by pseudo-polynomial dynamic programming over a
-/// discretised budget grid — the classic multiple-choice-knapsack DP, the
-/// third exact method alongside branch-and-bound and exhaustive search.
-///
-/// Rates are rounded **up** to multiples of `resolution`, so the returned
-/// assignment is always feasible for the true budgets, and its value
-/// dominates every solution that fits with `N · resolution` of budget
-/// slack (a knife-edge optimum using the entire budget may be lost to the
-/// rounding). With `resolution → 0` it converges to
-/// [`exact_slot_optimum`]; complexity is `O(N · L · B/resolution)`.
-///
-/// # Errors
-///
-/// Returns the [`SlotEngine::validate`] error for malformed tables,
-/// [`AllocError::TooLarge`] if the grid would exceed ten million cells,
-/// and [`AllocError::MalformedUser`] if `resolution` is not a positive
-/// finite number.
-pub fn dp_slot_optimum(problem: &SlotEngine, resolution: f64) -> Result<ExactSolution, AllocError> {
-    problem.validate()?;
-    if !resolution.is_finite() || resolution <= 0.0 {
-        return Err(AllocError::MalformedUser {
-            user: 0,
-            reason: "resolution must be positive",
-        });
-    }
-    let n = problem.num_users();
-    let budget = problem.server_budget() + RATE_EPS;
-    let width = (budget / resolution).floor() as usize + 1;
-    if width.saturating_mul(n) > 10_000_000 {
-        return Err(AllocError::TooLarge {
-            users: n,
-            max_users: 10_000_000 / width.max(1),
-        });
-    }
-
-    let choices = feasible_choices(problem);
-
-    // Degenerate baseline handling mirrors the other solvers.
-    let baseline = problem.baseline_assignment();
-    if problem.total_rate(&baseline) > budget {
-        let value = problem.objective(&baseline);
-        return Ok(ExactSolution {
-            assignment: baseline,
-            value,
-            nodes: 0,
-        });
-    }
-
-    const NEG: f64 = f64::NEG_INFINITY;
-    // value[w]: best value using at most w grid cells of budget.
-    let mut value = vec![NEG; width];
-    value[0] = 0.0;
-    // choice[u][w]: level index chosen for user u at residual state w.
-    let mut choice = vec![vec![usize::MAX; width]; n];
-    let mut nodes = 0u64;
-
-    for (u, user_choices) in choices.iter().enumerate() {
-        let mut next = vec![NEG; width];
-        for (w, &v) in value.iter().enumerate() {
-            if v == NEG {
-                continue;
-            }
-            for &(level, rate, gain) in user_choices {
-                nodes += 1;
-                let cells = (rate / resolution).ceil() as usize;
-                let nw = w + cells;
-                if nw >= width {
-                    continue;
-                }
-                if v + gain > next[nw] {
-                    next[nw] = v + gain;
-                    choice[u][nw] = level;
-                }
-            }
-        }
-        value = next;
-    }
-
-    // Best end state, then backtrack.
-    let (mut w, _) = value
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .expect("non-empty grid");
-    if value[w] == NEG {
-        // No feasible DP state (can only happen via rounding pathologies);
-        // fall back to the baseline.
-        let value = problem.objective(&baseline);
-        return Ok(ExactSolution {
-            assignment: baseline,
-            value,
-            nodes,
-        });
-    }
-    let mut assignment = vec![QualityLevel::MIN; n];
-    for u in (0..n).rev() {
-        let level = choice[u][w];
-        debug_assert_ne!(level, usize::MAX, "backtrack consistency");
-        assignment[u] = QualityLevel::new((level + 1) as u8);
-        let rate = problem.rates(u)[level];
-        w -= (rate / resolution).ceil() as usize;
-    }
-    let value = problem.objective(&assignment);
-    Ok(ExactSolution {
-        assignment,
-        value,
-        nodes,
-    })
-}
-
 /// The fractional (LP / convex hull) upper bound `V_p ≥ OPT` from the proof
 /// of Theorem 1: follow the density-greedy order over the LP-dominant
 /// upgrades and take a fraction of the first upgrade that busts the budget.
@@ -480,61 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn dp_matches_branch_and_bound_at_fine_resolution() {
-        let p = problem(
-            vec![
-                user(vec![1.0, 2.0, 4.0], vec![0.5, 1.6, 2.0], 3.0),
-                user(vec![1.0, 3.0, 6.0], vec![0.3, 1.9, 2.5], 6.0),
-                user(vec![1.0, 1.5, 2.0], vec![0.2, 0.9, 1.4], 2.0),
-            ],
-            7.0,
-        );
-        let bb = exact_slot_optimum(&p).unwrap();
-        // Rates are multiples of 0.5, so a 0.5 grid is lossless.
-        let dp = dp_slot_optimum(&p, 0.5).unwrap();
-        assert!(
-            (dp.value - bb.value).abs() < 1e-12,
-            "dp {} vs bb {}",
-            dp.value,
-            bb.value
-        );
-        assert!(p.is_feasible(&dp.assignment));
-    }
-
-    #[test]
-    fn dp_is_feasible_and_dominated_at_coarse_resolution() {
-        let p = problem(
-            vec![
-                user(vec![1.3, 2.7, 4.9], vec![0.5, 1.6, 2.0], 5.0),
-                user(vec![0.9, 3.1, 6.2], vec![0.3, 1.9, 2.5], 7.0),
-            ],
-            8.0,
-        );
-        let bb = exact_slot_optimum(&p).unwrap();
-        let dp = dp_slot_optimum(&p, 1.0).unwrap();
-        assert!(
-            p.is_feasible(&dp.assignment),
-            "rounding up keeps feasibility"
-        );
-        assert!(dp.value <= bb.value + 1e-12);
-        // With a fine grid the gap closes.
-        let fine = dp_slot_optimum(&p, 0.01).unwrap();
-        assert!((fine.value - bb.value).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dp_degenerate_and_validation() {
-        let degenerate = problem(vec![user(vec![5.0, 6.0], vec![1.0, 2.0], 10.0)], 3.0);
-        let s = dp_slot_optimum(&degenerate, 0.1).unwrap();
-        assert_eq!(s.assignment, degenerate.baseline_assignment());
-
-        let p = problem(vec![user(vec![1.0], vec![1.0], 2.0)], 2.0);
-        assert!(dp_slot_optimum(&p, 0.0).is_err());
-        assert!(dp_slot_optimum(&p, f64::NAN).is_err());
-        assert!(dp_slot_optimum(&p, 1e-9).is_err()); // grid too large
-    }
-
-    #[test]
     fn fractional_bound_dominates_integer_optimum() {
         let p = problem(
             vec![
@@ -571,7 +406,6 @@ mod tests {
             for solution in [
                 exact_slot_optimum(&p).unwrap(),
                 exhaustive_slot_optimum(&p).unwrap(),
-                dp_slot_optimum(&p, 0.5).unwrap(),
             ] {
                 assert_eq!(solution.assignment, greedy, "link {link}, server {server}");
                 assert_eq!(solution.value, 1.0);
@@ -590,7 +424,6 @@ mod tests {
         };
         assert_eq!(exact_slot_optimum(&bad), Err(malformed.clone()));
         assert_eq!(exhaustive_slot_optimum(&bad), Err(malformed.clone()));
-        assert_eq!(dp_slot_optimum(&bad, 0.5), Err(malformed.clone()));
         assert_eq!(fractional_upper_bound(&bad), Err(malformed));
         let empty = problem(vec![], 10.0);
         assert_eq!(exact_slot_optimum(&empty), Err(AllocError::NoUsers));

@@ -8,9 +8,7 @@
 //!   identity on arbitrary streams.
 
 use cvr_core::engine::SlotEngine;
-use cvr_core::offline::{
-    dp_slot_optimum, exact_slot_optimum, exhaustive_slot_optimum, fractional_upper_bound,
-};
+use cvr_core::offline::{exact_slot_optimum, exhaustive_slot_optimum, fractional_upper_bound};
 use cvr_core::stage::{accumulate_group_values, stage_rates_values, stage_rates_values_with};
 use cvr_core::variance::{population_variance, VarianceTracker};
 use proptest::prelude::*;
@@ -236,41 +234,10 @@ proptest! {
     }
 
     #[test]
-    fn dp_feasible_and_converging(instance in concave_problem(5)) {
-        let problem = instance.engine();
-        let bb = exact_slot_optimum(&problem).unwrap();
-        let coarse = dp_slot_optimum(&problem, 0.5).unwrap();
-        prop_assert!(problem.is_feasible(&coarse.assignment));
-        prop_assert!(coarse.value <= bb.value + 1e-9);
-
-        let resolution = 0.005;
-        let fine = dp_slot_optimum(&problem, resolution).unwrap();
-        prop_assert!(problem.is_feasible(&fine.assignment));
-        prop_assert!(fine.value <= bb.value + 1e-9);
-        // The exact guarantee: rounding rates up by at most one grid cell
-        // per user means the DP dominates every solution that fits with
-        // `n · resolution` of budget slack.
-        let slack = resolution * problem.num_users() as f64;
-        let reduced_budget = problem.server_budget() - slack;
-        let base: f64 = (0..problem.num_users()).map(|u| problem.rates(u)[0]).sum();
-        if reduced_budget > base {
-            let reduced = Instance { budget: reduced_budget, ..instance }.engine();
-            let bb_reduced = exact_slot_optimum(&reduced).unwrap();
-            prop_assert!(
-                fine.value >= bb_reduced.value - 1e-9,
-                "fine dp {} below slack-reduced optimum {}",
-                fine.value,
-                bb_reduced.value
-            );
-        }
-    }
-
-    #[test]
     fn theorem1_best_value_half_of_oracle(instance in small_nonneg_problem()) {
         // Theorem 1 stated directly on max(V_d, V_v): with level-1 values
         // pinned at zero the objective equals the knapsack gain, so no
-        // baseline correction is needed. Cross-checked against both the
-        // branch-and-bound and the DP oracle.
+        // baseline correction is needed.
         let mut problem = instance.engine();
         problem.solve();
         let best = problem.density_value().max(problem.value_value());
@@ -280,14 +247,6 @@ proptest! {
             "best {} below half of exact optimum {}",
             best,
             bb.value
-        );
-        let dp = dp_slot_optimum(&problem, 0.01).unwrap();
-        prop_assert!(dp.value <= bb.value + 1e-9);
-        prop_assert!(
-            best >= 0.5 * dp.value - 1e-9,
-            "best {} below half of DP oracle {}",
-            best,
-            dp.value
         );
     }
 

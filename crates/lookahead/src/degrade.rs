@@ -66,7 +66,7 @@ impl DegradeConfig {
 }
 
 /// Where the policy currently is in its ramp cycle (exported for
-/// observability and asserted in the DESIGN.md §5m state machine tests).
+/// observability and asserted in the DESIGN.md §5.6 state machine tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradePhase {
     /// Budget equals the raw estimate; no dip forecast.
@@ -180,7 +180,7 @@ impl AnticipatoryDegrade {
         raw + slope.min(0.0) * (horizon as f64 - 1.0)
     }
 
-    /// One step of the ramp state machine (DESIGN.md §5m):
+    /// One step of the ramp state machine (DESIGN.md §5.6):
     /// `Steady → RampDown → Pinned → Recover → Steady`.
     fn step(&mut self, raw: f64, forecast_min: f64) -> f64 {
         let floor = self.cfg.floor_mbps;

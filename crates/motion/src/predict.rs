@@ -101,7 +101,7 @@ impl LinearPredictor {
 
     /// Least-squares lines over the window at abscissae `0..n`, all six
     /// axes per pass; each axis still accumulates the terms of a one-axis
-    /// fit in that fit's order, so fusing changes no bit (DESIGN §5q).
+    /// fit in that fit's order, so fusing changes no bit (DESIGN §5.3).
     fn refit(&mut self) {
         let n = self.history.len() as f64;
         let mean_x = (n - 1.0) / 2.0;

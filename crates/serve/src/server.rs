@@ -411,6 +411,39 @@ impl UserState {
     }
 }
 
+/// The two reasons a user is pinned to the lowest quality.
+#[derive(Debug, Clone, Copy)]
+enum Pin {
+    /// The outbound queue is dropping frames or its writer has stalled.
+    Backpressure,
+    /// A bonded user's bandwidth estimate fell below the floor.
+    Bandwidth,
+}
+
+impl UserState {
+    /// Sets or clears one degrade pin. Setting it counts a transition
+    /// (per user and in `cvr_degraded_transitions_total`); every flip
+    /// traces a `Degrade` event.
+    fn set_pin(&mut self, pin: Pin, on: bool, obs: &mut SessionObs) {
+        let flag = match pin {
+            Pin::Backpressure => &mut self.degraded,
+            Pin::Bandwidth => &mut self.bw_degraded,
+        };
+        if *flag == on {
+            return;
+        }
+        *flag = on;
+        if on {
+            self.degrade_transitions += 1;
+            obs.registry.inc(obs.c_degraded, 1);
+        }
+        obs.tracer.record(TraceEvent::Degrade {
+            user_id: self.user_id as u64,
+            degraded: on,
+        });
+    }
+}
+
 /// A snapshot of one session's lifecycle counters, read out of its
 /// metrics registry (the only place they are kept) by
 /// [`Session::counters`] and [`Session::report`].
@@ -709,21 +742,27 @@ impl Session {
 
     /// Sends every connected user a `Shutdown` and closes the transports.
     pub fn shutdown(&mut self) {
-        for (id, slot) in self.users.iter_mut().enumerate() {
-            if let Some(mut user) = slot.take() {
-                self.planner.leave(id);
+        for id in 0..self.users.len() {
+            if let Some(mut user) = self.users[id].take() {
                 user.transport.send(&ServerMessage::Shutdown);
-                user.transport.close();
-                self.obs.tracer.record(TraceEvent::ClientLeave {
-                    user_id: user.user_id as u64,
-                });
-                self.departed.push(Self::summarise(&user));
-                self.obs.registry.inc(self.obs.c_leaves, 1);
+                self.depart(id, user);
             }
         }
         for (_, mut t) in self.pending.drain(..) {
             t.close();
         }
+    }
+
+    /// Retires a user taken out of its registry slot: the planner forgets
+    /// it, the transport closes, and its summary joins the report.
+    fn depart(&mut self, id: usize, mut user: UserState) {
+        self.planner.leave(id);
+        user.transport.close();
+        self.obs.tracer.record(TraceEvent::ClientLeave {
+            user_id: user.user_id as u64,
+        });
+        self.departed.push(Self::summarise(&user));
+        self.obs.registry.inc(self.obs.c_leaves, 1);
     }
 
     /// Builds the end-of-run report. Still-connected users are summarised
@@ -946,13 +985,7 @@ impl Session {
                 leave = true;
             }
             if leave || user.transport.is_closed() {
-                self.planner.leave(id);
-                user.transport.close();
-                self.obs.tracer.record(TraceEvent::ClientLeave {
-                    user_id: user.user_id as u64,
-                });
-                self.departed.push(Self::summarise(&user));
-                self.obs.registry.inc(self.obs.c_leaves, 1);
+                self.depart(id, user);
             } else {
                 self.users[id] = Some(user);
             }
@@ -995,20 +1028,10 @@ impl Session {
             // the user to the lowest quality; recovery needs 2× the floor
             // (hysteresis) so a flapping radio cannot oscillate quality.
             if user.multilink {
-                if !user.bw_degraded && bn < DEGRADE_FLOOR_MBPS {
-                    user.bw_degraded = true;
-                    user.degrade_transitions += 1;
-                    self.obs.registry.inc(self.obs.c_degraded, 1);
-                    self.obs.tracer.record(TraceEvent::Degrade {
-                        user_id: user.user_id as u64,
-                        degraded: true,
-                    });
-                } else if user.bw_degraded && bn > 2.0 * DEGRADE_FLOOR_MBPS {
-                    user.bw_degraded = false;
-                    self.obs.tracer.record(TraceEvent::Degrade {
-                        user_id: user.user_id as u64,
-                        degraded: false,
-                    });
+                if bn < DEGRADE_FLOOR_MBPS {
+                    user.set_pin(Pin::Bandwidth, true, &mut self.obs);
+                } else if bn > 2.0 * DEGRADE_FLOOR_MBPS {
+                    user.set_pin(Pin::Bandwidth, false, &mut self.obs);
                 }
             }
             // Anticipatory degrade: the planner clamps the planning
@@ -1100,11 +1123,7 @@ impl Session {
                     && !user.transport.is_stalled()
                     && depth <= user.transport.queue_capacity() / 2
                 {
-                    user.degraded = false;
-                    obs.tracer.record(TraceEvent::Degrade {
-                        user_id: user.user_id as u64,
-                        degraded: false,
-                    });
+                    user.set_pin(Pin::Backpressure, false, obs);
                 }
             }
             SendStatus::DroppedOldest(n) => {
@@ -1113,26 +1132,12 @@ impl Session {
                     user_id: user.user_id as u64,
                     dropped: n as u64,
                 });
-                if !user.degraded {
-                    user.degraded = true;
-                    user.degrade_transitions += 1;
-                    obs.registry.inc(obs.c_degraded, 1);
-                    obs.tracer.record(TraceEvent::Degrade {
-                        user_id: user.user_id as u64,
-                        degraded: true,
-                    });
-                }
+                user.set_pin(Pin::Backpressure, true, obs);
             }
             SendStatus::Closed => return false,
         }
-        if user.transport.is_stalled() && !user.degraded {
-            user.degraded = true;
-            user.degrade_transitions += 1;
-            obs.registry.inc(obs.c_degraded, 1);
-            obs.tracer.record(TraceEvent::Degrade {
-                user_id: user.user_id as u64,
-                degraded: true,
-            });
+        if user.transport.is_stalled() {
+            user.set_pin(Pin::Backpressure, true, obs);
         }
         true
     }
@@ -1417,6 +1422,68 @@ mod tests {
             }
         }
         assert!(saw_degraded);
+    }
+
+    #[test]
+    fn a_bonded_user_enters_and_leaves_both_degrade_pins() {
+        let mut session = Session::new(ServeConfig {
+            ema_weight: 1.0,
+            ..ServeConfig::default()
+        });
+        session.enable_tracing(4096);
+        let (server_end, mut client) = loopback(3);
+        session.add_connection(Box::new(server_end));
+        client.send(&ClientMessage::Hello {
+            version: PROTOCOL_VERSION,
+            seed: 7,
+        });
+        let mut step = |session: &mut Session, mbps: f64, drain: bool| {
+            client.send(&ClientMessage::LinkSample {
+                link: LinkId::Wifi,
+                mbps,
+            });
+            session.step_slot();
+            while drain && client.try_recv().is_some() {}
+        };
+        step(&mut session, 50.0, true);
+        // A starving Wi-Fi with no LTE to fail over to: the bandwidth
+        // floor pins the user; twice the floor releases it.
+        for _ in 0..3 {
+            step(&mut session, 0.5, true);
+        }
+        for _ in 0..3 {
+            step(&mut session, 50.0, true);
+        }
+        // A client that stops reading fills its three-frame queue: the
+        // backpressure pin. Draining it releases the pin.
+        for _ in 0..5 {
+            step(&mut session, 50.0, false);
+        }
+        for _ in 0..3 {
+            step(&mut session, 50.0, true);
+        }
+
+        let degrades: Vec<bool> = session
+            .tracer()
+            .records()
+            .filter_map(|r| match &r.event {
+                TraceEvent::Degrade { user_id, degraded } => {
+                    assert_eq!(*user_id, 0);
+                    Some(*degraded)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(degrades, [true, false, true, false]);
+        assert!(session.counters().frames_dropped > 0);
+        assert_eq!(session.counters().degraded_transitions, 2);
+        assert_eq!(session.report().users[0].degrade_transitions, 2);
+        let text = session.render_metrics();
+        assert!(
+            text.lines()
+                .any(|l| l == "cvr_degraded_transitions_total 2"),
+            "{text}"
+        );
     }
 
     #[test]

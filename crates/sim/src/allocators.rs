@@ -9,6 +9,21 @@ use cvr_core::error::AllocError;
 use cvr_core::offline::exact_slot_optimum;
 use cvr_core::quality::QualityLevel;
 
+/// How the per-slot objective handed to the allocator is assembled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ObjectiveMode {
+    /// The paper's full `h_n` with the rate-dependent delay term.
+    DelayAware,
+    /// The modified-PAVQ reading: delay folded into a rate-independent
+    /// constant, so decisions are made delay-blind.
+    DelayBlind,
+    /// The Section VIII extension: on top of the delay term, the quality
+    /// term is weighted by the estimated probability that a transfer of
+    /// that size survives packet loss. A simulator without packet loss
+    /// reads it as [`ObjectiveMode::DelayAware`].
+    LossAware,
+}
+
 /// The algorithms the experiments compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocatorKind {
@@ -61,13 +76,16 @@ impl AllocatorKind {
         }
     }
 
-    /// Whether the algorithm's objective includes the rate-dependent delay
-    /// term. The paper's "modified PAVQ" folds delay into a rate-independent
-    /// constant (their `μ_i^P` adjustment), which cannot change an argmax —
-    /// so PAVQ decides delay-blind while all QoE *accounting* still charges
-    /// the real delay.
-    pub fn uses_delay_term(self) -> bool {
-        !matches!(self, AllocatorKind::Pavq)
+    /// The objective the algorithm decides by. The paper's "modified PAVQ"
+    /// folds delay into a rate-independent constant (their `μ_i^P`
+    /// adjustment), which cannot change an argmax — so PAVQ decides
+    /// delay-blind while all QoE *accounting* still charges the real delay.
+    pub fn objective(self) -> ObjectiveMode {
+        match self {
+            AllocatorKind::Pavq => ObjectiveMode::DelayBlind,
+            AllocatorKind::LossAwareGreedy => ObjectiveMode::LossAware,
+            _ => ObjectiveMode::DelayAware,
+        }
     }
 
     /// Stable display label used in reports and figure output.
@@ -196,6 +214,34 @@ mod tests {
         let with = AllocatorKind::paper_set(true);
         assert_eq!(with.len(), 4);
         assert!(with.contains(&AllocatorKind::Optimal));
+    }
+
+    #[test]
+    fn each_kind_decides_by_one_objective() {
+        use crate::tracesim::{self, TraceSimConfig};
+
+        for kind in ALL_KINDS {
+            let expected = match kind {
+                AllocatorKind::Pavq => ObjectiveMode::DelayBlind,
+                AllocatorKind::LossAwareGreedy => ObjectiveMode::LossAware,
+                _ => ObjectiveMode::DelayAware,
+            };
+            assert_eq!(kind.objective(), expected, "{kind}");
+        }
+        // The trace links lose no packets: the loss-aware objective is the
+        // delay-aware one there.
+        let config = TraceSimConfig {
+            duration_s: 3.0,
+            ..TraceSimConfig::paper_default(3, 5)
+        };
+        let run = |mode| {
+            let mut allocator = AllocatorKind::LossAwareGreedy.build();
+            tracesim::run_with(&config, &mut *allocator, "ours+loss", mode)
+        };
+        assert_eq!(
+            run(ObjectiveMode::LossAware),
+            run(ObjectiveMode::DelayAware)
+        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod pipeline;
 pub mod system;
 pub mod tracesim;
 
-pub use allocators::AllocatorKind;
+pub use allocators::{AllocatorKind, ObjectiveMode};
 pub use event::EventQueue;
 pub use experiment::{
     scenario_matrix, system_experiment, trace_experiment, ScenarioMatrixResult, ScenarioRow,
@@ -53,5 +53,5 @@ pub use experiment::{
 pub use mcast::{McastConfig, McastRunResult};
 pub use metrics::{EmpiricalDistribution, MetricDistributions, SortedDistribution};
 pub use parallel::RunSpec;
-pub use system::{NetScenario, ObjectiveMode, RenderingMode, SystemConfig, SystemRunResult};
+pub use system::{NetScenario, RenderingMode, SystemConfig, SystemRunResult};
 pub use tracesim::{RunResult, TimeSeries, TraceSimConfig};

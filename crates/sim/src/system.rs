@@ -42,7 +42,7 @@ use cvr_render::job::{CostModel, RenderJob};
 use cvr_render::pipeline::RenderFarm;
 use cvr_render::scheduler::EarliestCompletion;
 
-use crate::allocators::AllocatorKind;
+use crate::allocators::{AllocatorKind, ObjectiveMode};
 use crate::event::EventQueue;
 pub use crate::pipeline::{sanitize_rates, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
 use crate::pipeline::{SlotPlanner, PROPAGATION_S};
@@ -310,20 +310,6 @@ pub enum RenderingMode {
     },
 }
 
-/// How the per-slot objective handed to the allocator is assembled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ObjectiveMode {
-    /// The paper's full `h_n` with the rate-dependent delay term.
-    DelayAware,
-    /// The modified-PAVQ reading: delay folded into a rate-independent
-    /// constant, so decisions are made delay-blind.
-    DelayBlind,
-    /// The Section VIII extension: on top of the delay term, the quality
-    /// term is weighted by the estimated probability that a transfer of
-    /// that size survives packet loss.
-    LossAware,
-}
-
 /// Runs one full-system simulation with the given allocator kind.
 pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
     let mut allocator: Box<dyn Allocator + Send> = match kind {
@@ -334,22 +320,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
         )),
         other => other.build(),
     };
-    let mode = match kind {
-        AllocatorKind::Pavq => ObjectiveMode::DelayBlind,
-        AllocatorKind::LossAwareGreedy => ObjectiveMode::LossAware,
-        _ => ObjectiveMode::DelayAware,
-    };
-    run_with(config, &mut *allocator, kind.label(), mode)
-}
-
-/// Runs one full-system simulation with an explicit allocator and
-/// objective mode (see [`ObjectiveMode`]).
-pub fn run_with(
-    config: &SystemConfig,
-    allocator: &mut dyn Allocator,
-    label: &'static str,
-    mode: ObjectiveMode,
-) -> SystemRunResult {
+    let mode = kind.objective();
     assert!(config.num_users > 0, "need at least one user");
     assert!(config.num_routers > 0, "need at least one router");
     let n = config.num_users;
@@ -777,7 +748,7 @@ pub fn run_with(
     let users: Vec<UserQoeSummary> = accumulators.iter().map(|a| a.summary()).collect();
     let (cache_hits, cache_misses) = server_cache.stats();
     SystemRunResult {
-        label,
+        label: kind.label(),
         summary: SystemQoeSummary::from_users(&users),
         fps: 60.0 * frames_displayed as f64 / frames_total.max(1) as f64,
         loss_rate: transfers_lost as f64 / transfers.max(1) as f64,

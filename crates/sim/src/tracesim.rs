@@ -30,7 +30,7 @@ use cvr_motion::predict::LinearPredictor;
 use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
 use cvr_net::trace::{ThroughputTrace, TraceGeneratorConfig, TraceProfile};
 
-use crate::allocators::AllocatorKind;
+use crate::allocators::{AllocatorKind, ObjectiveMode};
 use crate::pipeline::SlotPlanner;
 
 /// Slot duration in seconds (paper: 15 ms at 66 FPS).
@@ -127,23 +127,20 @@ pub struct RunResult {
 
 /// Runs one trace-based simulation with the given allocator kind.
 pub fn run(config: &TraceSimConfig, kind: AllocatorKind) -> RunResult {
-    run_with(
-        config,
-        &mut *kind.build(),
-        kind.label(),
-        kind.uses_delay_term(),
-    )
+    run_with(config, &mut *kind.build(), kind.label(), kind.objective())
 }
 
 /// Runs one simulation with an explicit allocator instance (e.g. a tuned
-/// PAVQ variant for ablations). `delay_aware` controls whether the
-/// objective handed to the allocator contains the rate-dependent delay
-/// term; QoE accounting always charges the real delay.
+/// PAVQ variant for ablations). `mode` decides whether the objective
+/// handed to the allocator contains the rate-dependent delay term; the
+/// trace links lose no packets, so [`ObjectiveMode::LossAware`] prices as
+/// [`ObjectiveMode::DelayAware`]. QoE accounting always charges the real
+/// delay.
 pub fn run_with(
     config: &TraceSimConfig,
     allocator: &mut dyn Allocator,
     label: &'static str,
-    delay_aware: bool,
+    mode: ObjectiveMode,
 ) -> RunResult {
     assert!(config.num_users > 0, "need at least one user");
     let n = config.num_users;
@@ -297,10 +294,9 @@ pub fn run_with(
             let tracker = *accumulators[u].tracker();
             move |l, rate| {
                 let level = QualityLevel::new((l + 1) as u8);
-                let delay = if delay_aware {
-                    delay_model.delay(rate)
-                } else {
-                    0.0
+                let delay = match mode {
+                    ObjectiveMode::DelayBlind => 0.0,
+                    ObjectiveMode::DelayAware | ObjectiveMode::LossAware => delay_model.delay(rate),
                 };
                 h_at_delay(params, delta, &tracker, level, delay)
             }
