@@ -57,12 +57,12 @@ INCLUDE_IGNORED=1
 # Ceilings on `./ci.sh loc`'s workspace totals (non-test, all lines) and
 # on the byte sizes of the four prose documents. A change that must raise
 # one does so here and says why in CHANGES.md.
-LOC_CEILING_NON_TEST=19111
-LOC_CEILING_ALL=33270
-BYTE_CEILING_DESIGN=39417
-BYTE_CEILING_CHANGES=25733
-BYTE_CEILING_EXPERIMENTS=25812
-BYTE_CEILING_README=14534
+LOC_CEILING_NON_TEST=18932
+LOC_CEILING_ALL=32908
+BYTE_CEILING_DESIGN=39373
+BYTE_CEILING_CHANGES=28780
+BYTE_CEILING_EXPERIMENTS=25791
+BYTE_CEILING_README=14519
 
 stage_test() {
     step "Line-count ceilings: non-test <= $LOC_CEILING_NON_TEST, all <= $LOC_CEILING_ALL"

@@ -1,5 +1,6 @@
-//! Observability-overhead benchmark: replays the slot-engine hot path
-//! (stage + solve on synthetic motion workloads) with `cvr-obs`
+//! Observability-overhead benchmark: replays the session's slot hot path
+//! (the `SlotPlanner` build — `begin_slot` → `push_user` → `stage` — and
+//! the engine's solve on synthetic motion workloads) with `cvr-obs`
 //! instrumentation disabled and enabled (`BENCH_obs.json`).
 //!
 //! The gated claim is that observability is cheap enough to leave on in
@@ -24,13 +25,13 @@ use std::time::Instant;
 
 use cvr_bench::json::Json;
 use cvr_bench::{Cell, FigureArgs, Table};
-use cvr_content::library::{ContentLibrary, ContentRequest};
-use cvr_core::engine::SlotEngine;
-use cvr_core::quality::QualityLevel;
+use cvr_content::library::ContentLibrary;
 use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
+use cvr_motion::pose::Pose;
 use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
 use cvr_obs::trace::EventKind;
 use cvr_obs::{latency_bounds_ns, Registry, TraceEvent, Tracer};
+use cvr_sim::pipeline::{LookaheadConfig, SlotPlanner};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -49,7 +50,7 @@ struct Workload {
     server_budget: f64,
     slots: usize,
     library: ContentLibrary,
-    requests: Vec<ContentRequest>,
+    poses: Vec<Pose>,
     values: Vec<f64>,
     links: Vec<f64>,
 }
@@ -58,12 +59,12 @@ impl Workload {
     fn generate(
         name: &'static str,
         users: usize,
-        levels: usize,
         server_budget: f64,
         slots: usize,
         seed: u64,
     ) -> Self {
         let library = ContentLibrary::paper_default();
+        let levels = library.quality_set().len();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut motion: Vec<MotionGenerator> = (0..users)
             .map(|u| {
@@ -73,13 +74,12 @@ impl Workload {
                 )
             })
             .collect();
-        let mut requests = Vec::with_capacity(slots * users);
+        let mut poses = Vec::with_capacity(slots * users);
         let mut values = Vec::with_capacity(slots * users * levels);
         let mut links = Vec::with_capacity(slots * users);
         for _ in 0..slots {
             for g in &mut motion {
-                let pose = g.step();
-                requests.push(library.request_for(&pose));
+                poses.push(g.step());
                 let mut value = rng.gen_range(0.0..1.0);
                 let mut dv = rng.gen_range(0.2..2.0);
                 for _ in 0..levels {
@@ -97,35 +97,37 @@ impl Workload {
             server_budget,
             slots,
             library,
-            requests,
+            poses,
             values,
             links,
         }
     }
 
-    /// Stages one slot into the engine (build phase of the hot path).
-    fn stage_into(&self, slot: usize, engine: &mut SlotEngine, tile_row: &mut [f64]) {
-        engine.begin_slot(self.server_budget);
+    /// A myopic unicast planner (the session's default) with every user
+    /// joined.
+    fn planner(&self) -> SlotPlanner {
+        let mut planner =
+            SlotPlanner::new(self.library.clone(), LookaheadConfig::for_horizon(1), 0);
         for u in 0..self.users {
-            let request = &self.requests[slot * self.users + u];
-            let tables = engine.add_user(self.levels, self.links[slot * self.users + u]);
-            for &tile in &request.tiles {
-                self.library
-                    .sizing()
-                    .tile_rate_row(request.cell, tile, tile_row);
-                for l in 1..=self.levels {
-                    let q = QualityLevel::new(l as u8);
-                    tables.rates[q.index()] += tile_row[q.index()];
-                }
-            }
-            for rate in tables.rates.iter_mut() {
-                *rate += CONTROL_OVERHEAD_MBPS;
-            }
-            let start = (slot * self.users + u) * self.levels;
-            tables
-                .values
-                .copy_from_slice(&self.values[start..start + self.levels]);
+            planner.join(u);
         }
+        planner
+    }
+
+    /// Stages one slot into the planner's engine (build phase of the hot
+    /// path), as the session's plan step does.
+    fn stage_into(&self, slot: usize, planner: &mut SlotPlanner) {
+        planner.begin_slot(slot as u64, self.server_budget);
+        let first = slot * self.users;
+        for u in 0..self.users {
+            planner.push_user(u, &self.poses[first + u], self.links[first + u], false);
+        }
+        let levels = self.levels;
+        planner.stage(CONTROL_OVERHEAD_MBPS, |u, _bn| {
+            let start = (first + u) * levels;
+            let values = &self.values[start..start + levels];
+            move |l, _rate| values[l]
+        });
     }
 }
 
@@ -181,22 +183,20 @@ impl Obs {
 /// discards it), large enough to amortise the batch `Instant` pair.
 const BATCH_SLOTS: usize = 250;
 
-/// Per-mode replay state: its own engine and assignment fingerprint, so
-/// the two modes can replay the same batch back to back. The
+/// Per-mode replay state: its own planner and assignment fingerprint, so
+/// the modes can replay the same batch back to back. The
 /// fingerprint folds every per-user assigned level on every slot — any
 /// instrumentation-induced divergence in the solver's inputs or outputs
 /// shows up as a mode mismatch.
 struct ModeState {
-    engine: SlotEngine,
-    tile_row: Vec<f64>,
+    planner: SlotPlanner,
     fingerprint: u64,
 }
 
 impl ModeState {
-    fn new(levels: usize) -> Self {
+    fn new(w: &Workload) -> Self {
         ModeState {
-            engine: SlotEngine::new(),
-            tile_row: vec![0.0f64; levels],
+            planner: w.planner(),
             fingerprint: 0,
         }
     }
@@ -214,10 +214,10 @@ fn run_batch(
     let batch_start = Instant::now();
     for slot in slots {
         let t = Instant::now();
-        w.stage_into(slot, &mut state.engine, &mut state.tile_row);
+        w.stage_into(slot, &mut state.planner);
         let build_ns = t.elapsed().as_nanos() as u64;
         let t = Instant::now();
-        let assignment = state.engine.solve();
+        let assignment = state.planner.engine_mut().solve();
         for (user, &level) in assignment.iter().enumerate() {
             state.fingerprint = state
                 .fingerprint
@@ -274,11 +274,7 @@ fn bench_workload(w: &Workload) -> Vec<Cell> {
     // one rep — a whole-pass minimum cannot do that once every pass
     // catches some spike.
     for rep in 0..=REPS {
-        let mut states = [
-            ModeState::new(w.levels),
-            ModeState::new(w.levels),
-            ModeState::new(w.levels),
-        ];
+        let mut states = [ModeState::new(w), ModeState::new(w), ModeState::new(w)];
         // `batch` indexes both the slot range and the 2-D minima table,
         // so a plain range loop reads better than iterator adapters.
         #[allow(clippy::needless_range_loop)]
@@ -340,8 +336,8 @@ pub fn obs_bench(args: &FigureArgs) -> Json {
     let slots = ((8_000.0 * args.scale) as usize).max(4_000);
 
     let workloads = [
-        Workload::generate("setup1", 8, 6, 400.0, slots, args.seed),
-        Workload::generate("setup2", 15, 6, 800.0, slots, args.seed ^ 0xBEEF),
+        Workload::generate("setup1", 8, 400.0, slots, args.seed),
+        Workload::generate("setup2", 15, 800.0, slots, args.seed ^ 0xBEEF),
     ];
 
     println!(

@@ -1,10 +1,7 @@
 //! Tile caching and the repetitive-tile suppression protocol.
 //!
-//! Three cooperating pieces from Section V:
+//! Two cooperating pieces from Section V:
 //!
-//! * [`ServerTileCache`] — the server's in-memory LRU over encoded tiles:
-//!   a tile is loaded on its first fetch and stays resident until evicted,
-//!   so a tile requested again is sent without reloading it.
 //! * [`ClientTileBuffer`] — the phone's RAM-bounded tile store; when the
 //!   tile count hits the device threshold the oldest tiles are *released*
 //!   and the release is ACKed so the server knows they must be resent if
@@ -32,138 +29,6 @@ use crate::grid::CellId;
 use crate::hash::CellHashBuilder;
 use crate::id::VideoId;
 use crate::tile::{tiles_in, TileId};
-
-/// Outcome of a server cache lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// The tile was already resident.
-    Hit,
-    /// The tile had to be loaded from disk (swap cost in a real server).
-    Miss,
-}
-
-/// A counting LRU cache over encoded tiles.
-#[derive(Debug, Clone)]
-pub struct ServerTileCache {
-    capacity: usize,
-    /// Lazily maintained recency queue: entries carry the clock at which
-    /// they were pushed; stale entries (superseded by a later touch) are
-    /// skipped at eviction time.
-    order: VecDeque<(VideoId, u64)>,
-    resident: HashMap<VideoId, u64>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl ServerTileCache {
-    /// Creates a cache holding at most `capacity` tiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        ServerTileCache {
-            capacity,
-            order: VecDeque::new(),
-            resident: HashMap::new(),
-            clock: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Number of resident tiles.
-    pub fn len(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
-    }
-
-    /// Fetches a tile for transmission, loading (and possibly evicting) on
-    /// a miss. Returns whether it was a hit.
-    pub fn fetch(&mut self, id: VideoId) -> CacheOutcome {
-        if self.resident.contains_key(&id) {
-            self.touch(id);
-            self.hits += 1;
-            CacheOutcome::Hit
-        } else {
-            self.insert(id);
-            self.misses += 1;
-            CacheOutcome::Miss
-        }
-    }
-
-    /// Makes a tile resident without counting a hit or a miss.
-    fn insert(&mut self, id: VideoId) {
-        if self.resident.contains_key(&id) {
-            self.touch(id);
-            return;
-        }
-        self.touch(id);
-        while self.resident.len() > self.capacity {
-            self.evict_lru();
-        }
-    }
-
-    fn touch(&mut self, id: VideoId) {
-        self.clock += 1;
-        self.resident.insert(id, self.clock);
-        self.order.push_back((id, self.clock));
-        // The lazy queue grows by one entry per touch and is only drained
-        // by evictions — a cache whose working set fits would otherwise
-        // grow it forever. Compact once it exceeds twice the capacity:
-        // amortised O(1) per touch, and the queue stays O(capacity).
-        if self.order.len() > 2 * self.capacity {
-            self.compact();
-        }
-    }
-
-    /// Drops stale recency entries (superseded by a later touch or
-    /// evicted), keeping only each resident tile's freshest entry. Queue
-    /// order is preserved, so LRU order is unchanged.
-    fn compact(&mut self) {
-        let resident = &self.resident;
-        self.order
-            .retain(|(id, queued_at)| resident.get(id) == Some(queued_at));
-    }
-
-    fn evict_lru(&mut self) {
-        while let Some((candidate, queued_at)) = self.order.pop_front() {
-            match self.resident.get(&candidate) {
-                // Fresh entry: this really is the least recently used.
-                Some(&last_used) if last_used == queued_at => {
-                    self.resident.remove(&candidate);
-                    return;
-                }
-                // Stale queue entry (touched again later, or already gone).
-                _ => continue,
-            }
-        }
-    }
-
-    /// Whether a tile is resident.
-    pub fn contains(&self, id: &VideoId) -> bool {
-        self.resident.contains_key(id)
-    }
-
-    /// Length of the internal lazy recency queue — exposed so tests (and
-    /// capacity planning) can assert it stays bounded at
-    /// O(`capacity`) under hit-heavy workloads instead of growing by one
-    /// entry per fetch forever.
-    pub fn recency_queue_len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
 
 /// A set of tiles as one slot mask per grid cell.
 #[derive(Debug, Clone, Default)]
@@ -802,84 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_after_insert() {
-        let mut c = ServerTileCache::new(4);
-        assert_eq!(c.fetch(id(0, 0, 1)), CacheOutcome::Miss);
-        assert_eq!(c.fetch(id(0, 0, 1)), CacheOutcome::Hit);
-        assert_eq!(c.stats(), (1, 1));
-        assert_eq!(c.len(), 1);
-        assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn cache_evicts_least_recently_used() {
-        let mut c = ServerTileCache::new(2);
-        c.fetch(id(0, 0, 1));
-        c.fetch(id(1, 0, 1));
-        c.fetch(id(0, 0, 1)); // refresh id 0
-        c.fetch(id(2, 0, 1)); // evicts id 1 (LRU)
-        assert!(c.contains(&id(0, 0, 1)));
-        assert!(!c.contains(&id(1, 0, 1)));
-        assert!(c.contains(&id(2, 0, 1)));
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn cache_prefetch_does_not_count_stats() {
-        let mut c = ServerTileCache::new(8);
-        c.insert(id(0, 0, 1));
-        assert_eq!(c.stats(), (0, 0));
-        assert_eq!(c.fetch(id(0, 0, 1)), CacheOutcome::Hit);
-    }
-
-    #[test]
-    fn recency_queue_stays_bounded_under_hit_heavy_workload() {
-        // Regression test for the unbounded-queue leak: every hit pushes a
-        // recency entry, but stale entries were only drained inside
-        // `evict_lru`, which never runs while the working set fits — so an
-        // under-capacity cache grew its queue by one entry per fetch
-        // forever. Hammer hits on a working set far below capacity and
-        // assert the queue stays O(capacity), not O(fetches).
-        let capacity = 16;
-        let mut c = ServerTileCache::new(capacity);
-        for round in 0..10_000u32 {
-            let x = (round % 4) as i32;
-            c.fetch(id(x, 0, 1));
-            assert!(
-                c.recency_queue_len() <= 2 * capacity + 1,
-                "queue grew to {} entries after {} fetches",
-                c.recency_queue_len(),
-                round + 1
-            );
-        }
-        assert_eq!(c.len(), 4);
-        // LRU semantics survive compaction: the least recently touched of
-        // the four is still the one evicted when the cache later fills.
-        let mut c = ServerTileCache::new(3);
-        for _ in 0..1000 {
-            c.fetch(id(0, 0, 1));
-            c.fetch(id(1, 0, 1));
-            c.fetch(id(2, 0, 1));
-        }
-        c.fetch(id(1, 0, 1));
-        c.fetch(id(2, 0, 1));
-        c.fetch(id(3, 0, 1)); // evicts id 0, the LRU
-        assert!(!c.contains(&id(0, 0, 1)));
-        assert!(c.contains(&id(1, 0, 1)));
-        assert!(c.contains(&id(2, 0, 1)));
-        assert!(c.contains(&id(3, 0, 1)));
-    }
-
-    #[test]
-    fn cache_respects_capacity_under_churn() {
-        let mut c = ServerTileCache::new(10);
-        for x in 0..1000 {
-            c.fetch(id(x, (x % 4) as u8, 1 + (x % 6) as u8));
-            assert!(c.len() <= 10);
-        }
-    }
-
-    #[test]
     fn client_buffer_releases_oldest() {
         let mut b = ClientTileBuffer::new(3);
         assert!(b.is_empty());
@@ -1060,12 +847,6 @@ mod tests {
         sums.assert_matches_ledger(&ledger);
         ledger.acknowledge(id2(cell, 2, 4));
         sums.assert_matches_ledger(&ledger);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_cache_panics() {
-        let _ = ServerTileCache::new(0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! reproduction: the 4-way tile split of the equirectangular frame (Fig. 5),
 //! the 5 cm grid world, packed video IDs, the convex CRF size model
 //! standing in for the paper's 171 GB encoded database (Fig. 1a), and the
-//! server/client caching machinery behind the repetitive-tile protocol.
+//! client buffer and delivery ledger behind the repetitive-tile protocol.
 //!
 //! ```
 //! use cvr_content::library::ContentLibrary;
@@ -31,7 +31,7 @@ pub mod plane;
 pub mod sizing;
 pub mod tile;
 
-pub use cache::{CacheOutcome, ClientTileBuffer, DeliveryLedger, ServerTileCache, UndeliveredSums};
+pub use cache::{ClientTileBuffer, DeliveryLedger, UndeliveredSums};
 pub use grid::{CellId, GridWorld};
 pub use hash::CellHashBuilder;
 pub use id::VideoId;

@@ -1,6 +1,6 @@
 //! Property-based tests for the content substrate.
 
-use cvr_content::cache::{ClientTileBuffer, DeliveryLedger, ServerTileCache, UndeliveredSums};
+use cvr_content::cache::{ClientTileBuffer, DeliveryLedger, UndeliveredSums};
 use cvr_content::grid::{CellId, GridWorld};
 use cvr_content::id::VideoId;
 use cvr_content::plane::{RatePlane, SharedFovCache};
@@ -65,18 +65,6 @@ proptest! {
         }
         for w in rates.windows(3) {
             prop_assert!((w[2] - w[1]) >= (w[1] - w[0]) - 1e-9);
-        }
-    }
-
-    #[test]
-    fn server_cache_never_exceeds_capacity(
-        capacity in 1usize..64,
-        accesses in prop::collection::vec((-50i32..50, 0u8..4, 1u8..=6), 1..300),
-    ) {
-        let mut cache = ServerTileCache::new(capacity);
-        for (x, t, q) in accesses {
-            cache.fetch(VideoId::new(CellId { x, z: 0 }, TileId::new(t), QualityLevel::new(q)));
-            prop_assert!(cache.len() <= capacity);
         }
     }
 
@@ -256,28 +244,6 @@ proptest! {
                     l + 1
                 );
             }
-        }
-    }
-
-    #[test]
-    fn lru_keeps_most_recent(
-        capacity in 2usize..16,
-        tail in prop::collection::vec(0i32..1000, 1..50),
-    ) {
-        // After arbitrary traffic, touching `capacity` distinct tiles in
-        // order leaves exactly those resident.
-        let mut cache = ServerTileCache::new(capacity);
-        for &x in &tail {
-            cache.fetch(VideoId::new(CellId { x, z: 1 }, TileId::new(0), QualityLevel::new(1)));
-        }
-        let keep: Vec<VideoId> = (0..capacity as i32)
-            .map(|x| VideoId::new(CellId { x, z: -7 }, TileId::new(2), QualityLevel::new(2)))
-            .collect();
-        for id in &keep {
-            cache.fetch(*id);
-        }
-        for id in &keep {
-            prop_assert!(cache.contains(id));
         }
     }
 }

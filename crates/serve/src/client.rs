@@ -53,10 +53,6 @@ pub struct ClientConfig {
     /// failover policy see the same deterministic radio timeline as the
     /// simulator.
     pub bonded: Option<BondedLink>,
-    /// Protocol version announced in the Hello. Defaults to
-    /// [`PROTOCOL_VERSION`]; the v2↔v3 compatibility tests pin it to an
-    /// older version to exercise the server's unicast fallback.
-    pub protocol_version: u16,
 }
 
 impl Default for ClientConfig {
@@ -68,7 +64,6 @@ impl Default for ClientConfig {
             buffer_tiles: 600,
             bandwidth_mbps: 50.0,
             bonded: None,
-            protocol_version: PROTOCOL_VERSION,
         }
     }
 }
@@ -134,7 +129,7 @@ impl<T: ClientTransport> ReplayClient<T> {
     /// Creates the client and immediately sends its `Hello`.
     pub fn new(mut transport: T, config: ClientConfig) -> Self {
         transport.send(&ClientMessage::Hello {
-            version: config.protocol_version,
+            version: PROTOCOL_VERSION,
             seed: config.seed,
         });
         let motion = MotionGenerator::new(
@@ -272,15 +267,9 @@ impl<T: ClientTransport> ReplayClient<T> {
                 Ok(ServerMessage::GroupAssign {
                     quality, manifest, ..
                 }) => {
-                    // v3 multicast frame: identical bytes for every group
+                    // Multicast frame: identical bytes for every group
                     // member, so there is no pose echo to measure RTT
                     // against — the display lag is the pipeline depth.
-                    if self.config.protocol_version < crate::protocol::PROTOCOL_VERSION {
-                        // The server must never fan a v3 frame out to a
-                        // client that negotiated v2.
-                        self.protocol_errors += 1;
-                        continue;
-                    }
                     self.accept_frame(manifest, quality, PIPELINE_SLOTS as f64);
                 }
                 Ok(ServerMessage::Shutdown) => {
@@ -297,7 +286,7 @@ impl<T: ClientTransport> ReplayClient<T> {
     /// the buffer evicted to make room, and displays its quality
     /// `lag_slots` behind the pose it was planned for. A quality outside
     /// the Welcome's ladder is a protocol violation, and the frame is
-    /// dropped whole, as a `GroupAssign` sent to a v2 client is.
+    /// dropped whole.
     fn accept_frame(&mut self, manifest: Vec<VideoId>, quality: u8, lag_slots: f64) {
         if quality == 0 || quality > self.levels {
             self.protocol_errors += 1;

@@ -26,20 +26,13 @@ use cvr_content::id::VideoId;
 use cvr_motion::pose::Pose;
 use cvr_net::multilink::LinkId;
 
-/// Current protocol version, carried in `Hello` and `Welcome`. A server
-/// refuses clients speaking a version it cannot serve; v2 clients are
-/// still admitted (served over the unicast path, see
-/// [`MIN_PROTOCOL_VERSION`]).
+/// The protocol version, carried in `Hello` and `Welcome`. The server
+/// admits this version only: a `Hello` naming any other is refused.
 ///
 /// Version 2 added `LinkSample` (per-radio bandwidth reports from bonded
 /// multi-link clients). Version 3 added `GroupAssign` (one multicast
 /// frame fanned out to every member of a shared-FoV group).
 pub const PROTOCOL_VERSION: u16 = 3;
-
-/// Oldest protocol version the server still admits. A v2 client in a
-/// multicast session is served per-user `Assignment`s (unicast fallback)
-/// and is never placed in a multicast group.
-pub const MIN_PROTOCOL_VERSION: u16 = 2;
 
 /// Upper bound on a frame payload; larger length prefixes are treated as
 /// corruption (a manifest of every tile in a session is far smaller).

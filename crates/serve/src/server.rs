@@ -49,7 +49,7 @@ use cvr_obs::registry::{CounterId, GaugeId, GaugeMerge, HistogramId};
 use cvr_obs::{latency_bounds_ns, Registry, StageStats, TraceEvent, Tracer};
 use cvr_sim::pipeline::{SlotPlanner, DELAY_CAP_SLOTS, PIPELINE_SLOTS, PROPAGATION_S};
 
-use crate::protocol::{ClientMessage, ServerMessage, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::protocol::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use crate::transport::{SendStatus, ServerTransport};
 
 /// Most prediction records kept per user awaiting their scoring pose.
@@ -94,13 +94,13 @@ pub struct ServeConfig {
     pub outbound_queue_frames: usize,
     /// Most users the session admits; later Hellos are refused.
     pub max_users: usize,
-    /// Enables shared-FoV multicast: co-located v3 users whose
+    /// Enables shared-FoV multicast: co-located users whose
     /// undelivered tile state is byte-identical share one staged engine
     /// row and receive one fanned-out `GroupAssign` frame. Off by
     /// default. The flag selects no code: it only decides whether a user
-    /// is *eligible* for grouping. An ineligible user (flag off, v2
-    /// client, degraded) is staged as a one-member row, which is the
-    /// per-user row bit for bit, and is sent a plain `Assignment`.
+    /// is *eligible* for grouping. An ineligible user (flag off or
+    /// degraded) is staged as a one-member row, which is the per-user row
+    /// bit for bit, and is sent a plain `Assignment`.
     pub multicast: bool,
     /// Slots a multicast group key keeps its id after it was last seen
     /// (FoV-jitter hysteresis; membership itself is re-derived every
@@ -339,9 +339,6 @@ struct UserState {
     predictor: LinearPredictor,
     delta: DeltaEstimator,
     bandwidth: EmaEstimator,
-    /// Protocol version this user's Hello negotiated. v2 users are
-    /// served unicast `Assignment`s even in a multicast session.
-    version: u16,
     qoe: UserQoeAccumulator,
     last_pose: Pose,
     last_pose_seq: u64,
@@ -381,7 +378,6 @@ impl UserState {
         transport: Box<dyn ServerTransport>,
         config: &ServeConfig,
         seed: u64,
-        version: u16,
     ) -> Self {
         UserState {
             user_id,
@@ -389,7 +385,6 @@ impl UserState {
             predictor: LinearPredictor::paper_default(),
             delta: DeltaEstimator::ewma(1.0, 0.02),
             bandwidth: EmaEstimator::new(config.ema_weight),
-            version,
             qoe: UserQoeAccumulator::new(config.params),
             last_pose: Pose::default(),
             last_pose_seq: 0,
@@ -816,13 +811,12 @@ impl Session {
                 }
                 None => self.pending.push((arrived, transport)),
                 Some(Ok(ClientMessage::Hello { version, seed })) => {
-                    let speaks_supported =
-                        (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version);
-                    if speaks_supported && self.active_users() < self.config.max_users {
-                        self.join(transport, seed, version);
+                    let speaks_v3 = version == PROTOCOL_VERSION;
+                    if speaks_v3 && self.active_users() < self.config.max_users {
+                        self.join(transport, seed);
                         continue;
                     }
-                    if !speaks_supported {
+                    if !speaks_v3 {
                         self.obs.protocol_error("handshake");
                     }
                     transport.send(&ServerMessage::Shutdown);
@@ -837,7 +831,7 @@ impl Session {
         }
     }
 
-    fn join(&mut self, mut transport: Box<dyn ServerTransport>, seed: u64, version: u16) {
+    fn join(&mut self, mut transport: Box<dyn ServerTransport>, seed: u64) {
         let slot = match self.users.iter().position(|u| u.is_none()) {
             Some(free) => free,
             None => {
@@ -847,10 +841,8 @@ impl Session {
         };
         let user_id = self.next_user_id;
         self.next_user_id += 1;
-        // Echo the client's (supported) version so a v2 client sees a v2
-        // handshake and never receives v3-only frames.
         transport.send(&ServerMessage::Welcome {
-            version,
+            version: PROTOCOL_VERSION,
             user_id,
             slot_us: self
                 .config
@@ -860,13 +852,7 @@ impl Session {
             levels: self.planner.library().quality_set().len() as u8,
         });
         self.planner.join(slot);
-        self.users[slot] = Some(UserState::new(
-            user_id,
-            transport,
-            &self.config,
-            seed,
-            version,
-        ));
+        self.users[slot] = Some(UserState::new(user_id, transport, &self.config, seed));
         self.obs.registry.inc(self.obs.c_joins, 1);
         self.obs.tracer.record(TraceEvent::ClientJoin {
             user_id: user_id as u64,
@@ -1041,10 +1027,10 @@ impl Session {
             // hysteresis above keeps reading the raw estimate — a clamp
             // must not pin a user.
             let bn = self.planner.clamp_budget(id, bn, None).max(1.0);
-            // Multicast group eligibility: a v3, non-degraded user of a
+            // Multicast group eligibility: a non-degraded user of a
             // multicast session. Everyone else is staged alone.
             let pinned = user.degraded || user.bw_degraded;
-            let groupable = self.config.multicast && user.version >= PROTOCOL_VERSION && !pinned;
+            let groupable = self.config.multicast && !pinned;
             self.planner.push_user(id, &predicted, bn, groupable);
             self.plan_ids.push(id);
             self.plan_predicted.push(predicted);
@@ -1161,7 +1147,7 @@ impl Session {
 
     /// Sends every planned user its frame, applying the slow-client
     /// policy. A one-member row (every user of a unicast session, and
-    /// every v2, degraded or lone-gazing user of a multicast one) gets the
+    /// every degraded or lone-gazing user of a multicast one) gets the
     /// plain per-user `Assignment`, its manifest extended by the tiles
     /// the prefetch step chose. A row shared by two or more members
     /// encodes one `GroupAssign` per distinct delivered quality and fans
@@ -1277,20 +1263,19 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_refused_as_protocol_error() {
-        let mut session = Session::new(ServeConfig::default());
-        let (server_end, mut client_end) = loopback(8);
-        session.add_connection(Box::new(server_end));
-        client_end.send(&ClientMessage::Hello {
-            version: PROTOCOL_VERSION + 1,
-            seed: 0,
-        });
-        session.step_slot();
-        assert_eq!(session.active_users(), 0);
-        assert_eq!(session.counters().protocol_errors, 1);
-        assert!(matches!(
-            client_end.try_recv(),
-            Some(Ok(ServerMessage::Shutdown))
-        ));
+        for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+            let mut session = Session::new(ServeConfig::default());
+            let (server_end, mut client_end) = loopback(8);
+            session.add_connection(Box::new(server_end));
+            client_end.send(&ClientMessage::Hello { version, seed: 0 });
+            session.step_slot();
+            assert_eq!(session.active_users(), 0, "v{version}");
+            assert_eq!(session.counters().protocol_errors, 1, "v{version}");
+            assert!(
+                matches!(client_end.try_recv(), Some(Ok(ServerMessage::Shutdown))),
+                "v{version}"
+            );
+        }
     }
 
     #[test]

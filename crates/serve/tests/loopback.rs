@@ -255,8 +255,7 @@ fn a_peer_naming_tiles_outside_the_library_loses_only_its_own_connection() {
 
 /// A frame the client rejects is one it does not act on: an
 /// `Assignment` above the Welcome's ladder is counted once and dropped
-/// whole — none of its tiles is buffered or ACKed — as a `GroupAssign`
-/// sent to a v2 client is.
+/// whole — none of its tiles is buffered or ACKed.
 #[test]
 fn an_assignment_above_the_ladder_is_dropped_whole() {
     use cvr_content::grid::CellId;

@@ -1,4 +1,4 @@
-//! Multicast-mode determinism and compatibility:
+//! Multicast-mode determinism:
 //!
 //! * co-located users form groups and the full downstream frame stream
 //!   (kind, group id, quality, rate bits, manifest) is bit-identical
@@ -8,14 +8,12 @@
 //!   for bit (the session-level face of the Theorem-1 parity guarantee);
 //! * shard layout never changes multicast outcomes (1 vs 4 shards);
 //! * a member leaving mid-sequence stops receiving immediately and the
-//!   survivors keep their group;
-//! * a protocol-v2 client in a multicast session is served over the
-//!   unicast fallback with zero protocol errors on either side.
+//!   survivors keep their group.
 
 use cvr_content::id::VideoId;
 use cvr_motion::pose::{Orientation, Pose, Vec3};
 use cvr_serve::client::{ClientConfig, ClientReport};
-use cvr_serve::harness::{run_host_lockstep, sharded_loopback_fleet};
+use cvr_serve::harness::sharded_loopback_fleet;
 use cvr_serve::protocol::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use cvr_serve::server::{ServeConfig, Session};
 use cvr_serve::shard::HostConfig;
@@ -26,10 +24,13 @@ use cvr_serve::transport::{loopback, ClientTransport, LoopbackClientEnd};
 /// `u64::MAX` group id; group assignments carry `kind = 1`.
 type Frame = (usize, u64, u8, u64, u8, u64, Vec<VideoId>);
 
-fn join_with(session: &mut Session, seed: u64, version: u16) -> LoopbackClientEnd {
+fn join_with(session: &mut Session, seed: u64) -> LoopbackClientEnd {
     let (server_end, mut client_end) = loopback(64);
     session.add_connection(Box::new(server_end));
-    client_end.send(&ClientMessage::Hello { version, seed });
+    client_end.send(&ClientMessage::Hello {
+        version: PROTOCOL_VERSION,
+        seed,
+    });
     client_end
 }
 
@@ -104,7 +105,7 @@ fn drive(config: ServeConfig, yaws: &[f64], slots: u64) -> (Vec<Frame>, Vec<u64>
     let mut clients: Vec<_> = yaws
         .iter()
         .enumerate()
-        .map(|(c, _)| join_with(&mut session, 100 + c as u64, PROTOCOL_VERSION))
+        .map(|(c, _)| join_with(&mut session, 100 + c as u64))
         .collect();
     let mut frames = Vec::new();
     let mut max_groups = 0;
@@ -231,7 +232,7 @@ fn prefetching_singleton_session_keeps_unicast_parity() {
             horizon: 4,
             ..ServeConfig::default()
         });
-        let mut client = join_with(&mut session, 500, PROTOCOL_VERSION);
+        let mut client = join_with(&mut session, 500);
         let mut frames = Vec::new();
         for seq in 0..48u64 {
             let t = seq as f64;
@@ -344,7 +345,7 @@ fn departed_member_stops_receiving_and_survivors_keep_their_group() {
         ..ServeConfig::default()
     });
     let mut clients: Vec<_> = (0..3)
-        .map(|c| join_with(&mut session, 200 + c as u64, PROTOCOL_VERSION))
+        .map(|c| join_with(&mut session, 200 + c as u64))
         .collect();
     let mut frames = Vec::new();
     let step = |session: &mut Session,
@@ -412,8 +413,8 @@ fn a_silent_group_member_keeps_its_welcome() {
         multicast: true,
         ..ServeConfig::default()
     });
-    let mut reader = join_with(&mut session, 600, PROTOCOL_VERSION);
-    let mut silent = join_with(&mut session, 601, PROTOCOL_VERSION);
+    let mut reader = join_with(&mut session, 600);
+    let mut silent = join_with(&mut session, 601);
     // One gaze well inside its cell and orientation bucket, so both users
     // share a group row. Neither ACKs, so their ledgers stay identical.
     let pose = Pose {
@@ -449,77 +450,4 @@ fn a_silent_group_member_keeps_its_welcome() {
         ));
     }
     assert_eq!(session.counters().protocol_errors, 0);
-}
-
-#[test]
-fn v2_client_in_a_multicast_session_falls_back_to_unicast() {
-    let mut session = Session::new(ServeConfig {
-        multicast: true,
-        ..ServeConfig::default()
-    });
-    // Two v3 clients and one v2 client, all gazing at the same spot: the
-    // v3 pair groups, the v2 user must be served plain assignments.
-    let mut v3a = join_with(&mut session, 300, PROTOCOL_VERSION);
-    let mut v3b = join_with(&mut session, 301, PROTOCOL_VERSION);
-    let mut v2 = join_with(&mut session, 302, PROTOCOL_VERSION - 1);
-    let mut frames = Vec::new();
-    for seq in 0..24 {
-        for client in [&mut v3a, &mut v3b, &mut v2] {
-            client.send(&ClientMessage::Pose {
-                seq,
-                pose: gaze(10.0),
-            });
-            client.send(&ClientMessage::BandwidthSample { mbps: 40.0 });
-        }
-        session.step_slot();
-        for (c, client) in [&mut v3a, &mut v3b, &mut v2].into_iter().enumerate() {
-            drain_and_ack(c, client, &mut frames);
-        }
-    }
-    assert_eq!(session.active_users(), 3);
-    assert_eq!(session.counters().protocol_errors, 0);
-    assert!(session.multicast_groups() >= 1);
-    let v2_frames: Vec<_> = frames.iter().filter(|f| f.0 == 2).collect();
-    assert!(!v2_frames.is_empty(), "v2 user was never served");
-    assert!(
-        v2_frames.iter().all(|f| f.2 == 0),
-        "v2 user received a GroupAssign frame"
-    );
-    assert!(frames.iter().any(|f| f.0 < 2 && f.2 == 1));
-}
-
-#[test]
-fn mixed_version_replay_fleet_runs_clean() {
-    // End-to-end over the replay-client harness: a v2 replay client in a
-    // multicast session completes the run with zero protocol errors.
-    let configs: Vec<ClientConfig> = (0..3)
-        .map(|c| ClientConfig {
-            seed: 400 + c as u64,
-            protocol_version: if c == 2 {
-                PROTOCOL_VERSION - 1
-            } else {
-                PROTOCOL_VERSION
-            },
-            ..ClientConfig::default()
-        })
-        .collect();
-    let host = HostConfig {
-        shards: 1,
-        session: ServeConfig {
-            multicast: true,
-            ..ServeConfig::default()
-        },
-    };
-    let (host, clients) = sharded_loopback_fleet(host, 1, &configs);
-    let (server_reports, client_reports) = run_host_lockstep(host, clients, 80);
-    let [(0, server_report)] = &server_reports[..] else {
-        panic!("one session expected");
-    };
-    assert_eq!(server_report.counters.joins, 3);
-    assert_eq!(server_report.counters.protocol_errors, 0);
-    for report in &client_reports {
-        assert!(report.welcomed);
-        assert!(report.assignments > 40);
-        assert_eq!(report.protocol_errors, 0);
-    }
 }

@@ -34,8 +34,8 @@
 //! removed the forks:
 //!
 //! * **Unicast is the singleton-group case.** A user the driver marks
-//!   non-groupable (multicast off, pre-v3 client, degraded, unbucketable
-//!   pose) is staged as a one-member row, which
+//!   non-groupable (multicast off, degraded, unbucketable pose) is
+//!   staged as a one-member row, which
 //!   [`cvr_mcast::stage_group`] copies verbatim — rates, values and link
 //!   budget bit for bit.
 //! * **Myopic is the `H = 1` case.** The prefetch step's `1..H` loop is
@@ -54,9 +54,12 @@ use cvr_content::tile::{tile_mask, tiles_in, TileId};
 use cvr_core::engine::SlotEngine;
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::stage_rates_values_with;
-use cvr_lookahead::{slot_credit, AnticipatoryDegrade, LookaheadConfig, Prefetcher};
+use cvr_lookahead::{slot_credit, AnticipatoryDegrade, Prefetcher};
 use cvr_mcast::{stage_group, undelivered_fingerprint, GroupKey, GroupMember, GroupTracker};
 use cvr_motion::pose::Pose;
+
+/// The lookahead policy [`SlotPlanner::new`] takes.
+pub use cvr_lookahead::LookaheadConfig;
 
 /// Pipeline depth: content predicted and sent at slot `s` is decoded at
 /// `s+1` and displayed at `s+2` (Section V, "Pipelining of transmission and

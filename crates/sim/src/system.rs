@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use cvr_content::cache::{ClientTileBuffer, ServerTileCache};
+use cvr_content::cache::ClientTileBuffer;
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
 use cvr_core::alloc::Allocator;
@@ -193,9 +193,6 @@ pub struct SystemRunResult {
     pub fps: f64,
     /// Fraction of transfers lost in flight.
     pub loss_rate: f64,
-    /// Server tile-cache hit rate (prefetch keeps this high; a cold or
-    /// undersized cache forces disk swaps before transmission).
-    pub cache_hit_rate: f64,
     /// Total bonded-link failovers across all users (0 without a
     /// [`SystemConfig::scenario`]).
     pub link_switches: u64,
@@ -389,9 +386,6 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
         .collect();
     let mut pending: Vec<VecDeque<PendingFrame>> = (0..n).map(|_| VecDeque::new()).collect();
     let mut pose_staleness: Vec<usize> = vec![0; n];
-
-    // Server-side tile cache (shared across users, as in the real server).
-    let mut server_cache = ServerTileCache::new(20_000);
 
     // Digital-twin access links (when a scenario is configured): each
     // user's primary runs the scenario's correlated impairment, bonded to
@@ -634,9 +628,6 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
             let q = assignment[u];
             let rate = planner.engine().rates(u)[q.index()];
             planner.manifest_into(u, q, &mut to_send);
-            for id in &to_send {
-                server_cache.fetch(*id);
-            }
 
             // Online rendering (when configured): the user's tiles must
             // finish rendering + encoding before transmission can start.
@@ -746,13 +737,11 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
     }
 
     let users: Vec<UserQoeSummary> = accumulators.iter().map(|a| a.summary()).collect();
-    let (cache_hits, cache_misses) = server_cache.stats();
     SystemRunResult {
         label: kind.label(),
         summary: SystemQoeSummary::from_users(&users),
         fps: 60.0 * frames_displayed as f64 / frames_total.max(1) as f64,
         loss_rate: transfers_lost as f64 / transfers.max(1) as f64,
-        cache_hit_rate: cache_hits as f64 / (cache_hits + cache_misses).max(1) as f64,
         link_switches: bonded
             .as_ref()
             .map(|links| links.iter().map(|l| l.switches()).sum())
