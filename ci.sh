@@ -57,11 +57,11 @@ INCLUDE_IGNORED=1
 # Ceilings on `./ci.sh loc`'s workspace totals (non-test, all lines) and
 # on the byte sizes of the four prose documents. A change that must raise
 # one does so here and says why in CHANGES.md.
-LOC_CEILING_NON_TEST=18932
-LOC_CEILING_ALL=32908
-BYTE_CEILING_DESIGN=39373
-BYTE_CEILING_CHANGES=28780
-BYTE_CEILING_EXPERIMENTS=25791
+LOC_CEILING_NON_TEST=18800
+LOC_CEILING_ALL=32776
+BYTE_CEILING_DESIGN=39263
+BYTE_CEILING_CHANGES=31111
+BYTE_CEILING_EXPERIMENTS=25620
 BYTE_CEILING_README=14519
 
 stage_test() {
@@ -171,6 +171,7 @@ stage_serve_smoke() {
     for family in cvr_slot_stage_ns_bucket 'cvr_slot_stage_ns_bucket{stage="prefetch"' \
         cvr_tick_overruns_total cvr_session_clients cvr_ticks_total \
         cvr_session_joins_total cvr_mcast_groups cvr_lookahead_fov_overlap \
+        cvr_sent_bits_total \
         'cvr_shard_sessions{shard="0"} 2' 'cvr_shard_sessions{shard="1"} 2'; do
         printf '%s' "$scrape" | grep -qF "$family" \
             || { echo "obs smoke: missing $family in scrape"; exit 1; }

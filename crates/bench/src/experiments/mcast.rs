@@ -1,6 +1,7 @@
 //! Multicast classroom benchmark: sweeps co-located user counts through
-//! `cvr_sim::mcast` at a fixed 400 Mbps server budget, unicast vs
-//! multicast, and proves two properties the gate asserts
+//! the shipped server — one live `Session` in lockstep with one loopback
+//! `ReplayClient` per user — at a fixed 400 Mbps server budget, unicast
+//! vs multicast, and proves two properties the gate asserts
 //! (`BENCH_mcast.json`, `mcast_classroom.csv`):
 //!
 //! * **gain** — shared-FoV dedup lifts delivered quality (≥1.2× at 32
@@ -9,16 +10,77 @@
 //!   one member) is bit-identical to the unicast path, the end-to-end
 //!   face of the Theorem-1 parity guarantee.
 //!
-//! Each row records its multicast run's FNV-1a decision fingerprint; that
-//! the classroom is deterministic is pinned across commits by
-//! `tests/golden_fingerprints.rs` (`classroom_sim_fingerprints_are_pinned`).
+//! Delivered quality is the clients' own displayed-quality mean; wire
+//! megabits are the session's `cvr_sent_bits_total`, which counts a
+//! shared `GroupAssign` payload once per delivered quality.
 
 use cvr_bench::json::Json;
 use cvr_bench::{FigureArgs, Table};
-use cvr_sim::mcast::{run, McastConfig};
+use cvr_core::fnv;
+use cvr_serve::client::{ClientConfig, ReplayClient};
+use cvr_serve::server::{ServeConfig, Session};
+use cvr_serve::transport::loopback;
 
 /// Co-located classroom sizes the paper's density argument spans.
 const USER_SWEEP: [usize; 4] = [8, 16, 32, 64];
+
+/// Co-gazing clusters: the members of a cluster replay one trace.
+const CLUSTERS: usize = 4;
+
+/// One classroom run's aggregates.
+struct Classroom {
+    /// Mean over clients of their displayed-quality mean (1-based level).
+    quality: f64,
+    /// Megabits the session encoded onto the wire.
+    wire_mbit: f64,
+    /// Peak number of ≥2-member groups in any slot (0 in unicast mode).
+    peak_groups: usize,
+}
+
+/// Runs `users` phones, in [`CLUSTERS`] co-gazing clusters reporting
+/// 50 Mbps each, against one 400 Mbps session at H = 1 for `slots`
+/// lockstep slots: every client steps, then the session.
+fn classroom(users: usize, multicast: bool, slots: u64, seed: u64) -> Classroom {
+    let config = ServeConfig {
+        server_total_mbps: 400.0,
+        max_users: users,
+        multicast,
+        ..ServeConfig::default()
+    };
+    let queue_frames = config.outbound_queue_frames;
+    let mut session = Session::new(config);
+    let mut clients: Vec<_> = (0..users)
+        .map(|u| {
+            let (server_end, client_end) = loopback(queue_frames);
+            session.add_connection(Box::new(server_end));
+            let config = ClientConfig {
+                seed: fnv::fold_u64(seed, (u % CLUSTERS) as u64),
+                bandwidth_mbps: 50.0,
+                ..ClientConfig::default()
+            };
+            ReplayClient::new(client_end, config)
+        })
+        .collect();
+    let mut peak_groups = 0;
+    for _ in 0..slots {
+        for client in &mut clients {
+            client.step_slot();
+        }
+        session.step_slot();
+        peak_groups = peak_groups.max(session.multicast_groups());
+    }
+    session.shutdown();
+    let quality = clients
+        .into_iter()
+        .map(|client| client.finish().displayed_quality.mean)
+        .sum::<f64>()
+        / users as f64;
+    Classroom {
+        quality,
+        wire_mbit: session.counters().sent_bits as f64 / 1e6,
+        peak_groups,
+    }
+}
 
 /// Runs the sweep and returns the `BENCH_mcast.json` document.
 ///
@@ -29,18 +91,12 @@ pub fn mcast_bench(args: &FigureArgs) -> Json {
     let slots = ((200.0 * args.scale) as u64).max(60);
     println!("# Multicast classroom — {slots} slots, 400 Mbps budget\n");
 
-    let configured = |users: usize, multicast: bool| McastConfig {
-        slots,
-        seed: args.seed,
-        ..McastConfig::classroom(users, multicast)
-    };
-
     // Singleton parity: with one user every staged row is a one-member
     // group, which must be bit-identical to the unicast staging.
-    let uni_alone = run(&configured(1, false));
-    let multi_alone = run(&configured(1, true));
-    let singleton_parity = multi_alone.peak_multicast_groups == 0
-        && multi_alone.delivered_quality.to_bits() == uni_alone.delivered_quality.to_bits()
+    let uni_alone = classroom(1, false, slots, args.seed);
+    let multi_alone = classroom(1, true, slots, args.seed);
+    let singleton_parity = multi_alone.peak_groups == 0
+        && multi_alone.quality.to_bits() == uni_alone.quality.to_bits()
         && multi_alone.wire_mbit.to_bits() == uni_alone.wire_mbit.to_bits();
 
     let mut table = Table::begin(&[
@@ -51,22 +107,18 @@ pub fn mcast_bench(args: &FigureArgs) -> Json {
         ("uni_mbit", "unicast_wire_mbit"),
         ("multi_mbit", "multicast_wire_mbit"),
         ("groups", "peak_groups"),
-        ("grp_size", "mean_group_size"),
-        ("", "fingerprint"),
     ]);
     for users in USER_SWEEP {
-        let uni = run(&configured(users, false));
-        let multi = run(&configured(users, true));
+        let uni = classroom(users, false, slots, args.seed);
+        let multi = classroom(users, true, slots, args.seed);
         table.row(vec![
             users.into(),
-            uni.delivered_quality.into(),
-            multi.delivered_quality.into(),
-            (multi.delivered_quality / uni.delivered_quality).into(),
+            uni.quality.into(),
+            multi.quality.into(),
+            (multi.quality / uni.quality).into(),
             uni.wire_mbit.into(),
             multi.wire_mbit.into(),
-            multi.peak_multicast_groups.into(),
-            multi.mean_group_size.into(),
-            format!("{:#018x}", multi.fingerprint).into(),
+            multi.peak_groups.into(),
         ]);
     }
     println!();
@@ -86,4 +138,28 @@ pub fn mcast_bench(args: &FigureArgs) -> Json {
         ("singleton_parity", singleton_parity.into()),
         ("rows", table.json_rows().into()),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn multicast_beats_unicast_in_a_crowded_classroom() {
+        let uni = classroom(32, false, 60, 2022);
+        let multi = classroom(32, true, 60, 2022);
+        assert!(multi.peak_groups >= 1, "groups must form");
+        assert!(
+            multi.quality >= 1.2 * uni.quality,
+            "multicast {} vs unicast {}",
+            multi.quality,
+            uni.quality
+        );
+        assert!(multi.wire_mbit < uni.wire_mbit, "dedup must cut wire bytes");
+    }
+
+    #[test]
+    fn unicast_mode_never_groups() {
+        assert_eq!(classroom(8, false, 20, 2022).peak_groups, 0);
+    }
 }

@@ -161,6 +161,7 @@ struct SessionObs {
     c_dropped: CounterId,
     c_degraded: CounterId,
     c_link_switches: CounterId,
+    c_sent_bits: CounterId,
     g_clients: GaugeId,
     g_queue_depth: GaugeId,
     g_slot: GaugeId,
@@ -218,6 +219,11 @@ impl SessionObs {
             "",
             "Bonded-link failovers across all users",
         );
+        let c_sent_bits = r.counter(
+            "cvr_sent_bits_total",
+            "",
+            "Bits of the frames transmit encoded (rate x slot); a shared payload counts once",
+        );
         let g_clients = r.gauge(
             "cvr_session_clients",
             "",
@@ -273,12 +279,19 @@ impl SessionObs {
             c_dropped,
             c_degraded,
             c_link_switches,
+            c_sent_bits,
             g_clients,
             g_queue_depth,
             g_slot,
             g_mcast_groups,
             h_overlap,
         }
+    }
+
+    /// Counts one encoded frame's `rate_mbps × slot_s` on the wire.
+    fn sent(&mut self, rate_mbps: f64, slot_s: f64) {
+        self.registry
+            .inc(self.c_sent_bits, (rate_mbps * slot_s * 1e6).round() as u64);
     }
 
     /// Counts one protocol error and traces where it was met.
@@ -462,6 +475,10 @@ pub struct ServerCounters {
     pub degraded_transitions: u64,
     /// Bonded-link failovers across all users.
     pub link_switches: u64,
+    /// Σ `rate_mbps × slot` over the frames transmit encoded, in bits;
+    /// a `GroupAssign` payload counts once per delivered quality, not
+    /// once per member.
+    pub sent_bits: u64,
     /// Deepest outbound queue observed on any connection.
     pub max_outbound_queue_depth: usize,
 }
@@ -623,6 +640,7 @@ impl Session {
             frames_dropped: count(obs.c_dropped),
             degraded_transitions: count(obs.c_degraded),
             link_switches: count(obs.c_link_switches),
+            sent_bits: count(obs.c_sent_bits),
             max_outbound_queue_depth: obs.registry.gauge_value(obs.g_queue_depth) as usize,
         }
     }
@@ -1156,6 +1174,7 @@ impl Session {
     /// tiles — a group's payload is shared bytes, prefetch sets are per
     /// user.
     fn transmit(&mut self) {
+        let slot_s = self.config.slot_duration.as_secs_f64();
         for r in 0..self.planner.rows() {
             let row = self.planner.row(r);
             if let [i] = *row.members {
@@ -1168,6 +1187,8 @@ impl Session {
                 } else {
                     row.assigned
                 };
+                let rate_mbps = row.rates[quality.index()];
+                self.obs.sent(rate_mbps, slot_s);
                 self.planner.manifest_into(id, quality, &mut self.manifest);
                 self.manifest.extend_from_slice(self.planner.prefetched(i));
                 // The message holds the scratch manifest for the send and
@@ -1176,7 +1197,7 @@ impl Session {
                     slot: self.slot,
                     pose_seq: user.last_pose_seq,
                     quality: quality.get(),
-                    rate_mbps: row.rates[quality.index()],
+                    rate_mbps,
                     manifest: mem::take(&mut self.manifest),
                 };
                 let status = user.transport.send(&message);
@@ -1202,6 +1223,7 @@ impl Session {
                     // so any member's manifest is the group's manifest at
                     // this quality.
                     self.planner.manifest_into(id, quality, &mut self.manifest);
+                    self.obs.sent(row.rates[q_idx], slot_s);
                     let start = self.payload.len();
                     let message = ServerMessage::GroupAssign {
                         slot: self.slot,
@@ -1671,6 +1693,7 @@ mod tests {
             (4, 2, 2)
         );
         assert_eq!((counters.link_switches, counters.tick_overruns), (1, 1));
+        assert!(counters.sent_bits > 0, "the steady user was served");
         assert!(counters.frames_dropped > 0 && counters.degraded_transitions >= 1);
         let text = session.render_metrics();
         for (series, value) in [
@@ -1686,6 +1709,7 @@ mod tests {
                 counters.degraded_transitions,
             ),
             ("cvr_link_switches_total", counters.link_switches),
+            ("cvr_sent_bits_total", counters.sent_bits),
             (
                 "cvr_outbound_queue_depth_max",
                 counters.max_outbound_queue_depth as u64,

@@ -97,10 +97,14 @@ fn drain_and_ack(c: usize, client: &mut LoopbackClientEnd, frames: &mut Vec<Fram
     }
 }
 
+/// What [`drive`] observed: the frame stream, the final per-user QoE
+/// bits, the peak multicast group count, and the session's
+/// `cvr_sent_bits_total`.
+type Drive = (Vec<Frame>, Vec<u64>, usize, u64);
+
 /// Drives `yaws.len()` hand-rolled loopback clients, each holding a
-/// fixed gaze, for `slots` slots. Returns the frame stream, the final
-/// per-user QoE bits, and the peak multicast group count.
-fn drive(config: ServeConfig, yaws: &[f64], slots: u64) -> (Vec<Frame>, Vec<u64>, usize) {
+/// fixed gaze, for `slots` slots.
+fn drive(config: ServeConfig, yaws: &[f64], slots: u64) -> Drive {
     let mut session = Session::new(config);
     let mut clients: Vec<_> = yaws
         .iter()
@@ -133,7 +137,7 @@ fn drive(config: ServeConfig, yaws: &[f64], slots: u64) -> (Vec<Frame>, Vec<u64>
         .iter()
         .map(|u| u.qoe.qoe_per_slot.to_bits())
         .collect();
-    (frames, qoe, max_groups)
+    (frames, qoe, max_groups, session.counters().sent_bits)
 }
 
 #[test]
@@ -150,7 +154,7 @@ fn co_gazing_users_group_and_a_second_run_serves_the_same_stream() {
             32,
         )
     };
-    let (frames, qoe, max_groups) = run();
+    let (frames, qoe, max_groups, sent_bits) = run();
     assert!(
         max_groups >= 1,
         "co-gazing users never formed a multicast group"
@@ -172,7 +176,29 @@ fn co_gazing_users_group_and_a_second_run_serves_the_same_stream() {
             "slot {slot}: cluster members disagree on group id: {gids:?}"
         );
     }
-    assert_eq!((frames, qoe, max_groups), run());
+    assert_eq!((frames, qoe, max_groups, sent_bits), run());
+}
+
+#[test]
+fn sent_bits_count_each_group_payload_once_per_quality() {
+    let config = ServeConfig {
+        multicast: true,
+        ..ServeConfig::default()
+    };
+    let slot_s = config.slot_duration.as_secs_f64();
+    let (frames, _, max_groups, sent_bits) = drive(config, &[10.0, 10.0, 10.0, 100.0], 32);
+    assert!(max_groups >= 1, "the co-gazing trio never grouped");
+    let bits = |rate: u64| (f64::from_bits(rate) * slot_s * 1e6).round() as u64;
+    let mut payloads = std::collections::HashSet::new();
+    let (mut unique, mut per_member) = (0, 0);
+    for &(_, slot, kind, gid, quality, rate, _) in &frames {
+        per_member += bits(rate);
+        if kind == 0 || payloads.insert((slot, gid, quality)) {
+            unique += bits(rate);
+        }
+    }
+    assert!(unique < per_member, "no payload was shared");
+    assert_eq!(sent_bits, unique);
 }
 
 #[test]
@@ -182,7 +208,7 @@ fn disjoint_gaze_multicast_is_bit_identical_to_unicast() {
     // session bit for bit — same frames (all plain assignments, since
     // singletons take the unicast transmit path), same QoE.
     let yaws = [10.0, 100.0, 190.0, 280.0];
-    let (mc_frames, mc_qoe, max_groups) = drive(
+    let (mc_frames, mc_qoe, max_groups, mc_bits) = drive(
         ServeConfig {
             multicast: true,
             ..ServeConfig::default()
@@ -190,11 +216,12 @@ fn disjoint_gaze_multicast_is_bit_identical_to_unicast() {
         &yaws,
         32,
     );
-    let (uc_frames, uc_qoe, _) = drive(ServeConfig::default(), &yaws, 32);
+    let (uc_frames, uc_qoe, _, uc_bits) = drive(ServeConfig::default(), &yaws, 32);
     assert_eq!(max_groups, 0, "disjoint gazes must never group");
     assert!(mc_frames.iter().all(|f| f.2 == 0));
     assert_eq!(mc_frames, uc_frames);
     assert_eq!(mc_qoe, uc_qoe);
+    assert_eq!(mc_bits, uc_bits);
 }
 
 /// FNV-1a fingerprint of a frame stream (the bench fingerprint idiom, so

@@ -8,8 +8,6 @@
 //!   packet loss, tile caching/ACKs, router interference), behind Figs. 7
 //!   and 8;
 //! * [`experiment`] — multi-run harnesses with thread-parallel execution;
-//! * [`mcast`] — the co-located classroom study behind `mcast_bench`
-//!   (unicast vs grouped multicast staging at a fixed server budget);
 //! * [`parallel`] — the parallel runner (deterministic per-run seeding,
 //!   results returned in run order);
 //! * [`pipeline`] — the one slot planner (target → stage → group → solve →
@@ -37,7 +35,6 @@
 pub mod allocators;
 pub mod event;
 pub mod experiment;
-pub mod mcast;
 pub mod metrics;
 pub mod parallel;
 pub mod pipeline;
@@ -50,7 +47,6 @@ pub use experiment::{
     scenario_matrix, system_experiment, trace_experiment, ScenarioMatrixResult, ScenarioRow,
     SystemAverages, SystemExperimentResult, TraceExperimentResult,
 };
-pub use mcast::{McastConfig, McastRunResult};
 pub use metrics::{EmpiricalDistribution, MetricDistributions, SortedDistribution};
 pub use parallel::RunSpec;
 pub use system::{NetScenario, RenderingMode, SystemConfig, SystemRunResult};

@@ -10,8 +10,8 @@
 //! [`LookaheadConfig`], all per-slot scratch, and a per-user slab of
 //! delivery state (ledger, undelivered sums, prefetch tracker,
 //! anticipatory-degrade state). The live `cvr_serve::server::Session` and
-//! the three simulators ([`crate::system`], [`crate::tracesim`],
-//! [`crate::mcast`]) are *drivers*: they keep what is genuinely theirs
+//! the two simulators ([`crate::system`], [`crate::tracesim`]) are
+//! *drivers*: they keep what is genuinely theirs
 //! (traces, routers, virtual clocks; transports, estimators, obs) and
 //! call, every slot:
 //!

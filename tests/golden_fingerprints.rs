@@ -1,9 +1,10 @@
-//! Golden cross-commit fingerprints of the four slot-loop drivers.
+//! Golden cross-commit fingerprints of the three slot-loop drivers.
 //!
 //! Every constant below was captured at the commit *before* the slot
 //! loops were unified under `cvr_sim::pipeline::SlotPlanner`, when
-//! `sim::system`, `sim::tracesim`, `sim::mcast` and `serve::Session`
-//! each still hand-maintained their own target → stage → group → solve →
+//! `sim::system`, `sim::tracesim`, a classroom simulator (since replaced
+//! by `mcast_bench` driving the live server) and `serve::Session` each
+//! still hand-maintained their own target → stage → group → solve →
 //! prefetch → manifest path with `multicast` / `lookahead.active()`
 //! forks. Since the collapse there is one path, so the in-tree parity
 //! tests ("H = 1 equals myopic", "disjoint gaze multicast ≡ unicast",
@@ -19,8 +20,8 @@
 //!
 //! The fingerprints are FNV-1a over raw `f64` bits and assignment
 //! levels, so they assume this platform's `libm` `sin`/`cos` (the
-//! synthetic motion model and the classroom gaze both call them); a
-//! different libm may legitimately move every constant at once.
+//! synthetic motion model calls them); a different libm may legitimately
+//! move every constant at once.
 
 use cvr_content::id::VideoId;
 use cvr_core::fnv;
@@ -31,7 +32,6 @@ use cvr_serve::protocol::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use cvr_serve::server::{ServeConfig, Session};
 use cvr_serve::transport::{loopback, ClientTransport, LoopbackClientEnd};
 use cvr_sim::allocators::AllocatorKind;
-use cvr_sim::mcast::{self, McastConfig};
 use cvr_sim::metrics::TimeSeries;
 use cvr_sim::system::{self, NetScenario, RenderingMode, SystemConfig};
 use cvr_sim::tracesim::{self, TraceSimConfig};
@@ -46,10 +46,7 @@ const SYSTEM_H1_ONLINE4: u64 = 0xe4f8_1f0e_5a7d_ec35;
 // (b) sim::tracesim, 3 users, 15 s, seed 2022.
 const TRACESIM_H1: u64 = 0xd9a0_d4eb_417f_e853;
 const TRACESIM_H4: u64 = 0x8047_d52e_ad6c_7941;
-// (c) sim::mcast classroom, 16 users, 60 slots.
-const MCAST_UNICAST: u64 = 0xe680_fb3d_928e_eac6;
-const MCAST_MULTICAST: u64 = 0x3849_82e1_de31_77fc;
-// (d) lockstep Session + hand-rolled loopback clients.
+// (c) lockstep Session + hand-rolled loopback clients.
 const SERVE_UNICAST8_H1: u64 = 0x38a4_227e_7f27_0bd0;
 const SERVE_MCAST32_H4: u64 = 0xa421_d30b_724b_7b6f;
 
@@ -130,16 +127,6 @@ fn tracesim_fingerprint(horizon: usize) -> u64 {
     let r = tracesim::run(&config, AllocatorKind::DensityValueGreedy);
     let hash = fold_summaries(fnv::OFFSET, &r.summary, &r.users);
     fold_timeseries(hash, r.timeseries.as_ref().expect("requested"))
-}
-
-fn mcast_fingerprint(multicast: bool) -> u64 {
-    let r = mcast::run(&McastConfig {
-        slots: 60,
-        ..McastConfig::classroom(16, multicast)
-    });
-    let hash = fnv::fold_u64(fnv::OFFSET, r.fingerprint);
-    let hash = fold_f64s(hash, &[r.delivered_quality, r.wire_mbit, r.mean_group_size]);
-    fnv::fold_u64(hash, r.peak_multicast_groups as u64)
 }
 
 fn fold_manifest(mut hash: u64, manifest: &[VideoId]) -> u64 {
@@ -309,14 +296,6 @@ fn trace_sim_fingerprints_are_pinned() {
     check(&[
         ("TRACESIM_H1", tracesim_fingerprint(1), TRACESIM_H1),
         ("TRACESIM_H4", tracesim_fingerprint(4), TRACESIM_H4),
-    ]);
-}
-
-#[test]
-fn classroom_sim_fingerprints_are_pinned() {
-    check(&[
-        ("MCAST_UNICAST", mcast_fingerprint(false), MCAST_UNICAST),
-        ("MCAST_MULTICAST", mcast_fingerprint(true), MCAST_MULTICAST),
     ]);
 }
 
