@@ -57,10 +57,10 @@ INCLUDE_IGNORED=1
 # Ceilings on `./ci.sh loc`'s workspace totals (non-test, all lines) and
 # on the byte sizes of the four prose documents. A change that must raise
 # one does so here and says why in CHANGES.md.
-LOC_CEILING_NON_TEST=18800
-LOC_CEILING_ALL=32776
-BYTE_CEILING_DESIGN=39263
-BYTE_CEILING_CHANGES=31111
+LOC_CEILING_NON_TEST=18668
+LOC_CEILING_ALL=32536
+BYTE_CEILING_DESIGN=39183
+BYTE_CEILING_CHANGES=34451
 BYTE_CEILING_EXPERIMENTS=25620
 BYTE_CEILING_README=14519
 
@@ -106,6 +106,13 @@ stage_test() {
 
     step "Docs"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+    step "Examples"
+    local example
+    for example in examples/*.rs; do
+        example="$(basename "$example" .rs)"
+        cargo run --release --example "$example"
+    done
 
     step "Experiment table and smoke figures"
     bench list

@@ -31,7 +31,7 @@ use cvr_motion::pose::Pose;
 use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
 use cvr_obs::trace::EventKind;
 use cvr_obs::{latency_bounds_ns, Registry, TraceEvent, Tracer};
-use cvr_sim::pipeline::{LookaheadConfig, SlotPlanner};
+use cvr_sim::pipeline::SlotPlanner;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -106,8 +106,7 @@ impl Workload {
     /// A myopic unicast planner (the session's default) with every user
     /// joined.
     fn planner(&self) -> SlotPlanner {
-        let mut planner =
-            SlotPlanner::new(self.library.clone(), LookaheadConfig::for_horizon(1), 0);
+        let mut planner = SlotPlanner::new(self.library.clone(), 1, 0);
         for u in 0..self.users {
             planner.join(u);
         }

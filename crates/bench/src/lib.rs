@@ -59,7 +59,9 @@ impl FigureArgs {
     /// # Errors
     ///
     /// Names the offending flag when it is unknown, or its value is
-    /// missing or malformed.
+    /// missing, malformed or one no run can use (a non-finite or
+    /// non-positive `--scale` or `--duration`, `--runs 0`). `--threads 0`
+    /// is valid: it means available parallelism.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         fn value<T: std::str::FromStr>(
             flag: &str,
@@ -70,14 +72,26 @@ impl FigureArgs {
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| format!("{flag} requires {what}"))
         }
+        fn positive(flag: &str, x: f64) -> Result<f64, String> {
+            if x.is_finite() && x > 0.0 {
+                Ok(x)
+            } else {
+                Err(format!("{flag} must be positive and finite, got {x}"))
+            }
+        }
         let mut out = FigureArgs::default();
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
             match flag.as_str() {
                 "--quick" => out.scale = 0.1,
-                "--scale" => out.scale = value(&flag, "a number", &mut args)?,
-                "--runs" => out.runs = Some(value(&flag, "an integer", &mut args)?),
-                "--duration" => out.duration_s = Some(value(&flag, "seconds", &mut args)?),
+                "--scale" => out.scale = positive(&flag, value(&flag, "a number", &mut args)?)?,
+                "--runs" => match value(&flag, "an integer", &mut args)? {
+                    0 => return Err(format!("{flag} must be at least 1")),
+                    runs => out.runs = Some(runs),
+                },
+                "--duration" => {
+                    out.duration_s = Some(positive(&flag, value(&flag, "seconds", &mut args)?)?);
+                }
                 "--seed" => out.seed = value(&flag, "an integer", &mut args)?,
                 "--csv" => out.csv_dir = Some(value(&flag, "a directory", &mut args)?),
                 "--threads" => out.threads = Some(value(&flag, "an integer", &mut args)?),
@@ -202,6 +216,26 @@ mod tests {
             parse("--runs many"),
             Err("--runs requires an integer".to_string())
         );
+        // Values that parse but that no run can use: each used to panic
+        // mid-run (a bad trace duration, an empty run list).
+        for line in [
+            "--duration nan",
+            "--duration -5",
+            "--duration 0",
+            "--duration inf",
+            "--scale -1",
+            "--scale 0",
+            "--scale NaN",
+            "--runs 0",
+        ] {
+            let flag = line.split(' ').next().unwrap();
+            let err = parse(line).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{flag} must be ")),
+                "{line}: {err}"
+            );
+        }
+        assert_eq!(parse("--threads 0").unwrap().threads, Some(0));
         assert_eq!(
             parse("--seed"),
             Err("--seed requires an integer".to_string())

@@ -51,20 +51,6 @@ impl Default for DegradeConfig {
     }
 }
 
-impl DegradeConfig {
-    /// Tuning for [`AnticipatoryDegrade::clamp_to_forecast`] callers
-    /// whose forecast is *exact* (e.g. the Section-IV trace simulator,
-    /// which owns its throughput traces). An exact forecast has no
-    /// noise to hedge against, so a shallow dip threshold only ever
-    /// acts on real dips and the deep default would skip most of them.
-    pub fn known_future() -> Self {
-        DegradeConfig {
-            dip_threshold: 0.92,
-            ..DegradeConfig::default()
-        }
-    }
-}
-
 /// Where the policy currently is in its ramp cycle (exported for
 /// observability and asserted in the DESIGN.md §5.6 state machine tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,18 +118,6 @@ impl AnticipatoryDegrade {
         self.push(raw);
         let forecast = self.forecast_min(raw, horizon);
         self.step(raw, forecast)
-    }
-
-    /// Known-future variant (the Section-IV trace simulator knows its
-    /// throughput traces): clamp toward an externally computed minimum
-    /// over the horizon instead of a fitted trend.
-    pub fn clamp_to_forecast(&mut self, raw: f64, forecast_min: f64) -> f64 {
-        let raw = if raw.is_finite() {
-            raw
-        } else {
-            self.cfg.floor_mbps
-        };
-        self.step(raw, forecast_min)
     }
 
     fn push(&mut self, raw: f64) {
@@ -302,17 +276,6 @@ mod tests {
             assert!(b >= 1.0, "budget {b} below floor");
             assert!(b.is_finite());
         }
-    }
-
-    #[test]
-    fn known_future_variant_pins_to_the_forecast() {
-        let mut d = policy();
-        let mut b = 0.0;
-        for _ in 0..40 {
-            b = d.clamp_to_forecast(50.0, 20.0);
-        }
-        assert_eq!(b, 20.0, "budget should pin at the known future minimum");
-        assert_eq!(d.phase(), DegradePhase::Pinned);
     }
 
     #[test]

@@ -28,13 +28,6 @@
 //! stepping the state machine; that is the only `horizon > 1` test in
 //! the pipeline. `tests/golden_fingerprints.rs` pins the H = 1 runs to
 //! the pre-lookahead allocator bit for bit.
-//!
-//! ```
-//! use cvr_lookahead::LookaheadConfig;
-//!
-//! assert_eq!(LookaheadConfig::for_horizon(0).horizon, 1);
-//! assert_eq!(LookaheadConfig::for_horizon(4).horizon, 4);
-//! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -43,41 +36,4 @@ pub mod degrade;
 pub mod prefetch;
 
 pub use degrade::{AnticipatoryDegrade, DegradeConfig, DegradePhase};
-pub use prefetch::{slot_credit, PrefetchConfig, Prefetcher};
-
-/// Bundled lookahead policy parameters for one horizon.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LookaheadConfig {
-    /// Allocation horizon in display slots. `1` is the paper's myopic
-    /// allocator; `H > 1` additionally plans for the `H − 1` slots after
-    /// the display slot.
-    pub horizon: usize,
-    /// Anticipatory-degrade policy parameters.
-    pub degrade: DegradeConfig,
-    /// Prefetch-credit policy parameters.
-    pub prefetch: PrefetchConfig,
-}
-
-impl LookaheadConfig {
-    /// Default policies for the given horizon (≥ 1).
-    pub fn for_horizon(horizon: usize) -> Self {
-        LookaheadConfig {
-            horizon: horizon.max(1),
-            degrade: DegradeConfig::default(),
-            prefetch: PrefetchConfig::default(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn horizon_is_clamped_to_at_least_one() {
-        assert_eq!(LookaheadConfig::for_horizon(0).horizon, 1);
-        for h in [1, 2, 4, 8] {
-            assert_eq!(LookaheadConfig::for_horizon(h).horizon, h);
-        }
-    }
-}
+pub use prefetch::{slot_credit, Prefetcher};

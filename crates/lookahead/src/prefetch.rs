@@ -20,42 +20,21 @@
 
 use cvr_content::grid::CellId;
 use cvr_content::id::VideoId;
-use cvr_core::quality::QualityLevel;
 
-/// Parameters of the prefetch-credit policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefetchConfig {
-    /// Floor on the quality level prefetched tiles are staged at. Call
-    /// sites prefetch at `max(floor, the user's currently assigned
-    /// quality)`: the greedy allocator treats a ledger-delivered level
-    /// as a near-free option, so seeding the current level keeps quality
-    /// flat across a cell boundary, while seeding only the base level
-    /// would hand the allocator a cheap downgrade on arrival.
-    pub quality: QualityLevel,
-    /// Cap on the per-slot credit as a fraction of the server budget, so
-    /// prefetch can never starve the live allocation even on idle slots.
-    pub credit_fraction: f64,
-    /// Cap on tiles prefetched per user per slot (bounds ledger churn
-    /// when predictions oscillate between cells).
-    pub max_tiles_per_slot: usize,
-}
+/// Cap on the per-slot credit as a fraction of the server budget, so
+/// prefetch can never starve the live allocation even on idle slots.
+pub const CREDIT_FRACTION: f64 = 0.10;
 
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        PrefetchConfig {
-            quality: QualityLevel::new(1),
-            credit_fraction: 0.10,
-            max_tiles_per_slot: 8,
-        }
-    }
-}
+/// Cap on tiles prefetched per user per slot (bounds ledger churn when
+/// predictions oscillate between cells).
+pub const MAX_TILES_PER_SLOT: usize = 8;
 
 /// The bounded prefetch credit available this slot: the budget slack left
-/// by the allocation, capped at `credit_fraction` of the total budget.
-pub fn slot_credit(total_budget_mbps: f64, assigned_mbps: f64, credit_fraction: f64) -> f64 {
+/// by the allocation, capped at [`CREDIT_FRACTION`] of the total budget.
+pub fn slot_credit(total_budget_mbps: f64, assigned_mbps: f64) -> f64 {
     (total_budget_mbps - assigned_mbps)
         .max(0.0)
-        .min(total_budget_mbps * credit_fraction.max(0.0))
+        .min(total_budget_mbps * CREDIT_FRACTION)
 }
 
 /// Per-user tracker of outstanding prefetched tiles, grouped by cell in
@@ -139,6 +118,7 @@ impl Prefetcher {
 mod tests {
     use super::*;
     use cvr_content::tile::TileId;
+    use cvr_core::quality::QualityLevel;
 
     fn id(x: i32, z: i32, t: u8) -> VideoId {
         VideoId::new(CellId { x, z }, TileId::new(t), QualityLevel::new(1))
@@ -146,10 +126,9 @@ mod tests {
 
     #[test]
     fn credit_is_slack_capped_by_fraction() {
-        assert_eq!(slot_credit(400.0, 380.0, 0.10), 20.0);
-        assert_eq!(slot_credit(400.0, 350.0, 0.10), 40.0);
-        assert_eq!(slot_credit(400.0, 420.0, 0.10), 0.0);
-        assert_eq!(slot_credit(400.0, 0.0, -1.0), 0.0);
+        assert_eq!(slot_credit(400.0, 380.0), 20.0);
+        assert_eq!(slot_credit(400.0, 350.0), 40.0);
+        assert_eq!(slot_credit(400.0, 420.0), 0.0);
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::pose::Pose;
 pub enum TraceIoError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// A malformed row (wrong column count or non-numeric field).
+    /// A malformed row (wrong column count, non-numeric or non-finite
+    /// field).
     Parse {
         /// 1-based line number.
         line: usize,
@@ -66,7 +67,8 @@ pub fn write_pose_csv<W: Write>(mut writer: W, trace: &[Pose]) -> Result<(), Tra
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::Parse`] on malformed rows and
+/// Returns [`TraceIoError::Parse`] on malformed rows (including a
+/// non-finite field such as `NaN` or `inf`) and
 /// [`TraceIoError::Io`] on read failures.
 pub fn read_pose_csv<R: Read>(reader: R) -> Result<Vec<Pose>, TraceIoError> {
     let mut out = Vec::new();
@@ -94,10 +96,17 @@ pub fn read_pose_csv<R: Read>(reader: R) -> Result<Vec<Pose>, TraceIoError> {
         }
         let mut c = [0.0f64; 6];
         for (i, field) in fields.iter().enumerate() {
-            c[i] = field.trim().parse().map_err(|e| TraceIoError::Parse {
+            let parse_error = |reason: String| TraceIoError::Parse {
                 line: idx + 1,
-                reason: format!("field {}: {e}", i + 1),
-            })?;
+                reason: format!("field {}: {reason}", i + 1),
+            };
+            c[i] = field
+                .trim()
+                .parse::<f64>()
+                .map_err(|e| parse_error(e.to_string()))?;
+            if !c[i].is_finite() {
+                return Err(parse_error(format!("not finite, got {}", c[i])));
+            }
         }
         out.push(Pose::from_components(c));
     }
@@ -149,9 +158,18 @@ mod tests {
 
     #[test]
     fn non_numeric_field_is_reported() {
-        let csv = "1,2,3,4,five,6\n";
-        let err = read_pose_csv(csv.as_bytes()).unwrap_err();
-        assert!(matches!(err, TraceIoError::Parse { line: 1, .. }));
-        assert!(err.to_string().contains("line 1"));
+        // Non-finite values parse as `f64` but are rejected too.
+        for (csv, line, field) in [
+            ("1,2,3,4,five,6\n", 1, "field 5"),
+            ("1,2,3,4,5,6\nNaN,2,3,4,5,6\n", 2, "field 1"),
+            ("1,2,3,inf,5,6\n", 1, "field 4"),
+            ("1,2,3,4,5,6\n1,2,3,4,5,-infinity\n", 2, "field 6"),
+        ] {
+            let err = read_pose_csv(csv.as_bytes()).unwrap_err();
+            assert!(matches!(err, TraceIoError::Parse { line: l, .. } if l == line));
+            let message = err.to_string();
+            assert!(message.contains(&format!("line {line}")), "{message}");
+            assert!(message.contains(field), "{message}");
+        }
     }
 }

@@ -39,8 +39,6 @@ pub struct ClientConfig {
     /// Slot duration in seconds (must match the server's cadence for the
     /// motion statistics to be faithful).
     pub slot_duration_s: f64,
-    /// QoE weights for the client-side accumulator.
-    pub params: QoeParams,
     /// Tile-buffer threshold (tiles held before releasing old ones).
     pub buffer_tiles: usize,
     /// Mean of the synthetic bandwidth samples the client reports, Mbps.
@@ -60,7 +58,6 @@ impl Default for ClientConfig {
         ClientConfig {
             seed: 0,
             slot_duration_s: 0.015,
-            params: QoeParams::system_default(),
             buffer_tiles: 600,
             bandwidth_mbps: 50.0,
             bonded: None,
@@ -144,7 +141,7 @@ impl<T: ClientTransport> ReplayClient<T> {
             motion,
             buffer: ClientTileBuffer::new(config.buffer_tiles),
             rng: ChaCha8Rng::seed_from_u64(config.seed ^ 0xC11E_17BA),
-            qoe: UserQoeAccumulator::new(config.params),
+            qoe: UserQoeAccumulator::new(QoeParams::system_default()),
             library: ContentLibrary::paper_default(),
             sent_at: VecDeque::new(),
             rtt: Histogram::latency_ns(),

@@ -39,7 +39,6 @@ use cvr_core::objective::{h_at_delay, QoeParams};
 use cvr_core::qoe::{UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
-use cvr_lookahead::LookaheadConfig;
 use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::pose::Pose;
 use cvr_motion::predict::LinearPredictor;
@@ -86,8 +85,6 @@ pub struct ServeConfig {
     pub server_total_mbps: f64,
     /// Per-user bandwidth assumed before the first sample arrives, Mbps.
     pub default_bandwidth_mbps: f64,
-    /// QoE weights (α, β).
-    pub params: QoeParams,
     /// EMA weight of the per-user bandwidth estimator.
     pub ema_weight: f64,
     /// Per-connection outbound queue capacity, frames.
@@ -127,7 +124,6 @@ impl Default for ServeConfig {
             slot_duration: Duration::from_millis(15),
             server_total_mbps: 400.0,
             default_bandwidth_mbps: 50.0,
-            params: QoeParams::system_default(),
             ema_weight: 0.05,
             outbound_queue_frames: 64,
             max_users: 16,
@@ -398,7 +394,7 @@ impl UserState {
             predictor: LinearPredictor::paper_default(),
             delta: DeltaEstimator::ewma(1.0, 0.02),
             bandwidth: EmaEstimator::new(config.ema_weight),
-            qoe: UserQoeAccumulator::new(config.params),
+            qoe: UserQoeAccumulator::new(QoeParams::system_default()),
             last_pose: Pose::default(),
             last_pose_seq: 0,
             has_pose: false,
@@ -576,17 +572,12 @@ pub struct Session {
 impl Session {
     /// Creates an empty session over the paper-default content library.
     pub fn new(config: ServeConfig) -> Self {
-        let lookahead = LookaheadConfig::for_horizon(config.horizon);
-        Session::with_lookahead(config, lookahead)
-    }
-
-    fn with_lookahead(config: ServeConfig, lookahead: LookaheadConfig) -> Self {
         let planner = SlotPlanner::new(
             ContentLibrary::paper_default(),
-            lookahead,
+            config.horizon,
             config.mcast_hysteresis_slots,
         );
-        let obs = SessionObs::new(lookahead.horizon);
+        let obs = SessionObs::new(planner.horizon());
         Session {
             config,
             planner,
@@ -1044,7 +1035,7 @@ impl Session {
             // catches up (the identity at `horizon = 1`). The floor
             // hysteresis above keeps reading the raw estimate — a clamp
             // must not pin a user.
-            let bn = self.planner.clamp_budget(id, bn, None).max(1.0);
+            let bn = self.planner.clamp_budget(id, bn).max(1.0);
             // Multicast group eligibility: a non-degraded user of a
             // multicast session. Everyone else is staged alone.
             let pinned = user.degraded || user.bw_degraded;
@@ -1055,7 +1046,7 @@ impl Session {
             self.plan_prefetchable.push(user.has_pose && !pinned);
         }
 
-        let params = self.config.params;
+        let params = QoeParams::system_default();
         let (users, plan_ids) = (&self.users, &self.plan_ids);
         self.planner.stage(CONTROL_OVERHEAD_MBPS, |i, bn| {
             let user = users[plan_ids[i]].as_ref().expect("planned this slot");
@@ -1738,59 +1729,5 @@ mod tests {
             assert_eq!(stage.count, slots as usize, "{name}");
         }
         assert_eq!(report.tick.total_ms, work_total_ns as f64 / 1e6);
-    }
-
-    #[test]
-    fn planner_degrade_state_follows_the_lookahead_config() {
-        use cvr_lookahead::DegradeConfig;
-
-        // One client under a gently sagging bandwidth feed at H = 4. The
-        // fitted trend forecasts ~90 % of the estimate: not a dip under the
-        // default 0.75 threshold, a dip under 0.98. Per-user degrade state
-        // is built from the planner's one `LookaheadConfig`, so the two
-        // sessions must serve different streams (the session used to
-        // hard-code `DegradeConfig::default()` per user and ignore it).
-        let run = |degrade: DegradeConfig| {
-            let config = ServeConfig {
-                horizon: 4,
-                ema_weight: 1.0,
-                ..ServeConfig::default()
-            };
-            let lookahead = LookaheadConfig {
-                degrade,
-                ..LookaheadConfig::for_horizon(config.horizon)
-            };
-            let mut session = Session::with_lookahead(config, lookahead);
-            let mut client = join_one(&mut session);
-            session.step_slot();
-            let _welcome = client.try_recv();
-            let mut stream = Vec::new();
-            for seq in 0..24u64 {
-                client.send(&ClientMessage::Pose {
-                    seq,
-                    pose: Pose::default(),
-                });
-                client.send(&ClientMessage::BandwidthSample {
-                    mbps: 40.0 - 1.2 * seq as f64,
-                });
-                session.step_slot();
-                while let Some(Ok(message)) = client.try_recv() {
-                    if let ServerMessage::Assignment {
-                        quality, rate_mbps, ..
-                    } = message
-                    {
-                        stream.push((quality, rate_mbps.to_bits()));
-                    }
-                }
-            }
-            stream
-        };
-        let default = run(DegradeConfig::default());
-        assert_eq!(default, run(DegradeConfig::default()));
-        let eager = run(DegradeConfig {
-            dip_threshold: 0.98,
-            ..DegradeConfig::default()
-        });
-        assert_ne!(default, eager, "a non-default dip threshold had no effect");
     }
 }

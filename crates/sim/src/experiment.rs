@@ -16,7 +16,7 @@ use cvr_net::impair::Pathology;
 use crate::allocators::AllocatorKind;
 use crate::metrics::MetricDistributions;
 use crate::parallel;
-use crate::system::{self, NetScenario, SystemConfig, SystemRunResult};
+use crate::system::{self, SystemConfig, SystemRunResult};
 use crate::tracesim::{self, RunResult, TraceSimConfig};
 
 /// Figs. 2/3: per-algorithm CDFs of the four metrics across `runs`
@@ -158,7 +158,7 @@ pub struct ScenarioMatrixResult {
 
 /// Runs the cellular digital-twin scenario matrix: for every pathology in
 /// [`Pathology::ALL`], a full [`system_experiment`] with the base config's
-/// scenario swapped for [`NetScenario::paper_default`] of that pathology.
+/// scenario set to that pathology.
 /// Inherits [`system_experiment`]'s bit-identical-at-any-thread-count
 /// guarantee row by row.
 pub fn scenario_matrix(
@@ -171,7 +171,7 @@ pub fn scenario_matrix(
         .into_iter()
         .map(|pathology| {
             let config = SystemConfig {
-                scenario: Some(NetScenario::paper_default(pathology)),
+                scenario: Some(pathology),
                 ..base.clone()
             };
             let result = system_experiment(&config, kinds, repetitions, threads);

@@ -49,5 +49,5 @@ pub use experiment::{
 };
 pub use metrics::{EmpiricalDistribution, MetricDistributions, SortedDistribution};
 pub use parallel::RunSpec;
-pub use system::{NetScenario, RenderingMode, SystemConfig, SystemRunResult};
+pub use system::{RenderingMode, SystemConfig, SystemRunResult};
 pub use tracesim::{RunResult, TimeSeries, TraceSimConfig};

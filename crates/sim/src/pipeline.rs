@@ -7,7 +7,7 @@
 //! [`SlotEngine`], the data plane (a cell's rate rows from [`RatePlane`],
 //! FoV tile sets and orientation keys from [`SharedFovCache`], each
 //! computed per query), multicast group discovery ([`GroupTracker`]), the
-//! [`LookaheadConfig`], all per-slot scratch, and a per-user slab of
+//! lookahead horizon H, all per-slot scratch, and a per-user slab of
 //! delivery state (ledger, undelivered sums, prefetch tracker,
 //! anticipatory-degrade state). The live `cvr_serve::server::Session` and
 //! the two simulators ([`crate::system`], [`crate::tracesim`]) are
@@ -16,7 +16,8 @@
 //! call, every slot:
 //!
 //! 1. [`SlotPlanner::begin_slot`];
-//! 2. per user, [`SlotPlanner::clamp_budget`] then
+//! 2. per user, [`SlotPlanner::clamp_budget`] (the myopic trace simulator
+//!    skips it: at `H = 1` it returns its input) then
 //!    [`SlotPlanner::push_user`] (FoV target + undelivered sums + group
 //!    key);
 //! 3. [`SlotPlanner::stage`] with the driver's value formula — the one
@@ -54,12 +55,10 @@ use cvr_content::tile::{tile_mask, tiles_in, TileId};
 use cvr_core::engine::SlotEngine;
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::stage_rates_values_with;
-use cvr_lookahead::{slot_credit, AnticipatoryDegrade, Prefetcher};
+use cvr_lookahead::prefetch::MAX_TILES_PER_SLOT;
+use cvr_lookahead::{slot_credit, AnticipatoryDegrade, DegradeConfig, Prefetcher};
 use cvr_mcast::{stage_group, undelivered_fingerprint, GroupKey, GroupMember, GroupTracker};
 use cvr_motion::pose::Pose;
-
-/// The lookahead policy [`SlotPlanner::new`] takes.
-pub use cvr_lookahead::LookaheadConfig;
 
 /// Pipeline depth: content predicted and sent at slot `s` is decoded at
 /// `s+1` and displayed at `s+2` (Section V, "Pipelining of transmission and
@@ -146,7 +145,7 @@ pub struct Row<'a> {
 pub struct SlotPlanner {
     library: ContentLibrary,
     levels: usize,
-    lookahead: LookaheadConfig,
+    horizon: usize,
     engine: SlotEngine,
     plane: RatePlane,
     fov: SharedFovCache,
@@ -171,15 +170,16 @@ pub struct SlotPlanner {
 }
 
 impl SlotPlanner {
-    /// Creates a planner over `library` with the given lookahead policy
-    /// and multicast group-id hysteresis.
-    pub fn new(library: ContentLibrary, lookahead: LookaheadConfig, hysteresis_slots: u64) -> Self {
+    /// Creates a planner over `library` with lookahead horizon `horizon`
+    /// (clamped to ≥ 1; `1` is the paper's myopic planner) and multicast
+    /// group-id hysteresis.
+    pub fn new(library: ContentLibrary, horizon: usize, hysteresis_slots: u64) -> Self {
         SlotPlanner {
             levels: library.quality_set().len(),
             plane: RatePlane::new(library.sizing().clone(), 0),
             fov: SharedFovCache::new(*library.fov()),
             library,
-            lookahead,
+            horizon: horizon.max(1),
             engine: SlotEngine::new(),
             groups: GroupTracker::new(hysteresis_slots),
             users: Vec::new(),
@@ -205,7 +205,7 @@ impl SlotPlanner {
 
     /// The lookahead horizon H (≥ 1).
     pub fn horizon(&self) -> usize {
-        self.lookahead.horizon
+        self.horizon
     }
 
     /// Starts tracking a user in slab slot `user` with an empty ledger
@@ -218,7 +218,7 @@ impl SlotPlanner {
             ledger: DeliveryLedger::new(),
             undelivered: UndeliveredSums::new(self.levels),
             prefetcher: Prefetcher::new(),
-            degrade: AnticipatoryDegrade::new(self.lookahead.degrade),
+            degrade: AnticipatoryDegrade::new(DegradeConfig::default()),
         });
     }
 
@@ -262,25 +262,20 @@ impl SlotPlanner {
     }
 
     /// The link budget to plan `user` against this slot, given the raw
-    /// estimate: the anticipatory-degrade ramp toward a forecast dip —
-    /// the fitted trend over the horizon, or `known_future_min` when the
-    /// driver owns its throughput traces and the forecast is exact.
+    /// estimate: the anticipatory-degrade ramp toward a dip forecast by
+    /// the fitted trend over the horizon.
     ///
     /// This holds the pipeline's only `horizon > 1` test.
     /// `AnticipatoryDegrade` is a ramp limiter: even with nothing forecast
     /// its up-ramp lags a rising estimate, so it is *not* the identity at
     /// `H = 1`. The myopic identity is therefore enforced here, in one
     /// place, instead of at every call site.
-    pub fn clamp_budget(&mut self, user: usize, raw: f64, known_future_min: Option<f64>) -> f64 {
-        let horizon = self.lookahead.horizon;
+    pub fn clamp_budget(&mut self, user: usize, raw: f64) -> f64 {
+        let horizon = self.horizon;
         if horizon <= 1 {
             return raw;
         }
-        let degrade = &mut self.user_mut(user).degrade;
-        match known_future_min {
-            Some(forecast_min) => degrade.clamp_to_forecast(raw, forecast_min),
-            None => degrade.observe_and_clamp(raw, horizon),
-        }
+        self.user_mut(user).degrade.observe_and_clamp(raw, horizon)
     }
 
     /// Adds `user` to this slot's plan: resolves the FoV target of its
@@ -473,8 +468,8 @@ impl SlotPlanner {
     /// `future_pose(i, h)` for the pose predicted `h ∈ 1..H` slots past
     /// the display slot, releases earlier prefetches whose predicted cell
     /// never materialised, and spends this slot's bounded budget slack on
-    /// the predicted future cells' FoV tiles at `max(floor, the quality
-    /// the user's row was just assigned)`. The chosen ids are readable
+    /// the predicted future cells' FoV tiles at the quality the user's
+    /// row was just assigned. The chosen ids are readable
     /// through [`SlotPlanner::prefetched`]; the planner records them as
     /// outstanding but does **not** charge the ledger — the live server
     /// sends them and is charged on ACK, the system simulator models the
@@ -490,16 +485,11 @@ impl SlotPlanner {
         P: FnMut(usize, usize) -> Option<Pose>,
     {
         self.prefetch_ids.clear();
-        let policy = self.lookahead.prefetch;
         let assignment = self.engine.assignment();
         let assigned: f64 = (0..self.engine.num_users())
             .map(|r| self.engine.rates(r)[assignment[r].index()])
             .sum();
-        let mut credit = slot_credit(
-            self.engine.server_budget(),
-            assigned,
-            policy.credit_fraction,
-        );
+        let mut credit = slot_credit(self.engine.server_budget(), assigned);
         let tile_count = usize::from(TileId::COUNT);
         for i in 0..self.plan.len() {
             if eligible(i) {
@@ -511,7 +501,7 @@ impl SlotPlanner {
                 let current = u.undelivered.cell().expect("targeted by push_user");
                 self.future_cells.clear();
                 self.future_poses.clear();
-                for h in 1..self.lookahead.horizon {
+                for h in 1..self.horizon {
                     let Some(pose) = future_pose(i, h) else {
                         continue;
                     };
@@ -529,9 +519,10 @@ impl SlotPlanner {
                 u.undelivered
                     .release(&mut u.ledger, self.released.drain(..));
                 // Seeding the level the row was just assigned keeps
-                // quality flat across the cell boundary; a lower one would
-                // hand the allocator a cheap downgrade on arrival.
-                let quality = QualityLevel::new(assignment[row].get().max(policy.quality.get()));
+                // quality flat across the cell boundary: the allocator
+                // treats a delivered level as near-free, so a lower one
+                // would hand it a cheap downgrade on arrival.
+                let quality = assignment[row];
                 let level_run = quality.index() * tile_count;
                 let mut taken = 0usize;
                 let spendable = if shares_row {
@@ -544,7 +535,7 @@ impl SlotPlanner {
                     let tiles = tile_mask(self.library.fov(), &self.future_poses[idx]);
                     let level_rates = &self.plane.rows(cell)[level_run..level_run + tile_count];
                     for tile in tiles_in(tiles) {
-                        if taken >= policy.max_tiles_per_slot {
+                        if taken >= MAX_TILES_PER_SLOT {
                             break 'cells;
                         }
                         let id = VideoId::new(cell, tile, quality);
@@ -612,16 +603,11 @@ impl SlotPlanner {
 mod tests {
     use super::*;
     use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
-    use cvr_lookahead::DegradeConfig;
     use cvr_motion::pose::{Orientation, Vec3};
     use proptest::prelude::*;
 
     fn planner(horizon: usize) -> SlotPlanner {
-        SlotPlanner::new(
-            ContentLibrary::paper_default(),
-            LookaheadConfig::for_horizon(horizon),
-            8,
-        )
+        SlotPlanner::new(ContentLibrary::paper_default(), horizon, 8)
     }
 
     fn walk(u: usize, t: f64) -> Pose {
@@ -785,34 +771,18 @@ mod tests {
         ahead.join(0);
         let mut ramped = false;
         for raw in series {
-            assert_eq!(myopic.clamp_budget(0, raw, None).to_bits(), raw.to_bits());
-            assert_eq!(
-                myopic.clamp_budget(0, raw, Some(raw / 2.0)).to_bits(),
-                raw.to_bits()
-            );
-            ramped |= ahead.clamp_budget(0, raw, None) < raw;
+            assert_eq!(myopic.clamp_budget(0, raw).to_bits(), raw.to_bits());
+            ramped |= ahead.clamp_budget(0, raw) < raw;
         }
         assert!(ramped, "H = 2 must ramp on this series");
     }
 
     #[test]
-    fn degrade_state_is_built_from_the_planners_lookahead_config() {
-        // A known future minimum at 80 % of the estimate: below a 0.92
-        // dip threshold (ramp engages), above the default 0.75 (ignored).
-        let run = |degrade: DegradeConfig| {
-            let mut p = SlotPlanner::new(
-                ContentLibrary::paper_default(),
-                LookaheadConfig {
-                    degrade,
-                    ..LookaheadConfig::for_horizon(4)
-                },
-                8,
-            );
-            p.join(0);
-            p.clamp_budget(0, 50.0, Some(40.0))
-        };
-        assert_eq!(run(DegradeConfig::default()), 50.0);
-        assert!(run(DegradeConfig::known_future()) < 50.0);
+    fn horizon_is_clamped_to_at_least_one() {
+        assert_eq!(planner(0).horizon(), 1);
+        for h in [1, 2, 4, 8] {
+            assert_eq!(planner(h).horizon(), h);
+        }
     }
 
     #[test]

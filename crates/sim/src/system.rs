@@ -25,7 +25,6 @@ use cvr_core::objective::{h_at_delay, QoeParams};
 use cvr_core::qoe::{SystemQoeSummary, UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
-use cvr_lookahead::LookaheadConfig;
 use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::pose::Pose;
 use cvr_motion::predict::LinearPredictor;
@@ -61,6 +60,10 @@ const CLIENT_BUFFER_TILES: usize = 600;
 /// on the real pipeline (its slot budget is this fraction of the
 /// estimated bandwidth).
 const FIREFLY_HEADROOM: f64 = 0.85;
+/// LTE fallback envelope of every scenario link, Mbps: weaker than the
+/// paper envelope the impaired primary runs.
+const LTE_MIN_MBPS: f64 = 8.0;
+const LTE_MAX_MBPS: f64 = 25.0;
 
 /// Configuration of a full-system run.
 #[derive(Debug, Clone)]
@@ -95,10 +98,11 @@ pub struct SystemConfig {
     /// tiles before transmission can start.
     pub rendering: RenderingMode,
     /// Cellular digital-twin scenario: when set, every user's access link
-    /// is replaced by a bonded Wi-Fi + LTE pair whose primary runs the
-    /// configured correlated impairment (see [`NetScenario`]). `None`
-    /// reproduces the paper's clean-medium setups unchanged.
-    pub scenario: Option<NetScenario>,
+    /// is replaced by a bonded Wi-Fi + LTE pair whose primary runs this
+    /// correlated impairment (an 8–25 Mbps LTE fallback, default failover
+    /// hysteresis; everything seeded off [`SystemConfig::seed`]). `None` reproduces
+    /// the paper's clean-medium setups unchanged.
+    pub scenario: Option<Pathology>,
     /// Record per-slot, per-user time series (chosen level, viewed
     /// quality, delay) into the run result.
     pub record_timeseries: bool,
@@ -149,36 +153,6 @@ impl SystemConfig {
     /// Number of slots.
     pub fn slots(&self) -> usize {
         (self.duration_s / SLOT_DURATION_S).round() as usize
-    }
-}
-
-/// A cellular digital-twin network scenario: which correlated impairment
-/// the primary (Wi-Fi-like) link runs, the bonded-link failover policy,
-/// and the LTE fallback envelope. Built from the generators in
-/// [`cvr_net::impair`] and [`cvr_net::multilink`]; everything is seeded
-/// off [`SystemConfig::seed`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetScenario {
-    /// Correlated impairment on the primary link.
-    pub pathology: Pathology,
-    /// Bonded-link failover/recovery policy.
-    pub policy: FailoverPolicy,
-    /// LTE fallback envelope floor, Mbps.
-    pub lte_min_mbps: f64,
-    /// LTE fallback envelope ceiling, Mbps.
-    pub lte_max_mbps: f64,
-}
-
-impl NetScenario {
-    /// The scenario-matrix default: the paper envelope on the impaired
-    /// primary, a weaker 8–25 Mbps LTE fallback, default hysteresis.
-    pub fn paper_default(pathology: Pathology) -> Self {
-        NetScenario {
-            pathology,
-            policy: FailoverPolicy::default(),
-            lte_min_mbps: 8.0,
-            lte_max_mbps: 25.0,
-        }
     }
 }
 
@@ -327,11 +301,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
     // rows and FoV tile sets, computed per query), and per-user delivery
     // ledgers, incrementally maintained undelivered-rate sums, prefetch
     // trackers and anticipatory-degrade state.
-    let mut planner = SlotPlanner::new(
-        ContentLibrary::paper_default(),
-        LookaheadConfig::for_horizon(config.horizon),
-        0,
-    );
+    let mut planner = SlotPlanner::new(ContentLibrary::paper_default(), config.horizon, 0);
     for u in 0..n {
         planner.join(u);
     }
@@ -391,10 +361,10 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
     // user's primary runs the scenario's correlated impairment, bonded to
     // an LTE-like fallback under the deterministic failover policy. The
     // traces are pure functions of (config, seed).
-    let mut bonded: Option<Vec<BondedLink>> = config.scenario.map(|sc| {
+    let mut bonded: Option<Vec<BondedLink>> = config.scenario.map(|pathology| {
         let impairment = ImpairmentConfig {
             duration_s: config.duration_s.max(60.0),
-            ..ImpairmentConfig::paper_default(sc.pathology)
+            ..ImpairmentConfig::paper_default(pathology)
         };
         let primaries = impairment.generate_group(n, config.seed ^ 0x11AA_55EE);
         primaries
@@ -403,23 +373,22 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
             .map(|(u, wifi)| {
                 let lte_cfg = TraceGeneratorConfig {
                     profile: TraceProfile::LteLike,
-                    min_mbps: sc.lte_min_mbps,
-                    max_mbps: sc.lte_max_mbps,
+                    min_mbps: LTE_MIN_MBPS,
+                    max_mbps: LTE_MAX_MBPS,
                     duration_s: impairment.duration_s,
                 };
                 let lte = lte_cfg.generate(
                     config.seed.wrapping_mul(0xC2B2_AE35).wrapping_add(u as u64) ^ 0x17E0_17E0,
                 );
-                BondedLink::new(wifi, lte, sc.policy)
+                BondedLink::new(wifi, lte, FailoverPolicy::DEFAULT)
             })
             .collect()
     });
     // Deep RLC downlink buffers, only for the bufferbloat pathology: the
     // rate trace alone is benign; the latency inflation lives here.
-    let mut bloat: Option<Vec<BufferbloatQueue>> = config.scenario.and_then(|sc| {
-        (sc.pathology == Pathology::Bufferbloat)
-            .then(|| (0..n).map(|_| BufferbloatQueue::rlc_default()).collect())
-    });
+    let mut bloat: Option<Vec<BufferbloatQueue>> = (config.scenario
+        == Some(Pathology::Bufferbloat))
+    .then(|| (0..n).map(|_| BufferbloatQueue::rlc_default()).collect());
 
     // Online-rendering farm (Section VIII), if configured.
     let mut farm = match config.rendering {
@@ -544,7 +513,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
         planner.begin_slot(slot as u64, config.server_total_mbps);
         for u in 0..n {
             let estimate = bandwidth_estimates[u].estimate_or(throttles[u]).max(1.0);
-            let bn = planner.clamp_budget(u, estimate, None);
+            let bn = planner.clamp_budget(u, estimate);
             planner.push_user(u, &predicted[u], bn, false);
         }
 
@@ -961,7 +930,7 @@ mod tests {
             ..tiny(33)
         };
         let impaired = SystemConfig {
-            scenario: Some(NetScenario::paper_default(Pathology::Handover)),
+            scenario: Some(Pathology::Handover),
             ..clean.clone()
         };
         let clean_run = run(&clean, AllocatorKind::DensityValueGreedy);
@@ -981,7 +950,7 @@ mod tests {
             ..tiny(33)
         };
         let impaired = SystemConfig {
-            scenario: Some(NetScenario::paper_default(Pathology::MarkovFading)),
+            scenario: Some(Pathology::MarkovFading),
             ..clean.clone()
         };
         let clean_run = run(&clean, AllocatorKind::DensityValueGreedy);
@@ -1001,7 +970,7 @@ mod tests {
         // objective backs off before the queue grows — the paper's core
         // claim, reproduced under the bloat pathology.
         let cfg = SystemConfig {
-            scenario: Some(NetScenario::paper_default(Pathology::Bufferbloat)),
+            scenario: Some(Pathology::Bufferbloat),
             duration_s: 10.0,
             ..tiny(33)
         };
@@ -1018,7 +987,7 @@ mod tests {
     #[test]
     fn lookahead_horizon_engages_and_stays_deterministic() {
         let myopic = SystemConfig {
-            scenario: Some(NetScenario::paper_default(Pathology::Handover)),
+            scenario: Some(Pathology::Handover),
             ..tiny(37)
         };
         let ahead = SystemConfig {

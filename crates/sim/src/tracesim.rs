@@ -16,6 +16,11 @@
 //! If an allocator over-subscribes the server budget (PAVQ can transiently)
 //! the server link becomes the bottleneck: every user's effective
 //! throughput is scaled by `B / Σ rates`, which feeds back into the delay.
+//!
+//! The loop is the paper's myopic one: the planner runs at `H = 1`, so
+//! each user is planned against this slot's true trace sample. Horizon-H
+//! prefetch and anticipatory degrade are measured where they act on
+//! estimates, in [`crate::system`] and the live server.
 
 use cvr_content::library::ContentLibrary;
 use cvr_core::alloc::Allocator;
@@ -24,7 +29,6 @@ use cvr_core::objective::{h_at_delay, QoeParams};
 use cvr_core::offline::fractional_upper_bound;
 use cvr_core::qoe::{SystemQoeSummary, UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
-use cvr_lookahead::{DegradeConfig, LookaheadConfig};
 use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::predict::LinearPredictor;
 use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
@@ -72,15 +76,6 @@ pub struct TraceSimConfig {
     /// quality, delay) into the run result — for slot-level analysis and
     /// plotting. Costs memory proportional to `users × slots`.
     pub record_timeseries: bool,
-    /// Lookahead horizon in slots. `1` is the paper's myopic Section-IV
-    /// loop bit-for-bit. `H > 1` runs the [`cvr_lookahead`] anticipatory
-    /// degrade with *known* future throughput (this simulator owns its
-    /// traces): each user's link budget is ramped toward the minimum of
-    /// the next `H − 1` trace samples instead of cliff-dropping when the
-    /// dip arrives. The trace model has no delivery ledger, so the
-    /// prefetch-credit half of the subsystem only exists in the
-    /// full-system simulator and the live server.
-    pub horizon: usize,
 }
 
 impl TraceSimConfig {
@@ -96,7 +91,6 @@ impl TraceSimConfig {
             trace_override: None,
             motion_override: None,
             record_timeseries: false,
-            horizon: 1,
         }
     }
 
@@ -234,17 +228,8 @@ pub fn run_with(
     // acknowledged, so every ledger stays empty and each user's
     // undelivered sums are exactly the per-level rate table of its
     // request, cached until the predicted pose leaves the current cell or
-    // orientation bucket. Its throughput forecast is exact (it owns the
-    // traces), so the known-future degrade tuning applies: no estimator
-    // noise to hedge against, shallow dips are worth acting on.
-    let mut planner = SlotPlanner::new(
-        ContentLibrary::paper_default(),
-        LookaheadConfig {
-            degrade: DegradeConfig::known_future(),
-            ..LookaheadConfig::for_horizon(config.horizon)
-        },
-        0,
-    );
+    // orientation bucket. Horizon 1: the paper's myopic loop.
+    let mut planner = SlotPlanner::new(ContentLibrary::paper_default(), 1, 0);
     for u in 0..n {
         planner.join(u);
     }
@@ -268,18 +253,10 @@ pub fn run_with(
         );
 
         // Resolve content and build the slot problem into the engine.
-        // Anticipatory degrade with known future throughput: each link
-        // budget ramps toward the minimum over the next H − 1 trace
-        // samples, so quality walks down ahead of a dip instead of
-        // cliff-dropping into it.
         planner.begin_slot(slot as u64, server_budget);
         link_budgets.clear();
         for u in 0..n {
-            let raw = traces[u].at(now);
-            let forecast_min = (1..planner.horizon())
-                .map(|h| traces[u].at(now + h as f64 * SLOT_DURATION_S))
-                .fold(raw, f64::min);
-            let bn = planner.clamp_budget(u, raw, Some(forecast_min));
+            let bn = traces[u].at(now);
             link_budgets.push(bn);
             planner.push_user(u, &predicted[u], bn, false);
         }
@@ -500,37 +477,6 @@ mod tests {
         cfg.motion_override = Some(vec![vec![pose; 10]; cfg.num_users]);
         let r = run(&cfg, AllocatorKind::DensityValueGreedy);
         assert!(r.summary.avg_hit_rate > 0.99);
-    }
-
-    #[test]
-    fn lookahead_horizon_engages_and_stays_deterministic() {
-        let myopic = small_config(51);
-        let ahead = TraceSimConfig {
-            horizon: 8,
-            ..myopic.clone()
-        };
-        let m = run(&myopic, AllocatorKind::DensityValueGreedy);
-        let a = run(&ahead, AllocatorKind::DensityValueGreedy);
-        assert_ne!(m, a, "horizon 8 must engage the anticipatory degrade");
-        assert_eq!(
-            run(&ahead, AllocatorKind::DensityValueGreedy),
-            a,
-            "horizon 8 diverged between two runs"
-        );
-    }
-
-    #[test]
-    fn default_horizon_is_myopic() {
-        let cfg = small_config(53);
-        assert_eq!(cfg.horizon, 1);
-        let explicit = TraceSimConfig {
-            horizon: 1,
-            ..cfg.clone()
-        };
-        assert_eq!(
-            run(&explicit, AllocatorKind::DensityValueGreedy),
-            run(&cfg, AllocatorKind::DensityValueGreedy)
-        );
     }
 
     #[test]

@@ -7,7 +7,6 @@ use collaborative_vr::core::offline::{exact_slot_optimum, fractional_upper_bound
 use collaborative_vr::prelude::*;
 use collaborative_vr::sim::pipeline::SlotPlanner;
 use cvr_content::id::VideoId;
-use cvr_lookahead::LookaheadConfig;
 
 /// Stages one slot of `users` users into `problem`, each with its real
 /// request's rate table and Eq. (9) values at the M/M/1 delay.
@@ -136,11 +135,7 @@ fn link(u: usize, slot: u64) -> f64 {
 #[test]
 fn theorem1_on_the_rows_the_planner_stages() {
     let params = QoeParams::simulation_default();
-    let mut planner = SlotPlanner::new(
-        ContentLibrary::paper_default(),
-        LookaheadConfig::for_horizon(1),
-        8,
-    );
+    let mut planner = SlotPlanner::new(ContentLibrary::paper_default(), 1, 8);
     for u in 0..USERS {
         planner.join(u);
     }
