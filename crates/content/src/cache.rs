@@ -209,31 +209,33 @@ impl DeliveryLedger {
 /// entries.
 ///
 /// The accumulator targets one `(cell, tile set)` at a time — the user's
-/// current FoV request. [`UndeliveredSums::retarget`] (called on cell or
-/// tile-set changes) rebuilds the delivered mask and the per-level sums
-/// from the ledger (one probe: the cell's slot mask);
-/// [`UndeliveredSums::acknowledge`] and
-/// [`UndeliveredSums::release`] are *paired* calls that mutate the ledger
-/// and fold the change into the sums in one step, so the two can never
-/// drift apart.
+/// current FoV request. It keeps the target tiles as a tile mask and what
+/// the ledger holds of them as the ledger's own slot bits: the cell's
+/// `u32` mask restricted to the target tiles at ladder levels.
+/// [`UndeliveredSums::retarget`] (called on cell or tile-set changes)
+/// reads that mask once and rebuilds the per-level sums;
+/// [`UndeliveredSums::acknowledge`] and [`UndeliveredSums::release`] are
+/// *paired* calls that mutate the ledger and flip the one bit in the same
+/// step, so the two can never drift apart.
 ///
-/// Bit-identity: a level's sum is always recomputed from scratch in tile
-/// order (O(tiles) = O(4) per event, no hash probes), reproducing the
-/// exact `((0 + r₀) + r₁) + …` addition sequence of the brute-force build
-/// loop — incremental `+=`/`-=` would accumulate different rounding. The
-/// internal tables are **level-major** (`l * tiles.len() + t`), matching
-/// [`TileSizeModel::cell_rate_rows`](crate::sizing::TileSizeModel::cell_rate_rows),
-/// so each recompute folds one contiguous run of the rate table instead
-/// of striding by `levels`.
+/// Bit-identity: a level's sum is always recomputed from scratch over the
+/// target tiles in ascending id order (O(4) per event, no hash probes),
+/// reproducing the exact `((0 + r₀) + r₁) + …` addition sequence of the
+/// brute-force build loop — incremental `+=`/`-=` would accumulate
+/// different rounding. The rate copy is the cell's **level-major** table
+/// from [`TileSizeModel::cell_rate_rows`](crate::sizing::TileSizeModel::cell_rate_rows).
 #[derive(Debug, Clone)]
 pub struct UndeliveredSums {
     levels: usize,
     cell: Option<CellId>,
-    tiles: Vec<TileId>,
-    /// Rate rows of the target tiles, level-major: `levels × tiles.len()`.
+    /// Target tiles: bit `t` set ⇔ tile `t` is targeted.
+    tiles: u8,
+    /// Slot bits of the target tiles at levels `1..=levels`.
+    scope: u32,
+    /// The ledger's slot mask of `cell`, restricted to `scope`.
+    held: u32,
+    /// The cell's rate rows, level-major: `levels × TileId::COUNT`.
     rows: Vec<f64>,
-    /// Delivered mask, level-major: `levels × tiles.len()`.
-    delivered: Vec<bool>,
     /// Per-level undelivered-rate sums (length `levels`).
     sums: Vec<f64>,
 }
@@ -250,16 +252,12 @@ impl UndeliveredSums {
         UndeliveredSums {
             levels,
             cell: None,
-            tiles: Vec::with_capacity(usize::from(TileId::COUNT)),
+            tiles: 0,
+            scope: 0,
+            held: 0,
             rows: Vec::with_capacity(usize::from(TileId::COUNT) * levels),
-            delivered: Vec::with_capacity(usize::from(TileId::COUNT) * levels),
             sums: vec![0.0; levels],
         }
-    }
-
-    /// Number of quality levels per sum.
-    pub fn levels(&self) -> usize {
-        self.levels
     }
 
     /// The currently targeted cell, if any.
@@ -267,20 +265,38 @@ impl UndeliveredSums {
         self.cell
     }
 
-    /// The currently targeted tile set (FoV request order).
-    pub fn tiles(&self) -> &[TileId] {
-        &self.tiles
+    /// The currently targeted tile set as a [`crate::tile::tile_mask`].
+    pub fn tiles(&self) -> u8 {
+        self.tiles
+    }
+
+    /// What the ledger holds of the target: the cell's slot mask
+    /// ([`VideoId::slot_bit`]) restricted to the target tiles at levels
+    /// `1..=levels`, kept in lockstep by the paired calls — group keys
+    /// read it instead of probing the ledger.
+    pub fn held(&self) -> u32 {
+        self.held
+    }
+
+    /// The target tiles the ledger does not hold at `quality`, as a tile
+    /// mask — what a frame at that quality must carry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quality` exceeds 7, like [`VideoId::new`].
+    pub fn missing(&self, quality: QualityLevel) -> u8 {
+        tiles_in(self.tiles)
+            .filter(|&tile| self.held & VideoId::slot_bit_of(tile, quality) == 0)
+            .fold(0, |mask, tile| mask | 1 << tile.get())
     }
 
     /// Retargets the accumulator at a new `(cell, tiles)` request, reading
     /// rate rows from `cell_rows` (the cell's full `levels × TileId::COUNT`
     /// **level-major** table, computed per call by
-    /// [`crate::plane::RatePlane::rows`]) and
-    /// the delivered mask from `ledger` — the cell's slot mask, read once.
-    /// Rebuilds masks and sums from scratch — called only on cell/tile-set
-    /// changes, not per slot. Both
-    /// the source table and the internal copy are level-major, so the copy
-    /// gathers one contiguous level run at a time.
+    /// [`crate::plane::RatePlane::rows`]) and the held bits from `ledger`
+    /// — the cell's slot mask, read once. `tiles` is a set; the sums fold
+    /// it in ascending id order. Rebuilds the sums from scratch — called
+    /// only on cell/tile-set changes, not per slot.
     ///
     /// # Panics
     ///
@@ -297,22 +313,17 @@ impl UndeliveredSums {
             usize::from(TileId::COUNT) * self.levels,
             "cell_rows must cover every tile at every level"
         );
-        let count = usize::from(TileId::COUNT);
         self.cell = Some(cell);
-        self.tiles.clear();
-        self.tiles.extend_from_slice(tiles);
+        self.tiles = mask_of(tiles);
+        self.scope = tiles_in(self.tiles)
+            .flat_map(|tile| {
+                (1..=self.levels as u8)
+                    .map(move |q| VideoId::slot_bit_of(tile, QualityLevel::new(q)))
+            })
+            .fold(0, |scope, bit| scope | bit);
+        self.held = ledger.delivered.mask(VideoId::key_of(cell)) & self.scope;
         self.rows.clear();
-        self.delivered.clear();
-        let held = ledger.delivered.mask(VideoId::key_of(cell));
-        for l in 0..self.levels {
-            let level_run = &cell_rows[l * count..(l + 1) * count];
-            let q = QualityLevel::new((l + 1) as u8);
-            for &tile in tiles {
-                self.rows.push(level_run[usize::from(tile.get())]);
-                self.delivered
-                    .push(held & VideoId::slot_bit_of(tile, q) != 0);
-            }
-        }
+        self.rows.extend_from_slice(cell_rows);
         for l in 0..self.levels {
             self.recompute_level(l);
         }
@@ -321,7 +332,7 @@ impl UndeliveredSums {
     /// Whether the accumulator already targets exactly `(cell, tiles)` —
     /// when `true`, a retarget would be a no-op and can be skipped.
     pub fn targets(&self, cell: CellId, tiles: &[TileId]) -> bool {
-        self.cell == Some(cell) && self.tiles == tiles
+        self.cell == Some(cell) && self.tiles == mask_of(tiles)
     }
 
     /// Paired ACK: records the delivery in `ledger` and, when the ledger
@@ -329,7 +340,7 @@ impl UndeliveredSums {
     /// it into the sums.
     pub fn acknowledge(&mut self, ledger: &mut DeliveryLedger, id: VideoId) {
         if ledger.acknowledge(id) {
-            self.apply(id, true);
+            self.apply(id);
         }
     }
 
@@ -342,36 +353,22 @@ impl UndeliveredSums {
     ) {
         for id in ids {
             if ledger.release_one(id) {
-                self.apply(id, false);
+                self.apply(id);
             }
         }
     }
 
     /// The per-level undelivered-rate sums for the current target: entry
     /// `l` is the total rate of the target tiles not yet delivered at
-    /// level `l + 1`, summed in tile order.
+    /// level `l + 1`, summed in ascending tile order.
     pub fn sums(&self) -> &[f64] {
         &self.sums
     }
 
-    /// The delivered bits of the target tiles at level index `l`, parallel
-    /// to [`UndeliveredSums::tiles`]: entry `t` is what the ledger holds
-    /// for `(cell, tiles[t], level l + 1)`, kept in lockstep by the paired
-    /// calls — group fingerprints and manifests read these instead of
-    /// probing the ledger.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l >= levels`.
-    pub fn delivered(&self, l: usize) -> &[bool] {
-        let n = self.tiles.len();
-        &self.delivered[l * n..(l + 1) * n]
-    }
-
     /// Cross-checks the incremental state against a brute-force recompute
     /// from `ledger` (the debug assertion the build path runs under
-    /// `debug_assertions`): every delivered-mask bit, then every per-level
-    /// sum. Bit-exact comparison. The mask is checked on its own because a
+    /// `debug_assertions`): every held bit, then every per-level sum.
+    /// Bit-exact comparison. The bits are checked on their own because a
     /// zero-rate tile would hide a drifted bit from the sums.
     ///
     /// # Panics
@@ -381,19 +378,20 @@ impl UndeliveredSums {
         let Some(cell) = self.cell else {
             return;
         };
+        let count = usize::from(TileId::COUNT);
         for l in 0..self.levels {
             let q = QualityLevel::new((l + 1) as u8);
             let mut brute = 0.0f64;
-            for (t, &tile) in self.tiles.iter().enumerate() {
+            for tile in tiles_in(self.tiles) {
                 let held = ledger.is_delivered(&VideoId::new(cell, tile, q));
+                let bit = self.held & VideoId::slot_bit_of(tile, q) != 0;
                 assert!(
-                    held == self.delivered(l)[t],
-                    "delivered mask drifted at {tile} level {}: mask {} vs ledger {held}",
+                    held == bit,
+                    "delivered mask drifted at {tile} level {}: mask {bit} vs ledger {held}",
                     l + 1,
-                    self.delivered(l)[t],
                 );
                 if !held {
-                    brute += self.rows[l * self.tiles.len() + t];
+                    brute += self.rows[l * count + usize::from(tile.get())];
                 }
             }
             assert!(
@@ -406,41 +404,29 @@ impl UndeliveredSums {
         }
     }
 
-    fn apply(&mut self, id: VideoId, delivered: bool) {
-        if self.cell != Some(id.cell()) {
+    /// Folds a change the ledger just made to `id` into the held bits and
+    /// that level's sum, when `id` is a slot of the current target.
+    fn apply(&mut self, id: VideoId) {
+        if self.scope & id.slot_bit() == 0 || self.cell != Some(id.cell()) {
             return;
         }
-        let Some(t) = self.tiles.iter().position(|&tile| tile == id.tile()) else {
-            return;
-        };
-        let l = id.quality().index();
-        if l >= self.levels {
-            return;
-        }
-        let slot = &mut self.delivered[l * self.tiles.len() + t];
-        if *slot == delivered {
-            return;
-        }
-        *slot = delivered;
-        self.recompute_level(l);
+        self.held ^= id.slot_bit();
+        self.recompute_level(id.quality().index());
     }
 
-    /// Recomputes one level's sum from scratch in tile order — the same
-    /// fold the brute-force build performs, so the result is bit-identical.
-    /// With the level-major layout the fold walks one contiguous run of
-    /// the rate table and mask (no `levels`-sized stride).
+    /// Recomputes one level's sum from scratch in ascending tile order —
+    /// the same fold the brute-force build performs, so the result is
+    /// bit-identical.
     fn recompute_level(&mut self, l: usize) {
-        let n = self.tiles.len();
-        let rates = &self.rows[l * n..(l + 1) * n];
-        let mask = &self.delivered[l * n..(l + 1) * n];
-        let mut sum = 0.0f64;
-        for (rate, &done) in rates.iter().zip(mask) {
-            if !done {
-                sum += *rate;
-            }
-        }
-        self.sums[l] = sum;
+        let run = &self.rows[l * usize::from(TileId::COUNT)..];
+        let missing = self.missing(QualityLevel::new((l + 1) as u8));
+        self.sums[l] = tiles_in(missing).fold(0.0, |sum, tile| sum + run[usize::from(tile.get())]);
     }
+}
+
+/// The tile mask of a tile set.
+fn mask_of(tiles: &[TileId]) -> u8 {
+    tiles.iter().fold(0, |mask, tile| mask | 1 << tile.get())
 }
 
 #[cfg(test)]
@@ -594,9 +580,10 @@ mod tests {
                 for l in 0..levels {
                     let level = QualityLevel::new((l + 1) as u8);
                     let mut brute = 0.0f64;
-                    for (at, &tile) in tiles.iter().enumerate() {
+                    for &tile in &tiles {
                         let held = ledger_oracle.is_delivered(&VideoId::new(cell, tile, level));
-                        prop_assert_eq!(sums.delivered(l)[at], held, "{} level {}", tile, l + 1);
+                        let bit = sums.held() & VideoId::slot_bit_of(tile, level) != 0;
+                        prop_assert_eq!(bit, held, "{} level {}", tile, l + 1);
                         if !held {
                             brute += rows[l * count + usize::from(tile.get())];
                         }

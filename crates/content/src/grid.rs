@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cvr_motion::pose::Vec3;
+use cvr_motion::pose::{floor_i64, Vec3};
 
 /// A grid cell index on the x/z plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -50,9 +50,10 @@ impl GridWorld {
     }
 
     /// The cell index of coordinate `v` along either axis, `v` clamped to
-    /// the extent first.
+    /// the extent first: `floor() as i32`, saturating alike.
     fn index_of(&self, v: f64) -> i32 {
-        (v.clamp(-self.extent_m, self.extent_m) / self.cell_size_m).floor() as i32
+        let index = floor_i64(v.clamp(-self.extent_m, self.extent_m) / self.cell_size_m);
+        index.clamp(i32::MIN.into(), i32::MAX.into()) as i32
     }
 
     /// The cell containing `position` (positions outside the extent clamp
@@ -65,13 +66,14 @@ impl GridWorld {
         }
     }
 
-    /// Whether `cell` is one [`GridWorld::cell_of`] can return: both
+    /// Whether a cell is one [`GridWorld::cell_of`] can return: both
     /// indices between those of `-extent_m` and `extent_m`, the two
-    /// boundary cells positions clamp to included. Content exists for
-    /// these cells and no others.
-    pub fn contains(&self, cell: CellId) -> bool {
+    /// boundary cells positions clamp to included. The bounds are
+    /// computed once, when the test is made, not per cell. Content exists
+    /// for these cells and no others.
+    pub fn membership(&self) -> impl Fn(CellId) -> bool {
         let axis = self.index_of(-self.extent_m)..=self.index_of(self.extent_m);
-        axis.contains(&cell.x) && axis.contains(&cell.z)
+        move |cell| axis.contains(&cell.x) && axis.contains(&cell.z)
     }
 }
 
@@ -114,13 +116,14 @@ mod tests {
     #[test]
     fn contains_exactly_the_cells_cell_of_returns() {
         for g in [GridWorld::paper_default(), GridWorld::new(0.3, 1.0)] {
+            let contains = g.membership();
             let (mut lo, mut hi) = (i32::MAX, i32::MIN);
             // Past the extent on both sides, in steps well under a cell.
             let steps = (2.4 * g.extent_m / g.cell_size_m * 8.0) as i32;
             for i in 0..=steps {
                 let v = -1.2 * g.extent_m + f64::from(i) * g.cell_size_m / 8.0;
                 let cell = g.cell_of(&Vec3::new(v, 1.7, -v));
-                assert!(g.contains(cell), "{cell:?} came out of cell_of({v})");
+                assert!(contains(cell), "{cell:?} came out of cell_of({v})");
                 lo = lo.min(cell.x);
                 hi = hi.max(cell.x);
             }
@@ -129,24 +132,24 @@ mod tests {
             assert_eq!(lo, g.cell_of(&Vec3::new(-1e9, 0.0, 0.0)).x);
             assert_eq!(hi, g.cell_of(&Vec3::new(1e9, 0.0, 0.0)).x);
             for inside in [lo, 0, hi] {
-                assert!(g.contains(CellId { x: inside, z: lo }));
-                assert!(g.contains(CellId { x: hi, z: inside }));
+                assert!(contains(CellId { x: inside, z: lo }));
+                assert!(contains(CellId { x: hi, z: inside }));
                 for outside in [lo - 1, hi + 1, i32::MIN, i32::MAX] {
-                    assert!(!g.contains(CellId {
+                    assert!(!contains(CellId {
                         x: outside,
                         z: inside
                     }));
-                    assert!(!g.contains(CellId {
+                    assert!(!contains(CellId {
                         x: inside,
                         z: outside
                     }));
                 }
             }
         }
-        let paper = GridWorld::paper_default();
-        assert!(paper.contains(CellId { x: -120, z: 120 }));
-        assert!(!paper.contains(CellId { x: -121, z: 0 }));
-        assert!(!paper.contains(CellId { x: 0, z: 121 }));
+        let paper = GridWorld::paper_default().membership();
+        assert!(paper(CellId { x: -120, z: 120 }));
+        assert!(!paper(CellId { x: -121, z: 0 }));
+        assert!(!paper(CellId { x: 0, z: 121 }));
     }
 
     #[test]

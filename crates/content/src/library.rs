@@ -78,11 +78,15 @@ impl ContentLibrary {
         &self.sizing
     }
 
-    /// Whether the library holds the tile `id` names: a cell of its world
-    /// at a level of its ladder. An id that decodes ([`VideoId::try_from_raw`])
-    /// can still name a cell half a million cells out, or level 7 of six.
-    pub fn contains(&self, id: VideoId) -> bool {
-        self.quality.check(id.quality()).is_ok() && self.grid.contains(id.cell())
+    /// Whether the library holds every tile `ids` names: a cell of its
+    /// world at a level of its ladder. An id that decodes
+    /// ([`VideoId::try_from_raw`]) can still name a cell half a million
+    /// cells out, or level 7 of six. The world's bounds are computed once
+    /// per call, not per id.
+    pub fn contains_all(&self, ids: &[VideoId]) -> bool {
+        let in_world = self.grid.membership();
+        ids.iter()
+            .all(|id| self.quality.check(id.quality()).is_ok() && in_world(id.cell()))
     }
 
     /// Resolves the content to deliver for a (predicted) pose.
@@ -129,17 +133,22 @@ mod tests {
     fn contains_the_world_at_the_ladder_and_nothing_else() {
         let lib = ContentLibrary::paper_default();
         let id = |x, z, q| VideoId::new(CellId { x, z }, TileId::new(2), QualityLevel::new(q));
+        let contains = |id| lib.contains_all(&[id]);
         for q in 1..=6 {
-            assert!(lib.contains(id(0, 0, q)));
-            assert!(lib.contains(id(-120, 120, q)), "clamped boundary cells");
+            assert!(contains(id(0, 0, q)));
+            assert!(contains(id(-120, 120, q)), "clamped boundary cells");
         }
-        assert!(!lib.contains(id(0, 0, 7)), "level 7 of a six-level ladder");
-        assert!(!lib.contains(id(121, 0, 1)));
-        assert!(!lib.contains(id(0, -121, 1)));
+        assert!(!contains(id(0, 0, 7)), "level 7 of a six-level ladder");
+        assert!(!contains(id(121, 0, 1)));
+        assert!(!contains(id(0, -121, 1)));
         assert!(
-            !lib.contains(id(-524_288, 524_287, 6)),
+            !contains(id(-524_288, 524_287, 6)),
             "packable, not rendered"
         );
+        // A slice is held when every id is; an empty one vacuously.
+        assert!(lib.contains_all(&[]));
+        assert!(lib.contains_all(&[id(0, 0, 1), id(-120, 120, 6)]));
+        assert!(!lib.contains_all(&[id(0, 0, 1), id(0, 0, 7)]));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   tile sets.
 
 use cvr_motion::fov::FovSpec;
-use cvr_motion::pose::Pose;
+use cvr_motion::pose::{floor_i64, Pose};
 
 use crate::grid::CellId;
 use crate::sizing::TileSizeModel;
@@ -139,12 +139,12 @@ fn bucket(v: f64, q: f64) -> Option<i64> {
     if !scaled.is_finite() || scaled.abs() >= 1e15 {
         return None;
     }
-    let floor = scaled.floor();
-    let frac = scaled - floor;
+    let floor = floor_i64(scaled);
+    let frac = scaled - floor as f64;
     if !(BOUNDARY_GUARD..=1.0 - BOUNDARY_GUARD).contains(&frac) {
         return None;
     }
-    Some(floor as i64)
+    Some(floor)
 }
 
 /// A session's FoV tile sets, plus the orientation-bucket key under which
@@ -245,6 +245,31 @@ mod tests {
                         assert_eq!(rate, sizing.tile_rate_mbps(cell(x, z), tile, q));
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_equals_its_library_floor_form_at_the_edges() {
+        let oracle = |v: f64, q: f64| {
+            let scaled = v / q;
+            if !scaled.is_finite() || scaled.abs() >= 1e15 {
+                return None;
+            }
+            let floor = scaled.floor();
+            let frac = scaled - floor;
+            (BOUNDARY_GUARD..=1.0 - BOUNDARY_GUARD)
+                .contains(&frac)
+                .then_some(floor as i64)
+        };
+        let mut edges = vec![1e300, -1e300, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for x in [0.0, 180.0, 360.0, 540.0, 720.0] {
+            edges.extend(with_ulps(x));
+            edges.extend(with_ulps(-x));
+        }
+        for v in edges {
+            for q in [7.5, 1.0, 0.3] {
+                assert_eq!(bucket(v, q), oracle(v, q), "bucket({v:e}, {q})");
             }
         }
     }

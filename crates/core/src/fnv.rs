@@ -1,6 +1,8 @@
 //! The one FNV-1a (64-bit) implementation behind every fingerprint in
-//! the workspace: multicast content keys, simulator/bench determinism
-//! prints, and the cross-commit golden constants.
+//! the workspace: simulator/bench determinism prints, the cross-commit
+//! golden constants and the size model's per-cell texture draws.
+//! Multicast group keys no longer hash: their content word is the
+//! delivery state itself (`cvr_mcast::undelivered_key`).
 //!
 //! Callers start from [`OFFSET`] and fold bytes ([`fold_bytes`]) or whole
 //! words ([`fold_u64`], little-endian byte order). The byte order is part

@@ -134,24 +134,31 @@ impl AnticipatoryDegrade {
             return raw;
         }
         let n = self.filled;
-        let len = self.history.len();
-        // Oldest-first walk of the ring.
-        let start = (self.cursor + len - n) % len;
         let mean_x = (n as f64 - 1.0) / 2.0;
         let mut mean_y = 0.0;
-        for i in 0..n {
-            mean_y += self.history[(start + i) % len];
+        for y in self.oldest_first() {
+            mean_y += y;
         }
         mean_y /= n as f64;
         let mut sxy = 0.0;
         let mut sxx = 0.0;
-        for i in 0..n {
+        for (i, y) in self.oldest_first().enumerate() {
             let dx = i as f64 - mean_x;
-            sxy += dx * (self.history[(start + i) % len] - mean_y);
+            sxy += dx * (y - mean_y);
             sxx += dx * dx;
         }
         let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
         raw + slope.min(0.0) * (horizon as f64 - 1.0)
+    }
+
+    /// The filled samples, oldest first: the ring as two slices, the
+    /// older run from where the oldest sample sits, then the wrapped one.
+    fn oldest_first(&self) -> impl Iterator<Item = f64> + '_ {
+        let len = self.history.len();
+        let start = (self.cursor + len - self.filled) % len;
+        let older = &self.history[start..len.min(start + self.filled)];
+        let wrapped = &self.history[..self.filled - older.len()];
+        older.iter().chain(wrapped).copied()
     }
 
     /// One step of the ramp state machine (DESIGN.md §5.6):
@@ -193,6 +200,27 @@ mod tests {
 
     fn policy() -> AnticipatoryDegrade {
         AnticipatoryDegrade::new(DegradeConfig::default())
+    }
+
+    #[test]
+    fn two_slice_walk_equals_the_modulo_walk_at_every_cursor() {
+        for window in [2, 3, 8] {
+            let mut d = AnticipatoryDegrade::new(DegradeConfig {
+                window,
+                ..DegradeConfig::default()
+            });
+            // Partly filled, then full, past several wraps of the cursor.
+            for k in 0..3 * window + 1 {
+                let (len, n) = (d.history.len(), d.filled);
+                let start = (d.cursor + len - n) % len;
+                let modulo: Vec<u64> = (0..n)
+                    .map(|i| d.history[(start + i) % len].to_bits())
+                    .collect();
+                let walked: Vec<u64> = d.oldest_first().map(f64::to_bits).collect();
+                assert_eq!(walked, modulo, "window {window}, {k} samples");
+                d.push(40.0 - 1.5 * k as f64);
+            }
+        }
     }
 
     #[test]

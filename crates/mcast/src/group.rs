@@ -6,10 +6,10 @@
 //! [`GroupKey`] makes that exact, not heuristic: it combines the cell
 //! whose panorama is served, the orientation bucket (poses sharing a
 //! bucket provably share the FoV tile set, see
-//! [`cvr_content::plane::SharedFovCache`]), and an FNV-1a fingerprint of
-//! the undelivered level-prefix state (tile ids, per-(tile, level)
-//! delivered bits, and the raw bits of the per-level undelivered rate
-//! sums). Equal keys ⇒ byte-identical manifests and rate rows.
+//! [`cvr_content::plane::SharedFovCache`]), and the undelivered state as
+//! one exact word: the target tile mask above the ledger's own slot bits
+//! of those tiles ([`undelivered_key`]). Equal keys ⇒ byte-identical
+//! manifests and rate rows — by construction, not with hash probability.
 //!
 //! Group *membership* is recomputed every slot from scratch — a user who
 //! looks away or leaves is out of the group the same slot, so a stale
@@ -34,7 +34,6 @@ use cvr_content::hash::CellHashBuilder;
 use cvr_content::id::VideoId;
 use cvr_content::plane::OrientationKey;
 use cvr_content::tile::TileId;
-use cvr_core::fnv;
 use cvr_core::quality::QualityLevel;
 
 /// Identity of one multicast-sharable unit of work: users with equal keys
@@ -46,62 +45,45 @@ pub struct GroupKey {
     pub cell: CellId,
     /// Orientation bucket — equal buckets provably share the FoV tile set.
     pub orientation: OrientationKey,
-    /// Fingerprint of the undelivered level-prefix state
-    /// ([`content_fingerprint`]).
+    /// The undelivered state as one exact word ([`undelivered_key`]):
+    /// `(tile_mask << 32) | held_bits`, the target tiles and the ledger's
+    /// slot bits of them at ladder levels.
     pub content: u64,
 }
 
-/// FNV-1a fingerprint of one user's undelivered tile state: the targeted
-/// tile ids, each tile's per-level delivered bit, and the raw bits of the
-/// per-level undelivered rate sums. Two users with equal fingerprints
-/// (over the same `(cell, tiles)`) would be sent byte-identical manifests
-/// at every quality level.
-///
-/// Reads the delivered bits from the mask `undelivered` keeps in lockstep
-/// with the user's ledger — no hash probes.
-pub fn undelivered_fingerprint(undelivered: &UndeliveredSums) -> u64 {
-    fold_fingerprint(undelivered.tiles(), undelivered.sums(), |t, l| {
-        undelivered.delivered(l)[t]
-    })
+/// One user's undelivered tile state as an exact word: the target tile
+/// mask above the held slot bits of `undelivered`
+/// ([`UndeliveredSums::held`]). Over one cell, equal words mean equal
+/// tiles and equal delivered bits, hence equal per-level sums (a rate is
+/// a function of cell, tile and level alone), hence byte-identical
+/// manifests at every quality level. No hash, no probe.
+pub fn undelivered_key(undelivered: &UndeliveredSums) -> u64 {
+    u64::from(undelivered.tiles()) << 32 | u64::from(undelivered.held())
 }
 
-/// [`undelivered_fingerprint`] computed the slow way, probing `ledger`
-/// for each `(cell, tile, level)` bit: the reference the planner's debug
-/// builds hold the mask read to, and the form for callers that have a
-/// ledger but no [`UndeliveredSums`].
+/// [`undelivered_key`] computed the slow way, probing `ledger` for each
+/// `(cell, tile, level)` bit of `tiles` at the `sums.len()` ladder
+/// levels: the reference the planner's debug builds hold the mask read
+/// to, and the form for callers that have a ledger but no
+/// [`UndeliveredSums`].
 pub fn content_fingerprint(
     cell: CellId,
     tiles: &[TileId],
     sums: &[f64],
     ledger: &DeliveryLedger,
 ) -> u64 {
-    fold_fingerprint(tiles, sums, |t, l| {
-        ledger.is_delivered(&VideoId::new(
-            cell,
-            tiles[t],
-            QualityLevel::new((l + 1) as u8),
-        ))
-    })
-}
-
-/// The one fold behind both fingerprints; `delivered(t, l)` is the
-/// delivered bit of `tiles[t]` at level index `l`.
-fn fold_fingerprint(
-    tiles: &[TileId],
-    sums: &[f64],
-    delivered: impl Fn(usize, usize) -> bool,
-) -> u64 {
-    let mut hash = fnv::fold_u64(fnv::OFFSET, tiles.len() as u64);
-    for (t, tile) in tiles.iter().enumerate() {
-        hash = fnv::fold_bytes(hash, &[tile.get()]);
-        for l in 0..sums.len() {
-            hash = fnv::fold_bytes(hash, &[u8::from(delivered(t, l))]);
+    let mut mask = 0u8;
+    let mut held = 0u32;
+    for &tile in tiles {
+        mask |= 1 << tile.get();
+        for q in 1..=sums.len() as u8 {
+            let id = VideoId::new(cell, tile, QualityLevel::new(q));
+            if ledger.is_delivered(&id) {
+                held |= id.slot_bit();
+            }
         }
     }
-    for &s in sums {
-        hash = fnv::fold_u64(hash, s.to_bits());
-    }
-    hash
+    u64::from(mask) << 32 | u64::from(held)
 }
 
 /// One discovered group of the current slot.

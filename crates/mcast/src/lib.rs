@@ -11,8 +11,8 @@
 //! formulation of Long/Ye/Cui/Liu mapped onto the paper's
 //! quality-increment greedy.
 //!
-//! * [`group`] — [`GroupKey`] (cell × orientation bucket × undelivered
-//!   content fingerprint) and the hysteresis-stabilised [`GroupTracker`]
+//! * [`group`] — [`GroupKey`] (cell × orientation bucket × the exact
+//!   undelivered-state word: target tile mask above held slot bits) and the hysteresis-stabilised [`GroupTracker`]
 //!   with deterministic, arrival-order-stable group ids;
 //! * [`stage`] — group-quality staging: a singleton group stages the
 //!   member's row bit-identically to unicast (the Theorem-1 parity
@@ -39,5 +39,5 @@
 pub mod group;
 pub mod stage;
 
-pub use group::{content_fingerprint, undelivered_fingerprint, Group, GroupKey, GroupTracker};
+pub use group::{content_fingerprint, undelivered_key, Group, GroupKey, GroupTracker};
 pub use stage::{cap_level, stage_group, GroupMember};

@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::pose::{angular_distance, Pose};
+use crate::pose::{angular_distance, floor_i64, Pose};
 
 /// Angular field-of-view specification plus the delivery margin.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -67,8 +67,8 @@ impl FovSpec {
     /// height and does not change the rendered cell).
     pub fn cell_index(&self, pose: &Pose) -> (i64, i64) {
         (
-            (pose.position.x / self.cell_size_m).floor() as i64,
-            (pose.position.z / self.cell_size_m).floor() as i64,
+            floor_i64(pose.position.x / self.cell_size_m),
+            floor_i64(pose.position.z / self.cell_size_m),
         )
     }
 

@@ -61,7 +61,18 @@ impl Orientation {
 }
 
 /// Normalises an angle in degrees to `[−180, 180)`.
+///
+/// Bit-identical to the `%` reduction at the bottom, which is a library
+/// call on the x86-64 baseline: an in-range angle comes back unchanged,
+/// and one with |angle| < 540° needs a single ±360° shift, which is exact
+/// (Sterbenz) just as `%` is. −360° is left to `%`, whose result is −0.0.
 pub fn wrap_degrees(angle: f64) -> f64 {
+    if (-180.0..180.0).contains(&angle) {
+        return angle;
+    }
+    if angle.abs() < 540.0 && angle != -360.0 {
+        return angle - 360.0f64.copysign(angle);
+    }
     let mut a = angle % 360.0;
     if a < -180.0 {
         a += 360.0;
@@ -69,6 +80,14 @@ pub fn wrap_degrees(angle: f64) -> f64 {
         a -= 360.0;
     }
     a
+}
+
+/// `x.floor() as i64`, for every `x`, without the library `floor` call the
+/// x86-64 baseline makes: truncate with the saturating cast, then step
+/// down once where truncation rounded a negative fraction up.
+pub fn floor_i64(x: f64) -> i64 {
+    let t = x as i64;
+    t.saturating_sub(i64::from(t as f64 > x))
 }
 
 /// Smallest absolute angular difference between two angles, in degrees
@@ -141,6 +160,64 @@ mod tests {
         assert_eq!(wrap_degrees(-190.0), 170.0);
         assert_eq!(wrap_degrees(540.0), -180.0);
         assert_eq!(wrap_degrees(359.0), -1.0);
+    }
+
+    /// The `%` form `wrap_degrees` must equal bit for bit: one library
+    /// `fmod`, one shift.
+    fn wrap_oracle(angle: f64) -> f64 {
+        let mut a = angle % 360.0;
+        if a < -180.0 {
+            a += 360.0;
+        } else if a >= 180.0 {
+            a -= 360.0;
+        }
+        a
+    }
+
+    /// ±0, the range and shift edges ±180…±720 with three ulps either
+    /// side, huge values and the non-finite ones.
+    fn edge_cases() -> Vec<f64> {
+        let mut out = vec![1e300, -1e300, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for x in [0.0, 180.0, 360.0, 540.0, 720.0] {
+            for x in [x, -x] {
+                let (mut lo, mut hi) = (x, x);
+                out.push(x);
+                for _ in 0..3 {
+                    lo = lo.next_down();
+                    hi = hi.next_up();
+                    out.extend([lo, hi]);
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_exact(x: f64) {
+        assert_eq!(
+            wrap_degrees(x).to_bits(),
+            wrap_oracle(x).to_bits(),
+            "wrap_degrees({x:e})"
+        );
+        assert_eq!(floor_i64(x), x.floor() as i64, "floor_i64({x:e})");
+    }
+
+    #[test]
+    fn fast_paths_equal_the_library_calls_bit_for_bit_at_the_edges() {
+        for x in edge_cases() {
+            assert_exact(x);
+        }
+        assert_eq!(wrap_degrees(-360.0).to_bits(), (-0.0f64).to_bits());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fast_paths_equal_the_library_calls_bit_for_bit(
+            bits in 0u64..=u64::MAX,
+            small in -1000.0f64..1000.0,
+        ) {
+            assert_exact(f64::from_bits(bits));
+            assert_exact(small);
+        }
     }
 
     #[test]

@@ -868,16 +868,11 @@ impl Session {
         });
     }
 
-    /// Whether the library holds every tile `ids` names.
-    fn holds(&self, ids: &[VideoId]) -> bool {
-        let library = self.planner.library();
-        ids.iter().all(|&id| library.contains(id))
-    }
-
-    /// Drains every joined user's upstream queue.
+    /// Drains every joined user's upstream queue. The user's state is
+    /// borrowed in place; it leaves its slot only to depart.
     fn ingest(&mut self) {
         for id in 0..self.users.len() {
-            let Some(mut user) = self.users[id].take() else {
+            let Some(user) = self.users[id].as_mut() else {
                 continue;
             };
             let mut leave = false;
@@ -919,10 +914,12 @@ impl Session {
                     // An id that decodes can still name content the
                     // library does not hold; recording those would let a
                     // peer grow its ledger without bound.
-                    Ok(ClientMessage::Ack { ids }) if self.holds(&ids) => {
+                    Ok(ClientMessage::Ack { ids }) if self.planner.library().contains_all(&ids) => {
                         self.planner.acknowledge(id, ids)
                     }
-                    Ok(ClientMessage::Release { ids }) if self.holds(&ids) => {
+                    Ok(ClientMessage::Release { ids })
+                        if self.planner.library().contains_all(&ids) =>
+                    {
                         self.planner.release(id, ids)
                     }
                     Ok(ClientMessage::BandwidthSample { mbps }) => {
@@ -980,9 +977,8 @@ impl Session {
                 leave = true;
             }
             if leave || user.transport.is_closed() {
+                let user = self.users[id].take().expect("ingested above");
                 self.depart(id, user);
-            } else {
-                self.users[id] = Some(user);
             }
         }
     }

@@ -57,7 +57,7 @@ use cvr_core::quality::QualityLevel;
 use cvr_core::stage::stage_rates_values_with;
 use cvr_lookahead::prefetch::MAX_TILES_PER_SLOT;
 use cvr_lookahead::{slot_credit, AnticipatoryDegrade, DegradeConfig, Prefetcher};
-use cvr_mcast::{stage_group, undelivered_fingerprint, GroupKey, GroupMember, GroupTracker};
+use cvr_mcast::{stage_group, undelivered_key, GroupKey, GroupMember, GroupTracker};
 use cvr_motion::pose::Pose;
 
 /// Pipeline depth: content predicted and sent at slot `s` is decoded at
@@ -299,12 +299,12 @@ impl SlotPlanner {
         let i = self.plan.len();
         if let Some(orientation) = orientation {
             // Equal keys guarantee byte-identical manifests and rate rows:
-            // the key fingerprints the undelivered level-prefix state.
-            let content = undelivered_fingerprint(&u.undelivered);
+            // the key is the undelivered state itself, as one word.
+            let content = undelivered_key(&u.undelivered);
             debug_assert_eq!(
                 content,
                 cvr_mcast::content_fingerprint(cell, tiles, u.undelivered.sums(), &u.ledger),
-                "mask-read fingerprint diverged from the ledger"
+                "mask-read key diverged from the ledger"
             );
             self.keyed.push((
                 i,
@@ -586,16 +586,8 @@ impl SlotPlanner {
     pub fn manifest_into(&self, user: usize, quality: QualityLevel, out: &mut Vec<VideoId>) {
         let undelivered = &self.user(user).undelivered;
         let cell = undelivered.cell().expect("targeted by push_user");
-        let held = undelivered.delivered(quality.index());
         out.clear();
-        out.extend(
-            undelivered
-                .tiles()
-                .iter()
-                .zip(held)
-                .filter(|&(_, &held)| !held)
-                .map(|(&t, _)| VideoId::new(cell, t, quality)),
-        );
+        out.extend(tiles_in(undelivered.missing(quality)).map(|t| VideoId::new(cell, t, quality)));
     }
 }
 
@@ -854,26 +846,77 @@ mod tests {
                     }
                     let u = p.user(0);
                     u.undelivered.assert_matches_ledger(&u.ledger);
+                    let tiles: Vec<TileId> = tiles_in(u.undelivered.tiles()).collect();
                     prop_assert_eq!(
-                        undelivered_fingerprint(&u.undelivered),
-                        cvr_mcast::content_fingerprint(
-                            here,
-                            u.undelivered.tiles(),
-                            u.undelivered.sums(),
-                            &u.ledger,
-                        )
+                        undelivered_key(&u.undelivered),
+                        cvr_mcast::content_fingerprint(here, &tiles, u.undelivered.sums(), &u.ledger)
                     );
                     for l in 1..=p.levels as u8 {
                         let q = QualityLevel::new(l);
                         p.manifest_into(0, q, &mut manifest);
-                        let probed: Vec<VideoId> = u
-                            .undelivered
-                            .tiles()
+                        let probed: Vec<VideoId> = tiles
                             .iter()
                             .map(|&t| VideoId::new(here, t, q))
                             .filter(|id| !u.ledger.is_delivered(id))
                             .collect();
                         prop_assert_eq!(&manifest, &probed);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn equal_keys_exactly_when_manifests_and_sums_are_equal(
+            // Per step: a gaze that may move both users' shared FoV
+            // target, then feedback as `(whom, cell dx, tile, quality,
+            // ack?)` — whom 0 or 1 is one user, 2 is both, so states
+            // diverge and meet again. Foreign cells, untargeted tiles and
+            // quality 7 included.
+            steps in prop::collection::vec(
+                (
+                    (-180.0f64..180.0, -80.0f64..80.0),
+                    prop::collection::vec(
+                        (0u8..3, -1i32..=1, 0u8..4, 1u8..=7, proptest::bool::ANY),
+                        0..8,
+                    ),
+                ),
+                1..32,
+            ),
+        ) {
+            let mut p = planner(1);
+            p.join(0);
+            p.join(1);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for (slot, ((yaw, pitch), feedback)) in steps.into_iter().enumerate() {
+                let pose = Pose::new(Vec3::new(0.01, 1.6, 0.02), Orientation::new(yaw, pitch, 0.0));
+                p.begin_slot(slot as u64, 400.0);
+                p.push_user(0, &pose, 50.0, true);
+                p.push_user(1, &pose, 50.0, true);
+                let here = p.user(0).undelivered.cell().expect("just targeted");
+                let key = |u: usize| undelivered_key(&p.user(u).undelivered);
+                let mut same_manifests = true;
+                for l in 1..=p.levels as u8 {
+                    p.manifest_into(0, QualityLevel::new(l), &mut a);
+                    p.manifest_into(1, QualityLevel::new(l), &mut b);
+                    same_manifests &= a == b;
+                }
+                let bits = |u: usize| -> Vec<u64> {
+                    p.user(u).undelivered.sums().iter().map(|s| s.to_bits()).collect()
+                };
+                let same = same_manifests && bits(0) == bits(1);
+                prop_assert_eq!(key(0) == key(1), same, "no false merge, no false split");
+                if let [(_, k0), (_, k1)] = p.keyed[..] {
+                    prop_assert_eq!(k0 == k1, same);
+                }
+                for (whom, cell_dx, tile, quality, ack) in feedback {
+                    let cell = CellId { x: here.x + cell_dx, z: here.z };
+                    let id = VideoId::new(cell, TileId::new(tile), QualityLevel::new(quality));
+                    for u in [0, 1].into_iter().filter(|&u| whom == 2 || usize::from(whom) == u) {
+                        if ack {
+                            p.acknowledge(u, [id]);
+                        } else {
+                            p.release(u, [id]);
+                        }
                     }
                 }
             }
