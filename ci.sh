@@ -57,11 +57,11 @@ INCLUDE_IGNORED=1
 # Ceilings on `./ci.sh loc`'s workspace totals (non-test, all lines) and
 # on the byte sizes of the four prose documents. A change that must raise
 # one does so here and says why in CHANGES.md.
-LOC_CEILING_NON_TEST=18658
-LOC_CEILING_ALL=32688
-BYTE_CEILING_DESIGN=39972
-BYTE_CEILING_CHANGES=37545
-BYTE_CEILING_EXPERIMENTS=26455
+LOC_CEILING_NON_TEST=18696
+LOC_CEILING_ALL=32925
+BYTE_CEILING_DESIGN=41515
+BYTE_CEILING_CHANGES=40814
+BYTE_CEILING_EXPERIMENTS=26733
 BYTE_CEILING_README=14519
 
 stage_test() {
@@ -240,7 +240,8 @@ stage_benchmark_build() {
 # alternating 30 s timed passes — parent first on odd pairs, change first
 # on even ones — appending each pass's result line to
 # target/pair/{parent,change}-<workload>.jsonl (and its `fingerprint`
-# lines to .fingerprints beside it), then judges the two series with
+# lines to .fingerprints beside it), writes target/pair/<workload>.tsv
+# (one row per pass, see pair_tsv), then judges the two series with
 # `cvr-bench judge` and compares the fingerprint files: `equal` or
 # `differ` (with the first differing line) for a closed-loop workload,
 # `timing-dependent` for fleet64_paced. Run nothing else on the host
@@ -250,7 +251,7 @@ stage_pair() {
         echo "usage: ./ci.sh pair <parent-rev> <workload> [pairs=10] [seed]" >&2
         exit 2
     fi
-    local parent="$1" workload="$2" pairs="${3:-10}" seed="${4:-}"
+    local parent="$1" workload="$2" pairs="${3:-10}" seed="${4:-2022}"
     local dir="$PWD/target/pair" side i
     # Build outputs outlive the exports; the parent's are keyed by commit
     # because an archive's file times are its commit's, not the export's.
@@ -274,13 +275,15 @@ stage_pair() {
         echo "pair $i/$pairs: $1"
         # A failing pass still prints its result line; the judge reads it.
         out="$(CARGO_TARGET_DIR="${targets[$1]}" bash "$dir/$1/benchmark/run.sh" \
-            --workload "$workload" ${seed:+--seed "$seed"} --seconds 30 --trace 0 2>/dev/null)" || true
+            --workload "$workload" --seed "$seed" --seconds 30 --trace 0 2>/dev/null)" || true
         printf '%s\n' "$out" | grep '^fingerprint' >> "$dir/$1-$workload.fingerprints" || true
         printf '%s\n' "$out" | tail -1 >> "$dir/$1-$workload.jsonl"
     }
     for i in $(seq 1 "$pairs"); do
         if [ $((i % 2)) = 1 ]; then pass parent; pass change; else pass change; pass parent; fi
     done
+    pair_tsv "$workload" "$seed" "$dir/parent-$workload.jsonl" "$dir/change-$workload.jsonl" \
+        > "$dir/$workload.tsv"
     local judged=0 line
     bench judge "$dir/parent-$workload.jsonl" "$dir/change-$workload.jsonl" || judged=$?
     # A closed-loop workload delivers the same frames for the same seed, so
@@ -298,6 +301,41 @@ stage_pair() {
         echo "  change: $(sed -n "${line}p" "$2")"
     fi
     return "$judged"
+}
+
+# `pair_tsv <workload> <seed> <parent.jsonl> <change.jsonl>`: the two
+# series as one table, a row per pass, parent then change within a pair;
+# `order` is 1 for the side that ran first (parent on odd pairs). Line i
+# of each file is pair i.
+pair_tsv() {
+    awk -v workload="$1" -v seed="$2" -v parent="$3" '
+        # The value after `"key": ` or `"key": {"value": `, as printed.
+        function field(line, key,    s) {
+            if (!match(line, "\"" key "\": (\\{\"value\": )?[^,}]*")) return ""
+            s = substr(line, RSTART, RLENGTH)
+            sub(/.*: /, "", s)
+            return s
+        }
+        function row(line, pair, side, order,    m) {
+            printf "%s\t%s\t%d\t%s\t%d\t%s\t%s", workload, seed, pair, side, order,
+                field(line, "correct"), field(line, "failed")
+            for (m = 1; m <= n; m++) printf "\t%s", field(line, metric[m])
+            print ""
+        }
+        BEGIN {
+            n = split("setup_s slots_per_s pose_to_frame_us_p50 pose_to_frame_us_p95 " \
+                "slot_work_us_p50 slots_on_time_fraction displayed_quality_mean " \
+                "qoe_per_slot_mean peak_rss_mb", metric, " ")
+            printf "workload\tseed\tpair\tside\torder\tcorrect\tfailed"
+            for (m = 1; m <= n; m++) printf "\t%s", metric[m]
+            print ""
+        }
+        FILENAME == parent { parent_line[FNR] = $0; next }
+        {
+            first = FNR % 2 == 1
+            row(parent_line[FNR], FNR, "parent", first ? 1 : 2)
+            row($0, FNR, "change", first ? 2 : 1)
+        }' "$3" "$4"
 }
 
 stage_loc() {

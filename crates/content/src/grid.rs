@@ -51,6 +51,7 @@ impl GridWorld {
 
     /// The cell index of coordinate `v` along either axis, `v` clamped to
     /// the extent first: `floor() as i32`, saturating alike.
+    #[inline]
     fn index_of(&self, v: f64) -> i32 {
         let index = floor_i64(v.clamp(-self.extent_m, self.extent_m) / self.cell_size_m);
         index.clamp(i32::MIN.into(), i32::MAX.into()) as i32
@@ -59,6 +60,7 @@ impl GridWorld {
     /// The cell containing `position` (positions outside the extent clamp
     /// to the boundary cell, as a real system would pin the user inside the
     /// rendered volume).
+    #[inline]
     pub fn cell_of(&self, position: &Vec3) -> CellId {
         CellId {
             x: self.index_of(position.x),

@@ -44,6 +44,7 @@ impl VideoId {
     ///
     /// Panics if a cell index falls outside ±2¹⁹ (far beyond any rendered
     /// world) or the quality exceeds 7.
+    #[inline]
     pub fn new(cell: CellId, tile: TileId, quality: QualityLevel) -> Self {
         VideoId(VideoId::key_of(cell) << SLOT_BITS | slot_of(tile, quality))
     }
@@ -65,12 +66,14 @@ impl VideoId {
 
     /// The 40 bits above the slot: the id's cell, as [`VideoId::key_of`]
     /// packs it.
+    #[inline]
     pub fn cell_key(self) -> u64 {
         self.0 >> SLOT_BITS
     }
 
     /// The id's `(tile, quality)` slot as one set bit of a cell's 32-slot
     /// mask.
+    #[inline]
     pub fn slot_bit(self) -> u32 {
         1 << (self.0 & SLOT_MASK)
     }
@@ -80,6 +83,7 @@ impl VideoId {
     /// # Panics
     ///
     /// Panics if a cell index falls outside ±2¹⁹, like [`VideoId::new`].
+    #[inline]
     pub fn key_of(cell: CellId) -> u64 {
         let bx = i64::from(cell.x) + CELL_BIAS;
         let bz = i64::from(cell.z) + CELL_BIAS;
@@ -96,11 +100,13 @@ impl VideoId {
     /// # Panics
     ///
     /// Panics if the quality exceeds 7, like [`VideoId::new`].
+    #[inline]
     pub fn slot_bit_of(tile: TileId, quality: QualityLevel) -> u32 {
         1 << slot_of(tile, quality)
     }
 
     /// Unpacks the grid cell.
+    #[inline]
     pub fn cell(self) -> CellId {
         CellId {
             x: ((self.0 >> 25 & CELL_MASK) as i64 - CELL_BIAS) as i32,
@@ -109,11 +115,13 @@ impl VideoId {
     }
 
     /// Unpacks the tile.
+    #[inline]
     pub fn tile(self) -> TileId {
         TileId::new((self.0 >> 3 & 0b11) as u8)
     }
 
     /// Unpacks the quality level.
+    #[inline]
     pub fn quality(self) -> QualityLevel {
         QualityLevel::new((self.0 & 0b111) as u8)
     }

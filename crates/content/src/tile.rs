@@ -54,6 +54,7 @@ impl std::fmt::Display for TileId {
 /// seam and so touches exactly the columns of its two end angles. Why
 /// that survives `f64` rounding, and that it equals the 17-sample sweep
 /// kept as the `#[cfg(test)]` oracle, is DESIGN §5.2.
+#[inline]
 pub fn tile_mask(spec: &FovSpec, pose: &Pose) -> u8 {
     let half_w = spec.width_deg / 2.0 + spec.margin_deg;
     let half_h = spec.height_deg / 2.0 + spec.margin_deg;
@@ -89,6 +90,7 @@ pub fn tiles_for_pose(spec: &FovSpec, pose: &Pose) -> Vec<TileId> {
 /// Buffer-reusing variant of [`tiles_for_pose`]: clears `out` and fills it
 /// with the same tile set, in the same order, without allocating once the
 /// buffer has grown to four entries.
+#[inline]
 pub fn tiles_for_pose_into(spec: &FovSpec, pose: &Pose, out: &mut Vec<TileId>) {
     out.clear();
     out.extend(tiles_in(tile_mask(spec, pose)));

@@ -446,12 +446,12 @@ impl SlotEngine {
         let start = Instant::now();
         tables.greedy_pass(Score::Density, &mut self.heap, &mut self.density_levels);
         let density_value = tables.objective(&self.density_levels);
-        self.density_ns = start.elapsed().as_nanos() as u64;
+        let boundary = Instant::now();
+        self.density_ns = (boundary - start).as_nanos() as u64;
 
-        let start = Instant::now();
         tables.greedy_pass(Score::Value, &mut self.heap, &mut self.value_levels);
         let value_value = tables.objective(&self.value_levels);
-        self.value_ns = start.elapsed().as_nanos() as u64;
+        self.value_ns = boundary.elapsed().as_nanos() as u64;
 
         // `max(V_d, V_v)`, density preferred on ties.
         let chosen = if density_value >= value_value {

@@ -35,17 +35,20 @@ impl QualityLevel {
     /// # Panics
     ///
     /// Panics if `level` is zero; levels are 1-based as in the paper.
+    #[inline]
     pub fn new(level: u8) -> Self {
         assert!(level >= 1, "quality levels are 1-based");
         QualityLevel(level)
     }
 
     /// Returns the raw 1-based level value.
+    #[inline]
     pub fn get(self) -> u8 {
         self.0
     }
 
     /// Returns the 0-based index of this level, convenient for table lookup.
+    #[inline]
     pub fn index(self) -> usize {
         usize::from(self.0) - 1
     }
@@ -57,6 +60,7 @@ impl QualityLevel {
 
     /// The quality value as a floating-point number, as used in the QoE
     /// objective (the paper treats the level itself as the quality utility).
+    #[inline]
     pub fn value(self) -> f64 {
         f64::from(self.0)
     }

@@ -55,6 +55,11 @@ impl Prefetcher {
         self.outstanding.iter().map(|(_, ids)| ids.len()).sum()
     }
 
+    /// Whether nothing is outstanding: a reconcile would release nothing.
+    pub fn is_empty(&self) -> bool {
+        self.outstanding.is_empty()
+    }
+
     /// Whether `cell` currently holds outstanding prefetched tiles.
     pub fn holds(&self, cell: CellId) -> bool {
         self.outstanding.iter().any(|(c, _)| *c == cell)

@@ -56,6 +56,7 @@ impl FovSpec {
     /// margin, so the actual view is covered iff the yaw and pitch errors
     /// are within the margin. Position: predicted and actual must share a
     /// grid cell (content is rendered per cell).
+    #[inline]
     pub fn covers(&self, predicted: &Pose, actual: &Pose) -> bool {
         let same_cell = self.cell_index(predicted) == self.cell_index(actual);
         let yaw_err = angular_distance(predicted.orientation.yaw, actual.orientation.yaw);
@@ -65,6 +66,7 @@ impl FovSpec {
 
     /// The integer grid cell of a pose's position (x/z plane; y is head
     /// height and does not change the rendered cell).
+    #[inline]
     pub fn cell_index(&self, pose: &Pose) -> (i64, i64) {
         (
             floor_i64(pose.position.x / self.cell_size_m),

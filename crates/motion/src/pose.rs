@@ -51,6 +51,7 @@ pub struct Orientation {
 
 impl Orientation {
     /// Creates an orientation, normalising yaw into `[−180, 180)`.
+    #[inline]
     pub fn new(yaw: f64, pitch: f64, roll: f64) -> Self {
         Orientation {
             yaw: wrap_degrees(yaw),
@@ -66,6 +67,7 @@ impl Orientation {
 /// call on the x86-64 baseline: an in-range angle comes back unchanged,
 /// and one with |angle| < 540° needs a single ±360° shift, which is exact
 /// (Sterbenz) just as `%` is. −360° is left to `%`, whose result is −0.0.
+#[inline]
 pub fn wrap_degrees(angle: f64) -> f64 {
     if (-180.0..180.0).contains(&angle) {
         return angle;
@@ -85,6 +87,7 @@ pub fn wrap_degrees(angle: f64) -> f64 {
 /// `x.floor() as i64`, for every `x`, without the library `floor` call the
 /// x86-64 baseline makes: truncate with the saturating cast, then step
 /// down once where truncation rounded a negative fraction up.
+#[inline]
 pub fn floor_i64(x: f64) -> i64 {
     let t = x as i64;
     t.saturating_sub(i64::from(t as f64 > x))
@@ -92,6 +95,7 @@ pub fn floor_i64(x: f64) -> i64 {
 
 /// Smallest absolute angular difference between two angles, in degrees
 /// (always in `[0, 180]`).
+#[inline]
 pub fn angular_distance(a: f64, b: f64) -> f64 {
     wrap_degrees(a - b).abs()
 }
@@ -117,6 +121,7 @@ impl Pose {
     /// The six scalar components in prediction order
     /// `[x, y, z, yaw, pitch, roll]` — the per-axis representation the
     /// linear-regression predictor operates on.
+    #[inline]
     pub fn components(&self) -> [f64; 6] {
         [
             self.position.x,
@@ -130,6 +135,7 @@ impl Pose {
 
     /// Rebuilds a pose from the six components (inverse of
     /// [`Pose::components`]); yaw is re-normalised.
+    #[inline]
     pub fn from_components(c: [f64; 6]) -> Self {
         Pose {
             position: Vec3::new(c[0], c[1], c[2]),

@@ -153,6 +153,7 @@ impl LinearPredictor {
     /// `None` for non-finite horizons: a NaN or infinite horizon would
     /// otherwise propagate NaN components into every downstream FoV
     /// computation, which silently poisons tile selection.
+    #[inline]
     pub fn predict_fractional(&self, horizon: f64) -> Option<Pose> {
         if !horizon.is_finite() {
             return None;

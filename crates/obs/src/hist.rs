@@ -95,9 +95,10 @@ impl Histogram {
 
     #[inline]
     fn bucket_index(&self, value: u64) -> usize {
-        // Bounds are short (~16); partition_point is a branch-light
-        // binary search returning the first bound >= value.
-        self.bounds.partition_point(|&b| b < value)
+        // Bounds are short (~16) and strictly increasing, so the bounds
+        // below `value` are a prefix and their count is the index of the
+        // first bound >= value. Counting them compiles branch-free.
+        self.bounds.iter().map(|&b| usize::from(b < value)).sum()
     }
 
     /// Number of recorded observations.
@@ -231,6 +232,58 @@ pub struct HistogramSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The binary-search form `bucket_index` replaced: the first bound
+    /// `>= value`.
+    fn partition_point_index(h: &Histogram, value: u64) -> usize {
+        h.bounds.partition_point(|&b| b < value)
+    }
+
+    /// 0, `u64::MAX`, and every bound and bound ± 1.
+    fn edge_values(bounds: &[u64]) -> Vec<u64> {
+        let mut values = vec![0, u64::MAX];
+        for &b in bounds {
+            values.extend([b.saturating_sub(1), b, b.saturating_add(1)]);
+        }
+        values
+    }
+
+    #[test]
+    fn counted_bucket_index_equals_partition_point_at_the_edges() {
+        let overlap_bounds: Vec<u64> = (0..=4).collect();
+        for bounds in [latency_bounds_ns(), overlap_bounds] {
+            let h = Histogram::new(&bounds);
+            for value in edge_values(&bounds) {
+                assert_eq!(
+                    h.bucket_index(value),
+                    partition_point_index(&h, value),
+                    "bounds {bounds:?}, value {value}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn counted_bucket_index_equals_partition_point(
+            start in 0u64..1_000,
+            gaps in prop::collection::vec(1u64..1_000, 1..20),
+            probes in prop::collection::vec(0u64..25_000, 1..40),
+        ) {
+            let bounds: Vec<u64> = gaps
+                .iter()
+                .scan(start, |bound, gap| {
+                    *bound += gap;
+                    Some(*bound)
+                })
+                .collect();
+            let h = Histogram::new(&bounds);
+            for value in edge_values(&bounds).into_iter().chain(probes) {
+                prop_assert_eq!(h.bucket_index(value), partition_point_index(&h, value));
+            }
+        }
+    }
 
     #[test]
     fn boundary_value_lands_in_its_bucket() {

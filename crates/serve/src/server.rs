@@ -705,13 +705,13 @@ impl Session {
         let ingest_start = Instant::now();
         self.admit_pending();
         self.ingest();
-        let ingest_ns = ingest_start.elapsed().as_nanos() as u64;
+        let build_start = Instant::now();
+        let ingest_ns = (build_start - ingest_start).as_nanos() as u64;
         self.obs
             .stage(self.obs.h_ingest, self.slot, "ingest", ingest_ns);
 
-        self.plan();
+        let transmit_start = self.plan(build_start);
 
-        let transmit_start = Instant::now();
         self.transmit();
         let transmit_ns = transmit_start.elapsed().as_nanos() as u64;
         self.obs
@@ -986,8 +986,8 @@ impl Session {
     /// Plans this slot through the shared planner: per user, the display
     /// pose prediction, the link budget and the grouping eligibility; then
     /// the planner's staged problem (this session's M/M/1 value formula),
-    /// the solve, and the prefetch step.
-    fn plan(&mut self) {
+    /// the solve, and the prefetch step. Returns when prefetch ended.
+    fn plan(&mut self, build_start: Instant) -> Instant {
         self.plan_ids.clear();
         self.plan_predicted.clear();
         self.plan_prefetchable.clear();
@@ -995,7 +995,6 @@ impl Session {
         let dt = self.config.slot_duration.as_secs_f64();
         let floor_slots = PROPAGATION_S / dt;
 
-        let build_start = Instant::now();
         self.planner
             .begin_slot(self.slot, self.config.server_total_mbps);
         for id in 0..self.users.len() {
@@ -1093,9 +1092,11 @@ impl Session {
                 Some(pose)
             },
         );
-        let prefetch_ns = prefetch_start.elapsed().as_nanos() as u64;
+        let prefetch_end = Instant::now();
+        let prefetch_ns = (prefetch_end - prefetch_start).as_nanos() as u64;
         self.obs
             .stage(self.obs.h_prefetch, self.slot, "prefetch", prefetch_ns);
+        prefetch_end
     }
 
     /// Shared post-send bookkeeping for one user: queue-depth tracking,
@@ -1633,6 +1634,60 @@ mod tests {
         text.lines()
             .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
             .unwrap_or_else(|| panic!("{series} missing from the scrape"))
+    }
+
+    #[test]
+    fn every_stage_is_timed_once_per_slot_within_its_step() {
+        use cvr_motion::pose::{Orientation, Vec3};
+        use cvr_obs::trace::EventKind;
+
+        const STAGES: [&str; 6] = [
+            "ingest", "build", "density", "value", "prefetch", "transmit",
+        ];
+        let mut session = Session::new(ServeConfig {
+            horizon: 4,
+            ..ServeConfig::default()
+        });
+        session.enable_tracing(4096);
+        session.obs.tracer.set_sample_every(EventKind::Stage, 1);
+        let mut client = join_one(&mut session);
+        let slots = 40u64;
+        let mut steps_ns = Vec::new();
+        for seq in 0..slots {
+            let t = seq as f64;
+            let position = Vec3::new(0.09 * t, 1.6, -0.07 * t);
+            let pose = Pose::new(position, Orientation::new(6.0 * t, 0.0, 0.0));
+            client.send(&ClientMessage::Pose { seq, pose });
+            let start = Instant::now();
+            session.step_slot();
+            steps_ns.push(start.elapsed().as_nanos() as u64);
+            while let Some(Ok(message)) = client.try_recv() {
+                if let ServerMessage::Assignment { manifest, .. } = message {
+                    client.send(&ClientMessage::Ack { ids: manifest });
+                }
+            }
+        }
+
+        let text = session.render_metrics();
+        for stage in STAGES {
+            let series = format!("cvr_slot_stage_ns_count{{stage=\"{stage}\"}}");
+            assert_eq!(scraped(&text, &series), slots, "{stage}");
+        }
+        let mut staged = vec![Vec::new(); slots as usize];
+        for record in session.tracer().records() {
+            if let TraceEvent::Stage { slot, stage, ns } = record.event {
+                staged[slot as usize].push((stage, ns));
+            }
+        }
+        for (slot, (stages, step_ns)) in staged.iter().zip(steps_ns).enumerate() {
+            let names: Vec<&str> = stages.iter().map(|&(name, _)| name).collect();
+            assert_eq!(names, STAGES, "slot {slot}");
+            let sum: u64 = stages.iter().map(|&(_, ns)| ns).sum();
+            assert!(
+                sum <= step_ns,
+                "slot {slot}: stages {sum} ns > step {step_ns} ns"
+            );
+        }
     }
 
     #[test]

@@ -477,6 +477,8 @@ impl SlotPlanner {
     ///
     /// Members of a shared row keep reconciling but spend no credit: a
     /// group's payload is shared bytes, while prefetch sets are per user.
+    /// A member with nothing outstanding has its future poses asked for
+    /// but not mapped to cells, since nothing would read them.
     /// Runs in plan order and is rng-free. At `H = 1` the `1..H` loop is
     /// empty: no ids, nothing released, ledgers untouched.
     pub fn prefetch<E, P>(&mut self, eligible: E, mut future_pose: P)
@@ -501,10 +503,14 @@ impl SlotPlanner {
                 let current = u.undelivered.cell().expect("targeted by push_user");
                 self.future_cells.clear();
                 self.future_poses.clear();
+                let unread = shares_row && u.prefetcher.is_empty();
                 for h in 1..self.horizon {
                     let Some(pose) = future_pose(i, h) else {
                         continue;
                     };
+                    if unread {
+                        continue;
+                    }
                     let cell = self.library.grid().cell_of(&pose.position);
                     if cell != current && !self.future_cells.contains(&cell) {
                         self.future_cells.push(cell);
@@ -749,6 +755,99 @@ mod tests {
             |_, _| panic!("ineligible users are not predicted"),
         );
         assert!(p.prefetched(0).is_empty());
+    }
+
+    /// A pose looking east from `x` metres along the grid's x axis.
+    fn at_x(x: f64) -> Pose {
+        Pose::new(Vec3::new(x, 1.6, -0.3), Orientation::new(10.0, 5.0, 0.0))
+    }
+
+    #[test]
+    fn shared_row_with_outstanding_prefetches_still_reconciles() {
+        let mut p = planner(4);
+        p.join(0);
+        p.join(1);
+        let here = at_x(0.41);
+        let ahead = |h: usize| at_x(0.41 + 0.06 * h as f64);
+        // Slot 0: user 0 alone on its own row prefetches ahead, and the
+        // client ACKs what it was sent.
+        p.begin_slot(0, 400.0);
+        p.push_user(0, &here, 50.0, false);
+        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        p.engine_mut().solve();
+        p.prefetch(|_| true, |_, h| Some(ahead(h)));
+        p.acknowledge_prefetched();
+        let sent = p.prefetched(0).to_vec();
+        let grid = p.library().grid();
+        let (kept, dropped) = (
+            grid.cell_of(&ahead(1).position),
+            grid.cell_of(&ahead(2).position),
+        );
+        assert!(sent.iter().any(|id| id.cell() == kept));
+        assert!(sent.iter().any(|id| id.cell() == dropped));
+        let held = p.user(0).ledger.len();
+
+        // Slot 1: both users share a row; user 0's forecast keeps the
+        // first cell and loses the second.
+        p.begin_slot(1, 400.0);
+        p.push_user(0, &here, 50.0, true);
+        p.push_user(1, &here, 50.0, true);
+        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        p.engine_mut().solve();
+        assert_eq!(p.row(0).members, &[0, 1]);
+        p.prefetch(|_| true, |_, h| (h == 1).then(|| ahead(1)));
+        assert!(p.prefetched(0).is_empty() && p.prefetched(1).is_empty());
+        let u = p.user(0);
+        assert!(u.prefetcher.holds(kept));
+        assert!(!u.prefetcher.holds(dropped));
+        let released = sent.iter().filter(|id| id.cell() == dropped).count();
+        assert_eq!(u.ledger.len(), held - released);
+        for id in &sent {
+            assert_eq!(u.ledger.is_delivered(id), id.cell() == kept, "{id}");
+        }
+    }
+
+    #[test]
+    fn shared_row_with_nothing_outstanding_asks_every_pose_and_maps_none() {
+        let mut p = planner(4);
+        p.join(0);
+        p.join(1);
+        let here = at_x(0.41);
+        p.begin_slot(0, 400.0);
+        p.push_user(0, &here, 50.0, true);
+        p.push_user(1, &here, 50.0, true);
+        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        let assigned = p.engine_mut().solve()[0];
+        assert_eq!(p.row(0).members, &[0, 1]);
+        let mut manifest = Vec::new();
+        for u in 0..2 {
+            p.manifest_into(u, assigned, &mut manifest);
+            p.acknowledge(u, manifest.iter().copied());
+        }
+        let before: Vec<_> = (0..2)
+            .map(|u| {
+                (
+                    p.user(u).ledger.len(),
+                    p.user(u).undelivered.sums().to_vec(),
+                )
+            })
+            .collect();
+        let mut asked = Vec::new();
+        p.prefetch(
+            |_| true,
+            |i, h| {
+                asked.push((i, h));
+                Some(at_x(0.41 + 0.06 * h as f64))
+            },
+        );
+        assert_eq!(asked, [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]);
+        assert!(p.future_cells.is_empty());
+        for (u, (held, sums)) in before.into_iter().enumerate() {
+            assert!(p.prefetched(u).is_empty());
+            assert!(p.user(u).prefetcher.is_empty());
+            assert_eq!(p.user(u).ledger.len(), held);
+            assert_eq!(p.user(u).undelivered.sums(), &sums[..]);
+        }
     }
 
     #[test]
