@@ -10,6 +10,8 @@
 #   ./ci.sh loc              # report only, never fails: Rust line counts
 #   ./ci.sh pair <parent-rev> <workload> [pairs] [seed]
 #                            # paired parent/change benchmark passes, judged
+#   ./ci.sh same-bytes <parent-rev> <experiment> [flags...]
+#                            # parent/change cvr-bench stdout, compared
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -57,12 +59,12 @@ INCLUDE_IGNORED=1
 # Ceilings on `./ci.sh loc`'s workspace totals (non-test, all lines) and
 # on the byte sizes of the four prose documents. A change that must raise
 # one does so here and says why in CHANGES.md.
-LOC_CEILING_NON_TEST=18696
-LOC_CEILING_ALL=32925
-BYTE_CEILING_DESIGN=41515
-BYTE_CEILING_CHANGES=40814
-BYTE_CEILING_EXPERIMENTS=26733
-BYTE_CEILING_README=14519
+LOC_CEILING_NON_TEST=18785
+LOC_CEILING_ALL=33169
+BYTE_CEILING_DESIGN=43212
+BYTE_CEILING_CHANGES=44476
+BYTE_CEILING_EXPERIMENTS=27670
+BYTE_CEILING_README=14596
 
 stage_test() {
     step "Line-count ceilings: non-test <= $LOC_CEILING_NON_TEST, all <= $LOC_CEILING_ALL"
@@ -178,7 +180,7 @@ stage_serve_smoke() {
     for family in cvr_slot_stage_ns_bucket 'cvr_slot_stage_ns_bucket{stage="prefetch"' \
         cvr_tick_overruns_total cvr_session_clients cvr_ticks_total \
         cvr_session_joins_total cvr_mcast_groups cvr_lookahead_fov_overlap \
-        cvr_sent_bits_total \
+        cvr_sent_bits_total cvr_slot_budget_contended_total \
         'cvr_shard_sessions{shard="0"} 2' 'cvr_shard_sessions{shard="1"} 2'; do
         printf '%s' "$scrape" | grep -qF "$family" \
             || { echo "obs smoke: missing $family in scrape"; exit 1; }
@@ -257,13 +259,7 @@ stage_pair() {
     # because an archive's file times are its commit's, not the export's.
     local -A targets=([parent]="$dir/target-$(git rev-parse "$parent")" [change]="$dir/target-change")
     step "Pair: $parent vs the working tree on $workload, $pairs pairs"
-    rm -rf "$dir/parent" "$dir/change"
-    mkdir -p "$dir/parent" "$dir/change"
-    git archive "$parent" | tar -x -C "$dir/parent"
-    # Tracked and untracked-but-not-ignored files as they are on disk.
-    git ls-files -z --cached --others --exclude-standard \
-        | tar --null -T - --ignore-failed-read -cf - 2>/dev/null \
-        | tar -x -C "$dir/change"
+    export_sides "$parent" "$dir"
     for side in parent change; do
         CARGO_TARGET_DIR="${targets[$side]}" cargo build --release --offline --locked \
             --manifest-path "$dir/$side/benchmark/Cargo.toml"
@@ -284,7 +280,7 @@ stage_pair() {
     done
     pair_tsv "$workload" "$seed" "$dir/parent-$workload.jsonl" "$dir/change-$workload.jsonl" \
         > "$dir/$workload.tsv"
-    local judged=0 line
+    local judged=0
     bench judge "$dir/parent-$workload.jsonl" "$dir/change-$workload.jsonl" || judged=$?
     # A closed-loop workload delivers the same frames for the same seed, so
     # its two fingerprint files must match byte for byte; the open loop's
@@ -295,12 +291,59 @@ stage_pair() {
     elif cmp -s "$1" "$2"; then
         echo "fingerprints: equal"
     else
-        line="$(cmp "$1" "$2" 2>&1 | grep -o 'line [0-9]*' | grep -o '[0-9]*' || true)"
-        echo "fingerprints: differ at line ${line:=1}"
-        echo "  parent: $(sed -n "${line}p" "$1")"
-        echo "  change: $(sed -n "${line}p" "$2")"
+        echo "fingerprints: $(first_difference "$1" "$2")"
     fi
     return "$judged"
+}
+
+# `export_sides <parent-rev> <dir>`: the parent revision into <dir>/parent
+# (git archive) and the working tree into <dir>/change — tracked and
+# untracked-but-not-ignored files as they are on disk.
+export_sides() {
+    rm -rf "$2/parent" "$2/change"
+    mkdir -p "$2/parent" "$2/change"
+    git archive "$1" | tar -x -C "$2/parent"
+    git ls-files -z --cached --others --exclude-standard \
+        | tar --null -T - --ignore-failed-read -cf - 2>/dev/null \
+        | tar -x -C "$2/change"
+}
+
+# `first_difference <parent-file> <change-file>`: "differ at line N" and
+# both sides' line N, for two files that differ.
+first_difference() {
+    local line
+    line="$(cmp "$1" "$2" 2>&1 | grep -o 'line [0-9]*' | grep -o '[0-9]*' || true)"
+    echo "differ at line ${line:=1}"
+    echo "  parent: $(sed -n "${line}p" "$1")"
+    echo "  change: $(sed -n "${line}p" "$2")"
+}
+
+# `./ci.sh same-bytes <parent-rev> <experiment> [flags...]`: exports both
+# sides as `pair` does, builds each side's cvr-bench into its own target
+# dir, runs `cvr-bench <experiment> [flags...]` inside each export and
+# compares the two stdouts: `bytes: equal (N lines)`, or `bytes: differ at
+# line N` with both lines and exit 1.
+stage_same_bytes() {
+    if [ "$#" -lt 2 ]; then
+        echo "usage: ./ci.sh same-bytes <parent-rev> <experiment> [flags...]" >&2
+        exit 2
+    fi
+    local parent="$1" dir="$PWD/target/same-bytes" side
+    shift
+    local -A targets=([parent]="$dir/target-$(git rev-parse "$parent")" [change]="$dir/target-change")
+    step "Same bytes: $parent vs the working tree on cvr-bench $*"
+    export_sides "$parent" "$dir"
+    for side in parent change; do
+        CARGO_TARGET_DIR="${targets[$side]}" cargo build --release --offline --locked \
+            -p cvr-bench --manifest-path "$dir/$side/Cargo.toml"
+        (cd "$dir/$side" && "${targets[$side]}/release/cvr-bench" "$@") > "$dir/$side.out"
+    done
+    if cmp -s "$dir/parent.out" "$dir/change.out"; then
+        echo "bytes: equal ($(wc -l < "$dir/change.out") lines)"
+    else
+        echo "bytes: $(first_difference "$dir/parent.out" "$dir/change.out")"
+        return 1
+    fi
 }
 
 # `pair_tsv <workload> <seed> <parent.jsonl> <change.jsonl>`: the two
@@ -388,6 +431,11 @@ run_stage() {
 if [ "${1:-}" = "pair" ]; then
     shift
     stage_pair "$@"
+    exit
+fi
+if [ "${1:-}" = "same-bytes" ]; then
+    shift
+    stage_same_bytes "$@"
     exit
 fi
 if [ "$#" -eq 0 ]; then

@@ -20,9 +20,11 @@
 //! the user's link budget or the server budget is rolled back and the user
 //! is retired (`quality_verification` in the paper's pseudocode). The
 //! better pass wins and achieves at least half the per-slot optimum
-//! (Theorem 1). Each pass keeps one heap entry per active user (a user's
-//! marginal only changes when that user is upgraded), so it runs in
-//! `O(N·L·log N)`.
+//! (Theorem 1). When the server budget (6) cannot bind, the pass separates
+//! into N independent climbs and runs in `O(N·L)`; otherwise it keeps one
+//! heap entry per active user (a user's marginal only changes when that
+//! user is upgraded) and runs in `O(N·L·log N)`. Both give the same levels
+//! (DESIGN §5.1); [`SlotEngine::budget_contended`] says which one ran.
 //!
 //! The engine times its own density and value passes and keeps only the
 //! last solve's two durations ([`SlotEngine::density_ns`],
@@ -42,7 +44,7 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::time::Instant;
 
 use crate::error::AllocError;
@@ -146,8 +148,57 @@ impl Tables {
     }
 
     /// Runs one greedy pass into caller-owned buffers (0-based level
-    /// indices in `levels`).
-    fn greedy_pass(&self, score: Score, heap: &mut BinaryHeap<Candidate>, levels: &mut Vec<usize>) {
+    /// indices in `levels`); returns whether the heap pass ran, i.e. the
+    /// server budget (6) could bind.
+    fn greedy_pass(&self, score: Score, work: &mut PassScratch, levels: &mut Vec<usize>) -> bool {
+        if self.climb(score, levels) {
+            #[cfg(debug_assertions)]
+            {
+                self.heap_pass(score, &mut work.heap, &mut work.shadow);
+                assert_eq!(*levels, work.shadow, "climb vs heap pass");
+            }
+            return false;
+        }
+        self.heap_pass(score, &mut work.heap, levels);
+        true
+    }
+
+    /// Answers the pass when (6) cannot bind: each user climbs its own row
+    /// while its marginal is not negative and the next level fits its link
+    /// budget (7). Returns `false`, leaving `levels` unspecified, on a NaN
+    /// marginal or once the climbed total comes within a `1e-9` relative
+    /// margin of the server budget; partial totals only grow, so it stops
+    /// there. DESIGN §5.1 shows why an answer equals [`Tables::heap_pass`]'s.
+    fn climb(&self, score: Score, levels: &mut Vec<usize>) -> bool {
+        let limit = self.server_budget + RATE_EPS;
+        let mut total = 0.0;
+        levels.clear();
+        for user in 0..self.link_budgets.len() {
+            let rates = self.rates(user);
+            let link = self.link_budgets[user] + RATE_EPS;
+            let mut level = 0;
+            while let Some(s) = self.marginal(user, level, score) {
+                if s.is_nan() {
+                    return false;
+                }
+                if s < 0.0 || rates[level + 1] > link {
+                    break;
+                }
+                level += 1;
+            }
+            total += rates[level];
+            if total * (1.0 + 1e-9) > limit {
+                return false;
+            }
+            levels.push(level);
+        }
+        true
+    }
+
+    /// The pass with (6) in play: a max-heap of one candidate per active
+    /// user. An upgrade rewrites the top entry in place and `PeekMut` sifts
+    /// it down once; a retired or top-level user is popped.
+    fn heap_pass(&self, score: Score, heap: &mut BinaryHeap<Candidate>, levels: &mut Vec<usize>) {
         let n = self.link_budgets.len();
         levels.clear();
         levels.resize(n, 0);
@@ -160,7 +211,8 @@ impl Tables {
             }
         }
 
-        while let Some(Candidate { score: s, user }) = heap.pop() {
+        while let Some(mut top) = heap.peek_mut() {
+            let Candidate { score: s, user } = *top;
             // Stop the entire pass on a negative best marginal, as in the paper.
             if s < 0.0 {
                 break;
@@ -176,18 +228,31 @@ impl Tables {
             if next_rate > self.link_budgets[user] + RATE_EPS
                 || total_rate + added > self.server_budget + RATE_EPS
             {
-                continue; // rolled back (never committed) and retired.
+                PeekMut::pop(top); // rolled back (never committed) and retired.
+                continue;
             }
             levels[user] = next;
             total_rate += added;
 
-            if let Some(s2) = self.marginal(user, next, score) {
-                heap.push(Candidate { score: s2, user });
+            match self.marginal(user, next, score) {
+                Some(s2) => top.score = s2,
+                // At the top level the user simply retires, matching the
+                // `q_n == L` branch of quality_verification.
+                None => {
+                    PeekMut::pop(top);
+                }
             }
-            // At the top level the user simply retires (no push), matching
-            // the `q_n == L` branch of quality_verification.
         }
     }
+}
+
+/// A greedy pass's reusable work buffers; debug builds re-run the heap
+/// pass into `shadow` after every climb that answered.
+#[derive(Debug, Default)]
+struct PassScratch {
+    heap: BinaryHeap<Candidate>,
+    #[cfg(debug_assertions)]
+    shadow: Vec<usize>,
 }
 
 /// One slot's allocation problem (5)–(7) and its solver: stage the tables,
@@ -196,7 +261,7 @@ impl Tables {
 #[derive(Debug, Default)]
 pub struct SlotEngine {
     tables: Tables,
-    heap: BinaryHeap<Candidate>,
+    work: PassScratch,
     density_levels: Vec<usize>,
     value_levels: Vec<usize>,
     assignment: Vec<QualityLevel>,
@@ -204,6 +269,7 @@ pub struct SlotEngine {
     value_value: f64,
     density_ns: u64,
     value_ns: u64,
+    budget_contended: bool,
 }
 
 impl SlotEngine {
@@ -398,6 +464,13 @@ impl SlotEngine {
         self.value_ns
     }
 
+    /// Whether the most recent solve ran the heap pass in at least one of
+    /// its greedy passes, i.e. the server budget (6) could bind; `false`
+    /// means every pass was answered by per-user climbs.
+    pub fn budget_contended(&self) -> bool {
+        self.budget_contended
+    }
+
     /// Stores an assignment computed outside Algorithm 1 (the baselines,
     /// the exact optimum) and returns it borrowed.
     ///
@@ -444,12 +517,14 @@ impl SlotEngine {
         let tables = &self.tables;
 
         let start = Instant::now();
-        tables.greedy_pass(Score::Density, &mut self.heap, &mut self.density_levels);
+        let density_heap =
+            tables.greedy_pass(Score::Density, &mut self.work, &mut self.density_levels);
         let density_value = tables.objective(&self.density_levels);
         let boundary = Instant::now();
         self.density_ns = (boundary - start).as_nanos() as u64;
 
-        tables.greedy_pass(Score::Value, &mut self.heap, &mut self.value_levels);
+        let value_heap = tables.greedy_pass(Score::Value, &mut self.work, &mut self.value_levels);
+        self.budget_contended = density_heap || value_heap;
         let value_value = tables.objective(&self.value_levels);
         self.value_ns = boundary.elapsed().as_nanos() as u64;
 
@@ -471,7 +546,7 @@ impl SlotEngine {
         self.check_staged();
         let tables = &self.tables;
         let start = Instant::now();
-        tables.greedy_pass(score, &mut self.heap, &mut self.density_levels);
+        self.budget_contended = tables.greedy_pass(score, &mut self.work, &mut self.density_levels);
         let objective = tables.objective(&self.density_levels);
         let elapsed_ns = start.elapsed().as_nanos() as u64;
         match score {
@@ -543,6 +618,7 @@ pub(crate) fn restage<R: AsRef<[f64]>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const TWO_USERS: [(&[f64], &[f64], f64); 2] = [
         (&[1.0, 2.0, 4.0], &[0.5, 1.0, 1.2], 3.0),
@@ -696,5 +772,133 @@ mod tests {
         let mut engine = SlotEngine::new();
         engine.begin_slot(10.0);
         engine.add_user(0, 5.0);
+    }
+
+    /// `(climb's answer, greedy_pass, heap_pass)` for one score.
+    fn passes(tables: &Tables, score: Score) -> (Option<Vec<usize>>, Vec<usize>, Vec<usize>) {
+        let (mut climbed, mut greedy, mut heap) = (Vec::new(), Vec::new(), Vec::new());
+        let answered = tables.climb(score, &mut climbed);
+        tables.greedy_pass(score, &mut PassScratch::default(), &mut greedy);
+        tables.heap_pass(score, &mut BinaryHeap::new(), &mut heap);
+        (answered.then_some(climbed), greedy, heap)
+    }
+
+    #[test]
+    fn a_budget_equal_to_the_climbed_total_goes_to_the_heap() {
+        let users: [(&[f64], &[f64], f64); 2] = [
+            (&[1.0, 2.0], &[0.0, 1.0], 9.0),
+            (&[1.0, 3.0], &[0.0, 1.0], 9.0),
+        ];
+        let mut engine = staged(&users, 5.0);
+        for score in [Score::Density, Score::Value] {
+            let (climbed, greedy, heap) = passes(&engine.tables, score);
+            assert_eq!((climbed, greedy, heap), (None, vec![1, 1], vec![1, 1]));
+        }
+        engine.solve();
+        assert!(engine.budget_contended());
+        restage(&mut engine, &users, 6.0);
+        engine.solve();
+        assert!(!engine.budget_contended());
+    }
+
+    #[test]
+    fn a_nan_marginal_goes_to_the_heap() {
+        let users: [(&[f64], &[f64], f64); 2] = [
+            (&[1.0, 2.0], &[0.0, 1.0], 9.0),
+            (&[1.0, 2.0], &[0.0, f64::NAN], 9.0),
+        ];
+        let tables = staged(&users, 100.0).tables;
+        assert!(!tables.climb(Score::Value, &mut Vec::new()));
+        assert!(!tables.climb(Score::Density, &mut Vec::new()));
+    }
+
+    #[test]
+    fn a_baseline_over_budget_keeps_everyone_at_the_lowest_level() {
+        let tables = staged(&TWO_USERS, 1.5).tables;
+        for score in [Score::Density, Score::Value] {
+            assert_eq!(passes(&tables, score), (None, vec![0, 0], vec![0, 0]));
+        }
+    }
+
+    #[test]
+    fn single_level_users_climb_nowhere() {
+        let users: [(&[f64], &[f64], f64); 2] = [(&[1.0], &[0.3], 2.0), (&[2.0], &[-0.1], 2.0)];
+        let tables = staged(&users, 10.0).tables;
+        for score in [Score::Density, Score::Value] {
+            assert_eq!(
+                passes(&tables, score),
+                (Some(vec![0, 0]), vec![0, 0], vec![0, 0])
+            );
+        }
+    }
+
+    #[test]
+    fn a_climb_stops_at_the_first_negative_marginal() {
+        // Marginals +1, −0.5, +1.5: the later gain is never reached.
+        let users: [(&[f64], &[f64], f64); 1] =
+            [(&[1.0, 2.0, 3.0, 4.0], &[0.0, 1.0, 0.5, 2.0], 9.0)];
+        let tables = staged(&users, 100.0).tables;
+        for score in [Score::Density, Score::Value] {
+            assert_eq!(passes(&tables, score), (Some(vec![1]), vec![1], vec![1]));
+        }
+    }
+
+    /// One user's `(rates, values, link budget)`: strictly increasing
+    /// rates, and values whose steps may be negative, zero, `−0.0` or
+    /// non-monotone; the link budget sits at one of the row's rates
+    /// `± RATE_EPS / 2`.
+    fn user_row() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, f64)> {
+        (
+            1usize..=7,
+            0.1f64..5.0,
+            prop::collection::vec(1e-3f64..5.0, 6),
+            prop::collection::vec((0u8..5, -1.0f64..2.0), 7),
+            proptest::bool::ANY,
+            0usize..7,
+            0u8..3,
+        )
+            .prop_map(|(levels, base, steps, draws, cumulative, at, eps)| {
+                let mut rates = vec![base];
+                for step in &steps[..levels - 1] {
+                    rates.push(rates[rates.len() - 1] + step);
+                }
+                let raw = draws[..levels].iter().map(|&(pick, v)| match pick {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => v,
+                });
+                // A running sum gives long climbs; raw draws give ties,
+                // ±0.0 steps and early negatives.
+                let values = if cumulative {
+                    raw.scan(0.0, |sum, v| {
+                        *sum += v.abs() - 0.2;
+                        Some(*sum)
+                    })
+                    .collect()
+                } else {
+                    raw.collect()
+                };
+                let link = rates[at % levels] + (f64::from(eps) - 1.0) * RATE_EPS / 2.0;
+                (rates, values, link)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn climb_and_greedy_pass_match_the_heap_pass(
+            users in prop::collection::vec(user_row(), 1..=12),
+            budget_frac in 0.0f64..=1.0,
+        ) {
+            let top: f64 = users.iter().map(|(rates, _, _)| rates[rates.len() - 1]).sum();
+            let tables = staged(&users, 2.0 * top * budget_frac).tables;
+            for score in [Score::Density, Score::Value] {
+                let (climbed, greedy, heap) = passes(&tables, score);
+                prop_assert_eq!(&greedy, &heap);
+                if let Some(climbed) = climbed {
+                    prop_assert_eq!(&climbed, &heap);
+                }
+            }
+        }
     }
 }

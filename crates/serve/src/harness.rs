@@ -68,6 +68,7 @@ pub fn run_host_lockstep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServeConfig;
 
     fn fleet_configs(n: usize) -> Vec<ClientConfig> {
         (0..n)
@@ -94,5 +95,28 @@ mod tests {
             assert!(report.assignments > 40);
             assert_eq!(report.protocol_errors, 0);
         }
+    }
+
+    /// `cvr_slot_budget_contended_total` counts the slots whose passes ran
+    /// the heap: none in a default classroom, whose 400 Mbps server budget
+    /// never binds, and every solved slot under a budget below the
+    /// all-lowest baseline.
+    #[test]
+    fn budget_contended_counts_slots_where_the_server_budget_can_bind() {
+        let contended = |server_total_mbps| {
+            let mut config = HostConfig::default();
+            config.session.server_total_mbps = server_total_mbps;
+            let (host, clients) = sharded_loopback_fleet(config, 1, &fleet_configs(8));
+            let (reports, _) = run_host_lockstep(host, clients, 60);
+            let report = &reports[0].1;
+            assert!(report.density.count > 40, "the classroom was planned");
+            (
+                report.counters.budget_contended,
+                report.density.count as u64,
+            )
+        };
+        assert_eq!(contended(ServeConfig::default().server_total_mbps).0, 0);
+        let (tight, solved) = contended(1.0);
+        assert_eq!(tight, solved);
     }
 }

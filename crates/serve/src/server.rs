@@ -158,6 +158,7 @@ struct SessionObs {
     c_degraded: CounterId,
     c_link_switches: CounterId,
     c_sent_bits: CounterId,
+    c_budget_contended: CounterId,
     g_clients: GaugeId,
     g_queue_depth: GaugeId,
     g_slot: GaugeId,
@@ -220,6 +221,11 @@ impl SessionObs {
             "",
             "Bits of the frames transmit encoded (rate x slot); a shared payload counts once",
         );
+        let c_budget_contended = r.counter(
+            "cvr_slot_budget_contended_total",
+            "",
+            "Slots whose greedy passes could reach the server budget (6)",
+        );
         let g_clients = r.gauge(
             "cvr_session_clients",
             "",
@@ -276,6 +282,7 @@ impl SessionObs {
             c_degraded,
             c_link_switches,
             c_sent_bits,
+            c_budget_contended,
             g_clients,
             g_queue_depth,
             g_slot,
@@ -475,6 +482,9 @@ pub struct ServerCounters {
     /// a `GroupAssign` payload counts once per delivered quality, not
     /// once per member.
     pub sent_bits: u64,
+    /// Slots whose greedy passes could reach the server budget (6), i.e.
+    /// ran the engine's heap pass ([`cvr_core::engine::SlotEngine::budget_contended`]).
+    pub budget_contended: u64,
     /// Deepest outbound queue observed on any connection.
     pub max_outbound_queue_depth: usize,
 }
@@ -632,6 +642,7 @@ impl Session {
             degraded_transitions: count(obs.c_degraded),
             link_switches: count(obs.c_link_switches),
             sent_bits: count(obs.c_sent_bits),
+            budget_contended: count(obs.c_budget_contended),
             max_outbound_queue_depth: obs.registry.gauge_value(obs.g_queue_depth) as usize,
         }
     }
@@ -1062,6 +1073,9 @@ impl Session {
             let engine = self.planner.engine_mut();
             engine.solve();
             let (density_ns, value_ns) = (engine.density_ns(), engine.value_ns());
+            if engine.budget_contended() {
+                self.obs.registry.inc(self.obs.c_budget_contended, 1);
+            }
             self.obs
                 .stage(self.obs.h_density_pass, self.slot, "density", density_ns);
             self.obs
@@ -1752,6 +1766,7 @@ mod tests {
             ),
             ("cvr_link_switches_total", counters.link_switches),
             ("cvr_sent_bits_total", counters.sent_bits),
+            ("cvr_slot_budget_contended_total", counters.budget_contended),
             (
                 "cvr_outbound_queue_depth_max",
                 counters.max_outbound_queue_depth as u64,

@@ -169,6 +169,7 @@ fn summary_surfaces_overruns_drops_and_degrades() {
         "cvr_ticks_total 60",
         "cvr_frames_dropped_total",
         "cvr_degraded_transitions_total",
+        "cvr_slot_budget_contended_total 0",
         "cvr_session_clients",
         "cvr_session_joins_total 3",
     ] {
