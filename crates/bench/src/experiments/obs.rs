@@ -1,6 +1,7 @@
 //! Observability-overhead benchmark: replays the session's slot hot path
-//! (the `SlotPlanner` build — `begin_slot` → `push_user` → `stage` — and
-//! the engine's solve on synthetic motion workloads) with `cvr-obs`
+//! (the `SlotPlanner` build — `begin_slot` → `push_user` → `stage`, which
+//! prices Eq. (9) with the session's delay model — and the engine's solve
+//! on synthetic motion workloads) with `cvr-obs`
 //! instrumentation disabled and enabled (`BENCH_obs.json`).
 //!
 //! The gated claim is that observability is cheap enough to leave on in
@@ -26,12 +27,15 @@ use std::time::Instant;
 use cvr_bench::json::Json;
 use cvr_bench::{Cell, FigureArgs, Table};
 use cvr_content::library::ContentLibrary;
+use cvr_core::objective::QoeParams;
 use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
+use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::pose::Pose;
 use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
 use cvr_obs::trace::EventKind;
 use cvr_obs::{latency_bounds_ns, Registry, TraceEvent, Tracer};
-use cvr_sim::pipeline::SlotPlanner;
+use cvr_sim::pipeline::{mm1_delay, SlotPlanner, PROPAGATION_S};
+use cvr_sim::ObjectiveMode;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -41,17 +45,18 @@ const REPS: usize = 9;
 /// Stage-event sampling window, matching the serve session's tracer.
 const STAGE_SAMPLE_EVERY: u32 = 16;
 
+/// The serve session's slot, seconds.
+const SLOT_S: f64 = 0.015;
+
 /// Pre-generated per-slot inputs so generation cost stays out of the
 /// timed loops.
 struct Workload {
     name: &'static str,
     users: usize,
-    levels: usize,
     server_budget: f64,
     slots: usize,
     library: ContentLibrary,
     poses: Vec<Pose>,
-    values: Vec<f64>,
     links: Vec<f64>,
 }
 
@@ -64,7 +69,6 @@ impl Workload {
         seed: u64,
     ) -> Self {
         let library = ContentLibrary::paper_default();
-        let levels = library.quality_set().len();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut motion: Vec<MotionGenerator> = (0..users)
             .map(|u| {
@@ -75,30 +79,20 @@ impl Workload {
             })
             .collect();
         let mut poses = Vec::with_capacity(slots * users);
-        let mut values = Vec::with_capacity(slots * users * levels);
         let mut links = Vec::with_capacity(slots * users);
         for _ in 0..slots {
             for g in &mut motion {
                 poses.push(g.step());
-                let mut value = rng.gen_range(0.0..1.0);
-                let mut dv = rng.gen_range(0.2..2.0);
-                for _ in 0..levels {
-                    values.push(value);
-                    value += dv;
-                    dv *= 0.6;
-                }
                 links.push(rng.gen_range(20.0..100.0));
             }
         }
         Workload {
             name,
             users,
-            levels,
             server_budget,
             slots,
             library,
             poses,
-            values,
             links,
         }
     }
@@ -106,7 +100,13 @@ impl Workload {
     /// A myopic unicast planner (the session's default) with every user
     /// joined.
     fn planner(&self) -> SlotPlanner {
-        let mut planner = SlotPlanner::new(self.library.clone(), 1, 0);
+        let mut planner = SlotPlanner::new(
+            self.library.clone(),
+            1,
+            0,
+            QoeParams::system_default(),
+            DeltaEstimator::ewma(1.0, 0.02),
+        );
         for u in 0..self.users {
             planner.join(u);
         }
@@ -121,12 +121,12 @@ impl Workload {
         for u in 0..self.users {
             planner.push_user(u, &self.poses[first + u], self.links[first + u], false);
         }
-        let levels = self.levels;
-        planner.stage(CONTROL_OVERHEAD_MBPS, |u, _bn| {
-            let start = (first + u) * levels;
-            let values = &self.values[start..start + levels];
-            move |l, _rate| values[l]
-        });
+        planner.stage(
+            CONTROL_OVERHEAD_MBPS,
+            ObjectiveMode::DelayAware,
+            |_, bn| mm1_delay(bn, PROPAGATION_S / SLOT_S),
+            |_| 1.0,
+        );
     }
 }
 

@@ -7,8 +7,8 @@
 //! transports:
 //!
 //! 1. **ingest** — drain every connection's upstream queue: handshakes
-//!    join users, poses feed the per-user predictor (and score earlier
-//!    predictions), ACKs update the delivery ledger, bandwidth samples
+//!    join users, poses feed the per-user predictor (and reveal the
+//!    planner's awaiting frames), ACKs update the delivery ledger, bandwidth samples
 //!    feed the EMA estimator. A frame that does not decode, or an ACK or
 //!    release naming a tile the library does not hold, costs its sender
 //!    the connection and nobody else anything.
@@ -34,9 +34,8 @@ use std::time::{Duration, Instant};
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
 use cvr_content::tile::{tile_mask, TileId};
-use cvr_core::delay::{DelayModel, Mm1Delay};
-use cvr_core::objective::{h_at_delay, QoeParams};
-use cvr_core::qoe::{UserQoeAccumulator, UserQoeSummary};
+use cvr_core::objective::QoeParams;
+use cvr_core::qoe::UserQoeSummary;
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
 use cvr_motion::accuracy::DeltaEstimator;
@@ -46,13 +45,13 @@ use cvr_net::estimate::EmaEstimator;
 use cvr_net::multilink::{FailoverPolicy, LinkId};
 use cvr_obs::registry::{CounterId, GaugeId, GaugeMerge, HistogramId};
 use cvr_obs::{latency_bounds_ns, Registry, StageStats, TraceEvent, Tracer};
-use cvr_sim::pipeline::{SlotPlanner, DELAY_CAP_SLOTS, PIPELINE_SLOTS, PROPAGATION_S};
+use cvr_sim::pipeline::{
+    mm1_delay, SlotPlanner, DELAY_CAP_SLOTS, MAX_AWAITING_FRAMES, PIPELINE_SLOTS, PROPAGATION_S,
+};
+use cvr_sim::ObjectiveMode;
 
 use crate::protocol::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use crate::transport::{SendStatus, ServerTransport};
-
-/// Most prediction records kept per user awaiting their scoring pose.
-const MAX_PENDING_PREDICTIONS: usize = 64;
 
 /// Slots a connection may stay silent before its `Hello` (400 slots ≈ 6 s
 /// at 15 ms); past it the connection is closed and counted as a protocol
@@ -313,16 +312,6 @@ impl SessionObs {
     }
 }
 
-/// A prediction awaiting the actual pose that scores it.
-#[derive(Debug, Clone, Copy)]
-struct PredictionRecord {
-    /// The client pose sequence this prediction targeted.
-    target_seq: u64,
-    predicted: Pose,
-    quality: QualityLevel,
-    delay_slots: f64,
-}
-
 /// A lookahead FoV prediction awaiting the pose that scores its tile
 /// overlap (the `cvr_lookahead_fov_overlap{h="…"}` series).
 #[derive(Debug, Clone, Copy)]
@@ -353,15 +342,12 @@ struct UserState {
     user_id: u32,
     transport: Box<dyn ServerTransport>,
     predictor: LinearPredictor,
-    delta: DeltaEstimator,
     bandwidth: EmaEstimator,
-    qoe: UserQoeAccumulator,
     last_pose: Pose,
     last_pose_seq: u64,
     has_pose: bool,
     /// Slots since the freshest pose arrived.
     staleness_slots: usize,
-    predictions: VecDeque<PredictionRecord>,
     /// Degraded users are pinned to the lowest quality until their
     /// outbound queue drains — the slow-client policy.
     degraded: bool,
@@ -399,14 +385,11 @@ impl UserState {
             user_id,
             transport,
             predictor: LinearPredictor::paper_default(),
-            delta: DeltaEstimator::ewma(1.0, 0.02),
             bandwidth: EmaEstimator::new(config.ema_weight),
-            qoe: UserQoeAccumulator::new(QoeParams::system_default()),
             last_pose: Pose::default(),
             last_pose_seq: 0,
             has_pose: false,
             staleness_slots: 0,
-            predictions: VecDeque::new(),
             degraded: false,
             degrade_transitions: 0,
             wifi_bw: EmaEstimator::new(LINK_EMA_WEIGHT),
@@ -586,6 +569,8 @@ impl Session {
             ContentLibrary::paper_default(),
             config.horizon,
             config.mcast_hysteresis_slots,
+            QoeParams::system_default(),
+            DeltaEstimator::ewma(1.0, 0.02),
         );
         let obs = SessionObs::new(planner.horizon());
         Session {
@@ -768,15 +753,15 @@ impl Session {
         }
     }
 
-    /// Retires a user taken out of its registry slot: the planner forgets
-    /// it, the transport closes, and its summary joins the report.
+    /// Retires a user taken out of its registry slot: its summary joins
+    /// the report, the planner forgets it, and the transport closes.
     fn depart(&mut self, id: usize, mut user: UserState) {
+        self.departed.push(self.summarise(id, &user));
         self.planner.leave(id);
         user.transport.close();
         self.obs.tracer.record(TraceEvent::ClientLeave {
             user_id: user.user_id as u64,
         });
-        self.departed.push(Self::summarise(&user));
         self.obs.registry.inc(self.obs.c_leaves, 1);
     }
 
@@ -784,9 +769,8 @@ impl Session {
     /// in place; call [`Session::shutdown`] first for a final report.
     pub fn report(&mut self) -> ServeReport {
         let mut users = self.departed.clone();
-        for user in self.users.iter().flatten() {
-            users.push(Self::summarise(user));
-        }
+        let live = self.users.iter().enumerate();
+        users.extend(live.filter_map(|(id, user)| Some(self.summarise(id, user.as_ref()?))));
         users.sort_by_key(|u| u.user_id);
         let stage = |id| StageStats::from_histogram(self.obs.registry.histogram_value(id));
         ServeReport {
@@ -802,12 +786,12 @@ impl Session {
         }
     }
 
-    fn summarise(user: &UserState) -> UserServerSummary {
+    fn summarise(&self, id: usize, user: &UserState) -> UserServerSummary {
         UserServerSummary {
             user_id: user.user_id,
             seed: user.seed,
-            qoe: user.qoe.summary(),
-            delta: user.delta.estimate(),
+            qoe: self.planner.qoe(id).summary(),
+            delta: self.planner.delta(id),
             bandwidth_mbps: user.bandwidth.estimate().unwrap_or(f64::NAN),
             frames_dropped: user.transport.frames_dropped(),
             degrade_transitions: user.degrade_transitions,
@@ -896,16 +880,9 @@ impl Session {
                         user.last_pose_seq = seq;
                         user.has_pose = true;
                         user.staleness_slots = 0;
-                        // Score every prediction this pose (or an earlier,
+                        // Score every frame this pose (or an earlier,
                         // missed one) was targeting.
-                        while let Some(record) =
-                            user.predictions.pop_front_if(|p| p.target_seq <= seq)
-                        {
-                            let fov = self.planner.library().fov();
-                            let hit = fov.covers(&record.predicted, &pose);
-                            user.delta.record(hit);
-                            user.qoe.record(record.quality, hit, record.delay_slots);
-                        }
+                        self.planner.reveal(id, seq, &pose);
                         // Score lookahead FoV predictions the same way,
                         // against this pose's tile mask — computed once,
                         // however many records mature on it.
@@ -996,15 +973,13 @@ impl Session {
 
     /// Plans this slot through the shared planner: per user, the display
     /// pose prediction, the link budget and the grouping eligibility; then
-    /// the planner's staged problem (this session's M/M/1 value formula),
-    /// the solve, and the prefetch step. Returns when prefetch ended.
+    /// the planner's staged problem (this session's delay model: M/M/1 at
+    /// the estimate plus propagation), the solve, and the prefetch step.
+    /// Returns when prefetch ended.
     fn plan(&mut self, build_start: Instant) -> Instant {
         self.plan_ids.clear();
         self.plan_predicted.clear();
         self.plan_prefetchable.clear();
-
-        let dt = self.config.slot_duration.as_secs_f64();
-        let floor_slots = PROPAGATION_S / dt;
 
         self.planner
             .begin_slot(self.slot, self.config.server_total_mbps);
@@ -1052,19 +1027,13 @@ impl Session {
             self.plan_prefetchable.push(user.has_pose && !pinned);
         }
 
-        let params = QoeParams::system_default();
-        let (users, plan_ids) = (&self.users, &self.plan_ids);
-        self.planner.stage(CONTROL_OVERHEAD_MBPS, |i, bn| {
-            let user = users[plan_ids[i]].as_ref().expect("planned this slot");
-            let delta = user.delta.estimate();
-            let tracker = *user.qoe.tracker();
-            let fallback = Mm1Delay::new(bn).expect("positive estimate");
-            move |l, raw| {
-                let q = QualityLevel::new((l + 1) as u8);
-                let delay = fallback.delay(raw) + floor_slots;
-                h_at_delay(params, delta, &tracker, q, delay)
-            }
-        });
+        let floor_slots = PROPAGATION_S / self.config.slot_duration.as_secs_f64();
+        self.planner.stage(
+            CONTROL_OVERHEAD_MBPS,
+            ObjectiveMode::DelayAware,
+            |_, bn| mm1_delay(bn, floor_slots),
+            |_| 1.0,
+        );
         let build_ns = build_start.elapsed().as_nanos() as u64;
         self.obs
             .stage(self.obs.h_build, self.slot, "build", build_ns);
@@ -1100,7 +1069,7 @@ impl Session {
                     h,
                     tiles: tile_mask(&fov, &pose),
                 });
-                if user.fov_predictions.len() > MAX_PENDING_PREDICTIONS {
+                if user.fov_predictions.len() > MAX_AWAITING_FRAMES {
                     user.fov_predictions.pop_front();
                 }
                 Some(pose)
@@ -1114,9 +1083,14 @@ impl Session {
     }
 
     /// Shared post-send bookkeeping for one user: queue-depth tracking,
-    /// drop accounting, and the backpressure degrade/recover transitions.
-    /// Returns `false` when the transport reported the peer closed.
-    fn account_send(user: &mut UserState, obs: &mut SessionObs, status: SendStatus) -> bool {
+    /// drop accounting, the backpressure degrade/recover transitions and
+    /// the staleness clock. Returns the pose sequence the frame is due at
+    /// and its delay, or `None` if the peer closed or has sent no pose.
+    fn account_send(
+        user: &mut UserState,
+        obs: &mut SessionObs,
+        status: SendStatus,
+    ) -> Option<(u64, f64)> {
         let depth = user.transport.queue_depth();
         let deepest = obs.registry.gauge_value(obs.g_queue_depth);
         obs.registry
@@ -1140,29 +1114,16 @@ impl Session {
                 });
                 user.set_pin(Pin::Backpressure, true, obs);
             }
-            SendStatus::Closed => return false,
+            SendStatus::Closed => return None,
         }
         if user.transport.is_stalled() {
             user.set_pin(Pin::Backpressure, true, obs);
         }
-        true
-    }
-
-    /// Queues the prediction record that will be scored when the client's
-    /// matching pose arrives, and advances the staleness clock.
-    fn record_prediction(user: &mut UserState, predicted: Pose, quality: QualityLevel) {
-        if user.has_pose {
-            user.predictions.push_back(PredictionRecord {
-                target_seq: user.last_pose_seq + (user.staleness_slots + PIPELINE_SLOTS) as u64,
-                predicted,
-                quality,
-                delay_slots: ((user.staleness_slots + PIPELINE_SLOTS) as f64).min(DELAY_CAP_SLOTS),
-            });
-            if user.predictions.len() > MAX_PENDING_PREDICTIONS {
-                user.predictions.pop_front();
-            }
-        }
+        let ahead = user.staleness_slots + PIPELINE_SLOTS;
         user.staleness_slots += 1;
+        let due = user.last_pose_seq + ahead as u64;
+        user.has_pose
+            .then(|| (due, (ahead as f64).min(DELAY_CAP_SLOTS)))
     }
 
     /// Sends every planned user its frame, applying the slow-client
@@ -1204,15 +1165,21 @@ impl Session {
                 };
                 let status = user.transport.send(&message);
                 self.manifest = reclaim_manifest(message);
-                if Self::account_send(user, &mut self.obs, status) {
-                    Self::record_prediction(user, self.plan_predicted[i], quality);
+                if let Some((due, delay)) = Self::account_send(user, &mut self.obs, status) {
+                    let predicted = self.plan_predicted[i];
+                    self.planner
+                        .expect(id, due, predicted, quality, delay, true);
                 }
                 continue;
             }
             let group_id = row.group_id.expect("only tracker groups share a row");
             self.payload.clear();
             self.payload_spans.clear();
-            for (&i, &cap) in row.members.iter().zip(row.caps) {
+            // The row is re-read per member: telling the planner a frame
+            // left needs it mutably between members.
+            for k in 0..row.members.len() {
+                let row = self.planner.row(r);
+                let (i, cap) = (row.members[k], row.caps[k]);
                 let id = self.plan_ids[i];
                 let Some(user) = &mut self.users[id] else {
                     continue;
@@ -1241,8 +1208,10 @@ impl Session {
                     span
                 });
                 let status = user.transport.send_payload(&self.payload[span]);
-                if Self::account_send(user, &mut self.obs, status) {
-                    Self::record_prediction(user, self.plan_predicted[i], quality);
+                if let Some((due, delay)) = Self::account_send(user, &mut self.obs, status) {
+                    let predicted = self.plan_predicted[i];
+                    self.planner
+                        .expect(id, due, predicted, quality, delay, true);
                 }
             }
         }

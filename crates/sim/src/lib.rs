@@ -11,8 +11,8 @@
 //! * [`parallel`] — the parallel runner (deterministic per-run seeding,
 //!   results returned in run order);
 //! * [`pipeline`] — the one slot planner (target → stage → group → solve →
-//!   prefetch → manifest) that every simulator above and the live server
-//!   drive;
+//!   prefetch → manifest) and per-user QoE account (expect → reveal) that
+//!   every simulator above and the live server drive;
 //! * [`allocators`] — the algorithm registry shared by all experiments;
 //! * [`event`] / [`metrics`] — the discrete-event queue and the CDF
 //!   machinery.

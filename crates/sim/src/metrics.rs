@@ -5,6 +5,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::pipeline::Scored;
+
 /// An empirical distribution of a scalar metric across runs, backing the
 /// paper's CDF plots (Figs. 2 and 3).
 ///
@@ -196,6 +198,17 @@ impl TimeSeries {
             viewed_quality: vec![Vec::with_capacity(slots); users],
             delay_slots: vec![Vec::with_capacity(slots); users],
         }
+    }
+
+    /// Appends user `u`'s next scored frame.
+    pub fn record(&mut self, u: usize, scored: &Scored) {
+        self.chosen_level[u].push(scored.quality.get());
+        self.viewed_quality[u].push(if scored.hit {
+            scored.quality.value() as f32
+        } else {
+            0.0
+        });
+        self.delay_slots[u].push(scored.delay as f32);
     }
 }
 

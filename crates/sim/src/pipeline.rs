@@ -9,25 +9,27 @@
 //! computed per query), multicast group discovery ([`GroupTracker`]), the
 //! lookahead horizon H, all per-slot scratch, and a per-user slab of
 //! delivery state (ledger, undelivered sums, prefetch tracker,
-//! anticipatory-degrade state). The live `cvr_serve::server::Session` and
+//! anticipatory-degrade state) and QoE account (`δ_n`, QoE accumulator,
+//! frames awaiting their pose). The live `cvr_serve::server::Session` and
 //! the two simulators ([`crate::system`], [`crate::tracesim`]) are
-//! *drivers*: they keep what is genuinely theirs
-//! (traces, routers, virtual clocks; transports, estimators, obs) and
-//! call, every slot:
+//! *drivers*: they keep what is genuinely theirs (traces, routers, virtual
+//! clocks; transports, bandwidth estimators, obs), supply a delay model,
+//! and call, every slot:
 //!
-//! 1. [`SlotPlanner::begin_slot`];
-//! 2. per user, [`SlotPlanner::clamp_budget`] (the myopic trace simulator
+//! 1. [`SlotPlanner::reveal`] as a user's pose comes;
+//! 2. [`SlotPlanner::begin_slot`];
+//! 3. per user, [`SlotPlanner::clamp_budget`] (the myopic trace simulator
 //!    skips it: at `H = 1` it returns its input) then
 //!    [`SlotPlanner::push_user`] (FoV target + undelivered sums + group
 //!    key);
-//! 3. [`SlotPlanner::stage`] with the driver's value formula — the one
-//!    fill loop, the one group discovery, one engine row per group;
-//! 4. a solve on [`SlotPlanner::engine_mut`];
-//! 5. [`SlotPlanner::prefetch`] with the driver's future-pose predictor;
-//! 6. [`SlotPlanner::row`] / [`SlotPlanner::manifest_into`] /
-//!    [`SlotPlanner::prefetched`] to transmit, and
-//!    [`SlotPlanner::acknowledge`] / [`SlotPlanner::release`] as feedback
-//!    arrives.
+//! 4. [`SlotPlanner::stage`] — the one fill loop pricing Eq. (9), the one
+//!    group discovery, one engine row per group;
+//! 5. a solve on [`SlotPlanner::engine_mut`];
+//! 6. [`SlotPlanner::prefetch`] with the driver's future-pose predictor;
+//! 7. [`SlotPlanner::row`] / [`SlotPlanner::manifest_into`] /
+//!    [`SlotPlanner::prefetched`] to transmit, [`SlotPlanner::expect`]
+//!    as each frame leaves, and [`SlotPlanner::acknowledge`] /
+//!    [`SlotPlanner::release`] as feedback arrives.
 //!
 //! There is one path, not a unicast path beside a multicast path or a
 //! myopic path beside a lookahead path. Two identities make that safe,
@@ -44,6 +46,7 @@
 //!   spent). The budget clamp is the one place that needs an explicit
 //!   test — see [`SlotPlanner::clamp_budget`].
 
+use std::collections::VecDeque;
 use std::ops::Range;
 
 use cvr_content::cache::{DeliveryLedger, UndeliveredSums};
@@ -52,13 +55,19 @@ use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
 use cvr_content::plane::{RatePlane, SharedFovCache};
 use cvr_content::tile::{tile_mask, tiles_in, TileId};
+use cvr_core::delay::{DelayModel, Mm1Delay};
 use cvr_core::engine::SlotEngine;
+use cvr_core::objective::{h_at_delay, QoeParams};
+use cvr_core::qoe::UserQoeAccumulator;
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::stage_rates_values_with;
 use cvr_lookahead::prefetch::MAX_TILES_PER_SLOT;
 use cvr_lookahead::{slot_credit, AnticipatoryDegrade, DegradeConfig, Prefetcher};
 use cvr_mcast::{stage_group, undelivered_key, GroupKey, GroupMember, GroupTracker};
+use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::pose::Pose;
+
+use crate::allocators::ObjectiveMode;
 
 /// Pipeline depth: content predicted and sent at slot `s` is decoded at
 /// `s+1` and displayed at `s+2` (Section V, "Pipelining of transmission and
@@ -72,6 +81,19 @@ pub const PROPAGATION_S: f64 = 0.002;
 /// ("each tile will either be displayed or dropped in each time slot");
 /// the recorded delay saturates here.
 pub const DELAY_CAP_SLOTS: f64 = 8.0;
+
+/// Floor of a link's throughput, Mbps: a dead link keeps the M/M/1 model
+/// defined.
+pub const LINK_FLOOR_MBPS: f64 = 0.1;
+
+/// Most frames a user's account holds awaiting their pose.
+pub const MAX_AWAITING_FRAMES: usize = 64;
+
+/// Eq. (13) at `link` Mbps plus `floor_slots`: delay (slots) by rate.
+pub fn mm1_delay(link: f64, floor_slots: f64) -> impl Fn(f64) -> f64 {
+    let law = Mm1Delay::new(link).expect("positive link");
+    move |rate| law.delay(rate) + floor_slots
+}
 
 /// Forces a raw per-level rate vector to be positive and strictly
 /// increasing (retransmission suppression can make levels momentarily
@@ -87,8 +109,21 @@ pub fn sanitize_rates(rates: &mut [f64]) {
     }
 }
 
-/// One user's delivery state, owned by the planner between join and
-/// leave.
+/// A frame [`SlotPlanner::reveal`] scored.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scored {
+    /// The level it carried.
+    pub quality: QualityLevel,
+    /// `𝟙_n`: delivered, and its predicted FoV covered the actual one.
+    pub hit: bool,
+    /// Delivery delay charged, slots.
+    pub delay: f64,
+    /// Arrived in time to be shown.
+    pub delivered: bool,
+}
+
+/// One user's delivery state and QoE account, owned by the planner
+/// between join and leave.
 #[derive(Debug)]
 struct PlannerUser {
     ledger: DeliveryLedger,
@@ -98,6 +133,10 @@ struct PlannerUser {
     /// Outstanding prefetched tiles awaiting arrival or release.
     prefetcher: Prefetcher,
     degrade: AnticipatoryDegrade,
+    delta: DeltaEstimator,
+    qoe: UserQoeAccumulator,
+    /// Frames sent and not yet scored, oldest first: `(due, predicted, frame)`.
+    expected: VecDeque<(u64, Pose, Scored)>,
 }
 
 /// One planned user, in plan order.
@@ -146,6 +185,9 @@ pub struct SlotPlanner {
     library: ContentLibrary,
     levels: usize,
     horizon: usize,
+    params: QoeParams,
+    /// The estimator every joining user's `δ_n` starts from.
+    delta: DeltaEstimator,
     engine: SlotEngine,
     plane: RatePlane,
     fov: SharedFovCache,
@@ -167,19 +209,29 @@ pub struct SlotPlanner {
     future_cells: Vec<CellId>,
     future_poses: Vec<Pose>,
     released: Vec<VideoId>,
+    scored: Vec<Scored>,
 }
 
 impl SlotPlanner {
     /// Creates a planner over `library` with lookahead horizon `horizon`
-    /// (clamped to ≥ 1; `1` is the paper's myopic planner) and multicast
-    /// group-id hysteresis.
-    pub fn new(library: ContentLibrary, horizon: usize, hysteresis_slots: u64) -> Self {
+    /// (clamped to ≥ 1; `1` is the paper's myopic planner), multicast
+    /// group-id hysteresis, the QoE weights of Eq. (9), and the `δ_n`
+    /// estimator each user starts from.
+    pub fn new(
+        library: ContentLibrary,
+        horizon: usize,
+        hysteresis_slots: u64,
+        params: QoeParams,
+        delta: DeltaEstimator,
+    ) -> Self {
         SlotPlanner {
             levels: library.quality_set().len(),
             plane: RatePlane::new(library.sizing().clone(), 0),
             fov: SharedFovCache::new(*library.fov()),
             library,
             horizon: horizon.max(1),
+            params,
+            delta,
             engine: SlotEngine::new(),
             groups: GroupTracker::new(hysteresis_slots),
             users: Vec::new(),
@@ -195,6 +247,7 @@ impl SlotPlanner {
             future_cells: Vec::new(),
             future_poses: Vec::new(),
             released: Vec::new(),
+            scored: Vec::new(),
         }
     }
 
@@ -209,7 +262,7 @@ impl SlotPlanner {
     }
 
     /// Starts tracking a user in slab slot `user` with an empty ledger
-    /// (replacing whatever the slot held).
+    /// and a fresh account (replacing whatever the slot held).
     pub fn join(&mut self, user: usize) {
         if self.users.len() <= user {
             self.users.resize_with(user + 1, || None);
@@ -219,6 +272,9 @@ impl SlotPlanner {
             undelivered: UndeliveredSums::new(self.levels),
             prefetcher: Prefetcher::new(),
             degrade: AnticipatoryDegrade::new(DegradeConfig::default()),
+            delta: self.delta,
+            qoe: UserQoeAccumulator::new(self.params),
+            expected: VecDeque::new(),
         });
     }
 
@@ -236,6 +292,59 @@ impl SlotPlanner {
 
     fn user(&self, user: usize) -> &PlannerUser {
         self.users[user].as_ref().expect("user joined the planner")
+    }
+
+    /// A frame left for `user`: it was planned against the `predicted`
+    /// pose at `quality`, is charged `delay` slots, and `delivered` says
+    /// whether it arrives in time to be shown. It is scored by the first
+    /// [`SlotPlanner::reveal`] whose `now` reaches `due`. At most
+    /// [`MAX_AWAITING_FRAMES`] wait; a further one drops the oldest.
+    pub fn expect(
+        &mut self,
+        user: usize,
+        due: u64,
+        predicted: Pose,
+        quality: QualityLevel,
+        delay: f64,
+        delivered: bool,
+    ) {
+        let expected = &mut self.user_mut(user).expected;
+        if expected.len() == MAX_AWAITING_FRAMES {
+            expected.pop_front();
+        }
+        let frame = Scored {
+            quality,
+            hit: false, // scored by `reveal`
+            delay,
+            delivered,
+        };
+        expected.push_back((due, predicted, frame));
+    }
+
+    /// `user`'s pose for `now` came: scores every awaiting frame due by
+    /// then, oldest first, as `hit = delivered && covers(predicted,
+    /// actual)` into `δ_n` and the QoE account, and returns them.
+    pub fn reveal(&mut self, user: usize, now: u64, actual: &Pose) -> &[Scored] {
+        self.scored.clear();
+        let fov = self.library.fov();
+        let u = self.users[user].as_mut().expect("user joined the planner");
+        while let Some((_, predicted, mut frame)) = u.expected.pop_front_if(|f| f.0 <= now) {
+            frame.hit = frame.delivered && fov.covers(&predicted, actual);
+            u.delta.record(frame.hit);
+            u.qoe.record(frame.quality, frame.hit, frame.delay);
+            self.scored.push(frame);
+        }
+        &self.scored
+    }
+
+    /// `user`'s QoE account.
+    pub fn qoe(&self, user: usize) -> &UserQoeAccumulator {
+        &self.user(user).qoe
+    }
+
+    /// `user`'s current `δ_n` estimate.
+    pub fn delta(&self, user: usize) -> f64 {
+        self.user(user).delta.estimate()
     }
 
     /// Paired ACK: the client holds `ids`; folds each into the ledger and
@@ -324,24 +433,29 @@ impl SlotPlanner {
         i
     }
 
-    /// Stages the slot problem. Fills every planned user's rate/value row
-    /// (`rate[l] = sums[l] + overhead`, `value[l] = value_of(i, bn)(l,
-    /// rate[l])`) in one inline loop over the plan, then discovers this
+    /// Stages the slot problem. Fills every planned user's row in one
+    /// inline loop over the plan: `rate[l] = sums[l] + overhead` and
+    /// `value[l]` is Eq. (9) from the user's account, `h_at_delay(params,
+    /// δ_n·s, tracker, l, d)`, with `d = delay_model(i, bn)(rate)`
+    /// ([`ObjectiveMode::DelayBlind`]: `d = 0`) and `s = survive(rate)`
+    /// ([`ObjectiveMode::LossAware`] only, else 1). Then discovers this
     /// slot's groups and stages one engine row per group, walking users in
     /// plan order and staging each whole group at its first member's
     /// position. When every group is a singleton that is exactly the
     /// per-user problem, row for row.
-    ///
-    /// `value_of(i, bn)` is called once per user and returns that user's
-    /// per-level value formula, so per-user terms are hoisted out of the
-    /// level loop.
-    pub fn stage<F, G>(&mut self, overhead: f64, mut value_of: F)
-    where
-        F: FnMut(usize, f64) -> G,
-        G: FnMut(usize, f64) -> f64,
+    pub fn stage<D, S>(
+        &mut self,
+        overhead: f64,
+        mode: ObjectiveMode,
+        mut delay_model: impl FnMut(usize, f64) -> D,
+        survive: S,
+    ) where
+        D: Fn(f64) -> f64,
+        S: Fn(f64) -> f64,
     {
         let n = self.plan.len();
         let levels = self.levels;
+        let params = self.params;
         // Every row is fully overwritten below, so stale contents are fine.
         self.rates.resize(n * levels, 0.0);
         self.values.resize(n * levels, 0.0);
@@ -350,12 +464,23 @@ impl SlotPlanner {
             let user = self.users[planned.user]
                 .as_ref()
                 .expect("planned this slot");
+            let delta = user.delta.estimate();
+            let tracker = *user.qoe.tracker();
+            let delay = delay_model(i, planned.bn);
             stage_rates_values_with(
                 user.undelivered.sums(),
                 overhead,
                 rates,
                 values,
-                value_of(i, planned.bn),
+                |l, raw| {
+                    let q = QualityLevel::new((l + 1) as u8);
+                    let (delta, delay) = match mode {
+                        ObjectiveMode::DelayBlind => (delta, 0.0),
+                        ObjectiveMode::DelayAware => (delta, delay(raw)),
+                        ObjectiveMode::LossAware => (delta * survive(raw), delay(raw)),
+                    };
+                    h_at_delay(params, delta, &tracker, q, delay)
+                },
             );
             sanitize_rates(rates);
         }
@@ -601,11 +726,31 @@ impl SlotPlanner {
 mod tests {
     use super::*;
     use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
+    use cvr_core::variance::VarianceTracker;
     use cvr_motion::pose::{Orientation, Vec3};
+    use cvr_net::estimate::PolyRegression;
     use proptest::prelude::*;
 
+    use crate::system::{estimated_delay, packets_for_rate, transfer_loss_probability};
+
     fn planner(horizon: usize) -> SlotPlanner {
-        SlotPlanner::new(ContentLibrary::paper_default(), horizon, 8)
+        SlotPlanner::new(
+            ContentLibrary::paper_default(),
+            horizon,
+            8,
+            QoeParams::system_default(),
+            DeltaEstimator::ewma(1.0, 0.02),
+        )
+    }
+
+    /// Stages Eq. (9) at the M/M/1 delay of each user's budget.
+    fn stage(p: &mut SlotPlanner) {
+        p.stage(
+            CONTROL_OVERHEAD_MBPS,
+            ObjectiveMode::DelayAware,
+            |_, bn| mm1_delay(bn, 0.0),
+            |_| 1.0,
+        );
     }
 
     fn walk(u: usize, t: f64) -> Pose {
@@ -613,10 +758,6 @@ mod tests {
             Vec3::new(0.31 * t + u as f64, 1.6, -0.17 * t),
             Orientation::new(11.0 * t + 70.0 * u as f64, 4.0 * t - 15.0, 0.0),
         )
-    }
-
-    fn value(delta: f64, bn: f64) -> impl Fn(usize, f64) -> f64 {
-        move |l, raw| delta * (l + 1) as f64 - 0.1 * raw / bn
     }
 
     #[test]
@@ -656,19 +797,27 @@ mod tests {
                 let tiles = cvr_content::tile::tiles_for_pose(library.fov(), &pose);
                 sums[u].retarget(cell, &tiles, plane.rows(cell), &ledgers[u]);
             }
-            p.stage(CONTROL_OVERHEAD_MBPS, |i, bn| {
-                value(0.8 + 0.05 * i as f64, bn)
-            });
+            stage(&mut p);
 
             direct.begin_slot(150.0);
             for u in 0..users {
                 let tables = direct.add_user(levels, bn[u]);
+                let (delta, tracker) = (p.delta(u), *p.qoe(u).tracker());
                 stage_rates_values_with(
                     sums[u].sums(),
                     CONTROL_OVERHEAD_MBPS,
                     tables.rates,
                     tables.values,
-                    value(0.8 + 0.05 * u as f64, bn[u]),
+                    |l, raw| {
+                        let q = QualityLevel::new((l + 1) as u8);
+                        h_at_delay(
+                            QoeParams::system_default(),
+                            delta,
+                            &tracker,
+                            q,
+                            mm1_delay(bn[u], 0.0)(raw),
+                        )
+                    },
                 );
                 sanitize_rates(tables.rates);
             }
@@ -689,14 +838,20 @@ mod tests {
                 let row = p.row(u);
                 assert_eq!((row.members, row.caps), (&[u][..], &[levels - 1][..]));
                 assert_eq!(row.group_id, None);
-                // ACK two slots out of three so ledgers churn alike.
+                let assigned = row.assigned;
+                // ACK two slots out of three so ledgers churn alike, and
+                // score the frame against a later pose so the accounts
+                // (δ_n and the variance tracker) move apart per user.
                 if slot % 3 != 2 {
-                    p.manifest_into(u, row.assigned, &mut manifest);
+                    p.manifest_into(u, assigned, &mut manifest);
                     p.acknowledge(u, manifest.iter().copied());
                     for &id in &manifest {
                         sums[u].acknowledge(&mut ledgers[u], id);
                     }
                 }
+                let pose = walk(u, slot as f64);
+                p.expect(u, slot, pose, assigned, 0.5, slot % 4 != 3);
+                p.reveal(u, slot, &walk(u, slot as f64 + 0.5 * u as f64));
             }
         }
     }
@@ -709,7 +864,7 @@ mod tests {
         for slot in 0..6u64 {
             p.begin_slot(slot, 400.0);
             p.push_user(0, &walk(0, slot as f64), 50.0, false);
-            p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+            stage(&mut p);
             let assigned = p.engine_mut().solve()[0];
             p.manifest_into(0, assigned, &mut manifest);
             p.acknowledge(0, manifest.iter().copied());
@@ -737,7 +892,7 @@ mod tests {
         p.join(0);
         p.begin_slot(0, 400.0);
         p.push_user(0, &walk(0, 0.0), 50.0, false);
-        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        stage(&mut p);
         p.engine_mut().solve();
         let here = p.library().grid().cell_of(&walk(0, 0.0).position);
         p.prefetch(|_| true, |_, h| Some(walk(0, h as f64)));
@@ -773,7 +928,7 @@ mod tests {
         // client ACKs what it was sent.
         p.begin_slot(0, 400.0);
         p.push_user(0, &here, 50.0, false);
-        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        stage(&mut p);
         p.engine_mut().solve();
         p.prefetch(|_| true, |_, h| Some(ahead(h)));
         p.acknowledge_prefetched();
@@ -792,7 +947,7 @@ mod tests {
         p.begin_slot(1, 400.0);
         p.push_user(0, &here, 50.0, true);
         p.push_user(1, &here, 50.0, true);
-        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        stage(&mut p);
         p.engine_mut().solve();
         assert_eq!(p.row(0).members, &[0, 1]);
         p.prefetch(|_| true, |_, h| (h == 1).then(|| ahead(1)));
@@ -816,7 +971,7 @@ mod tests {
         p.begin_slot(0, 400.0);
         p.push_user(0, &here, 50.0, true);
         p.push_user(1, &here, 50.0, true);
-        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        stage(&mut p);
         let assigned = p.engine_mut().solve()[0];
         assert_eq!(p.row(0).members, &[0, 1]);
         let mut manifest = Vec::new();
@@ -882,7 +1037,7 @@ mod tests {
         p.join(3);
         p.begin_slot(0, 400.0);
         p.push_user(3, &walk(0, 0.0), 50.0, false);
-        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        stage(&mut p);
         let assigned = p.engine_mut().solve()[0];
         let mut manifest = Vec::new();
         p.manifest_into(3, assigned, &mut manifest);
@@ -1033,7 +1188,7 @@ mod tests {
         p.push_user(0, &gaze, 30.0, true);
         p.push_user(1, &gaze, 40.0, false);
         p.push_user(2, &gaze, 50.0, true);
-        p.stage(CONTROL_OVERHEAD_MBPS, |_, bn| value(1.0, bn));
+        stage(&mut p);
         p.engine_mut().solve();
         assert_eq!(p.rows(), 2);
         assert_eq!(p.multicast_groups(), 1);
@@ -1041,5 +1196,246 @@ mod tests {
         assert!(p.row(0).group_id.is_some());
         assert_eq!(p.row(1).members, &[1]);
         assert_eq!(p.row(1).group_id, None);
+    }
+
+    #[test]
+    fn reveal_catches_up_in_fifo_order_and_the_cap_drops_the_oldest() {
+        let mut p = planner(1);
+        p.join(0);
+        let pose = walk(0, 0.0);
+        // The delay doubles as the frame's name.
+        for due in 1..=5u64 {
+            p.expect(0, due, pose, QualityLevel::new(due as u8), due as f64, true);
+        }
+        let names = |scored: &[Scored]| scored.iter().map(|f| f.delay).collect::<Vec<_>>();
+        // A pose that skips past three dues scores each of them once.
+        assert_eq!(names(p.reveal(0, 3, &pose)), [1.0, 2.0, 3.0]);
+        assert!(p.reveal(0, 3, &pose).is_empty(), "scored frames are gone");
+        let rest = p.reveal(0, 40, &pose).to_vec();
+        assert_eq!(names(&rest), [4.0, 5.0]);
+        assert!(rest.iter().all(|f| f.hit && f.delivered));
+        assert_eq!(p.qoe(0).slots(), 5);
+
+        // Past the cap the oldest frames go unscored.
+        let extra = 6;
+        for due in 0..(MAX_AWAITING_FRAMES + extra) as u64 {
+            p.expect(0, 100 + due, pose, QualityLevel::MIN, due as f64, false);
+        }
+        let kept = names(p.reveal(0, u64::MAX, &pose));
+        let expected: Vec<f64> = (extra..MAX_AWAITING_FRAMES + extra)
+            .map(|d| d as f64)
+            .collect();
+        assert_eq!(kept, expected);
+        assert_eq!(p.qoe(0).slots(), 5 + MAX_AWAITING_FRAMES as u64);
+        // Undelivered frames are misses, however well they were predicted.
+        assert_eq!(
+            p.qoe(0).summary().hit_rate,
+            5.0 / (5 + MAX_AWAITING_FRAMES) as f64
+        );
+    }
+
+    // The three per-user value closures the drivers passed to `stage`
+    // before it priced Eq. (9) itself, kept verbatim as oracles: the
+    // trace simulator's (M/M/1 at the trace sample), the system
+    // simulator's (estimated delay, loss survival), the live session's
+    // (M/M/1 plus propagation, delay-aware only).
+
+    fn former_tracesim(
+        params: QoeParams,
+        mode: ObjectiveMode,
+        delta: f64,
+        tracker: VarianceTracker,
+        bn: f64,
+    ) -> impl Fn(usize, f64) -> f64 {
+        let delay_model = Mm1Delay::new(bn).expect("trace throughput is positive");
+        move |l, rate| {
+            let level = QualityLevel::new((l + 1) as u8);
+            let delay = match mode {
+                ObjectiveMode::DelayBlind => 0.0,
+                ObjectiveMode::DelayAware | ObjectiveMode::LossAware => delay_model.delay(rate),
+            };
+            h_at_delay(params, delta, &tracker, level, delay)
+        }
+    }
+
+    /// The system simulator's former delay model, with its
+    /// `DelayModel` impl.
+    struct EstimatedDelay<'a> {
+        poly: &'a PolyRegression,
+        fallback: Mm1Delay,
+        floor_slots: f64,
+    }
+
+    impl DelayModel for EstimatedDelay<'_> {
+        fn delay(&self, r: f64) -> f64 {
+            let law = self.fallback.delay(r) + self.floor_slots;
+            match self.poly.predict(r) {
+                Some(d) if d.is_finite() => law.max(d.max(0.0)),
+                _ => law,
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn former_system<'a>(
+        params: QoeParams,
+        mode: ObjectiveMode,
+        delta: f64,
+        tracker: VarianceTracker,
+        poly: &'a PolyRegression,
+        bn: f64,
+        floor_slots: f64,
+        loss_p: f64,
+        dt: f64,
+    ) -> impl Fn(usize, f64) -> f64 + 'a {
+        let delay_model = EstimatedDelay {
+            poly,
+            fallback: Mm1Delay::new(bn).expect("positive estimate"),
+            floor_slots,
+        };
+        move |l, raw| {
+            let q = QualityLevel::new((l + 1) as u8);
+            let delta_eff = match mode {
+                ObjectiveMode::LossAware => {
+                    let packets = packets_for_rate(raw, dt, 12.0);
+                    let survive = 1.0 - transfer_loss_probability(loss_p, packets);
+                    delta * survive
+                }
+                _ => delta,
+            };
+            let delay = match mode {
+                ObjectiveMode::DelayBlind => 0.0,
+                _ => delay_model.delay(raw),
+            };
+            h_at_delay(params, delta_eff, &tracker, q, delay)
+        }
+    }
+
+    fn former_session(
+        params: QoeParams,
+        delta: f64,
+        tracker: VarianceTracker,
+        bn: f64,
+        floor_slots: f64,
+    ) -> impl Fn(usize, f64) -> f64 {
+        let fallback = Mm1Delay::new(bn).expect("positive estimate");
+        move |l, raw| {
+            let q = QualityLevel::new((l + 1) as u8);
+            let delay = fallback.delay(raw) + floor_slots;
+            h_at_delay(params, delta, &tracker, q, delay)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn planner_value_row_equals_the_three_driver_formulas(
+            alpha in 0.0f64..1.0,
+            beta in 0.0f64..2.0,
+            // Per user: a gaze and position, a link budget, and a scored
+            // history of `(quality, delivered, predicted yaw offset,
+            // delay)` frames.
+            users in prop::collection::vec(
+                (
+                    (-180.0f64..180.0, -60.0f64..60.0, -3.0f64..3.0),
+                    1.0f64..120.0,
+                    prop::collection::vec((1u8..=6, proptest::bool::ANY, 0.0f64..60.0, 0.0f64..8.0), 0..30),
+                ),
+                1..5,
+            ),
+            // The system simulator's delay regression samples and loss
+            // estimate, and the slot length.
+            samples in prop::collection::vec((0.5f64..90.0, 0.0f64..9.0), 0..12),
+            loss_p in 0.0f64..0.5,
+            // The system simulator's slot or the session's; the trace
+            // simulator's zero overhead or the control stream's.
+            sixtieth in proptest::bool::ANY,
+            control in proptest::bool::ANY,
+        ) {
+            let dt = if sixtieth { 1.0 / 60.0 } else { 0.015 };
+            let overhead = if control { CONTROL_OVERHEAD_MBPS } else { 0.0 };
+            let params = QoeParams::new(alpha, beta).unwrap();
+            let library = ContentLibrary::paper_default();
+            let fov = *library.fov();
+            let floor_slots = PROPAGATION_S / dt;
+            let mut poly = PolyRegression::paper_default();
+            for &(rate, delay) in &samples {
+                poly.observe(rate, delay);
+            }
+            let poses: Vec<Pose> = users
+                .iter()
+                .map(|&((yaw, pitch, x), _, _)| {
+                    Pose::new(Vec3::new(x, 1.6, 0.3), Orientation::new(yaw, pitch, 0.0))
+                })
+                .collect();
+            for estimator in [DeltaEstimator::average(), DeltaEstimator::ewma(1.0, 0.02)] {
+                let mut p = SlotPlanner::new(library.clone(), 1, 0, params, estimator);
+                // The drivers' former per-user accounts, fed what the
+                // planner is fed.
+                let mut accounts = Vec::new();
+                for (u, (_, _, history)) in users.iter().enumerate() {
+                    p.join(u);
+                    let mut delta = estimator;
+                    let mut qoe = UserQoeAccumulator::new(params);
+                    for (t, &(level, delivered, off, delay)) in history.iter().enumerate() {
+                        let actual = poses[u];
+                        let mut predicted = actual;
+                        predicted.orientation = Orientation::new(actual.orientation.yaw + off, actual.orientation.pitch, 0.0);
+                        let q = QualityLevel::new(level);
+                        p.expect(u, t as u64, predicted, q, delay, delivered);
+                        p.reveal(u, t as u64, &actual);
+                        let hit = fov.covers(&predicted, &actual) && delivered;
+                        delta.record(hit);
+                        qoe.record(q, hit, delay);
+                    }
+                    prop_assert_eq!(p.delta(u).to_bits(), delta.estimate().to_bits());
+                    prop_assert_eq!(p.qoe(u), &qoe);
+                    accounts.push((delta.estimate(), *qoe.tracker()));
+                }
+                let bns: Vec<f64> = users.iter().map(|&(_, bn, _)| bn).collect();
+                for mode in [ObjectiveMode::DelayAware, ObjectiveMode::DelayBlind, ObjectiveMode::LossAware] {
+                    // (planner call, oracle) per driver: tracesim, system,
+                    // session (which only prices delay-aware).
+                    for driver in 0..3 {
+                        if driver == 2 && mode != ObjectiveMode::DelayAware {
+                            continue;
+                        }
+                        p.begin_slot(0, 1e4);
+                        for (u, pose) in poses.iter().enumerate() {
+                            p.push_user(u, pose, bns[u], false);
+                        }
+                        match driver {
+                            0 => p.stage(overhead, mode, |_, bn| mm1_delay(bn, 0.0), |_| 1.0),
+                            1 => p.stage(
+                                overhead,
+                                mode,
+                                |_, bn| estimated_delay(&poly, bn, floor_slots),
+                                |raw| 1.0 - transfer_loss_probability(loss_p, packets_for_rate(raw, dt, 12.0)),
+                            ),
+                            _ => p.stage(
+                                overhead,
+                                mode,
+                                |_, bn| mm1_delay(bn, floor_slots),
+                                |_| 1.0,
+                            ),
+                        }
+                        for (u, &(delta, tracker)) in accounts.iter().enumerate() {
+                            let bn = bns[u];
+                            let oracle: Box<dyn Fn(usize, f64) -> f64> = match driver {
+                                0 => Box::new(former_tracesim(params, mode, delta, tracker, bn)),
+                                1 => Box::new(former_system(params, mode, delta, tracker, &poly, bn, floor_slots, loss_p, dt)),
+                                _ => Box::new(former_session(params, delta, tracker, bn, floor_slots)),
+                            };
+                            let sums = p.user(u).undelivered.sums();
+                            for (l, value) in p.engine().values(u).iter().enumerate() {
+                                let want = oracle(l, sums[l] + overhead);
+                                prop_assert_eq!(value.to_bits(), want.to_bits(), "driver {} {:?} user {} level {}", driver, mode, u, l);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -11,8 +11,6 @@
 //! the wireless capacity fluctuates — violently so with two bridged
 //! routers.
 
-use std::collections::VecDeque;
-
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -21,8 +19,8 @@ use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
 use cvr_core::alloc::Allocator;
 use cvr_core::delay::{DelayModel, Mm1Delay};
-use cvr_core::objective::{h_at_delay, QoeParams};
-use cvr_core::qoe::{SystemQoeSummary, UserQoeAccumulator, UserQoeSummary};
+use cvr_core::objective::QoeParams;
+use cvr_core::qoe::{SystemQoeSummary, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
 use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
 use cvr_motion::accuracy::DeltaEstimator;
@@ -41,10 +39,10 @@ use cvr_render::job::{CostModel, RenderJob};
 use cvr_render::pipeline::RenderFarm;
 use cvr_render::scheduler::EarliestCompletion;
 
-use crate::allocators::{AllocatorKind, ObjectiveMode};
+use crate::allocators::AllocatorKind;
 use crate::event::EventQueue;
+use crate::pipeline::{mm1_delay, SlotPlanner, LINK_FLOOR_MBPS, PROPAGATION_S};
 pub use crate::pipeline::{sanitize_rates, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
-use crate::pipeline::{SlotPlanner, PROPAGATION_S};
 
 /// Slot duration, seconds (60 FPS → 1/60).
 const SLOT_DURATION_S: f64 = 1.0 / 60.0;
@@ -187,34 +185,22 @@ enum Feedback {
     Release { user: usize, ids: Vec<VideoId> },
 }
 
-/// A frame in flight through the transmit→decode→display pipeline.
-#[derive(Debug, Clone)]
-struct PendingFrame {
-    display_slot: usize,
-    predicted: Pose,
-    quality: QualityLevel,
-    delivered_on_time: bool,
-    delay_slots: f64,
-}
-
 /// Estimated delay model: the server knows the delay–rate relationship is
 /// convex and queueing-dominated (its own Fig. 1b measurement), so it
-/// anchors predictions to the M/M/1 law at the *estimated* bandwidth and
-/// lets the trained polynomial regressor only revise the estimate upward
-/// (measurements showing worse-than-law delays are trusted; optimistic
-/// extrapolations below the law are not).
-struct EstimatedDelay<'a> {
-    poly: &'a PolyRegression,
-    fallback: Mm1Delay,
-    /// Constant floor (propagation etc.) in slots, part of every
-    /// measurement and therefore of every prediction.
+/// anchors predictions to the M/M/1 law at the *estimated* bandwidth `bn`
+/// plus the constant `floor_slots` (propagation etc., part of every
+/// measurement) and lets the trained polynomial regressor only revise the
+/// estimate upward (measurements showing worse-than-law delays are
+/// trusted; optimistic extrapolations below the law are not).
+pub(crate) fn estimated_delay(
+    poly: &PolyRegression,
+    bn: f64,
     floor_slots: f64,
-}
-
-impl DelayModel for EstimatedDelay<'_> {
-    fn delay(&self, r: f64) -> f64 {
-        let law = self.fallback.delay(r) + self.floor_slots;
-        match self.poly.predict(r) {
+) -> impl Fn(f64) -> f64 + '_ {
+    let law = mm1_delay(bn, floor_slots);
+    move |r| {
+        let law = law(r);
+        match poly.predict(r) {
             Some(d) if d.is_finite() => law.max(d.max(0.0)),
             _ => law,
         }
@@ -300,8 +286,18 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
     // The shared slot planner: slot engine, data plane (per-cell rate
     // rows and FoV tile sets, computed per query), and per-user delivery
     // ledgers, incrementally maintained undelivered-rate sums, prefetch
-    // trackers and anticipatory-degrade state.
-    let mut planner = SlotPlanner::new(ContentLibrary::paper_default(), config.horizon, 0);
+    // trackers, anticipatory-degrade state and QoE accounts. δ here
+    // estimates the probability that the *delivered* portion covers the
+    // actual FoV — a frame dropped for lateness or loss covers nothing, so
+    // delivery failures count as misses. EWMA keeps the estimate adaptive
+    // to network regime changes.
+    let mut planner = SlotPlanner::new(
+        ContentLibrary::paper_default(),
+        config.horizon,
+        0,
+        config.params,
+        DeltaEstimator::ewma(1.0, 0.02),
+    );
     for u in 0..n {
         planner.join(u);
     }
@@ -322,14 +318,6 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
         .collect();
     let mut predictors: Vec<LinearPredictor> =
         (0..n).map(|_| LinearPredictor::paper_default()).collect();
-    // δ here estimates the probability that the *delivered* portion covers
-    // the actual FoV — a frame dropped for lateness or loss covers nothing,
-    // so delivery failures count as misses. EWMA keeps the estimate
-    // adaptive to network regime changes.
-    let mut deltas: Vec<DeltaEstimator> = (0..n).map(|_| DeltaEstimator::ewma(1.0, 0.02)).collect();
-    let mut accumulators: Vec<UserQoeAccumulator> = (0..n)
-        .map(|_| UserQoeAccumulator::new(config.params))
-        .collect();
     let throttles: Vec<f64> = (0..n)
         .map(|u| THROTTLE_GUIDELINES_MBPS[u % THROTTLE_GUIDELINES_MBPS.len()])
         .collect();
@@ -337,9 +325,6 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
         (0..n).map(|_| config.bandwidth_estimator.build()).collect();
     let mut delay_estimators: Vec<PolyRegression> =
         (0..n).map(|_| PolyRegression::paper_default()).collect();
-    // Server-wide per-packet loss estimate: lost transfers over packets
-    // sent (a lost transfer implies ≈1 lost packet at small loss rates).
-    let mut loss_estimate = PacketLossEstimate::new();
     let mut buffers: Vec<ClientTileBuffer> = (0..n)
         .map(|_| ClientTileBuffer::new(CLIENT_BUFFER_TILES))
         .collect();
@@ -354,7 +339,6 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
             )
         })
         .collect();
-    let mut pending: Vec<VecDeque<PendingFrame>> = (0..n).map(|_| VecDeque::new()).collect();
     let mut pose_staleness: Vec<usize> = vec![0; n];
 
     // Digital-twin access links (when a scenario is configured): each
@@ -426,6 +410,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
     let mut frames_total = 0u64;
     let mut transfers = 0u64;
     let mut transfers_lost = 0u64;
+    let mut packets_sent = 0u64;
 
     // --- reused per-slot buffers -----------------------------------------
     let mut actual: Vec<Pose> = Vec::with_capacity(n);
@@ -458,25 +443,12 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
         // 2. Motion: actual poses this slot; score frames due for display.
         actual.clear();
         actual.extend(motion.iter_mut().map(|g| g.step()));
-        for u in 0..n {
-            while pending[u].front().is_some_and(|f| f.display_slot <= slot) {
-                let frame = pending[u].pop_front().expect("checked front");
+        for (u, pose) in actual.iter().enumerate() {
+            for scored in planner.reveal(u, slot as u64, pose) {
                 frames_total += 1;
-                let prediction_hit = planner.library().fov().covers(&frame.predicted, &actual[u]);
-                let viewed_hit = prediction_hit && frame.delivered_on_time;
-                if frame.delivered_on_time {
-                    frames_displayed += 1;
-                }
-                accumulators[u].record(frame.quality, viewed_hit, frame.delay_slots);
-                deltas[u].record(viewed_hit);
+                frames_displayed += u64::from(scored.delivered);
                 if let Some(ts) = &mut timeseries {
-                    ts.chosen_level[u].push(frame.quality.get());
-                    ts.viewed_quality[u].push(if viewed_hit {
-                        frame.quality.value() as f32
-                    } else {
-                        0.0
-                    });
-                    ts.delay_slots[u].push(frame.delay_slots as f32);
+                    ts.record(u, scored);
                 }
             }
         }
@@ -517,36 +489,26 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
             planner.push_user(u, &predicted[u], bn, false);
         }
 
+        // The objective prices each level at its *incremental*
+        // transmission cost (the suppressed rate), not the full-library
+        // rate — what this slot will actually send — with the server's
+        // estimated delay and its server-wide per-packet loss estimate:
+        // lost transfers over packets sent (a lost transfer implies ≈1 lost
+        // packet at small loss rates).
         let floor_slots = PROPAGATION_S / dt;
-        let loss_p = loss_estimate.estimate();
-        planner.stage(CONTROL_OVERHEAD_MBPS, |u, bn| {
-            let delta = deltas[u].estimate();
-            let tracker = *accumulators[u].tracker();
-            let delay_model = EstimatedDelay {
-                poly: &delay_estimators[u],
-                fallback: Mm1Delay::new(bn).expect("positive estimate"),
-                floor_slots,
-            };
-            // The objective prices each level at its *incremental*
-            // transmission cost `raw` (the suppressed rate), not the
-            // full-library rate — what this slot will actually send.
-            move |l, raw| {
-                let q = QualityLevel::new((l + 1) as u8);
-                let delta_eff = match mode {
-                    ObjectiveMode::LossAware => {
-                        let packets = packets_for_rate(raw, dt, PACKET_SIZE_KBIT);
-                        let survive = 1.0 - transfer_loss_probability(loss_p, packets);
-                        delta * survive
-                    }
-                    _ => delta,
-                };
-                let delay = match mode {
-                    ObjectiveMode::DelayBlind => 0.0,
-                    _ => delay_model.delay(raw),
-                };
-                h_at_delay(config.params, delta_eff, &tracker, q, delay)
-            }
-        });
+        let loss_p = match packets_sent {
+            0 => 0.0,
+            sent => (transfers_lost as f64 / sent as f64).min(0.5),
+        };
+        planner.stage(
+            CONTROL_OVERHEAD_MBPS,
+            mode,
+            |u, bn| estimated_delay(&delay_estimators[u], bn, floor_slots),
+            |raw| {
+                let packets = packets_for_rate(raw, dt, PACKET_SIZE_KBIT);
+                1.0 - transfer_loss_probability(loss_p, packets)
+            },
+        );
 
         assignment.clear();
         assignment.extend_from_slice(allocator.allocate(planner.engine_mut()));
@@ -575,7 +537,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
                 } else {
                     router_caps[r]
                 };
-                effective_bn[u] = burst.min(throttles[u]).max(0.1);
+                effective_bn[u] = burst.min(throttles[u]).max(LINK_FLOOR_MBPS);
             }
         }
 
@@ -589,7 +551,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
         if let Some(links) = &mut bonded {
             for u in 0..n {
                 let sample = links[u].sample(now);
-                effective_bn[u] = effective_bn[u].min(sample.active_mbps).max(0.1);
+                effective_bn[u] = effective_bn[u].min(sample.active_mbps).max(LINK_FLOOR_MBPS);
             }
         }
 
@@ -641,7 +603,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
             if lost {
                 transfers_lost += 1;
             }
-            loss_estimate.record(packets, lost);
+            packets_sent += u64::from(packets);
             let arrived = !lost && delay_slots < DELAY_CAP_SLOTS;
             let on_time = arrived && delay_slots <= PIPELINE_SLOTS as f64;
             let arrival_time = now + delay_slots * dt;
@@ -672,13 +634,8 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
                 }
             }
 
-            pending[u].push_back(PendingFrame {
-                display_slot: slot + PIPELINE_SLOTS,
-                predicted: predicted[u],
-                quality: q,
-                delivered_on_time: on_time,
-                delay_slots,
-            });
+            let display_slot = (slot + PIPELINE_SLOTS) as u64;
+            planner.expect(u, display_slot, predicted[u], q, delay_slots, on_time);
 
             // 5. Measurements feeding the estimators (what the client
             //    reports back): achieved bandwidth and observed delay.
@@ -705,7 +662,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
         planner.acknowledge_prefetched();
     }
 
-    let users: Vec<UserQoeSummary> = accumulators.iter().map(|a| a.summary()).collect();
+    let users: Vec<UserQoeSummary> = (0..n).map(|u| planner.qoe(u).summary()).collect();
     SystemRunResult {
         label: kind.label(),
         summary: SystemQoeSummary::from_users(&users),
@@ -717,36 +674,6 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
             .unwrap_or(0),
         users,
         timeseries,
-    }
-}
-
-/// Running estimate of the per-packet loss probability from transfer
-/// outcomes: `lost transfers / packets sent` (consistent for small loss
-/// rates, where a lost transfer almost surely lost exactly one packet).
-#[derive(Debug, Clone, Copy, Default)]
-struct PacketLossEstimate {
-    packets: u64,
-    lost_transfers: u64,
-}
-
-impl PacketLossEstimate {
-    fn new() -> Self {
-        PacketLossEstimate::default()
-    }
-
-    fn record(&mut self, packets: u32, lost: bool) {
-        self.packets += u64::from(packets);
-        if lost {
-            self.lost_transfers += 1;
-        }
-    }
-
-    fn estimate(&self) -> f64 {
-        if self.packets == 0 {
-            0.0
-        } else {
-            (self.lost_transfers as f64 / self.packets as f64).min(0.5)
-        }
     }
 }
 

@@ -24,10 +24,9 @@
 
 use cvr_content::library::ContentLibrary;
 use cvr_core::alloc::Allocator;
-use cvr_core::delay::{DelayModel, Mm1Delay};
-use cvr_core::objective::{h_at_delay, QoeParams};
+use cvr_core::objective::QoeParams;
 use cvr_core::offline::fractional_upper_bound;
-use cvr_core::qoe::{SystemQoeSummary, UserQoeAccumulator, UserQoeSummary};
+use cvr_core::qoe::{SystemQoeSummary, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
 use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::predict::LinearPredictor;
@@ -35,7 +34,7 @@ use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
 use cvr_net::trace::{ThroughputTrace, TraceGeneratorConfig, TraceProfile};
 
 use crate::allocators::{AllocatorKind, ObjectiveMode};
-use crate::pipeline::SlotPlanner;
+use crate::pipeline::{mm1_delay, SlotPlanner, LINK_FLOOR_MBPS};
 
 /// Slot duration in seconds (paper: 15 ms at 66 FPS).
 const SLOT_DURATION_S: f64 = 0.015;
@@ -142,52 +141,25 @@ pub fn run_with(
     let server_budget = config.server_budget_per_user_mbps * n as f64;
 
     // Per-user state, all seeded from the master seed. Motion comes from
-    // the synthetic generator, or from replayed pose traces when supplied.
-    enum MotionSource {
-        Synthetic(Box<MotionGenerator>),
-        Replay {
-            trace: Vec<cvr_motion::pose::Pose>,
-            cursor: usize,
-        },
+    // the synthetic generator, or from replayed pose traces (repeating
+    // cyclically) when supplied.
+    let replay = config.motion_override.as_deref();
+    if let Some(traces) = replay {
+        assert_eq!(traces.len(), n, "motion_override must cover every user");
+        let empty = traces.iter().any(|t| t.is_empty());
+        assert!(!empty, "motion_override traces must be non-empty");
     }
-    impl MotionSource {
-        fn step(&mut self) -> cvr_motion::pose::Pose {
-            match self {
-                MotionSource::Synthetic(g) => g.step(),
-                MotionSource::Replay { trace, cursor } => {
-                    let pose = trace[*cursor % trace.len()];
-                    *cursor += 1;
-                    pose
-                }
-            }
-        }
-    }
-    let mut motion: Vec<MotionSource> = match &config.motion_override {
-        Some(traces) => {
-            assert_eq!(traces.len(), n, "motion_override must cover every user");
-            traces
-                .iter()
-                .map(|t| {
-                    assert!(!t.is_empty(), "motion_override traces must be non-empty");
-                    MotionSource::Replay {
-                        trace: t.clone(),
-                        cursor: 0,
-                    }
-                })
-                .collect()
-        }
-        None => (0..n)
-            .map(|u| {
-                MotionSource::Synthetic(Box::new(MotionGenerator::new(
-                    MotionConfig {
-                        slot_duration_s: SLOT_DURATION_S,
-                        ..MotionConfig::paper_default()
-                    },
-                    config.seed.wrapping_mul(0xA24B_AED4).wrapping_add(u as u64),
-                )))
-            })
-            .collect(),
-    };
+    let mut motion: Vec<MotionGenerator> = (0..n)
+        .map(|u| {
+            MotionGenerator::new(
+                MotionConfig {
+                    slot_duration_s: SLOT_DURATION_S,
+                    ..MotionConfig::paper_default()
+                },
+                config.seed.wrapping_mul(0xA24B_AED4).wrapping_add(u as u64),
+            )
+        })
+        .collect();
     let traces: Vec<ThroughputTrace> = match &config.trace_override {
         Some(traces) => {
             assert_eq!(traces.len(), n, "trace_override must cover every user");
@@ -212,10 +184,6 @@ pub fn run_with(
     };
     let mut predictors: Vec<LinearPredictor> =
         (0..n).map(|_| LinearPredictor::paper_default()).collect();
-    let mut deltas: Vec<DeltaEstimator> = (0..n).map(|_| DeltaEstimator::average()).collect();
-    let mut accumulators: Vec<UserQoeAccumulator> = (0..n)
-        .map(|_| UserQoeAccumulator::new(config.params))
-        .collect();
 
     let mut bound_sum = 0.0;
     let mut timeseries = config
@@ -228,8 +196,15 @@ pub fn run_with(
     // acknowledged, so every ledger stays empty and each user's
     // undelivered sums are exactly the per-level rate table of its
     // request, cached until the predicted pose leaves the current cell or
-    // orientation bucket. Horizon 1: the paper's myopic loop.
-    let mut planner = SlotPlanner::new(ContentLibrary::paper_default(), 1, 0);
+    // orientation bucket. Horizon 1: the paper's myopic loop; δ_n is the
+    // paper's running average hit rate.
+    let mut planner = SlotPlanner::new(
+        ContentLibrary::paper_default(),
+        1,
+        0,
+        config.params,
+        DeltaEstimator::average(),
+    );
     for u in 0..n {
         planner.join(u);
     }
@@ -243,7 +218,10 @@ pub fn run_with(
 
         // Reveal this slot's actual poses, but predict from history first.
         actual.clear();
-        actual.extend(motion.iter_mut().map(|g| g.step()));
+        actual.extend(motion.iter_mut().enumerate().map(|(u, g)| match replay {
+            Some(traces) => traces[u][slot % traces[u].len()],
+            None => g.step(),
+        }));
         predicted.clear();
         predicted.extend(
             predictors
@@ -256,28 +234,18 @@ pub fn run_with(
         planner.begin_slot(slot as u64, server_budget);
         link_budgets.clear();
         for u in 0..n {
-            let bn = traces[u].at(now);
+            // A zero-rate window (a handover outage in a replayed trace)
+            // plans against the link floor.
+            let bn = traces[u].at(now).max(LINK_FLOOR_MBPS);
             link_budgets.push(bn);
             planner.push_user(u, &predicted[u], bn, false);
         }
         // The Section-IV trace model has no control stream, so the staged
         // rate row is the undelivered sums verbatim: zero overhead keeps
         // the kernel's `sums[l] + 0.0` a bitwise copy (the sums are
-        // non-negative fold results, never -0.0).
-        let params = config.params;
-        planner.stage(0.0, |u, bn| {
-            let delay_model = Mm1Delay::new(bn).expect("trace throughput is positive");
-            let delta = deltas[u].estimate();
-            let tracker = *accumulators[u].tracker();
-            move |l, rate| {
-                let level = QualityLevel::new((l + 1) as u8);
-                let delay = match mode {
-                    ObjectiveMode::DelayBlind => 0.0,
-                    ObjectiveMode::DelayAware | ObjectiveMode::LossAware => delay_model.delay(rate),
-                };
-                h_at_delay(params, delta, &tracker, level, delay)
-            }
-        });
+        // non-negative fold results, never -0.0). Eq. (13) at the trace
+        // sample; no packet is lost, so every transfer survives.
+        planner.stage(0.0, mode, |_, bn| mm1_delay(bn, 0.0), |_| 1.0);
 
         if config.compute_bound {
             bound_sum +=
@@ -286,38 +254,31 @@ pub fn run_with(
 
         assignment.clear();
         assignment.extend_from_slice(allocator.allocate(planner.engine_mut()));
-        let engine = planner.engine();
+        let rate =
+            |planner: &SlotPlanner, u: usize| planner.engine().rates(u)[assignment[u].index()];
 
         // Consequences: server-bottleneck sharing, Eq. (13) delay, FoV hit.
-        let total_rate: f64 = (0..n).map(|u| engine.rates(u)[assignment[u].index()]).sum();
+        let total_rate: f64 = (0..n).map(|u| rate(&planner, u)).sum();
         let over = if total_rate > server_budget {
             server_budget / total_rate
         } else {
             1.0
         };
         for u in 0..n {
-            let rate = engine.rates(u)[assignment[u].index()];
-            let effective_link = link_budgets[u] * over;
-            let delay = Mm1Delay::new(effective_link)
-                .expect("positive link")
-                .delay(rate);
-            let hit = planner.library().fov().covers(&predicted[u], &actual[u]);
-            accumulators[u].record(assignment[u], hit, delay);
-            deltas[u].record(hit);
-            predictors[u].observe(&actual[u]);
-            if let Some(ts) = &mut timeseries {
-                ts.chosen_level[u].push(assignment[u].get());
-                ts.viewed_quality[u].push(if hit {
-                    assignment[u].value() as f32
-                } else {
-                    0.0
-                });
-                ts.delay_slots[u].push(delay as f32);
+            let rate = rate(&planner, u);
+            let delay = mm1_delay(link_budgets[u] * over, 0.0)(rate);
+            let due = slot as u64;
+            planner.expect(u, due, predicted[u], assignment[u], delay, true);
+            for scored in planner.reveal(u, due, &actual[u]) {
+                if let Some(ts) = &mut timeseries {
+                    ts.record(u, scored);
+                }
             }
+            predictors[u].observe(&actual[u]);
         }
     }
 
-    let users: Vec<UserQoeSummary> = accumulators.iter().map(|a| a.summary()).collect();
+    let users: Vec<UserQoeSummary> = (0..n).map(|u| planner.qoe(u).summary()).collect();
     RunResult {
         label,
         summary: SystemQoeSummary::from_users(&users),

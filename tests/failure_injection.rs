@@ -70,6 +70,38 @@ fn starvation_pins_to_lowest_level_without_panic() {
 }
 
 #[test]
+fn a_zero_throughput_window_in_a_replayed_trace_does_not_panic() {
+    // A recorded trace with a half-second handover outage at 0 Mbps,
+    // loaded as a replayed trace is.
+    let csv = "duration_s,mbps\n2.0,60\n0.5,0\n2.5,60\n";
+    let trace = ThroughputTrace::from_csv(csv.as_bytes()).expect("a valid trace");
+    let n = 2;
+    let config = TraceSimConfig {
+        duration_s: 5.0,
+        trace_override: Some(vec![trace; n]),
+        record_timeseries: true,
+        ..TraceSimConfig::paper_default(n, 3)
+    };
+    for kind in [
+        AllocatorKind::DensityValueGreedy,
+        AllocatorKind::Pavq,
+        AllocatorKind::Firefly,
+    ] {
+        let r = tracesim::run(&config, kind);
+        assert!(r.summary.avg_qoe.is_finite(), "{kind:?}");
+        let ts = r.timeseries.expect("recorded");
+        for u in 0..n {
+            assert!(r.users[u].avg_delay.is_finite(), "{kind:?}");
+            // Well inside the outage (slots 134–166) only level 1 is sent.
+            assert!(
+                ts.chosen_level[u][140..160].iter().all(|&l| l == 1),
+                "{kind:?} user {u} sent above level 1 over a dead link"
+            );
+        }
+    }
+}
+
+#[test]
 fn abundant_bandwidth_saturates_quality() {
     let n = 3;
     let config = TraceSimConfig {

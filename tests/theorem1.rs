@@ -6,6 +6,7 @@
 use collaborative_vr::core::offline::{exact_slot_optimum, fractional_upper_bound};
 use collaborative_vr::prelude::*;
 use collaborative_vr::sim::pipeline::SlotPlanner;
+use collaborative_vr::sim::ObjectiveMode;
 use cvr_content::id::VideoId;
 
 /// Stages one slot of `users` users into `problem`, each with its real
@@ -130,16 +131,20 @@ fn link(u: usize, slot: u64) -> f64 {
 /// Theorem 1 on the rows the planner actually stages: groupable users in
 /// co-gazing clusters share rows whose value is the clamped member sum at
 /// unequal caps, ACKs and releases churn the ledgers, and the values are
-/// Eq. (9) at the M/M/1 delay. Every slot's staged engine goes to the
-/// oracles as is.
+/// Eq. (9) at the M/M/1 delay, priced from accounts that every frame's
+/// outcome moves. Every slot's staged engine goes to the oracles as is.
 #[test]
 fn theorem1_on_the_rows_the_planner_stages() {
-    let params = QoeParams::simulation_default();
-    let mut planner = SlotPlanner::new(ContentLibrary::paper_default(), 1, 8);
+    let mut planner = SlotPlanner::new(
+        ContentLibrary::paper_default(),
+        1,
+        8,
+        QoeParams::simulation_default(),
+        DeltaEstimator::average(),
+    );
     for u in 0..USERS {
         planner.join(u);
     }
-    let mut trackers = vec![VarianceTracker::new(); USERS];
     let mut held: Vec<Vec<VideoId>> = vec![Vec::new(); USERS];
     let mut manifest = Vec::new();
     let (mut worst, mut ratio_sum, mut ratios) = (f64::INFINITY, 0.0, 0u32);
@@ -151,14 +156,15 @@ fn theorem1_on_the_rows_the_planner_stages() {
             // Users are pushed in index order, so plan index = user.
             planner.push_user(u, &gaze(u, slot), link(u, slot), true);
         }
-        planner.stage(CONTROL_OVERHEAD_MBPS, |u, bn| {
-            let delay = Mm1Delay::new(bn).expect("positive link");
-            let tracker = trackers[u];
-            move |l, rate| {
-                let q = QualityLevel::new(l as u8 + 1);
-                h_at_delay(params, 0.9, &tracker, q, delay.delay(rate))
-            }
-        });
+        planner.stage(
+            CONTROL_OVERHEAD_MBPS,
+            ObjectiveMode::DelayAware,
+            |_, bn| {
+                let delay = Mm1Delay::new(bn).expect("positive link");
+                move |rate| delay.delay(rate)
+            },
+            |_| 1.0,
+        );
 
         let engine = planner.engine();
         let optimum = exact_slot_optimum(engine).expect("at most one row per user");
@@ -194,16 +200,18 @@ fn theorem1_on_the_rows_the_planner_stages() {
                     unequal_cap_rows += 1;
                 }
             }
-            if (slot + r as u64) % 7 == 3 {
-                continue;
-            }
+            let delivered = (slot + r as u64) % 7 != 3;
             let (members, assigned) = (row.members.to_vec(), row.assigned);
             for (k, &m) in members.iter().enumerate() {
                 let cap = planner.row(r).caps[k];
-                trackers[m].push(f64::from(assigned.get().min(cap as u8 + 1)));
-                planner.manifest_into(m, assigned, &mut manifest);
-                planner.acknowledge(m, manifest.iter().copied());
-                held[m].extend_from_slice(&manifest);
+                let shown = QualityLevel::new(assigned.get().min(cap as u8 + 1));
+                planner.expect(m, slot, gaze(m, slot), shown, 0.0, delivered);
+                planner.reveal(m, slot, &gaze(m, slot));
+                if delivered {
+                    planner.manifest_into(m, assigned, &mut manifest);
+                    planner.acknowledge(m, manifest.iter().copied());
+                    held[m].extend_from_slice(&manifest);
+                }
             }
         }
         shared_slots += u32::from(shared);
