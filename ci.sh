@@ -59,10 +59,10 @@ INCLUDE_IGNORED=1
 # Ceilings on `./ci.sh loc`'s workspace totals (non-test, all lines) and
 # on the byte sizes of the four prose documents. A change that must raise
 # one does so here and says why in CHANGES.md.
-LOC_CEILING_NON_TEST=18780
-LOC_CEILING_ALL=33475
-BYTE_CEILING_DESIGN=45308
-BYTE_CEILING_CHANGES=50186
+LOC_CEILING_NON_TEST=18605
+LOC_CEILING_ALL=33282
+BYTE_CEILING_DESIGN=45786
+BYTE_CEILING_CHANGES=51718
 BYTE_CEILING_EXPERIMENTS=27837
 BYTE_CEILING_README=14596
 
@@ -401,13 +401,15 @@ stage_loc() {
 # target, each PR's CHANGES entry and the `test` stage's ceilings.
 # Non-test lines are counted in crates/*/src and src only; tests/,
 # benches/ and examples/ directories add to the second column alone.
+# The vendored dependency stand-ins under shims/ get their own row after
+# the total and stay out of it, so the ceilings keep their meaning.
 loc_table() {
-    find crates src tests examples -name '*.rs' | sort | xargs awk '
+    { find crates src tests examples -name '*.rs' | sort; find shims -name '*.rs' | sort; } | xargs awk '
         FNR == 1 {
             in_tests = 0
             split(FILENAME, part, "/")
             group = part[1] == "crates" ? "crates/" part[2] : part[1]
-            counts = part[1] == "src" || (part[1] == "crates" && part[3] == "src")
+            counts = part[1] == "src" || ((part[1] == "crates" || part[1] == "shims") && part[3] == "src")
             if (!(group in all)) { order[++groups] = group; non_test[group] = 0 }
         }
         /^[ \t]*#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -416,10 +418,12 @@ loc_table() {
             printf "%-18s %9s %9s\n", "", "non-test", "all"
             for (g = 1; g <= groups; g++) {
                 group = order[g]
+                if (group == "shims") continue
                 printf "%-18s %9d %9d\n", group, non_test[group], all[group]
                 sum_non_test += non_test[group]; sum_all += all[group]
             }
             printf "%-18s %9d %9d\n", "total", sum_non_test, sum_all
+            printf "%-18s %9d %9d\n", "shims (not total)", non_test["shims"], all["shims"]
         }'
 }
 

@@ -37,7 +37,6 @@ fn run_margin_policy(adaptive: bool, saccade_rate: f64, slots: usize, seed: u64)
         MotionConfig {
             slot_duration_s: 1.0 / 60.0,
             saccade_rate_hz: saccade_rate,
-            ..MotionConfig::paper_default()
         },
         seed,
     );
@@ -332,7 +331,7 @@ pub fn margin(args: &FigureArgs) {
         let mut table = Table::titled(&["margin (deg)", "hit rate", "frac panorama", "mean tiles"]);
         for margin in [0.0, 5.0, 10.0, 15.0, 20.0, 30.0, 45.0] {
             let fov = FovSpec::paper_default().with_margin(margin);
-            let mut delta = DeltaEstimator::average_with_prior(1.0);
+            let mut delta = DeltaEstimator::average();
             let mut tile_count = 0usize;
             let mut tile_samples = 0usize;
             for seed in 0..4u64 {

@@ -220,7 +220,10 @@ pub fn fig7(args: &FigureArgs) {
     };
     println!(
         "# Fig. 7 — setup 1: {} users, 1 router, {} Mbps server, {} reps × {:.0} s\n",
-        base.num_users, base.server_total_mbps, repetitions, base.duration_s
+        base.num_users,
+        base.server_total_mbps(),
+        repetitions,
+        base.duration_s
     );
     let result = testbed_bars(args, "fig7", &base, repetitions);
     let ours = result.per_algorithm["ours"];
@@ -247,7 +250,7 @@ pub fn fig8(args: &FigureArgs) {
     };
     println!(
         "# Fig. 8 — setup 2: {} users, 2 routers (interference), {} Mbps server, {} reps × {:.0} s\n",
-        base.num_users, base.server_total_mbps, repetitions, base.duration_s
+        base.num_users, base.server_total_mbps(), repetitions, base.duration_s
     );
     let result = testbed_bars(args, "fig8", &base, repetitions);
     println!(

@@ -26,7 +26,6 @@ use std::time::Instant;
 
 use cvr_bench::json::Json;
 use cvr_bench::{Cell, FigureArgs, Table};
-use cvr_content::library::ContentLibrary;
 use cvr_core::objective::QoeParams;
 use cvr_core::stage::CONTROL_OVERHEAD_MBPS;
 use cvr_motion::accuracy::DeltaEstimator;
@@ -55,7 +54,6 @@ struct Workload {
     users: usize,
     server_budget: f64,
     slots: usize,
-    library: ContentLibrary,
     poses: Vec<Pose>,
     links: Vec<f64>,
 }
@@ -68,7 +66,6 @@ impl Workload {
         slots: usize,
         seed: u64,
     ) -> Self {
-        let library = ContentLibrary::paper_default();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut motion: Vec<MotionGenerator> = (0..users)
             .map(|u| {
@@ -91,7 +88,6 @@ impl Workload {
             users,
             server_budget,
             slots,
-            library,
             poses,
             links,
         }
@@ -100,13 +96,8 @@ impl Workload {
     /// A myopic unicast planner (the session's default) with every user
     /// joined.
     fn planner(&self) -> SlotPlanner {
-        let mut planner = SlotPlanner::new(
-            self.library.clone(),
-            1,
-            0,
-            QoeParams::system_default(),
-            DeltaEstimator::ewma(1.0, 0.02),
-        );
+        let mut planner =
+            SlotPlanner::new(1, 0, QoeParams::system_default(), DeltaEstimator::ewma());
         for u in 0..self.users {
             planner.join(u);
         }

@@ -13,7 +13,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use cvr_core::error::ModelError;
 use cvr_core::fnv;
 use cvr_core::quality::QualityLevel;
 use cvr_core::rate::TabulatedRate;
@@ -26,6 +25,13 @@ use crate::tile::TileId;
 /// 36 Mbps at level 4.
 pub const TYPICAL_TILES_PER_DELIVERY: f64 = 3.0;
 
+/// Rate (Mbps) of a typical whole delivery at level 4, the paper's
+/// per-user budget in Section IV.
+const ANCHOR_DELIVERY_MBPS: f64 = 36.0;
+
+/// Spread of the per-tile complexity factor around 1.0 (±25 %).
+const COMPLEXITY_SPREAD: f64 = 0.25;
+
 /// The FNV-1a state after a cell's x then z little-endian bytes: the
 /// prefix the complexity hash of every tile of the cell starts from.
 fn cell_prefix(cell: CellId) -> u64 {
@@ -35,61 +41,24 @@ fn cell_prefix(cell: CellId) -> u64 {
     )
 }
 
-/// The synthetic encoded-size model.
+/// The synthetic encoded-size model at the paper's operating point: six
+/// levels, a typical delivery costs 36 Mbps at level 4,
+/// ±25 % spatial complexity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TileSizeModel {
-    /// Rate (Mbps) of a typical whole delivery at the anchor level.
-    anchor_delivery_mbps: f64,
-    /// Per-level multipliers relative to the anchor level (level 4 = 1.0).
+    /// Per-level multipliers relative to level 4 (= 1.0), from the paper
+    /// profile's convex curve.
     multipliers: Vec<f64>,
-    /// Spread of the per-tile complexity factor around 1.0.
-    complexity_spread: f64,
 }
 
 impl TileSizeModel {
-    /// The paper's operating point: six levels, anchor 36 Mbps at level 4,
-    /// ±25 % spatial complexity.
+    /// The model.
     pub fn paper_default() -> Self {
         let anchor = TabulatedRate::paper_profile();
         let base = anchor.as_slice()[3];
         TileSizeModel {
-            anchor_delivery_mbps: 36.0,
             multipliers: anchor.as_slice().iter().map(|r| r / base).collect(),
-            complexity_spread: 0.25,
         }
-    }
-
-    /// Creates a model with custom parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if the anchor rate is not positive, the
-    /// multipliers are not strictly increasing/positive, or the spread is
-    /// outside `[0, 0.9]`.
-    pub fn new(
-        anchor_delivery_mbps: f64,
-        multipliers: Vec<f64>,
-        complexity_spread: f64,
-    ) -> Result<Self, ModelError> {
-        if !anchor_delivery_mbps.is_finite() || anchor_delivery_mbps <= 0.0 {
-            return Err(ModelError::InvalidParameter {
-                name: "anchor_delivery_mbps",
-                value: anchor_delivery_mbps,
-            });
-        }
-        if !(0.0..=0.9).contains(&complexity_spread) {
-            return Err(ModelError::InvalidParameter {
-                name: "complexity_spread",
-                value: complexity_spread,
-            });
-        }
-        // Validate via TabulatedRate's invariants.
-        TabulatedRate::new(multipliers.clone())?;
-        Ok(TileSizeModel {
-            anchor_delivery_mbps,
-            multipliers,
-            complexity_spread,
-        })
     }
 
     /// Number of quality levels.
@@ -107,7 +76,7 @@ impl TileSizeModel {
     /// `prefix`: FNV-1a over the coordinates, then the tile byte.
     fn complexity_after(&self, prefix: u64, tile: TileId) -> f64 {
         let unit = (fnv::fold_bytes(prefix, &[tile.get()]) >> 11) as f64 / (1u64 << 53) as f64;
-        1.0 - self.complexity_spread + 2.0 * self.complexity_spread * unit
+        1.0 - COMPLEXITY_SPREAD + 2.0 * COMPLEXITY_SPREAD * unit
     }
 
     /// Rate (Mbps contribution) of one encoded tile at `quality`.
@@ -116,7 +85,7 @@ impl TileSizeModel {
     ///
     /// Panics if `quality` exceeds the number of levels.
     pub fn tile_rate_mbps(&self, cell: CellId, tile: TileId, quality: QualityLevel) -> f64 {
-        let per_tile_anchor = self.anchor_delivery_mbps / TYPICAL_TILES_PER_DELIVERY;
+        let per_tile_anchor = ANCHOR_DELIVERY_MBPS / TYPICAL_TILES_PER_DELIVERY;
         per_tile_anchor * self.multipliers[quality.index()] * self.complexity(cell, tile)
     }
 
@@ -138,7 +107,7 @@ impl TileSizeModel {
     /// Panics if `out` is shorter than the number of levels.
     pub fn tile_rate_row(&self, cell: CellId, tile: TileId, out: &mut [f64]) {
         assert!(out.len() >= self.levels(), "output row too short");
-        let per_tile_anchor = self.anchor_delivery_mbps / TYPICAL_TILES_PER_DELIVERY;
+        let per_tile_anchor = ANCHOR_DELIVERY_MBPS / TYPICAL_TILES_PER_DELIVERY;
         let complexity = self.complexity(cell, tile);
         for (slot, multiplier) in out[..self.levels()].iter_mut().zip(&self.multipliers) {
             *slot = per_tile_anchor * multiplier * complexity;
@@ -160,7 +129,7 @@ impl TileSizeModel {
     pub fn cell_rate_rows(&self, cell: CellId, out: &mut [f64]) {
         let count = usize::from(TileId::COUNT);
         assert_eq!(out.len(), count * self.levels(), "output table size");
-        let per_tile_anchor = self.anchor_delivery_mbps / TYPICAL_TILES_PER_DELIVERY;
+        let per_tile_anchor = ANCHOR_DELIVERY_MBPS / TYPICAL_TILES_PER_DELIVERY;
         let prefix = cell_prefix(cell);
         let complexity = TileId::all().map(|tile| self.complexity_after(prefix, tile));
         for (run, multiplier) in out.chunks_exact_mut(count).zip(&self.multipliers) {
@@ -234,7 +203,7 @@ mod tests {
 
     /// The per-byte FNV-1a complexity as written before the cell prefix
     /// was factored out.
-    fn reference_complexity(m: &TileSizeModel, cell: CellId, tile: TileId) -> f64 {
+    fn reference_complexity(cell: CellId, tile: TileId) -> f64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in (cell.x.to_le_bytes().into_iter())
             .chain(cell.z.to_le_bytes())
@@ -244,7 +213,7 @@ mod tests {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        1.0 - m.complexity_spread + 2.0 * m.complexity_spread * unit
+        1.0 - COMPLEXITY_SPREAD + 2.0 * COMPLEXITY_SPREAD * unit
     }
 
     proptest! {
@@ -273,7 +242,7 @@ mod tests {
                 for t in TileId::all() {
                     prop_assert_eq!(
                         m.complexity(c, t).to_bits(),
-                        reference_complexity(&m, c, t).to_bits()
+                        reference_complexity(c, t).to_bits()
                     );
                 }
             }
@@ -399,16 +368,5 @@ mod tests {
         let two = m.content_rate_mbps(cell(0, 0), &[TileId::new(0), TileId::new(1)], q);
         let four = m.content_rate_mbps(cell(0, 0), &TileId::all(), q);
         assert!(four > two);
-    }
-
-    #[test]
-    fn custom_model_validation() {
-        assert!(TileSizeModel::new(0.0, vec![1.0, 2.0], 0.1).is_err());
-        assert!(TileSizeModel::new(10.0, vec![2.0, 1.0], 0.1).is_err());
-        assert!(TileSizeModel::new(10.0, vec![1.0, 2.0], 0.95).is_err());
-        let ok = TileSizeModel::new(10.0, vec![1.0, 2.0, 4.0], 0.0).unwrap();
-        assert_eq!(ok.levels(), 3);
-        // Zero spread → complexity exactly 1.
-        assert_eq!(ok.complexity(cell(5, 5), TileId::new(2)), 1.0);
     }
 }

@@ -7,7 +7,12 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Running estimator of the FoV prediction hit probability.
+/// Weight of the newest observation in the EWMA estimate.
+const EWMA_WEIGHT: f64 = 0.02;
+
+/// Running estimator of the FoV prediction hit probability. Both forms
+/// start from an optimistic 1.0 (assume predictions work until shown
+/// otherwise — the margin makes early hits very likely).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DeltaEstimator {
     /// Cumulative average `hits / observations` (the paper's estimator).
@@ -16,60 +21,24 @@ pub enum DeltaEstimator {
         hits: u64,
         /// Total observations.
         total: u64,
-        /// Estimate returned before any observation.
-        prior: f64,
     },
-    /// Exponentially weighted moving average with weight `w` on the newest
+    /// Exponentially weighted moving average, weight 0.02 on the newest
     /// observation.
     Ewma {
         /// Current estimate.
         value: f64,
-        /// Weight on the newest observation, in `(0, 1]`.
-        weight: f64,
     },
 }
 
 impl DeltaEstimator {
-    /// The paper's cumulative-average estimator, optimistic prior of 1.0
-    /// (assume predictions work until shown otherwise — the margin makes
-    /// early hits very likely).
+    /// The paper's cumulative-average estimator.
     pub fn average() -> Self {
-        DeltaEstimator::Average {
-            hits: 0,
-            total: 0,
-            prior: 1.0,
-        }
+        DeltaEstimator::Average { hits: 0, total: 0 }
     }
 
-    /// Cumulative average with an explicit prior.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prior` is outside `[0, 1]`.
-    pub fn average_with_prior(prior: f64) -> Self {
-        assert!((0.0..=1.0).contains(&prior), "prior must be a probability");
-        DeltaEstimator::Average {
-            hits: 0,
-            total: 0,
-            prior,
-        }
-    }
-
-    /// EWMA estimator starting from `initial`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is outside `(0, 1]` or `initial` outside `[0, 1]`.
-    pub fn ewma(initial: f64, weight: f64) -> Self {
-        assert!(weight > 0.0 && weight <= 1.0, "weight must be in (0, 1]");
-        assert!(
-            (0.0..=1.0).contains(&initial),
-            "initial must be a probability"
-        );
-        DeltaEstimator::Ewma {
-            value: initial,
-            weight,
-        }
+    /// The EWMA estimator.
+    pub fn ewma() -> Self {
+        DeltaEstimator::Ewma { value: 1.0 }
     }
 
     /// Records one slot's outcome.
@@ -81,9 +50,9 @@ impl DeltaEstimator {
                     *hits += 1;
                 }
             }
-            DeltaEstimator::Ewma { value, weight } => {
+            DeltaEstimator::Ewma { value } => {
                 let x = if hit { 1.0 } else { 0.0 };
-                *value = (1.0 - *weight) * *value + *weight * x;
+                *value = (1.0 - EWMA_WEIGHT) * *value + EWMA_WEIGHT * x;
             }
         }
     }
@@ -91,14 +60,14 @@ impl DeltaEstimator {
     /// The current estimate of `δ_n`.
     pub fn estimate(&self) -> f64 {
         match self {
-            DeltaEstimator::Average { hits, total, prior } => {
+            DeltaEstimator::Average { hits, total } => {
                 if *total == 0 {
-                    *prior
+                    1.0
                 } else {
                     *hits as f64 / *total as f64
                 }
             }
-            DeltaEstimator::Ewma { value, .. } => *value,
+            DeltaEstimator::Ewma { value } => *value,
         }
     }
 }
@@ -128,9 +97,8 @@ mod tests {
 
     #[test]
     fn prior_used_before_observations() {
-        let est = DeltaEstimator::average_with_prior(0.6);
-        assert_eq!(est.estimate(), 0.6);
         assert_eq!(DeltaEstimator::average().estimate(), 1.0);
+        assert_eq!(DeltaEstimator::ewma().estimate(), 1.0);
     }
 
     #[test]
@@ -146,7 +114,7 @@ mod tests {
     #[test]
     fn ewma_tracks_regime_change_faster_than_average() {
         let mut avg = DeltaEstimator::average();
-        let mut ewma = DeltaEstimator::ewma(1.0, 0.05);
+        let mut ewma = DeltaEstimator::ewma();
         // 1000 hits, then 200 misses.
         for _ in 0..1000 {
             avg.record(true);
@@ -162,23 +130,11 @@ mod tests {
 
     #[test]
     fn estimates_stay_in_unit_interval() {
-        let mut est = DeltaEstimator::ewma(0.5, 0.3);
+        let mut est = DeltaEstimator::ewma();
         for i in 0..100 {
             est.record(i % 3 == 0);
             let e = est.estimate();
             assert!((0.0..=1.0).contains(&e));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn bad_prior_panics() {
-        let _ = DeltaEstimator::average_with_prior(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight")]
-    fn bad_weight_panics() {
-        let _ = DeltaEstimator::ewma(0.5, 0.0);
     }
 }

@@ -11,8 +11,21 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
+/// Errors the window holds.
+const WINDOW: usize = 256;
+/// The error quantile the margin follows.
+const QUANTILE: f64 = 0.95;
+/// Degrees added to the quantile.
+const PAD_DEG: f64 = 2.0;
+/// Smallest margin, degrees.
+const MIN_DEG: f64 = 3.0;
+/// Largest margin, degrees: the paper's fixed 15°.
+const MAX_DEG: f64 = 15.0;
+
 /// Sliding-window quantile tracker over orientation prediction errors,
-/// producing a per-user delivery margin.
+/// producing a per-user delivery margin: p95 of the last 256 errors plus a
+/// 2° pad, clamped to `[3°, 15°]`, so its *maximum* equals the paper's
+/// fixed 15° margin.
 ///
 /// # Examples
 ///
@@ -29,44 +42,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveMargin {
     window: VecDeque<f64>,
-    capacity: usize,
-    quantile: f64,
-    pad_deg: f64,
-    min_deg: f64,
-    max_deg: f64,
 }
 
 impl AdaptiveMargin {
-    /// A configuration whose *maximum* equals the paper's fixed 15° margin:
-    /// p95 of the last 256 errors plus a 2° pad, clamped to `[3°, 15°]`.
+    /// An empty tracker.
     pub fn paper_compatible() -> Self {
-        AdaptiveMargin::new(256, 0.95, 2.0, 3.0, 15.0)
-    }
-
-    /// Creates a tracker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero, `quantile` outside `(0, 1]`, the pad
-    /// negative, or the clamp bounds are not ordered non-negative numbers.
-    pub fn new(capacity: usize, quantile: f64, pad_deg: f64, min_deg: f64, max_deg: f64) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
-        assert!(
-            quantile > 0.0 && quantile <= 1.0,
-            "quantile must be in (0, 1]"
-        );
-        assert!(pad_deg >= 0.0, "pad must be non-negative");
-        assert!(
-            min_deg >= 0.0 && max_deg >= min_deg,
-            "clamp bounds must satisfy 0 <= min <= max"
-        );
         AdaptiveMargin {
-            window: VecDeque::with_capacity(capacity),
-            capacity,
-            quantile,
-            pad_deg,
-            min_deg,
-            max_deg,
+            window: VecDeque::with_capacity(WINDOW),
         }
     }
 
@@ -75,23 +57,22 @@ impl AdaptiveMargin {
     pub fn observe_error(&mut self, yaw_err_deg: f64, pitch_err_deg: f64) {
         let err = yaw_err_deg.abs().max(pitch_err_deg.abs());
         self.window.push_back(err);
-        if self.window.len() > self.capacity {
+        if self.window.len() > WINDOW {
             self.window.pop_front();
         }
     }
 
-    /// The current margin: the configured error quantile plus the pad,
+    /// The current margin: the error quantile plus the pad,
     /// clamped. Before any observation, the maximum (be conservative until
     /// the user's predictability is known).
     pub fn margin_deg(&self) -> f64 {
         if self.window.is_empty() {
-            return self.max_deg;
+            return MAX_DEG;
         }
         let mut sorted: Vec<f64> = self.window.iter().copied().collect();
         sorted.sort_by(f64::total_cmp);
-        let idx =
-            ((self.quantile * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-        (sorted[idx] + self.pad_deg).clamp(self.min_deg, self.max_deg)
+        let idx = ((QUANTILE * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
+        (sorted[idx] + PAD_DEG).clamp(MIN_DEG, MAX_DEG)
     }
 }
 
@@ -125,37 +106,25 @@ mod tests {
 
     #[test]
     fn reacts_to_regime_change_via_the_window() {
-        let mut m = AdaptiveMargin::new(64, 0.95, 1.0, 1.0, 40.0);
-        for _ in 0..64 {
+        let mut m = AdaptiveMargin::paper_compatible();
+        for _ in 0..WINDOW {
             m.observe_error(30.0, 0.0);
         }
         let high = m.margin_deg();
-        for _ in 0..64 {
+        for _ in 0..WINDOW {
             m.observe_error(2.0, 0.0);
         }
         let low = m.margin_deg();
-        assert!(high > 25.0, "high margin {high}");
-        assert!(low < 5.0, "low margin {low}");
+        assert_eq!(high, MAX_DEG);
+        assert_eq!(low, 4.0); // 2 + 2 pad
     }
 
     #[test]
     fn larger_of_yaw_pitch_drives_margin() {
-        let mut m = AdaptiveMargin::new(8, 1.0, 0.0, 0.0, 90.0);
-        m.observe_error(1.0, 12.0);
-        assert_eq!(m.margin_deg(), 12.0);
-        m.observe_error(-20.0, 0.0); // absolute value used
-        assert_eq!(m.margin_deg(), 20.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn bad_quantile_panics() {
-        let _ = AdaptiveMargin::new(8, 0.0, 1.0, 0.0, 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "clamp bounds")]
-    fn bad_bounds_panic() {
-        let _ = AdaptiveMargin::new(8, 0.5, 1.0, 10.0, 5.0);
+        let mut m = AdaptiveMargin::paper_compatible();
+        m.observe_error(1.0, 5.0);
+        assert_eq!(m.margin_deg(), 7.0);
+        m.observe_error(-8.0, 0.0); // absolute value used
+        assert_eq!(m.margin_deg(), 10.0);
     }
 }

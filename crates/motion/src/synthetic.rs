@@ -15,49 +15,43 @@ use serde::{Deserialize, Serialize};
 
 use crate::pose::{wrap_degrees, Orientation, Pose, Vec3};
 
-/// Parameters of the synthetic motion generator.
+/// Room half-extent, metres: positions stay within `[-extent, extent]` on
+/// x and z.
+pub const ROOM_EXTENT_M: f64 = 5.0;
+/// Walking speed, metres per second.
+pub const WALK_SPEED_MPS: f64 = 0.8;
+/// OU mean-reversion rate for yaw angular velocity (per second).
+const YAW_REVERSION: f64 = 1.2;
+/// Yaw angular-velocity noise, degrees/s per √s.
+const YAW_NOISE: f64 = 60.0;
+/// Maximum saccade amplitude, degrees.
+const SACCADE_AMPLITUDE_DEG: f64 = 90.0;
+/// Pitch standard deviation, degrees (pitch follows a slow OU around 0).
+const PITCH_SIGMA_DEG: f64 = 8.0;
+/// Dwell time at a waypoint, seconds, drawn uniformly from this range.
+/// Classroom users mostly stand and look around, walking occasionally —
+/// matching the motion statistics of room-scale VR datasets.
+const DWELL_MIN_S: f64 = 1.0;
+/// Upper end of the dwell range, seconds.
+const DWELL_MAX_S: f64 = 4.0;
+
+/// The two settings of the synthetic motion generator that callers vary;
+/// the rest of the model is the constants above, tuned to give
+/// linear-regression hit rates around 90–95 % with the paper's 15° margin.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MotionConfig {
-    /// Room half-extent, metres: positions stay within `[-extent, extent]`
-    /// on x and z.
-    pub room_extent_m: f64,
-    /// Walking speed, metres per second.
-    pub walk_speed_mps: f64,
     /// Slot duration, seconds (the paper's simulation uses 15 ms).
     pub slot_duration_s: f64,
-    /// OU mean-reversion rate for yaw angular velocity (per second).
-    pub yaw_reversion: f64,
-    /// Yaw angular-velocity noise, degrees/s per √s.
-    pub yaw_noise: f64,
     /// Probability per second of a saccade (fast large head turn).
     pub saccade_rate_hz: f64,
-    /// Maximum saccade amplitude, degrees.
-    pub saccade_amplitude_deg: f64,
-    /// Pitch standard deviation, degrees (pitch follows a slow OU around 0).
-    pub pitch_sigma_deg: f64,
-    /// Minimum dwell time at a waypoint, seconds. Classroom users mostly
-    /// stand and look around, walking occasionally — matching the motion
-    /// statistics of room-scale VR datasets.
-    pub dwell_min_s: f64,
-    /// Maximum dwell time at a waypoint, seconds.
-    pub dwell_max_s: f64,
 }
 
 impl MotionConfig {
-    /// Defaults tuned to give linear-regression hit rates around 90–95 %
-    /// with the paper's 15° margin.
+    /// 15 ms slots and one saccade every four seconds on average.
     pub fn paper_default() -> Self {
         MotionConfig {
-            room_extent_m: 5.0,
-            walk_speed_mps: 0.8,
             slot_duration_s: 0.015,
-            yaw_reversion: 1.2,
-            yaw_noise: 60.0,
             saccade_rate_hz: 0.25,
-            saccade_amplitude_deg: 90.0,
-            pitch_sigma_deg: 8.0,
-            dwell_min_s: 1.0,
-            dwell_max_s: 4.0,
         }
     }
 }
@@ -99,7 +93,7 @@ impl MotionGenerator {
     /// Creates a generator with a deterministic seed.
     pub fn new(config: MotionConfig, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let e = config.room_extent_m;
+        let e = ROOM_EXTENT_M;
         let position = Vec3::new(rng.gen_range(-e..e), 1.7, rng.gen_range(-e..e));
         let waypoint = Vec3::new(rng.gen_range(-e..e), 1.7, rng.gen_range(-e..e));
         let yaw = rng.gen_range(-180.0..180.0);
@@ -124,7 +118,7 @@ impl MotionGenerator {
     /// Advances one slot and returns the new pose.
     pub fn step(&mut self) -> Pose {
         let dt = self.config.slot_duration_s;
-        let e = self.config.room_extent_m;
+        let e = ROOM_EXTENT_M;
 
         // Locomotion: walk toward the waypoint; on arrival, dwell (stand
         // and look around) before picking the next waypoint.
@@ -141,11 +135,9 @@ impl MotionGenerator {
                 self.waypoint.z - self.position.z,
             );
             let dist = (to_wp.x * to_wp.x + to_wp.z * to_wp.z).sqrt();
-            let step_len = self.config.walk_speed_mps * dt;
+            let step_len = WALK_SPEED_MPS * dt;
             if dist <= step_len.max(0.05) {
-                let dwell_s = self
-                    .rng
-                    .gen_range(self.config.dwell_min_s..=self.config.dwell_max_s);
+                let dwell_s = self.rng.gen_range(DWELL_MIN_S..=DWELL_MAX_S);
                 self.dwell_slots_left = (dwell_s / dt).ceil() as u64;
             } else {
                 self.position.x += to_wp.x / dist * step_len;
@@ -154,20 +146,19 @@ impl MotionGenerator {
         }
 
         // Yaw: OU angular velocity + occasional saccades.
-        let noise: f64 = self.rng.gen_range(-1.0..1.0) * self.config.yaw_noise * dt.sqrt();
-        self.yaw_velocity += -self.config.yaw_reversion * self.yaw_velocity * dt + noise;
+        let noise: f64 = self.rng.gen_range(-1.0..1.0) * YAW_NOISE * dt.sqrt();
+        self.yaw_velocity += -YAW_REVERSION * self.yaw_velocity * dt + noise;
         if self
             .rng
             .gen_bool((self.config.saccade_rate_hz * dt).clamp(0.0, 1.0))
         {
-            let amp = self.config.saccade_amplitude_deg;
+            let amp = SACCADE_AMPLITUDE_DEG;
             self.yaw_velocity += self.rng.gen_range(-amp..amp) / 0.3; // ~300 ms saccade
         }
         self.yaw = wrap_degrees(self.yaw + self.yaw_velocity * dt);
 
         // Pitch: slow OU around level gaze, clamped to physical limits.
-        let pitch_noise: f64 =
-            self.rng.gen_range(-1.0..1.0) * self.config.pitch_sigma_deg * 2.0 * dt.sqrt();
+        let pitch_noise: f64 = self.rng.gen_range(-1.0..1.0) * PITCH_SIGMA_DEG * 2.0 * dt.sqrt();
         self.pitch += -0.8 * self.pitch * dt + pitch_noise;
         self.pitch = self.pitch.clamp(-60.0, 60.0);
 
@@ -211,8 +202,8 @@ mod tests {
         let cfg = MotionConfig::paper_default();
         let trace = MotionGenerator::new(cfg, 9).take_trace(20_000);
         for p in &trace {
-            assert!(p.position.x.abs() <= cfg.room_extent_m + 1e-9);
-            assert!(p.position.z.abs() <= cfg.room_extent_m + 1e-9);
+            assert!(p.position.x.abs() <= ROOM_EXTENT_M + 1e-9);
+            assert!(p.position.z.abs() <= ROOM_EXTENT_M + 1e-9);
             assert_eq!(p.position.y, 1.7);
         }
     }
@@ -221,7 +212,7 @@ mod tests {
     fn motion_is_speed_limited() {
         let cfg = MotionConfig::paper_default();
         let trace = MotionGenerator::new(cfg, 3).take_trace(5_000);
-        let max_step = cfg.walk_speed_mps * cfg.slot_duration_s + 1e-9;
+        let max_step = WALK_SPEED_MPS * cfg.slot_duration_s + 1e-9;
         for w in trace.windows(2) {
             let d = w[0].position.distance(&w[1].position);
             assert!(d <= max_step, "step {d} exceeds walking speed");

@@ -3,7 +3,7 @@
 use cvr_motion::fov::FovSpec;
 use cvr_motion::pose::{angular_distance, wrap_degrees, Orientation, Pose, Vec3};
 use cvr_motion::predict::LinearPredictor;
-use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
+use cvr_motion::synthetic::{MotionConfig, MotionGenerator, ROOM_EXTENT_M, WALK_SPEED_MPS};
 use proptest::prelude::*;
 
 proptest! {
@@ -85,13 +85,13 @@ proptest! {
     fn generator_respects_physics(seed in 0u64..200, slots in 100usize..2000) {
         let cfg = MotionConfig::paper_default();
         let trace = MotionGenerator::new(cfg, seed).take_trace(slots);
-        let max_step = cfg.walk_speed_mps * cfg.slot_duration_s + 1e-9;
+        let max_step = WALK_SPEED_MPS * cfg.slot_duration_s + 1e-9;
         for w in trace.windows(2) {
             prop_assert!(w[0].position.distance(&w[1].position) <= max_step);
         }
         for p in &trace {
-            prop_assert!(p.position.x.abs() <= cfg.room_extent_m + 1e-9);
-            prop_assert!(p.position.z.abs() <= cfg.room_extent_m + 1e-9);
+            prop_assert!(p.position.x.abs() <= ROOM_EXTENT_M + 1e-9);
+            prop_assert!(p.position.z.abs() <= ROOM_EXTENT_M + 1e-9);
             prop_assert!((-180.0..180.0).contains(&p.orientation.yaw));
             prop_assert!(p.orientation.pitch.abs() <= 60.0 + 1e-9);
         }

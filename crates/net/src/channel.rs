@@ -9,16 +9,19 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+/// One-way propagation delay of an ACK, seconds.
+const PROPAGATION_S: f64 = 0.002;
+/// TCP retransmission timeout, seconds.
+const RTO_S: f64 = 0.05;
+
 /// A reliable feedback path: the TCP ACK channel.
 ///
 /// Every transfer arrives; loss shows up as latency. With loss probability
-/// `p` and retransmission timeout `rto_s`, the number of attempts is
-/// geometric, so latency = propagation + (attempts − 1) · RTO.
+/// `p`, the number of attempts is geometric, so latency = 2 ms propagation
+/// + (attempts − 1) · 50 ms RTO.
 #[derive(Debug, Clone)]
 pub struct AckChannel {
     loss_probability: f64,
-    propagation_s: f64,
-    rto_s: f64,
     rng: ChaCha8Rng,
 }
 
@@ -28,29 +31,23 @@ impl AckChannel {
     /// # Panics
     ///
     /// Panics if `loss_probability` is not in `[0, 1)` (a loss rate of 1
-    /// would never deliver), or if delays are negative.
-    pub fn new(loss_probability: f64, propagation_s: f64, rto_s: f64, seed: u64) -> Self {
+    /// would never deliver).
+    pub fn new(loss_probability: f64, seed: u64) -> Self {
         assert!(
             (0.0..1.0).contains(&loss_probability),
             "loss must be a probability below 1"
         );
-        assert!(
-            propagation_s >= 0.0 && rto_s >= 0.0,
-            "delays must be non-negative"
-        );
         AckChannel {
             loss_probability,
-            propagation_s,
-            rto_s,
             rng: ChaCha8Rng::seed_from_u64(seed),
         }
     }
 
     /// Sends a (small) message at `now_s`; returns its arrival time.
     pub fn send(&mut self, now_s: f64) -> f64 {
-        let mut arrival = now_s + self.propagation_s;
+        let mut arrival = now_s + PROPAGATION_S;
         while self.rng.gen_bool(self.loss_probability) {
-            arrival += self.rto_s;
+            arrival += RTO_S;
         }
         arrival
     }
@@ -62,17 +59,17 @@ mod tests {
 
     #[test]
     fn ack_always_arrives() {
-        let mut ch = AckChannel::new(0.4, 0.002, 0.05, 11);
+        let mut ch = AckChannel::new(0.4, 11);
         for i in 0..1000 {
             let t = ch.send(i as f64);
-            assert!(t >= i as f64 + 0.002);
+            assert!(t >= i as f64 + PROPAGATION_S);
         }
     }
 
     #[test]
     fn ack_latency_grows_with_loss() {
-        let mut clean = AckChannel::new(0.0, 0.002, 0.05, 3);
-        let mut lossy = AckChannel::new(0.5, 0.002, 0.05, 3);
+        let mut clean = AckChannel::new(0.0, 3);
+        let mut lossy = AckChannel::new(0.5, 3);
         let n = 5000;
         let clean_avg: f64 =
             (0..n).map(|i| clean.send(i as f64) - i as f64).sum::<f64>() / n as f64;
@@ -86,6 +83,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "below 1")]
     fn ack_rejects_certain_loss() {
-        let _ = AckChannel::new(1.0, 0.0, 0.1, 0);
+        let _ = AckChannel::new(1.0, 0);
     }
 }

@@ -181,39 +181,27 @@ impl BandwidthEstimator for HarmonicMeanEstimator {
     }
 }
 
-/// Least-squares polynomial regression over a sliding window of
-/// `(x, y)` samples, with Gaussian-elimination normal equations.
+/// Degree of the delay-vs-rate fit.
+const DEGREE: usize = 2;
+/// (rate, delay) measurements the fit covers.
+const WINDOW: usize = 64;
+
+/// Least-squares quadratic regression over the last 64 `(x, y)` samples,
+/// with Gaussian-elimination normal equations.
 ///
 /// Used by the server to map a candidate sending rate to a predicted
 /// delivery delay from recent measurements.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PolyRegression {
-    degree: usize,
-    window: usize,
     samples: VecDeque<(f64, f64)>,
 }
 
 impl PolyRegression {
-    /// Creates a regressor of the given `degree` (≥ 1) over a sliding
-    /// window of `window` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `degree` is 0 or `window <= degree`.
-    pub fn new(degree: usize, window: usize) -> Self {
-        assert!(degree >= 1, "degree must be at least 1");
-        assert!(window > degree, "window must exceed the degree");
+    /// An empty regressor.
+    pub fn paper_default() -> Self {
         PolyRegression {
-            degree,
-            window,
             samples: VecDeque::new(),
         }
-    }
-
-    /// The system's configuration: quadratic fit over the last 64
-    /// (rate, delay) measurements.
-    pub fn paper_default() -> Self {
-        PolyRegression::new(2, 64)
     }
 
     /// Number of samples currently in the window.
@@ -229,16 +217,16 @@ impl PolyRegression {
     /// Adds a sample, evicting the oldest if the window is full.
     pub fn observe(&mut self, x: f64, y: f64) {
         self.samples.push_back((x, y));
-        if self.samples.len() > self.window {
+        if self.samples.len() > WINDOW {
             self.samples.pop_front();
         }
     }
 
     /// Fits the polynomial and returns its coefficients
-    /// `[c0, c1, …, c_degree]` (lowest order first), or `None` if there are
-    /// not enough samples (fewer than `degree + 1`).
+    /// `[c0, c1, c2]` (lowest order first), or `None` if there are not
+    /// enough samples (fewer than three).
     pub fn fit(&self) -> Option<Vec<f64>> {
-        let m = self.degree + 1;
+        let m = DEGREE + 1;
         if self.samples.len() < m {
             return None;
         }
@@ -419,7 +407,7 @@ mod tests {
 
     #[test]
     fn poly_recovers_exact_quadratic() {
-        let mut p = PolyRegression::new(2, 32);
+        let mut p = PolyRegression::paper_default();
         for i in 0..20 {
             let x = i as f64 * 0.5;
             p.observe(x, 3.0 + 2.0 * x + 0.5 * x * x);
@@ -434,7 +422,7 @@ mod tests {
 
     #[test]
     fn poly_needs_enough_samples() {
-        let mut p = PolyRegression::new(2, 16);
+        let mut p = PolyRegression::paper_default();
         p.observe(0.0, 1.0);
         p.observe(1.0, 2.0);
         assert!(p.fit().is_none());
@@ -445,25 +433,26 @@ mod tests {
 
     #[test]
     fn poly_window_slides() {
-        let mut p = PolyRegression::new(1, 4);
+        let mut p = PolyRegression::paper_default();
         // Old regime y = x, then new regime y = 2x: after the window slides
-        // the fit should match the new slope.
-        for i in 0..4 {
-            p.observe(i as f64, i as f64);
+        // the fit should match the new line.
+        for i in 0..WINDOW {
+            let x = i as f64 * 0.1;
+            p.observe(x, x);
         }
-        for i in 0..4 {
-            let x = 10.0 + i as f64;
+        for i in 0..WINDOW {
+            let x = 10.0 + i as f64 * 0.1;
             p.observe(x, 2.0 * x);
         }
-        assert_eq!(p.len(), 4);
+        assert_eq!(p.len(), WINDOW);
         let c = p.fit().unwrap();
-        assert!((c[1] - 2.0).abs() < 1e-9);
+        assert!(c[0].abs() < 1e-6 && (c[1] - 2.0).abs() < 1e-6 && c[2].abs() < 1e-6);
     }
 
     #[test]
     fn poly_degenerate_inputs_return_none() {
         // All x identical → singular normal equations for degree ≥ 1.
-        let mut p = PolyRegression::new(2, 8);
+        let mut p = PolyRegression::paper_default();
         for _ in 0..5 {
             p.observe(1.0, 3.0);
         }
@@ -487,7 +476,7 @@ mod tests {
 
     #[test]
     fn reset_and_len() {
-        let mut p = PolyRegression::new(1, 4);
+        let mut p = PolyRegression::paper_default();
         assert!(p.is_empty());
         p.observe(0.0, 0.0);
         assert_eq!(p.len(), 1);

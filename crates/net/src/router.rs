@@ -25,20 +25,23 @@ pub enum InterferenceMode {
     CoChannel,
 }
 
-/// A shared wireless medium with time-varying efficiency.
+/// Nominal capacity of one 802.11ac testbed router, Mbps.
+pub const ROUTER_CAPACITY_MBPS: f64 = 400.0;
+
+/// A shared wireless medium of [`ROUTER_CAPACITY_MBPS`] nominal capacity
+/// with time-varying efficiency.
 ///
 /// # Examples
 ///
 /// ```
-/// use cvr_net::router::{InterferenceMode, WirelessRouter};
+/// use cvr_net::router::{InterferenceMode, WirelessRouter, ROUTER_CAPACITY_MBPS};
 ///
-/// let mut router = WirelessRouter::new(400.0, InterferenceMode::Isolated, 7);
+/// let mut router = WirelessRouter::new(InterferenceMode::Isolated, 7);
 /// let capacity = router.step_capacity_mbps();
-/// assert!(capacity > 0.0 && capacity <= 400.0);
+/// assert!(capacity > 0.0 && capacity <= ROUTER_CAPACITY_MBPS);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WirelessRouter {
-    nominal_capacity_mbps: f64,
     mode: InterferenceMode,
     efficiency: f64,
     burst_slots_left: u32,
@@ -46,25 +49,14 @@ pub struct WirelessRouter {
 }
 
 impl WirelessRouter {
-    /// Creates a router with the given nominal capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nominal_capacity_mbps` is not positive.
-    pub fn new(nominal_capacity_mbps: f64, mode: InterferenceMode, seed: u64) -> Self {
-        assert!(nominal_capacity_mbps > 0.0, "capacity must be positive");
+    /// Creates a router.
+    pub fn new(mode: InterferenceMode, seed: u64) -> Self {
         WirelessRouter {
-            nominal_capacity_mbps,
             mode,
             efficiency: 0.95,
             burst_slots_left: 0,
             rng: ChaCha8Rng::seed_from_u64(seed),
         }
-    }
-
-    /// The configured nominal capacity.
-    pub fn nominal_capacity_mbps(&self) -> f64 {
-        self.nominal_capacity_mbps
     }
 
     /// The interference mode.
@@ -94,7 +86,7 @@ impl WirelessRouter {
                 };
             }
         }
-        self.nominal_capacity_mbps * self.efficiency
+        ROUTER_CAPACITY_MBPS * self.efficiency
     }
 }
 
@@ -103,7 +95,7 @@ mod tests {
     use super::*;
 
     fn capacity_stats(mode: InterferenceMode, slots: usize, seed: u64) -> (f64, f64) {
-        let mut r = WirelessRouter::new(400.0, mode, seed);
+        let mut r = WirelessRouter::new(mode, seed);
         let caps: Vec<f64> = (0..slots).map(|_| r.step_capacity_mbps()).collect();
         let mean = caps.iter().sum::<f64>() / caps.len() as f64;
         let var = caps.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / caps.len() as f64;
@@ -113,10 +105,10 @@ mod tests {
     #[test]
     fn capacity_stays_within_physical_bounds() {
         for mode in [InterferenceMode::Isolated, InterferenceMode::CoChannel] {
-            let mut r = WirelessRouter::new(400.0, mode, 1);
+            let mut r = WirelessRouter::new(mode, 1);
             for _ in 0..50_000 {
                 let c = r.step_capacity_mbps();
-                assert!(c > 0.0 && c <= 400.0);
+                assert!(c > 0.0 && c <= ROUTER_CAPACITY_MBPS);
             }
         }
     }
@@ -137,8 +129,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let mut a = WirelessRouter::new(400.0, InterferenceMode::CoChannel, 9);
-        let mut b = WirelessRouter::new(400.0, InterferenceMode::CoChannel, 9);
+        let mut a = WirelessRouter::new(InterferenceMode::CoChannel, 9);
+        let mut b = WirelessRouter::new(InterferenceMode::CoChannel, 9);
         for _ in 0..1000 {
             assert_eq!(a.step_capacity_mbps(), b.step_capacity_mbps());
         }
@@ -146,8 +138,7 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let r = WirelessRouter::new(400.0, InterferenceMode::Isolated, 0);
-        assert_eq!(r.nominal_capacity_mbps(), 400.0);
+        let r = WirelessRouter::new(InterferenceMode::Isolated, 0);
         assert_eq!(r.mode(), InterferenceMode::Isolated);
     }
 }

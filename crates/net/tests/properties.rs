@@ -57,14 +57,16 @@ proptest! {
         intercept in -10.0f64..10.0,
         n in 4usize..40,
     ) {
-        let mut p = PolyRegression::new(1, 64);
+        let mut p = PolyRegression::paper_default();
         for i in 0..n {
             let x = i as f64 * 0.7;
             p.observe(x, slope * x + intercept);
         }
+        // The fit is quadratic: a line comes back with a zero square term.
         let c = p.fit().expect("enough samples");
         prop_assert!((c[0] - intercept).abs() < 1e-6);
         prop_assert!((c[1] - slope).abs() < 1e-6);
+        prop_assert!(c[2].abs() < 1e-6);
     }
 
     // Every impairment pathology is a pure function of (config, seed):

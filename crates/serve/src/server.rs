@@ -32,7 +32,6 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use cvr_content::id::VideoId;
-use cvr_content::library::ContentLibrary;
 use cvr_content::tile::{tile_mask, TileId};
 use cvr_core::objective::QoeParams;
 use cvr_core::qoe::UserQoeSummary;
@@ -566,11 +565,10 @@ impl Session {
     /// Creates an empty session over the paper-default content library.
     pub fn new(config: ServeConfig) -> Self {
         let planner = SlotPlanner::new(
-            ContentLibrary::paper_default(),
             config.horizon,
             config.mcast_hysteresis_slots,
             QoeParams::system_default(),
-            DeltaEstimator::ewma(1.0, 0.02),
+            DeltaEstimator::ewma(),
         );
         let obs = SessionObs::new(planner.horizon());
         Session {

@@ -1,12 +1,12 @@
 //! The slot ticker: turns the paper's abstract "every Δt = 15 ms" into a
-//! concrete pacing loop with deadline accounting.
+//! concrete pacing loop with a deadline verdict per slot.
 
 use std::time::{Duration, Instant};
 
-/// Paces a slot loop and accounts for deadline behaviour.
+/// Paces a slot loop and judges each slot's deadline.
 ///
-/// One call to [`SlotTicker::wait`] ends the current slot: it measures
-/// how much of the period the slot's work consumed, then sleeps until
+/// One call to [`SlotTicker::wait`] ends the current slot: it says whether
+/// the slot's work fit inside the period, then sleeps until
 /// the next slot boundary. Boundaries live on an
 /// *absolute* grid — each slot nominally starts exactly one period after
 /// the previous one — so the systematic oversleep of `thread::sleep`
@@ -14,16 +14,14 @@ use std::time::{Duration, Instant};
 /// budget instead of shifting every later boundary. A slot whose work
 /// ran past its boundary is an *overrun*; only then does the ticker
 /// resynchronise the grid to "now" rather than letting lateness
-/// accumulate.
+/// accumulate. The ticker keeps no tally: its caller counts the verdicts
+/// (a session in its registry, through `Session::note_tick`).
 #[derive(Debug)]
 pub struct SlotTicker {
     period: Duration,
     /// Nominal start of the current slot: on the absolute `k × period`
     /// grid, not at the post-sleep wakeup instant.
     slot_start: Instant,
-    ticks: u64,
-    on_time: u64,
-    overruns: u64,
 }
 
 impl SlotTicker {
@@ -32,9 +30,6 @@ impl SlotTicker {
         SlotTicker {
             period,
             slot_start: Instant::now(),
-            ticks: 0,
-            on_time: 0,
-            overruns: 0,
         }
     }
 
@@ -43,18 +38,11 @@ impl SlotTicker {
         self.period
     }
 
-    /// Ends the current slot: records whether its work met the deadline
-    /// and sleeps until the next slot boundary on the absolute grid.
-    /// Returns `true` if the slot was on time.
+    /// Ends the current slot and sleeps until the next slot boundary on
+    /// the absolute grid. Returns `true` if the slot's work met the
+    /// deadline.
     pub fn wait(&mut self) -> bool {
-        let worked = self.slot_start.elapsed();
-        self.ticks += 1;
-        let on_time = worked <= self.period;
-        if on_time {
-            self.on_time += 1;
-        } else {
-            self.overruns += 1;
-        }
+        let on_time = self.slot_start.elapsed() <= self.period;
         let deadline = self.slot_start + self.period;
         let now = Instant::now();
         if now < deadline {
@@ -70,30 +58,6 @@ impl SlotTicker {
             self.slot_start = now;
         }
         on_time
-    }
-
-    /// Slots completed so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Slots whose work fit inside the period.
-    pub fn on_time(&self) -> u64 {
-        self.on_time
-    }
-
-    /// Fraction of slots that met the deadline (1.0 before any tick).
-    pub fn on_time_fraction(&self) -> f64 {
-        if self.ticks == 0 {
-            1.0
-        } else {
-            self.on_time as f64 / self.ticks as f64
-        }
-    }
-
-    /// Slots whose work exceeded the period.
-    pub fn overruns(&self) -> u64 {
-        self.overruns
     }
 }
 
@@ -138,7 +102,6 @@ mod tests {
             }
             let elapsed = start.elapsed();
             assert!(elapsed >= period * slots);
-            assert_eq!(t.ticks(), u64::from(slots));
             if elapsed <= period * slots + period {
                 return;
             }
@@ -173,7 +136,5 @@ mod tests {
         let mut t = SlotTicker::new(Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         assert!(!t.wait());
-        assert_eq!(t.overruns(), 1);
-        assert!(t.on_time_fraction() < 1.0);
     }
 }

@@ -6,7 +6,8 @@
 use cvr_serve::client::{ClientConfig, ClientReport};
 use cvr_serve::harness::{run_host_lockstep, sharded_loopback_fleet};
 use cvr_serve::server::{ServeConfig, ServeReport};
-use cvr_serve::shard::{HostConfig, SessionId};
+use cvr_serve::shard::{HostConfig, SessionId, ShardHost};
+use std::time::Duration;
 
 const SESSIONS: usize = 6;
 const CLIENTS: usize = 18;
@@ -84,4 +85,23 @@ fn sharded_lockstep_run_is_healthy() {
         assert!(report.summary.avg_chosen_quality >= 1.0);
         assert_eq!(report.protocol_errors, 0);
     }
+}
+
+/// A realtime host counts each slot's deadline verdict once, in the
+/// session's registry: at a 1 ns period no slot's work fits, so all three
+/// slots are overruns.
+#[test]
+fn run_realtime_counts_every_overrun_once_in_the_registry() {
+    let mut host = ShardHost::new(HostConfig {
+        shards: 1,
+        session: ServeConfig::default(),
+    });
+    host.add_session();
+    host.run_realtime(3, Duration::from_nanos(1), None, None);
+    let reports = host.reports();
+    assert_eq!(reports.len(), 1);
+    let counters = &reports[0].1.counters;
+    assert_eq!(counters.ticks, 3);
+    assert_eq!(counters.tick_overruns, 3);
+    assert_eq!(counters.on_time_ticks, 0);
 }

@@ -187,7 +187,6 @@ pub fn scenario_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cvr_core::objective::QoeParams;
 
     #[test]
     fn trace_experiment_collects_all_algorithms() {
@@ -278,7 +277,6 @@ mod tests {
         let base = SystemConfig {
             num_users: 3,
             duration_s: 3.0,
-            params: QoeParams::system_default(),
             ..SystemConfig::setup1(9)
         };
         let kinds = [AllocatorKind::DensityValueGreedy, AllocatorKind::Firefly];

@@ -213,17 +213,17 @@ pub struct SlotPlanner {
 }
 
 impl SlotPlanner {
-    /// Creates a planner over `library` with lookahead horizon `horizon`
-    /// (clamped to ≥ 1; `1` is the paper's myopic planner), multicast
-    /// group-id hysteresis, the QoE weights of Eq. (9), and the `δ_n`
-    /// estimator each user starts from.
+    /// Creates a planner over the paper's content library with lookahead
+    /// horizon `horizon` (clamped to ≥ 1; `1` is the paper's myopic
+    /// planner), multicast group-id hysteresis, the QoE weights of Eq. (9),
+    /// and the `δ_n` estimator each user starts from.
     pub fn new(
-        library: ContentLibrary,
         horizon: usize,
         hysteresis_slots: u64,
         params: QoeParams,
         delta: DeltaEstimator,
     ) -> Self {
+        let library = ContentLibrary::paper_default();
         SlotPlanner {
             levels: library.quality_set().len(),
             plane: RatePlane::new(library.sizing().clone(), 0),
@@ -735,11 +735,10 @@ mod tests {
 
     fn planner(horizon: usize) -> SlotPlanner {
         SlotPlanner::new(
-            ContentLibrary::paper_default(),
             horizon,
             8,
             QoeParams::system_default(),
-            DeltaEstimator::ewma(1.0, 0.02),
+            DeltaEstimator::ewma(),
         )
     }
 
@@ -1369,8 +1368,8 @@ mod tests {
                     Pose::new(Vec3::new(x, 1.6, 0.3), Orientation::new(yaw, pitch, 0.0))
                 })
                 .collect();
-            for estimator in [DeltaEstimator::average(), DeltaEstimator::ewma(1.0, 0.02)] {
-                let mut p = SlotPlanner::new(library.clone(), 1, 0, params, estimator);
+            for estimator in [DeltaEstimator::average(), DeltaEstimator::ewma()] {
+                let mut p = SlotPlanner::new(1, 0, params, estimator);
                 // The drivers' former per-user accounts, fed what the
                 // planner is fed.
                 let mut accounts = Vec::new();

@@ -16,7 +16,6 @@ use rand_chacha::ChaCha8Rng;
 
 use cvr_content::cache::ClientTileBuffer;
 use cvr_content::id::VideoId;
-use cvr_content::library::ContentLibrary;
 use cvr_core::alloc::Allocator;
 use cvr_core::delay::{DelayModel, Mm1Delay};
 use cvr_core::objective::QoeParams;
@@ -33,7 +32,7 @@ use cvr_net::estimate::{
 };
 use cvr_net::impair::{BufferbloatQueue, ImpairmentConfig, Pathology};
 use cvr_net::multilink::{BondedLink, FailoverPolicy};
-use cvr_net::router::{InterferenceMode, WirelessRouter};
+use cvr_net::router::{InterferenceMode, WirelessRouter, ROUTER_CAPACITY_MBPS};
 use cvr_net::trace::{TraceGeneratorConfig, TraceProfile};
 use cvr_render::job::{CostModel, RenderJob};
 use cvr_render::pipeline::RenderFarm;
@@ -41,13 +40,12 @@ use cvr_render::scheduler::EarliestCompletion;
 
 use crate::allocators::AllocatorKind;
 use crate::event::EventQueue;
-use crate::pipeline::{mm1_delay, SlotPlanner, LINK_FLOOR_MBPS, PROPAGATION_S};
-pub use crate::pipeline::{sanitize_rates, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
+use crate::pipeline::{
+    mm1_delay, SlotPlanner, DELAY_CAP_SLOTS, LINK_FLOOR_MBPS, PIPELINE_SLOTS, PROPAGATION_S,
+};
 
 /// Slot duration, seconds (60 FPS → 1/60).
 const SLOT_DURATION_S: f64 = 1.0 / 60.0;
-/// Per-router nominal capacity, Mbps (802.11ac ≈ 400 usable).
-const ROUTER_CAPACITY_MBPS: f64 = 400.0;
 /// `tc` throttle guidelines cycled across users (paper: 40…60 Mbps).
 const THROTTLE_GUIDELINES_MBPS: [f64; 5] = [40.0, 45.0, 50.0, 55.0, 60.0];
 /// MTU-sized packet payload, kilobits (1500 B ≈ 12 kbit).
@@ -72,10 +70,6 @@ pub struct SystemConfig {
     pub num_routers: usize,
     /// Run duration, seconds.
     pub duration_s: f64,
-    /// QoE weights (paper real-system: α = 0.1, β = 0.5).
-    pub params: QoeParams,
-    /// Server uplink limit, Mbps (400 with one router, 800 with two).
-    pub server_total_mbps: f64,
     /// Per-packet loss probability on the RTP/UDP path. A transfer of
     /// `n` packets is lost if any packet is lost (no FEC/retransmission on
     /// the data path), so larger transfers fail more often — the coupling
@@ -124,8 +118,6 @@ impl SystemConfig {
             num_users: 8,
             num_routers: 1,
             duration_s: 60.0,
-            params: QoeParams::system_default(),
-            server_total_mbps: 400.0,
             packet_loss_probability: 0.000_2,
             bandwidth_estimator: BandwidthEstimatorKind::Ema { weight: 0.05 },
             pose_upload_period_slots: 1,
@@ -143,7 +135,6 @@ impl SystemConfig {
         SystemConfig {
             num_users: 15,
             num_routers: 2,
-            server_total_mbps: 800.0,
             ..SystemConfig::setup1(seed)
         }
     }
@@ -151,6 +142,12 @@ impl SystemConfig {
     /// Number of slots.
     pub fn slots(&self) -> usize {
         (self.duration_s / SLOT_DURATION_S).round() as usize
+    }
+
+    /// Server uplink limit, Mbps: one router's capacity per router (400
+    /// with one, 800 with two).
+    pub fn server_total_mbps(&self) -> f64 {
+        ROUTER_CAPACITY_MBPS * self.num_routers as f64
     }
 }
 
@@ -283,6 +280,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
     let n = config.num_users;
     let dt = SLOT_DURATION_S;
     let slots = config.slots();
+    let server_total_mbps = config.server_total_mbps();
     // The shared slot planner: slot engine, data plane (per-cell rate
     // rows and FoV tile sets, computed per query), and per-user delivery
     // ledgers, incrementally maintained undelivered-rate sums, prefetch
@@ -291,12 +289,12 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
     // actual FoV — a frame dropped for lateness or loss covers nothing, so
     // delivery failures count as misses. EWMA keeps the estimate adaptive
     // to network regime changes.
+    // QoE weights: the paper's real-system α = 0.1, β = 0.5.
     let mut planner = SlotPlanner::new(
-        ContentLibrary::paper_default(),
         config.horizon,
         0,
-        config.params,
-        DeltaEstimator::ewma(1.0, 0.02),
+        QoeParams::system_default(),
+        DeltaEstimator::ewma(),
     );
     for u in 0..n {
         planner.join(u);
@@ -333,8 +331,6 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
             // ACKs are single packets over the reliable TCP path.
             AckChannel::new(
                 config.packet_loss_probability.min(0.5),
-                0.002,
-                0.05,
                 config.seed ^ u as u64,
             )
         })
@@ -392,13 +388,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
         InterferenceMode::Isolated
     };
     let mut routers: Vec<WirelessRouter> = (0..config.num_routers)
-        .map(|r| {
-            WirelessRouter::new(
-                ROUTER_CAPACITY_MBPS,
-                interference,
-                config.seed ^ (r as u64) << 17,
-            )
-        })
+        .map(|r| WirelessRouter::new(interference, config.seed ^ (r as u64) << 17))
         .collect();
     let router_of = |u: usize| u % config.num_routers;
 
@@ -482,7 +472,7 @@ pub fn run(config: &SystemConfig, kind: AllocatorKind) -> SystemRunResult {
         // suppression happens here: the planner's sums hold the per-level
         // rate of only the *undelivered* tiles. Nobody is groupable, so
         // every user is staged as its own row.
-        planner.begin_slot(slot as u64, config.server_total_mbps);
+        planner.begin_slot(slot as u64, server_total_mbps);
         for u in 0..n {
             let estimate = bandwidth_estimates[u].estimate_or(throttles[u]).max(1.0);
             let bn = planner.clamp_budget(u, estimate);
@@ -765,11 +755,11 @@ mod tests {
         let s1 = SystemConfig::setup1(0);
         assert_eq!(s1.num_users, 8);
         assert_eq!(s1.num_routers, 1);
-        assert_eq!(s1.server_total_mbps, 400.0);
+        assert_eq!(s1.server_total_mbps(), 400.0);
         let s2 = SystemConfig::setup2(0);
         assert_eq!(s2.num_users, 15);
         assert_eq!(s2.num_routers, 2);
-        assert_eq!(s2.server_total_mbps, 800.0);
+        assert_eq!(s2.server_total_mbps(), 800.0);
         assert_eq!(s2.slots(), 3600);
     }
 

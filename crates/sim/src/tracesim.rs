@@ -22,7 +22,6 @@
 //! prefetch and anticipatory degrade are measured where they act on
 //! estimates, in [`crate::system`] and the live server.
 
-use cvr_content::library::ContentLibrary;
 use cvr_core::alloc::Allocator;
 use cvr_core::objective::QoeParams;
 use cvr_core::offline::fractional_upper_bound;
@@ -198,13 +197,7 @@ pub fn run_with(
     // request, cached until the predicted pose leaves the current cell or
     // orientation bucket. Horizon 1: the paper's myopic loop; δ_n is the
     // paper's running average hit rate.
-    let mut planner = SlotPlanner::new(
-        ContentLibrary::paper_default(),
-        1,
-        0,
-        config.params,
-        DeltaEstimator::average(),
-    );
+    let mut planner = SlotPlanner::new(1, 0, config.params, DeltaEstimator::average());
     for u in 0..n {
         planner.join(u);
     }

@@ -18,7 +18,10 @@ fn main() {
     };
     println!(
         "VR classroom: {} users, {} router(s), {} Mbps server uplink, {:.0} s\n",
-        config.num_users, config.num_routers, config.server_total_mbps, config.duration_s
+        config.num_users,
+        config.num_routers,
+        config.server_total_mbps(),
+        config.duration_s
     );
 
     println!(

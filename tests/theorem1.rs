@@ -136,7 +136,6 @@ fn link(u: usize, slot: u64) -> f64 {
 #[test]
 fn theorem1_on_the_rows_the_planner_stages() {
     let mut planner = SlotPlanner::new(
-        ContentLibrary::paper_default(),
         1,
         8,
         QoeParams::simulation_default(),
